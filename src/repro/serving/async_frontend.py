@@ -8,8 +8,8 @@ contract:
 
 - :meth:`feed` / :meth:`open_session` / :meth:`close_session` are
   coroutines; the blocking exchange — a shared-memory ring write for
-  ``feed`` under the default data plane (no reply round-trip, it blocks
-  only on ring back-pressure), a pipe request/reply for control ops —
+  ``feed`` (no reply round-trip, it blocks only on ring back-pressure),
+  a pipe request/reply for control ops —
   runs on an executor thread while the event loop keeps serving
   everything else;
 - one background ticker task per shard advances that shard whenever it
@@ -262,10 +262,9 @@ class AsyncShardedMonitor:
     async def feed(self, session_id: str, frames: np.ndarray) -> None:
         """Enqueue frames for a session without blocking the event loop.
 
-        Waits only on the owning shard — a frame-ring write under the
-        shm data plane, a pipe ack under ``data_plane="pipe"`` (other
-        shards' ingest and ticking proceed concurrently either way) —
-        then wakes that shard's ticker.
+        Waits only on the owning shard's frame-ring write (other
+        shards' ingest and ticking proceed concurrently), then wakes
+        that shard's ticker.
         """
         _, shard = await self._run_on_session_shard(
             session_id, self._service.feed, session_id, frames

@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections.abc import Callable
+from typing import TypeVar
 
 from ..errors import ConfigurationError, ReproError
 from .async_frontend import AsyncShardedMonitor
@@ -43,8 +44,118 @@ from .sharded import FRAME_INTERVAL_MS, suggest_shard_count
 
 logger = logging.getLogger(__name__)
 
+_C = TypeVar("_C", bound="_ControlLoop")
 
-class MonitorAutoscaler:
+
+class _ControlLoop:
+    """Hysteresis and loop lifecycle shared by the fleet's two controllers.
+
+    :class:`MonitorAutoscaler` and
+    :class:`~repro.serving.balancer.MonitorBalancer` differ in policy —
+    what they observe, what they actuate — but gate it identically: a
+    recommendation must repeat for ``consecutive`` evaluations (the
+    *streak*), at least ``cooldown_s`` must have passed since the last
+    applied action, and a background task re-runs :meth:`step` every
+    ``interval_s``.  Subclasses implement :meth:`step`.
+    """
+
+    def __init__(
+        self, interval_s: float, consecutive: int, cooldown_s: float
+    ) -> None:
+        if interval_s <= 0:
+            raise ConfigurationError("interval_s must be > 0")
+        if consecutive < 1:
+            raise ConfigurationError("consecutive must be >= 1")
+        if cooldown_s < 0:
+            raise ConfigurationError("cooldown_s must be >= 0")
+        self.interval_s = float(interval_s)
+        self.consecutive = int(consecutive)
+        self.cooldown_s = float(cooldown_s)
+        #: What the current streak agrees on (a target shard count, a
+        #: hot shard index); ``None`` while there is no streak.
+        self._streak_key: int | None = None
+        self._streak = 0
+        self._last_applied: float | None = None
+        self._task: asyncio.Task | None = None
+        self._closed = False
+
+    def _reset_streak(self) -> None:
+        self._streak_key = None
+        self._streak = 0
+
+    def _streak_reached(self, key: int) -> bool:
+        """Count one evaluation recommending ``key``; True once
+        ``consecutive`` evaluations in a row have agreed on it."""
+        if key != self._streak_key:
+            self._streak_key = key
+            self._streak = 1
+        else:
+            self._streak += 1
+        return self._streak >= self.consecutive
+
+    def _cooling_down(self) -> bool:
+        return (
+            self._last_applied is not None
+            and asyncio.get_running_loop().time() - self._last_applied
+            < self.cooldown_s
+        )
+
+    def _mark_applied(self) -> float:
+        """An action was applied: start the cooldown, void the streak."""
+        self._last_applied = asyncio.get_running_loop().time()
+        self._reset_streak()
+        return self._last_applied
+
+    async def step(self):
+        """Run one evaluation (subclass policy)."""
+        raise NotImplementedError
+
+    async def start(self) -> None:
+        """Spawn the background polling loop (idempotent)."""
+        if self._task is None and not self._closed:
+            self._task = asyncio.create_task(
+                self._loop(), name=type(self).__name__
+            )
+
+    async def _loop(self) -> None:
+        while not self._closed:
+            await asyncio.sleep(self.interval_s)
+            if self._closed:
+                return
+            try:
+                await self.step()
+            except ReproError:
+                # A crash mid-action fails its sessions safe through the
+                # fleet's own paths; a capacity rejection leaves the
+                # fleet serving.  Either way the next poll re-evaluates.
+                continue
+
+    async def stop(self) -> None:
+        """End the polling loop.  Idempotent; :meth:`step` keeps working."""
+        self._closed = True
+        if self._task is not None:
+            self._task.cancel()
+            try:
+                await self._task
+            except asyncio.CancelledError:
+                pass  # the expected outcome of cancel()
+            except Exception as exc:  # noqa: BLE001 - a dead loop must not
+                # abort the caller's shutdown path, but the error it died
+                # with is still worth the log line.
+                logger.warning(
+                    "%s loop ended with error: %s", type(self).__name__, exc
+                )
+            self._task = None
+
+    async def __aenter__(self: _C) -> _C:
+        await self.start()
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.stop()
+
+
+class MonitorAutoscaler(_ControlLoop):
     """Poll a fleet's stats and live-resize it under hysteresis.
 
     Parameters
@@ -88,20 +199,12 @@ class MonitorAutoscaler:
         low_watermark: float = 0.1,
         on_resize: Callable[[dict], None] | None = None,
     ) -> None:
-        if interval_s <= 0:
-            raise ConfigurationError("interval_s must be > 0")
-        if consecutive < 1:
-            raise ConfigurationError("consecutive must be >= 1")
-        if cooldown_s < 0:
-            raise ConfigurationError("cooldown_s must be >= 0")
+        super().__init__(interval_s, consecutive, cooldown_s)
         if max_shards < min_shards:
             raise ConfigurationError("max_shards must be >= min_shards")
         self._frontend = frontend
-        self.interval_s = float(interval_s)
         self.min_shards = int(min_shards)
         self.max_shards = int(max_shards)
-        self.consecutive = int(consecutive)
-        self.cooldown_s = float(cooldown_s)
         self.frame_interval_ms = float(frame_interval_ms)
         self.high_watermark = float(high_watermark)
         self.low_watermark = float(low_watermark)
@@ -117,11 +220,6 @@ class MonitorAutoscaler:
         self.balancer = None
         #: Applied resizes, oldest first (summary dicts).
         self.resize_events: list[dict] = []
-        self._streak_target: int | None = None
-        self._streak = 0
-        self._last_applied: float | None = None
-        self._task: asyncio.Task | None = None
-        self._closed = False
 
     # ------------------------------------------------------------------
     @property
@@ -156,21 +254,9 @@ class MonitorAutoscaler:
         )
         target = min(raw, self.max_shards)
         if target == current or (raw > current and target < current):
-            self._streak_target = None
-            self._streak = 0
+            self._reset_streak()
             return None
-        if target != self._streak_target:
-            self._streak_target = target
-            self._streak = 1
-        else:
-            self._streak += 1
-        if self._streak < self.consecutive:
-            return None
-        now = asyncio.get_running_loop().time()
-        if (
-            self._last_applied is not None
-            and now - self._last_applied < self.cooldown_s
-        ):
+        if not self._streak_reached(target) or self._cooling_down():
             return None
         if self.balancer is not None and self.balancer.shed_in_progress:
             # A shed is mid-migration: applying a resize now would
@@ -179,9 +265,7 @@ class MonitorAutoscaler:
             # next evaluation once the shed has landed.
             return None
         summary = await self._frontend.resize(target)
-        self._last_applied = asyncio.get_running_loop().time()
-        self._streak_target = None
-        self._streak = 0
+        self._mark_applied()
         event = dict(summary, trigger="autoscaler")
         self.resize_events.append(event)
         if self.balancer is not None:
@@ -189,46 +273,3 @@ class MonitorAutoscaler:
         if self._on_resize is not None:
             self._on_resize(event)
         return target
-
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Spawn the background polling loop (idempotent)."""
-        if self._task is None and not self._closed:
-            self._task = asyncio.create_task(
-                self._loop(), name="monitor-autoscaler"
-            )
-
-    async def _loop(self) -> None:
-        while not self._closed:
-            await asyncio.sleep(self.interval_s)
-            if self._closed:
-                return
-            try:
-                await self.step()
-            except ReproError:
-                # A mid-resize crash fails its sessions safe through the
-                # fleet's own paths; a capacity rejection leaves the
-                # fleet serving.  Either way the next poll re-evaluates.
-                continue
-
-    async def stop(self) -> None:
-        """End the polling loop.  Idempotent; :meth:`step` keeps working."""
-        self._closed = True
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass  # the expected outcome of cancel()
-            except Exception as exc:  # noqa: BLE001 - a dead loop must not
-                # abort the caller's shutdown path, but the error it died
-                # with is still worth the log line.
-                logger.warning("autoscaler loop ended with error: %s", exc)
-            self._task = None
-
-    async def __aenter__(self) -> "MonitorAutoscaler":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()

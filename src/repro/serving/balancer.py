@@ -44,8 +44,9 @@ import logging
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError
 from .async_frontend import AsyncShardedMonitor
+from .autoscaler import _ControlLoop
 from .service import ServiceStats
 
 logger = logging.getLogger(__name__)
@@ -146,7 +147,7 @@ def plan_sheds(
     )
 
 
-class MonitorBalancer:
+class MonitorBalancer(_ControlLoop):
     """Poll a fleet's skew and live-shed sessions under hysteresis.
 
     Parameters
@@ -193,38 +194,34 @@ class MonitorBalancer:
         flap_suppress_s: float = 60.0,
         on_shed: Callable[[dict], None] | None = None,
     ) -> None:
-        if interval_s <= 0:
-            raise ConfigurationError("interval_s must be > 0")
+        super().__init__(interval_s, consecutive, cooldown_s)
         if skew_ratio < 1.0:
             raise ConfigurationError("skew_ratio must be >= 1.0")
         if max_moves < 1:
             raise ConfigurationError("max_moves must be >= 1")
-        if consecutive < 1:
-            raise ConfigurationError("consecutive must be >= 1")
-        if cooldown_s < 0:
-            raise ConfigurationError("cooldown_s must be >= 0")
         if flap_suppress_s < 0:
             raise ConfigurationError("flap_suppress_s must be >= 0")
         self._frontend = frontend
-        self.interval_s = float(interval_s)
         self.skew_ratio = float(skew_ratio)
         self.min_p99_ms = float(min_p99_ms)
         self.max_moves = int(max_moves)
-        self.consecutive = int(consecutive)
-        self.cooldown_s = float(cooldown_s)
         self.flap_suppress_s = float(flap_suppress_s)
         self._on_shed = on_shed
         #: Applied sheds, oldest first (summary dicts).
         self.shed_events: list[dict] = []
-        self._streak_shard: int | None = None
-        self._streak = 0
-        self._last_applied: float | None = None
         self._recently_shed: dict[str, float] = {}
         self._shedding = False
-        self._task: asyncio.Task | None = None
-        self._closed = False
 
     # ------------------------------------------------------------------
+    @property
+    def _streak_shard(self) -> int | None:
+        """The hot shard the current streak agrees on."""
+        return self._streak_key
+
+    @_streak_shard.setter
+    def _streak_shard(self, shard: int | None) -> None:
+        self._streak_key = shard
+
     @property
     def shed_in_progress(self) -> bool:
         """True while a shed is actively migrating sessions.
@@ -245,8 +242,7 @@ class MonitorBalancer:
         gives the new topology a full observation window before the
         balancer considers moving anything.
         """
-        self._streak_shard = None
-        self._streak = 0
+        self._reset_streak()
         try:
             self._last_applied = asyncio.get_running_loop().time()
         except RuntimeError:  # outside a loop (sync tests): skip cooldown
@@ -282,23 +278,11 @@ class MonitorBalancer:
             ),
         )
         if plan is None:
-            self._streak_shard = None
-            self._streak = 0
+            self._reset_streak()
             return None
-        if plan.hot != self._streak_shard:
-            self._streak_shard = plan.hot
-            self._streak = 1
-        else:
-            self._streak += 1
-        if self._streak < self.consecutive:
+        if not self._streak_reached(plan.hot) or self._cooling_down():
             return None
-        now = asyncio.get_running_loop().time()
-        if (
-            self._last_applied is not None
-            and now - self._last_applied < self.cooldown_s
-        ):
-            return None
-        victims = self._pick_victims(plan, now)
+        victims = self._pick_victims(plan, asyncio.get_running_loop().time())
         if not victims:
             return None
         self._shedding = True
@@ -306,10 +290,7 @@ class MonitorBalancer:
             moved = await self._frontend.shed(victims, plan.cold)
         finally:
             self._shedding = False
-        now = asyncio.get_running_loop().time()
-        self._last_applied = now
-        self._streak_shard = None
-        self._streak = 0
+        now = self._mark_applied()
         if not moved:
             return None  # every victim closed/failed under our feet
         for session_id in moved:
@@ -346,46 +327,3 @@ class MonitorBalancer:
             if session_id not in self._recently_shed
         ]
         return candidates[: plan.n_sessions]
-
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Spawn the background polling loop (idempotent)."""
-        if self._task is None and not self._closed:
-            self._task = asyncio.create_task(
-                self._loop(), name="monitor-balancer"
-            )
-
-    async def _loop(self) -> None:
-        while not self._closed:
-            await asyncio.sleep(self.interval_s)
-            if self._closed:
-                return
-            try:
-                await self.step()
-            except ReproError:
-                # A mid-shed crash fails its sessions safe through the
-                # fleet's own paths; a capacity rejection stopped the
-                # batch early.  Either way the next poll re-evaluates.
-                continue
-
-    async def stop(self) -> None:
-        """End the polling loop.  Idempotent; :meth:`step` keeps working."""
-        self._closed = True
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass  # the expected outcome of cancel()
-            except Exception as exc:  # noqa: BLE001 - a dead loop must not
-                # abort the caller's shutdown path, but the error it died
-                # with is still worth the log line.
-                logger.warning("balancer loop ended with error: %s", exc)
-            self._task = None
-
-    async def __aenter__(self) -> "MonitorBalancer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()

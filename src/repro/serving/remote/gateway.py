@@ -163,13 +163,10 @@ class _LocalEngine:
             async with self._lock:
                 for session_id in self.service.session_ids:
                     self._queue.put_nowait(
-                        SessionEvent(
-                            session_id=session_id,
-                            frame_index=self.service.frames_done(session_id),
-                            gesture=0,
-                            score=0.0,
-                            flag=True,
-                            error=self._failure,
+                        SessionEvent.failsafe(
+                            session_id,
+                            self.service.frames_done(session_id),
+                            self._failure,
                         )
                     )
 
@@ -244,61 +241,6 @@ class _LocalEngine:
         if self._task is not None:
             await self._task
         self._queue.put_nowait(_CLOSED)
-
-    def shutdown_blocking(self) -> None:
-        """Nothing to terminate: the engine lives in this process."""
-
-
-class _ShardedEngine:
-    """Async serving engine over a sharded fleet (K >= 2 topology)."""
-
-    def __init__(
-        self, service: ShardedMonitorService, frontend: AsyncShardedMonitor
-    ) -> None:
-        self.service = service
-        self.frontend = frontend
-
-    async def start(self) -> None:
-        await self.frontend.start()
-
-    async def open_session(self, session_id: str | None, record_timeline: bool) -> str:
-        return await self.frontend.open_session(session_id, record_timeline)
-
-    async def feed(self, session_id: str, frames) -> None:
-        await self.frontend.feed(session_id, frames)
-
-    async def close_session(self, session_id: str):
-        return await self.frontend.close_session(session_id)
-
-    async def export_session(self, session_id: str) -> bytes:
-        return await self.frontend.export_session(session_id)
-
-    async def import_session(
-        self, state: bytes, record_timeline: bool = True
-    ) -> str:
-        return await self.frontend.import_session(state, record_timeline)
-
-    def events(self) -> AsyncIterator[SessionEvent]:
-        return self.frontend.events()
-
-    async def shard_stats(self) -> dict[int, ServiceStats]:
-        return await self.frontend.shard_stats()
-
-    async def telemetry(self) -> dict:
-        return await self.frontend.telemetry()
-
-    async def resize(self, target_k: int) -> dict:
-        return await self.frontend.resize(target_k)
-
-    async def shed(self, session_ids: list[str], to_shard: int) -> dict[str, int]:
-        return await self.frontend.shed(session_ids, to_shard)
-
-    async def aclose(self) -> None:
-        await self.frontend.aclose()
-
-    def shutdown_blocking(self) -> None:
-        """Terminate the fleet's worker processes (no orphans)."""
-        self.service.close()
 
 
 class _RemoteSession:
@@ -479,10 +421,8 @@ class MonitorGateway:
         How long a disconnect/close waits for a session's already-fed
         frames to finish processing before closing it anyway.
     data_plane:
-        Data plane of the sharded engine (``n_shards >= 2`` only):
-        ``"shm"`` (default) streams frames and events through per-shard
-        shared-memory rings, ``"pipe"`` forces the ack-per-feed pipe
-        plane (see :class:`ShardedMonitorService`).
+        ``"shm"`` is the only data plane; keyword retained until the
+        benchmark stops passing it.
     autoscale_interval_s / autoscale_max_shards:
         When ``autoscale_interval_s`` is set (requires ``n_shards >=
         2``), the gateway runs a
@@ -566,6 +506,10 @@ class MonitorGateway:
             raise ConfigurationError("n_shards must be >= 1")
         if max_sessions < 1:
             raise ConfigurationError("max_sessions must be >= 1")
+        if data_plane != "shm":
+            raise ConfigurationError(
+                f'data_plane must be "shm", got {data_plane!r}'
+            )
         if send_queue_max < 2:
             raise ConfigurationError("send_queue_max must be >= 2")
         if heartbeat_interval_s <= 0 or drain_timeout_s <= 0:
@@ -596,7 +540,6 @@ class MonitorGateway:
         self.idle_timeout_s = idle_timeout_s
         self.drain_timeout_s = drain_timeout_s
         self._start_method = start_method
-        self.data_plane = data_plane
         if autoscale_interval_s is not None:
             if autoscale_interval_s <= 0:
                 raise ConfigurationError("autoscale_interval_s must be > 0")
@@ -636,7 +579,10 @@ class MonitorGateway:
         #: into the event store as ``"shed"`` markers.
         self.shed_events: list[dict] = []
 
-        self._engine = None
+        self._engine: _LocalEngine | AsyncShardedMonitor | None = None
+        #: The fleet behind a sharded engine, kept solely so
+        #: :meth:`_shutdown_engine` can terminate its worker processes.
+        self._fleet: ShardedMonitorService | None = None
         self._server: asyncio.Server | None = None
         self._pump_task: asyncio.Task | None = None
         #: Strong references to fire-and-forget teardown tasks (the
@@ -693,21 +639,19 @@ class MonitorGateway:
         self._engine = await loop.run_in_executor(None, self._build_engine)
         try:
             await self._engine.start()
-            if self.autoscale_interval_s is not None and isinstance(
-                self._engine, _ShardedEngine
-            ):
+            # The constructor rejected both loops for n_shards < 2, so
+            # the engine here is the AsyncShardedMonitor.
+            if self.autoscale_interval_s is not None:
                 self._autoscaler = MonitorAutoscaler(
-                    self._engine.frontend,
+                    self._engine,
                     interval_s=self.autoscale_interval_s,
                     max_shards=self.autoscale_max_shards,
                     on_resize=self._note_resize,
                 )
                 await self._autoscaler.start()
-            if self.balance_interval_s is not None and isinstance(
-                self._engine, _ShardedEngine
-            ):
+            if self.balance_interval_s is not None:
                 self._balancer = MonitorBalancer(
-                    self._engine.frontend,
+                    self._engine,
                     interval_s=self.balance_interval_s,
                     max_moves=self.balance_max_moves,
                     on_shed=self._note_shed,
@@ -745,9 +689,10 @@ class MonitorGateway:
         await self._engine.aclose()
         if self._pump_task is not None:
             await self._pump_task
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._engine.shutdown_blocking
-        )
+        if self._fleet is not None:
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._fleet.close
+            )
 
     def _build_engine(self):
         """Blocking engine construction (model compile / worker spawn)."""
@@ -759,16 +704,15 @@ class MonitorGateway:
                 monitor, max_sessions=self.max_sessions, backend=self.backend
             )
             return _LocalEngine(service)
-        service = ShardedMonitorService(
+        self._fleet = ShardedMonitorService(
             self._monitor,
             n_shards=self.n_shards,
             max_sessions_per_shard=self.max_sessions,
             monitor_bytes=self._monitor_bytes,
             backend=self.backend,
             start_method=self._start_method,
-            data_plane=self.data_plane,
         )
-        return _ShardedEngine(service, AsyncShardedMonitor(service))
+        return AsyncShardedMonitor(self._fleet)
 
     async def stop(self) -> None:
         """Stop accepting, fail-safe every live connection, drain the
@@ -1097,10 +1041,17 @@ class MonitorGateway:
             parked.expiry = None
         try:
             if parked.state is not None:
-                await self._engine.import_session(
-                    parked.state, parked.record_timeline
-                )
-            else:
+                try:
+                    await self._engine.import_session(
+                        parked.state, parked.record_timeline
+                    )
+                except WorkerError:
+                    # The target worker died under the import (a crash
+                    # the engine had not noticed yet) and took the
+                    # archive with it; the journal still covers a cold
+                    # adopt, exactly as when the export itself fails.
+                    parked.state = None
+            if parked.state is None:
                 # Cold adopt: the engine-side state died with a worker.
                 # Rebuild it from frame zero out of the journal — ticks
                 # are deterministic, so the regenerated events are
@@ -1118,13 +1069,8 @@ class MonitorGateway:
         except ReproError as exc:
             self._parked.pop(session_id, None)
             self._record_failsafe(
-                SessionEvent(
-                    session_id=session_id,
-                    frame_index=parked.delivered,
-                    gesture=0,
-                    score=0.0,
-                    flag=True,
-                    error=f"resume failed: {exc}",
+                SessionEvent.failsafe(
+                    session_id, parked.delivered, f"resume failed: {exc}"
                 )
             )
             self._send_error(conn, exc, session_id, MessageType.RESUME)
@@ -1158,13 +1104,10 @@ class MonitorGateway:
             # Events absorbed while the adopt was in flight evicted ring
             # entries; the client can no longer be caught up gaplessly.
             self._record_failsafe(
-                SessionEvent(
-                    session_id=session_id,
-                    frame_index=session.delivered,
-                    gesture=0,
-                    score=0.0,
-                    flag=True,
-                    error="resume replay window exceeded during adopt",
+                SessionEvent.failsafe(
+                    session_id,
+                    session.delivered,
+                    "resume replay window exceeded during adopt",
                 )
             )
             self._send_error(
@@ -1315,14 +1258,7 @@ class MonitorGateway:
             with contextlib.suppress(ReproError):
                 await self._engine.close_session(session_id)
             self._record_failsafe(
-                SessionEvent(
-                    session_id=session_id,
-                    frame_index=session.delivered,
-                    gesture=0,
-                    score=0.0,
-                    flag=True,
-                    error=reason,
-                )
+                SessionEvent.failsafe(session_id, session.delivered, reason)
             )
             self._unregister(session_id)
         conn.sessions.clear()
@@ -1421,13 +1357,10 @@ class MonitorGateway:
             parked.expiry = None
         self._resume_expired_total += 1
         self._record_failsafe(
-            SessionEvent(
-                session_id=session_id,
-                frame_index=parked.delivered,
-                gesture=0,
-                score=0.0,
-                flag=True,
-                error=reason
+            SessionEvent.failsafe(
+                session_id,
+                parked.delivered,
+                reason
                 or (
                     f"resume grace window expired "
                     f"({self.resume_grace_s}s): {parked.reason}"
@@ -1502,13 +1435,10 @@ class MonitorGateway:
         except ReproError as exc:
             current = self._sessions.get(session_id)
             if current is session:
-                event = SessionEvent(
-                    session_id=session_id,
-                    frame_index=session.delivered,
-                    gesture=0,
-                    score=0.0,
-                    flag=True,
-                    error=f"unrecoverable worker crash: {exc}",
+                event = SessionEvent.failsafe(
+                    session_id,
+                    session.delivered,
+                    f"unrecoverable worker crash: {exc}",
                 )
                 conn = session.conn
                 if not conn.closed:

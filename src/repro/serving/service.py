@@ -81,6 +81,25 @@ class SessionEvent:
     error: str | None = None
     latency_us: float = field(default=0.0, compare=False, repr=False)
 
+    @classmethod
+    def failsafe(
+        cls, session_id: str, frame_index: int, error: str
+    ) -> "SessionEvent":
+        """The terminal event of a session whose monitoring was lost.
+
+        The one place the fail-safe contract is spelled out: ``error``
+        names the cause and ``flag`` is ``True`` — a lost monitor reads
+        unsafe, never silently safe.
+        """
+        return cls(
+            session_id=session_id,
+            frame_index=frame_index,
+            gesture=0,
+            score=0.0,
+            flag=True,
+            error=error,
+        )
+
 
 @dataclass
 class SessionResult:

@@ -35,7 +35,6 @@ frame widths are validated router-side against the snapshot
 ``feed`` still raises synchronously.  Frame blocks the *worker*
 rejects after that (the safety net) surface as deferred
 ``ingest_errors`` on the next exchange and fail the session safe.
-``data_plane="pipe"`` restores the original ack-per-feed pipe plane.
 
 The fleet is also **elastic** without dropping a frame:
 :meth:`ShardedMonitorService.add_shard` / :meth:`remove_shard` /
@@ -168,23 +167,25 @@ def suggest_shard_count(
     return clamp(n_shards)
 
 
+#: Virtual nodes each shard contributes to the hash ring.  A constant,
+#: not a parameter: changing it silently changes every placement.
+_HASH_REPLICAS = 64
+
+
 class _HashRing:
     """Consistent-hash ring with virtual nodes.
 
-    Each shard contributes ``replicas`` points on the ring; a key lands
-    on the first point clockwise from its own hash.  Removing a shard
-    only re-homes the keys that pointed at it — the property that makes
-    drain-and-rebalance cheap.
+    Each shard contributes :data:`_HASH_REPLICAS` points on the ring; a
+    key lands on the first point clockwise from its own hash.  Removing
+    a shard only re-homes the keys that pointed at it — the property
+    that makes drain-and-rebalance cheap.
     """
 
-    def __init__(self, replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ConfigurationError("hash ring needs >= 1 replica per shard")
-        self.replicas = replicas
+    def __init__(self) -> None:
         self._points: list[tuple[int, int]] = []  # (hash, shard), sorted
 
     def add(self, shard: int) -> None:
-        for r in range(self.replicas):
+        for r in range(_HASH_REPLICAS):
             point = (_stable_hash(f"shard-{shard}:vnode-{r}"), shard)
             bisect.insort(self._points, point)
 
@@ -221,15 +222,15 @@ class _ShardHandle:
         index: int,
         process,
         conn,
-        frame_ring: ShmRing | None = None,
-        event_ring: ShmRing | None = None,
+        frame_ring: ShmRing,
+        event_ring: ShmRing,
     ) -> None:
         self.index = index
         self.process = process
         self.conn = conn
-        #: Router-owned shm rings (``None`` under ``data_plane="pipe"``).
-        #: The router creates them in ``_spawn_shard`` and is the only
-        #: side that ever unlinks — on stop, on crash, on removal.
+        #: Router-owned shm rings.  The router creates them in
+        #: ``_spawn_shard`` and is the only side that ever unlinks — on
+        #: stop, on crash, on removal.
         self.frame_ring = frame_ring
         self.event_ring = event_ring
         #: route id -> session id, for decoding event-ring batches.
@@ -278,9 +279,8 @@ class _ShardHandle:
 
     def destroy_rings(self) -> None:
         """Detach and unlink this shard's shm segments.  Idempotent."""
-        for ring in (self.frame_ring, self.event_ring):
-            if ring is not None:
-                ring.destroy()
+        self.frame_ring.destroy()
+        self.event_ring.destroy()
 
     def stop(self, join_timeout_s: float = 5.0) -> None:
         """Best-effort graceful stop; escalates to terminate, then kill."""
@@ -346,17 +346,12 @@ class ShardedMonitorService:
         ``monitor`` itself.  Caller-supplied ``monitor_bytes`` are
         shipped verbatim: an explicit ``backend`` override applies to
         this fleet without rewriting the archive's own metadata.
-    data_plane:
-        ``"shm"`` (default) moves frames and events over per-shard
-        shared-memory rings (:mod:`.shm`): ``feed()`` is a zero-ack ring
-        write with ring-full back-pressure, and tick/drain event batches
-        are read out of shared memory instead of being pickled.
-        ``"pipe"`` restores the original everything-over-the-pipe plane
-        (the pre-ring behaviour, kept for environments without POSIX
-        shared memory).
     frame_ring_bytes / event_ring_bytes:
-        Per-shard ring capacities under ``data_plane="shm"``; see
-        :data:`~repro.serving.shm.DEFAULT_FRAME_RING_BYTES`.  Sizing
+        Capacities of each shard's shared-memory rings (:mod:`.shm`):
+        ``feed()`` is a zero-ack write into the frame ring with
+        ring-full back-pressure, and tick/drain event batches are read
+        out of the event ring instead of being pickled.  See
+        :data:`~repro.serving.shm.DEFAULT_FRAME_RING_BYTES`; sizing
         bounds the un-ingested backlog a shard will buffer before
         ``feed()`` blocks.
     event_store:
@@ -389,19 +384,13 @@ class ShardedMonitorService:
         monitor_bytes: bytes | None = None,
         start_method: str | None = None,
         request_timeout_s: float | None = None,
-        hash_replicas: int = 64,
         backend: str | None = None,
-        data_plane: str = "shm",
         frame_ring_bytes: int = DEFAULT_FRAME_RING_BYTES,
         event_ring_bytes: int = DEFAULT_EVENT_RING_BYTES,
         event_store: "EventStoreWriter | None" = None,
     ) -> None:
         if n_shards < 1:
             raise ConfigurationError("n_shards must be >= 1")
-        if data_plane not in ("shm", "pipe"):
-            raise ConfigurationError(
-                f'data_plane must be "shm" or "pipe", got {data_plane!r}'
-            )
         if max_sessions_per_shard < 1:
             raise ConfigurationError("max_sessions_per_shard must be >= 1")
         if (monitor is None) == (monitor_bytes is None):
@@ -426,21 +415,18 @@ class ShardedMonitorService:
         self.monitor_bytes = monitor_bytes
         self.max_sessions_per_shard = int(max_sessions_per_shard)
         self.request_timeout_s = request_timeout_s
-        self.data_plane = data_plane
         self.frame_ring_bytes = int(frame_ring_bytes)
         self.event_ring_bytes = int(event_ring_bytes)
         # Router-side feed validation width: with the asynchronous frame
         # ring there is no reply to carry a worker-side ShapeError, so
         # the router enforces the trained width up front (same eager
         # check MonitorService runs on its first feed).
-        self._n_features = (
-            snapshot_n_features(monitor_bytes) if data_plane == "shm" else None
-        )
+        self._n_features = snapshot_n_features(monitor_bytes)
         if start_method is None:
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = mp.get_context(start_method)
-        self._ring = _HashRing(replicas=hash_replicas)
+        self._ring = _HashRing()
         #: Placement overlay: sessions shed off a hot shard are pinned
         #: to their landing shard here, overriding the (load-blind)
         #: consistent-hash ring for every later placement decision.
@@ -473,10 +459,8 @@ class ShardedMonitorService:
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _spawn_shard(self, index: int) -> None:
-        frame_ring = event_ring = None
-        if self.data_plane == "shm":
-            frame_ring = ShmRing(self.frame_ring_bytes)
-            event_ring = ShmRing(self.event_ring_bytes)
+        frame_ring = ShmRing(self.frame_ring_bytes)
+        event_ring = ShmRing(self.event_ring_bytes)
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         try:
             process = self._ctx.Process(
@@ -485,18 +469,17 @@ class ShardedMonitorService:
                     child_conn,
                     self.monitor_bytes,
                     self.max_sessions_per_shard,
+                    frame_ring.name,
+                    event_ring.name,
                     self.backend,
-                    frame_ring.name if frame_ring is not None else None,
-                    event_ring.name if event_ring is not None else None,
                 ),
                 name=f"monitor-shard-{index}",
                 daemon=True,
             )
             process.start()
         except Exception:
-            for ring in (frame_ring, event_ring):
-                if ring is not None:
-                    ring.destroy()
+            frame_ring.destroy()
+            event_ring.destroy()
             raise
         child_conn.close()
         handle = _ShardHandle(index, process, parent_conn, frame_ring, event_ring)
@@ -536,13 +519,8 @@ class ShardedMonitorService:
                 out.append(
                     (
                         record.order,
-                        SessionEvent(
-                            session_id=session_id,
-                            frame_index=record.events_seen,
-                            gesture=0,
-                            score=0.0,
-                            flag=True,
-                            error=reason,
+                        SessionEvent.failsafe(
+                            session_id, record.events_seen, reason
                         ),
                     )
                 )
@@ -761,9 +739,7 @@ class ShardedMonitorService:
                     state=state_bytes,
                     # The session keeps its global order as its route id
                     # on the target's rings — the merge key never moves.
-                    route=(
-                        record.order if target.frame_ring is not None else None
-                    ),
+                    route=record.order,
                 ),
                 self.request_timeout_s,
             )
@@ -779,13 +755,8 @@ class ShardedMonitorService:
                     limbo = self._sessions.pop(session_id)
                     self._overlay.pop(session_id, None)
                     self.failed_sessions[session_id] = reason
-                    limbo_event = SessionEvent(
-                        session_id=session_id,
-                        frame_index=limbo.events_seen,
-                        gesture=0,
-                        score=0.0,
-                        flag=True,
-                        error=reason,
+                    limbo_event = SessionEvent.failsafe(
+                        session_id, limbo.events_seen, reason
                     )
                     self._undelivered.append((limbo.order, limbo_event))
                     self.telemetry.counter("failsafe_events").inc()
@@ -796,8 +767,7 @@ class ShardedMonitorService:
             ) from exc
         with self._lock:
             record.shard = target_index
-            if target.frame_ring is not None:
-                target.routes[record.order] = session_id
+            target.routes[record.order] = session_id
 
     def remove_shard(self, index: int) -> dict[str, int]:
         """Migrate every session off one shard, then retire the worker.
@@ -1051,7 +1021,7 @@ class ShardedMonitorService:
                     "open",
                     session_id=session_id,
                     record_timeline=record_timeline,
-                    route=order if handle.frame_ring is not None else None,
+                    route=order,
                 ),
                 self.request_timeout_s,
             )
@@ -1065,8 +1035,7 @@ class ShardedMonitorService:
                 order=order,
                 record_timeline=record_timeline,
             )
-            if handle.frame_ring is not None:
-                handle.routes[order] = session_id
+            handle.routes[order] = session_id
         # An explicit re-open of a crash-failed id starts a new life for
         # it (the gateway's crash recovery does exactly this); the stale
         # failure record must not shadow the new session.
@@ -1108,10 +1077,10 @@ class ShardedMonitorService:
     def feed(self, session_id: str, frames: np.ndarray) -> None:
         """Enqueue kinematics frames on the session's shard.
 
-        Under the shm data plane this is a single copy into the shard's
-        frame ring — **no reply round trip**.  Back-pressure replaces the
-        ack: a full ring blocks until the worker frees space (bounded by
-        ``request_timeout_s`` when set).  Shape and width are validated
+        A single copy into the shard's frame ring — **no reply round
+        trip**.  Back-pressure replaces the ack: a full ring blocks until
+        the worker frees space (bounded by ``request_timeout_s`` when
+        set).  Shape and width are validated
         here, synchronously, against the snapshot's trained width;
         anything the worker itself rejects later surfaces on the next
         :meth:`tick`/:meth:`drain` as that session's fail-safe terminal
@@ -1124,21 +1093,6 @@ class ShardedMonitorService:
         self._check_open()
         record = self._record(session_id)
         handle = self._shards[record.shard]
-        if handle.frame_ring is None:  # data_plane="pipe": ack'd round trip
-            try:
-                reply = handle.request(
-                    Request(
-                        "feed", session_id=session_id, frames=np.asarray(frames)
-                    ),
-                    self.request_timeout_s,
-                )
-            except WorkerError as exc:
-                self._queue_crash(handle, str(exc))
-                raise WorkerError(
-                    f"session {session_id!r} lost: {exc}"
-                ) from exc
-            raise_remote(reply)
-            return
         frames = np.asarray(frames, dtype=float)
         if frames.ndim == 1:
             frames = frames[None, :]
@@ -1148,7 +1102,7 @@ class ShardedMonitorService:
             )
         if frames.shape[0] == 0:
             return
-        if self._n_features is not None and frames.shape[1] != self._n_features:
+        if frames.shape[1] != self._n_features:
             raise ShapeError(
                 f"monitor was trained for {self._n_features} kinematics "
                 f"features, got frames with {frames.shape[1]}"
@@ -1369,11 +1323,7 @@ class ShardedMonitorService:
         order = next(self._order)
         try:
             reply = handle.request(
-                Request(
-                    "migrate_in",
-                    state=state,
-                    route=order if handle.frame_ring is not None else None,
-                ),
+                Request("migrate_in", state=state, route=order),
                 self.request_timeout_s,
             )
         except WorkerError as exc:
@@ -1388,8 +1338,7 @@ class ShardedMonitorService:
                 order=order,
                 record_timeline=record_timeline,
             )
-            if handle.frame_ring is not None:
-                handle.routes[order] = session_id
+            handle.routes[order] = session_id
         # An import that re-opens a previously crash-failed id clears the
         # failure record — the imported state supersedes it.
         self.failed_sessions.pop(session_id, None)
@@ -1599,18 +1548,13 @@ class ShardedMonitorService:
 
         ``value`` is the worker's ``(n_ring_batches, overflow_ticks)``:
         the first ``n_ring_batches`` ticks are read off the shard's event
-        ring, the overflow ticks (ring momentarily full, or the pipe-only
-        data plane where every tick overflows) ride the reply itself —
-        chronological order is ring batches then overflow.
+        ring, the overflow ticks (ring momentarily full) ride the reply
+        itself — chronological order is ring batches then overflow.
         """
         n_ring, overflow = value
         ticks: list[list[SessionEvent]] = []
         for _ in range(n_ring):
-            batch = (
-                handle.event_ring.read_events()
-                if handle.event_ring is not None
-                else None
-            )
+            batch = handle.event_ring.read_events()
             if batch is None:
                 raise WorkerError(
                     f"shard {handle.index} event ring out of sync: "
@@ -1675,13 +1619,8 @@ class ShardedMonitorService:
                         continue
                     self._overlay.pop(session_id, None)
                     self.failed_sessions[session_id] = reason
-                    failure_event = SessionEvent(
-                        session_id=session_id,
-                        frame_index=record.events_seen,
-                        gesture=0,
-                        score=0.0,
-                        flag=True,
-                        error=reason,
+                    failure_event = SessionEvent.failsafe(
+                        session_id, record.events_seen, reason
                     )
                     pairs.append((record.order, failure_event))
                     self.telemetry.counter("failsafe_events").inc()

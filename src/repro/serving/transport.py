@@ -9,18 +9,17 @@ plain data — numpy arrays, the :class:`~repro.serving.service.SessionEvent`
 strings — so the wire format stays portable across ``fork`` and
 ``spawn`` start methods.
 
-Since the shared-memory data plane (:mod:`repro.serving.shm`) took over
-the per-frame traffic, this pipe carries **control ops only**: session
-lifecycle (``open``/``close``), tick triggers whose event payloads ride
-the event ring, migration, stats and shutdown.  ``feed`` remains a pipe
-op solely for the ``data_plane="pipe"`` fallback fleet.  Sessions are
-identified on the rings by the integer ``route`` id assigned at
+The per-frame traffic moves over the shared-memory data plane
+(:mod:`repro.serving.shm`), so this pipe carries **control ops only**:
+session lifecycle (``open``/``close``), tick triggers whose event
+payloads ride the event ring, migration, stats and shutdown.  Sessions
+are identified on the rings by the integer ``route`` id assigned at
 ``open``/``migrate_in`` time, so the data plane never carries strings.
 
 Worker-side exceptions never kill the worker: they are caught, reduced
 to ``(error class name, message)`` and re-raised router-side as the
 matching :mod:`repro.errors` type (:func:`raise_remote`), so a
-misrouted ``feed`` on a shard behaves exactly like the same call on a
+misrouted ``close`` on a shard behaves exactly like the same call on a
 local :class:`~repro.serving.service.MonitorService`.
 
 Receiving goes through :func:`recv_message`, which separates the three
@@ -60,7 +59,6 @@ class Request:
 
     op: str
     session_id: str | None = None
-    frames: Any = None
     record_timeline: bool = True
     collect: bool = True
     #: ``migrate_in`` payload: a session archive produced by
@@ -68,8 +66,7 @@ class Request:
     #: the no-pickled-objects policy applies to migration too).
     state: bytes | None = None
     #: Integer route id the session is addressed by on the shm rings;
-    #: carried by ``open`` and ``migrate_in`` (``None`` under the
-    #: pipe-only data plane).
+    #: always set by ``open`` and ``migrate_in``.
     route: int | None = None
 
 
@@ -84,11 +81,10 @@ class Reply:
     still owe ticks without extra round trips.
 
     ``ingest_errors`` carries deferred failures of the asynchronous
-    frame ring: ``feed()`` no longer waits for a per-call ack, so a
-    frame block the worker could not ingest (evicting the session on
-    its side) surfaces here as ``(route, message)`` pairs on the next
-    exchange, and the router fails those sessions safe — the
-    ring-era replacement for a synchronous feed error.
+    frame ring: ``feed()`` waits for no per-call ack, so a frame block
+    the worker could not ingest (evicting the session on its side)
+    surfaces here as ``(route, message)`` pairs on the next exchange,
+    and the router fails those sessions safe.
     """
 
     ok: bool

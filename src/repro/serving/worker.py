@@ -6,9 +6,9 @@ was handed (:func:`repro.serving.snapshot.monitor_from_bytes` — no code
 or pickled objects cross the process boundary, only arrays and JSON),
 then serves until told to stop or the router side of the pipe disappears.
 
-Under the default shared-memory data plane (:mod:`repro.serving.shm`)
-the pipe carries control ops only; the bulk traffic moves through two
-rings the router created for this shard:
+The pipe carries control ops only; the bulk traffic moves through the
+two shared-memory rings (:mod:`repro.serving.shm`) the router created
+for this shard:
 
 - **frame ring** (in): the worker drains it into its service before
   dispatching *any* pipe request — so a ``feed`` written to the ring is
@@ -46,9 +46,9 @@ from .shm import EVENT_DTYPE, ShmRing
 from .snapshot import monitor_from_bytes, session_from_bytes, session_to_bytes
 from .transport import Reply, Request, error_reply, recv_message
 
-#: Pipe poll timeout between requests when a frame ring is attached: the
-#: upper bound on how long a back-pressured ``feed()`` waits for the
-#: worker to free ring space while no request is in flight.
+#: Pipe poll timeout between requests: the upper bound on how long a
+#: back-pressured ``feed()`` waits for the worker to free ring space
+#: while no request is in flight.
 RING_POLL_S = 0.002
 
 
@@ -58,8 +58,8 @@ class _ShardWorker:
     def __init__(
         self,
         service: MonitorService,
-        frame_ring: ShmRing | None,
-        event_ring: ShmRing | None,
+        frame_ring: ShmRing,
+        event_ring: ShmRing,
     ) -> None:
         self.service = service
         self.frame_ring = frame_ring
@@ -92,11 +92,8 @@ class _ShardWorker:
     # ------------------------------------------------------------------
     def consume_frames(self) -> None:
         """Drain every pending frame block into the service."""
-        ring = self.frame_ring
-        if ring is None:
-            return
         while True:
-            record = ring.read_frames()
+            record = self.frame_ring.read_frames()
             if record is None:
                 return
             route, frames = record
@@ -155,8 +152,6 @@ class _ShardWorker:
         "ring batches, then overflow batches" and a reader can never
         interleave them wrongly.
         """
-        if self.event_ring is None:
-            return 0, tick_lists
         n_ring = 0
         for k, events in enumerate(tick_lists):
             if not events or not self.event_ring.try_write_events(
@@ -177,10 +172,6 @@ def _dispatch(worker: _ShardWorker, request: Request) -> Reply:
         )
         worker.bind_route(session_id, request.route)
         return Reply(ok=True, value=session_id)
-    if op == "feed":  # pipe-only data plane (fallback mode)
-        assert request.session_id is not None
-        service.feed(request.session_id, request.frames)
-        return Reply(ok=True)
     if op == "tick":
         n_ring, overflow = worker.emit_events([service.tick()])
         return Reply(ok=True, value=(n_ring, overflow))
@@ -226,9 +217,9 @@ def worker_main(
     conn,
     monitor_blob: bytes,
     max_sessions: int,
+    frame_ring_name: str,
+    event_ring_name: str,
     backend: str = DEFAULT_BACKEND,
-    frame_ring_name: str | None = None,
-    event_ring_name: str | None = None,
 ) -> None:
     """Serve one shard until ``stop`` or the pipe closes.
 
@@ -241,36 +232,27 @@ def worker_main(
         bootstrap the shard's :class:`SafetyMonitor` from.
     max_sessions:
         Slot capacity of this shard's :class:`MonitorService`.
+    frame_ring_name / event_ring_name:
+        Names of the router-owned shared-memory rings to attach
+        (:mod:`repro.serving.shm`).  The worker only ever *detaches* —
+        segment unlinking is the router's job, on close, resize and
+        crash alike.
     backend:
         Inference backend name for this shard's engine.  The router
         passes every shard the same resolved choice so a K-shard fleet
         runs one plan (see :data:`repro.nn.backends.BACKEND_NAMES`).
-    frame_ring_name / event_ring_name:
-        Names of the router-owned shared-memory rings to attach
-        (:mod:`repro.serving.shm`), or ``None`` for the pipe-only data
-        plane.  The worker only ever *detaches* — segment unlinking is
-        the router's job, on close, resize and crash alike.
     """
     monitor = monitor_from_bytes(monitor_blob)
     service = MonitorService(monitor, max_sessions=max_sessions, backend=backend)
-    frame_ring = (
-        ShmRing(name=frame_ring_name, attach=True)
-        if frame_ring_name is not None
-        else None
-    )
-    event_ring = (
-        ShmRing(name=event_ring_name, attach=True)
-        if event_ring_name is not None
-        else None
-    )
+    frame_ring = ShmRing(name=frame_ring_name, attach=True)
+    event_ring = ShmRing(name=event_ring_name, attach=True)
     worker = _ShardWorker(service, frame_ring, event_ring)
     try:
         while True:
             try:
-                if frame_ring is not None:
-                    worker.consume_frames()
-                    if not conn.poll(RING_POLL_S):
-                        continue
+                worker.consume_frames()
+                if not conn.poll(RING_POLL_S):
+                    continue
                 request: Request = recv_message(conn, Request, who="router")
             except EOFError:
                 break  # router is gone; nothing left to serve
@@ -302,8 +284,6 @@ def worker_main(
             if request.op == "stop":
                 break
     finally:
-        if frame_ring is not None:
-            frame_ring.close()
-        if event_ring is not None:
-            event_ring.close()
+        frame_ring.close()
+        event_ring.close()
         conn.close()

@@ -405,7 +405,7 @@ class TestFailSafe:
             monitor, n_shards=2, max_sessions=16
         ) as runner:
             gateway = runner.gateway
-            gateway._engine.frontend.poll_interval_s = 0.05
+            gateway._engine.poll_interval_s = 0.05
             service = gateway._engine.service
             with RemoteMonitorClient(runner.host, runner.port) as client:
                 sids = [client.open_session(f"proc-{i}") for i in range(6)]
@@ -978,7 +978,7 @@ class TestResume:
             monitor, n_shards=2, max_sessions=16, resume_grace_s=30.0
         ) as runner:
             gateway = runner.gateway
-            gateway._engine.frontend.poll_interval_s = 0.05
+            gateway._engine.poll_interval_s = 0.05
             service = gateway._engine.service
             with RemoteMonitorClient(runner.host, runner.port) as client:
                 sids = [client.open_session(f"proc-{i}") for i in range(6)]
@@ -1011,6 +1011,45 @@ class TestResume:
                 assert [event_key(e) for e in collected[sid]] == [
                     event_key(e) for e in reference
                 ], sid
+
+    def test_resume_onto_a_just_killed_worker_cold_adopts(self, monitor):
+        """A worker SIGKILLed while its shard is idle stays in the hash
+        ring until somebody talks to it, so a parked session's RESUME
+        can be the exchange that discovers the death.  The import dies
+        with the worker; the journal must rebuild the session on a
+        survivor instead of failing it."""
+        trajectory = make_random_walk_trajectory(
+            24, n_features=N_FEATURES, seed=76
+        )
+        reference = local_events(monitor, trajectory, session_id="k")
+        with running_gateway(
+            monitor, n_shards=2, max_sessions=8, resume_grace_s=30.0
+        ) as runner:
+            gateway = runner.gateway
+            # Keep the idle-shard liveness poll out of the race: the
+            # RESUME below must be what finds the dead worker.
+            gateway._engine.poll_interval_s = 30.0
+            service = gateway._engine.service
+            first = RemoteMonitorClient(runner.host, runner.port)
+            sid = first.open_session("k")
+            first.feed(sid, trajectory.frames[:10])
+            events = first.events_for(sid, 10)
+            home = service.shard_of(sid)
+            first.close()
+            state = first.detach_session(sid)
+            assert wait_until(lambda: gateway.n_parked_sessions == 1)
+            process = service._shards[home].process
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(10.0)
+            with RemoteMonitorClient(runner.host, runner.port) as second:
+                assert second.resume_session(state) == sid
+                second.feed(sid, trajectory.frames[10:])
+                events += second.events_for(sid, 14)
+                assert second.close_session(sid)["n_frames"] == 24
+            assert [event_key(e) for e in events] == [
+                event_key(e) for e in reference
+            ]
+            assert not gateway.failed_sessions
 
     def test_async_detach_resume(self, monitor):
         trajectory = make_random_walk_trajectory(

@@ -11,6 +11,7 @@ import asyncio
 import os
 import signal
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -463,6 +464,42 @@ class TestWorkerCrash:
             crash_events = [e for e in events if e.error is not None]
             assert {e.session_id for e in crash_events} == victims
             assert all(e.frame_index == 30 for e in crash_events)
+
+    def test_hung_worker_fails_safe_within_request_timeout(self, monitor):
+        """SIGSTOP one worker: the process is alive but silent, so only
+        ``request_timeout_s`` can surface it.  Its sessions each get one
+        terminal event naming the unresponsive shard, the healthy shard
+        keeps ticking, and the hung shard's segments are unlinked."""
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=8, request_timeout_s=1.0
+        ) as service:
+            sids = self._open_fleet(service, n=6, frames=10)
+            placement = {sid: service.shard_of(sid) for sid in sids}
+            assert len(set(placement.values())) == 2
+            victim_shard = placement[sids[0]]
+            victims = {s for s, sh in placement.items() if sh == victim_shard}
+            handle = service._shards[victim_shard]
+            segments = [handle.frame_ring.name, handle.event_ring.name]
+            os.kill(handle.process.pid, signal.SIGSTOP)
+            try:
+                events = service.tick()
+                crash_events = [e for e in events if e.error is not None]
+                assert sorted(e.session_id for e in crash_events) == sorted(victims)
+                assert all(e.flag for e in crash_events)
+                assert all(
+                    f"shard {victim_shard} unresponsive" in e.error
+                    for e in crash_events
+                )
+                assert set(service.failed_sessions) == victims
+                live_events = [e for e in events if e.error is None]
+                assert {e.session_id for e in live_events} == set(sids) - victims
+                for name in segments:
+                    with pytest.raises(FileNotFoundError):
+                        shared_memory.SharedMemory(name=name)
+            finally:
+                # Let the SIGTERM the crash path queued land, so close()
+                # does not sit out its join timeouts on a stopped process.
+                os.kill(handle.process.pid, signal.SIGCONT)
 
 
 class TestAsyncFrontend:

@@ -4,8 +4,7 @@ Ring-protocol unit tests — wrap-around with pad records, ring-full
 back-pressure, bit-exact frame and event round trips — plus the fleet
 lifecycle contract: every segment the router creates is unlinked on
 ``close()``, on a worker crash, and on a downsizing ``resize()``, so
-``/dev/shm`` never leaks.  The pipe data plane stays available as
-``data_plane="pipe"`` and must remain event-identical to shm.
+``/dev/shm`` never leaks.
 """
 
 import os
@@ -19,6 +18,7 @@ import pytest
 
 from repro.errors import ConfigurationError, WorkerError
 from repro.serving import (
+    MonitorGateway,
     ShardedMonitorService,
     make_random_walk_trajectory,
     make_synthetic_monitor,
@@ -268,47 +268,9 @@ class TestFleetSegmentLifecycle:
             assert not any(segment_exists(name) for name in before - after)
         assert not any(segment_exists(name) for name in before)
 
-    def test_pipe_mode_creates_no_segments(self, monitor):
-        fleet = make_fleet(3)
-        with ShardedMonitorService(
-            monitor, n_shards=2, max_sessions_per_shard=4, data_plane="pipe"
-        ) as service:
-            assert ring_names(service) == {0: [], 1: []}
-            for session_id, trajectory in fleet.items():
-                service.open_session(session_id)
-                service.feed(session_id, trajectory.frames)
-            assert service.drain()  # the pipe plane still serves events
-
     def test_invalid_data_plane_rejected(self, monitor):
+        """The gateway keeps the ``data_plane`` keyword for the frozen
+        benchmark caller only: ``"shm"`` is its one legal value."""
         with pytest.raises(ConfigurationError):
-            ShardedMonitorService(monitor, n_shards=1, data_plane="carrier-pigeon")
-
-    def test_pipe_and_shm_planes_are_event_identical(self, monitor):
-        fleet = make_fleet(5, base_seed=400)
-        runs = {}
-        for plane in ("shm", "pipe"):
-            with ShardedMonitorService(
-                monitor,
-                n_shards=2,
-                max_sessions_per_shard=4,
-                data_plane=plane,
-            ) as service:
-                for session_id, trajectory in fleet.items():
-                    service.open_session(session_id)
-                    service.feed(session_id, trajectory.frames)
-                events = service.drain()
-                results = {sid: service.close_session(sid) for sid in fleet}
-            runs[plane] = (events, results)
-        shm_events, shm_results = runs["shm"]
-        pipe_events, pipe_results = runs["pipe"]
-        assert [event_key(e) for e in shm_events] == [
-            event_key(e) for e in pipe_events
-        ]
-        for session_id in fleet:
-            assert np.array_equal(
-                shm_results[session_id].gestures, pipe_results[session_id].gestures
-            )
-            assert np.array_equal(
-                shm_results[session_id].unsafe_scores,
-                pipe_results[session_id].unsafe_scores,
-            )
+            MonitorGateway(monitor, n_shards=2, data_plane="pipe")
+        MonitorGateway(monitor, n_shards=2, data_plane="shm")

@@ -40,6 +40,7 @@ from repro.serving.remote.protocol import (
     encode_message,
 )
 from repro.serving.service import SessionEvent
+from repro.serving.shm import ShmRing
 from repro.serving.transport import (
     Reply,
     Request,
@@ -129,8 +130,11 @@ class TestWorkerSurvivesCorruptInput:
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
         parent, child = ctx.Pipe(duplex=True)
+        frame_ring, event_ring = ShmRing(1 << 12), ShmRing(1 << 12)
         process = ctx.Process(
-            target=worker_main, args=(child, blob, 4), daemon=True
+            target=worker_main,
+            args=(child, blob, 4, frame_ring.name, event_ring.name),
+            daemon=True,
         )
         process.start()
         child.close()
@@ -160,6 +164,8 @@ class TestWorkerSurvivesCorruptInput:
             if process.is_alive():  # pragma: no cover - cleanup only
                 process.terminate()
                 process.join()
+            frame_ring.destroy()
+            event_ring.destroy()
         assert process.exitcode == 0
 
 
