@@ -189,6 +189,8 @@ class StreamingWindowBatch:
         self._seen = np.zeros(n_streams, dtype=np.int64)
         self._since_emit = np.zeros(n_streams, dtype=np.int64)
         self._window_offsets = np.arange(config.window)
+        self._all_ids = np.arange(n_streams)
+        self._id_mark = np.zeros(n_streams, dtype=bool)  # _check_ids scratch
 
     @property
     def config(self) -> WindowConfig:
@@ -244,21 +246,25 @@ class StreamingWindowBatch:
         if ids.size == 0:
             return np.zeros(0, dtype=bool), np.empty((0, window, self._n_features))
 
-        self._buffer[ids, self._seen[ids] % window] = frames
-        self._seen[ids] += 1
+        # Gather the pushed slots' counters once, advance them locally,
+        # scatter them back once.
         seen = self._seen[ids]
-        first = seen == window
+        since_emit = self._since_emit[ids]
+        self._buffer[ids, seen % window] = frames
+        seen += 1
         follow = seen > window
-        self._since_emit[ids[follow]] += 1
-        ready = first | (follow & (self._since_emit[ids] >= self._config.stride))
-        self._since_emit[ids[ready]] = 0
+        since_emit += follow
+        ready = (seen == window) | (follow & (since_emit >= self._config.stride))
+        since_emit[ready] = 0
+        self._seen[ids] = seen
+        self._since_emit[ids] = since_emit
 
         ready_ids = ids[ready]
         if ready_ids.size == 0:
             return ready, np.empty((0, window, self._n_features))
         # The oldest frame of stream s lives at ring slot seen[s] % window,
         # so rotating the slot axis restores time order.
-        order = (self._seen[ready_ids, None] + self._window_offsets) % window
+        order = (seen[ready, None] + self._window_offsets) % window
         return ready, self._buffer[ready_ids[:, None], order]
 
     def reset(self, stream_ids: np.ndarray | None = None) -> None:
@@ -308,10 +314,17 @@ class StreamingWindowBatch:
         self._since_emit[slot] = int(state.since_emit)
 
     def _check_ids(self, stream_ids: np.ndarray | None) -> np.ndarray:
-        """Validate stream indices: 1-D, in range, no duplicates."""
+        """Validate stream indices: integers, 1-D, in range, no duplicates."""
         if stream_ids is None:
-            return np.arange(self._n_streams)
-        ids = np.asarray(stream_ids, dtype=int)
+            return self._all_ids
+        ids = np.asarray(stream_ids)
+        if ids.size and ids.dtype.kind not in "iu":
+            # A float or bool id would otherwise be truncated to a slot
+            # it does not name (1.7 -> 1, True -> 1).
+            raise ShapeError(
+                f"stream_ids must be integers, got dtype {ids.dtype}"
+            )
+        ids = ids.astype(np.intp, copy=False)
         if ids.ndim != 1:
             raise ShapeError(f"stream_ids must be 1-D, got shape {ids.shape}")
         if ids.size and (ids.min() < 0 or ids.max() >= self._n_streams):
@@ -319,7 +332,13 @@ class StreamingWindowBatch:
                 f"stream_ids must lie in [0, {self._n_streams}), got "
                 f"[{ids.min()}, {ids.max()}]"
             )
-        if np.unique(ids).size != ids.size:
+        # Duplicates mark the same slot twice, so fewer slots end up
+        # marked than ids were given (no sort needed; ids are in range).
+        mark = self._id_mark
+        mark[ids] = True
+        n_distinct = np.count_nonzero(mark)
+        mark[ids] = False
+        if n_distinct != ids.size:
             raise ShapeError("stream_ids must not contain duplicates")
         return ids
 

@@ -246,7 +246,12 @@ class _LSTMOp(_Op):
         c.fill(0.0)
         hs = self.hs[:n] if self.hs is not None else None
         for step in range(t):
-            np.matmul(h, self.wh, out=hh)
+            if step:
+                np.matmul(h, self.wh, out=hh)
+            else:
+                # The initial state is all zeros, so for finite weights
+                # h @ wh is exactly +0.0 everywhere: write it, skip the GEMM.
+                hh.fill(0.0)
             z[...] = xp[:, step, :]
             z += hh
             z += bias

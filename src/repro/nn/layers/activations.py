@@ -79,12 +79,21 @@ class Sigmoid(_Elementwise):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically-stable logistic sigmoid."""
+    """Numerically-stable logistic sigmoid.
+
+    ``1 / (1 + exp(-x))`` where ``x >= 0`` and ``exp(x) / (1 + exp(x))``
+    elsewhere, computed without splitting the array: both branches
+    exponentiate ``-|x|`` and divide by ``1 + exp(-|x|)``, so only the
+    numerator is selected.  Every element sees the float operations the
+    two-branch form performs on it (the oracle in
+    ``tests/nn/test_inference_fastpath.py`` pins the bits).
+    """
     out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    exp_x = np.exp(x[~pos])
-    out[~pos] = exp_x / (1.0 + exp_x)
+    np.copysign(x, -1.0, out=out)  # -|x|
+    np.exp(out, out=out)
+    denom = out + 1.0
+    np.putmask(out, x >= 0, 1.0)
+    np.divide(out, denom, out=out)
     return out
 
 

@@ -17,11 +17,26 @@ not needed.
 
 The offline ``process()`` path must share this contraction — it is one
 side of the asserted stream/process/service equality — so every
-inference matmul pays the einsum cost (roughly 4-8x a BLAS GEMM at this
-repo's layer sizes, a few percent of end-to-end pipeline time, which is
-dominated by Python-level orchestration).  If a future workload needs
-BLAS-speed bulk scoring without the parity guarantee, gate this helper
-rather than bypassing it ad hoc.
+inference matmul pays the einsum cost, and that cost is the arithmetic
+itself, not overhead around it.  With ``optimize=False`` the
+contraction is one sequential scalar multiply-add chain per output
+element, bit-equal to ``for j: out += a[:, j:j+1] * w[j]``; blocking it
+over rows or output columns gives identical bits and no speed-up
+(blocking the contracted axis is faster and changes the bits).  The
+cost per row does not fall with batch size, where BLAS's does: measured
+single-threaded on the benchmark box against the paper-scale recurrent
+weights ``(512, 2048)``, 1.3x a BLAS GEMM for one row, 10x at 64 rows
+and **12x at 512 rows** (246 ms against 20 ms for
+``(512, 512) x (512, 2048)``); 4-7x at the default synthetic sizes.  On
+the paper-scale monitor the einsum calls are about 90 % of a
+reference-backend bulk scoring pass (``bulk_paper`` in ``bench/``),
+which is why batching a whole procedure into one call buys the
+reference backend nothing (see ``docs/serving.md``).  What the
+inference forwards *can* shed is everything around the contraction —
+numpy calls, temporaries, and contractions whose operand is known to be
+all zeros (the LSTM's initial state) — and they do, without touching
+this function.  BLAS-speed scoring without the parity guarantee is the
+``compiled`` backend (:mod:`repro.nn.backends`), not a flag here.
 """
 
 from __future__ import annotations

@@ -44,6 +44,10 @@ class Conv1D(Layer):
         self.kernel_size = int(kernel_size)
         self.padding = padding
         self._cache: dict[str, np.ndarray] | None = None
+        #: ``(out_time, kernel_size)`` gather index of the im2col step,
+        #: kept from one forward to the next (rebuilt if the time length
+        #: changes).
+        self._im2col_idx: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> None:
@@ -90,14 +94,18 @@ class Conv1D(Layer):
             )
         left, right = self._pad_amounts()
         if left or right:
-            x_padded = np.pad(x, ((0, 0), (left, right), (0, 0)))
+            x_padded = np.zeros((batch, left + time_steps + right, channels))
+            x_padded[:, left : left + time_steps, :] = x
         else:
             x_padded = x
         out_time = self._output_time(time_steps)
         k, in_ch = self.kernel_size, channels
 
         # im2col: (batch, out_time, kernel * channels)
-        idx = np.arange(out_time)[:, None] + np.arange(k)[None, :]
+        idx = self._im2col_idx
+        if idx is None or idx.shape[0] != out_time:
+            idx = np.arange(out_time)[:, None] + np.arange(k)[None, :]
+            self._im2col_idx = idx
         columns = x_padded[:, idx, :].reshape(batch, out_time, k * in_ch)
         w_flat = self.params["W"].reshape(k * in_ch, self.filters)
         out = contract(columns, w_flat, training) + self.params["b"]

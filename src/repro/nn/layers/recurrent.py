@@ -76,20 +76,21 @@ class LSTM(Layer):
             raise ShapeError(
                 f"LSTM built for {self.params['Wx'].shape[0]} features, got {features}"
             )
+        if not training:
+            return self._forward_inference(x)
         u = self.units
         wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
 
         h = np.zeros((batch, u))
         c = np.zeros((batch, u))
         hs = np.empty((batch, time_steps, u))
-        if training:
-            gates_i = np.empty((batch, time_steps, u))
-            gates_f = np.empty((batch, time_steps, u))
-            gates_g = np.empty((batch, time_steps, u))
-            gates_o = np.empty((batch, time_steps, u))
-            cells = np.empty((batch, time_steps, u))
-            h_prev = np.empty((batch, time_steps, u))
-            c_prev = np.empty((batch, time_steps, u))
+        gates_i = np.empty((batch, time_steps, u))
+        gates_f = np.empty((batch, time_steps, u))
+        gates_g = np.empty((batch, time_steps, u))
+        gates_o = np.empty((batch, time_steps, u))
+        cells = np.empty((batch, time_steps, u))
+        h_prev = np.empty((batch, time_steps, u))
+        c_prev = np.empty((batch, time_steps, u))
 
         # Pre-compute the input projection for every step at once.
         x_proj = contract(x.reshape(-1, features), wx, training)
@@ -101,31 +102,75 @@ class LSTM(Layer):
             f = sigmoid(z[:, u : 2 * u])
             g = np.tanh(z[:, 2 * u : 3 * u])
             o = sigmoid(z[:, 3 * u :])
-            if training:
-                h_prev[:, t, :] = h
-                c_prev[:, t, :] = c
+            h_prev[:, t, :] = h
+            c_prev[:, t, :] = c
             c = f * c + i * g
             h = o * np.tanh(c)
             hs[:, t, :] = h
-            if training:
-                gates_i[:, t, :] = i
-                gates_f[:, t, :] = f
-                gates_g[:, t, :] = g
-                gates_o[:, t, :] = o
-                cells[:, t, :] = c
+            gates_i[:, t, :] = i
+            gates_f[:, t, :] = f
+            gates_g[:, t, :] = g
+            gates_o[:, t, :] = o
+            cells[:, t, :] = c
 
-        if training:
-            self._cache = {
-                "x": x,
-                "i": gates_i,
-                "f": gates_f,
-                "g": gates_g,
-                "o": gates_o,
-                "c": cells,
-                "h_prev": h_prev,
-                "c_prev": c_prev,
-            }
+        self._cache = {
+            "x": x,
+            "i": gates_i,
+            "f": gates_f,
+            "g": gates_g,
+            "o": gates_o,
+            "c": cells,
+            "h_prev": h_prev,
+            "c_prev": c_prev,
+        }
         return hs if self.return_sequences else hs[:, -1, :]
+
+    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
+        """The ``training=False`` forward: no caches, fewest numpy calls.
+
+        Performs the float operations of the training loop on every
+        element in the same order (through the batch-invariant einsum
+        contraction), so a window scores bit-identically alone or inside
+        any batch.  Three things differ in how, none in what:
+
+        - step 0 does not contract the initial hidden state.  It is all
+          zeros, so for finite ``Wh`` the term is exactly ``+0.0`` in
+          every position; adding the literal ``0.0`` keeps the one
+          effect it has (a ``-0.0`` input projection rounds to ``+0.0``)
+          and saves one of ``time_steps`` recurrent contractions.  The
+          cell state stays an explicit zero array so ``f * c`` is
+          evaluated as before.
+        - the input and forget gates are adjacent columns of the
+          pre-activation, so one ``sigmoid`` call covers both.
+        - the ``(batch, time, units)`` sequence buffer exists only when
+          the sequence is what the layer returns.
+        """
+        batch, time_steps, features = x.shape
+        u = self.units
+        wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
+        x_proj = contract(x.reshape(-1, features), wx, False)
+        x_proj = x_proj.reshape(batch, time_steps, 4 * u)
+        hs = np.empty((batch, time_steps, u)) if self.return_sequences else None
+
+        h = np.zeros((batch, u))
+        c = np.zeros((batch, u))
+        for t in range(time_steps):
+            recurrent = contract(h, wh, False) if t else 0.0
+            z = x_proj[:, t, :] + recurrent
+            z += b
+            i_f = sigmoid(z[:, : 2 * u])
+            g = np.tanh(z[:, 2 * u : 3 * u])
+            o = sigmoid(z[:, 3 * u :])
+            # c = f * c + i * g and h = o * tanh(c), written into the
+            # arrays this step already owns.
+            c *= i_f[:, u:]
+            g *= i_f[:, :u]
+            c += g
+            h = np.tanh(c)
+            h *= o
+            if hs is not None:
+                hs[:, t, :] = h
+        return h if hs is None else hs
 
     # ------------------------------------------------------------------
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -127,6 +127,8 @@ class Sequential:
             outputs.append(self.loss.predict(logits))
         if not outputs:
             return np.empty((0, *self.output_shape))
+        if len(outputs) == 1:
+            return outputs[0]
         return np.concatenate(outputs, axis=0)
 
     def predict(self, x: np.ndarray, batch_size: int = 512) -> np.ndarray:

@@ -182,7 +182,13 @@ class _LocalEngine:
 
     async def feed(self, session_id: str, frames) -> None:
         self._check_failure()
-        await self._call(self.service.feed, session_id, frames)
+        # Inline, not through the executor: feed() is microseconds of
+        # validation and a deque append, less than the two thread
+        # hand-offs the hop costs.  Serialisation is unchanged — the lock
+        # is held for the whole of every executor call (a tick included),
+        # so this never runs while another thread is inside the service.
+        async with self._lock:
+            self.service.feed(session_id, frames)
         self._kick.set()
 
     async def close_session(self, session_id: str):

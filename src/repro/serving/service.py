@@ -802,25 +802,29 @@ class MonitorService:
                 ).reshape(-1)
             self._current_score[e_slots[known]] = new_scores[known]
 
+        # Everything the per-session loop needs is looked up once per
+        # tick: current gesture/score as plain Python values (one gather
+        # each instead of two numpy scalar reads per session), the
+        # threshold, the latency instrument and the list append.
         threshold = self.monitor.threshold
-        events = []
+        gestures_now = self._current_gesture[slots].tolist()
+        scores_now = self._current_score[slots].tolist()
+        observe_latency = self.telemetry.histogram("alert_latency_us").observe
+        events: list[SessionEvent] = []
+        emit = events.append
         now = time.perf_counter()
         n_flagged = 0
-        latency_hist = self.telemetry.histogram("alert_latency_us")
-        for session in active:
-            gesture = int(self._current_gesture[session.slot])
-            score = float(self._current_score[session.slot])
+        for session, gesture, score in zip(active, gestures_now, scores_now):
             if session.record_timeline:
                 session.gestures.append(gesture)
                 session.scores.append(score)
             flag = score >= threshold
             n_flagged += flag
-            latency_us = (
-                (now - session.last_feed_ts) * 1e6 if session.last_feed_ts else 0.0
-            )
+            last_feed_ts = session.last_feed_ts
+            latency_us = (now - last_feed_ts) * 1e6 if last_feed_ts else 0.0
             if latency_us > 0.0:
-                latency_hist.observe(latency_us)
-            events.append(
+                observe_latency(latency_us)
+            emit(
                 SessionEvent(
                     session_id=session.id,
                     frame_index=session.frames_done,

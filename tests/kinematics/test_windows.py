@@ -252,6 +252,35 @@ class TestStreamingWindowBatch:
         with pytest.raises(ShapeError):
             batch.reset(np.array([5]))
 
+    @pytest.mark.parametrize(
+        "bad_ids",
+        [
+            np.array([1.7, 2.2]),  # would truncate to slots 1 and 2
+            np.array([1.0, 2.0]),  # integral values, still not integers
+            np.array([True, False]),  # would read as slots 1 and 0
+            [0.5, 1],
+            np.array(["0", "1"]),
+            np.array([0, 1], dtype=object),
+        ],
+    )
+    def test_non_integer_ids_are_rejected_not_truncated(self, bad_ids):
+        batch = StreamingWindowBatch(WindowConfig(2, 1), n_streams=3, n_features=1)
+        with pytest.raises(ShapeError):
+            batch.push(np.ones((2, 1)), bad_ids)
+        with pytest.raises(ShapeError):
+            batch.reset(bad_ids)
+        assert batch.frames_seen.tolist() == [0, 0, 0]  # no slot advanced
+
+    def test_integer_ids_of_any_width_or_container_are_accepted(self):
+        batch = StreamingWindowBatch(WindowConfig(2, 1), n_streams=3, n_features=1)
+        batch.push(np.ones((2, 1)), np.array([2, 0], dtype=np.uint8))
+        batch.push(np.ones((2, 1)), [1, 2])
+        batch.push(np.ones((1, 1)), np.array([0], dtype=np.int32))
+        batch.push(np.empty((0, 1)), [])  # an empty list has no dtype to object to
+        assert batch.frames_seen.tolist() == [2, 1, 2]
+        with pytest.raises(ShapeError):
+            batch.push(np.ones((1, 1)), np.array([2**64 - 1], dtype=np.uint64))
+
     def test_windows_are_copies(self):
         batch = StreamingWindowBatch(WindowConfig(2, 1), n_streams=1, n_features=1)
         batch.push(np.array([[1.0]]))
