@@ -14,7 +14,6 @@ evaluated on a shared grid over the projected space.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from ..errors import DatasetError
 from ..gestures.vocabulary import Gesture
@@ -101,6 +100,11 @@ def js_divergence_matrix(
     else:
         mesh = np.meshgrid(*axes, indexing="ij")
         grid = np.stack([m.reshape(-1) for m in mesh])
+
+    # Function-local: scipy.stats costs ~0.7 s to import and only this
+    # figure needs it, while every `import repro.serving` passes through
+    # this module.
+    from scipy.stats import gaussian_kde
 
     densities: dict[Gesture, np.ndarray] = {}
     for gesture, rows in projected.items():

@@ -15,13 +15,16 @@ supports the three operations this reproduction needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..config import as_generator
 from ..errors import ConfigurationError, GestureError
 from .vocabulary import END_TOKEN, START_TOKEN, Gesture
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 @dataclass
@@ -139,6 +142,9 @@ class MarkovChain:
 
     def to_networkx(self) -> nx.DiGraph:
         """Directed graph with ``probability`` edge attributes."""
+        # Function-local: only this export needs networkx (~0.1 s).
+        import networkx as nx
+
         graph = nx.DiGraph()
         for state in self.states():
             graph.add_node(state)

@@ -13,8 +13,10 @@ contract:
   runs on an executor thread while the event loop keeps serving
   everything else;
 - one background ticker task per shard advances that shard whenever it
-  has pending frames and pushes the resulting
-  :class:`~repro.serving.service.SessionEvent`\\ s onto a single queue;
+  has pending frames and hands each tick's
+  :class:`~repro.serving.service.SessionEvent`\\ s over as one list —
+  to the ``sink`` callable the front-end was wired with (the gateway's
+  router), or else onto the queue behind :meth:`events`;
 - :meth:`events` is the merged async event stream.  A worker crash
   surfaces *in the stream* as terminal events with ``error`` set (and
   ``flag=True``), while the other shards' tickers keep running.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from collections.abc import AsyncIterator
+from collections.abc import AsyncIterator, Callable
 
 import numpy as np
 
@@ -54,20 +56,31 @@ class AsyncShardedMonitor:
             async for event in frontend.events():   # merged across shards
                 ...
 
+    ``sink`` is wiring, not tuning: a callable taking one
+    ``list[SessionEvent]`` — the events of one shard tick, or of one
+    crash/resize/shed flush — called on the loop thread in place of
+    queueing for :meth:`events` (which then stays empty).  The gateway
+    passes its router; leave it out to consume :meth:`events`.
+
     The front-end does not own the service's worker processes; call
     ``service.close()`` (or use the service as a context manager) after
     :meth:`aclose`.
     """
 
     def __init__(
-        self, service: ShardedMonitorService, poll_interval_s: float = 1.0
+        self,
+        service: ShardedMonitorService,
+        poll_interval_s: float = 1.0,
+        sink: Callable[[list[SessionEvent]], None] | None = None,
     ) -> None:
         self._service = service
         #: How often a parked (idle-shard) ticker polls worker liveness,
         #: so a worker dying while nothing is pending still surfaces its
         #: sessions' fail-safe terminal events within this bound.
         self.poll_interval_s = poll_interval_s
+        #: Event batches awaiting :meth:`events` (unused with a sink).
         self._queue: asyncio.Queue = asyncio.Queue()
+        self._sink = sink if sink is not None else self._queue.put_nowait
         self._locks: dict[int, asyncio.Lock] = {}
         self._kick: dict[int, asyncio.Event] = {}
         self._tasks: list[asyncio.Task] = []
@@ -112,6 +125,11 @@ class AsyncShardedMonitor:
         self._queue.put_nowait(_CLOSED)
 
     # ------------------------------------------------------------------
+    def _emit(self, batch: list[SessionEvent]) -> None:
+        """Hand one tick's (or one flush's) events over, in order."""
+        if batch:
+            self._sink(batch)
+
     async def _run_on_shard(self, index: int, fn, *args):
         """Run one blocking pipe exchange for a shard on the executor.
 
@@ -131,8 +149,7 @@ class AsyncShardedMonitor:
                     None, fn, *args
                 )
             except WorkerError:
-                for event in self._service.take_undelivered_events():
-                    self._queue.put_nowait(event)
+                self._emit(self._service.take_undelivered_events())
                 raise
 
     async def _shard_loop(self, index: int) -> None:
@@ -150,14 +167,13 @@ class AsyncShardedMonitor:
                 except asyncio.TimeoutError:
                     # Nothing woke us: cheap liveness poll so a worker
                     # that died while idle still fails fast-safe.
-                    for event in self._service.take_undelivered_events():
-                        self._queue.put_nowait(event)
+                    self._emit(self._service.take_undelivered_events())
                 continue
-            events = await self._run_on_shard(
-                index, self._service.tick_shard, index
+            self._emit(
+                await self._run_on_shard(
+                    index, self._service.tick_shard, index
+                )
             )
-            for event in events:
-                self._queue.put_nowait(event)
             # Let feeds/consumers run between ticks of a busy shard.
             await asyncio.sleep(0)
 
@@ -187,8 +203,7 @@ class AsyncShardedMonitor:
                         shard,
                     )
                 except WorkerError:
-                    for event in self._service.take_undelivered_events():
-                        self._queue.put_nowait(event)
+                    self._emit(self._service.take_undelivered_events())
                     raise
 
     async def open_session(
@@ -211,8 +226,7 @@ class AsyncShardedMonitor:
                         record_timeline,
                     )
                 except WorkerError:
-                    for event in self._service.take_undelivered_events():
-                        self._queue.put_nowait(event)
+                    self._emit(self._service.take_undelivered_events())
                     raise
 
     async def export_session(self, session_id: str) -> bytes:
@@ -251,8 +265,7 @@ class AsyncShardedMonitor:
                         record_timeline,
                     )
                 except WorkerError:
-                    for event in self._service.take_undelivered_events():
-                        self._queue.put_nowait(event)
+                    self._emit(self._service.take_undelivered_events())
                     raise
             kick = self._kick.get(shard)
             if kick is not None:
@@ -328,8 +341,7 @@ class AsyncShardedMonitor:
             )
         # Fail-safe events queued by a crash during the resize must not
         # wait for a tick that may never come.
-        for event in self._service.take_undelivered_events():
-            self._queue.put_nowait(event)
+        self._emit(self._service.take_undelivered_events())
         # Prune per-shard state of retired indices (indices are never
         # reused, so without this an oscillating autoscaler would grow
         # the lock/kick maps and the task list without bound).  Waiters
@@ -377,8 +389,7 @@ class AsyncShardedMonitor:
             moved = await asyncio.get_running_loop().run_in_executor(
                 None, self._service.shed, list(session_ids), to_shard
             )
-        for event in self._service.take_undelivered_events():
-            self._queue.put_nowait(event)
+        self._emit(self._service.take_undelivered_events())
         for kick in self._kick.values():
             kick.set()
         return moved
@@ -444,7 +455,8 @@ class AsyncShardedMonitor:
         Crash events (``error`` set) are part of the stream.
         """
         while True:
-            event = await self._queue.get()
-            if event is _CLOSED:
+            batch = await self._queue.get()
+            if batch is _CLOSED:
                 return
-            yield event
+            for event in batch:
+                yield event

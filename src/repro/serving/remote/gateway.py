@@ -58,7 +58,6 @@ import secrets
 import threading
 import time
 from collections import deque
-from collections.abc import AsyncIterator
 from typing import TYPE_CHECKING
 
 from ...errors import ConfigurationError, ProtocolError, ReproError, WorkerError
@@ -91,7 +90,7 @@ from .protocol import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..eventstore import EventStoreWriter
 
-#: Sentinel ending an engine's event stream / a connection's writer task.
+#: Sentinel ending a connection's writer task.
 _CLOSED = object()
 
 #: Messages a writer task coalesces into one socket write at most.
@@ -99,59 +98,47 @@ _WRITE_BATCH = 64
 
 
 class _LocalEngine:
-    """Async serving engine over one in-process :class:`MonitorService`.
+    """Single-threaded serving engine over one in-process :class:`MonitorService`.
 
-    The K=1 topology: no worker processes, no pipes — one background
-    ticker task advances the service whenever frames are pending (tick
-    compute runs on the executor so the event loop keeps accepting
-    ingest), mirroring the surface of :class:`AsyncShardedMonitor` that
-    the gateway routes through.
+    The K=1 topology: no worker processes, no executor, no lock — every
+    call into the service (open/feed/tick/close/export/import/telemetry)
+    runs on the event-loop thread.  :meth:`feed` schedules
+    :meth:`_tick_once` with ``call_soon``; each pass of the loop runs at
+    most **one** tick, hands its events to ``sink`` (the gateway's
+    ``_route_events``) as one list, and reschedules itself while frames
+    are pending — socket reads land between the ticks of a backlog, so
+    sessions fed at different cadences share ticks.  The loop is blocked
+    for the length of one tick; frames arriving meanwhile wait in their
+    sockets (they could not have been ticked sooner anyway).  Overlap of
+    ingest and inference is what ``n_shards >= 2`` is for.  The
+    coroutines mirror the surface of :class:`AsyncShardedMonitor` the
+    gateway routes through; none of them ever suspends.
     """
 
-    def __init__(
-        self, service: MonitorService, poll_interval_s: float = 0.2
-    ) -> None:
+    def __init__(self, service: MonitorService, sink) -> None:
         self.service = service
-        self.poll_interval_s = poll_interval_s
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._lock = asyncio.Lock()
-        self._kick = asyncio.Event()
-        self._task: asyncio.Task | None = None
+        self._sink = sink
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._tick_scheduled = False
         self._closed = False
         self._failure: str | None = None
 
     async def start(self) -> None:
-        self._task = asyncio.create_task(
-            self._tick_loop(), name="gateway-local-ticker"
-        )
+        self._loop = asyncio.get_running_loop()
 
-    async def _call(self, fn, *args):
-        async with self._lock:
-            return await asyncio.get_running_loop().run_in_executor(
-                None, fn, *args
-            )
+    def _schedule_tick(self) -> None:
+        if not self._tick_scheduled:
+            self._tick_scheduled = True
+            self._loop.call_soon(self._tick_once)
 
-    async def _tick_loop(self) -> None:
+    def _tick_once(self) -> None:
+        self._tick_scheduled = False
+        if self._closed or self._failure is not None:
+            return
         try:
-            while not self._closed:
-                self._kick.clear()
-                # Read the backlog state under the same lock the executor
-                # calls mutate the session registry under — an unlocked
-                # has_pending would iterate the dict mid-open/close.
-                async with self._lock:
-                    pending = self.service.has_pending
-                if not pending:
-                    # Timeout is the idle-poll path, not an error.
-                    with contextlib.suppress(asyncio.TimeoutError):
-                        await asyncio.wait_for(
-                            self._kick.wait(), timeout=self.poll_interval_s
-                        )
-                    continue
-                events = await self._call(self.service.tick)
-                for event in events:
-                    self._queue.put_nowait(event)
-                # Let ingest and the event pump run between busy ticks.
-                await asyncio.sleep(0)
+            # Looked up per call: a patched MonitorService.tick (tracing,
+            # fault injection) takes effect on the next tick.
+            events = self.service.tick()
         except Exception as exc:  # noqa: BLE001 - a dead ticker must fail safe
             # The sharded path converts a broken worker into fail-safe
             # crash events; the embedded engine owes its sessions the
@@ -160,15 +147,19 @@ class _LocalEngine:
             self._failure = (
                 f"local engine tick failed: {type(exc).__name__}: {exc}"
             )
-            async with self._lock:
-                for session_id in self.service.session_ids:
-                    self._queue.put_nowait(
-                        SessionEvent.failsafe(
-                            session_id,
-                            self.service.frames_done(session_id),
-                            self._failure,
-                        )
-                    )
+            events = [
+                SessionEvent.failsafe(
+                    session_id,
+                    self.service.frames_done(session_id),
+                    self._failure,
+                )
+                for session_id in self.service.session_ids
+            ]
+        else:
+            if self.service.has_pending:
+                self._schedule_tick()
+        if events:
+            self._sink(events)
 
     def _check_failure(self) -> None:
         if self._failure is not None:
@@ -176,30 +167,19 @@ class _LocalEngine:
 
     async def open_session(self, session_id: str | None, record_timeline: bool) -> str:
         self._check_failure()
-        return await self._call(
-            self.service.open_session, session_id, record_timeline
-        )
+        return self.service.open_session(session_id, record_timeline)
 
     async def feed(self, session_id: str, frames) -> None:
         self._check_failure()
-        # Inline, not through the executor: feed() is microseconds of
-        # validation and a deque append, less than the two thread
-        # hand-offs the hop costs.  Serialisation is unchanged — the lock
-        # is held for the whole of every executor call (a tick included),
-        # so this never runs while another thread is inside the service.
-        async with self._lock:
-            self.service.feed(session_id, frames)
-        self._kick.set()
+        self.service.feed(session_id, frames)
+        self._schedule_tick()
 
     async def close_session(self, session_id: str):
         self._check_failure()
-        return await self._call(self.service.close_session, session_id)
+        return self.service.close_session(session_id)
 
     async def export_session(self, session_id: str) -> bytes:
         self._check_failure()
-        return await self._call(self._export_blocking, session_id)
-
-    def _export_blocking(self, session_id: str) -> bytes:
         return session_to_bytes(
             self.service.export_session(session_id, remove=True)
         )
@@ -208,25 +188,15 @@ class _LocalEngine:
         self, state: bytes, record_timeline: bool = True
     ) -> str:
         self._check_failure()
-        session_id = await self._call(self._import_blocking, state)
-        self._kick.set()  # imported state may carry pending frames
+        session_id = self.service.import_session(session_from_bytes(state))
+        self._schedule_tick()  # imported state may carry pending frames
         return session_id
-
-    def _import_blocking(self, state: bytes) -> str:
-        return self.service.import_session(session_from_bytes(state))
-
-    async def events(self) -> AsyncIterator[SessionEvent]:
-        while True:
-            event = await self._queue.get()
-            if event is _CLOSED:
-                return
-            yield event
 
     async def shard_stats(self) -> dict[int, ServiceStats]:
         return {0: self.service.stats}
 
     async def telemetry(self) -> dict:
-        return await self._call(self.service.telemetry.snapshot)
+        return self.service.telemetry.snapshot()
 
     async def resize(self, target_k: int) -> dict:
         raise ConfigurationError(
@@ -243,10 +213,6 @@ class _LocalEngine:
 
     async def aclose(self) -> None:
         self._closed = True
-        self._kick.set()
-        if self._task is not None:
-            await self._task
-        self._queue.put_nowait(_CLOSED)
 
 
 class _RemoteSession:
@@ -302,7 +268,7 @@ class _ParkedSession:
     export was impossible — the owning worker was dead or mid-recovery
     — in which case the ``journal`` alone rebuilds the session (a *cold
     adopt*: re-open + replay, bit-identical because inference is
-    deterministic).  Events that were in flight through the pump when
+    deterministic).  Events that were in flight through the engine when
     the client vanished keep landing here (:meth:`absorb`), so the
     resume replay misses nothing.
     """
@@ -590,7 +556,6 @@ class MonitorGateway:
         #: :meth:`_shutdown_engine` can terminate its worker processes.
         self._fleet: ShardedMonitorService | None = None
         self._server: asyncio.Server | None = None
-        self._pump_task: asyncio.Task | None = None
         #: Strong references to fire-and-forget teardown tasks (the
         #: event loop only keeps weak ones; a GC'd teardown would leak
         #: the connection and skip its sessions' fail-safe closure).
@@ -668,9 +633,6 @@ class MonitorGateway:
                     # resets the balancer's hysteresis.
                     self._autoscaler.balancer = self._balancer
                 await self._balancer.start()
-            self._pump_task = asyncio.create_task(
-                self._event_pump(), name="gateway-event-pump"
-            )
             self._server = await asyncio.start_server(
                 self._serve_connection, self.host, self.port
             )
@@ -693,8 +655,6 @@ class MonitorGateway:
         if self._engine is None:
             return
         await self._engine.aclose()
-        if self._pump_task is not None:
-            await self._pump_task
         if self._fleet is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, self._fleet.close
@@ -709,7 +669,7 @@ class MonitorGateway:
             service = MonitorService(
                 monitor, max_sessions=self.max_sessions, backend=self.backend
             )
-            return _LocalEngine(service)
+            return _LocalEngine(service, self._route_events)
         self._fleet = ShardedMonitorService(
             self._monitor,
             n_shards=self.n_shards,
@@ -718,7 +678,7 @@ class MonitorGateway:
             backend=self.backend,
             start_method=self._start_method,
         )
-        return AsyncShardedMonitor(self._fleet)
+        return AsyncShardedMonitor(self._fleet, sink=self._route_events)
 
     async def stop(self) -> None:
         """Stop accepting, fail-safe every live connection, drain the
@@ -940,8 +900,8 @@ class MonitorGateway:
         try:
             await self._engine.close_session(session_id)
         except ReproError as exc:
-            # A crash event for this session is (or will be) routed by
-            # the pump; the close itself reports the failure.
+            # A crash event for this session has been (or will be)
+            # routed; the close itself reports the failure.
             self._send_error(conn, exc, session_id, MessageType.CLOSE)
             return
         summary = {
@@ -1041,7 +1001,7 @@ class MonitorGateway:
                 MessageType.RESUME,
             )
             return
-        parked.resuming = True  # keep the map entry visible to the pump
+        parked.resuming = True  # keep the map entry visible to routing
         if parked.expiry is not None:
             parked.expiry.cancel()
             parked.expiry = None
@@ -1197,9 +1157,9 @@ class MonitorGateway:
         history: list,
     ) -> None:
         """The RESUME success reply, followed by the missed-event replay
-        — ahead of anything live (the pump routes to this session only
-        after the handler returns control to the loop, and the writer
-        drains its queue in FIFO order)."""
+        — ahead of anything live (an engine's events for this session
+        are routed only after the handler returns control to the loop,
+        and the writer drains its queue in FIFO order)."""
         self._enqueue_or_overflow(
             conn,
             encode_message(
@@ -1339,7 +1299,7 @@ class MonitorGateway:
             record_timeline=session.record_timeline,
             reason=reason,
         )
-        # Insert before unregistering, with no await between: the pump
+        # Insert before unregistering, with no await between: routing
         # must never find the session in neither map (events would drop).
         self._parked[session_id] = parked
         self._unregister(session_id)
@@ -1528,60 +1488,70 @@ class MonitorGateway:
     # ------------------------------------------------------------------
     # Event routing
     # ------------------------------------------------------------------
-    async def _event_pump(self) -> None:
-        """Route the engine's merged event stream to owning connections."""
-        async for event in self._engine.events():
-            self._route_event(event)
+    def _route_events(self, batch: list[SessionEvent]) -> None:
+        """Route one engine tick's events to their owning connections.
 
-    def _route_event(self, event: SessionEvent) -> None:
-        session = self._sessions.get(event.session_id)
-        if session is None:
-            parked = self._parked.get(event.session_id)
-            if parked is not None:
-                # In flight when its client vanished: fold into the
-                # parked history so a resume replays it.  Accepted
-                # events will reach the client at resume time, so they
-                # belong in the durable log now.
-                if parked.absorb(event):
-                    self._log_event(event)
-                return
-            self._events_dropped += 1
-            return
-        if event.error is not None and session.journal is not None:
-            # Resume mode treats a worker crash as recoverable: rebuild
-            # from the journal instead of failing the session safe.  A
-            # second terminal event while recovery is already in flight
-            # is a stale echo of the same crash.
-            if not session.recovering:
-                self._begin_recovery(event.session_id, session)
-            return
-        if session.journal is not None and event.frame_index < session.delivered:
-            # Journal-replay regeneration after a crash recovery (or
-            # cold adopt): the client already has this event.  Events
-            # arrive one per frame in frame order, so a fresh event
-            # always lands exactly at frame_index == delivered.
-            return
-        session.delivered += 1
-        if event.flag:
-            session.flagged += 1
-        if session.history is not None:
-            session.history.append(event)
-        if event.error is None:
-            # Past the duplicate filter: this event is part of the
-            # client-visible stream exactly once.  Terminal events tee
-            # in _record_failsafe below instead (one tee per event).
-            self._log_event(event)
-        conn = session.conn
-        if not conn.closed:
+        The single sink both engines call, on the loop thread, with the
+        events of one tick (or one crash/resize/shed flush).  Every
+        per-event decision is taken in batch order; then each connection
+        gets **one** EVENT message carrying its events in that order,
+        and the accepted events are teed into the durable log with one
+        ``append_batch``.
+        """
+        outgoing: dict[_Connection, list[SessionEvent]] = {}
+        logged: list[SessionEvent] = []
+        for event in batch:
+            session = self._sessions.get(event.session_id)
+            if session is None:
+                parked = self._parked.get(event.session_id)
+                if parked is None:
+                    self._events_dropped += 1
+                elif parked.absorb(event):
+                    # In flight when its client vanished: folded into
+                    # the parked history so a resume replays it — it
+                    # will reach the client then, so it belongs in the
+                    # durable log now.
+                    logged.append(event)
+                continue
+            if event.error is not None and session.journal is not None:
+                # Resume mode treats a worker crash as recoverable:
+                # rebuild from the journal instead of failing the
+                # session safe.  A second terminal event while recovery
+                # is already in flight is a stale echo of the same crash.
+                if not session.recovering:
+                    self._begin_recovery(event.session_id, session)
+                continue
+            if (
+                session.journal is not None
+                and event.frame_index < session.delivered
+            ):
+                # Journal-replay regeneration after a crash recovery (or
+                # cold adopt): the client already has this event.  Events
+                # arrive one per frame in frame order, so a fresh event
+                # always lands exactly at frame_index == delivered.
+                continue
+            session.delivered += 1
+            if event.flag:
+                session.flagged += 1
+            if session.history is not None:
+                session.history.append(event)
+            # Past the duplicate filter: part of the client-visible
+            # stream, and of the durable log, exactly once.
+            logged.append(event)
+            if not session.conn.closed:
+                outgoing.setdefault(session.conn, []).append(event)
+            if event.error is not None:
+                # Terminal: the engine lost this session (worker crash).
+                # Surface it at the gateway too, not only on the wire.
+                self._note_failsafe(event)
+                self._unregister(event.session_id)
+        for conn, events in outgoing.items():
             self._enqueue_or_overflow(
-                conn, encode_message(MessageType.EVENT, encode_events([event]))
+                conn, encode_message(MessageType.EVENT, encode_events(events))
             )
-            self._events_sent += 1
-        if event.error is not None:
-            # Terminal: the engine lost this session (worker crash).
-            # Surface it at the gateway too, not only on the wire.
-            self._record_failsafe(event)
-            self._unregister(event.session_id)
+            self._events_sent += len(events)
+        if logged and self.event_store is not None:
+            self.event_store.append_batch(logged)
 
     def _enqueue_or_overflow(self, conn: _Connection, data: bytes) -> None:
         self._peak_queue_depth = max(self._peak_queue_depth, conn.queue.qsize())
@@ -1627,13 +1597,13 @@ class MonitorGateway:
             ),
         )
 
-    def _record_failsafe(self, event: SessionEvent) -> None:
+    def _note_failsafe(self, event: SessionEvent) -> None:
         self.failsafe_events.append(event)
         self.failed_sessions[event.session_id] = event.error or "unknown"
-        self._log_event(event)
 
-    def _log_event(self, event: SessionEvent) -> None:
-        """Tee one client-visible event into the durable log, if any."""
+    def _record_failsafe(self, event: SessionEvent) -> None:
+        """Note a terminal event raised outside routing and tee it."""
+        self._note_failsafe(event)
         if self.event_store is not None:
             self.event_store.append(event)
 

@@ -50,6 +50,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> serving)
     from .eventstore import EventStoreWriter
 
 
+def reject_non_finite(session_id: str, frames: np.ndarray) -> None:
+    """Every ``feed``'s ingress check: one NaN would otherwise poison
+    ``window`` frames of scores into silent ``flag=False`` verdicts."""
+    if not np.isfinite(frames).all():
+        raise DatasetError(
+            f"frames for session {session_id!r} contain non-finite "
+            f"values (NaN/Inf); batch rejected, session state unchanged"
+        )
+
+
 @dataclass(frozen=True)
 class SessionEvent:
     """One monitored frame of one session.
@@ -562,7 +572,9 @@ class MonitorService:
             bound to on its first feed (or with the monitor's trained
             width, checked eagerly on that first feed).
         DatasetError
-            If no session ``session_id`` is open.
+            If no session ``session_id`` is open, or any value in
+            ``frames`` is NaN or ±Inf (the whole batch is rejected and
+            the session's pending queue and windows are untouched).
 
         The first successful feed allocates the service's shared ring
         buffers and permanently binds its feature width.
@@ -583,6 +595,7 @@ class MonitorService:
                 f"service is bound to {self._n_features} features, "
                 f"got frames with {frames.shape[1]}"
             )
+        reject_non_finite(session_id, frames)
         session.pending.append(frames)
         session.feed_ts.append(time.perf_counter())
 

@@ -66,7 +66,7 @@ import numpy as np
 from ..core.pipeline import SafetyMonitor
 from ..errors import ConfigurationError, DatasetError, ShapeError, WorkerError
 from ..nn.backends import DEFAULT_BACKEND, validate_backend_name
-from .service import ServiceStats, SessionEvent, SessionResult
+from .service import ServiceStats, SessionEvent, SessionResult, reject_non_finite
 from .telemetry import TelemetryRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -1088,7 +1088,9 @@ class ShardedMonitorService:
 
         Raises :class:`~repro.errors.WorkerError` if the session was lost
         to a worker crash (failed sessions are never silently re-opened),
-        :class:`~repro.errors.ShapeError` on a frame-width mismatch.
+        :class:`~repro.errors.ShapeError` on a frame-width mismatch,
+        :class:`~repro.errors.DatasetError` when any value is NaN or
+        ±Inf (nothing reaches the ring).
         """
         self._check_open()
         record = self._record(session_id)
@@ -1107,6 +1109,7 @@ class ShardedMonitorService:
                 f"monitor was trained for {self._n_features} kinematics "
                 f"features, got frames with {frames.shape[1]}"
             )
+        reject_non_finite(session_id, frames)
         if not handle.process.is_alive():
             reason = (
                 f"shard {handle.index} worker died "

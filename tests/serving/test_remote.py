@@ -15,6 +15,7 @@ import os
 import signal
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -22,17 +23,22 @@ import pytest
 
 from repro.errors import (
     ConfigurationError,
+    DatasetError,
     ProtocolError,
     ShapeError,
     WorkerError,
 )
 from repro.serving import (
     AsyncRemoteMonitorClient,
+    AsyncShardedMonitor,
+    EventStoreReader,
+    EventStoreWriter,
     MonitorGateway,
     MonitorService,
     RemoteMonitorClient,
     ResumeState,
     SessionEvent,
+    ShardedMonitorService,
     make_random_walk_trajectory,
     make_synthetic_monitor,
     monitor_from_bytes,
@@ -352,6 +358,55 @@ class TestErrors:
 
         asyncio.run(run())
 
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frames_rejected_over_the_wire(
+        self, monitor, n_shards, bad
+    ):
+        """One NaN/Inf feature: a typed per-session ERROR, never `window`
+        frames of silent ``score=nan flag=False`` — and the stream around
+        the rejected batch stays bit-identical."""
+        trajectory = make_random_walk_trajectory(
+            30, n_features=N_FEATURES, seed=21
+        )
+        reference = local_events(monitor, trajectory)
+        with running_gateway(
+            monitor, n_shards=n_shards, max_sessions=4
+        ) as runner:
+            with RemoteMonitorClient(runner.host, runner.port) as client:
+                sid = client.open_session("s")
+                client.feed(sid, trajectory.frames[:8])
+                events = client.events_for(sid, 8)
+                poisoned = trajectory.frames[8:12].copy()
+                poisoned[0, 5] = bad
+                client.feed(sid, poisoned)
+                with pytest.raises(DatasetError, match="non-finite"):
+                    client.gateway_stats()
+                client.feed(sid, trajectory.frames[8:])
+                events += client.events_for(sid, 22)
+                assert client.close_session(sid)["n_frames"] == 30
+            assert not runner.gateway.failed_sessions
+        assert all(np.isfinite(e.score) for e in events)
+        assert [event_key(e) for e in events] == [
+            event_key(e) for e in reference
+        ]
+
+    def test_rejected_non_finite_batch_leaves_the_journal(self, monitor):
+        """Resume mode: the journal is what the ACK promises, so a batch
+        the engine refused must be popped from it, not replayed later."""
+        with running_gateway(
+            monitor, n_shards=1, max_sessions=4, resume_grace_s=30.0
+        ) as runner:
+            with RemoteMonitorClient(runner.host, runner.port) as client:
+                sid = client.open_session("s")
+                client.feed(sid, np.zeros((3, N_FEATURES)))
+                client.events_for(sid, 3)
+                client.feed(sid, np.full((2, N_FEATURES), np.nan))
+                with pytest.raises(DatasetError):
+                    client.gateway_stats()
+                journal = runner.gateway._sessions[sid].journal
+                assert [batch.shape[0] for batch in journal] == [3]
+
     def test_constructor_validation(self, monitor):
         with pytest.raises(ConfigurationError):
             MonitorGateway()  # neither monitor nor bytes
@@ -591,6 +646,321 @@ class TestBackpressure:
                     np.zeros((5, N_FEATURES)), session_id="healthy"
                 )
                 assert len(events) == 5
+
+
+    def test_fleet_overflow_is_counted_in_messages(self, monitor):
+        """K=2: an EVENT message may carry several events, but the bound
+        is still ``send_queue_max`` *messages* — the parked writer's
+        queue fills to exactly that before the client is cut loose."""
+        with running_gateway(
+            monitor, n_shards=2, max_sessions=8, send_queue_max=8
+        ) as runner:
+            gateway = runner.gateway
+            slow = RemoteMonitorClient(runner.host, runner.port)
+            slow.open_session("slow")
+
+            async def park_writer():
+                (conn,) = gateway._connections.values()
+                conn.writer_gate.clear()
+
+            runner.run(park_writer())
+            slow.feed("slow", np.zeros((50, N_FEATURES)))
+            assert wait_until(lambda: gateway.failed_sessions)
+            assert "overflow" in gateway.failed_sessions["slow"]
+            stats = runner.stats()
+            assert stats["connections"]["overflow_disconnects"] == 1
+            assert stats["queues"]["peak_depth"] == 8
+            assert 8 <= stats["events_sent"] < 50
+            slow.close()
+
+
+class TestEventHandOff:
+    """PR 14: the K=1 engine lives on the loop thread, and a tick's
+    events travel from either engine to the sockets as one list."""
+
+    def test_k1_ticks_run_on_the_loop_thread(self, monitor):
+        async def run():
+            async with MonitorGateway(
+                monitor, n_shards=1, max_sessions=4
+            ) as gateway:
+                service = gateway._engine.service
+                tick_threads = set()
+                real_tick = service.tick
+
+                def spying_tick():
+                    tick_threads.add(threading.get_ident())
+                    return real_tick()
+
+                service.tick = spying_tick
+                client = await AsyncRemoteMonitorClient.connect(
+                    gateway.host, gateway.port
+                )
+                sid = await client.open_session("s")
+                await client.feed(sid, np.zeros((12, N_FEATURES)))
+                for _ in range(12):
+                    await asyncio.wait_for(client.next_event(), 10.0)
+                await client.aclose()
+                return tick_threads, threading.get_ident()
+
+        tick_threads, loop_thread = asyncio.run(run())
+        assert tick_threads == {loop_thread}
+
+    def test_k1_backlog_shares_ticks_with_a_paced_session(self, monitor):
+        """One tick per loop pass: a session fed frame by frame is served
+        *inside* the ticks of another session's long backlog, not after
+        it (socket reads land between the ticks)."""
+        chunk = 600
+
+        async def run():
+            async with MonitorGateway(
+                monitor, n_shards=1, max_sessions=4
+            ) as gateway:
+                service = gateway._engine.service
+                ticks = []
+                real_tick = service.tick
+
+                def spying_tick():
+                    events = real_tick()
+                    ticks.append([(e.session_id, e.frame_index) for e in events])
+                    return events
+
+                service.tick = spying_tick
+                bulk = await AsyncRemoteMonitorClient.connect(
+                    gateway.host, gateway.port
+                )
+                paced = await AsyncRemoteMonitorClient.connect(
+                    gateway.host, gateway.port
+                )
+                await bulk.open_session("bulk")
+                await paced.open_session("paced")
+                await bulk.feed("bulk", np.zeros((chunk, N_FEATURES)))
+                await asyncio.wait_for(bulk.next_event(), 10.0)
+                for _ in range(5):  # each frame waits for its own event
+                    await paced.feed("paced", np.zeros(N_FEATURES))
+                    await asyncio.wait_for(paced.next_event(), 10.0)
+                for _ in range(chunk - 1):
+                    await asyncio.wait_for(bulk.next_event(), 10.0)
+                await bulk.aclose()
+                await paced.aclose()
+                return ticks
+
+        ticks = asyncio.run(run())
+        where = {key: i for i, tick in enumerate(ticks) for key in tick}
+        assert where[("paced", 4)] < where[("bulk", chunk - 1)]
+        shared = [t for t in ticks if ("paced", 0) in t]
+        assert len(shared) == 1 and len(shared[0]) == 2  # one tick, both sessions
+        assert max(len(t) for t in ticks) == 2
+
+    def test_k1_control_ops_interleaved_with_a_backlog_stay_bit_identical(
+        self, monitor
+    ):
+        """open / close / export (park) / import (resume) all run on the
+        loop thread between the ticks of a backlog; every stream still
+        equals a plain MonitorService's."""
+        long = make_random_walk_trajectory(300, n_features=N_FEATURES, seed=31)
+        short = make_random_walk_trajectory(20, n_features=N_FEATURES, seed=32)
+        moved = make_random_walk_trajectory(60, n_features=N_FEATURES, seed=33)
+        with running_gateway(
+            monitor, n_shards=1, max_sessions=4, resume_grace_s=30.0
+        ) as runner:
+            gateway = runner.gateway
+            with RemoteMonitorClient(runner.host, runner.port) as client:
+                client.open_session("long")
+                client.feed("long", long.frames)  # the backlog
+                # open + feed + drain-and-close inside it
+                client.open_session("short")
+                client.feed("short", short.frames)
+                short_events = client.events_for("short", short.n_frames)
+                assert client.close_session("short")["n_frames"] == 20
+                # export with pending frames (park) + import (resume)
+                first = RemoteMonitorClient(runner.host, runner.port)
+                first.open_session("moved")
+                first.feed("moved", moved.frames[:40])
+                moved_events = first.events_for("moved", 5)
+                first.close()
+                state = first.detach_session("moved")
+                assert wait_until(lambda: gateway.n_parked_sessions == 1)
+                with RemoteMonitorClient(runner.host, runner.port) as second:
+                    second.resume_session(state)
+                    second.feed("moved", moved.frames[40:])
+                    moved_events += second.events_for("moved", 55)
+                    second.close_session("moved")
+                long_events = client.events_for("long", long.n_frames)
+            assert not gateway.failed_sessions
+        for events, trajectory, sid in (
+            (long_events, long, "long"),
+            (short_events, short, "short"),
+            (moved_events, moved, "moved"),
+        ):
+            assert [event_key(e) for e in events] == [
+                event_key(e)
+                for e in local_events(monitor, trajectory, session_id=sid)
+            ]
+
+    def test_k2_one_fleet_tick_is_one_event_message_per_connection(
+        self, monitor, tmp_path
+    ):
+        """Raw socket, K=2: every shard tick's events for this connection
+        arrive as exactly one EVENT message, in tick order; the decoded
+        stream and the on-disk replay are bit-identical to a local run."""
+        fleet = {
+            f"proc-{i}": make_random_walk_trajectory(
+                20, n_features=N_FEATURES, seed=80 + i
+            )
+            for i in range(6)
+        }
+        store = EventStoreWriter(tmp_path)
+        with running_gateway(
+            monitor, n_shards=2, max_sessions=8, event_store=store
+        ) as runner:
+            service = runner.gateway._engine.service
+            batches = []
+            real_tick_shard = service.tick_shard
+
+            def spying_tick_shard(index):
+                events = real_tick_shard(index)
+                if events:
+                    batches.append(tuple(event_key(e) for e in events))
+                return events
+
+            service.tick_shard = spying_tick_shard
+            raw = socket.create_connection((runner.host, runner.port))
+            raw.settimeout(10.0)
+            reader = MessageReader()
+            messages = []
+
+            def pump(until):
+                while not until():
+                    data = raw.recv(65536)
+                    assert data, "gateway closed the connection"
+                    reader.feed(data)
+                    messages.extend(reader.messages())
+
+            try:
+                raw.sendall(
+                    b"".join(
+                        encode_message(
+                            MessageType.OPEN,
+                            protocol.encode_json({"session_id": sid}),
+                        )
+                        for sid in fleet
+                    )
+                )
+                pump(lambda: len(messages) == len(fleet))
+                assert all(t is MessageType.OPEN for t, _ in messages)
+                messages.clear()
+                raw.sendall(
+                    b"".join(
+                        encode_message(
+                            MessageType.FRAME,
+                            encode_frames(sid, trajectory.frames),
+                        )
+                        for sid, trajectory in fleet.items()
+                    )
+                )
+                total = sum(t.n_frames for t in fleet.values())
+                pump(
+                    lambda: sum(
+                        len(decode_events(p))
+                        for t, p in messages
+                        if t is MessageType.EVENT
+                    )
+                    == total
+                )
+            finally:
+                raw.close()
+            on_one_shard = max(
+                len(service.sessions_on(i)) for i in service.shard_indices
+            )
+        store.close()
+        event_messages = [
+            tuple(event_key(e) for e in decode_events(payload))
+            for msg_type, payload in messages
+            if msg_type is MessageType.EVENT
+        ]
+        # One message per non-empty shard tick, same content, and fewer
+        # messages than events: sessions sharing a shard share messages.
+        assert sorted(event_messages) == sorted(batches)
+        assert on_one_shard >= 2
+        assert max(len(m) for m in event_messages) == on_one_shard
+        streams = {sid: [] for sid in fleet}
+        for message in event_messages:
+            for key in message:
+                streams[key[0]].append(key)
+        replayed = {sid: [] for sid in fleet}
+        for event in EventStoreReader(tmp_path).replay():
+            if event.error is None:  # the raw close fails each session safe
+                replayed[event.session_id].append(event_key(event))
+        for sid, trajectory in fleet.items():
+            reference = [
+                event_key(e)
+                for e in local_events(monitor, trajectory, session_id=sid)
+            ]
+            assert streams[sid] == reference
+            assert replayed[sid] == reference
+
+    def test_events_view_without_a_sink_is_unchanged(self, monitor):
+        """`AsyncShardedMonitor.events()` still yields single events in
+        per-session frame order, crash events included; with a sink the
+        same events arrive as per-tick lists and the view stays empty."""
+        frames = np.zeros((6, N_FEATURES))
+
+        async def run(sink):
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=4
+            ) as service:
+                frontend = AsyncShardedMonitor(
+                    service, poll_interval_s=0.05, sink=sink
+                )
+                async with frontend:
+                    sids = [
+                        await frontend.open_session(f"proc-{i}")
+                        for i in range(4)
+                    ]
+                    assert len({service.shard_of(s) for s in sids}) == 2
+                    for sid in sids:
+                        await frontend.feed(sid, frames)
+                    await frontend.drain()
+                    victim = service.shard_of(sids[0])
+                    victims = {s for s in sids if service.shard_of(s) == victim}
+                    os.kill(service._shards[victim].process.pid, signal.SIGKILL)
+                    seen = []
+                    if sink is None:
+                        async for event in frontend.events():
+                            seen.append(event)
+                            if sum(e.error is not None for e in seen) == len(
+                                victims
+                            ):
+                                break
+                    else:
+                        deadline = time.monotonic() + 10.0
+                        while (
+                            sum(e.error is not None for b in sunk for e in b)
+                            < len(victims)
+                            and time.monotonic() < deadline
+                        ):
+                            await asyncio.sleep(0.02)
+                        assert frontend._queue.empty()
+                    return sids, victims, seen
+
+        sids, victims, seen = asyncio.run(run(None))
+        assert all(isinstance(e, SessionEvent) for e in seen)
+        for sid in sids:
+            mine = [e for e in seen if e.session_id == sid]
+            normal = [e.frame_index for e in mine if e.error is None]
+            assert normal == list(range(6))
+            crashed = [e for e in mine if e.error is not None]
+            assert len(crashed) == (1 if sid in victims else 0)
+            assert all(e.flag and e is mine[-1] for e in crashed)
+
+        sunk = []
+        sids, victims, _ = asyncio.run(run(sunk.append))
+        assert all(isinstance(b, list) and b for b in sunk)
+        flat = [e for b in sunk for e in b]
+        assert sorted(
+            (e.session_id, e.frame_index) for e in flat if e.error is None
+        ) == sorted((sid, i) for sid in sids for i in range(6))
+        assert {e.session_id for e in flat if e.error is not None} == victims
 
 
 class TestGatewayStats:

@@ -107,6 +107,39 @@ class TestSessionLifecycle:
         assert events[0].frame_index == 0
 
 
+class TestNonFiniteFrames:
+    """ROADMAP 4(b): a NaN/Inf feature must never turn into `window`
+    frames of silent ``score=nan flag=False`` verdicts."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_with_typed_error_and_state_untouched(self, monitor, bad):
+        trajectory = make_random_walk_trajectory(
+            40, n_features=N_FEATURES, seed=7
+        )
+        clean = MonitorService(monitor, max_sessions=1)
+        clean.open_session("s")
+        clean.feed("s", trajectory.frames)
+        reference = clean.drain()
+
+        service = MonitorService(monitor, max_sessions=1)
+        service.open_session("s")
+        service.feed("s", trajectory.frames[:8])
+        events = service.drain()
+        poisoned = trajectory.frames[8:12].copy()
+        poisoned[1, 3] = bad
+        with pytest.raises(DatasetError, match="non-finite"):
+            service.feed("s", poisoned)
+        with pytest.raises(DatasetError, match="non-finite"):
+            service.feed("s", poisoned[1])  # single 1-D frame
+        assert service.pending_frames("s") == 0
+        # The rejected batch left no trace: the clean frames that follow
+        # reproduce the uninterrupted stream bit for bit.
+        service.feed("s", trajectory.frames[8:])
+        events += service.drain()
+        assert events == reference
+        assert all(np.isfinite(e.score) for e in events)
+
+
 class TestBatchedParity:
     def test_one_session_matches_stream_bit_for_bit(self, monitor):
         trajectory = make_random_walk_trajectory(90, n_features=N_FEATURES, seed=2)

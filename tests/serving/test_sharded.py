@@ -270,6 +270,32 @@ class TestPlacementAndLifecycle:
             service.feed(session_id, np.zeros((3, N_FEATURES)))
             assert len(service.drain()) == 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frames_rejected_router_side(self, monitor, bad):
+        """K=2: a NaN/Inf batch raises synchronously at the router —
+        nothing reaches a frame ring, no session fails safe for it, and
+        every session's stream stays bit-identical to a clean run."""
+        fleet = make_fleet(4, base_seed=700, frames=24, step=0)
+        ref_events, _ = single_service_reference(monitor, fleet)
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=8
+        ) as service:
+            for session_id in fleet:
+                service.open_session(session_id)
+            assert len({service.shard_of(sid) for sid in fleet}) == 2
+            for session_id, trajectory in fleet.items():
+                service.feed(session_id, trajectory.frames[:8])
+                poisoned = trajectory.frames[8:12].copy()
+                poisoned[2, 0] = bad
+                with pytest.raises(DatasetError, match="non-finite"):
+                    service.feed(session_id, poisoned)
+                service.feed(session_id, trajectory.frames[8:])
+            events = service.drain()
+            assert not service.failed_sessions
+            assert [event_key(e) for e in events] == [
+                event_key(e) for e in ref_events
+            ]
+
     def test_remove_shard_migrates_and_rebalances(self, monitor):
         """remove_shard live-migrates the shard's sessions onto the
         survivors — nothing closes, no frame is dropped, and the moved
