@@ -115,6 +115,145 @@ class _SessionTrack:
             self.buffer.popleft()
 
 
+class _SessionCore:
+    """The socket-free half of both client SDKs.
+
+    Sans-IO, like :class:`~repro.serving.remote.protocol.MessageReader`:
+    payloads in, messages out, and the per-session resume bookkeeping
+    (seq numbering, unacked buffer, decode-time event counts) in
+    between.  Each SDK owns one and adds only its own I/O — who reads
+    the socket, and where decoded events wait for the application.
+    """
+
+    def __init__(self) -> None:
+        self._tracks: dict[str, _SessionTrack] = {}
+
+    @staticmethod
+    def open_message(session_id: str | None, record_timeline: bool) -> bytes:
+        return encode_message(
+            MessageType.OPEN,
+            encode_json(
+                {"session_id": session_id, "record_timeline": record_timeline}
+            ),
+        )
+
+    def opened(self, payload: bytes) -> str:
+        """Bind the session an OPEN ack names; returns its id."""
+        ack = decode_json(payload)
+        sid = ack["session_id"]
+        self._tracks[sid] = _SessionTrack(ack.get("resume_token"))
+        return sid
+
+    @staticmethod
+    def close_message(session_id: str) -> bytes:
+        return encode_message(
+            MessageType.CLOSE, encode_json({"session_id": session_id})
+        )
+
+    def drop(self, session_id: str) -> None:
+        """Forget a session (closed, or its resume was refused)."""
+        self._tracks.pop(session_id, None)
+
+    def send_frames(self, session_id: str, frames: np.ndarray, send) -> None:
+        """Number one batch of kinematics rows, encode it and hand the
+        FRAME message to ``send``; the batch is buffered for a resume
+        replay only once ``send`` has returned."""
+        frames = np.ascontiguousarray(frames, dtype="<f8")
+        if frames.ndim == 1:
+            frames = frames[None, :]
+        track = self._tracks.get(session_id)
+        seq = track.next_seq if track is not None else 0
+        send(
+            encode_message(
+                MessageType.FRAME, encode_frames(session_id, frames, seq)
+            )
+        )
+        if track is not None:
+            track.record_send(seq, frames)
+
+    def events(self, payload: bytes) -> list[SessionEvent]:
+        """Decode an EVENT payload into the events this connection owns."""
+        owned = []
+        for event in decode_events(payload):
+            track = self._tracks.get(event.session_id)
+            if track is None:
+                # No track means this connection never bound the
+                # session (an OPEN/RESUME ack installs one): the event
+                # is an orphan from a resume attempt that was abandoned
+                # mid-flight — the session lives (or will live) on
+                # another connection, which receives the event via the
+                # resume replay.
+                continue
+            # Counted at decode time, not consumption time: what a
+            # resume must NOT replay is exactly what already crossed
+            # the wire.
+            track.events_received += 1
+            owned.append(event)
+        return owned
+
+    def acked(self, payload: bytes) -> None:
+        session_id, seq = decode_ack(payload)
+        track = self._tracks.get(session_id)
+        if track is not None:
+            track.record_ack(seq)
+
+    def detach(self, session_id: str) -> ResumeState:
+        """Take a session's resume state off this client (the SDK adds
+        the events it still holds undelivered).  Raises
+        :class:`~repro.errors.ProtocolError` when the session has none
+        (opened on a gateway without a grace window)."""
+        track = self._tracks.pop(session_id, None)
+        if track is None or track.token is None:
+            raise ProtocolError(
+                f"session {session_id!r} has no resume state "
+                "(gateway resume disabled?)"
+            )
+        return ResumeState(
+            session_id=session_id,
+            token=track.token,
+            next_seq=track.next_seq,
+            acked_seq=track.acked,
+            events_received=track.events_received,
+            buffer=list(track.buffer),
+        )
+
+    @staticmethod
+    def resume_message(state: ResumeState) -> bytes:
+        return encode_message(
+            MessageType.RESUME,
+            encode_json(
+                {
+                    "session_id": state.session_id,
+                    "token": state.token,
+                    "last_event": state.events_received,
+                }
+            ),
+        )
+
+    def install(self, state: ResumeState) -> None:
+        """Bind a detached session: from here on its events are owned
+        (and counted) by this connection."""
+        track = _SessionTrack(state.token)
+        track.next_seq = state.next_seq
+        track.acked = state.acked_seq
+        track.events_received = state.events_received
+        track.buffer = deque(state.buffer)
+        self._tracks[state.session_id] = track
+
+    def resumed(self, session_id: str, payload: bytes) -> list[bytes]:
+        """The FRAME messages a RESUME reply asks for: the buffered
+        batches reaching past the gateway's acked seq (the gateway trims
+        any overlap inside the first by seq)."""
+        track = self._tracks[session_id]
+        track.record_ack(int(decode_json(payload)["acked_seq"]))
+        return [
+            encode_message(
+                MessageType.FRAME, encode_frames(session_id, frames, seq)
+            )
+            for seq, frames in track.buffer
+        ]
+
+
 def _gateway_exception(info: dict) -> Exception:
     """Rebuild a gateway ERROR payload as its original exception type.
 
@@ -157,9 +296,7 @@ class RemoteMonitorClient:
         #: answered by an *asynchronous* ERROR instead (e.g. a rejected
         #: feed raising out of a stats call); swallowed when they arrive.
         self._stale: deque[MessageType] = deque()
-        #: Per-session resume bookkeeping (seq numbering, unacked
-        #: buffer, decode-time event counts).
-        self._tracks: dict[str, _SessionTrack] = {}
+        self._core = _SessionCore()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -182,11 +319,11 @@ class RemoteMonitorClient:
     # ------------------------------------------------------------------
     # Wire plumbing
     # ------------------------------------------------------------------
-    def _send(self, msg_type: MessageType, payload: bytes = b"") -> None:
+    def _send(self, message: bytes) -> None:
         if self._closed:
             raise WorkerError("client is closed")
         try:
-            self._sock.sendall(encode_message(msg_type, payload))
+            self._sock.sendall(message)
         except OSError as exc:
             raise WorkerError(f"gateway connection lost: {exc}") from exc
 
@@ -231,30 +368,13 @@ class RemoteMonitorClient:
                     self._stale.append(expected)
                 raise
             if msg_type is MessageType.HEARTBEAT:
-                self._send(MessageType.HEARTBEAT)
+                self._send(encode_message(MessageType.HEARTBEAT))
                 continue
             if msg_type is MessageType.EVENT:
-                for event in decode_events(payload):
-                    track = self._tracks.get(event.session_id)
-                    if track is None:
-                        # No track means this connection never bound the
-                        # session (an OPEN/RESUME ack installs one): the
-                        # event is an orphan from a resume attempt that
-                        # was abandoned mid-flight — the session lives
-                        # (or will live) on another connection, which
-                        # receives the event via the resume replay.
-                        continue
-                    # Counted at decode time, not consumption time: what
-                    # a resume must NOT replay is exactly what already
-                    # crossed the wire.
-                    track.events_received += 1
-                    self._events.append(event)
+                self._events.extend(self._core.events(payload))
                 continue
             if msg_type is MessageType.ACK:
-                ack_sid, ack_seq = decode_ack(payload)
-                track = self._tracks.get(ack_sid)
-                if track is not None:
-                    track.record_ack(ack_seq)
+                self._core.acked(payload)
                 continue
             if self._stale and msg_type is self._stale[0]:
                 self._stale.popleft()
@@ -292,28 +412,13 @@ class RemoteMonitorClient:
     ) -> str:
         """Open a session on the gateway; returns the (possibly
         gateway-assigned) session id."""
-        self._send(
-            MessageType.OPEN,
-            encode_json(
-                {"session_id": session_id, "record_timeline": record_timeline}
-            ),
-        )
-        ack = decode_json(self._read_until(MessageType.OPEN))
-        sid = ack["session_id"]
-        self._tracks[sid] = _SessionTrack(ack.get("resume_token"))
-        return sid
+        self._send(self._core.open_message(session_id, record_timeline))
+        return self._core.opened(self._read_until(MessageType.OPEN))
 
     def feed(self, session_id: str, frames: np.ndarray) -> None:
         """Stream kinematics rows (see the module docs; acked and
         buffered for resume when the gateway granted a resume token)."""
-        frames = np.ascontiguousarray(frames, dtype="<f8")
-        if frames.ndim == 1:
-            frames = frames[None, :]
-        track = self._tracks.get(session_id)
-        seq = track.next_seq if track is not None else 0
-        self._send(MessageType.FRAME, encode_frames(session_id, frames, seq))
-        if track is not None:
-            track.record_send(seq, frames)
+        self._core.send_frames(session_id, frames, self._send)
 
     def next_event(self) -> SessionEvent:
         """The next event from any of this connection's sessions."""
@@ -350,11 +455,9 @@ class RemoteMonitorClient:
         """Close a session (the gateway drains it first); returns the
         summary ``{"session_id", "n_frames", "n_flagged"}``.  Events
         still in flight are buffered for ``next_event``."""
-        self._send(
-            MessageType.CLOSE, encode_json({"session_id": session_id})
-        )
+        self._send(self._core.close_message(session_id))
         summary = decode_json(self._read_until(MessageType.CLOSE))
-        self._tracks.pop(session_id, None)
+        self._core.drop(session_id)
         return summary
 
     # ------------------------------------------------------------------
@@ -370,26 +473,15 @@ class RemoteMonitorClient:
         :class:`~repro.errors.ProtocolError` when the session has no
         resume state (opened on a gateway without a grace window).
         """
-        track = self._tracks.pop(session_id, None)
-        if track is None or track.token is None:
-            raise ProtocolError(
-                f"session {session_id!r} has no resume state "
-                "(gateway resume disabled?)"
-            )
-        pending = [e for e in self._events if e.session_id == session_id]
-        if pending:
+        state = self._core.detach(session_id)
+        state.pending_events = [
+            e for e in self._events if e.session_id == session_id
+        ]
+        if state.pending_events:
             self._events = deque(
                 e for e in self._events if e.session_id != session_id
             )
-        return ResumeState(
-            session_id=session_id,
-            token=track.token,
-            next_seq=track.next_seq,
-            acked_seq=track.acked,
-            events_received=track.events_received,
-            buffer=list(track.buffer),
-            pending_events=pending,
-        )
+        return state
 
     def resume_session(self, state: ResumeState) -> str:
         """Adopt a detached session onto this connection.
@@ -402,42 +494,22 @@ class RemoteMonitorClient:
         client missed — the merged stream is gapless and
         duplicate-free.
         """
-        self._send(
-            MessageType.RESUME,
-            encode_json(
-                {
-                    "session_id": state.session_id,
-                    "token": state.token,
-                    "last_event": state.events_received,
-                }
-            ),
-        )
-        reply = decode_json(self._read_until(MessageType.RESUME))
-        acked = int(reply["acked_seq"])
-        track = _SessionTrack(state.token)
-        track.next_seq = state.next_seq
-        track.acked = acked
-        track.events_received = state.events_received
-        track.buffer = deque(
-            (seq, frames)
-            for seq, frames in state.buffer
-            if seq + frames.shape[0] > acked
-        )
-        self._tracks[state.session_id] = track
+        self._send(self._core.resume_message(state))
+        reply = self._read_until(MessageType.RESUME)
+        # Nothing read past the reply yet: the replayed events behind it
+        # will find the session bound.
+        self._core.install(state)
         # Carried-over events predate anything this connection will
         # deliver for the session (the gateway's replay starts after
         # our last_event), so plain FIFO order is already correct.
         self._events.extend(state.pending_events)
-        for seq, frames in list(track.buffer):
-            self._send(
-                MessageType.FRAME,
-                encode_frames(state.session_id, frames, seq),
-            )
+        for message in self._core.resumed(state.session_id, reply):
+            self._send(message)
         return state.session_id
 
     def gateway_stats(self) -> dict:
         """Fetch :meth:`MonitorGateway.gateway_stats` over the wire."""
-        self._send(MessageType.STATS)
+        self._send(encode_message(MessageType.STATS))
         return decode_json(self._read_until(MessageType.STATS))
 
     def stream_session(
@@ -514,7 +586,7 @@ class AsyncRemoteMonitorClient:
         self._control_lock = asyncio.Lock()
         self._pending: tuple[MessageType, asyncio.Future] | None = None
         self._conn_error: Exception | None = None
-        self._tracks: dict[str, _SessionTrack] = {}
+        self._core = _SessionCore()
         self._closed = False
         self._reader_task = asyncio.create_task(
             self._read_loop(), name="remote-client-reader"
@@ -549,20 +621,11 @@ class AsyncRemoteMonitorClient:
                     self._writer.write(encode_message(MessageType.HEARTBEAT))
                     continue
                 if msg_type is MessageType.EVENT:
-                    for event in decode_events(payload):
-                        track = self._tracks.get(event.session_id)
-                        if track is None:
-                            # Orphan: this connection never bound the
-                            # session (see the sync client) — drop it.
-                            continue
-                        track.events_received += 1
+                    for event in self._core.events(payload):
                         self._events.put_nowait(event)
                     continue
                 if msg_type is MessageType.ACK:
-                    ack_sid, ack_seq = decode_ack(payload)
-                    track = self._tracks.get(ack_sid)
-                    if track is not None:
-                        track.record_ack(ack_seq)
+                    self._core.acked(payload)
                     continue
                 if msg_type is MessageType.ERROR:
                     info = decode_json(payload)
@@ -610,15 +673,13 @@ class AsyncRemoteMonitorClient:
         if self._conn_error is not None:
             raise self._conn_error
 
-    async def _control(
-        self, msg_type: MessageType, payload: bytes, expect: MessageType
-    ) -> bytes:
+    async def _control(self, message: bytes, expect: MessageType) -> bytes:
         async with self._control_lock:
             self._check_alive()
             future = asyncio.get_running_loop().create_future()
             self._pending = (expect, future)
             try:
-                self._writer.write(encode_message(msg_type, payload))
+                self._writer.write(message)
                 await self._writer.drain()
             except (ConnectionError, OSError) as exc:
                 # The request never made it out: retire the pending slot
@@ -653,35 +714,18 @@ class AsyncRemoteMonitorClient:
     ) -> str:
         """Open a session; returns the (possibly assigned) session id."""
         payload = await self._control(
-            MessageType.OPEN,
-            encode_json(
-                {"session_id": session_id, "record_timeline": record_timeline}
-            ),
+            self._core.open_message(session_id, record_timeline),
             MessageType.OPEN,
         )
-        ack = decode_json(payload)
-        sid = ack["session_id"]
-        self._tracks[sid] = _SessionTrack(ack.get("resume_token"))
-        return sid
+        return self._core.opened(payload)
 
     async def feed(self, session_id: str, frames: np.ndarray) -> None:
         """Stream kinematics rows; ``await`` applies TCP backpressure
         when the gateway is behind (acked and buffered for resume when
         the gateway granted a resume token)."""
         self._check_alive()
-        frames = np.ascontiguousarray(frames, dtype="<f8")
-        if frames.ndim == 1:
-            frames = frames[None, :]
-        track = self._tracks.get(session_id)
-        seq = track.next_seq if track is not None else 0
         try:
-            self._writer.write(
-                encode_message(
-                    MessageType.FRAME, encode_frames(session_id, frames, seq)
-                )
-            )
-            if track is not None:
-                track.record_send(seq, frames)
+            self._core.send_frames(session_id, frames, self._writer.write)
             await self._writer.drain()
         except (ConnectionError, OSError) as exc:
             raise WorkerError(f"gateway connection lost: {exc}") from exc
@@ -689,11 +733,9 @@ class AsyncRemoteMonitorClient:
     async def close_session(self, session_id: str) -> dict:
         """Drain-and-close one session; returns the gateway's summary."""
         payload = await self._control(
-            MessageType.CLOSE,
-            encode_json({"session_id": session_id}),
-            MessageType.CLOSE,
+            self._core.close_message(session_id), MessageType.CLOSE
         )
-        self._tracks.pop(session_id, None)
+        self._core.drop(session_id)
         return decode_json(payload)
 
     # ------------------------------------------------------------------
@@ -703,13 +745,15 @@ class AsyncRemoteMonitorClient:
         """Capture a session's resume state (local bookkeeping only —
         works on a client whose connection already died).  See
         :meth:`RemoteMonitorClient.detach_session`."""
-        track = self._tracks.pop(session_id, None)
-        if track is None or track.token is None:
-            raise ProtocolError(
-                f"session {session_id!r} has no resume state "
-                "(gateway resume disabled?)"
-            )
-        pending: list[SessionEvent] = []
+        state = self._core.detach(session_id)
+        state.pending_events = self._take_events(session_id)
+        return state
+
+    def _take_events(self, session_id: str) -> list[SessionEvent]:
+        """Pull one session's buffered events out of the queue; whatever
+        else waits there (other sessions, errors, the end marker) keeps
+        its order."""
+        taken: list[SessionEvent] = []
         keep: list = []
         while True:
             try:
@@ -720,79 +764,40 @@ class AsyncRemoteMonitorClient:
                 isinstance(item, SessionEvent)
                 and item.session_id == session_id
             ):
-                pending.append(item)
+                taken.append(item)
             else:
                 keep.append(item)
         for item in keep:
             self._events.put_nowait(item)
-        return ResumeState(
-            session_id=session_id,
-            token=track.token,
-            next_seq=track.next_seq,
-            acked_seq=track.acked,
-            events_received=track.events_received,
-            buffer=list(track.buffer),
-            pending_events=pending,
-        )
+        return taken
 
     async def resume_session(self, state: ResumeState) -> str:
         """Adopt a detached session onto this connection; replays the
         unacked frame tail.  See
         :meth:`RemoteMonitorClient.resume_session`."""
-        # Install the track and re-queue carried-over events *before*
+        # Bind the session and re-queue carried-over events *before*
         # the request goes out: the reader task may process the
         # gateway's replayed events the moment the RESUME reply
-        # resolves, and they must find the track (decode-time counting)
-        # and land behind the carried-over ones.
-        track = _SessionTrack(state.token)
-        track.next_seq = state.next_seq
-        track.acked = state.acked_seq
-        track.events_received = state.events_received
-        track.buffer = deque(state.buffer)
-        self._tracks[state.session_id] = track
+        # resolves, and they must find the session bound (decode-time
+        # counting) and land behind the carried-over ones.
+        self._core.install(state)
         for event in state.pending_events:
             self._events.put_nowait(event)
         try:
             payload = await self._control(
-                MessageType.RESUME,
-                encode_json(
-                    {
-                        "session_id": state.session_id,
-                        "token": state.token,
-                        "last_event": state.events_received,
-                    }
-                ),
-                MessageType.RESUME,
+                self._core.resume_message(state), MessageType.RESUME
             )
         except BaseException:
             # Rejected: roll back so ``state`` stays valid for a retry
             # on another connection.  No replay event can have arrived
             # (the session was never adopted), so the queue holds at
             # most the events we just added — reclaim them.
-            self._tracks.pop(state.session_id, None)
-            keep: list = []
-            while True:
-                try:
-                    item = self._events.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if not (
-                    isinstance(item, SessionEvent)
-                    and item.session_id == state.session_id
-                ):
-                    keep.append(item)
-            for item in keep:
-                self._events.put_nowait(item)
+            self._core.drop(state.session_id)
+            self._take_events(state.session_id)
             raise
-        track.record_ack(int(decode_json(payload)["acked_seq"]))
         try:
-            for seq, frames in list(track.buffer):
-                self._writer.write(
-                    encode_message(
-                        MessageType.FRAME,
-                        encode_frames(state.session_id, frames, seq),
-                    )
-                )
+            for message in self._core.resumed(state.session_id, payload):
+                self._writer.write(message)
             await self._writer.drain()
         except (ConnectionError, OSError) as exc:
             raise WorkerError(f"gateway connection lost: {exc}") from exc
@@ -801,7 +806,7 @@ class AsyncRemoteMonitorClient:
     async def gateway_stats(self) -> dict:
         """Fetch :meth:`MonitorGateway.gateway_stats` over the wire."""
         payload = await self._control(
-            MessageType.STATS, b"", MessageType.STATS
+            encode_message(MessageType.STATS), MessageType.STATS
         )
         return decode_json(payload)
 

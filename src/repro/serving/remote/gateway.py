@@ -216,29 +216,60 @@ class _LocalEngine:
 
 
 class _RemoteSession:
-    """Gateway-side bookkeeping for one wire-opened session.
+    """The gateway's one record of a wire-opened session, OPEN to end.
 
-    With resume enabled (``resume_grace_s > 0``) a session additionally
-    carries its durability state: the resume ``token`` handed to the
+    The record stays in ``MonitorGateway._sessions`` from OPEN until
+    close, fail-safe or lapse; *live* and *parked* are phases of it, not
+    separate objects.  ``conn`` is the owning connection, or ``None``
+    while the session is parked for the resume grace window.
+
+    With resume enabled (``resume_grace_s > 0``) the record carries the
+    session's durability state: the resume ``token`` handed to the
     client at OPEN, the ``journal`` of every accepted frame batch (the
-    replay source for transparent worker-crash recovery), and the
-    ``history`` ring of recently delivered events (the replay source
-    for events a disconnected client never read).  ``recovering`` marks
-    a session whose engine-side state died with a worker and is being
-    rebuilt from the journal by a background task — incoming frames are
-    journaled (and acked: the journal is what the ack promises) but not
-    fed until the task catches up.
+    source every engine-side rebuild replays), and the ``history`` ring
+    of recently delivered events (the replay source for events a
+    disconnected client never read — events in flight through the
+    engine when the client vanished keep landing in it while parked).
+
+    Phase flags, each a guard some handler checks before acting:
+
+    - ``recovering`` — a background task is rebuilding the engine side
+      from the journal after a worker crash.  Incoming frames are
+      journaled (and acked: the journal is what the ack promises) but
+      not fed until the task catches up; a park meanwhile is *cold*, and
+      a RESUME waits until the task has noticed the park and let go.
+    - ``parking`` — the park's export is in flight: the engine side is
+      mid-removal, so a RESUME must wait for the park to land instead of
+      re-binding a session whose engine state is about to vanish, and a
+      crash event starts no recovery (the export is about to fail and
+      park the session cold; a rebuild would re-open the id under it).
+    - ``inflight`` — FRAME batches currently awaiting their engine feed.
+      While > 0, ``fed`` understates what the journal will hold once
+      those handlers resume — a RESUME reading it now would report an
+      acked_seq that makes the client re-send the in-flight batch past
+      the duplicate filter.  Resumes wait.
+    - ``resuming`` — a RESUME is adopting this parked session (import or
+      journal rebuild in flight); a second RESUME is refused.
+
+    Park-only fields: ``state`` is the engine-exported
+    :func:`session_to_bytes` archive (pending frames and window rings
+    included), or ``None`` when the export was impossible — the owning
+    worker was dead or mid-recovery — in which case the journal alone
+    rebuilds the session (a *cold adopt*, bit-identical because
+    inference is deterministic); ``reason`` is why the connection
+    ended; ``expiry`` is the grace-window timer.
     """
 
     __slots__ = (
         "conn", "fed", "delivered", "flagged", "token", "journal",
         "history", "record_timeline", "recovering", "parking", "inflight",
+        "resuming", "state", "reason", "expiry",
     )
 
     def __init__(
         self, conn: "_Connection", record_timeline: bool = False
     ) -> None:
-        self.conn = conn
+        self.conn: _Connection | None = conn
         self.fed = 0  # frames accepted off the wire
         self.delivered = 0  # events routed back (== frames processed)
         self.flagged = 0  # events with flag=True
@@ -246,81 +277,13 @@ class _RemoteSession:
         self.journal: list | None = None  # frame batches, oldest first
         self.history: deque | None = None  # recently delivered events
         self.record_timeline = record_timeline
-        #: True while _park_session's export is in flight — the engine
-        #: side is mid-removal, so a RESUME steal must wait for the
-        #: park to land instead of re-binding a session whose engine
-        #: state is about to vanish.
-        self.parking = False
         self.recovering = False
-        #: Number of FRAME batches currently awaiting their engine feed.
-        #: While > 0, ``fed`` understates what the journal will hold
-        #: once those handlers resume — a RESUME steal reading it now
-        #: would report an acked_seq that makes the client re-send the
-        #: in-flight batch past the duplicate filter.  Steals wait.
+        self.parking = False
         self.inflight = 0
-
-
-class _ParkedSession:
-    """A disconnected session held for the resume grace window.
-
-    ``state`` is the engine-exported :func:`session_to_bytes` archive
-    (pending frames and window rings included), or ``None`` when the
-    export was impossible — the owning worker was dead or mid-recovery
-    — in which case the ``journal`` alone rebuilds the session (a *cold
-    adopt*: re-open + replay, bit-identical because inference is
-    deterministic).  Events that were in flight through the engine when
-    the client vanished keep landing here (:meth:`absorb`), so the
-    resume replay misses nothing.
-    """
-
-    __slots__ = (
-        "token", "state", "journal", "history",
-        "fed", "delivered", "flagged", "record_timeline",
-        "reason", "expiry", "resuming",
-    )
-
-    def __init__(
-        self,
-        *,
-        token: str,
-        state: bytes | None,
-        journal: list,
-        history: deque,
-        fed: int,
-        delivered: int,
-        flagged: int,
-        record_timeline: bool,
-        reason: str,
-    ) -> None:
-        self.token = token
-        self.state = state
-        self.journal = journal
-        self.history = history
-        self.fed = fed
-        self.delivered = delivered
-        self.flagged = flagged
-        self.record_timeline = record_timeline
-        self.reason = reason
-        self.expiry: asyncio.TimerHandle | None = None
         self.resuming = False
-
-    def absorb(self, event: SessionEvent) -> bool:
-        """Fold an in-flight event into the parked counters/history.
-
-        Terminal crash events are dropped (the journal makes the crash
-        recoverable at resume time) and so are journal-replay
-        duplicates — an event is new only at ``frame_index ==
-        delivered``, events arriving one per frame in frame order.
-        Returns whether the event was accepted (the caller tees
-        accepted events into the durable log exactly once).
-        """
-        if event.error is not None or event.frame_index < self.delivered:
-            return False
-        self.delivered += 1
-        if event.flag:
-            self.flagged += 1
-        self.history.append(event)
-        return True
+        self.state: bytes | None = None
+        self.reason: str | None = None
+        self.expiry: asyncio.TimerHandle | None = None
 
 
 class _Connection:
@@ -446,6 +409,11 @@ class MonitorGateway:
     Lifecycle: ``await start()`` → serve → ``await stop()`` (or use as
     an async context manager).  :meth:`serve_in_thread` bridges the
     gateway into synchronous programs via :class:`GatewayRunner`.
+
+    Every wire-opened session is one :class:`_RemoteSession` record in
+    one map from OPEN until close, fail-safe or lapse; a parked session
+    is that record without a connection (:attr:`n_open_sessions` and
+    :attr:`n_parked_sessions` count the two phases).
     """
 
     def __init__(
@@ -539,8 +507,6 @@ class MonitorGateway:
         self.resume_grace_s = float(resume_grace_s)
         self.event_replay_max = int(event_replay_max)
         self.event_store = event_store
-        #: Sessions parked for the resume grace window, by session id.
-        self._parked: dict[str, _ParkedSession] = {}
         self._autoscaler: MonitorAutoscaler | None = None
         self._balancer: MonitorBalancer | None = None
         #: Applied resizes (manual and autoscaler), oldest first —
@@ -562,6 +528,7 @@ class MonitorGateway:
         self._bg_tasks: set[asyncio.Task] = set()
         self._connections: dict[int, _Connection] = {}
         self._conn_ids = itertools.count()
+        #: Every wire-opened session, live or parked, by session id.
         self._sessions: dict[str, _RemoteSession] = {}
         self._started = False
         self._stopped = False
@@ -694,8 +661,9 @@ class MonitorGateway:
             await self._teardown(conn, "gateway shutting down", allow_park=False)
         if self._bg_tasks:  # overflow teardowns / recoveries still in flight
             await asyncio.gather(*list(self._bg_tasks), return_exceptions=True)
-        # Parked sessions cannot outlive the gateway: fail them safe now.
-        for session_id in list(self._parked):
+        # Only parked sessions are left, and they cannot outlive the
+        # gateway: fail them safe now.
+        for session_id in list(self._sessions):
             self._expire_parked(session_id, reason="gateway shutting down")
         await self._shutdown_engine()
 
@@ -777,6 +745,13 @@ class MonitorGateway:
         if session_id is not None and not isinstance(session_id, str):
             raise ProtocolError("OPEN session_id must be a string or null")
         record_timeline = bool(request.get("record_timeline", False))
+        if session_id in self._sessions:
+            # The engine refuses a live id itself, but a parked one it
+            # may no longer hold: its record (and the fail-safe it is
+            # owed if nobody resumes) must not be overwritten.
+            error = ConfigurationError(f"session {session_id!r} is already open")
+            self._send_error(conn, error, session_id, MessageType.OPEN)
+            return
         try:
             session_id = await self._engine.open_session(
                 session_id, record_timeline
@@ -802,23 +777,31 @@ class MonitorGateway:
         conn.sessions.add(session_id)
         self._sessions_opened += 1
         self._peak_open_sessions = max(
-            self._peak_open_sessions, len(self._sessions)
+            self._peak_open_sessions, self.n_open_sessions
         )
         self._enqueue_or_overflow(
             conn, encode_message(MessageType.OPEN, encode_json(ack))
         )
 
+    def _no_session_error(
+        self, session_id: str, session: _RemoteSession | None, message: str
+    ) -> ReproError:
+        """Why a request names a session this connection cannot act on:
+        the recorded failure when the session ended fail-safe, else a
+        :class:`ProtocolError` carrying ``message``."""
+        reason = self.failed_sessions.get(session_id)
+        if reason is not None and session is None:
+            return WorkerError(f"session {session_id!r} failed: {reason}")
+        return ProtocolError(message)
+
     async def _handle_frames(self, conn: _Connection, payload: bytes) -> None:
         session_id, seq, frames = decode_frames(payload)
         session = self._sessions.get(session_id)
         if session is None or session.conn is not conn:
-            reason = self.failed_sessions.get(session_id)
-            error = (
-                WorkerError(f"session {session_id!r} failed: {reason}")
-                if reason is not None and session is None
-                else ProtocolError(
-                    f"no session {session_id!r} open on this connection"
-                )
+            error = self._no_session_error(
+                session_id,
+                session,
+                f"no session {session_id!r} open on this connection",
             )
             self._send_error(conn, error, session_id)
             return
@@ -886,13 +869,10 @@ class MonitorGateway:
             raise ProtocolError("CLOSE session_id must be a string")
         session = self._sessions.get(session_id)
         if session is None or session.conn is not conn:
-            reason = self.failed_sessions.get(session_id)
-            error = (
-                WorkerError(f"session {session_id!r} failed: {reason}")
-                if reason is not None and session is None
-                else ProtocolError(
-                    f"no session {session_id!r} open on this connection"
-                )
+            error = self._no_session_error(
+                session_id,
+                session,
+                f"no session {session_id!r} open on this connection",
             )
             self._send_error(conn, error, session_id, MessageType.CLOSE)
             return
@@ -916,15 +896,27 @@ class MonitorGateway:
         )
 
     async def _handle_resume(self, conn: _Connection, payload: bytes) -> None:
-        """Adopt a parked session onto this connection.
+        """Bind a session to this connection on the strength of its token.
 
         The client proves ownership with the resume token from its OPEN
         ack and reports ``last_event`` — how many events it received
-        before the disconnect.  The reply carries ``acked_seq`` (frames
-        the gateway durably holds; the client replays everything after
-        it) and is followed by a replay of the events the client missed
-        (delivered after its last read), in order, ahead of any live
-        event — so the resumed stream is gapless and duplicate-free.
+        before the disconnect.  A *parked* session is adopted: its
+        engine side is brought back first (:meth:`_adopt`).  A session
+        still bound to another connection the gateway has not yet
+        noticed is dead (a half-open socket, or an EOF teardown still
+        queued) is *stolen*: the engine never hears about it, only the
+        event route and the frame source move, and the old connection
+        loses ownership at once — its later frames fail the
+        ``_handle_frames`` ownership check and its teardown skips the
+        session (no park, no fail-safe).
+
+        The reply carries ``acked_seq`` (frames the gateway durably
+        holds; the client replays everything after it) and is followed
+        by the events the client missed, in order, as one EVENT message
+        ahead of any live event (an engine's events for this session
+        are routed only after the handler returns control to the loop,
+        and the writer drains its queue in FIFO order) — so the resumed
+        stream is gapless and duplicate-free.
         """
         request = decode_json(payload)
         session_id = request.get("session_id")
@@ -934,232 +926,52 @@ class MonitorGateway:
             raise ProtocolError("RESUME requires session_id and token strings")
         if not isinstance(last_event, int) or last_event < 0:
             raise ProtocolError("RESUME last_event must be a non-negative int")
-        parked = self._parked.get(session_id)
-        live = self._sessions.get(session_id)
+        session = self._sessions.get(session_id)
         if (
-            parked is None
-            and live is not None
-            and live.token is not None
-            and not live.parking
-            and live.inflight == 0
+            session is None
+            or session.token is None
+            or session.parking
+            or session.inflight
+            or session.resuming
+            or (session.conn is None and session.recovering)
         ):
-            # The session is still bound to another connection the
-            # gateway has not yet noticed is dead (a half-open socket,
-            # or an EOF teardown still queued).  The token is the proof
-            # of ownership, so a valid RESUME *steals* the session onto
-            # this connection instead of locking the client out until
-            # the idle timeout parks it.  The engine side is untouched
-            # — only the event route moves.  With a FRAME batch still
-            # awaiting its engine feed (``inflight``), the acked_seq the
-            # steal would report is stale — the client falls back to the
-            # retryable no-parked-session error until the feed lands.
-            self._resume_steal(conn, session_id, live, token, last_event)
-            return
-        if parked is None or parked.resuming:
-            reason = self.failed_sessions.get(session_id)
-            error = (
-                WorkerError(f"session {session_id!r} failed: {reason}")
-                if reason is not None and parked is None
-                else ProtocolError(f"no parked session {session_id!r}")
+            # Nothing to resume — or not yet: each busy phase above ends
+            # on its own, so the client retries the same request.
+            error = self._no_session_error(
+                session_id, session, f"no parked session {session_id!r}"
             )
             self._send_error(conn, error, session_id, MessageType.RESUME)
             return
-        if not secrets.compare_digest(token, parked.token):
-            self._send_error(
-                conn,
-                ProtocolError(f"resume token mismatch for {session_id!r}"),
-                session_id,
-                MessageType.RESUME,
-            )
-            return
-        if last_event > parked.delivered:
-            self._send_error(
-                conn,
-                ProtocolError(
-                    f"RESUME last_event {last_event} exceeds the "
-                    f"{parked.delivered} events delivered for {session_id!r}"
-                ),
-                session_id,
-                MessageType.RESUME,
-            )
-            return
-        if parked.delivered - last_event > len(parked.history):
-            # The client is further behind than the replay ring reaches;
-            # resuming would silently skip events — fail safe instead.
-            self._expire_parked(
-                session_id,
-                reason=(
-                    f"resume replay window exceeded: client missed "
-                    f"{parked.delivered - last_event} events, ring holds "
-                    f"{len(parked.history)}"
-                ),
-            )
-            self._send_error(
-                conn,
-                WorkerError(f"session {session_id!r} is beyond replay reach"),
-                session_id,
-                MessageType.RESUME,
-            )
-            return
-        parked.resuming = True  # keep the map entry visible to routing
-        if parked.expiry is not None:
-            parked.expiry.cancel()
-            parked.expiry = None
-        try:
-            if parked.state is not None:
-                try:
-                    await self._engine.import_session(
-                        parked.state, parked.record_timeline
-                    )
-                except WorkerError:
-                    # The target worker died under the import (a crash
-                    # the engine had not noticed yet) and took the
-                    # archive with it; the journal still covers a cold
-                    # adopt, exactly as when the export itself fails.
-                    parked.state = None
-            if parked.state is None:
-                # Cold adopt: the engine-side state died with a worker.
-                # Rebuild it from frame zero out of the journal — ticks
-                # are deterministic, so the regenerated events are
-                # bit-identical and the already-delivered prefix is
-                # dropped by the replay-duplicate filter.
-                await self._engine.open_session(
-                    session_id, parked.record_timeline
-                )
-                replayed = 0
-                while replayed < len(parked.journal):
-                    await self._engine.feed(
-                        session_id, parked.journal[replayed]
-                    )
-                    replayed += 1
-        except ReproError as exc:
-            self._parked.pop(session_id, None)
-            self._record_failsafe(
-                SessionEvent.failsafe(
-                    session_id, parked.delivered, f"resume failed: {exc}"
-                )
-            )
-            self._send_error(conn, exc, session_id, MessageType.RESUME)
-            return
-        if conn.torn_down or conn.closed:
-            # The resumer vanished while the adopt was in flight: park
-            # again (fresh export — the engine now owns the session)
-            # rather than leak a session nobody tracks.
-            try:
-                parked.state = await self._engine.export_session(session_id)
-            except ReproError:
-                parked.state = None  # journal still covers a cold adopt
-            parked.resuming = False
-            self._schedule_expiry(session_id, parked)
-            if self._stopped:
-                self._expire_parked(session_id)
-            return
-        self._parked.pop(session_id, None)
-        session = _RemoteSession(conn, parked.record_timeline)
-        session.fed = parked.fed
-        session.delivered = parked.delivered
-        session.flagged = parked.flagged
-        session.token = parked.token
-        session.journal = parked.journal
-        session.history = parked.history
-        self._sessions[session_id] = session
-        conn.sessions.add(session_id)
-        missed = session.delivered - last_event
-        history = list(session.history) if missed else []
-        if missed > len(history):
-            # Events absorbed while the adopt was in flight evicted ring
-            # entries; the client can no longer be caught up gaplessly.
-            self._record_failsafe(
-                SessionEvent.failsafe(
+        error = self._resume_refusal(session_id, session, token, last_event)
+        if error is not None:
+            if session.conn is None and isinstance(error, WorkerError):
+                # Beyond replay reach: resuming would silently skip
+                # events, so the park fails safe now.  (A session still
+                # bound to its old connection stays there — when that
+                # dies for real, the park / expiry lifecycle decides.)
+                self._expire_parked(
                     session_id,
-                    session.delivered,
-                    "resume replay window exceeded during adopt",
+                    reason=(
+                        f"resume replay window exceeded: client missed "
+                        f"{session.delivered - last_event} events, ring "
+                        f"holds {len(session.history)}"
+                    ),
                 )
-            )
-            self._send_error(
-                conn,
-                WorkerError(f"session {session_id!r} is beyond replay reach"),
-                session_id,
-                MessageType.RESUME,
-            )
-            self._unregister(session_id)
-            with contextlib.suppress(ReproError):
-                await self._engine.close_session(session_id)
+            self._send_error(conn, error, session_id, MessageType.RESUME)
             return
-        self._resumed_total += 1
-        self._peak_open_sessions = max(
-            self._peak_open_sessions, len(self._sessions)
-        )
-        self._send_resume_reply(conn, session_id, session, missed, history)
-
-    def _resume_steal(
-        self,
-        conn: _Connection,
-        session_id: str,
-        session: _RemoteSession,
-        token: str,
-        last_event: int,
-    ) -> None:
-        """Re-bind a still-registered session to a new connection.
-
-        The engine never hears about it: frames keep flowing into the
-        same engine session; only the event route and the frame source
-        change.  The old connection loses ownership immediately — its
-        later frames are rejected by the `_handle_frames` ownership
-        check and its teardown skips the session (no park, no
-        fail-safe)."""
-        if not secrets.compare_digest(token, session.token):
-            self._send_error(
-                conn,
-                ProtocolError(f"resume token mismatch for {session_id!r}"),
-                session_id,
-                MessageType.RESUME,
-            )
+        if session.conn is None and not await self._adopt(
+            conn, session_id, session, token, last_event
+        ):
             return
-        if last_event > session.delivered:
-            self._send_error(
-                conn,
-                ProtocolError(
-                    f"RESUME last_event {last_event} exceeds the "
-                    f"{session.delivered} events delivered for {session_id!r}"
-                ),
-                session_id,
-                MessageType.RESUME,
-            )
-            return
-        missed = session.delivered - last_event
-        history = list(session.history) if missed else []
-        if missed > len(history):
-            # Beyond replay reach.  The session stays bound to its old
-            # connection — when that dies for real, the normal park /
-            # expiry lifecycle decides its fate.
-            self._send_error(
-                conn,
-                WorkerError(f"session {session_id!r} is beyond replay reach"),
-                session_id,
-                MessageType.RESUME,
-            )
-            return
-        old = session.conn
-        if old is not conn:
-            old.sessions.discard(session_id)
+        if session.conn is not conn:
+            if session.conn is not None:
+                session.conn.sessions.discard(session_id)
             session.conn = conn
             conn.sessions.add(session_id)
         self._resumed_total += 1
-        self._send_resume_reply(conn, session_id, session, missed, history)
-
-    def _send_resume_reply(
-        self,
-        conn: _Connection,
-        session_id: str,
-        session: _RemoteSession,
-        missed: int,
-        history: list,
-    ) -> None:
-        """The RESUME success reply, followed by the missed-event replay
-        — ahead of anything live (an engine's events for this session
-        are routed only after the handler returns control to the loop,
-        and the writer drains its queue in FIFO order)."""
+        self._peak_open_sessions = max(
+            self._peak_open_sessions, self.n_open_sessions
+        )
         self._enqueue_or_overflow(
             conn,
             encode_message(
@@ -1174,12 +986,116 @@ class MonitorGateway:
                 ),
             ),
         )
-        for event in history[len(history) - missed :] if missed else []:
+        missed = session.delivered - last_event
+        if missed:
+            # One message however many events are owed: a message per
+            # event, enqueued here with no await for the writer to
+            # drain on, would overflow the send queue with the replay
+            # itself (event_replay_max defaults above send_queue_max).
+            replay = list(session.history)[-missed:]
             self._enqueue_or_overflow(
-                conn,
-                encode_message(MessageType.EVENT, encode_events([event])),
+                conn, encode_message(MessageType.EVENT, encode_events(replay))
             )
-            self._events_sent += 1
+            self._events_sent += missed
+
+    def _resume_refusal(
+        self,
+        session_id: str,
+        session: _RemoteSession,
+        token: str,
+        last_event: int,
+    ) -> ReproError | None:
+        """The one admission check of a RESUME, parked or live: the
+        error to answer with, or ``None`` when the client may have the
+        session and can be caught up gaplessly from the replay ring."""
+        if not secrets.compare_digest(token, session.token):
+            return ProtocolError(f"resume token mismatch for {session_id!r}")
+        if last_event > session.delivered:
+            return ProtocolError(
+                f"RESUME last_event {last_event} exceeds the "
+                f"{session.delivered} events delivered for {session_id!r}"
+            )
+        if session.delivered - last_event > len(session.history):
+            return WorkerError(f"session {session_id!r} is beyond replay reach")
+        return None
+
+    async def _adopt(
+        self,
+        conn: _Connection,
+        session_id: str,
+        session: _RemoteSession,
+        token: str,
+        last_event: int,
+    ) -> bool:
+        """Bring a parked session's engine side back for ``conn``.
+
+        Imports the parked archive, or — parked cold, or the import
+        landing on a worker that died unnoticed and took the archive
+        with it — rebuilds from the journal.  False when the resume
+        ended here: the session failed safe (error already sent) or the
+        resumer vanished and the session is parked again.
+        """
+        session.resuming = True
+        session.expiry.cancel()
+        session.expiry = None
+        try:
+            if session.state is not None:
+                try:
+                    await self._engine.import_session(
+                        session.state, session.record_timeline
+                    )
+                except WorkerError:
+                    # The target worker died under the import (a crash
+                    # the engine had not noticed yet) and took the
+                    # archive with it; the journal still covers a cold
+                    # adopt, exactly as when the export itself fails.
+                    session.state = None
+            if session.state is None and not await self._rebuild(
+                session_id, session, parked=True
+            ):
+                return False  # lapsed underneath the adopt (shutdown)
+        except ReproError as exc:
+            self._unregister(session_id)
+            self._record_failsafe(
+                SessionEvent.failsafe(
+                    session_id, session.delivered, f"resume failed: {exc}"
+                )
+            )
+            self._send_error(conn, exc, session_id, MessageType.RESUME)
+            return False
+        if conn.torn_down or conn.closed:
+            # The resumer vanished while the adopt was in flight: park
+            # again (fresh export — the engine now owns the session)
+            # rather than leak a session nobody tracks.
+            try:
+                session.state = await self._engine.export_session(session_id)
+            except ReproError:
+                session.state = None  # journal still covers a cold adopt
+            session.resuming = False
+            self._schedule_expiry(session_id, session)
+            if self._stopped:
+                self._expire_parked(session_id)
+            return False
+        session.resuming = False
+        session.state = None
+        error = self._resume_refusal(session_id, session, token, last_event)
+        if error is not None:
+            # Events that landed while the adopt was in flight evicted
+            # ring entries; the client can no longer be caught up
+            # gaplessly.
+            self._unregister(session_id)
+            self._record_failsafe(
+                SessionEvent.failsafe(
+                    session_id,
+                    session.delivered,
+                    "resume replay window exceeded during adopt",
+                )
+            )
+            self._send_error(conn, error, session_id, MessageType.RESUME)
+            with contextlib.suppress(ReproError):
+                await self._engine.close_session(session_id)
+            return False
+        return True
 
     async def _drain_session(self, session_id: str) -> None:
         """Park until every accepted frame of a session has produced its
@@ -1192,6 +1108,7 @@ class MonitorGateway:
         while (
             session.delivered < session.fed
             and self._sessions.get(session_id) is session
+            and session.conn is not None
             and asyncio.get_running_loop().time() < deadline
         ):
             await asyncio.sleep(0.002)
@@ -1274,8 +1191,7 @@ class MonitorGateway:
             # A mid-recovery session's engine state is a partial journal
             # replay — exporting it would drop the un-replayed tail, so
             # it parks cold (journal only) and the recovery task, seeing
-            # the session unregistered, releases its half-open engine
-            # side.
+            # the session parked, releases its half-open engine side.
             try:
                 state = await self._engine.export_session(session_id)
             except ReproError:
@@ -1288,144 +1204,141 @@ class MonitorGateway:
                 # Ended — or stolen by a RESUME on a fresh connection —
                 # while the export ran; it is no longer ours to park.
                 return
-        parked = _ParkedSession(
-            token=session.token,
-            state=state,
-            journal=session.journal,
-            history=session.history,
-            fed=session.fed,
-            delivered=session.delivered,
-            flagged=session.flagged,
-            record_timeline=session.record_timeline,
-            reason=reason,
-        )
-        # Insert before unregistering, with no await between: routing
-        # must never find the session in neither map (events would drop).
-        self._parked[session_id] = parked
-        self._unregister(session_id)
+        conn.sessions.discard(session_id)
+        session.conn = None
+        session.state = state
+        session.reason = reason
         self._parked_total += 1
-        self._schedule_expiry(session_id, parked)
+        self._schedule_expiry(session_id, session)
 
     def _schedule_expiry(
-        self, session_id: str, parked: _ParkedSession
+        self, session_id: str, session: _RemoteSession
     ) -> None:
-        parked.expiry = asyncio.get_running_loop().call_later(
+        session.expiry = asyncio.get_running_loop().call_later(
             self.resume_grace_s, self._expire_parked, session_id
         )
 
     def _expire_parked(self, session_id: str, reason: str | None = None) -> None:
         """Fail a parked session safe: the grace window lapsed unresumed."""
-        parked = self._parked.pop(session_id, None)
-        if parked is None:
+        session = self._sessions.get(session_id)
+        if session is None or session.conn is not None:
             return
-        if parked.expiry is not None:
-            parked.expiry.cancel()
-            parked.expiry = None
+        self._unregister(session_id)
         self._resume_expired_total += 1
         self._record_failsafe(
             SessionEvent.failsafe(
                 session_id,
-                parked.delivered,
+                session.delivered,
                 reason
                 or (
                     f"resume grace window expired "
-                    f"({self.resume_grace_s}s): {parked.reason}"
+                    f"({self.resume_grace_s}s): {session.reason}"
                 ),
             )
         )
+
+    async def _rebuild(
+        self, session_id: str, session: _RemoteSession, parked: bool
+    ) -> bool:
+        """Rebuild a session's engine side from its frame journal.
+
+        The one journal replay in the gateway, behind transparent
+        worker-crash recovery (``parked=False``) and behind a cold adopt
+        (``parked=True``) alike.  Re-opens the id on a live shard
+        (consistent hashing skips a dead one) and replays every
+        journaled batch, frame zero onwards — ticks are deterministic,
+        so the regenerated events are bit-identical, and those for
+        already-delivered frames are dropped by the routing filter: the
+        client sees an uninterrupted, duplicate-free stream.  Any
+        mid-rebuild failure — the engine still reaping the crash, a
+        worker found dead only by this very exchange, or a *second*
+        crash taking down the shard the session was just rebuilt on —
+        releases whatever half-state exists and restarts from scratch
+        (the journal always covers a full rebuild).  Raises the last
+        failure once the bounded restarts are exhausted.  Returns False,
+        its own engine session released, when the session ends or
+        leaves the phase it was in (live to parked) underneath: whoever
+        resumes it rebuilds anew.
+        """
+
+        def wanted() -> bool:
+            return (
+                self._sessions.get(session_id) is session
+                and (session.conn is None) == parked
+            )
+
+        for attempt in range(1, 9):
+            if not wanted():
+                return False
+            opened = False
+            failure = None
+            try:
+                await self._engine.open_session(
+                    session_id, session.record_timeline
+                )
+                opened = True
+                replayed = 0
+                while wanted():
+                    if replayed == len(session.journal):
+                        # No await since the length check: the caller
+                        # can flip the session's phase before any frame
+                        # slips in unreplayed.
+                        return True
+                    await self._engine.feed(
+                        session_id, session.journal[replayed]
+                    )
+                    replayed += 1
+            except ReproError as exc:
+                failure = exc
+            if opened or wanted():
+                # The half-open engine session must go before a retry
+                # (a crashed shard's failure record is popped by the
+                # re-open, a survivor is closed outright: the next
+                # attempt starts from a clean slate) and before an
+                # abandonment — but an id this attempt never opened and
+                # no longer owns may be somebody else's by now.
+                with contextlib.suppress(ReproError):
+                    await self._engine.close_session(session_id)
+            if not wanted():
+                return False
+            if attempt == 8:
+                raise failure
+            await asyncio.sleep(0.05 * attempt)
 
     def _begin_recovery(self, session_id: str, session: _RemoteSession) -> None:
         """Spawn the transparent worker-crash recovery task."""
         session.recovering = True
         task = asyncio.get_running_loop().create_task(
-            self._recover_session(session_id),
+            self._recover_session(session_id, session),
             name=f"gateway-recover-{session_id}",
         )
         self._bg_tasks.add(task)
         task.add_done_callback(self._bg_tasks.discard)
 
-    async def _recover_session(self, session_id: str) -> None:
-        """Rebuild a session whose worker died, from its frame journal.
-
-        Re-opens the id on a live shard (consistent hashing skips the
-        dead one) and replays every journaled batch; events regenerated
-        for already-delivered frames are dropped by the routing filter,
-        so the client sees an uninterrupted, duplicate-free stream.
-        Any mid-recovery failure — the engine still reaping the crash,
-        or a *second* crash taking down the shard the session was just
-        rebuilt on while the replay is in flight — releases whatever
-        half-state exists and restarts the rebuild from scratch (the
-        journal always covers a full one).  Only when the bounded
-        restarts are exhausted does the session fall back to the
-        fail-safe contract.
-        """
-        session = self._sessions.get(session_id)
-        if session is None:
-            return  # parked or closed before the task ran
+    async def _recover_session(
+        self, session_id: str, session: _RemoteSession
+    ) -> None:
+        """Rebuild a live session whose worker died; only when the
+        rebuild's restarts are exhausted does the session fall back to
+        the fail-safe contract."""
         try:
-            for attempt in range(8):
-                try:
-                    await self._engine.open_session(
-                        session_id, session.record_timeline
-                    )
-                    replayed = 0
-                    while replayed < len(session.journal):
-                        if self._sessions.get(session_id) is not session:
-                            # Parked or closed underneath us: release
-                            # the half-replayed engine session (a later
-                            # cold adopt replays the full journal from
-                            # scratch).
-                            with contextlib.suppress(ReproError):
-                                await self._engine.close_session(session_id)
-                            return
-                        await self._engine.feed(
-                            session_id, session.journal[replayed]
-                        )
-                        replayed += 1
-                    break
-                except ReproError:
-                    if attempt == 7:
-                        raise
-                    if self._sessions.get(session_id) is not session:
-                        return  # parked or closed while the attempt ran
-                    # The half-open engine session (if any) must go
-                    # before the rebuild: a crashed shard's failure
-                    # record is popped by the re-open, a survivor is
-                    # closed outright.  Either way the next attempt
-                    # starts from a clean slate and a full replay;
-                    # already-delivered frames are de-duplicated by the
-                    # routing filter, so restarts never double-send.
-                    with contextlib.suppress(ReproError):
-                        await self._engine.close_session(session_id)
-                    await asyncio.sleep(0.05 * (attempt + 1))
+            if await self._rebuild(session_id, session, parked=False):
+                self._recovered_total += 1
         except ReproError as exc:
-            current = self._sessions.get(session_id)
-            if current is session:
-                event = SessionEvent.failsafe(
-                    session_id,
-                    session.delivered,
-                    f"unrecoverable worker crash: {exc}",
+            event = SessionEvent.failsafe(
+                session_id,
+                session.delivered,
+                f"unrecoverable worker crash: {exc}",
+            )
+            if not session.conn.closed:
+                self._enqueue_or_overflow(
+                    session.conn,
+                    encode_message(MessageType.EVENT, encode_events([event])),
                 )
-                conn = session.conn
-                if not conn.closed:
-                    self._enqueue_or_overflow(
-                        conn,
-                        encode_message(
-                            MessageType.EVENT, encode_events([event])
-                        ),
-                    )
-                    self._events_sent += 1
-                self._record_failsafe(event)
-                self._unregister(session_id)
-            return
-        if self._sessions.get(session_id) is not session:
-            with contextlib.suppress(ReproError):
-                await self._engine.close_session(session_id)
-            return
-        # No await between the final journal-length check (the while
-        # condition) and this flag clear: nothing can slip in between.
+                self._events_sent += 1
+            self._record_failsafe(event)
+            self._unregister(session_id)
         session.recovering = False
-        self._recovered_total += 1
 
     # ------------------------------------------------------------------
     # Per-connection tasks
@@ -1503,22 +1416,26 @@ class MonitorGateway:
         for event in batch:
             session = self._sessions.get(event.session_id)
             if session is None:
-                parked = self._parked.get(event.session_id)
-                if parked is None:
-                    self._events_dropped += 1
-                elif parked.absorb(event):
-                    # In flight when its client vanished: folded into
-                    # the parked history so a resume replays it — it
-                    # will reach the client then, so it belongs in the
-                    # durable log now.
-                    logged.append(event)
+                self._events_dropped += 1
                 continue
+            conn = session.conn
             if event.error is not None and session.journal is not None:
                 # Resume mode treats a worker crash as recoverable:
                 # rebuild from the journal instead of failing the
-                # session safe.  A second terminal event while recovery
-                # is already in flight is a stale echo of the same crash.
-                if not session.recovering:
+                # session safe — now for a live session, at resume time
+                # for a parked one.  A session whose park is in flight
+                # counts as parked already: its export is about to fail
+                # on the dead worker and park it cold, whereas a rebuild
+                # started now would re-open the id underneath that
+                # export, which would then carry off a half-replayed
+                # session as if it were the whole one.  A second
+                # terminal event while recovery is already in flight is
+                # a stale echo of the same crash.
+                if (
+                    conn is not None
+                    and not session.parking
+                    and not session.recovering
+                ):
                     self._begin_recovery(event.session_id, session)
                 continue
             if (
@@ -1536,10 +1453,12 @@ class MonitorGateway:
             if session.history is not None:
                 session.history.append(event)
             # Past the duplicate filter: part of the client-visible
-            # stream, and of the durable log, exactly once.
+            # stream, and of the durable log, exactly once — sent now,
+            # or, in flight when its client vanished, kept in the
+            # history for the resume to replay.
             logged.append(event)
-            if not session.conn.closed:
-                outgoing.setdefault(session.conn, []).append(event)
+            if conn is not None and not conn.closed:
+                outgoing.setdefault(conn, []).append(event)
             if event.error is not None:
                 # Terminal: the engine lost this session (worker crash).
                 # Surface it at the gateway too, not only on the wire.
@@ -1609,8 +1528,13 @@ class MonitorGateway:
 
     def _unregister(self, session_id: str) -> None:
         session = self._sessions.pop(session_id, None)
-        if session is not None:
+        if session is None:
+            return
+        if session.conn is not None:
             session.conn.sessions.discard(session_id)
+        if session.expiry is not None:
+            session.expiry.cancel()
+            session.expiry = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1628,12 +1552,13 @@ class MonitorGateway:
     @property
     def n_open_sessions(self) -> int:
         """Number of wire-opened sessions currently live."""
-        return len(self._sessions)
+        return len(self._sessions) - self.n_parked_sessions
 
     @property
     def n_parked_sessions(self) -> int:
         """Number of sessions parked awaiting a resume."""
-        return len(self._parked)
+        # list() first: tests and harnesses read this off the loop thread.
+        return sum(s.conn is None for s in list(self._sessions.values()))
 
     async def resize(self, target_k: int) -> dict:
         """Live-resize the serving fleet to ``target_k`` shards.
@@ -1780,7 +1705,7 @@ class MonitorGateway:
                 "idle_disconnects": self._idle_disconnects,
             },
             "sessions": {
-                "open": len(self._sessions),
+                "open": self.n_open_sessions,
                 "peak_open": self._peak_open_sessions,
                 "opened_total": self._sessions_opened,
                 "closed_total": self._sessions_closed,
@@ -1795,7 +1720,7 @@ class MonitorGateway:
             "resume": {
                 "enabled": self._resume_enabled,
                 "grace_s": self.resume_grace_s,
-                "parked": len(self._parked),
+                "parked": self.n_parked_sessions,
                 "parked_total": self._parked_total,
                 "resumed_total": self._resumed_total,
                 "expired_total": self._resume_expired_total,

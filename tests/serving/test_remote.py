@@ -11,6 +11,7 @@ workers.
 
 import asyncio
 import contextlib
+import dataclasses
 import os
 import signal
 import socket
@@ -45,6 +46,7 @@ from repro.serving import (
     monitor_to_bytes,
 )
 from repro.serving.remote import protocol
+from repro.serving.remote.client import _SessionCore
 from repro.serving.remote.protocol import (
     HEADER_SIZE,
     MAX_PAYLOAD,
@@ -58,6 +60,7 @@ from repro.serving.remote.protocol import (
     encode_ack,
     encode_events,
     encode_frames,
+    encode_json,
     encode_message,
 )
 
@@ -1472,3 +1475,365 @@ class TestResume:
         assert [event_key(e) for e in events] == [
             event_key(e) for e in reference
         ]
+
+
+class TestResumeReplay:
+    """The gateway-side resume paths PR 15 collapsed: the missed-event
+    replay as one EVENT message, the retried cold adopt, and the one
+    admission check behind both the parked and the steal route."""
+
+    @pytest.mark.parametrize("resumer", ["sync", "async"])
+    def test_replay_larger_than_the_send_queue_resumes(self, monitor, resumer):
+        """A client owed more events than ``send_queue_max`` messages
+        (1 500 > 1 024, both defaults) must still be able to resume:
+        the replay is one message, not one per event."""
+        trajectory = make_random_walk_trajectory(
+            1520, n_features=N_FEATURES, seed=81
+        )
+        reference = local_events(monitor, trajectory, session_id="big")
+        with running_gateway(
+            monitor, n_shards=1, max_sessions=4, resume_grace_s=30.0
+        ) as runner:
+            gateway = runner.gateway
+            first = RemoteMonitorClient(runner.host, runner.port)
+            sid = first.open_session("big")
+            first.feed(sid, trajectory.frames[:1500])
+            # Read nothing back: every one of the 1 500 events is owed.
+            assert wait_until(
+                lambda: gateway._sessions[sid].delivered == 1500, 60.0
+            )
+            first.close()
+            state = first.detach_session(sid)
+            assert state.events_received == 0
+            assert wait_until(lambda: gateway.n_parked_sessions == 1)
+
+            if resumer == "sync":
+                with RemoteMonitorClient(runner.host, runner.port) as second:
+                    second.resume_session(state)
+                    second.feed(sid, trajectory.frames[1500:])
+                    events = second.events_for(sid, 1520)
+                    assert second.close_session(sid)["n_frames"] == 1520
+            else:
+
+                async def run():
+                    async with await AsyncRemoteMonitorClient.connect(
+                        runner.host, runner.port
+                    ) as second:
+                        await second.resume_session(state)
+                        await second.feed(sid, trajectory.frames[1500:])
+                        got = [
+                            await asyncio.wait_for(second.next_event(), 30.0)
+                            for _ in range(1520)
+                        ]
+                        summary = await second.close_session(sid)
+                        assert summary["n_frames"] == 1520
+                        return got
+
+                events = asyncio.run(run())
+            assert [event_key(e) for e in events] == [
+                event_key(e) for e in reference
+            ]
+            stats = runner.stats()
+            assert stats["connections"]["overflow_disconnects"] == 0
+            assert stats["resume"]["resumed_total"] == 1
+            assert not gateway.failed_sessions
+
+    def test_cold_adopt_retries_like_crash_recovery(self, monitor):
+        """A RESUME of a cold-parked session whose first re-open lands
+        on a worker that just died must retry the rebuild, as live
+        crash recovery does, not fail the session for good."""
+        trajectory = make_random_walk_trajectory(
+            24, n_features=N_FEATURES, seed=82
+        )
+        reference = local_events(monitor, trajectory, session_id="cold")
+        with running_gateway(
+            monitor, n_shards=1, max_sessions=4, resume_grace_s=30.0
+        ) as runner:
+            gateway = runner.gateway
+            engine = gateway._engine
+            real_open = engine.open_session
+
+            async def dead_export(session_id):
+                # The worker died and took the session with it: nothing
+                # to export, the park is cold (journal only).
+                await engine.close_session(session_id)
+                raise WorkerError("shard worker died")
+
+            opens = []
+
+            async def flaky_open(session_id, record_timeline):
+                opens.append(session_id)
+                if len(opens) == 1:
+                    raise WorkerError("shard worker died (found by this open)")
+                return await real_open(session_id, record_timeline)
+
+            first = RemoteMonitorClient(runner.host, runner.port)
+            sid = first.open_session("cold")
+            first.feed(sid, trajectory.frames[:10])
+            events = first.events_for(sid, 10)
+            engine.export_session = dead_export
+            first.close()
+            state = first.detach_session(sid)
+            assert wait_until(lambda: gateway.n_parked_sessions == 1)
+            engine.open_session = flaky_open
+            with RemoteMonitorClient(runner.host, runner.port) as second:
+                assert second.resume_session(state) == sid
+                second.feed(sid, trajectory.frames[10:])
+                events += second.events_for(sid, 14)
+                assert second.close_session(sid)["n_frames"] == 24
+            assert opens == [sid, sid]
+            assert [event_key(e) for e in events] == [
+                event_key(e) for e in reference
+            ]
+            assert not gateway.failed_sessions
+
+    def test_crash_found_by_the_parks_own_export_parks_cold(self, monitor):
+        """The exchange that discovers a dead worker can be the park's
+        own export.  That crash must not start a live recovery: the
+        rebuild would re-open the id, and the export — next in line at
+        the engine — would carry off a half-replayed session as the
+        parked state, silently losing the frames not yet replayed."""
+        trajectory = make_random_walk_trajectory(
+            30, n_features=N_FEATURES, seed=84
+        )
+        reference = local_events(monitor, trajectory, session_id="race")
+        with running_gateway(
+            monitor, n_shards=1, max_sessions=4, resume_grace_s=30.0
+        ) as runner:
+            gateway = runner.gateway
+            engine = gateway._engine
+            real_export, real_feed = engine.export_session, engine.feed
+
+            async def suspending_feed(session_id, frames):
+                # A fleet feed suspends (shard lock, executor); the
+                # embedded engine's never does.
+                await asyncio.sleep(0.01)
+                await real_feed(session_id, frames)
+
+            async def export_finds_the_crash(session_id):
+                # What the fleet does when an export lands on a dead
+                # worker: the session is lost, its crash event is routed
+                # before the error reaches the caller — and the export
+                # then runs against whatever holds the id by then.
+                delivered = gateway._sessions[session_id].delivered
+                await engine.close_session(session_id)
+                gateway._route_events(
+                    [
+                        SessionEvent.failsafe(
+                            session_id, delivered, "shard 0 worker died"
+                        )
+                    ]
+                )
+                await asyncio.sleep(0.025)
+                return await real_export(session_id)
+
+            first = RemoteMonitorClient(runner.host, runner.port)
+            sid = first.open_session("race")
+            for start in range(0, 10, 2):  # five journal batches
+                first.feed(sid, trajectory.frames[start : start + 2])
+            events = first.events_for(sid, 10)
+            engine.export_session = export_finds_the_crash
+            engine.feed = suspending_feed
+            first.close()
+            state = first.detach_session(sid)
+            assert wait_until(lambda: gateway.n_parked_sessions == 1)
+            with RemoteMonitorClient(runner.host, runner.port) as second:
+                assert second.resume_session(state) == sid
+                second.feed(sid, trajectory.frames[10:])
+                # Bounded here: heartbeats keep a starved read alive.
+                assert wait_until(
+                    lambda: gateway._sessions[sid].delivered == 30
+                ), "frames lost: the park exported a half-rebuilt session"
+                events += second.events_for(sid, 20)
+                assert second.close_session(sid)["n_frames"] == 30
+            assert [event_key(e) for e in events] == [
+                event_key(e) for e in reference
+            ]
+            assert not gateway.failed_sessions
+
+    ADMISSION_FAULTS = {
+        "token": (
+            lambda s: dataclasses.replace(s, token="0" * len(s.token)),
+            ProtocolError,
+            "resume token mismatch for 'adm'",
+        ),
+        "last_event": (
+            lambda s: dataclasses.replace(s, events_received=9),
+            ProtocolError,
+            "RESUME last_event 9 exceeds the 8 events delivered for 'adm'",
+        ),
+        "ring": (
+            lambda s: dataclasses.replace(s, events_received=0),
+            WorkerError,
+            "session 'adm' is beyond replay reach",
+        ),
+    }
+
+    @pytest.mark.parametrize("route", ["parked", "live"])
+    @pytest.mark.parametrize("fault", sorted(ADMISSION_FAULTS))
+    def test_resume_admission(self, monitor, route, fault):
+        """One admission check behind both routes — a parked session,
+        and one still bound to a connection the gateway has not yet
+        noticed is dead: same refusal, word for word.  What differs is
+        documented: a parked session a client can no longer be caught
+        up on lapses (fail-safe); a live one stays with its connection."""
+        forge, error_type, message = self.ADMISSION_FAULTS[fault]
+        trajectory = make_random_walk_trajectory(
+            12, n_features=N_FEATURES, seed=83
+        )
+        reference = local_events(monitor, trajectory, session_id="adm")
+        with running_gateway(
+            monitor,
+            n_shards=1,
+            max_sessions=4,
+            resume_grace_s=30.0,
+            event_replay_max=4,
+        ) as runner:
+            gateway = runner.gateway
+            first = RemoteMonitorClient(runner.host, runner.port)
+            sid = first.open_session("adm")
+            first.feed(sid, trajectory.frames[:8])
+            events = first.events_for(sid, 8)
+            state = first.detach_session(sid)  # local bookkeeping only
+            if route == "parked":
+                first.close()
+                assert wait_until(lambda: gateway.n_parked_sessions == 1)
+            with RemoteMonitorClient(runner.host, runner.port) as second:
+                with pytest.raises(error_type) as refusal:
+                    second.resume_session(forge(state))
+                assert str(refusal.value) == message
+                if (route, fault) == ("parked", "ring"):
+                    assert "resume replay window exceeded" in (
+                        gateway.failed_sessions[sid]
+                    )
+                    assert gateway.n_parked_sessions == 0
+                    with pytest.raises(WorkerError, match="failed"):
+                        second.resume_session(state)
+                else:
+                    # Untouched: the rightful owner still resumes it.
+                    assert gateway.n_parked_sessions == (route == "parked")
+                    assert second.resume_session(state) == sid
+                    second.feed(sid, trajectory.frames[8:])
+                    events += second.events_for(sid, 4)
+                    assert second.close_session(sid)["n_frames"] == 12
+                    assert [event_key(e) for e in events] == [
+                        event_key(e) for e in reference
+                    ]
+                    assert not gateway.failed_sessions
+            first.close()
+
+    def test_open_of_a_parked_id_is_refused(self, monitor):
+        """A parked session is still the gateway's: an OPEN reusing its
+        id must not replace the record (and the fail-safe it is owed)."""
+        with running_gateway(
+            monitor, n_shards=1, max_sessions=4, resume_grace_s=30.0
+        ) as runner:
+            first = RemoteMonitorClient(runner.host, runner.port)
+            sid = first.open_session("mine")
+            first.close()
+            assert wait_until(lambda: runner.gateway.n_parked_sessions == 1)
+            with RemoteMonitorClient(runner.host, runner.port) as second:
+                with pytest.raises(ConfigurationError, match="already open"):
+                    second.open_session(sid)
+            assert runner.gateway.n_parked_sessions == 1
+
+
+class TestClientCore:
+    """The sans-IO core both SDKs hold, driven without a socket."""
+
+    @staticmethod
+    def event(session_id, frame_index):
+        return SessionEvent(
+            session_id=session_id,
+            frame_index=frame_index,
+            gesture=1,
+            score=0.25,
+            flag=False,
+        )
+
+    @staticmethod
+    def sent_frames(messages):
+        reader = MessageReader()
+        reader.feed(b"".join(messages))
+        out = []
+        while (message := reader.next_message()) is not None:
+            assert message[0] is MessageType.FRAME
+            out.append(decode_frames(message[1]))
+        return out
+
+    def test_scripted_session_detaches_into_the_expected_state(self):
+        frames = np.arange(80, dtype=float).reshape(8, N_FEATURES)
+        core = _SessionCore()
+        sid = core.opened(
+            encode_json({"session_id": "c", "resume_token": "tok"})
+        )
+        assert sid == "c"
+        sent = []
+        core.send_frames(sid, frames[:3], sent.append)
+        core.send_frames(sid, frames[3], sent.append)  # one row, promoted
+        core.send_frames(sid, frames[4:], sent.append)
+        assert [(s, seq, f.shape[0]) for s, seq, f in self.sent_frames(sent)] == [
+            ("c", 0, 3), ("c", 3, 1), ("c", 4, 4),
+        ]
+        core.acked(encode_ack("c", 3))
+        core.acked(encode_ack("other", 99))  # not ours: ignored
+        own = core.events(
+            encode_events(
+                [self.event("c", 0), self.event("orphan", 0), self.event("c", 1)]
+            )
+        )
+        assert [(e.session_id, e.frame_index) for e in own] == [
+            ("c", 0), ("c", 1),
+        ]
+        state = core.detach(sid)
+        assert (state.session_id, state.token) == ("c", "tok")
+        assert (state.next_seq, state.acked_seq) == (8, 3)
+        assert state.events_received == 2  # the orphan is not counted
+        assert [(seq, f.shape[0]) for seq, f in state.buffer] == [(3, 1), (4, 4)]
+        assert state.pending_events == []
+        with pytest.raises(ProtocolError, match="no resume state"):
+            core.detach(sid)  # detached: this client no longer owns it
+        assert core.events(encode_events([self.event("c", 2)])) == []
+
+    def test_send_failure_leaves_the_batch_unbuffered(self):
+        core = _SessionCore()
+        sid = core.opened(encode_json({"session_id": "c", "resume_token": "t"}))
+
+        def broken(message):
+            raise WorkerError("gateway connection lost")
+
+        with pytest.raises(WorkerError):
+            core.send_frames(sid, np.zeros((2, N_FEATURES)), broken)
+        state = core.detach(sid)
+        assert state.next_seq == 0 and state.buffer == []
+
+    def test_resume_replays_exactly_the_unacked_batches(self):
+        frames = np.arange(100, dtype=float).reshape(10, N_FEATURES)
+        state = ResumeState(
+            session_id="r",
+            token="tok",
+            next_seq=10,
+            acked_seq=0,
+            events_received=4,
+            buffer=[(0, frames[:3]), (3, frames[3:8]), (8, frames[8:])],
+        )
+        request = MessageReader()
+        request.feed(_SessionCore.resume_message(state))
+        msg_type, payload = request.next_message()
+        assert msg_type is MessageType.RESUME
+        assert protocol.decode_json(payload) == {
+            "session_id": "r", "token": "tok", "last_event": 4,
+        }
+        core = _SessionCore()
+        core.install(state)
+        # acked_seq 5 falls inside the second batch: the first is fully
+        # held by the gateway, the second is re-sent whole (the gateway
+        # trims the overlap by seq), the third was never seen.
+        replay = core.resumed("r", encode_json({"acked_seq": 5}))
+        resent = self.sent_frames(replay)
+        assert [(s, seq) for s, seq, _ in resent] == [("r", 3), ("r", 8)]
+        np.testing.assert_array_equal(resent[0][2], frames[3:8])
+        np.testing.assert_array_equal(resent[1][2], frames[8:])
+        again = core.detach("r")
+        assert (again.next_seq, again.acked_seq) == (10, 5)
+        assert again.events_received == 4
