@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs consistency checks, run by the CI docs job.
 
-Two guarantees:
+Three guarantees:
 
 1. every ```mermaid block in ``docs/*.md`` (and ``README.md``) parses —
    a lightweight structural validation: known diagram type on the first
@@ -10,7 +10,10 @@ Two guarantees:
 2. every public name exported from the documented modules (their
    ``__all__``: ``repro.serving`` and ``repro.nn.backends``) appears in
    ``docs/api.md``, so the API reference cannot silently rot as the
-   serving surface grows.
+   serving surface grows;
+3. every backticked repo-relative path in those files exists on disk,
+   so deleting or renaming a file fails here until the prose that cites
+   it is rewritten.
 
 Run:  PYTHONPATH=src python scripts/check_docs.py
 Exits non-zero with one line per problem.
@@ -130,6 +133,35 @@ def check_mermaid(path: Path) -> list[str]:
     return errors
 
 
+#: A repo-relative path inside a backticked span: a top-level directory
+#: of this tree followed by a path.  A match that runs into a brace,
+#: glob or placeholder (``tests/property/test_{backend,bulk}_parity.py``,
+#: ``docs/*.md``) is a pattern, not a path, and is not checked.
+_TREE_PATH = re.compile(
+    r"(?<![\w./-])(?:benchmarks|scripts|tests|bench|examples|src|docs)/[\w./-]*"
+    r"(?![\w/{*<…-])"
+)
+
+#: A whole span naming a top-level data or prose file (``ROADMAP.md``).
+_TOP_LEVEL_FILE = re.compile(r"[\w-]+\.(?:json|md)")
+
+
+def check_paths(path: Path, root: Path = REPO) -> list[str]:
+    """Every backticked repo-relative path in ``path`` must exist under ``root``."""
+    errors = []
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        for span in re.findall(r"`([^`]+)`", line):
+            cited = _TREE_PATH.findall(span)
+            if _TOP_LEVEL_FILE.fullmatch(span):
+                cited.append(span)
+            errors.extend(
+                f"{path}:{number}: `{name}` does not exist"
+                for name in cited
+                if not (root / name).exists()
+            )
+    return errors
+
+
 #: Modules whose ``__all__`` must be fully covered by docs/api.md.
 #: Add an entry when a new public surface grows an API-reference
 #: section.
@@ -176,6 +208,7 @@ def main() -> int:
     for path in targets:
         if path.exists():
             errors.extend(check_mermaid(path))
+            errors.extend(check_paths(path))
     errors.extend(check_api_coverage())
     if errors:
         print("\n".join(errors), file=sys.stderr)
@@ -186,7 +219,10 @@ def main() -> int:
         for p in targets
         if p.exists()
     )
-    print(f"check_docs: OK ({n_blocks} mermaid block(s), api.md covers __all__)")
+    print(
+        f"check_docs: OK ({n_blocks} mermaid block(s), api.md covers __all__, "
+        "every cited path exists)"
+    )
     return 0
 
 

@@ -55,9 +55,7 @@ class MonitorOutput:
         Free-form provenance.  Always carries ``use_true_gestures``;
         bulk-engine outputs add ``engine="bulk"``, ``backend``,
         ``n_windows``, ``wall_ms`` (end-to-end wall-clock of the fused
-        pass) and ``bulk_fps`` (trajectory frames per second — the
-        throughput number ``benchmarks/bench_bulk_scoring.py`` and the
-        CI gate track).
+        pass) and ``bulk_fps`` (trajectory frames per second).
     """
 
     gestures: np.ndarray

@@ -89,8 +89,7 @@ class BulkScorer:
     ``metadata`` carries the bulk-mode fields: ``engine="bulk"``,
     ``backend``, ``n_windows`` (error-stage windows scored),
     ``wall_ms`` (end-to-end wall-clock of the whole pass) and
-    ``bulk_fps`` (trajectory frames per second through the pipeline,
-    the number the benchmark and CI gate track).
+    ``bulk_fps`` (trajectory frames per second through the pipeline).
     """
 
     def __init__(

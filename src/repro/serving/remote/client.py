@@ -10,8 +10,8 @@ Two clients over the same wire protocol
   ``gateway_stats``) and the event reader (``next_event``) can
   interleave freely on one connection.
 - :class:`AsyncRemoteMonitorClient` — asyncio streams, for
-  fleet-scale ingest (the load benchmark drives 64+ of these
-  concurrently).  A background reader task demultiplexes the stream:
+  fleet-scale ingest (``bench/``'s ``sat_wire_k2`` workload drives 64
+  sessions through these).  A background reader task demultiplexes the stream:
   events flow to the ``events()`` async iterator, control replies
   resolve the awaiting call, heartbeats are echoed.
 

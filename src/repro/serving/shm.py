@@ -1,13 +1,9 @@
 """Shared-memory rings: the zero-copy data plane of the sharded fleet.
 
-The first sharded benchmark told an embarrassing truth: a 4-shard fleet
-was *half* the speed of one :class:`~repro.serving.service.MonitorService`
-(``sharded_speedup_4 = 0.53`` in ``BENCH_serving.json``), because every
-kinematics frame was pickled through a :func:`multiprocessing.Pipe` and
-every ``feed()`` blocked on a full request/reply ack round-trip.  The
-transport was eating the parallelism.
-
-This module replaces that per-frame pipe traffic with two
+A fleet that pickles every kinematics frame through a
+:func:`multiprocessing.Pipe` and blocks every ``feed()`` on a
+request/reply ack round-trip spends its parallelism on transport.  This
+module carries that traffic instead in two
 :class:`multiprocessing.shared_memory` rings per shard:
 
 - a **frame ring** (router → worker): ``feed()`` copies the frame block

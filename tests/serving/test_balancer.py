@@ -304,6 +304,63 @@ class TestShedParity:
                 results[sid].gestures, static_results[sid].gestures
             )
 
+    def test_skewed_fleet_converges_under_the_policy(self, monitor):
+        """plan → shed → re-plan on a fleet whose ids pile 15 of 24
+        sessions onto one of four shards ends balanced, loses nothing
+        and changes no stream.  Each shard's p99 is hand-built from its
+        live occupancy, so no wall clock decides the outcome."""
+        skew_ratio = 1.5
+        quotas = {0: 15, 1: 3, 2: 3, 3: 3}
+        n_sessions = sum(quotas.values())
+        trajectories = list(make_fleet(n_sessions, base_seed=900).values())
+        with ShardedMonitorService(
+            monitor, n_shards=4, max_sessions_per_shard=n_sessions
+        ) as service:
+            session_ids, candidate = [], 0
+            while len(session_ids) < n_sessions:
+                sid = f"skew-{candidate:04d}"
+                candidate += 1
+                shard = service.resolve_placement(sid)[1]
+                if quotas[shard] > 0:
+                    quotas[shard] -= 1
+                    session_ids.append(sid)
+            for sid, trajectory in zip(session_ids, trajectories):
+                service.open_session(sid)
+                service.feed(sid, trajectory.frames)
+            assert max(service.shard_occupancy().values()) == 15
+            events = []
+            for _ in range(8):
+                events += service.tick()
+            n_moved = 0
+            for _ in range(32):
+                occupancy = service.shard_occupancy()
+                plan = plan_sheds(
+                    {i: stats_with_p99(float(n)) for i, n in occupancy.items()},
+                    occupancy,
+                    skew_ratio=skew_ratio,
+                    max_moves=2,
+                )
+                if plan is None:
+                    break
+                victims = service.sessions_on(plan.hot)[: plan.n_sessions]
+                n_moved += len(service.shed(victims, plan.cold))
+                events += service.tick()
+            else:
+                pytest.fail("plan → shed → re-plan did not converge in 32 rounds")
+            final = sorted(service.shard_occupancy().values())
+            events += service.drain()
+            assert not service.failed_sessions
+
+        assert n_moved > 0
+        assert final[-1] <= skew_ratio * np.median(final)
+        static = MonitorService(monitor, max_sessions=n_sessions)
+        for sid, trajectory in zip(session_ids, trajectories):
+            static.open_session(sid)
+            static.feed(sid, trajectory.frames)
+        assert [event_key(e) for e in events] == [
+            event_key(e) for e in static.drain()
+        ]
+
 
 class TestBalancerController:
     """MonitorBalancer hysteresis, budget, flap suppression — and the

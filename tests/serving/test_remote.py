@@ -307,6 +307,69 @@ class TestRemoteParity:
         assert stats["frames_received"] == trajectory.n_frames
         assert stats["sessions"]["closed_total"] == 1
 
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_64_concurrent_socket_sessions_match_one_service(
+        self, monitor, n_shards
+    ):
+        """The gateway sustains 64 socket sessions at once — one
+        connection each, all open before the first frame flows — with
+        no fail-safe closure and no overflow disconnect, and every
+        session's stream is the one a single MonitorService emits."""
+        fleet = {
+            f"wire-{i:02d}": make_random_walk_trajectory(
+                24, n_features=N_FEATURES, seed=600 + i
+            )
+            for i in range(64)
+        }
+        oracle = MonitorService(monitor, max_sessions=len(fleet))
+        for sid, trajectory in fleet.items():
+            oracle.open_session(sid)
+            oracle.feed(sid, trajectory.frames)
+        expected = {sid: [] for sid in fleet}
+        for event in oracle.drain():
+            expected[event.session_id].append(event_key(event))
+
+        async def stream(client, sid):
+            frames = fleet[sid].frames
+            for start in range(0, len(frames), 8):
+                await client.feed(sid, frames[start : start + 8])
+            keys = []
+            async for event in client.events():
+                keys.append(event_key(event))
+                if len(keys) == len(frames):
+                    break
+            summary = await client.close_session(sid)
+            assert summary["n_frames"] == len(frames)
+            return keys
+
+        async def run():
+            async with MonitorGateway(
+                monitor, n_shards=n_shards, max_sessions=len(fleet)
+            ) as gateway:
+                clients = await asyncio.gather(*(
+                    AsyncRemoteMonitorClient.connect(gateway.host, gateway.port)
+                    for _ in fleet
+                ))
+                try:
+                    await asyncio.gather(*(
+                        client.open_session(sid)
+                        for client, sid in zip(clients, fleet)
+                    ))
+                    streams = await asyncio.gather(*(
+                        stream(client, sid)
+                        for client, sid in zip(clients, fleet)
+                    ))
+                    stats = await gateway.gateway_stats()
+                finally:
+                    await asyncio.gather(*(c.aclose() for c in clients))
+                return dict(zip(fleet, streams)), stats
+
+        streams, stats = asyncio.run(run())
+        assert stats["sessions"]["peak_open"] == 64
+        assert stats["sessions"]["failed_total"] == 0
+        assert stats["connections"]["overflow_disconnects"] == 0
+        assert streams == expected
+
 
 class TestErrors:
     def test_gateway_errors_keep_their_repro_types(self, monitor):

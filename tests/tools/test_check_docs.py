@@ -1,0 +1,47 @@
+"""Unit tests for the dangling-path guard in ``scripts/check_docs.py``.
+
+A doc that cites a file must fail the docs job once that file is
+deleted or renamed; exercised against a miniature tree with one passing
+and one failing page.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
+
+from check_docs import check_paths  # noqa: E402 - path set up above
+
+
+def _tree(tmp_path: Path) -> Path:
+    (tmp_path / "tests" / "serving").mkdir(parents=True)
+    (tmp_path / "tests" / "serving" / "test_remote.py").touch()
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").touch()
+    (tmp_path / "ROADMAP.md").touch()
+    (tmp_path / "docs").mkdir()
+    return tmp_path / "docs" / "page.md"
+
+
+def test_existing_paths_commands_and_patterns_pass(tmp_path):
+    page = _tree(tmp_path)
+    page.write_text(
+        "See `tests/serving/test_remote.py::TestResume`, the `tests/` tree,\n"
+        "`python3 bench/run.py --smoke`, `ROADMAP.md` and `docs/page.md`.\n"
+        "Patterns are not paths: `tests/property/test_{backend,bulk}_parity.py`,\n"
+        "`docs/*.md`; nor are other names: `np.ndarray`, `run.py --json out.json`.\n"
+    )
+    assert check_paths(page, root=tmp_path) == []
+
+
+def test_deleted_files_are_reported_with_their_line(tmp_path):
+    page = _tree(tmp_path)
+    page.write_text(
+        "Fine: `bench/run.py`.\n"
+        "Gone: `benchmarks/bench_gone.py --check-gone` wrote\n"
+        "`GONE.json`.\n"
+    )
+    assert check_paths(page, root=tmp_path) == [
+        f"{page}:2: `benchmarks/bench_gone.py` does not exist",
+        f"{page}:3: `GONE.json` does not exist",
+    ]
