@@ -126,6 +126,9 @@ class SafetyMonitor:
             if scorer is None:
                 scorer = scorers[name] = BulkScorer(self, backend=name)
             return scorer.score(trajectory, use_true_gestures)
+        from ..serving.service import reject_non_finite
+
+        reject_non_finite("process()", trajectory.frames)
         if use_true_gestures:
             if trajectory.gestures is None:
                 raise NotFittedError("perfect-boundary mode needs gesture labels")

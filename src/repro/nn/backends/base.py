@@ -16,8 +16,9 @@ Two implementations exist:
   first layer's weights, preallocated scratch buffers so steady-state
   calls allocate no array data, fused LSTM gates, no training branches
   or dtype coercions, optional float32 execution.  Matches the
-  reference within ``atol=1e-6`` in float64 mode (it trades the
-  bit-exact einsum contraction for BLAS throughput).
+  reference within ``atol=1e-6`` in float64 mode (it folds the scaler
+  and lets BLAS see the whole batch, giving up the reference
+  contraction's batch-invariant bits for zero-allocation throughput).
 
 Backends hold per-call scratch state and are **not** thread-safe; a
 :class:`~repro.serving.MonitorService` owns one backend per model and

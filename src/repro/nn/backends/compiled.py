@@ -20,9 +20,10 @@ shape and a fixed maximum batch (the serving engine's ``max_sessions``):
   scratch-reuse test asserts this).  Returned arrays alias scratch:
   valid until the next call.
 - **Inference-only kernels** — no ``training`` branches, no per-layer
-  dtype coercions, BLAS ``np.matmul`` contractions (trading the
-  reference path's bit-exact batch-invariant einsum for throughput),
-  dropout elided, batch-norm reduced to one fused multiply-add.
+  dtype coercions, one whole-batch ``np.matmul`` per contraction
+  (where the reference path issues fixed-shape ``ROW_BLOCK``-row GEMMs
+  to keep a row's bits independent of its batch), dropout elided,
+  batch-norm reduced to one fused multiply-add.
 - **Fused LSTM steps** — each timestep computes all four gates in one
   preallocated ``(batch, 4·units)`` buffer with in-place
   sigmoid/tanh; the input projection for all timesteps is one matmul.

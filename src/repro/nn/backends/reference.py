@@ -3,8 +3,8 @@
 Kept deliberately thin — it must execute the *identical* float operation
 sequence the tick engine ran before backends existed
 (``scaler.transform`` building a standardised copy, then
-``Sequential.predict_proba`` through the batch-invariant einsum
-contraction of :mod:`repro.nn.layers.contract`), so the existing parity
+``Sequential.predict_proba`` through the batch-invariant fixed-shape
+GEMM contraction of :mod:`repro.nn.layers.contract`), so the existing parity
 suites (stream ≡ process ≡ service ≡ sharded, bit for bit) pin its
 behaviour without modification.
 """

@@ -128,10 +128,11 @@ class LSTM(Layer):
     def _forward_inference(self, x: np.ndarray) -> np.ndarray:
         """The ``training=False`` forward: no caches, fewest numpy calls.
 
-        Performs the float operations of the training loop on every
-        element in the same order (through the batch-invariant einsum
-        contraction), so a window scores bit-identically alone or inside
-        any batch.  Three things differ in how, none in what:
+        Around the contraction (the batch-invariant fixed-shape GEMMs
+        of :mod:`.contract`) it performs the float operations of the
+        training loop on every element in the same order, so a window
+        scores bit-identically alone or inside any batch.  Three things
+        differ in how, none in what:
 
         - step 0 does not contract the initial hidden state.  It is all
           zeros, so for finite ``Wh`` the term is exactly ``+0.0`` in

@@ -115,7 +115,8 @@ class Sequential:
 
         Inference is batch-size invariant: a sample scored alone yields
         the bit-identical probability it would get inside any larger
-        batch (see :mod:`repro.nn.layers.contract`).  The online serving
+        batch: every contraction runs as fixed-shape ``ROW_BLOCK``-row
+        GEMMs (see :mod:`repro.nn.layers.contract`).  The online serving
         engine relies on this to reproduce batched results exactly.
         """
         if self.loss is None:

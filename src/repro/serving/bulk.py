@@ -25,8 +25,14 @@ Correctness contract (pinned by ``tests/property/test_bulk_parity.py``):
   batch indistinguishable from any other batching.
 - ``backend="compiled"`` / ``"compiled-f32"`` — gestures and flags
   exact in practice (discrete outputs), scores within ``atol=1e-6``
-  (``~1e-3`` relative for f32): the compiled plan trades the bit-exact
-  einsum contraction for BLAS throughput.
+  (``~1e-3`` relative for f32): the compiled plan folds the scaler and
+  hands BLAS the whole batch, giving up the reference contraction's
+  batch-invariant bits.
+
+Hostile input: a procedure with any NaN or ±Inf frame is refused whole
+(``DatasetError``, nothing scored) — the same ingress check as
+``MonitorService.feed``, so no path turns a poisoned window into a
+silent ``score=nan, flag=0`` verdict.
 
 Timing contract: per-window latency means are meaningless for one fused
 batch, so the returned :class:`~repro.core.pipeline.MonitorOutput`
@@ -53,6 +59,7 @@ from ..nn.backends import (
     make_backend,
     validate_backend_name,
 )
+from .service import reject_non_finite
 
 __all__ = ["BulkScorer", "score_procedure", "score_procedures"]
 
@@ -170,6 +177,7 @@ class BulkScorer:
         <repro.core.pipeline.SafetyMonitor.process>` — see the class
         docstring for the parity and timing contracts.
         """
+        reject_non_finite("BulkScorer.score()", trajectory.frames)
         wall_start = time.perf_counter()
         gesture_wall_ms = 0.0
         n_gesture_windows = 0

@@ -62,6 +62,7 @@ from typing import TYPE_CHECKING
 
 from ...errors import ConfigurationError, ProtocolError, ReproError, WorkerError
 from ...nn.backends import DEFAULT_BACKEND, validate_backend_name
+from ...nn.layers.contract import numerics_fingerprint
 from ..async_frontend import AsyncShardedMonitor
 from ..autoscaler import MonitorAutoscaler
 from ..balancer import MonitorBalancer
@@ -1667,6 +1668,11 @@ class MonitorGateway:
             "protocol_version": PROTOCOL_VERSION,
             "n_shards": self.n_shards,
             "backend": self.backend,
+            # The arithmetic this host's reference contraction computes
+            # with: two gateways' streams may be compared bit for bit
+            # iff "backend" and "numerics" agree (workers are forks of
+            # this process; theirs are under telemetry.labels).
+            "numerics": numerics_fingerprint(),
             "uptime_s": self.uptime_s,
             # Cumulative event accounting: emitted to clients, recorded
             # fail-safe, and dropped by the durable log's bounded ring

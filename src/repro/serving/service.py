@@ -43,6 +43,7 @@ from ..nn.backends import (
     make_backend,
     validate_backend_name,
 )
+from ..nn.layers.contract import numerics_fingerprint
 from .telemetry import TelemetryRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> serving)
@@ -50,13 +51,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> serving)
     from .eventstore import EventStoreWriter
 
 
-def reject_non_finite(session_id: str, frames: np.ndarray) -> None:
-    """Every ``feed``'s ingress check: one NaN would otherwise poison
-    ``window`` frames of scores into silent ``flag=False`` verdicts."""
+def reject_non_finite(source: str, frames: np.ndarray) -> None:
+    """The ingress check of every scoring path, online (``feed``) and
+    offline (``process()``, ``BulkScorer.score``): one NaN would
+    otherwise poison ``window`` frames of scores into silent
+    ``flag=False`` verdicts.  ``source`` names the session or call."""
     if not np.isfinite(frames).all():
         raise DatasetError(
-            f"frames for session {session_id!r} contain non-finite "
-            f"values (NaN/Inf); batch rejected, session state unchanged"
+            f"frames for {source!r} contain non-finite values (NaN/Inf); "
+            f"rejected whole: nothing scored, no state changed"
         )
 
 
@@ -397,6 +400,7 @@ class MonitorService:
         self.stats = ServiceStats()
         self.event_store = event_store
         self.telemetry = TelemetryRegistry()
+        self.telemetry.label("numerics", numerics_fingerprint())
         self._sessions: dict[str, _Session] = {}
         self._free_slots: list[int] = list(range(max_sessions - 1, -1, -1))
         self._next_id = 0

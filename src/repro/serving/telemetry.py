@@ -6,7 +6,10 @@ Every serving layer keeps a :class:`TelemetryRegistry` of named
 alert latency (frame ingest → event emission) per tick; the sharded
 router adds fail-safe and dropped-log counters; the gateway surfaces
 the whole merged tree in ``gateway_stats()`` and therefore in the
-STATS wire reply.
+STATS wire reply.  A registry also carries string *labels* that name
+what produced the numbers (``numerics``: the arithmetic a service
+computes with); merging unions them, so a fleet whose members disagree
+shows every value.
 
 The design constraint is the process topology: worker shards live in
 other processes, so instruments must *merge* — :meth:`TelemetryRegistry.
@@ -101,6 +104,11 @@ class TelemetryRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._labels: dict[str, set[str]] = {}
+
+    def label(self, name: str, value: str) -> None:
+        """Add ``value`` to the named label's set of seen values."""
+        self._labels.setdefault(name, set()).add(value)
 
     def counter(self, name: str) -> Counter:
         """Get-or-create the named counter."""
@@ -134,10 +142,13 @@ class TelemetryRegistry:
                 }
                 for name, h in self._histograms.items()
             },
+            "labels": {name: sorted(v) for name, v in self._labels.items()},
         }
 
     def merge(self, snapshot: dict) -> None:
         """Fold one :meth:`snapshot` into this registry (additive)."""
+        for name, values in snapshot.get("labels", {}).items():
+            self._labels.setdefault(name, set()).update(values)
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(int(value))
         for name, state in snapshot.get("histograms", {}).items():

@@ -1,8 +1,9 @@
 """Tests for the inference backends (repro.nn.backends).
 
 The compiled plan's contract: float64 agreement with the reference
-backend within atol=1e-6 (folding the scaler and swapping einsum for
-BLAS moves results by ~1e-15, never more), float32 agreement at float32
+backend within atol=1e-6 (folding the scaler and handing BLAS whole
+batches instead of fixed-shape row blocks moves results by ~1e-15,
+never more), float32 agreement at float32
 resolution, and **zero array allocations** in a steady-state forward —
 every buffer preallocated at compile time and reused across calls.
 """

@@ -7,6 +7,14 @@ the same order**.  The formulas they replaced are transcribed here as
 oracles and compared with ``np.array_equal`` — no tolerance: the
 stream = process = service = K shards = replay contract rests on these
 bits, and on a row scoring the same alone as inside any batch.
+
+The oracles call the live ``contract(..., False)``: they pin everything
+*around* the contraction bit for bit.  The contraction itself moved from
+a sequential multiply-add chain (``einsum_contract``, kept here as the
+numeric oracle) to fixed-shape GEMMs; its own bit-level contract is
+``tests/nn/test_contract.py``, and the last section of this file bounds
+how far the new bits sit from the old ones and shows that no decision
+moved.
 """
 
 import numpy as np
@@ -21,6 +29,8 @@ from repro.kinematics.windows import StreamingWindow, StreamingWindowBatch
 from repro.nn.backends import CompiledBackend
 from repro.nn.backends.compiled import _LSTMOp, _sigmoid_inplace
 from repro.nn.layers.activations import sigmoid
+from repro.nn.layers.contract import contract
+from repro.serving import make_synthetic_monitor
 
 
 # ----------------------------------------------------------------------
@@ -35,7 +45,9 @@ def sigmoid_two_branch(x):
     return out
 
 
-def einsum_contract(a, w):
+def einsum_contract(a, w, training=False):
+    """The retired inference contraction: one sequential multiply-add
+    chain per output element.  A numeric oracle now, not a bit oracle."""
     return np.einsum("...j,jk->...k", a, w)
 
 
@@ -48,10 +60,10 @@ def lstm_contracting_zero_state(layer, x):
     h = np.zeros((batch, u))
     c = np.zeros((batch, u))
     hs = np.empty((batch, time_steps, u))
-    x_proj = einsum_contract(x.reshape(-1, features), wx)
+    x_proj = contract(x.reshape(-1, features), wx, False)
     x_proj = x_proj.reshape(batch, time_steps, 4 * u)
     for t in range(time_steps):
-        z = x_proj[:, t, :] + einsum_contract(h, wh) + b
+        z = x_proj[:, t, :] + contract(h, wh, False) + b
         i = sigmoid_two_branch(z[:, :u])
         f = sigmoid_two_branch(z[:, u : 2 * u])
         g = np.tanh(z[:, 2 * u : 3 * u])
@@ -71,7 +83,7 @@ def conv1d_np_pad(layer, x):
     idx = np.arange(out_time)[:, None] + np.arange(k)[None, :]
     columns = x_padded[:, idx, :].reshape(batch, out_time, k * channels)
     w_flat = layer.params["W"].reshape(k * channels, layer.filters)
-    return einsum_contract(columns, w_flat) + layer.params["b"]
+    return contract(columns, w_flat, False) + layer.params["b"]
 
 
 def predict_proba_oracle(model, x):
@@ -386,3 +398,78 @@ def test_compiled_lstm_step0_skip_is_exact(monkeypatch, dtype, window):
     expected = backend.predict_proba(windows).copy()
     assert got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
+
+
+# ----------------------------------------------------------------------
+# The contraction moved from a sequential chain to fixed-shape GEMMs:
+# how far the bits moved, and that no decision moved with them
+# ----------------------------------------------------------------------
+def assert_close_to_einsum(a, w):
+    """Stated bound: both sums carry at most ~K roundings of 2**-53
+    relative to sum(|a||w|); 1e-12 leaves two orders of headroom at the
+    largest K swept and none for a real defect (a dropped term is
+    ~1/K)."""
+    got, old = contract(a, w, False), einsum_contract(a, w)
+    k = w.shape[0]
+    bound = 1e-12 * max(1.0, k / 512) * (np.abs(a) @ np.abs(w)) + 1e-300
+    assert got.shape == old.shape and got.dtype == old.dtype
+    assert np.all(np.abs(got - old) <= bound)
+
+
+@given(
+    k=st.integers(1, 48),
+    n=st.integers(1, 48),
+    batch=st.sampled_from([1, 2, 7, 17, 64]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_contract_agrees_with_the_sequential_chain_small_shapes(k, n, batch, seed):
+    rng = np.random.default_rng(seed)
+    assert_close_to_einsum(
+        rng.standard_normal((batch, k)) * 3.0, rng.standard_normal((k, n)) * 0.3
+    )
+
+
+@pytest.mark.parametrize("k,n", [(38, 2048), (512, 2048), (512, 384), (96, 384), (1024, 16)])
+def test_contract_agrees_with_the_sequential_chain_paper_shapes(k, n):
+    rng = np.random.default_rng(k + n)
+    assert_close_to_einsum(rng.standard_normal((37, k)), rng.standard_normal((k, n)))
+
+
+DECISION_MONITORS = {
+    "conv": dict(n_features=6, seed=1),
+    "lstm": dict(n_features=6, seed=2, architecture="lstm", hidden=(7, 4)),
+    "stacked_lstm_strided": dict(
+        n_features=6, seed=3, architecture="lstm", hidden=(5,),
+        gesture_lstm_units=(12, 7), gesture_window=WindowConfig(6, 2),
+        error_window=WindowConfig(4, 3),
+    ),
+    "paper_widths": dict(seed=4, gesture_lstm_units=(512, 96), gesture_dense_units=64),
+}
+
+
+@pytest.mark.parametrize("name", DECISION_MONITORS)
+def test_decisions_equal_those_of_the_retired_contraction(monkeypatch, name):
+    """process() under the live contraction vs. under the retired one:
+    identical gestures, identical flags, scores within 1e-9."""
+    from repro.nn.layers import conv1d, dense, recurrent
+    from repro.serving import make_random_walk_trajectory
+
+    monitor = make_synthetic_monitor(**DECISION_MONITORS[name])
+    n_features = DECISION_MONITORS[name].get("n_features", 38)
+    n_frames = 60 if name == "paper_widths" else 240
+    trajectories = [
+        make_random_walk_trajectory(n_frames, n_features=n_features, seed=seed)
+        for seed in (10, 11, 12)
+    ]
+    new = [monitor.process(t) for t in trajectories]
+    for module in (dense, conv1d, recurrent):
+        monkeypatch.setattr(module, "contract", einsum_contract)
+    old = [monitor.process(t) for t in trajectories]
+    for a, b in zip(new, old):
+        assert np.array_equal(a.gestures, b.gestures)
+        assert np.array_equal(a.unsafe_flags, b.unsafe_flags)
+        assert np.max(np.abs(a.unsafe_scores - b.unsafe_scores)) <= 1e-9
+    # Not vacuous: the walks visit several contexts and both verdicts.
+    assert len(np.unique(np.concatenate([a.gestures for a in new]))) > 2
+    assert set(np.concatenate([a.unsafe_flags for a in new])) == {0, 1}
