@@ -235,6 +235,41 @@ class StreamingWindowBatch:
             shape ``(ready.sum(), window, n_features)`` with rows in
             ``stream_ids`` order, each window's frames in time order.
         """
+        ready, seen, ids = self._advance(frames, stream_ids)
+        window = self._config.window
+        ready_ids = ids[ready]
+        if ready_ids.size == 0:
+            return ready, np.empty((0, window, self._n_features))
+        # The oldest frame of stream s lives at ring slot seen[s] % window,
+        # so rotating the slot axis restores time order.
+        order = (seen[ready, None] + self._window_offsets) % window
+        return ready, self._buffer[ready_ids[:, None], order]
+
+    def advance(
+        self, frames: np.ndarray, stream_ids: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`push` without assembling the completed windows.
+
+        For a consumer that keeps its own running state per stream (a
+        :class:`~repro.nn.backends.stepper.StreamStepper`) and needs
+        from the ring only *when* a window completes and where each
+        stream stands.  Same arguments and ring update as :meth:`push`.
+
+        Returns
+        -------
+        ready, seen
+            The :meth:`push` readiness mask, and each pushed stream's
+            frame count including this frame, both aligned with
+            ``stream_ids``.
+        """
+        ready, seen, _ = self._advance(frames, stream_ids)
+        return ready, seen
+
+    def _advance(
+        self, frames: np.ndarray, stream_ids: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Store one frame per stream and update the emission counters;
+        returns ``(ready, seen, ids)`` (``ids`` validated)."""
         frames = np.asarray(frames, dtype=float)
         ids = self._check_ids(stream_ids)
         if frames.shape != (ids.size, self._n_features):
@@ -243,9 +278,6 @@ class StreamingWindowBatch:
                 f"got {frames.shape}"
             )
         window = self._config.window
-        if ids.size == 0:
-            return np.zeros(0, dtype=bool), np.empty((0, window, self._n_features))
-
         # Gather the pushed slots' counters once, advance them locally,
         # scatter them back once.
         seen = self._seen[ids]
@@ -258,20 +290,26 @@ class StreamingWindowBatch:
         since_emit[ready] = 0
         self._seen[ids] = seen
         self._since_emit[ids] = since_emit
-
-        ready_ids = ids[ready]
-        if ready_ids.size == 0:
-            return ready, np.empty((0, window, self._n_features))
-        # The oldest frame of stream s lives at ring slot seen[s] % window,
-        # so rotating the slot axis restores time order.
-        order = (seen[ready, None] + self._window_offsets) % window
-        return ready, self._buffer[ready_ids[:, None], order]
+        return ready, seen, ids
 
     def reset(self, stream_ids: np.ndarray | None = None) -> None:
         """Restore fresh-stream state for some (default: all) streams."""
         ids = self._check_ids(stream_ids)
         self._seen[ids] = 0
         self._since_emit[ids] = 0
+
+    def recent_frames(self, stream_id: int) -> tuple[np.ndarray, int]:
+        """One slot's retained frames in time order, and its frame count.
+
+        The last ``min(seen, window)`` frames the stream pushed (a
+        copy): everything the ring still knows about the stream's past,
+        which is what state derived from it is rebuilt from.
+        """
+        slot = self._check_ids(np.array([stream_id]))[0]
+        seen = int(self._seen[slot])
+        kept = min(seen, self._config.window)
+        order = np.arange(seen - kept, seen) % self._config.window
+        return self._buffer[slot, order], seen
 
     def export_slot(self, stream_id: int) -> WindowSlotState:
         """Snapshot one slot's complete ring state (a deep copy).

@@ -16,6 +16,7 @@ from .base import (
 )
 from .compiled import BULK_MAX_BATCH, CompiledBackend
 from .reference import ReferenceBackend
+from .stepper import StreamStepper
 
 __all__ = [
     "BACKEND_NAMES",
@@ -24,6 +25,7 @@ __all__ = [
     "DEFAULT_BACKEND",
     "InferenceBackend",
     "ReferenceBackend",
+    "StreamStepper",
     "make_backend",
     "validate_backend_name",
 ]

@@ -1,8 +1,8 @@
 """The inference-backend protocol behind the serving tick engine.
 
 Every model invocation on the serving hot path — the gesture stage's
-``predict`` and each error classifier's ``predict_proba`` inside
-:meth:`repro.serving.MonitorService.tick` — goes through an
+step (or ``predict``) and each error classifier's ``predict_proba``
+inside :meth:`repro.serving.MonitorService.tick` — goes through an
 :class:`InferenceBackend` bound to one trained ``(scaler, model)`` pair.
 Two implementations exist:
 
@@ -20,6 +20,13 @@ Two implementations exist:
   and lets BLAS see the whole batch, giving up the reference
   contraction's batch-invariant bits for zero-allocation throughput).
 
+The gesture stage does not score windows at all when it can avoid it:
+a backend whose model leads with an LSTM stack hands out a
+:class:`~repro.nn.backends.stepper.StreamStepper`
+(:meth:`InferenceBackend.stream_stepper`) that advances every in-flight
+window of every stream one LSTM step per frame — the same arithmetic,
+under ``reference`` the same bits, a fraction of the contractions.
+
 Backends hold per-call scratch state and are **not** thread-safe; a
 :class:`~repro.serving.MonitorService` owns one backend per model and
 ticks from a single thread (one per worker process when sharded).
@@ -29,9 +36,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...config import WindowConfig
 from ...errors import ConfigurationError
 from ..model import Sequential
 from ..preprocessing import StandardScaler
+from .stepper import StreamStepper
 
 #: Names accepted wherever a backend choice is wired through the serving
 #: stack (``MonitorService``, ``SafetyMonitor.stream``,
@@ -73,6 +82,27 @@ class InferenceBackend:
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Hard predictions: argmax (multi-class) or 0.5 threshold."""
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Streaming (repro.serving.MonitorService's gesture stage)
+    # ------------------------------------------------------------------
+    def stream_stepper(
+        self, config: WindowConfig, n_slots: int
+    ) -> StreamStepper | None:
+        """Chain state for scoring ``n_slots`` streams a frame at a time.
+
+        For a model that leads with an LSTM stack
+        (:func:`~repro.nn.layers.recurrent.leading_lstm_stack`), a
+        :class:`~repro.nn.backends.stepper.StreamStepper` that advances
+        every in-flight window of a stream one LSTM step per frame and
+        yields what :meth:`predict_proba` yields on the completed
+        windows (to the backend's own contract: the same bytes under
+        ``reference``, ``atol=1e-6`` under ``compiled``).  ``None`` for
+        any other model: the caller assembles windows and calls
+        :meth:`predict`.  The choice is read from the model's layers
+        and nothing else.  Each call returns a new, zeroed stepper.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # Bulk offline scoring (repro.serving.bulk)

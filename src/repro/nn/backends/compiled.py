@@ -27,6 +27,13 @@ shape and a fixed maximum batch (the serving engine's ``max_sessions``):
 - **Fused LSTM steps** — each timestep computes all four gates in one
   preallocated ``(batch, 4·units)`` buffer with in-place
   sigmoid/tanh; the input projection for all timesteps is one matmul.
+- **Stream stepping** — for a model that leads with an LSTM stack
+  (the gesture classifier), :meth:`CompiledBackend.stream_stepper`
+  steps the same ops one frame at a time over every in-flight window
+  of every stream (:mod:`repro.nn.backends.stepper`): one recurrent
+  GEMM per layer per pass over ``(window - 1) x streams`` rows where
+  the windowed forward issues ``window - 1`` over ``streams`` rows.
+  One gate arithmetic (:meth:`_LSTMOp._step`) serves both.
 - **Optional float32** — ``dtype=np.float32`` stores weights and
   scratch at half the memory bandwidth.  Probabilities then match the
   reference to ~1e-6 relative rather than 1e-12; see
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...config import WindowConfig
 from ...errors import ConfigurationError, NotFittedError, ShapeError
 from ..layers.activations import ReLU, Sigmoid, Tanh
 from ..layers.conv1d import Conv1D
@@ -50,11 +58,12 @@ from ..layers.dense import Dense
 from ..layers.dropout import Dropout
 from ..layers.normalization import BatchNorm
 from ..layers.pooling import Flatten, GlobalAveragePool1D, MaxPool1D
-from ..layers.recurrent import LSTM
+from ..layers.recurrent import LSTM, leading_lstm_stack
 from ..losses import SigmoidBinaryCrossEntropy, SoftmaxCrossEntropy
 from ..model import Sequential
 from ..preprocessing import StandardScaler
 from .base import InferenceBackend
+from .stepper import StreamStepper
 
 #: Scratch ceiling of a bulk plan, in windows.  A whole recorded
 #: procedure is scored in slabs of at most this many windows — still one
@@ -226,12 +235,16 @@ class _LSTMOp(_Op):
         self.wh = np.ascontiguousarray(wh, dtype=dtype)
         self.b = _tile(bias, (max_batch, 4 * u), dtype)
         self.xproj = alloc((max_batch, in_time, 4 * u), dtype)
+        # Two blocks of storage serve a step's four intermediates, each
+        # dead before its partner is written (see :meth:`_step`): the
+        # recurrent product is added into z before the gates are staged
+        # over it, and z is spent once they are, so tmp reuses its head.
         self.z = alloc((max_batch, 4 * u), dtype)
         self.hh = alloc((max_batch, 4 * u), dtype)
-        self.gates = [alloc((max_batch, u), dtype) for _ in range(4)]
+        self.gates = list(self.hh.reshape(4, max_batch, u))
+        self.tmp = self.z.reshape(4, max_batch, u)[0]
         self.h = alloc((max_batch, u), dtype)
         self.c = alloc((max_batch, u), dtype)
-        self.tmp = alloc((max_batch, u), dtype)
         self.hs = (
             alloc((max_batch, in_time, u), dtype) if self.return_sequences else None
         )
@@ -240,40 +253,69 @@ class _LSTMOp(_Op):
         u, t = self.u, self.t
         xp = self.xproj[:n]
         np.matmul(x.reshape(n * t, -1), self.wx, out=xp.reshape(n * t, 4 * u))
-        h, c, z, hh, tmp = self.h[:n], self.c[:n], self.z[:n], self.hh[:n], self.tmp[:n]
-        gate_i, gate_f, gate_g, gate_o = (g[:n] for g in self.gates)
-        bias = self.b[:n]
-        h.fill(0.0)
-        c.fill(0.0)
+        z = self.z[:n]
+        self.c[:n].fill(0.0)
         hs = self.hs[:n] if self.hs is not None else None
         for step in range(t):
-            if step:
-                np.matmul(h, self.wh, out=hh)
-            else:
-                # The initial state is all zeros, so for finite weights
-                # h @ wh is exactly +0.0 everywhere: write it, skip the GEMM.
-                hh.fill(0.0)
             z[...] = xp[:, step, :]
-            z += hh
-            z += bias
-            # Column blocks of z are strided; staging them into the
-            # contiguous gate buffers keeps the activations buffer-free.
-            gate_i[...] = z[:, :u]
-            gate_f[...] = z[:, u : 2 * u]
-            gate_g[...] = z[:, 2 * u : 3 * u]
-            gate_o[...] = z[:, 3 * u :]
-            _sigmoid_inplace(gate_i)
-            _sigmoid_inplace(gate_f)
-            np.tanh(gate_g, out=gate_g)
-            _sigmoid_inplace(gate_o)
-            np.multiply(gate_i, gate_g, out=tmp)
-            np.multiply(c, gate_f, out=c)
-            c += tmp
-            np.tanh(c, out=tmp)
-            np.multiply(gate_o, tmp, out=h)
+            # The initial state is all zeros: at step 0 no row carries
+            # state, so the recurrent GEMM is skipped.
+            self._step(n, n if step else 0)
             if hs is not None:
-                hs[:, step, :] = h
-        return hs if hs is not None else h
+                hs[:, step, :] = self.h[:n]
+        return hs if hs is not None else self.h[:n]
+
+    def _step(self, n, n_recurrent):
+        """One time step on the first ``n`` scratch rows, in place.
+
+        On entry ``z`` holds the rows' input projection, ``c`` their
+        cell state and the first ``n_recurrent`` rows of ``h`` the
+        hidden state to carry in; rows past ``n_recurrent`` step from
+        the zero state, where for finite weights ``h @ wh`` is exactly
+        ``+0.0`` everywhere: write it, keep them out of the GEMM.  On
+        exit ``h`` and ``c`` hold the new state.  The one place the
+        plan's gate arithmetic is written: :meth:`run` calls it per
+        time step of a batch of windows, the stream stepper per frame
+        on the in-flight chains of many streams.
+        """
+        u = self.u
+        z, hh, tmp = self.z[:n], self.hh[:n], self.tmp[:n]
+        h, c = self.h[:n], self.c[:n]
+        gate_i, gate_f, gate_g, gate_o = (g[:n] for g in self.gates)
+        if n_recurrent:
+            np.matmul(h[:n_recurrent], self.wh, out=hh[:n_recurrent])
+        hh[n_recurrent:].fill(0.0)
+        z += hh
+        z += self.b[:n]
+        # Column blocks of z are strided; staging them into the
+        # contiguous gate buffers keeps the activations buffer-free.
+        gate_i[...] = z[:, :u]
+        gate_f[...] = z[:, u : 2 * u]
+        gate_g[...] = z[:, 2 * u : 3 * u]
+        gate_o[...] = z[:, 3 * u :]
+        _sigmoid_inplace(gate_i)
+        _sigmoid_inplace(gate_f)
+        np.tanh(gate_g, out=gate_g)
+        _sigmoid_inplace(gate_o)
+        np.multiply(gate_i, gate_g, out=tmp)
+        np.multiply(c, gate_f, out=c)
+        c += tmp
+        np.tanh(c, out=tmp)
+        np.multiply(gate_o, tmp, out=h)
+
+    def single_step_twin(self, rows, alloc) -> "_LSTMOp":
+        """The same weights over scratch for ``rows`` one-step rows."""
+        return _LSTMOp(
+            self.wx,
+            self.wh,
+            self.b[0],
+            self.u,
+            False,
+            (1, self.wx.shape[0]),
+            rows,
+            self.wx.dtype,
+            alloc,
+        )
 
 
 class _ScaleShiftOp(_Op):
@@ -699,7 +741,10 @@ class CompiledBackend(InferenceBackend):
         return out
 
     def _predict_batch(self, x: np.ndarray, n: int) -> np.ndarray:
-        probs = self._forward(x, n)
+        return self._decide(self._forward(x, n), n)
+
+    def _decide(self, probs: np.ndarray, n: int) -> np.ndarray:
+        """Hard predictions of ``n <= max_batch`` rows, into scratch."""
         if self._multiclass:
             assert self._cls is not None
             cls = self._cls[:n]
@@ -709,3 +754,91 @@ class CompiledBackend(InferenceBackend):
         flags = self._flags[:n]
         np.greater_equal(probs.reshape(n, -1)[:, 0], 0.5, out=flags)
         return flags
+
+    # ------------------------------------------------------------------
+    # Streaming
+    # ------------------------------------------------------------------
+    def stream_stepper(
+        self, config: WindowConfig, n_slots: int
+    ) -> "_CompiledStepper | None":
+        n_lstm = len(leading_lstm_stack(self._source[1].layers))
+        if not n_lstm:
+            return None
+        # Only an input-staging op can precede the first layer's op.
+        first = next(i for i, op in enumerate(self._ops) if isinstance(op, _LSTMOp))
+        return _CompiledStepper(self, first, first + n_lstm, config, n_slots)
+
+
+class _CompiledStepper(StreamStepper):
+    """The plan's LSTM ops, one time step per frame, on their own scratch.
+
+    Each op of the leading stack gets a single-step twin (same folded
+    weights, buffers sized to one pass of chain rows rather than to a
+    batch of whole windows), so BLAS sees every carried chain of the
+    pass in one recurrent GEMM.  The rest of the plan runs unchanged on
+    the completed chains.  Steady-state stepping allocates index arrays
+    only.
+    """
+
+    def __init__(self, backend, first, stop, config, n_slots) -> None:
+        if n_slots > backend.max_batch:
+            raise ConfigurationError(
+                f"a compiled plan sized for {backend.max_batch} rows cannot "
+                f"step {n_slots} stream slots"
+            )
+        stack = backend._ops[first:stop]
+        super().__init__(
+            [op.u for op in stack], backend.prob_shape, config, n_slots, backend.dtype
+        )
+        slots_per_pass = min(self.group, self.n_slots)
+        self._ops = [
+            op.single_step_twin(slots_per_pass * self.n_chains, np.empty)
+            for op in stack
+        ]
+        self._tail = backend._ops[stop:]
+        self._plan_decide = backend._decide
+        # Float32 plans stage the frames so the projection runs at the
+        # plan dtype (what the plan's own input op does for windows).
+        self._staged = (
+            np.empty((slots_per_pass, stack[0].wx.shape[0]), backend.dtype)
+            if backend.dtype != np.float64
+            else None
+        )
+        self._done = np.empty((self.n_slots, stack[-1].u), backend.dtype)
+
+    def _advance(self, frames, frame_rows, state_rows, n_recurrent) -> None:
+        n = state_rows.shape[0]
+        carried = state_rows[:n_recurrent]
+        if self._staged is not None:
+            staged = self._staged[: frames.shape[0]]
+            staged[...] = frames
+            frames = staged
+        below = None
+        for op, h_state, c_state in zip(self._ops, self._h, self._c):
+            if below is None:
+                # The first layer's projection depends on the frame
+                # only: once per frame, shared by the frame's chains.
+                projected = op.xproj[: frames.shape[0], 0]
+                np.matmul(frames, op.wx, out=projected)
+                np.take(projected, frame_rows, axis=0, out=op.z[:n], mode="clip")
+            else:
+                np.matmul(below.h[:n], op.wx, out=op.z[:n])
+            np.take(h_state, carried, axis=0, out=op.h[:n_recurrent], mode="clip")
+            np.take(c_state, state_rows, axis=0, out=op.c[:n], mode="clip")
+            op.c[n_recurrent:n].fill(0.0)
+            op._step(n, n_recurrent)
+            h_state[state_rows] = op.h[:n]
+            c_state[state_rows] = op.c[:n]
+            below = op
+
+    def _head(self, state_rows) -> np.ndarray:
+        n = state_rows.shape[0]
+        out = self._done[:n]
+        np.take(self._h[-1], state_rows, axis=0, out=out, mode="clip")
+        for op in self._tail:
+            out = op.run(out, n)
+        return out
+
+    def _decide(self, probs) -> np.ndarray:
+        n = probs.shape[0]
+        return self._plan_decide(probs, n) if n else np.empty(0, dtype=np.int64)

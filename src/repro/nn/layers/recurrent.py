@@ -145,10 +145,13 @@ class LSTM(Layer):
           pre-activation, so one ``sigmoid`` call covers both.
         - the ``(batch, time, units)`` sequence buffer exists only when
           the sequence is what the layer returns.
+
+        Everything after the pre-activation sum is :meth:`_step`, which
+        the stream steppers of :mod:`repro.nn.backends` call too.
         """
         batch, time_steps, features = x.shape
         u = self.units
-        wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
+        wx, wh = self.params["Wx"], self.params["Wh"]
         x_proj = contract(x.reshape(-1, features), wx, False)
         x_proj = x_proj.reshape(batch, time_steps, 4 * u)
         hs = np.empty((batch, time_steps, u)) if self.return_sequences else None
@@ -157,21 +160,37 @@ class LSTM(Layer):
         c = np.zeros((batch, u))
         for t in range(time_steps):
             recurrent = contract(h, wh, False) if t else 0.0
-            z = x_proj[:, t, :] + recurrent
-            z += b
-            i_f = sigmoid(z[:, : 2 * u])
-            g = np.tanh(z[:, 2 * u : 3 * u])
-            o = sigmoid(z[:, 3 * u :])
-            # c = f * c + i * g and h = o * tanh(c), written into the
-            # arrays this step already owns.
-            c *= i_f[:, u:]
-            g *= i_f[:, :u]
-            c += g
-            h = np.tanh(c)
-            h *= o
+            h = self._step(x_proj[:, t, :] + recurrent, c)
             if hs is not None:
                 hs[:, t, :] = h
         return h if hs is None else hs
+
+    def _step(self, z: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """One inference time step: the gate arithmetic, written once.
+
+        ``z`` is ``(rows, 4 * units)``, input projection plus recurrent
+        term (``+0.0`` for a row stepping from the zero state), owned
+        by the caller and consumed; ``c`` is the rows' cell state,
+        updated in place.  Returns the new hidden state.  Every
+        operation is element-wise, so a row's bits depend on its own
+        ``z`` and ``c`` only — which rows share the call is free, and
+        both the windowed loop above (a batch of windows at one time
+        step) and a stream stepper (the in-flight chains of many
+        streams at one frame) are callers.
+        """
+        u = self.units
+        z += self.params["b"]
+        i_f = sigmoid(z[:, : 2 * u])
+        g = np.tanh(z[:, 2 * u : 3 * u])
+        o = sigmoid(z[:, 3 * u :])
+        # c = f * c + i * g and h = o * tanh(c), written into the
+        # arrays this step already owns.
+        c *= i_f[:, u:]
+        g *= i_f[:, :u]
+        c += g
+        h = np.tanh(c)
+        h *= o
+        return h
 
     # ------------------------------------------------------------------
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -252,3 +271,23 @@ class LSTM(Layer):
 
     def get_config(self) -> dict:
         return {"units": self.units, "return_sequences": self.return_sequences}
+
+
+def leading_lstm_stack(layers: list[Layer]) -> list[LSTM]:
+    """The LSTM layers a model leads with, when together they reduce a
+    window to its final hidden state: every one but the last returns
+    its sequence, the last only its final state.  Empty otherwise.
+
+    That shape is what a stream stepper needs — the rest of the model
+    sees one ``(units,)`` vector per window, so a window's chain of
+    steps can be advanced a frame at a time and handed over when it is
+    complete.  The gesture classifier always has it.
+    """
+    stack: list[LSTM] = []
+    for layer in layers:
+        if not isinstance(layer, LSTM):
+            break
+        stack.append(layer)
+        if not layer.return_sequences:
+            return stack
+    return []

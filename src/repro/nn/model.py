@@ -14,6 +14,13 @@ from .losses import Loss
 from .optimizers import Optimizer
 
 
+def hard_predictions(probs: np.ndarray) -> np.ndarray:
+    """Argmax for multi-class probabilities, 0.5 threshold for binary."""
+    if probs.ndim == 2 and probs.shape[1] > 1:
+        return probs.argmax(axis=1)
+    return (probs.reshape(-1) >= 0.5).astype(int)
+
+
 class Sequential:
     """A linear stack of layers (Keras-style).
 
@@ -134,10 +141,7 @@ class Sequential:
 
     def predict(self, x: np.ndarray, batch_size: int = 512) -> np.ndarray:
         """Hard predictions: argmax for multi-class, 0.5 threshold for binary."""
-        probs = self.predict_proba(x, batch_size=batch_size)
-        if probs.ndim == 2 and probs.shape[1] > 1:
-            return probs.argmax(axis=1)
-        return (probs.reshape(-1) >= 0.5).astype(int)
+        return hard_predictions(self.predict_proba(x, batch_size=batch_size))
 
     # ------------------------------------------------------------------
     # Training

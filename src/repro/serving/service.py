@@ -6,10 +6,16 @@ offline replay.  :class:`MonitorService` manages N concurrent trajectory
 sessions (open / feed / close lifecycle) against a single trained
 :class:`~repro.core.pipeline.SafetyMonitor`.  Each :meth:`MonitorService.tick`
 advances every session with pending frames by one frame and runs each
-pipeline stage **once** on the windows that became ready across all
-sessions — one model invocation per stage per tick, instead of one per
-stream — via the ring-buffered
-:class:`~repro.kinematics.windows.StreamingWindowBatch`.
+pipeline stage **once** across all sessions — one model invocation per
+stage per tick, instead of one per stream — via the ring-buffered
+:class:`~repro.kinematics.windows.StreamingWindowBatch`.  The gesture
+stage does not re-run its LSTM over each completed window: it keeps
+every session's in-flight windows as chains of LSTM state and advances
+them one step per frame (:mod:`repro.nn.backends.stepper`), which is
+the same arithmetic on every element and, under the reference backend,
+the same bits.  Chains are derived from the gesture ring — rebuilt at
+:meth:`MonitorService.import_session` and when the gesture model is
+rebound — and are no part of a session's exported state.
 
 Model invocations go through a pluggable
 :class:`~repro.nn.backends.InferenceBackend` (the ``backend``
@@ -40,6 +46,7 @@ from ..kinematics.windows import StreamingWindowBatch, WindowSlotState
 from ..nn.backends import (
     DEFAULT_BACKEND,
     InferenceBackend,
+    StreamStepper,
     make_backend,
     validate_backend_name,
 )
@@ -419,6 +426,10 @@ class MonitorService:
         #: the backend was built from — fit() rebinds ``.model`` to a new
         #: object, so identity is the retrain signal.
         self._gesture_backend: tuple[object, InferenceBackend] | None = None
+        #: The gesture backend's stream stepper; ``None`` when its model
+        #: does not lead with an LSTM stack (the tick then scores the
+        #: ring's windows).  Replaced whenever the backend is.
+        self._gesture_stepper: StreamStepper | None = None
         self._error_backends: dict[Gesture, tuple[object, InferenceBackend]] = {}
         self._build_backends()
 
@@ -434,9 +445,7 @@ class MonitorService:
 
     def _build_backends(self) -> None:
         """Compile every already-trained stage's backend up front."""
-        classifier = self.monitor.gesture_classifier
-        if classifier.model is not None:
-            self._gesture_backend = (classifier.model, self._make_backend(classifier))
+        self._gesture_backend_or_none()
         for gesture, clf in self.monitor.library.classifiers.items():
             if clf.model is not None:
                 self._error_backends[gesture] = (clf.model, self._make_backend(clf))
@@ -450,15 +459,39 @@ class MonitorService:
         all-safe, and a *retrained* stage (``fit`` rebinds ``.model`` to
         a new object) must not keep serving stale weights.  Both are
         caught here by comparing model identity.
+
+        A new backend brings a new :attr:`_gesture_stepper`: a model
+        that leads with an LSTM stack is served one LSTM step per frame
+        (:mod:`repro.nn.backends.stepper`), any other by scoring the
+        ring's windows, and the ``gesture_path`` telemetry label says
+        which.  A stepper's chains are derived from the gesture ring,
+        so a new one starts from the ring's view of every open session.
         """
         classifier = self.monitor.gesture_classifier
         model = classifier.model
         if model is None:
-            self._gesture_backend = None
+            self._gesture_backend = self._gesture_stepper = None
             return None
         if self._gesture_backend is None or self._gesture_backend[0] is not model:
-            self._gesture_backend = (model, self._make_backend(classifier))
+            backend = self._make_backend(classifier)
+            self._gesture_backend = (model, backend)
+            self._gesture_stepper = backend.stream_stepper(
+                classifier.config.window, self.max_sessions
+            )
+            self.telemetry.label(
+                "gesture_path",
+                "windowed" if self._gesture_stepper is None else "stepped",
+            )
+            for session in self._sessions.values():
+                self._rebuild_chains(session.slot)
         return self._gesture_backend[1]
+
+    def _rebuild_chains(self, slot: int) -> None:
+        """Recompute one slot's gesture chains from its ring frames."""
+        if self._gesture_stepper is not None and self._gesture_batch is not None:
+            self._gesture_stepper.rebuild(
+                slot, *self._gesture_batch.recent_frames(slot)
+            )
 
     def _error_backend_or_none(
         self, gesture: Gesture
@@ -554,6 +587,8 @@ class MonitorService:
             self._gesture_batch.reset(np.array([slot]))
         if self._error_batch is not None:
             self._error_batch.reset(np.array([slot]))
+        if self._gesture_stepper is not None:
+            self._gesture_stepper.reset(np.array([slot]))
         return session_id
 
     def feed(self, session_id: str, frames: np.ndarray) -> None:
@@ -727,6 +762,7 @@ class MonitorService:
         except ShapeError:
             self._free_slots.append(slot)
             raise
+        self._rebuild_chains(slot)
         session = _Session(state.session_id, slot, state.record_timeline)
         session.frames_done = int(state.frames_done)
         session.gestures = [int(g) for g in state.gestures]
@@ -749,10 +785,13 @@ class MonitorService:
     def tick(self) -> list[SessionEvent]:
         """Advance every session with pending input by one frame.
 
-        Runs the gesture stage **once** over all gesture windows that
-        became ready this tick, then the error stage once per distinct
-        active gesture over the ready error windows — one model forward
-        per stage per tick, regardless of how many sessions advanced.
+        Runs the gesture stage **once** — one LSTM step of every
+        in-flight window chain of every advanced session, the completed
+        chains handed to the rest of the model (a gesture model that
+        does not lead with an LSTM stack scores the ready windows
+        instead) — then the error stage once per distinct active
+        gesture over the ready error windows: one model invocation per
+        stage per tick, regardless of how many sessions advanced.
         The advanced slots and their popped frames are staged in
         preallocated scratch (no per-tick slot/stack arrays).
 
@@ -790,10 +829,15 @@ class MonitorService:
             assert self._g_frames_scratch is not None
             g_frames = self._g_frames_scratch[:n_active]
             np.take(frames, self._feature_idx, axis=1, out=g_frames)
-        g_ready, g_windows = self._gesture_batch.push(g_frames, slots)
-        if g_ready.any():
-            gesture_backend = self._gesture_backend_or_none()
-            if gesture_backend is not None:
+        gesture_backend = self._gesture_backend_or_none()
+        if self._gesture_stepper is not None:
+            g_ready, g_seen = self._gesture_batch.advance(g_frames, slots)
+            self._current_gesture[slots[g_ready]] = (
+                self._gesture_stepper.step(g_frames, slots, g_seen, g_ready) + 1
+            )
+        else:
+            g_ready, g_windows = self._gesture_batch.push(g_frames, slots)
+            if gesture_backend is not None and g_ready.any():
                 self._current_gesture[slots[g_ready]] = (
                     gesture_backend.predict(g_windows) + 1
                 )

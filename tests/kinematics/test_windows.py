@@ -288,3 +288,41 @@ class TestStreamingWindowBatch:
         windows[0, 0, 0] = 99.0
         _, again = batch.push(np.array([[3.0]]))
         assert np.array_equal(again[0].ravel(), [2.0, 3.0])
+
+    @pytest.mark.parametrize("window,stride", [(4, 1), (3, 2), (2, 5), (1, 1)])
+    def test_advance_is_push_without_the_windows(self, window, stride):
+        """Same ring update, same readiness mask; plus where each pushed
+        stream stands, for a consumer that keeps its own running state."""
+        config = WindowConfig(window, stride)
+        pushed = StreamingWindowBatch(config, n_streams=3, n_features=2)
+        advanced = StreamingWindowBatch(config, n_streams=3, n_features=2)
+        rng = np.random.default_rng(0)
+        for step in range(14):
+            ids = np.array([[0, 1, 2], [2, 0], [1]][step % 3])
+            frames = rng.standard_normal((ids.size, 2))
+            ready, _ = pushed.push(frames, ids)
+            got_ready, seen = advanced.advance(frames, ids)
+            assert np.array_equal(got_ready, ready)
+            assert np.array_equal(seen, pushed.frames_seen[ids])
+            for slot in range(3):
+                assert np.array_equal(
+                    advanced.export_slot(slot).buffer, pushed.export_slot(slot).buffer
+                )
+        with pytest.raises(ShapeError):
+            advanced.advance(np.ones((2, 2)), [1, 1])
+
+    def test_recent_frames_are_the_ring_in_time_order(self):
+        batch = StreamingWindowBatch(WindowConfig(3, 1), n_streams=2, n_features=2)
+        frames = ramp_frames(8)
+        kept, seen = batch.recent_frames(1)
+        assert kept.shape == (0, 2) and seen == 0
+        for t in range(8):
+            batch.push(frames[t][None, :], [1])
+            kept, seen = batch.recent_frames(1)
+            assert seen == t + 1
+            assert np.array_equal(kept, frames[max(0, t - 2) : t + 1])
+        kept[...] = -1.0  # a copy: the ring is untouched
+        assert np.array_equal(batch.recent_frames(1)[0], frames[5:8])
+        assert batch.recent_frames(0)[1] == 0
+        with pytest.raises(ShapeError):
+            batch.recent_frames(2)

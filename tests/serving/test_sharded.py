@@ -12,6 +12,7 @@ import os
 import signal
 import time
 from multiprocessing import shared_memory
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from repro.serving import (
     AsyncShardedMonitor,
     MonitorService,
     ServiceStats,
+    SessionEvent,
     ShardedMonitorService,
     make_random_walk_trajectory,
     make_synthetic_monitor,
     suggest_shard_count,
 )
+from repro.serving.shm import EVENT_DTYPE
 
 N_FEATURES = 10
 
@@ -129,6 +132,55 @@ class TestShardedParity:
                     scores.append(score)
                 assert np.array_equal(result.gestures, np.asarray(gestures))
                 assert np.array_equal(result.unsafe_scores, np.asarray(scores))
+
+
+class TestEventRecordDecode:
+    """The router turns a shard's packed event record back into
+    ``SessionEvent`` objects column by column; the row-by-row decode it
+    replaced is the oracle."""
+
+    @staticmethod
+    def decode_by_row(handle, batch):
+        events = []
+        for row in batch:
+            session_id = handle.routes.get(int(row["route"]))
+            if session_id is None:
+                continue
+            events.append(
+                SessionEvent(
+                    session_id=session_id,
+                    frame_index=int(row["frame"]),
+                    gesture=int(row["gesture"]),
+                    score=float(row["score"]),
+                    flag=bool(int(row["flags"]) & 1),
+                    latency_us=float(row["latency_us"]),
+                )
+            )
+        return events
+
+    def test_column_decode_equals_row_decode(self, caplog):
+        handle = SimpleNamespace(index=3, routes={7: "proc-a", 2**40: "proc-b"})
+        batch = np.array(
+            [
+                (7, 0, 4, 0.75, 1, 12.5),  # flagged
+                (2**40, 2**33, 0, 0.0, 0, 0.0),  # unflagged, wide ids
+                (9, 5, 1, 0.5, 1, 1.0),  # a route the router does not know
+                (7, 1, 15, np.nextafter(0.5, 0.0), 2, 3.25),  # only bit 0 is the flag
+                (7, 2, 3, 1.0, 3, 1e9),
+            ],
+            dtype=EVENT_DTYPE,
+        )
+        with caplog.at_level("WARNING", logger="repro.serving.sharded"):
+            got = ShardedMonitorService._decode_event_batch(handle, batch)
+        expected = self.decode_by_row(handle, batch)
+        assert len(got) == 4 and got == expected
+        for event, want in zip(got, expected):
+            for name in ("session_id", "frame_index", "gesture", "score", "flag", "latency_us"):
+                assert type(getattr(event, name)) is type(getattr(want, name))
+                assert getattr(event, name) == getattr(want, name)
+        assert [e.flag for e in got] == [True, False, False, True]
+        assert "shard 3 emitted an event for unknown route 9" in caplog.text
+        assert ShardedMonitorService._decode_event_batch(handle, batch[:0]) == []
 
 
 class TestBackendSelection:
