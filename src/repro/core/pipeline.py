@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import MonitorConfig
-from ..errors import ConfigurationError, NotFittedError
+from ..errors import NotFittedError
 from ..gestures.vocabulary import Gesture
 from ..kinematics.trajectory import Trajectory
 from ..kinematics.windows import sliding_windows_view
@@ -45,7 +45,7 @@ class MonitorOutput:
         Thresholded binary decisions per frame.
     gesture_ms / error_ms:
         Mean per-window inference latency of each stage.  Under the bulk
-        engine (``process(bulk=True)`` / :mod:`repro.serving.bulk`) each
+        engine (:class:`repro.serving.bulk.BulkScorer`) each
         stage runs as one fused batch, so these are **amortised** values
         (stage wall-clock divided by window count) rather than observed
         per-window latencies; ``compute_ms`` stays comparable across
@@ -88,12 +88,7 @@ class SafetyMonitor:
 
     # ------------------------------------------------------------------
     def process(
-        self,
-        trajectory: Trajectory,
-        use_true_gestures: bool = False,
-        *,
-        bulk: bool = False,
-        backend: str | None = None,
+        self, trajectory: Trajectory, use_true_gestures: bool = False
     ) -> MonitorOutput:
         """Run the full pipeline over one demonstration (batched).
 
@@ -101,31 +96,13 @@ class SafetyMonitor:
         annotated gesture labels select the error classifiers — the
         paper's "perfect gesture boundaries" upper bound.
 
-        ``bulk=True`` routes the call through the bulk offline scoring
-        engine (:class:`repro.serving.bulk.BulkScorer`): every window is
-        materialised as a zero-copy strided view and each stage runs as
-        one fused batch through the selected inference ``backend``
-        (default ``"reference"``, which is bit-identical to the looped
-        path — see the parity contract in :mod:`repro.serving.bulk`).
-        Scorers are cached on the monitor per backend name, so repeated
-        bulk calls reuse compiled plans.  ``backend`` is only meaningful
-        with ``bulk=True``; passing it otherwise raises, rather than
-        silently ignoring it.
+        This is the looped reference path: one model call per gesture
+        group, always the reference float operations.  Sweeps over many
+        procedures, and any other inference backend, go through
+        :class:`repro.serving.bulk.BulkScorer`, whose ``reference``
+        output is bit-identical to this method's (the parity contract
+        in :mod:`repro.serving.bulk`).
         """
-        if backend is not None and not bulk:
-            raise ConfigurationError(
-                "backend selection requires bulk=True; the looped path "
-                "always runs the reference float operations"
-            )
-        if bulk:
-            from ..serving.bulk import BulkScorer
-
-            name = backend if backend is not None else "reference"
-            scorers = self.__dict__.setdefault("_bulk_scorers", {})
-            scorer = scorers.get(name)
-            if scorer is None:
-                scorer = scorers[name] = BulkScorer(self, backend=name)
-            return scorer.score(trajectory, use_true_gestures)
         from ..serving.service import reject_non_finite
 
         reject_non_finite("process()", trajectory.frames)

@@ -29,6 +29,7 @@ from ..faults.outcomes import gesture_error_labels
 from ..jigsaws.dataset import Demonstration, SurgicalDataset
 from ..jigsaws.synthesis import make_suturing_dataset
 from ..kinematics.trajectory import Trajectory
+from ..serving.bulk import BulkScorer
 from ..simulation.physics import PhysicsOutcome
 
 
@@ -285,24 +286,18 @@ def trajectories_with_outputs(
     monitor: SafetyMonitor,
     dataset: SurgicalDataset,
     use_true_gestures: bool = False,
-    bulk: bool = True,
     backend: str = "reference",
 ) -> list[tuple[Trajectory, "object"]]:
     """Run the monitor over every demonstration of a dataset.
 
-    Scoring goes through the bulk offline engine by default (one fused
-    batch per pipeline stage per demonstration — see
-    :mod:`repro.serving.bulk`); with the default ``"reference"`` backend
-    the outputs are bit-identical to the looped ``process()``
-    (``bulk=False``), so every table/figure number is unchanged.
+    Scoring goes through one :class:`~repro.serving.bulk.BulkScorer`
+    (one fused batch per pipeline stage per demonstration); with the
+    default ``"reference"`` backend the outputs are bit-identical to
+    the looped ``process()``, so every table/figure number is the one
+    that path would print.
     """
-    pairs = []
-    for demo in dataset.demonstrations:
-        output = monitor.process(
-            demo.trajectory,
-            use_true_gestures=use_true_gestures,
-            bulk=bulk,
-            backend=backend if bulk else None,
-        )
-        pairs.append((demo.trajectory, output))
-    return pairs
+    trajectories = [demo.trajectory for demo in dataset.demonstrations]
+    outputs = BulkScorer(monitor, backend=backend).score_many(
+        trajectories, use_true_gestures
+    )
+    return list(zip(trajectories, outputs))

@@ -15,6 +15,7 @@ import numpy as np
 from ..core.pipeline import MonitorOutput
 from ..core.reaction import evaluate_timing
 from ..kinematics.trajectory import Trajectory
+from ..serving.bulk import BulkScorer
 from .common import ExperimentScale, get_scale, train_suturing_fold
 
 
@@ -42,7 +43,6 @@ def run(
     """
     preset = get_scale(scale)
     components = train_suturing_fold(preset, held_out_trial, seed=seed)
-    monitor = components.monitor()
     demos = components.test.demonstrations
     chosen = demos[demo_index]
     for demo in demos:
@@ -50,7 +50,7 @@ def run(
         if demo.trajectory.unsafe.any():
             chosen = demo
             break
-    output = monitor.process(chosen.trajectory, bulk=True)
+    output = BulkScorer(components.monitor()).score(chosen.trajectory)
     timing = evaluate_timing([(chosen.trajectory, output)])
     jitter = {
         gesture: timing.mean_jitter_ms(gesture) for gesture in timing.jitter

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..eval.reports import format_table
 from ..eval.roc import auc_score, roc_curve
+from ..serving.bulk import BulkScorer
 from .common import ExperimentScale, get_scale, train_suturing_fold
 from .table8 import _baseline_output
 
@@ -53,7 +54,7 @@ def run(
     """Train one Suturing fold and collect per-demo ROC curves."""
     preset = get_scale(scale)
     components = train_suturing_fold(preset, held_out_trial, seed=seed)
-    monitor = components.monitor()
+    scorer = BulkScorer(components.monitor())
 
     context: list[RocSummary] = []
     baseline: list[RocSummary] = []
@@ -62,7 +63,7 @@ def run(
         assert trajectory.unsafe is not None
         if len(np.unique(trajectory.unsafe)) < 2:
             continue
-        out_ctx = monitor.process(trajectory, bulk=True)
+        out_ctx = scorer.score(trajectory)
         fpr, tpr, _ = roc_curve(trajectory.unsafe, out_ctx.unsafe_scores)
         context.append(
             RocSummary(

@@ -24,6 +24,8 @@ from ..eval.roc import auc_score
 from ..jigsaws.dataset import SurgicalDataset
 from ..kinematics.trajectory import Trajectory
 from ..kinematics.windows import sliding_windows
+from ..serving.bulk import BulkScorer
+from ..serving.service import reject_non_finite
 from .common import (
     ExperimentScale,
     SuturingComponents,
@@ -52,19 +54,25 @@ class Table8Row:
 def _baseline_output(
     baseline: BaselineMonitor, trajectory: Trajectory, window: WindowConfig
 ) -> MonitorOutput:
-    """Frame-level outputs of the non-context baseline."""
+    """Frame-level outputs of the non-context baseline.
+
+    Refuses a procedure holding any NaN/±Inf frame, like every other
+    offline scorer — the context-free comparator must not be the one
+    path that turns a poisoned window into ``score=nan, flag=0``.
+    """
+    reject_non_finite("the context-free baseline", trajectory.frames)
+    n_frames = trajectory.n_frames
     windows, ends = sliding_windows(trajectory.frames, window)
-    scores = np.zeros(trajectory.n_frames)
+    scores = np.zeros(n_frames)
     probs, per_window_ms = baseline.timed_predict_proba(windows)
     scores[ends] = probs
-    last = 0.0
-    scored = np.zeros(trajectory.n_frames, dtype=bool)
+    # Forward-fill with the same running-maximum source index as
+    # process(): each frame reads the most recent scored frame (0 before
+    # the first window).
+    scored = np.zeros(n_frames, dtype=bool)
     scored[ends] = True
-    for t in range(trajectory.n_frames):
-        if scored[t]:
-            last = scores[t]
-        else:
-            scores[t] = last
+    source = np.maximum.accumulate(np.where(scored, np.arange(n_frames), -1))
+    scores = np.where(source >= 0, scores[np.maximum(source, 0)], 0.0)
     assert trajectory.gestures is not None
     return MonitorOutput(
         gestures=trajectory.gestures.copy(),  # baseline has no gesture stage
@@ -110,21 +118,18 @@ def run_task(
     test: SurgicalDataset,
 ) -> list[Table8Row]:
     """Evaluate the three setups of one task."""
-    monitor = components.monitor()
-    rows: list[Table8Row] = []
-
     # Bulk engine, reference backend: bit-identical to the looped
     # process(), but one fused batch per stage per demonstration.
-    perfect_pairs = [
-        (d.trajectory, monitor.process(d.trajectory, use_true_gestures=True, bulk=True))
-        for d in test.demonstrations
-    ]
+    scorer = BulkScorer(components.monitor())
+    trajectories = [d.trajectory for d in test.demonstrations]
+    rows: list[Table8Row] = []
+
+    perfect_pairs = list(
+        zip(trajectories, scorer.score_many(trajectories, use_true_gestures=True))
+    )
     rows.append(_aggregate("gesture-specific (perfect boundaries)", task, perfect_pairs, None))
 
-    pipeline_pairs = [
-        (d.trajectory, monitor.process(d.trajectory, use_true_gestures=False, bulk=True))
-        for d in test.demonstrations
-    ]
+    pipeline_pairs = list(zip(trajectories, scorer.score_many(trajectories)))
     compute = float(np.mean([o.compute_ms for _, o in pipeline_pairs]))
     rows.append(
         _aggregate("gesture-specific (with gesture classifier)", task, pipeline_pairs, compute)

@@ -18,6 +18,7 @@ from ..eval.metrics import f1_score
 from ..eval.reports import format_table
 from ..gestures.vocabulary import Gesture
 from ..jigsaws.dataset import SurgicalDataset
+from ..serving.bulk import BulkScorer
 from .common import (
     ExperimentScale,
     SuturingComponents,
@@ -69,17 +70,14 @@ def run_task(
     test: SurgicalDataset,
 ) -> list[Table9Row]:
     """Per-gesture breakdown of one task's pipeline run."""
-    monitor = components.monitor()
     # Bulk engine, reference backend: bit-identical to the looped
     # process(), but one fused batch per stage per demonstration.
-    perfect_pairs = [
-        (d.trajectory, monitor.process(d.trajectory, use_true_gestures=True, bulk=True))
-        for d in test.demonstrations
-    ]
-    pipeline_pairs = [
-        (d.trajectory, monitor.process(d.trajectory, use_true_gestures=False, bulk=True))
-        for d in test.demonstrations
-    ]
+    scorer = BulkScorer(components.monitor())
+    trajectories = [d.trajectory for d in test.demonstrations]
+    perfect_pairs = list(
+        zip(trajectories, scorer.score_many(trajectories, use_true_gestures=True))
+    )
+    pipeline_pairs = list(zip(trajectories, scorer.score_many(trajectories)))
     perfect_timing = evaluate_timing(perfect_pairs)
     pipeline_timing = evaluate_timing(pipeline_pairs)
 

@@ -174,7 +174,6 @@ def run_campaign(
     keep_results: bool = False,
     monitor: SafetyMonitor | None = None,
     monitor_backend: str = "reference",
-    monitor_bulk: bool = True,
 ) -> CampaignResult:
     """Execute a fault-injection campaign.
 
@@ -199,28 +198,18 @@ def run_campaign(
         (``CellResult.detected`` counts trials with any unsafe flag;
         per-trial outputs land in ``CampaignResult.monitor_outputs``).
         Scoring runs through the bulk offline engine
-        (:mod:`repro.serving.bulk`) by default — one fused batch per
-        stage per trial, sharing compiled plans across the whole
-        campaign; ``monitor_bulk=False`` falls back to the looped
-        ``process()``, which produces identical detections (bit-identical
-        scores under the default ``"reference"`` backend).
+        (:mod:`repro.serving.bulk`) — one fused batch per stage per
+        trial, sharing compiled plans across the whole campaign — on
+        the ``monitor_backend`` inference backend; the default
+        ``"reference"`` is bit-identical to the looped ``process()``.
     """
     if scale <= 0:
         raise ConfigurationError("scale must be positive")
     scorer = None
-    if monitor is not None and monitor_bulk:
+    if monitor is not None:
         from ..serving.bulk import BulkScorer
 
         scorer = BulkScorer(monitor, backend=monitor_backend)
-    elif monitor is not None:
-        from ..nn.backends import validate_backend_name
-
-        if validate_backend_name(monitor_backend) != "reference":
-            raise ConfigurationError(
-                "the looped campaign path always scores with the "
-                "reference float operations; compiled backends require "
-                "monitor_bulk=True"
-            )
     gen = as_generator(rng)
     workspace = workspace or Workspace()
     if base_demos is None:
@@ -251,12 +240,8 @@ def run_campaign(
             faulty = injector.inject(base, spec)
             result = simulator.run(faulty, record_video=False)
             cell_result.record(outcome_error_category(result.outcome))
-            if monitor is not None:
-                trajectory = result.kinematics_trajectory()
-                if scorer is not None:
-                    output = scorer.score(trajectory)
-                else:
-                    output = monitor.process(trajectory)
+            if scorer is not None:
+                output = scorer.score(result.kinematics_trajectory())
                 cell_result.detected += int(output.unsafe_flags.any())
                 monitor_outputs.append(output)
             if keep_results:

@@ -39,6 +39,7 @@ import numpy as np
 from ..errors import WorkerError
 from .service import ServiceStats, SessionEvent, SessionResult
 from .sharded import ShardedMonitorService
+from .telemetry import TelemetryRegistry
 
 #: Sentinel pushed to the event queue when the front-end shuts down.
 _CLOSED = object()
@@ -101,13 +102,16 @@ class AsyncShardedMonitor:
             return
         self._started = True
         for index in self._service.shard_indices:
-            self._locks[index] = asyncio.Lock()
-            self._kick[index] = asyncio.Event()
-            self._tasks.append(
-                asyncio.create_task(
-                    self._shard_loop(index), name=f"ticker-shard-{index}"
-                )
+            self._spawn_ticker(index)
+
+    def _spawn_ticker(self, index: int) -> None:
+        self._locks.setdefault(index, asyncio.Lock())
+        self._kick[index] = asyncio.Event()
+        self._tasks.append(
+            asyncio.create_task(
+                self._shard_loop(index), name=f"ticker-shard-{index}"
             )
+        )
 
     async def aclose(self) -> None:
         """Stop the tickers and terminate the :meth:`events` stream.
@@ -130,139 +134,32 @@ class AsyncShardedMonitor:
         if batch:
             self._sink(batch)
 
-    async def _run_on_shard(self, index: int, fn, *args):
-        """Run one blocking pipe exchange for a shard on the executor.
+    async def _run(self, resolve, call):
+        """Run ``call(shard)``, one blocking exchange, on the executor.
 
-        The shard's lock is held for the duration: a pipe is a strict
-        request/reply channel, so exchanges must not interleave.
+        The one lock–resolve–revalidate–run loop under every coroutine
+        that talks to a single worker.  ``resolve()`` names the shard
+        (no IPC) and its pipe lock is held for the duration.  A
+        concurrent :meth:`resize` or :meth:`shed` (which hold every lock
+        while they migrate) may move the session or retire the shard
+        while we wait — executing then would talk to another shard's
+        pipe unserialised against its ticker — so ``resolve()`` runs
+        again under the lock, retrying until both agree.
 
         When the exchange discovers a dead worker (``WorkerError``), the
-        lost sessions' terminal events are claimed here and pushed onto
-        the event stream before re-raising — the shard's ticker may
-        already have parked, so a later tick cannot be relied on to
-        deliver them.
-        """
-        lock = self._locks.setdefault(index, asyncio.Lock())
-        async with lock:
-            try:
-                return await asyncio.get_running_loop().run_in_executor(
-                    None, fn, *args
-                )
-            except WorkerError:
-                self._emit(self._service.take_undelivered_events())
-                raise
-
-    async def _shard_loop(self, index: int) -> None:
-        """Tick one shard whenever it has pending frames."""
-        kick = self._kick[index]
-        while not self._closed:
-            kick.clear()
-            if not self._service.shard_maybe_pending(index):
-                if index not in self._service.shard_indices:
-                    break  # shard crashed or was removed; nothing to tick
-                try:
-                    await asyncio.wait_for(
-                        kick.wait(), timeout=self.poll_interval_s
-                    )
-                except asyncio.TimeoutError:
-                    # Nothing woke us: cheap liveness poll so a worker
-                    # that died while idle still fails fast-safe.
-                    self._emit(self._service.take_undelivered_events())
-                continue
-            self._emit(
-                await self._run_on_shard(
-                    index, self._service.tick_shard, index
-                )
-            )
-            # Let feeds/consumers run between ticks of a busy shard.
-            await asyncio.sleep(0)
-
-    # ------------------------------------------------------------------
-    async def _run_on_session_shard(self, session_id: str, fn, *args):
-        """Run a session-addressed exchange under its *current* shard lock.
-
-        The owning shard is resolved before the lock can be taken, and a
-        concurrent :meth:`resize` (which holds every lock while it
-        migrates sessions) may move the session meanwhile — executing
-        then would talk to the new shard's pipe under the old shard's
-        lock, unserialised against that shard's ticker.  So the shard is
-        re-resolved once the lock is held and the acquisition retried
-        until they agree.
+        lost sessions' terminal events are claimed and handed over
+        before re-raising: the shard's ticker may already have parked,
+        so no later tick can be relied on to deliver them.  Otherwise
+        the ticker is woken: a feed or an import left it frames to tick.
         """
         while True:
-            shard = self._service.shard_of(session_id)
-            lock = self._locks.setdefault(shard, asyncio.Lock())
-            async with lock:
-                if self._service.shard_of(session_id) != shard:
-                    continue  # migrated while we waited; re-resolve
+            shard = resolve()
+            async with self._locks.setdefault(shard, asyncio.Lock()):
+                if resolve() != shard:
+                    continue  # moved or retired while we waited; re-resolve
                 try:
-                    return (
-                        await asyncio.get_running_loop().run_in_executor(
-                            None, fn, *args
-                        ),
-                        shard,
-                    )
-                except WorkerError:
-                    self._emit(self._service.take_undelivered_events())
-                    raise
-
-    async def open_session(
-        self, session_id: str | None = None, record_timeline: bool = True
-    ) -> str:
-        """Place and open a session (see
-        :meth:`ShardedMonitorService.open_session`)."""
-        while True:
-            session_id, shard = self._service.resolve_placement(session_id)
-            lock = self._locks.setdefault(shard, asyncio.Lock())
-            async with lock:
-                if shard not in self._service.shard_indices:
-                    continue  # shard resized away while we waited; re-place
-                try:
-                    return await asyncio.get_running_loop().run_in_executor(
-                        None,
-                        self._service.open_on_shard,
-                        session_id,
-                        shard,
-                        record_timeline,
-                    )
-                except WorkerError:
-                    self._emit(self._service.take_undelivered_events())
-                    raise
-
-    async def export_session(self, session_id: str) -> bytes:
-        """Remove a session from the fleet, returning its exported state
-        (see :meth:`ShardedMonitorService.export_session`)."""
-        state, _ = await self._run_on_session_shard(
-            session_id, self._service.export_session, session_id
-        )
-        return state
-
-    async def import_session(
-        self, state: bytes, record_timeline: bool = True
-    ) -> str:
-        """Re-admit an exported session under its shard's pipe lock.
-
-        Mirrors :meth:`open_session`'s placement loop: the target shard
-        is resolved from the id embedded in ``state``, the lock taken,
-        and placement re-checked in case a resize retired the shard
-        while we waited.  The target's ticker is kicked afterwards —
-        imported state may carry pending frames that must tick without
-        waiting for the next :meth:`feed`.
-        """
-        while True:
-            session_id, shard = self._service.resolve_import(state)
-            lock = self._locks.setdefault(shard, asyncio.Lock())
-            async with lock:
-                if shard not in self._service.shard_indices:
-                    continue  # shard resized away while we waited; re-place
-                try:
-                    sid = await asyncio.get_running_loop().run_in_executor(
-                        None,
-                        self._service.import_on_shard,
-                        state,
-                        session_id,
-                        shard,
-                        record_timeline,
+                    result = await asyncio.get_running_loop().run_in_executor(
+                        None, call, shard
                     )
                 except WorkerError:
                     self._emit(self._service.take_undelivered_events())
@@ -270,7 +167,101 @@ class AsyncShardedMonitor:
             kick = self._kick.get(shard)
             if kick is not None:
                 kick.set()
-            return sid
+            return result
+
+    def _shard_of(self, session_id: str):
+        """``resolve`` for a session-addressed exchange: the shard of *this
+        incarnation* of the session.  A resize or shed moves its record
+        and the exchange follows; a crash then a re-open of the id (the
+        gateway's journal rebuild) replaces the record, and an exchange
+        that waited on the lost session must fail like one — a feed that
+        followed the id would land frames the replay already fed."""
+        record = self._service._record(session_id)
+
+        def resolve() -> int:
+            if self._service._record(session_id) is not record:
+                raise WorkerError(f"session {session_id!r} was lost and re-opened")
+            return record.shard
+
+        return resolve
+
+    async def _shard_loop(self, index: int) -> None:
+        """Tick one shard whenever it has pending frames.
+
+        The loop cannot end while sessions are still routed to its
+        shard.  The tick round already turns every worker failure into
+        terminal events, so whatever still escapes a tick is a
+        router-side fault — and the ticker owes the shard's sessions
+        what ``_LocalEngine`` owes its own: the shard fails safe
+        (terminal ``flag=True`` events, ``failed_sessions``), never a
+        session that silently stops being monitored.
+        """
+        kick = self._kick[index]
+        while not self._closed:
+            kick.clear()
+            try:
+                if self._service.shard_maybe_pending(index):
+                    # Looked up per tick: a patched tick_shard (tracing,
+                    # fault injection) takes effect on the next one.
+                    self._emit(
+                        await self._run(lambda: index, self._service.tick_shard)
+                    )
+                    # Let feeds/consumers run between ticks of a busy shard.
+                    await asyncio.sleep(0)
+                    continue
+                if index not in self._service.shard_indices:
+                    break  # shard crashed or was removed; nothing to tick
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(
+                        kick.wait(), timeout=self.poll_interval_s
+                    )
+                    continue
+                # Nothing woke us: cheap liveness poll (below) so a worker
+                # that died while idle still fails fast-safe.
+            except Exception as exc:  # noqa: BLE001 - a dead ticker must fail safe
+                handle = self._service._shards.get(index)
+                if handle is not None:
+                    self._service._queue_crash(
+                        handle,
+                        f"shard {index} ticker failed: {type(exc).__name__}: {exc}",
+                    )
+            self._emit(self._service.take_undelivered_events())
+
+    # ------------------------------------------------------------------
+    async def open_session(
+        self, session_id: str | None = None, record_timeline: bool = True
+    ) -> str:
+        """Place and open a session (see
+        :meth:`ShardedMonitorService.open_session`)."""
+        session_id, _ = self._service.resolve_placement(session_id)
+        return await self._run(
+            lambda: self._service.resolve_placement(session_id)[1],
+            lambda shard: self._service.open_on_shard(
+                session_id, shard, record_timeline
+            ),
+        )
+
+    async def export_session(self, session_id: str) -> bytes:
+        """Remove a session from the fleet, returning its exported state
+        (see :meth:`ShardedMonitorService.export_session`)."""
+        return await self._run(
+            self._shard_of(session_id),
+            lambda _: self._service.export_session(session_id),
+        )
+
+    async def import_session(
+        self, state: bytes, record_timeline: bool = True
+    ) -> str:
+        """Re-admit an exported session, placed like :meth:`open_session`
+        by the id embedded in ``state``; pending frames it carries tick
+        without waiting for the next :meth:`feed`."""
+        session_id, _ = self._service.resolve_import(state)
+        return await self._run(
+            lambda: self._service.resolve_placement(session_id)[1],
+            lambda shard: self._service.import_on_shard(
+                state, session_id, shard, record_timeline
+            ),
+        )
 
     async def feed(self, session_id: str, frames: np.ndarray) -> None:
         """Enqueue frames for a session without blocking the event loop.
@@ -279,20 +270,18 @@ class AsyncShardedMonitor:
         shards' ingest and ticking proceed concurrently), then wakes
         that shard's ticker.
         """
-        _, shard = await self._run_on_session_shard(
-            session_id, self._service.feed, session_id, frames
+        await self._run(
+            self._shard_of(session_id),
+            lambda _: self._service.feed(session_id, frames),
         )
-        kick = self._kick.get(shard)
-        if kick is not None:
-            kick.set()
 
     async def close_session(self, session_id: str) -> SessionResult:
         """Close a session and return its timeline (see
         :meth:`ShardedMonitorService.close_session`)."""
-        result, _ = await self._run_on_session_shard(
-            session_id, self._service.close_session, session_id
+        return await self._run(
+            self._shard_of(session_id),
+            lambda _: self._service.close_session(session_id),
         )
-        return result
 
     async def drain(self) -> None:
         """Wait until no live shard has pending frames.
@@ -319,16 +308,14 @@ class AsyncShardedMonitor:
         fleet through this front-end's coroutines, not directly."""
         return self._service
 
-    async def resize(self, target_k: int) -> dict:
-        """Live-resize the fleet without dropping a session or a frame.
+    async def _run_on_fleet(self, fn, *args):
+        """Run a fleet-wide blocking call holding **every** shard's lock.
 
-        Runs :meth:`ShardedMonitorService.resize` on the executor while
-        holding **every** shard's pipe lock — migration is a two-pipe
-        exchange, so no ticker or feed may interleave with it — then
-        reconciles the ticker tasks: new shards get their own loops,
-        loops of removed shards park and exit on their next wake-up, and
-        every ticker is kicked so migrated backlogs resume immediately.
-        Returns the service's resize summary dict.
+        Migration is a two-pipe exchange whose source varies per
+        session, so no ticker or feed may interleave with a resize or a
+        shed.  Afterwards fail-safe events queued by a crash during the
+        call are flushed (no tick may ever come for them) and every
+        ticker is kicked, so migrated backlogs resume immediately.
         """
         indices = sorted(set(self._locks) | set(self._service.shard_indices))
         async with contextlib.AsyncExitStack() as stack:
@@ -337,34 +324,34 @@ class AsyncShardedMonitor:
                     self._locks.setdefault(index, asyncio.Lock())
                 )
             result = await asyncio.get_running_loop().run_in_executor(
-                None, self._service.resize, target_k
+                None, fn, *args
             )
-        # Fail-safe events queued by a crash during the resize must not
-        # wait for a tick that may never come.
         self._emit(self._service.take_undelivered_events())
-        # Prune per-shard state of retired indices (indices are never
-        # reused, so without this an oscillating autoscaler would grow
-        # the lock/kick maps and the task list without bound).  Waiters
-        # and loops holding references to a popped lock/event keep
-        # working; removal only stops *future* lookups.
+        for kick in self._kick.values():
+            kick.set()
+        return result
+
+    async def resize(self, target_k: int) -> dict:
+        """Live-resize the fleet without dropping a session or a frame.
+
+        Runs :meth:`ShardedMonitorService.resize` under every shard's
+        pipe lock (:meth:`_run_on_fleet`), then reconciles the ticker
+        tasks: new shards get their own loops, loops of removed shards
+        wake and exit.  Returns the service's resize summary dict.
+        """
+        result = await self._run_on_fleet(self._service.resize, target_k)
+        # Prune retired indices (never reused: an oscillating autoscaler
+        # would otherwise grow the maps and the task list without bound).
+        # Waiters and loops holding a popped lock/event keep working;
+        # removal only stops *future* lookups.
         live = set(self._service.shard_indices)
         for index in [i for i in self._kick if i not in live]:
             self._kick.pop(index).set()  # wake the parked loop so it exits
             self._locks.pop(index, None)
         self._tasks = [t for t in self._tasks if not t.done()]
         if self._started and not self._closed:
-            for index in live:
-                if index not in self._kick:
-                    self._locks.setdefault(index, asyncio.Lock())
-                    self._kick[index] = asyncio.Event()
-                    self._tasks.append(
-                        asyncio.create_task(
-                            self._shard_loop(index),
-                            name=f"ticker-shard-{index}",
-                        )
-                    )
-            for kick in self._kick.values():
-                kick.set()
+            for index in live - set(self._kick):
+                self._spawn_ticker(index)
         return result
 
     async def shed(self, session_ids: list[str], to_shard: int) -> dict[str, int]:
@@ -372,27 +359,14 @@ class AsyncShardedMonitor:
 
         The balancer's actuator
         (:meth:`~repro.serving.balancer.MonitorBalancer.step` calls this
-        with the sessions its plan selected).  Like :meth:`resize` it
-        holds **every** shard's pipe lock around the blocking
-        :meth:`ShardedMonitorService.shed` call — each migration is a
-        two-pipe exchange whose source varies per session — then flushes
-        crash-queued fail-safe events and kicks the tickers so migrated
-        backlogs resume immediately on their new shard.  Returns the
-        service's ``{session_id: previous shard}`` map.
+        with the sessions its plan selected): the blocking
+        :meth:`ShardedMonitorService.shed` under every shard's pipe lock
+        (:meth:`_run_on_fleet`).  Returns the service's ``{session_id:
+        previous shard}`` map.
         """
-        indices = sorted(set(self._locks) | set(self._service.shard_indices))
-        async with contextlib.AsyncExitStack() as stack:
-            for index in indices:
-                await stack.enter_async_context(
-                    self._locks.setdefault(index, asyncio.Lock())
-                )
-            moved = await asyncio.get_running_loop().run_in_executor(
-                None, self._service.shed, list(session_ids), to_shard
-            )
-        self._emit(self._service.take_undelivered_events())
-        for kick in self._kick.values():
-            kick.set()
-        return moved
+        return await self._run_on_fleet(
+            self._service.shed, list(session_ids), to_shard
+        )
 
     def shard_occupancy(self) -> dict[int, int]:
         """Open-session count per live shard (no IPC, no lock needed)."""
@@ -402,49 +376,36 @@ class AsyncShardedMonitor:
         """Open session ids routed to one shard (no IPC, no lock needed)."""
         return self._service.sessions_on(index)
 
-    async def shard_stats(self) -> dict[int, "ServiceStats"]:
-        """Per-shard :class:`ServiceStats` without disturbing the tickers.
-
-        Each shard is polled under its own pipe lock — the same lock the
-        ticker and ``feed`` take — so the strict request/reply pipe
-        protocol is preserved while the fleet keeps serving.  Shards
+    async def _poll_shards(self, poll) -> dict:
+        """``{shard: poll(shard)}`` over the live shards, one at a time,
+        each under its own pipe lock — the fleet keeps serving.  Shards
         that die under the poll are skipped (their crash events surface
-        through the usual fail-safe paths).  The remote gateway's
-        ``gateway_stats()`` aggregates this, and the dict feeds
-        :func:`~repro.serving.sharded.suggest_shard_count` directly.
-        """
-        out: dict[int, "ServiceStats"] = {}
+        through the usual fail-safe paths)."""
+        out = {}
         for index in list(self._service.shard_indices):
             try:
-                out[index] = await self._run_on_shard(
-                    index, self._service.stats_of, index
-                )
+                out[index] = await self._run(lambda i=index: i, poll)
             except WorkerError:
                 continue
         return out
 
-    async def telemetry(self) -> dict:
-        """Fleet-wide telemetry snapshot without disturbing the tickers.
-
-        The async twin of
-        :meth:`ShardedMonitorService.telemetry_snapshot`: each live
-        shard's registry is fetched under its own pipe lock (one shard
-        at a time, like :meth:`shard_stats`), then merged with the
-        router's retired-shard baseline and incident counters.
+    async def shard_stats(self) -> dict[int, "ServiceStats"]:
+        """Per-shard :class:`ServiceStats` without disturbing the tickers
+        (:meth:`_poll_shards`).  The remote gateway's ``gateway_stats()``
+        aggregates this, and the dict feeds
+        :func:`~repro.serving.sharded.suggest_shard_count` directly.
         """
-        from .telemetry import TelemetryRegistry
+        return await self._poll_shards(self._service.stats_of)
 
+    async def telemetry(self) -> dict:
+        """Fleet-wide telemetry snapshot without disturbing the tickers:
+        the async twin of
+        :meth:`ShardedMonitorService.telemetry_snapshot`, each live
+        shard's registry fetched like :meth:`shard_stats`."""
         merged = TelemetryRegistry()
         merged.merge(self._service.router_telemetry_snapshot())
-        for index in list(self._service.shard_indices):
-            try:
-                merged.merge(
-                    await self._run_on_shard(
-                        index, self._service.telemetry_of, index
-                    )
-                )
-            except WorkerError:
-                continue
+        for snapshot in (await self._poll_shards(self._service.telemetry_of)).values():
+            merged.merge(snapshot)
         return merged.snapshot()
 
     async def events(self) -> AsyncIterator[SessionEvent]:

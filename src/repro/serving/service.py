@@ -241,9 +241,8 @@ class ServiceStats:
     def extend_ms(self, values: np.ndarray) -> None:
         """Bulk-append latency samples (chronologically ordered).
 
-        Counters are untouched — this merges *retained windows*, e.g.
-        when :meth:`ShardedMonitorService.stats` folds per-shard stats
-        into one aggregate.
+        Counters are untouched — this merges *retained windows* only;
+        :meth:`merge` folds counters and window together.
         """
         values = np.asarray(values, dtype=float).reshape(-1)
         if values.size >= self.capacity:
@@ -258,6 +257,14 @@ class ServiceStats:
             self._ring[:rest] = values[first:]
         self._cursor = (self._cursor + values.size) % self.capacity
         self._filled = min(self._filled + values.size, self.capacity)
+
+    def merge(self, other: "ServiceStats") -> None:
+        """Fold ``other``'s lifetime counters and retained latency window
+        into this one (a fleet aggregate over per-shard stats)."""
+        self.n_ticks += other.n_ticks
+        self.frames_processed += other.frames_processed
+        self.events_emitted += other.events_emitted
+        self.extend_ms(other.tick_ms)
 
     def __getstate__(self) -> dict:
         """Pickle only the recorded samples, not the preallocated ring.

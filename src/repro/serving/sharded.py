@@ -16,13 +16,13 @@ same session on one local ``MonitorService`` — the sharded parity suite
 (``tests/serving/test_sharded.py``, ``tests/core/test_parity.py``)
 locks this in for K ∈ {1, 2, 4}.
 
-Failure semantics are fail-safe: when a worker process dies, its
-sessions are not silently dropped — each one surfaces a terminal
-:class:`SessionEvent` with ``error`` set and ``flag=True`` (a monitoring
-outage on a surgical robot must read as *unsafe*, see
-``docs/serving.md``), the sessions move to :attr:`failed_sessions`, and
-the dead shard leaves the hash ring so new sessions rebalance onto the
-survivors while healthy shards keep ticking.
+Failure semantics are fail-safe: when a worker dies, hangs past its
+timeout or answers a tick with an error, its sessions are not silently
+dropped — each one surfaces a terminal :class:`SessionEvent` with
+``error`` set and ``flag=True`` (a monitoring outage on a surgical robot
+must read as *unsafe*, see ``docs/serving.md``), the sessions move to
+:attr:`failed_sessions`, and the dead shard leaves the hash ring so new
+sessions rebalance onto the survivors while healthy shards keep ticking.
 
 Data moves over the **shared-memory data plane** (:mod:`.shm`): each
 shard owns a frame ring ``feed()`` writes into without a reply round
@@ -64,7 +64,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.pipeline import SafetyMonitor
-from ..errors import ConfigurationError, DatasetError, ShapeError, WorkerError
+from ..errors import (
+    ConfigurationError,
+    DatasetError,
+    ReproError,
+    ShapeError,
+    WorkerError,
+)
 from ..nn.backends import DEFAULT_BACKEND, validate_backend_name
 from .service import ServiceStats, SessionEvent, SessionResult, reject_non_finite
 from .telemetry import TelemetryRegistry
@@ -239,7 +245,6 @@ class _ShardHandle:
         #: the next tick/drain converts them to fail-safe events.
         self.pending_ingest: list[tuple[int, str]] = []
         self.alive = True
-        self.failure: str | None = None
         #: True while the worker may still have un-ticked frames; updated
         #: from the ``has_pending`` field piggy-backed on every reply,
         #: and set eagerly by every frame-ring write.
@@ -252,6 +257,9 @@ class _ShardHandle:
             raise WorkerError(f"shard {self.index} pipe broken: {exc}") from exc
 
     def recv(self, timeout_s: float | None) -> Reply:
+        """Read one reply, or raise ``WorkerError``: the worker died, is
+        unresponsive, or sent a corrupt/truncated/foreign reply — it
+        cannot be trusted to stay in protocol either way."""
         try:
             reply: Reply = recv_message(
                 self.conn,
@@ -259,10 +267,6 @@ class _ShardHandle:
                 timeout_s=timeout_s,
                 who=f"shard {self.index}",
             )
-        except WorkerError:
-            # Unresponsive, or a corrupt/truncated/foreign reply — the
-            # worker cannot be trusted to stay in protocol either way.
-            raise
         except EOFError as exc:
             exitcode = self.process.exitcode
             raise WorkerError(
@@ -492,47 +496,61 @@ class ShardedMonitorService:
         self._shards[index] = handle
         self._ring.add(index)
 
+    def _fail_sessions(
+        self, reasons: dict[str, str], shard: int
+    ) -> list[tuple[int, SessionEvent]]:
+        """Fail sessions safe — the one way a session leaves the router unserved.
+
+        Every session of ``reasons`` (id -> cause) that is still open
+        loses its record and placement pin, lands in
+        :attr:`failed_sessions`, and gets one terminal event at its exact
+        ``frame_index`` (frames served so far) carrying ``flag=True``:
+        losing the monitor mid-procedure is treated as unsafe, never as
+        silently safe.  Returns ``(order, event)`` pairs so callers can
+        merge them into whatever stream they are delivering.  Terminals
+        are accounted (and persisted, one batch tagged ``shard``) here at
+        creation, not at delivery — ``_undelivered`` may deliver them
+        later, but they must never tee twice.  Caller holds ``_lock``.
+        """
+        pairs: list[tuple[int, SessionEvent]] = []
+        for session_id, reason in reasons.items():
+            record = self._sessions.pop(session_id, None)
+            if record is None:
+                continue  # closed, or already failed by another path
+            self._overlay.pop(session_id, None)
+            self.failed_sessions[session_id] = reason
+            terminal = SessionEvent.failsafe(session_id, record.events_seen, reason)
+            pairs.append((record.order, terminal))
+        if pairs:
+            self.telemetry.counter("failsafe_events").inc(len(pairs))
+            if self.event_store is not None:
+                self.event_store.append_batch(
+                    [event for _, event in pairs], shard=shard
+                )
+        return pairs
+
     def _fail_shard(
         self, handle: _ShardHandle, reason: str
     ) -> list[tuple[int, SessionEvent]]:
-        """Mark a shard dead; fail its sessions; emit terminal events.
+        """Mark a shard dead and fail its sessions (:meth:`_fail_sessions`).
 
-        Returns ``(order, event)`` pairs so callers can merge the crash
-        events into whatever stream they are currently delivering.  The
-        events carry ``flag=True``: losing the monitor mid-procedure is
-        treated as unsafe, never as silently safe.
+        It leaves the hash ring, so new sessions rebalance onto the
+        survivors.  Idempotent: a shard already failed returns no pairs.
         """
         with self._lock:
             if not handle.alive:
                 return []
             handle.alive = False
-            handle.failure = reason
             self._ring.remove(handle.index)
             handle.routes.clear()
-            out: list[tuple[int, SessionEvent]] = []
-            for session_id in [
-                s for s, r in self._sessions.items() if r.shard == handle.index
-            ]:
-                record = self._sessions.pop(session_id)
-                self._overlay.pop(session_id, None)
-                self.failed_sessions[session_id] = reason
-                out.append(
-                    (
-                        record.order,
-                        SessionEvent.failsafe(
-                            session_id, record.events_seen, reason
-                        ),
-                    )
-                )
-        if out:
-            # Fail-safe terminals are accounted (and persisted) at
-            # creation, not at delivery — the _undelivered queue may
-            # deliver them later, but they must never tee twice.
-            self.telemetry.counter("failsafe_events").inc(len(out))
-            if self.event_store is not None:
-                self.event_store.append_batch(
-                    [event for _, event in out], shard=handle.index
-                )
+            pairs = self._fail_sessions(
+                {
+                    session_id: reason
+                    for session_id, record in self._sessions.items()
+                    if record.shard == handle.index
+                },
+                handle.index,
+            )
         try:
             handle.conn.close()
         except OSError as exc:
@@ -548,7 +566,45 @@ class ShardedMonitorService:
         # waits for close().  The terminated worker's own mapping stays
         # valid until it exits; unlink only removes the name.
         handle.destroy_rings()
-        return out
+        return pairs
+
+    def _queue_crash(self, handle: _ShardHandle, reason: str) -> None:
+        """Fail a shard outside a tick; its events deliver on the next one."""
+        pairs = self._fail_shard(handle, reason)
+        with self._lock:
+            self._undelivered.extend(pairs)
+
+    def _live_shard(self, index: int) -> _ShardHandle:
+        handle = self._shards.get(index)
+        if handle is None or not handle.alive:
+            raise WorkerError(f"shard {index} is not live")
+        return handle
+
+    def _exchange(self, handle: _ShardHandle, request: Request):
+        """One control-op request/reply; returns the reply's value.
+
+        With :meth:`_round` the only code that touches a worker pipe
+        after spawn, and where a control op's outcome is classified:
+
+        - **the worker cannot be trusted** — a transport failure (dead,
+          hung past ``request_timeout_s``, corrupt or foreign reply), or
+          an error reply :func:`raise_remote` can only render as
+          ``WorkerError`` (a type outside :mod:`repro.errors`).  The
+          shard fails safe (:meth:`_queue_crash`) and ``WorkerError``
+          naming the op, its session and the cause is raised.
+        - **the caller's error** — any other :mod:`repro.errors` reply
+          (full shard, duplicate id, unknown session) is re-raised as
+          its own type, as a local :class:`MonitorService` would raise
+          it; the worker keeps serving.
+        """
+        try:
+            reply = handle.request(request, self.request_timeout_s)
+            raise_remote(reply)
+        except WorkerError as exc:
+            self._queue_crash(handle, str(exc))
+            of = f" of session {request.session_id!r}" if request.session_id else ""
+            raise WorkerError(f"{request.op}{of} failed: {exc}") from exc
+        return reply.value
 
     def _flush_undelivered(self) -> list[tuple[int, SessionEvent]]:
         with self._lock:
@@ -581,10 +637,15 @@ class ShardedMonitorService:
     # ------------------------------------------------------------------
     # Elasticity: live migration, add/remove/resize
     # ------------------------------------------------------------------
-    def _shard_occupancy(self, index: int) -> int:
-        """Number of open sessions routed to one shard (no IPC)."""
+    def _check_room(self, index: int, action: str) -> None:
+        """Refuse, *before* any state moves, to land a session on a full shard."""
         with self._lock:
-            return sum(1 for r in self._sessions.values() if r.shard == index)
+            used = sum(1 for r in self._sessions.values() if r.shard == index)
+        if used >= self.max_sessions_per_shard:
+            raise ConfigurationError(
+                f"shard {index} is full ({self.max_sessions_per_shard} "
+                f"slots); cannot {action} onto it"
+            )
 
     def shard_occupancy(self) -> dict[int, int]:
         """Open-session count per live shard (no IPC).
@@ -655,9 +716,7 @@ class ShardedMonitorService:
         exists is a caller bug, not a race to absorb.
         """
         self._check_open()
-        target = self._shards.get(to_shard)
-        if target is None or not target.alive:
-            raise WorkerError(f"shard {to_shard} is not live")
+        target = self._live_shard(to_shard)
         moved: dict[str, int] = {}
         for session_id in list(session_ids):
             with self._lock:
@@ -702,69 +761,38 @@ class ShardedMonitorService:
         Failure semantics: a full target raises ``ConfigurationError``
         *before* anything is exported (the session stays where it was);
         a source worker dying mid-export fails that shard's sessions
-        through the usual crash path; a target worker dying after the
-        export fail-safes the in-limbo session (terminal ``error`` event,
-        :attr:`failed_sessions`) — its state died with the pipe.
+        through the usual crash path; a target that dies after the
+        export — or answers the import with any error — fail-safes the
+        in-limbo session (terminal ``error`` event,
+        :attr:`failed_sessions`): its state died with that exchange.
         """
         record = self._record(session_id)
         source = self._shards[record.shard]
-        target = self._shards.get(target_index)
-        if target is None or not target.alive:
-            raise WorkerError(f"shard {target_index} is not live")
+        target = self._live_shard(target_index)
         if target is source:
             return
-        if self._shard_occupancy(target_index) >= self.max_sessions_per_shard:
-            raise ConfigurationError(
-                f"shard {target_index} is full "
-                f"({self.max_sessions_per_shard} slots); cannot migrate "
-                f"session {session_id!r} onto it"
-            )
-        try:
-            reply = source.request(
-                Request("migrate_out", session_id=session_id),
-                self.request_timeout_s,
-            )
-            raise_remote(reply)
-        except WorkerError as exc:
-            self._queue_crash(source, str(exc))
-            raise WorkerError(
-                f"session {session_id!r} lost mid-migration: {exc}"
-            ) from exc
-        state_bytes = reply.value
+        self._check_room(target_index, f"migrate session {session_id!r}")
+        state = self._exchange(source, Request("migrate_out", session_id=session_id))
         source.routes.pop(record.order, None)
         try:
-            reply = target.request(
+            # The session keeps its global order as its route id on the
+            # target's rings — the merge key never moves.
+            self._exchange(
+                target,
                 Request(
-                    "migrate_in",
-                    state=state_bytes,
-                    # The session keeps its global order as its route id
-                    # on the target's rings — the merge key never moves.
-                    route=record.order,
+                    "migrate_in", session_id=session_id, state=state, route=record.order
                 ),
-                self.request_timeout_s,
             )
-            raise_remote(reply)
-        except WorkerError as exc:
-            # Exported but never landed: the state is gone with the
-            # target's pipe.  Fail the session safe rather than let it
-            # vanish silently.
-            self._queue_crash(target, str(exc))
+        except ReproError as exc:
+            # Exported but never landed: whatever the target answered,
+            # the state is gone with this exchange.  Fail the session
+            # safe rather than let it vanish silently.
             reason = f"lost migrating to shard {target_index}: {exc}"
             with self._lock:
-                if session_id in self._sessions:
-                    limbo = self._sessions.pop(session_id)
-                    self._overlay.pop(session_id, None)
-                    self.failed_sessions[session_id] = reason
-                    limbo_event = SessionEvent.failsafe(
-                        session_id, limbo.events_seen, reason
-                    )
-                    self._undelivered.append((limbo.order, limbo_event))
-                    self.telemetry.counter("failsafe_events").inc()
-                    if self.event_store is not None:
-                        self.event_store.append(limbo_event, shard=target_index)
-            raise WorkerError(
-                f"session {session_id!r} lost mid-migration: {exc}"
-            ) from exc
+                self._undelivered.extend(
+                    self._fail_sessions({session_id: reason}, target_index)
+                )
+            raise
         with self._lock:
             record.shard = target_index
             target.routes[record.order] = session_id
@@ -811,10 +839,7 @@ class ShardedMonitorService:
                     s for s, pin in self._overlay.items() if pin == index
                 ]:
                     del self._overlay[session_id]
-                on_shard = [
-                    s for s, r in self._sessions.items() if r.shard == index
-                ]
-            for session_id in on_shard:
+            for session_id in self.sessions_on(index):
                 target = self._place(session_id)
                 try:
                     self._migrate_session(session_id, target)
@@ -847,15 +872,7 @@ class ShardedMonitorService:
         its own retirement interview simply contributes nothing.
         """
         try:
-            final = self.stats_of(handle.index)
-        except WorkerError:
-            return
-        base = self._retired_stats
-        base.n_ticks += final.n_ticks
-        base.frames_processed += final.frames_processed
-        base.events_emitted += final.events_emitted
-        base.extend_ms(final.tick_ms)
-        try:
+            self._retired_stats.merge(self.stats_of(handle.index))
             self._retired_telemetry.merge(self.telemetry_of(handle.index))
         except WorkerError:
             return
@@ -1008,39 +1025,37 @@ class ShardedMonitorService:
         self, session_id: str, shard: int, record_timeline: bool = True
     ) -> str:
         """Open a resolved placement on its shard (the IPC half)."""
-        handle = self._shards.get(shard)
-        if handle is None or not handle.alive:
-            raise WorkerError(f"shard {shard} is not live")
-        # The global opening order doubles as the session's route id on
-        # the shm rings, so it is allocated *before* the open request and
-        # shipped with it (a failed open just burns a counter value).
-        order = next(self._order)
-        try:
-            reply = handle.request(
-                Request(
-                    "open",
-                    session_id=session_id,
-                    record_timeline=record_timeline,
-                    route=order,
-                ),
-                self.request_timeout_s,
-            )
-        except WorkerError as exc:
-            self._queue_crash(handle, str(exc))
-            raise
-        raise_remote(reply)
-        with self._lock:  # _fail_shard may iterate from another thread
-            self._sessions[session_id] = _SessionRecord(
-                shard=shard,
-                order=order,
+        return self._admit(
+            shard,
+            Request(
+                "open",
+                session_id=session_id,
                 record_timeline=record_timeline,
+                route=next(self._order),
+            ),
+        )
+
+    def _admit(self, shard: int, request: Request) -> str:
+        """Land an ``open``/``migrate_in`` on a shard and record the placement.
+
+        The global opening order doubles as the session's route id on
+        the shm rings, so it is allocated *before* the request and
+        shipped inside (a failed admission just burns a counter value).
+        """
+        handle = self._live_shard(shard)
+        self._exchange(handle, request)
+        with self._lock:  # _fail_shard may iterate from another thread
+            self._sessions[request.session_id] = _SessionRecord(
+                shard=shard,
+                order=request.route,
+                record_timeline=request.record_timeline,
             )
-            handle.routes[order] = session_id
-        # An explicit re-open of a crash-failed id starts a new life for
-        # it (the gateway's crash recovery does exactly this); the stale
-        # failure record must not shadow the new session.
-        self.failed_sessions.pop(session_id, None)
-        return session_id
+            handle.routes[request.route] = request.session_id
+        # An explicit re-open (or re-import) of a crash-failed id starts
+        # a new life for it (the gateway's crash recovery does exactly
+        # this); the stale failure record must not shadow the new session.
+        self.failed_sessions.pop(request.session_id, None)
+        return request.session_id
 
     # ------------------------------------------------------------------
     # Session lifecycle (MonitorService-mirroring façade)
@@ -1131,103 +1146,91 @@ class ShardedMonitorService:
             raise WorkerError(f"session {session_id!r} lost: {exc}") from exc
         handle.maybe_pending = True
 
-    def tick_shard(self, index: int) -> list[SessionEvent]:
-        """Advance one shard by one frame per pending session.
+    def _round(self, request: Request, index: int | None = None) -> list[SessionEvent]:
+        """One broadcast-and-collect ``tick``/``drain`` round.
 
-        Returns that shard's events (session opening order) plus any
-        queued crash events; a crash of *this* shard is converted to its
-        sessions' terminal events rather than an exception, so callers
-        can keep ticking the survivors.
+        Under :meth:`tick`, :meth:`drain` and :meth:`tick_shard`
+        (``index`` names the one shard asked).  The request goes to
+        every target before any reply is read, so shards compute
+        concurrently, and the round then reads **exactly one reply per
+        request it sent, whatever the earlier shards answered**: no
+        shard's failure is raised out of the round, leaves another
+        shard's reply in its pipe, or costs another shard its events.
+
+        A shard whose exchange fails — transport failure, event ring
+        out of step with the reply, or an error reply of *any* type
+        (its service is in an unknown state) — fails safe
+        (:meth:`_fail_shard`): its sessions' terminals join this round's
+        output, as do queued crash terminals, the liveness poll's and
+        deferred ingest failures, while the survivors' events flow on.
+
+        Returns the k-th ticks of all shards merged in global session
+        opening order (what one :class:`MonitorService` over the same
+        sessions would produce), terminals merged into the first.
         """
-        pairs = self._flush_undelivered() + self._reap_dead()
-        handle = self._shards.get(index)
-        if handle is not None and handle.alive:
-            try:
-                reply = handle.request(Request("tick"), self.request_timeout_s)
-                raise_remote(reply)
-                for tick_events in self._collect_ticks(handle, reply.value):
-                    pairs.extend(self._account_events(tick_events))
-            except WorkerError as exc:
-                pairs.extend(self._fail_shard(handle, str(exc)))
-        pairs.extend(self._ingest_failures())
-        pairs.sort(key=lambda p: p[0])
-        return [event for _, event in pairs]
-
-    def tick(self) -> list[SessionEvent]:
-        """Advance every live shard by one frame per pending session.
-
-        Requests are broadcast before replies are collected, so shards
-        compute their ticks concurrently; events merge in global session
-        opening order — the same order one :class:`MonitorService` over
-        the same sessions would produce.  Dead shards surface as
-        terminal per-session events, never as an exception.
-        """
-        pairs = self._flush_undelivered() + self._reap_dead()
-        targets = [h for h in self._live_shards() if h.maybe_pending]
+        ticks = {0: self._flush_undelivered() + self._reap_dead()}
         sent: list[_ShardHandle] = []
-        for handle in targets:
-            try:
-                handle.send(Request("tick"))
-                sent.append(handle)
-            except WorkerError as exc:
-                pairs.extend(self._fail_shard(handle, str(exc)))
+        for handle in self._live_shards():
+            if handle.maybe_pending if index is None else handle.index == index:
+                try:
+                    handle.send(request)
+                    sent.append(handle)
+                except WorkerError as exc:
+                    ticks[0].extend(self._fail_shard(handle, str(exc)))
         for handle in sent:
             try:
                 reply = handle.recv(self.request_timeout_s)
-                raise_remote(reply)
-                for tick_events in self._collect_ticks(handle, reply.value):
-                    pairs.extend(self._account_events(tick_events))
+                if not reply.ok:
+                    raise WorkerError(
+                        f"shard {handle.index} {request.op} failed: "
+                        f"{reply.error_type}: {reply.error}"
+                    )
+                for k, tick_events in enumerate(
+                    self._collect_ticks(handle, *reply.value[:2])
+                ):
+                    ticks.setdefault(k, []).extend(
+                        self._account_events(handle, tick_events)
+                    )
+                if request.op == "drain":
+                    # The worker's authoritative per-session frame counts
+                    # keep crash-event frame indices exact even when
+                    # events were not collected (collect=False).
+                    for session_id, frames_done in reply.value[2].items():
+                        record = self._sessions.get(session_id)
+                        if record is not None:
+                            record.events_seen = frames_done
             except WorkerError as exc:
-                pairs.extend(self._fail_shard(handle, str(exc)))
-        pairs.extend(self._ingest_failures())
-        pairs.sort(key=lambda p: p[0])
-        return [event for _, event in pairs]
+                ticks[0].extend(self._fail_shard(handle, str(exc)))
+        ticks[0].extend(self._ingest_failures())
+        return [
+            event
+            for k in sorted(ticks)
+            for _, event in sorted(ticks[k], key=lambda pair: pair[0])
+        ]
+
+    def tick_shard(self, index: int) -> list[SessionEvent]:
+        """Advance one shard by one frame per pending session
+        (:meth:`_round`): its events plus any queued crash events; a
+        failure of *this* shard becomes terminal events, not an exception."""
+        return self._round(Request("tick"), index)
+
+    def tick(self) -> list[SessionEvent]:
+        """Advance every live shard by one frame per pending session
+        (:meth:`_round`): shards tick concurrently; failed shards surface
+        as terminal per-session events, never as an exception."""
+        return self._round(Request("tick"))
 
     def drain(self, collect: bool = True) -> list[SessionEvent]:
         """Tick every shard until no live shard has pending frames.
 
-        Each worker drains its own backlog in a single round trip, so K
-        shards drain concurrently.  With ``collect=True`` the per-tick
-        event lists are interleaved tick-by-tick across shards (matching
-        a single service's drain order); with ``collect=False`` only
-        crash events (if any) are returned — those are never dropped.
+        Each worker drains its own backlog in one round trip
+        (:meth:`_round`), so K shards drain concurrently.  With
+        ``collect=True`` the per-tick event lists are interleaved
+        tick-by-tick across shards (a single service's drain order);
+        with ``collect=False`` only crash events (if any) are returned —
+        those are never dropped.
         """
-        pairs = self._flush_undelivered() + self._reap_dead()
-        tick_lists: dict[int, list[tuple[int, SessionEvent]]] = {}
-        targets = [h for h in self._live_shards() if h.maybe_pending]
-        sent = []
-        for handle in targets:
-            try:
-                handle.send(Request("drain", collect=collect))
-                sent.append(handle)
-            except WorkerError as exc:
-                pairs.extend(self._fail_shard(handle, str(exc)))
-        for handle in sent:
-            try:
-                reply = handle.recv(self.request_timeout_s)
-                raise_remote(reply)
-                n_ring, overflow, progress = reply.value
-                ticks = self._collect_ticks(handle, (n_ring, overflow))
-                for k, tick_events in enumerate(ticks):
-                    tick_lists.setdefault(k, []).extend(
-                        self._account_events(tick_events)
-                    )
-                # Authoritative per-session frame counts from the worker:
-                # keeps crash-event frame indices exact even when events
-                # were not collected (collect=False returns no ticks).
-                for session_id, frames_done in progress.items():
-                    record = self._sessions.get(session_id)
-                    if record is not None:
-                        record.events_seen = frames_done
-            except WorkerError as exc:
-                pairs.extend(self._fail_shard(handle, str(exc)))
-        pairs.extend(self._ingest_failures())
-        events = [event for _, event in sorted(pairs, key=lambda p: p[0])]
-        for k in sorted(tick_lists):
-            events.extend(
-                event for _, event in sorted(tick_lists[k], key=lambda p: p[0])
-            )
-        return events
+        return self._round(Request("drain", collect=collect))
 
     def close_session(self, session_id: str) -> SessionResult:
         """Free the session's slot on its shard; return its timeline.
@@ -1238,19 +1241,12 @@ class ShardedMonitorService:
         self._check_open()
         record = self._record(session_id)
         handle = self._shards[record.shard]
-        try:
-            reply = handle.request(
-                Request("close", session_id=session_id), self.request_timeout_s
-            )
-        except WorkerError as exc:
-            self._queue_crash(handle, str(exc))
-            raise WorkerError(f"session {session_id!r} lost: {exc}") from exc
-        raise_remote(reply)
+        result = self._exchange(handle, Request("close", session_id=session_id))
         with self._lock:
             del self._sessions[session_id]
             self._overlay.pop(session_id, None)
             handle.routes.pop(record.order, None)
-        return reply.value
+        return result
 
     # ------------------------------------------------------------------
     # Session export / import (gateway resume + external checkpointing)
@@ -1271,81 +1267,41 @@ class ShardedMonitorService:
         self._check_open()
         record = self._record(session_id)
         handle = self._shards[record.shard]
-        try:
-            reply = handle.request(
-                Request("migrate_out", session_id=session_id),
-                self.request_timeout_s,
-            )
-            raise_remote(reply)
-        except WorkerError as exc:
-            self._queue_crash(handle, str(exc))
-            raise WorkerError(
-                f"session {session_id!r} lost mid-export: {exc}"
-            ) from exc
+        state = self._exchange(handle, Request("migrate_out", session_id=session_id))
         with self._lock:
             self._sessions.pop(session_id, None)
             handle.routes.pop(record.order, None)
-        return reply.value
+        return state
 
     def resolve_import(self, state: bytes) -> tuple[str, int]:
         """Validate an exported archive and compute its shard (no IPC).
 
-        The session keeps the id embedded in its snapshot, so placement
-        is by that id's hash — an export/import round trip lands a
-        session exactly where a fresh open of the same id would.  Split
-        from :meth:`import_on_shard` for the same reason as
-        :meth:`resolve_placement`: the asyncio front-end takes the
-        target shard's lock before the blocking pipe call.
-
-        Raises :class:`~repro.errors.ConfigurationError` if the archive
-        is foreign-versioned or the id is already open.
+        The session keeps the id embedded in its snapshot and is placed
+        as :meth:`resolve_placement` places that id — so an export/import
+        round trip lands it exactly where a fresh open would, on its
+        pinned shard if it was shed (the balancer's placement survives
+        disconnect/reconnect).  Raises
+        :class:`~repro.errors.ConfigurationError` if the archive is
+        foreign-versioned or the id is already open.
         """
-        self._check_open()
-        session_id = session_snapshot_id(state)
-        if session_id in self._sessions:
-            raise ConfigurationError(f"session {session_id!r} is already open")
-        # _place, not the raw ring: a shed session that was parked for
-        # resume re-imports onto its pinned shard, keeping the
-        # balancer's placement stable across disconnect/reconnect.
-        return session_id, self._place(session_id)
+        return self.resolve_placement(session_snapshot_id(state))
 
     def import_on_shard(
         self, state: bytes, session_id: str, shard: int,
         record_timeline: bool = True,
     ) -> str:
         """Land a resolved import on its shard (the IPC half)."""
-        handle = self._shards.get(shard)
-        if handle is None or not handle.alive:
-            raise WorkerError(f"shard {shard} is not live")
-        if self._shard_occupancy(shard) >= self.max_sessions_per_shard:
-            raise ConfigurationError(
-                f"shard {shard} is full "
-                f"({self.max_sessions_per_shard} slots); cannot import "
-                f"session {session_id!r} onto it"
-            )
-        order = next(self._order)
-        try:
-            reply = handle.request(
-                Request("migrate_in", state=state, route=order),
-                self.request_timeout_s,
-            )
-        except WorkerError as exc:
-            self._queue_crash(handle, str(exc))
-            raise WorkerError(
-                f"session {session_id!r} lost mid-import: {exc}"
-            ) from exc
-        raise_remote(reply)
-        with self._lock:
-            self._sessions[session_id] = _SessionRecord(
-                shard=shard,
-                order=order,
+        self._check_room(shard, f"import session {session_id!r}")
+        return self._admit(
+            shard,
+            Request(
+                "migrate_in",
+                session_id=session_id,
                 record_timeline=record_timeline,
-            )
-            handle.routes[order] = session_id
-        # An import that re-opens a previously crash-failed id clears the
-        # failure record — the imported state supersedes it.
-        self.failed_sessions.pop(session_id, None)
-        return session_id
+                state=state,
+                route=next(self._order),
+            ),
+        )
 
     def import_session(
         self, state: bytes, record_timeline: bool = True
@@ -1369,16 +1325,14 @@ class ShardedMonitorService:
         return handle is not None and handle.alive and handle.maybe_pending
 
     def take_undelivered_events(self) -> list[SessionEvent]:
-        """Drain events queued outside a tick (crashes, shard removal).
+        """Claim the fail-safe events queued outside a tick.
 
-        Crashes detected outside a tick (e.g. by a failing :meth:`feed`)
-        queue their sessions' terminal events, and :meth:`remove_shard`
-        queues the events of its final drain; both normally deliver on
-        the next :meth:`tick`/:meth:`drain`.  Callers that cannot
-        guarantee a further tick — the asyncio front-end after a
-        ``WorkerError``, or its idle poll — use this to claim them
-        immediately instead; events are only ever delivered once, by
-        whichever path gets there first.
+        A shard failed outside a tick (by a :meth:`feed`, a control op,
+        a migration) queues its sessions' terminal events for the next
+        :meth:`tick`/:meth:`drain`.  Callers that cannot guarantee a
+        further tick — the asyncio front-end after a ``WorkerError``, or
+        its idle poll — claim them here instead; events are only ever
+        delivered once, by whichever path gets there first.
 
         Also runs the no-IPC liveness poll, so a worker that dies while
         its shard is idle (nothing to tick, nothing talking to it) still
@@ -1390,35 +1344,30 @@ class ShardedMonitorService:
         pairs.sort(key=lambda p: p[0])
         return [event for _, event in pairs]
 
-    def stats_of(self, index: int) -> ServiceStats:
-        """One live shard's :class:`ServiceStats` (one IPC exchange).
+    def _poll(self, index: int, op: str):
+        """One live shard's answer to ``stats``/``telemetry``: the
+        single-shard primitive callers that serialise pipe access per
+        shard (the asyncio front-end, ``gateway_stats()``) use to poll
+        one worker under its lock without touching the others."""
+        return self._exchange(self._live_shard(index), Request(op))
 
-        The single-shard primitive behind :meth:`shard_stats`, split out
-        so callers that serialise pipe access per shard — the asyncio
-        front-end's :meth:`AsyncShardedMonitor.shard_stats`, and the
-        remote gateway's ``gateway_stats()`` — can poll one worker under
-        that shard's lock without touching the others' pipes.
-        """
-        handle = self._shards.get(index)
-        if handle is None or not handle.alive:
-            raise WorkerError(f"shard {index} is not live")
-        try:
-            reply = handle.request(Request("stats"), self.request_timeout_s)
-            raise_remote(reply)
-        except WorkerError as exc:
-            self._queue_crash(handle, str(exc))
-            raise
-        return reply.value
+    def _poll_live(self, op: str) -> dict:
+        """``{shard index: answer}`` over the live shards (one IPC each)."""
+        out = {}
+        for handle in self._live_shards():
+            try:
+                out[handle.index] = self._poll(handle.index, op)
+            except WorkerError:
+                continue  # crash queued by the exchange; skip the dead shard
+        return out
+
+    def stats_of(self, index: int) -> ServiceStats:
+        """One live shard's :class:`ServiceStats` (one IPC exchange)."""
+        return self._poll(index, "stats")
 
     def shard_stats(self) -> dict[int, ServiceStats]:
         """Per-live-shard :class:`ServiceStats` (one IPC each)."""
-        out: dict[int, ServiceStats] = {}
-        for handle in self._live_shards():
-            try:
-                out[handle.index] = self.stats_of(handle.index)
-            except WorkerError:
-                continue  # crash queued by stats_of; skip the dead shard
-        return out
+        return self._poll_live("stats")
 
     def stats(self) -> ServiceStats:
         """Aggregate stats: summed counters, merged tick-latency samples.
@@ -1431,16 +1380,9 @@ class ShardedMonitorService:
         fleet's own lifetime, not the youngest worker's.
         """
         merged = ServiceStats()
-        merged.n_ticks = self._retired_stats.n_ticks
-        merged.frames_processed = self._retired_stats.frames_processed
-        merged.events_emitted = self._retired_stats.events_emitted
-        merged.extend_ms(self._retired_stats.tick_ms)
         merged._started = self._started
-        for stats in self.shard_stats().values():
-            merged.n_ticks += stats.n_ticks
-            merged.frames_processed += stats.frames_processed
-            merged.events_emitted += stats.events_emitted
-            merged.extend_ms(stats.tick_ms)
+        for stats in (self._retired_stats, *self.shard_stats().values()):
+            merged.merge(stats)
         return merged
 
     @property
@@ -1449,22 +1391,8 @@ class ShardedMonitorService:
         return time.monotonic() - self._started
 
     def telemetry_of(self, index: int) -> dict:
-        """One live shard's telemetry snapshot (one IPC exchange).
-
-        The per-shard primitive behind :meth:`telemetry_snapshot`, split
-        out like :meth:`stats_of` so lock-per-shard callers (the asyncio
-        front-end, the gateway) can poll one worker at a time.
-        """
-        handle = self._shards.get(index)
-        if handle is None or not handle.alive:
-            raise WorkerError(f"shard {index} is not live")
-        try:
-            reply = handle.request(Request("telemetry"), self.request_timeout_s)
-            raise_remote(reply)
-        except WorkerError as exc:
-            self._queue_crash(handle, str(exc))
-            raise
-        return reply.value
+        """One live shard's telemetry snapshot (one IPC exchange)."""
+        return self._poll(index, "telemetry")
 
     def router_telemetry_snapshot(self) -> dict:
         """The no-IPC half of :meth:`telemetry_snapshot`.
@@ -1491,11 +1419,8 @@ class ShardedMonitorService:
         """
         merged = TelemetryRegistry()
         merged.merge(self.router_telemetry_snapshot())
-        for handle in self._live_shards():
-            try:
-                merged.merge(self.telemetry_of(handle.index))
-            except WorkerError:
-                continue  # crash queued by telemetry_of; skip the dead shard
+        for snapshot in self._poll_live("telemetry").values():
+            merged.merge(snapshot)
         return merged.snapshot()
 
     # ------------------------------------------------------------------
@@ -1515,46 +1440,44 @@ class ShardedMonitorService:
         return record
 
     def _account_events(
-        self, events: list[SessionEvent]
+        self, handle: _ShardHandle, events: list[SessionEvent]
     ) -> list[tuple[int, SessionEvent]]:
+        """Pair one shard tick's events with their merge keys; count and
+        tee them — one store write per shard tick, like the gateway's tee
+        (events of sessions closed concurrently are their own batch)."""
         pairs = []
-        store = self.event_store
         for event in events:
             record = self._sessions.get(event.session_id)
             if record is None:  # closed concurrently; still deliver
                 pairs.append((-1, event))
-                if store is not None:
-                    store.append(event, shard=-1)
-                continue
-            record.events_seen += 1
-            pairs.append((record.order, event))
-            if store is not None:
-                store.append(event, shard=record.shard)
+            else:
+                record.events_seen += 1
+                pairs.append((record.order, event))
         if events:
             self.telemetry.counter("events_delivered").inc(len(events))
+            if self.event_store is not None:
+                routed = [event for order, event in pairs if order >= 0]
+                if routed:
+                    self.event_store.append_batch(routed, shard=handle.index)
+                if len(routed) < len(pairs):
+                    self.event_store.append_batch(
+                        [event for order, event in pairs if order < 0], shard=-1
+                    )
         return pairs
-
-    def _queue_crash(self, handle: _ShardHandle, reason: str) -> None:
-        """Fail a shard outside a tick; its events deliver on the next one."""
-        pairs = self._fail_shard(handle, reason)
-        if pairs:
-            with self._lock:
-                self._undelivered.extend(pairs)
 
     # ------------------------------------------------------------------
     # Shm data plane: event-ring decode and deferred ingest failures
     # ------------------------------------------------------------------
     def _collect_ticks(
-        self, handle: _ShardHandle, value: tuple
+        self, handle: _ShardHandle, n_ring: int, overflow: list
     ) -> list[list[SessionEvent]]:
         """Materialise one tick/drain reply's event batches in order.
 
-        ``value`` is the worker's ``(n_ring_batches, overflow_ticks)``:
-        the first ``n_ring_batches`` ticks are read off the shard's event
-        ring, the overflow ticks (ring momentarily full) ride the reply
-        itself — chronological order is ring batches then overflow.
+        The worker announces ``(n_ring_batches, overflow_ticks)``: the
+        first ``n_ring`` ticks are read off the shard's event ring, the
+        overflow ticks (ring momentarily full) ride the reply itself —
+        chronological order is ring batches then overflow.
         """
-        n_ring, overflow = value
         ticks: list[list[SessionEvent]] = []
         for _ in range(n_ring):
             batch = handle.event_ring.read_events()
@@ -1611,36 +1534,23 @@ class ShardedMonitorService:
         The asynchronous data plane has no feed reply to raise through:
         a frame block the worker rejected (after the router's own width
         check — so: a true anomaly) arrives as ``(route, message)`` on a
-        later reply, and this turns each one into the same terminal
-        treatment a crash gets — ``failed_sessions`` entry plus a
-        ``flag=True`` event naming the cause.
+        later reply, and this gives each one the same terminal treatment
+        a crash gets (:meth:`_fail_sessions`), naming the cause.
         """
         pairs: list[tuple[int, SessionEvent]] = []
-        for handle in self._shards.values():
-            if not handle.pending_ingest:
-                continue
-            stashed, handle.pending_ingest = handle.pending_ingest, []
-            for route, message in stashed:
+        for handle in list(self._shards.values()):
+            reasons = {}
+            # Popped, never swapped: a reply being read on another thread
+            # may be stashing onto this very list.
+            while handle.pending_ingest:
+                route, message = handle.pending_ingest.pop(0)
                 session_id = handle.routes.pop(route, None)
-                if session_id is None:
-                    continue  # already failed or closed
-                reason = (
-                    f"shard {handle.index} rejected frames for session "
-                    f"{session_id!r}: {message}"
-                )
-                with self._lock:
-                    record = self._sessions.pop(session_id, None)
-                    if record is None:
-                        continue
-                    self._overlay.pop(session_id, None)
-                    self.failed_sessions[session_id] = reason
-                    failure_event = SessionEvent.failsafe(
-                        session_id, record.events_seen, reason
+                if session_id is not None:  # else: already failed or closed
+                    reasons[session_id] = (
+                        f"shard {handle.index} rejected frames for session "
+                        f"{session_id!r}: {message}"
                     )
-                    pairs.append((record.order, failure_event))
-                    self.telemetry.counter("failsafe_events").inc()
-                    if self.event_store is not None:
-                        self.event_store.append(
-                            failure_event, shard=handle.index
-                        )
+            if reasons:
+                with self._lock:
+                    pairs.extend(self._fail_sessions(reasons, handle.index))
         return pairs

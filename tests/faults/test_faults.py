@@ -152,40 +152,29 @@ class TestCampaign:
 
 class TestMonitoredCampaign:
     def test_bulk_and_looped_scoring_identical(self):
-        """The monitored campaign under the bulk engine is a pure perf
-        change: identical CellResults (counts and detections) and
-        bit-identical per-trial monitor outputs vs the looped path."""
+        """The monitored campaign scores through the bulk engine as a
+        pure perf choice: per-trial monitor outputs are bit-identical to
+        the looped ``process()`` on the same trial, so the detections
+        are the ones the looped path would count."""
         from repro.serving import make_synthetic_monitor
 
         monitor = make_synthetic_monitor(n_features=38, seed=0)
-        kwargs = dict(scale=0.02, sample_rate_hz=50.0, rng=3, monitor=monitor)
-        bulk = run_campaign(monitor_bulk=True, **kwargs)
-        looped = run_campaign(monitor_bulk=False, **kwargs)
+        campaign = run_campaign(
+            scale=0.02, sample_rate_hz=50.0, rng=3, monitor=monitor, keep_results=True
+        )
 
-        assert len(bulk.monitor_outputs) == bulk.total_injections
-        assert bulk.total_detected == looped.total_detected
-        for b_cell, l_cell in zip(bulk.cells, looped.cells):
-            assert b_cell == l_cell
-        for b_out, l_out in zip(bulk.monitor_outputs, looped.monitor_outputs):
+        assert len(campaign.monitor_outputs) == campaign.total_injections
+        detected = 0
+        for result, b_out in zip(campaign.results, campaign.monitor_outputs):
+            l_out = monitor.process(result.kinematics_trajectory())
             np.testing.assert_array_equal(b_out.gestures, l_out.gestures)
             np.testing.assert_array_equal(b_out.unsafe_scores, l_out.unsafe_scores)
             np.testing.assert_array_equal(b_out.unsafe_flags, l_out.unsafe_flags)
+            detected += int(l_out.unsafe_flags.any())
+        assert campaign.total_detected == detected
 
     def test_unmonitored_campaign_has_no_detections(self):
         result = run_campaign(scale=0.02, sample_rate_hz=50.0, rng=1)
         assert result.total_detected == 0
         assert result.monitor_outputs == []
 
-    def test_compiled_backend_requires_bulk(self):
-        from repro.errors import ConfigurationError
-        from repro.serving import make_synthetic_monitor
-
-        monitor = make_synthetic_monitor(n_features=38, seed=0)
-        with pytest.raises(ConfigurationError):
-            run_campaign(
-                scale=0.02,
-                rng=0,
-                monitor=monitor,
-                monitor_bulk=False,
-                monitor_backend="compiled",
-            )

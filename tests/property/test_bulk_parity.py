@@ -3,8 +3,8 @@
 Sweeps randomised monitors — conv / lstm error-classifier families,
 random hidden widths, random window lengths and strides for both stages,
 random trajectory lengths (including shorter-than-one-window edges) —
-and asserts :meth:`SafetyMonitor.process(bulk=True)` reproduces the
-looped ``process()``:
+and asserts :class:`BulkScorer` reproduces the looped
+:meth:`SafetyMonitor.process`:
 
 - **bit-identical** gestures, scores and flags under the ``reference``
   backend (the committed contract of :mod:`repro.serving.bulk`);

@@ -123,25 +123,6 @@ class TestBulkScorerOutputContract:
         assert scorer._gesture_backend[1] is not before
 
 
-class TestProcessBulkFastPath:
-    def test_process_bulk_matches_process(self, monitor, trajectory):
-        looped = monitor.process(trajectory)
-        bulk = monitor.process(trajectory, bulk=True)
-        np.testing.assert_array_equal(bulk.unsafe_scores, looped.unsafe_scores)
-        assert bulk.metadata["engine"] == "bulk"
-
-    def test_scorers_cached_per_backend(self, trajectory):
-        local = make_synthetic_monitor(n_features=10, seed=7)
-        local.process(trajectory, bulk=True)
-        local.process(trajectory, bulk=True)
-        local.process(trajectory, bulk=True, backend="compiled")
-        assert set(local._bulk_scorers) == {"reference", "compiled"}
-
-    def test_backend_without_bulk_rejected(self, monitor, trajectory):
-        with pytest.raises(ConfigurationError):
-            monitor.process(trajectory, backend="compiled")
-
-
 class TestConveniences:
     def test_score_procedure(self, monitor, trajectory):
         out = score_procedure(monitor, trajectory)

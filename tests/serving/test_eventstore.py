@@ -309,6 +309,43 @@ class TestServiceTee:
         assert any(e.error is not None for e in reader.replay())
 
 
+    def test_sharded_tee_writes_once_per_shard_tick(self, monitor, tmp_path):
+        """The router's own tee batches like the gateway's: one
+        ``append_batch`` per shard tick, tagged with that shard, and no
+        per-event ``append`` at all."""
+        store = EventStoreWriter(tmp_path / "log", fsync="never")
+        singles, batches = [], []
+        real_append, real_append_batch = store.append, store.append_batch
+
+        def append(event, shard=-1):
+            singles.append(event)
+            return real_append(event, shard)
+
+        def append_batch(events, shard=-1):
+            events = list(events)
+            batches.append((shard, [e.session_id for e in events]))
+            return real_append_batch(events, shard)
+
+        store.append, store.append_batch = append, append_batch
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=8, event_store=store
+        ) as service:
+            for i in range(6):
+                sid = service.open_session(f"proc-{i}")
+                service.feed(sid, np.zeros((5, N_FEATURES)))
+            on_shard = {
+                index: service.sessions_on(index)
+                for index in service.shard_indices
+            }
+            assert all(on_shard.values())
+            live = [event for _ in range(5) for event in service.tick()]
+        store.close()
+        assert not singles
+        assert sorted(batches) == sorted(list(on_shard.items()) * 5)
+        replayed = list(EventStoreReader(tmp_path / "log").replay())
+        assert sorted(map(event_key, replayed)) == sorted(map(event_key, live))
+
+
 class TestTelemetry:
     def test_histogram_percentiles_and_merge(self):
         registry = TelemetryRegistry()

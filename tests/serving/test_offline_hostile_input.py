@@ -8,7 +8,9 @@ from ``process()`` and ``BulkScorer`` — a silent safe verdict — while
 import numpy as np
 import pytest
 
+from repro.config import WindowConfig
 from repro.errors import DatasetError
+from repro.experiments.table8 import _baseline_output
 from repro.serving import (
     BulkScorer,
     make_random_walk_trajectory,
@@ -20,14 +22,22 @@ from repro.serving import (
 CALLS = {
     "process": lambda monitor, t: monitor.process(t),
     "process_true_gestures": lambda monitor, t: monitor.process(t, use_true_gestures=True),
-    "process_bulk": lambda monitor, t: monitor.process(t, bulk=True),
-    "process_bulk_compiled": lambda monitor, t: monitor.process(t, bulk=True, backend="compiled"),
     "bulk_score": lambda monitor, t: BulkScorer(monitor).score(t),
     "bulk_score_many": lambda monitor, t: BulkScorer(monitor).score_many([t]),
     "score_procedure": score_procedure,
+    "score_procedure_compiled": lambda monitor, t: score_procedure(monitor, t, backend="compiled"),
     "score_procedures": lambda monitor, t: score_procedures(monitor, [t]),
     "stream": lambda monitor, t: list(monitor.stream(t)),  # already refused at the parent
+    # Table VIII's / Figure 9's context-free comparator.
+    "table8_baseline": lambda monitor, t: _baseline_output(_MeanBaseline(), t, WindowConfig(5, 3)),
 }
+
+
+class _MeanBaseline:
+    """Stands in for a trained ``BaselineMonitor``: NaN in, NaN out."""
+
+    def timed_predict_proba(self, windows):
+        return windows.mean(axis=(1, 2)), 0.0
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +52,19 @@ def test_poisoned_procedure_raises_and_scores_nothing(monitor, call, value):
     poisoned.frames[8, 3] = value
     with pytest.raises(DatasetError, match="non-finite"):
         CALLS[call](monitor, poisoned)
+
+
+def test_baseline_fill_matches_the_frame_loop():
+    """Finite input: the vectorised forward-fill of the context-free
+    baseline reads, per frame, what the per-frame loop it replaced read."""
+    trajectory = make_random_walk_trajectory(40, n_features=10, seed=5)
+    trajectory.gestures = np.ones(40, dtype=int)
+    window = WindowConfig(5, 3)
+    out = _baseline_output(_MeanBaseline(), trajectory, window)
+    expected, last = np.zeros(40), 0.0
+    for t in range(40):
+        if t >= window.window - 1 and (t - (window.window - 1)) % window.stride == 0:
+            last = trajectory.frames[t - window.window + 1 : t + 1].mean()
+        expected[t] = last
+    np.testing.assert_array_equal(out.unsafe_scores, expected)
+    np.testing.assert_array_equal(out.unsafe_flags, (expected >= 0.5).astype(int))

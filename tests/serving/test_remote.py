@@ -12,6 +12,7 @@ workers.
 import asyncio
 import contextlib
 import dataclasses
+import multiprocessing as mp
 import os
 import signal
 import socket
@@ -601,6 +602,93 @@ class TestFailSafe:
 
         failed = asyncio.run(run())
         assert "s" in failed and "tick failed" in failed["s"]
+
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(),
+        reason="worker-side injection needs the fork start method",
+    )
+    @pytest.mark.parametrize("exc_type", [ShapeError, RuntimeError])
+    @pytest.mark.parametrize("resume", ["off", "on-once", "on-persistent"])
+    def test_sharded_engine_tick_failure_fails_safe(
+        self, monitor, monkeypatch, tmp_path, exc_type, resume
+    ):
+        """The K=2 twin: a worker whose ``tick`` replies with an error —
+        typed or not — must read as ``flag=True`` at the client, never as
+        a stream that silently stops.  Resume off: the client reads the
+        terminal event.  Resume on: journal recovery rebuilds the session
+        on the surviving shard — the stream completes when the fault does
+        not follow it there, and ends in one fail-safe terminal after the
+        bounded rebuilds when it does."""
+        fired = tmp_path / "fired"
+        real_tick = MonitorService.tick
+
+        def tick(self):
+            if (
+                "doomed" in self.session_ids
+                and self.frames_done("doomed") >= 3
+                and not (resume == "on-once" and fired.exists())
+            ):
+                fired.touch()
+                raise exc_type("injected tick failure")
+            return real_tick(self)
+
+        monkeypatch.setattr(MonitorService, "tick", tick)
+        frames = make_random_walk_trajectory(
+            20, n_features=N_FEATURES, seed=77
+        ).frames
+
+        async def run():
+            async with MonitorGateway(
+                monitor,
+                n_shards=2,
+                max_sessions=4,
+                start_method="fork",
+                resume_grace_s=0.0 if resume == "off" else 5.0,
+            ) as gateway:
+                client = await AsyncRemoteMonitorClient.connect(
+                    gateway.host, gateway.port
+                )
+                await client.open_session("doomed")
+                await client.feed("doomed", frames)
+                events = []
+                while len(events) < 20 and not (events and events[-1].error):
+                    # The parent delivered 3 events here, then nothing.
+                    events.append(
+                        await asyncio.wait_for(client.next_event(), 10.0)
+                    )
+                if events[-1].error:  # the parent kept it listed open
+                    deadline = time.monotonic() + 5.0
+                    while gateway.n_open_sessions and time.monotonic() < deadline:
+                        await asyncio.sleep(0.01)
+                    assert gateway.n_open_sessions == 0
+                failed = dict(gateway.failed_sessions)
+                await client.aclose()
+                return events, failed
+
+        events, failed = asyncio.run(run())
+        assert fired.exists()
+        *live, last = events
+        assert all(e.error is None and e.session_id == "doomed" for e in live)
+        assert [e.frame_index for e in live] == list(range(len(live)))
+        if resume == "on-once":
+            assert last.error is None and len(events) == 20
+            assert [event_key(e) for e in events] == [
+                event_key(e)
+                for e in local_events(
+                    monitor,
+                    make_random_walk_trajectory(20, n_features=N_FEATURES, seed=77),
+                    session_id="doomed",
+                )
+            ]
+            assert "doomed" not in failed
+        else:
+            assert last.flag is True and last.error
+            assert last.frame_index == len(live)
+            assert "doomed" in failed
+            if resume == "off":
+                assert len(live) == 3  # frames served before the loss
+                assert "injected tick failure" in last.error
+                assert exc_type.__name__ in last.error
 
     def test_stop_leaves_no_orphan_workers(self, monitor):
         gateway = MonitorGateway(monitor, n_shards=2, max_sessions=4)

@@ -8,6 +8,7 @@ front-end.
 """
 
 import asyncio
+import multiprocessing as mp
 import os
 import signal
 import time
@@ -29,6 +30,7 @@ from repro.serving import (
     suggest_shard_count,
 )
 from repro.serving.shm import EVENT_DTYPE
+from repro.serving.telemetry import TelemetryRegistry
 
 N_FEATURES = 10
 
@@ -775,6 +777,389 @@ class TestAsyncFrontend:
         assert {e.session_id for e in crash_events} == victims
         assert all(e.flag and e.error for e in crash_events)
         assert failed == victims
+
+
+#: Worker-side fault injection patches ``MonitorService`` in this
+#: process before the fleet starts; only forked workers inherit it.
+needs_fork = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(),
+    reason="worker-side injection needs the fork start method",
+)
+
+
+def failing_tick(exc_type, after, session_id="doomed"):
+    """A ``MonitorService.tick`` that raises on whichever worker serves
+    ``session_id``, once that session has been served ``after`` frames."""
+    real_tick = MonitorService.tick
+
+    def tick(self):
+        if (
+            session_id in self.session_ids
+            and self.frames_done(session_id) >= after
+        ):
+            raise exc_type("injected tick failure")
+        return real_tick(self)
+
+    return tick
+
+
+def raising(exc_type):
+    def method(self, *args, **kwargs):
+        raise exc_type("injected failure")
+
+    return method
+
+
+def kill_worker(service, shard):
+    process = service._shards[shard].process
+    os.kill(process.pid, signal.SIGKILL)
+    process.join(5.0)
+    assert not process.is_alive()
+
+
+def count_exchanges(service):
+    """Wrap every shard handle's pipe ends; returns the live tallies."""
+    tallies = {}
+    for index, handle in service._shards.items():
+        tally = tallies[index] = {"sent": 0, "received": 0}
+
+        def send(request, _send=handle.send, _tally=tally):
+            _tally["sent"] += 1
+            return _send(request)
+
+        def recv(timeout_s, _recv=handle.recv, _tally=tally):
+            reply = _recv(timeout_s)
+            _tally["received"] += 1
+            return reply
+
+        handle.send, handle.recv = send, recv
+    return tallies
+
+
+def assert_failed_safe(service, events, victims, shard):
+    """The fail-safe contract for one failed shard: exactly one terminal
+    per victim (flagged, cause named), bookkeeping moved, ring left."""
+    terminals = [e for e in events if e.error is not None]
+    assert sorted(e.session_id for e in terminals) == sorted(victims)
+    assert all(e.flag for e in terminals)
+    assert set(service.failed_sessions) == set(victims)
+    assert shard not in service.shard_indices
+    assert not set(service.session_ids) & set(victims)
+    return {e.session_id: e for e in terminals}
+
+
+class TestFailingWorkerTick:
+    """A worker whose ``tick`` *replies with an error* (of any type) is a
+    shard in an unknown state: it fails safe exactly like a dead one —
+    never silence, never a raise out of the round, never at another
+    shard's expense (``docs/serving.md``, "One worker exchange")."""
+
+    @needs_fork
+    @pytest.mark.parametrize("exc_type", [ShapeError, RuntimeError])
+    def test_async_frontend_fails_the_shard_safe(
+        self, monitor, monkeypatch, exc_type
+    ):
+        fleet = make_fleet(6, base_seed=1100, frames=30, step=2)
+        ref_events, _ = single_service_reference(monitor, fleet)
+        reference = {}
+        for event in ref_events:
+            reference.setdefault(event.session_id, []).append(event_key(event))
+        monkeypatch.setattr(MonitorService, "tick", failing_tick(exc_type, after=3))
+
+        async def run():
+            batches = []
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=8, start_method="fork"
+            ) as service:
+                async with AsyncShardedMonitor(
+                    service, sink=batches.append
+                ) as frontend:
+                    for session_id in ["doomed", *fleet]:
+                        await frontend.open_session(session_id)
+                    doomed_shard = service.shard_of("doomed")
+                    victims = set(service.sessions_on(doomed_shard))
+                    survivors = set(fleet) - victims
+                    assert survivors and "doomed" in victims
+                    for session_id, trajectory in fleet.items():
+                        await frontend.feed(session_id, trajectory.frames)
+                    await frontend.feed("doomed", np.zeros((50, N_FEATURES)))
+                    expected = sum(len(reference[s]) for s in survivors)
+
+                    def settled():
+                        events = [e for batch in batches for e in batch]
+                        terminals = {e.session_id for e in events if e.error}
+                        n_live = sum(
+                            1
+                            for e in events
+                            if e.session_id in survivors and e.error is None
+                        )
+                        return terminals >= victims and n_live >= expected
+
+                    deadline = time.monotonic() + 10.0
+                    while not settled() and time.monotonic() < deadline:
+                        await asyncio.sleep(0.01)
+                    await asyncio.sleep(0.1)  # room for a stray duplicate
+                    events = [e for batch in batches for e in batch]
+                    terminals = assert_failed_safe(
+                        service, events, victims, doomed_shard
+                    )
+                    tasks = list(frontend._tasks)
+                return events, terminals, victims, survivors, tasks
+
+        events, terminals, victims, survivors, tasks = asyncio.run(run())
+        per_session = {}
+        for event in events:
+            per_session.setdefault(event.session_id, []).append(event)
+        for session_id in victims:
+            *live, terminal = per_session[session_id]
+            assert terminal is terminals[session_id]
+            assert all(e.error is None for e in live)
+            assert [e.frame_index for e in live] == list(range(len(live)))
+            assert terminal.frame_index == len(live)  # frames served
+            assert "injected tick failure" in terminal.error
+            assert exc_type.__name__ in terminal.error
+        assert terminals["doomed"].frame_index == 3
+        # The other shard never noticed: bit-identical to one service.
+        for session_id in survivors:
+            assert [event_key(e) for e in per_session[session_id]] == reference[
+                session_id
+            ]
+        assert all(t.done() and t.exception() is None for t in tasks)
+
+    @pytest.mark.parametrize("start_method", mp.get_all_start_methods()[:2])
+    def test_shard_loop_cannot_die_with_sessions_routed_to_it(
+        self, monitor, monkeypatch, start_method
+    ):
+        """Whatever escapes ``tick_shard`` on the router side, the ticker
+        fails its shard's sessions safe instead of ending silently."""
+        real_tick_shard = ShardedMonitorService.tick_shard
+        doomed = {"shard": None, "calls": 0}
+
+        def tick_shard(self, index):
+            if index == doomed["shard"]:
+                doomed["calls"] += 1
+                if doomed["calls"] > 3:
+                    raise RuntimeError("router-side tick failure")
+            return real_tick_shard(self, index)
+
+        monkeypatch.setattr(ShardedMonitorService, "tick_shard", tick_shard)
+
+        async def run():
+            batches = []
+            with ShardedMonitorService(
+                monitor,
+                n_shards=2,
+                max_sessions_per_shard=8,
+                start_method=start_method,
+            ) as service:
+                async with AsyncShardedMonitor(
+                    service, sink=batches.append
+                ) as frontend:
+                    sids = [
+                        await frontend.open_session(f"proc-{i}") for i in range(6)
+                    ]
+                    for session_id in sids:
+                        await frontend.feed(
+                            session_id, np.zeros((40, N_FEATURES))
+                        )
+                    await frontend.drain()
+                    # Armed only now, and fed through one session, so no
+                    # feed of this test can race the failure it provokes.
+                    doomed["shard"] = service.shard_of(sids[0])
+                    victims = set(service.sessions_on(doomed["shard"]))
+                    assert victims < set(sids)
+                    await frontend.feed(sids[0], np.zeros((10, N_FEATURES)))
+                    deadline = time.monotonic() + 10.0
+                    while (
+                        set(service.failed_sessions) != victims
+                        or service.has_pending
+                    ) and time.monotonic() < deadline:
+                        await asyncio.sleep(0.01)
+                    await asyncio.sleep(0.1)
+                    events = [e for batch in batches for e in batch]
+                    terminals = assert_failed_safe(
+                        service, events, victims, doomed["shard"]
+                    )
+                    tasks = list(frontend._tasks)
+                    return events, terminals, victims, set(sids) - victims, tasks
+
+        events, terminals, victims, survivors, tasks = asyncio.run(run())
+        for session_id, terminal in terminals.items():
+            live = [
+                e for e in events if e.session_id == session_id and not e.error
+            ]
+            assert terminal.frame_index == len(live)
+            assert "RuntimeError: router-side tick failure" in terminal.error
+        for session_id in survivors:
+            assert [
+                e.frame_index for e in events if e.session_id == session_id
+            ] == list(range(40))
+        assert all(t.done() and t.exception() is None for t in tasks)
+
+    @needs_fork
+    @pytest.mark.parametrize("exc_type", [ShapeError, RuntimeError])
+    @pytest.mark.parametrize("how", ["tick", "drain", "drain-uncollected"])
+    def test_round_reads_every_reply_and_keeps_healthy_events(
+        self, monitor, monkeypatch, exc_type, how
+    ):
+        """Sync fleet, failing shard collected first: the same round
+        returns the healthy shard's events and the failing shard's
+        terminal, and no reply is left in any pipe — the next control op
+        on the healthy shard gets *its own* reply."""
+        monkeypatch.setattr(MonitorService, "tick", failing_tick(exc_type, after=2))
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=4, start_method="fork"
+        ) as service:
+            low, high = sorted(service.shard_indices)
+            service.open_on_shard("doomed", low)
+            service.open_on_shard("healthy", high)
+            service.open_on_shard("witness", high)
+            tallies = count_exchanges(service)
+            for session_id in ("doomed", "healthy", "witness"):
+                service.feed(session_id, np.zeros((6, N_FEATURES)))
+            events = []
+            rounds = {
+                "tick": [service.tick] * 6,
+                "drain": [service.drain],
+                "drain-uncollected": [lambda: service.drain(collect=False)],
+            }[how]
+            for run_round in rounds:
+                events.extend(run_round())  # never raises
+                for tally in tallies.values():
+                    assert tally["sent"] == tally["received"]
+            terminals = assert_failed_safe(service, events, {"doomed"}, low)
+            delivered = [e for e in events if e.session_id == "doomed" and not e.error]
+            assert terminals["doomed"].frame_index == len(delivered)
+            assert len(delivered) == (2 if how == "tick" else 0)
+            healthy = [e for e in events if e.session_id == "healthy"]
+            assert len(healthy) == (0 if how == "drain-uncollected" else 6)
+            # One reply out of step would hand close_session a stale
+            # tick reply here instead of the session's timeline.
+            result = service.close_session("healthy")
+            assert result.n_frames == 6
+            assert [e.score for e in healthy] == list(result.unsafe_scores)[: len(healthy)]
+            # The progress map stayed exact: a later crash of the healthy
+            # shard reports the true number of frames served.
+            kill_worker(service, high)
+            (terminal,) = service.tick()
+            assert (terminal.session_id, terminal.frame_index) == ("witness", 6)
+            for tally in tallies.values():
+                assert tally["sent"] == tally["received"] or tally is tallies[high]
+
+
+class TestExchangeOutcomes:
+    """The control-op half of the exchange rule, one test per cell of the
+    table in ``docs/serving.md`` ("One worker exchange"): a transport
+    failure or an unknown-type error reply fails the shard safe and
+    raises ``WorkerError``; a ``repro.errors``-typed error reply is the
+    caller's error and leaves the worker serving.  (The ``tick``/``drain``
+    row is :class:`TestFailingWorkerTick` and :class:`TestWorkerCrash`.)"""
+
+    OPS = {
+        "close": lambda service, sid, shard: service.close_session(sid),
+        "telemetry": lambda service, sid, shard: service.telemetry_of(shard),
+    }
+    PATCHES = {
+        "close": (MonitorService, "close_session"),
+        "telemetry": (TelemetryRegistry, "snapshot"),
+    }
+
+    def _fleet(self, service):
+        sids = [service.open_session(f"proc-{i}") for i in range(6)]
+        for sid in sids:
+            service.feed(sid, np.zeros((4, N_FEATURES)))
+        assert len(service.drain()) == 24
+        shard = service.shard_of(sids[0])
+        return sids, shard, set(service.sessions_on(shard))
+
+    def _assert_shard_failed(self, service, shard, victims):
+        terminals = assert_failed_safe(
+            service, service.take_undelivered_events(), victims, shard
+        )
+        assert all(e.frame_index == 4 for e in terminals.values())
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_transport_failure_fails_the_shard_safe(self, monitor, op):
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=8
+        ) as service:
+            sids, shard, victims = self._fleet(service)
+            kill_worker(service, shard)
+            with pytest.raises(WorkerError, match="worker died|pipe broken"):
+                self.OPS[op](service, sids[0], shard)
+            self._assert_shard_failed(service, shard, victims)
+
+    @needs_fork
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_typed_error_reply_is_the_callers_error(
+        self, monitor, monkeypatch, op
+    ):
+        monkeypatch.setattr(*self.PATCHES[op], raising(ConfigurationError))
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=8, start_method="fork"
+        ) as service:
+            sids, shard, victims = self._fleet(service)
+            with pytest.raises(ConfigurationError, match="injected failure"):
+                self.OPS[op](service, sids[0], shard)
+            assert not service.failed_sessions
+            assert not service.take_undelivered_events()
+            assert shard in service.shard_indices
+            service.feed(sids[0], np.zeros((2, N_FEATURES)))  # still serving
+            assert [e.frame_index for e in service.drain()] == [4, 5]
+
+    @needs_fork
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_unknown_error_reply_fails_the_shard_safe(
+        self, monitor, monkeypatch, op
+    ):
+        monkeypatch.setattr(*self.PATCHES[op], raising(RuntimeError))
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=8, start_method="fork"
+        ) as service:
+            sids, shard, victims = self._fleet(service)
+            with pytest.raises(WorkerError, match="RuntimeError: injected failure"):
+                self.OPS[op](service, sids[0], shard)
+            self._assert_shard_failed(service, shard, victims)
+            survivor = next(s for s in sids if s not in victims)
+            service.feed(survivor, np.zeros((2, N_FEATURES)))
+            assert [e.frame_index for e in service.drain()] == [4, 5]
+
+
+class TestSessionIncarnation:
+    def test_waiting_feed_does_not_follow_its_id_onto_a_reopened_session(
+        self, monitor
+    ):
+        """A feed queued behind its shard's pipe lock while the worker
+        dies and the id is re-opened elsewhere (what the gateway's
+        journal rebuild does) must fail as the lost session's feed.
+        Following the id would land its frames on the new session a
+        second time — the rebuild already replayed them — which the
+        chaos gate saw as ``gateway counted 28 frames, fed 24``."""
+
+        async def run():
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=4
+            ) as service:
+                async with AsyncShardedMonitor(service) as frontend:
+                    await frontend.open_session("s")
+                    shard = service.shard_of("s")
+                    async with frontend._locks[shard]:  # an exchange in flight
+                        waiting = asyncio.ensure_future(
+                            frontend.feed("s", np.ones((4, N_FEATURES)))
+                        )
+                        await asyncio.sleep(0.05)  # parked on the lock
+                        kill_worker(service, shard)
+                        (terminal,) = service.take_undelivered_events()
+                        assert terminal.session_id == "s" and terminal.flag
+                        await frontend.open_session("s")  # the rebuild
+                        assert service.shard_of("s") != shard
+                    with pytest.raises(WorkerError, match="lost"):
+                        await asyncio.wait_for(waiting, 5.0)
+                    await frontend.feed("s", np.zeros((2, N_FEATURES)))
+                    await frontend.drain()
+                    return await frontend.close_session("s")
+
+        assert asyncio.run(run()).n_frames == 2
 
 
 def stats_with_p99(tick_ms: float, n_ticks: int = 100) -> ServiceStats:
