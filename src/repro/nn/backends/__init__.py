@@ -15,6 +15,7 @@ from .base import (
     validate_backend_name,
 )
 from .compiled import BULK_MAX_BATCH, CompiledBackend
+from .library import LibraryBackend, ReferenceLibraryBackend, make_library_backend
 from .reference import ReferenceBackend
 from .stepper import StreamStepper
 
@@ -24,8 +25,11 @@ __all__ = [
     "CompiledBackend",
     "DEFAULT_BACKEND",
     "InferenceBackend",
+    "LibraryBackend",
     "ReferenceBackend",
+    "ReferenceLibraryBackend",
     "StreamStepper",
     "make_backend",
+    "make_library_backend",
     "validate_backend_name",
 ]

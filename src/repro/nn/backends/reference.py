@@ -97,7 +97,7 @@ class _ReferenceStepper(StreamStepper):
             z[n_recurrent:] += 0.0  # a starting chain's recurrent term
             c = c_state[state_rows]
             c[n_recurrent:] = 0.0
-            h = layer._step(z, c)
+            h = layer._step(z, c, layer.params["b"])
             h_state[state_rows] = h
             c_state[state_rows] = c
 

@@ -92,6 +92,30 @@ class Conv1D(Layer):
             raise ShapeError(
                 f"Conv1D built for {self.params['W'].shape[1]} channels, got {channels}"
             )
+        w_flat = self.params["W"].reshape(self.kernel_size * channels, self.filters)
+        out, columns = self.convolve(x, w_flat, self.params["b"], contract, training)
+        if training:
+            self._cache = {
+                "columns": columns,
+                "x_shape": np.array(x.shape),
+                "padded_time": np.array([time_steps + sum(self._pad_amounts())]),
+            }
+        return out
+
+    def convolve(
+        self, x: np.ndarray, w_flat, b, contract, training: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The forward arithmetic, written once: zero-pad the time axis,
+        im2col, contract with the flattened kernel, add the bias.
+
+        Returns ``(output, columns)``.  :meth:`forward` passes its own
+        parameters and :func:`~repro.nn.layers.contract.contract`; the
+        stacked library pass (:mod:`repro.nn.backends.library`) passes
+        every member's flattened kernels, a bias row per window and its
+        own contraction.  Padding and the gather are per window, so
+        which windows share the call is free.
+        """
+        batch, time_steps, channels = x.shape
         left, right = self._pad_amounts()
         if left or right:
             x_padded = np.zeros((batch, left + time_steps + right, channels))
@@ -99,23 +123,15 @@ class Conv1D(Layer):
         else:
             x_padded = x
         out_time = self._output_time(time_steps)
-        k, in_ch = self.kernel_size, channels
+        k = self.kernel_size
 
         # im2col: (batch, out_time, kernel * channels)
         idx = self._im2col_idx
         if idx is None or idx.shape[0] != out_time:
             idx = np.arange(out_time)[:, None] + np.arange(k)[None, :]
             self._im2col_idx = idx
-        columns = x_padded[:, idx, :].reshape(batch, out_time, k * in_ch)
-        w_flat = self.params["W"].reshape(k * in_ch, self.filters)
-        out = contract(columns, w_flat, training) + self.params["b"]
-        if training:
-            self._cache = {
-                "columns": columns,
-                "x_shape": np.array(x.shape),
-                "padded_time": np.array([x_padded.shape[1]]),
-            }
-        return out
+        columns = x_padded.take(idx, axis=1).reshape(batch, out_time, k * channels)
+        return contract(columns, w_flat, training) + b, columns
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self._check_built()

@@ -50,7 +50,18 @@ class Dense(Layer):
             )
         if training:
             self._cache_x = x
-        return contract(x, self.params["W"], training) + self.params["b"]
+        return self.affine(x, self.params["W"], self.params["b"], contract, training)
+
+    @staticmethod
+    def affine(x, w, b, contract, training: bool = False) -> np.ndarray:
+        """``x @ w + b``: the layer's forward arithmetic, written once.
+
+        :meth:`forward` passes its own parameters and
+        :func:`~repro.nn.layers.contract.contract`; the stacked library
+        pass (:mod:`repro.nn.backends.library`) passes every member's
+        weights, a bias row per input row and its own contraction.
+        """
+        return contract(x, w, training) + b
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self._check_built()

@@ -71,9 +71,9 @@ class BatchNorm(Layer):
             assert self.running_mean is not None and self.running_var is not None
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        x_hat = (x - mean) * inv_std
-        out = self.params["gamma"] * x_hat + self.params["beta"]
+        out, x_hat, inv_std = self.normalise(
+            x, mean, var, self.params["gamma"], self.params["beta"]
+        )
         if training:
             self._cache = {
                 "x_hat": x_hat,
@@ -81,6 +81,22 @@ class BatchNorm(Layer):
                 "n": np.array([int(np.prod([x.shape[a] for a in axes]))]),
             }
         return out
+
+    def normalise(
+        self, x: np.ndarray, mean, var, gamma, beta
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The forward arithmetic, written once: ``(output, x_hat,
+        inv_std)`` from the statistics and affine it is handed.
+
+        :meth:`forward` passes the batch's statistics when training and
+        the running ones at inference; the stacked library pass
+        (:mod:`repro.nn.backends.library`) passes, per input row, the
+        running statistics and affine of the member the row belongs
+        to.  Every operation is element-wise.
+        """
+        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        x_hat = (x - mean) * inv_std
+        return gamma * x_hat + beta, x_hat, inv_std
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self._check_built()

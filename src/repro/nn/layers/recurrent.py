@@ -77,7 +77,9 @@ class LSTM(Layer):
                 f"LSTM built for {self.params['Wx'].shape[0]} features, got {features}"
             )
         if not training:
-            return self._forward_inference(x)
+            return self.recur(
+                x, self.params["Wx"], self.params["Wh"], self.params["b"], contract
+            )
         u = self.units
         wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
 
@@ -125,7 +127,7 @@ class LSTM(Layer):
         }
         return hs if self.return_sequences else hs[:, -1, :]
 
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
+    def recur(self, x: np.ndarray, wx, wh, b, contract) -> np.ndarray:
         """The ``training=False`` forward: no caches, fewest numpy calls.
 
         Around the contraction (the batch-invariant fixed-shape GEMMs
@@ -146,12 +148,16 @@ class LSTM(Layer):
         - the ``(batch, time, units)`` sequence buffer exists only when
           the sequence is what the layer returns.
 
-        Everything after the pre-activation sum is :meth:`_step`, which
-        the stream steppers of :mod:`repro.nn.backends` call too.
+        Written once as a function of its parameters: :meth:`forward`
+        passes the layer's own and :func:`~.contract.contract`; the
+        stacked library pass (:mod:`repro.nn.backends.library`) passes
+        every member's weights, a bias row per window and its own
+        contraction.  Everything after the pre-activation sum is
+        :meth:`_step`, which the stream steppers of
+        :mod:`repro.nn.backends` call too.
         """
         batch, time_steps, features = x.shape
         u = self.units
-        wx, wh = self.params["Wx"], self.params["Wh"]
         x_proj = contract(x.reshape(-1, features), wx, False)
         x_proj = x_proj.reshape(batch, time_steps, 4 * u)
         hs = np.empty((batch, time_steps, u)) if self.return_sequences else None
@@ -160,26 +166,28 @@ class LSTM(Layer):
         c = np.zeros((batch, u))
         for t in range(time_steps):
             recurrent = contract(h, wh, False) if t else 0.0
-            h = self._step(x_proj[:, t, :] + recurrent, c)
+            h = self._step(x_proj[:, t, :] + recurrent, c, b)
             if hs is not None:
                 hs[:, t, :] = h
         return h if hs is None else hs
 
-    def _step(self, z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    def _step(self, z: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
         """One inference time step: the gate arithmetic, written once.
 
         ``z`` is ``(rows, 4 * units)``, input projection plus recurrent
         term (``+0.0`` for a row stepping from the zero state), owned
         by the caller and consumed; ``c`` is the rows' cell state,
-        updated in place.  Returns the new hidden state.  Every
-        operation is element-wise, so a row's bits depend on its own
-        ``z`` and ``c`` only — which rows share the call is free, and
-        both the windowed loop above (a batch of windows at one time
-        step) and a stream stepper (the in-flight chains of many
-        streams at one frame) are callers.
+        updated in place; ``b`` the gate bias (one for all rows, or a
+        row each).  Returns the new hidden state.  Every operation is
+        element-wise, so a row's bits depend on its own ``z``, ``c``
+        and bias only — which rows share the call is free, and the
+        windowed loop above (a batch of windows at one time step), a
+        stream stepper (the in-flight chains of many streams at one
+        frame) and the stacked library pass (windows of several
+        members) are all callers.
         """
         u = self.units
-        z += self.params["b"]
+        z += b
         i_f = sigmoid(z[:, : 2 * u])
         g = np.tanh(z[:, 2 * u : 3 * u])
         o = sigmoid(z[:, 3 * u :])

@@ -42,7 +42,15 @@ class StandardScaler:
             raise ShapeError(
                 f"scaler fitted for {self.mean_.shape[0]} features, got {x.shape[-1]}"
             )
-        return (x - self.mean_) / self.scale_
+        return self.standardise(x, self.mean_, self.scale_)
+
+    @staticmethod
+    def standardise(x: np.ndarray, mean, scale) -> np.ndarray:
+        """``(x - mean) / scale``: the arithmetic of :meth:`transform`,
+        written once (the stacked library pass of
+        :mod:`repro.nn.backends.library` hands it a mean and scale row
+        per window)."""
+        return (x - mean) / scale
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         """Fit then transform in one call."""

@@ -50,12 +50,12 @@ import numpy as np
 
 from ..core.pipeline import MonitorOutput, SafetyMonitor
 from ..errors import NotFittedError
-from ..gestures.vocabulary import Gesture
 from ..kinematics.trajectory import Trajectory
 from ..kinematics.windows import sliding_windows_view
 from ..nn.backends import (
     DEFAULT_BACKEND,
     InferenceBackend,
+    LibraryBackend,
     make_backend,
     validate_backend_name,
 )
@@ -105,7 +105,9 @@ class BulkScorer:
         self.monitor = monitor
         self.backend = validate_backend_name(backend)
         self._gesture_backend: tuple[object, InferenceBackend] | None = None
-        self._error_backends: dict[Gesture, tuple[object, InferenceBackend]] = {}
+        #: The error stage's member backends (same identity contract,
+        #: :class:`~repro.nn.backends.LibraryBackend`), built on first use.
+        self._error_library: LibraryBackend | None = None
 
     # ------------------------------------------------------------------
     # Backend cache (model identity = retrain signal)
@@ -122,19 +124,18 @@ class BulkScorer:
             )
         return self._gesture_backend[1]
 
-    def _error_stage(self, gesture: Gesture) -> InferenceBackend | None:
+    def _error_member(self, gesture: int) -> InferenceBackend | None:
         """The gesture's error backend, or ``None`` for constant-safe."""
         clf = self.monitor.library.classifiers.get(gesture)
-        if clf is None:
-            self._error_backends.pop(gesture, None)
-            return None
-        clf._check_fitted()
-        assert clf.model is not None
-        cached = self._error_backends.get(gesture)
-        if cached is None or cached[0] is not clf.model:
-            cached = (clf.model, make_backend(self.backend, clf.scaler, clf.model))
-            self._error_backends[gesture] = cached
-        return cached[1]
+        if clf is not None:
+            clf._check_fitted()  # process() refuses an unfitted member too
+        if self._error_library is None:
+            # Only member() is asked of it (every group here is scored
+            # whole), so the base owner does: no stacked parameters.
+            self._error_library = LibraryBackend(
+                self.monitor.library, self.backend
+            )
+        return self._error_library.member(gesture)
 
     # ------------------------------------------------------------------
     # Scoring
@@ -213,7 +214,7 @@ class BulkScorer:
             scored[ends[mask]] = True  # a constant classifier scores 0 (safe)
             if gesture_number < 1:
                 continue  # no gesture context yet (shorter than one window)
-            backend = self._error_stage(Gesture(int(gesture_number)))
+            backend = self._error_member(int(gesture_number))
             if backend is None:
                 continue
             stage_start = time.perf_counter()

@@ -8,7 +8,11 @@ sessions (open / feed / close lifecycle) against a single trained
 advances every session with pending frames by one frame and runs each
 pipeline stage **once** across all sessions — one model invocation per
 stage per tick, instead of one per stream — via the ring-buffered
-:class:`~repro.kinematics.windows.StreamingWindowBatch`.  The gesture
+:class:`~repro.kinematics.windows.StreamingWindowBatch`.  The error
+stage belongs to one owner, the library backend
+(:mod:`repro.nn.backends.library`): under the reference backend the
+gesture contexts of a tick share one stacked forward, the same bits as
+one call per gesture-specific classifier.  The gesture
 stage does not re-run its LSTM over each completed window: it keeps
 every session's in-flight windows as chains of LSTM state and advances
 them one step per frame (:mod:`repro.nn.backends.stepper`), which is
@@ -41,13 +45,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ConfigurationError, DatasetError, ShapeError
-from ..gestures.vocabulary import Gesture
 from ..kinematics.windows import StreamingWindowBatch, WindowSlotState
 from ..nn.backends import (
     DEFAULT_BACKEND,
     InferenceBackend,
+    LibraryBackend,
     StreamStepper,
     make_backend,
+    make_library_backend,
     validate_backend_name,
 )
 from ..nn.layers.contract import numerics_fingerprint
@@ -429,33 +434,24 @@ class MonitorService:
         self._feature_idx: np.ndarray | None = None
         self._current_gesture = np.zeros(max_sessions, dtype=np.int64)
         self._current_score = np.zeros(max_sessions)
-        #: Backend cache per pipeline stage, keyed by the *model object*
-        #: the backend was built from — fit() rebinds ``.model`` to a new
-        #: object, so identity is the retrain signal.
+        #: The gesture stage's backend, cached with the *model object* it
+        #: was built from — fit() rebinds ``.model`` to a new object, so
+        #: identity is the retrain signal.
         self._gesture_backend: tuple[object, InferenceBackend] | None = None
         #: The gesture backend's stream stepper; ``None`` when its model
         #: does not lead with an LSTM stack (the tick then scores the
         #: ring's windows).  Replaced whenever the backend is.
         self._gesture_stepper: StreamStepper | None = None
-        self._error_backends: dict[Gesture, tuple[object, InferenceBackend]] = {}
-        self._build_backends()
-
-    def _make_backend(self, classifier) -> InferenceBackend:
-        """One backend for a classifier's (scaler, model), scratch sized
-        to the slot count."""
-        return make_backend(
-            self.backend,
-            classifier.scaler,
-            classifier.model,
-            max_batch=self.max_sessions,
-        )
-
-    def _build_backends(self) -> None:
-        """Compile every already-trained stage's backend up front."""
         self._gesture_backend_or_none()
-        for gesture, clf in self.monitor.library.classifiers.items():
-            if clf.model is not None:
-                self._error_backends[gesture] = (clf.model, self._make_backend(clf))
+        #: The error stage's owner: every trained member's backend
+        #: (same identity contract, per member) and, under
+        #: ``reference``, their stacked parameters — built up front.
+        self._error_library: LibraryBackend = make_library_backend(
+            self.backend, monitor.library, max_batch=self.max_sessions
+        )
+        self.telemetry.label("error_path", self._error_library.path)
+        for name in ("error_member_calls", "error_stacked_passes"):
+            self.telemetry.counter(name)
 
     def _gesture_backend_or_none(self) -> InferenceBackend | None:
         """The gesture-stage backend, tracking the classifier's model.
@@ -480,7 +476,12 @@ class MonitorService:
             self._gesture_backend = self._gesture_stepper = None
             return None
         if self._gesture_backend is None or self._gesture_backend[0] is not model:
-            backend = self._make_backend(classifier)
+            backend = make_backend(
+                self.backend,
+                classifier.scaler,
+                model,
+                max_batch=self.max_sessions,
+            )
             self._gesture_backend = (model, backend)
             self._gesture_stepper = backend.stream_stepper(
                 classifier.config.window, self.max_sessions
@@ -499,20 +500,6 @@ class MonitorService:
             self._gesture_stepper.rebuild(
                 slot, *self._gesture_batch.recent_frames(slot)
             )
-
-    def _error_backend_or_none(
-        self, gesture: Gesture
-    ) -> InferenceBackend | None:
-        """The gesture's error-stage backend (same contract as above)."""
-        clf = self.monitor.library.classifiers.get(gesture)
-        if clf is None or clf.model is None:
-            self._error_backends.pop(gesture, None)
-            return None
-        cached = self._error_backends.get(gesture)
-        if cached is None or cached[0] is not clf.model:
-            cached = (clf.model, self._make_backend(clf))
-            self._error_backends[gesture] = cached
-        return cached[1]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -796,10 +783,20 @@ class MonitorService:
         in-flight window chain of every advanced session, the completed
         chains handed to the rest of the model (a gesture model that
         does not lead with an LSTM stack scores the ready windows
-        instead) — then the error stage once per distinct active
-        gesture over the ready error windows: one model invocation per
-        stage per tick, regardless of how many sessions advanced.
-        The advanced slots and their popped frames are staged in
+        instead) — then the error stage **once**: the ready error
+        windows go to the library backend
+        (:class:`~repro.nn.backends.LibraryBackend`) with the gesture
+        context of each, and under the reference backend every context
+        that brings fewer than ``ROW_BLOCK`` windows shares one stacked
+        forward.  That is one model invocation per stage per tick,
+        regardless of how many sessions advanced or how many gestures
+        are active — with three exceptions the ``error_path`` telemetry
+        label and the ``error_member_calls`` / ``error_stacked_passes``
+        counters account for: a context alone in the tick, or one that
+        fills a row block by itself, keeps one call of its member's
+        model (stacking loses there), and the compiled backends, like a
+        library whose members do not share one architecture, make one
+        member call per distinct active gesture.  The advanced slots and their popped frames are staged in
         preallocated scratch (no per-tick slot/stack arrays).
 
         Returns
@@ -854,21 +851,20 @@ class MonitorService:
             e_slots = slots[e_ready]
             gestures = self._current_gesture[e_slots]
             known = gestures > 0
-            # One predict_proba per distinct gesture, over every session
-            # currently in that context.  Gestures without a trained
-            # classifier score 0.0 (safe) — never a stale carry-over.
-            new_scores = np.zeros(e_slots.size)
-            for gesture_number in np.unique(gestures[known]):
-                backend = self._error_backend_or_none(
-                    Gesture(int(gesture_number))
-                )
-                if backend is None:
-                    continue
-                mask = gestures == gesture_number
-                new_scores[mask] = backend.predict_proba(
-                    e_windows[mask]
-                ).reshape(-1)
-            self._current_score[e_slots[known]] = new_scores[known]
+            # Sessions without a gesture context yet keep their score;
+            # a gesture without a trained classifier scores 0.0 (safe).
+            library = self._error_library
+            calls, passes = library.member_calls, library.stacked_passes
+            self._current_score[e_slots[known]] = library.score(
+                e_windows, gestures
+            )[known]
+            self.telemetry.label("error_path", library.path)
+            self.telemetry.counter("error_member_calls").inc(
+                library.member_calls - calls
+            )
+            self.telemetry.counter("error_stacked_passes").inc(
+                library.stacked_passes - passes
+            )
 
         # Everything the per-session loop needs is looked up once per
         # tick: current gesture/score as plain Python values (one gather

@@ -86,6 +86,7 @@ from .shm import (
 from .snapshot import (
     monitor_to_bytes,
     session_snapshot_id,
+    session_snapshot_meta,
     snapshot_backend,
     snapshot_n_features,
 )
@@ -1035,12 +1036,16 @@ class ShardedMonitorService:
             ),
         )
 
-    def _admit(self, shard: int, request: Request) -> str:
+    def _admit(self, shard: int, request: Request, events_seen: int = 0) -> str:
         """Land an ``open``/``migrate_in`` on a shard and record the placement.
 
         The global opening order doubles as the session's route id on
         the shm rings, so it is allocated *before* the request and
         shipped inside (a failed admission just burns a counter value).
+        ``events_seen`` is where the session's stream stands — frames
+        already served elsewhere for an import — so a fail-safe terminal
+        names the frame monitoring was lost at, not one counted from
+        the import.
         """
         handle = self._live_shard(shard)
         self._exchange(handle, request)
@@ -1048,6 +1053,7 @@ class ShardedMonitorService:
             self._sessions[request.session_id] = _SessionRecord(
                 shard=shard,
                 order=request.route,
+                events_seen=events_seen,
                 record_timeline=request.record_timeline,
             )
             handle.routes[request.route] = request.session_id
@@ -1301,6 +1307,7 @@ class ShardedMonitorService:
                 state=state,
                 route=next(self._order),
             ),
+            events_seen=session_snapshot_meta(state)[1],
         )
 
     def import_session(

@@ -345,14 +345,15 @@ def session_to_bytes(state: SessionState) -> bytes:
     return buffer.getvalue()
 
 
-def session_snapshot_id(data: bytes) -> str:
-    """Session id embedded in a :func:`session_to_bytes` archive.
+def session_snapshot_meta(data: bytes) -> tuple[str, int]:
+    """``(session id, frames done)`` of a :func:`session_to_bytes` archive.
 
     Reads only the metadata entry — no arrays are materialised — so the
-    sharded router and the gateway's resume path can resolve placement
-    for an imported session without decoding the full window state.
-    Raises :class:`~repro.errors.ConfigurationError` on a foreign
-    version byte, like :func:`session_from_bytes`.
+    sharded router and the gateway's resume path can place an imported
+    session, and know how far into its stream it is, without decoding
+    the full window state.  Raises
+    :class:`~repro.errors.ConfigurationError` on a foreign version
+    byte, like :func:`session_from_bytes`.
     """
     with np.load(io.BytesIO(data)) as archive:
         meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
@@ -360,7 +361,13 @@ def session_snapshot_id(data: bytes) -> str:
         raise ConfigurationError(
             f"unsupported session snapshot version {meta.get('version')!r}"
         )
-    return str(meta["session_id"])
+    return str(meta["session_id"]), int(meta["frames_done"])
+
+
+def session_snapshot_id(data: bytes) -> str:
+    """Session id embedded in a :func:`session_to_bytes` archive
+    (:func:`session_snapshot_meta`'s first field)."""
+    return session_snapshot_meta(data)[0]
 
 
 def session_from_bytes(data: bytes) -> SessionState:

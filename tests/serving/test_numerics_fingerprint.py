@@ -5,7 +5,10 @@ numerics fingerprints agree, so an operator has to be able to read both
 from a running service, a fleet and a gateway.  Next to it sits
 ``gesture_path``: whether the gesture stage steps its LSTM chains a
 frame at a time or scores whole windows (read from the model's layers;
-nothing depends on the label).
+nothing depends on the label), and ``error_path``: whether the error
+stage stacks a tick's short gesture contexts into one forward or calls
+one member model per context — with the two counters that say how often
+each happened (``error_stacked_passes``, ``error_member_calls``).
 """
 
 import asyncio
@@ -38,13 +41,22 @@ def test_labels_merge_as_a_union_so_a_mixed_fleet_shows():
 def test_service_fleet_and_gateway_all_name_their_arithmetic():
     monitor = make_synthetic_monitor(n_features=6, seed=3)
     mine = numerics_fingerprint()
-    # The synthetic monitor's gesture model is the paper's stacked LSTM.
-    labels = {"numerics": [mine], "gesture_path": ["stepped"]}
+    # The synthetic monitor's gesture model is the paper's stacked LSTM,
+    # its library twelve members of one architecture.
+    labels = {
+        "numerics": [mine],
+        "gesture_path": ["stepped"],
+        "error_path": ["stacked"],
+    }
+    invocations = {"error_member_calls": 0, "error_stacked_passes": 0}
     service = MonitorService(monitor, max_sessions=1)
     assert service.telemetry.snapshot()["labels"] == labels
+    assert service.telemetry.snapshot()["counters"] == invocations
     # Forked workers load the same kernels: the fleet reports one value.
     with ShardedMonitorService(monitor, n_shards=2, max_sessions_per_shard=1) as fleet:
         assert fleet.telemetry_snapshot()["labels"] == labels
+        counters = fleet.telemetry_snapshot()["counters"]
+        assert {name: counters[name] for name in invocations} == invocations
 
     async def stats():
         async with MonitorGateway(monitor, n_shards=1, max_sessions=1) as gateway:
@@ -53,6 +65,38 @@ def test_service_fleet_and_gateway_all_name_their_arithmetic():
     payload = asyncio.run(stats())
     assert (payload["backend"], payload["numerics"]) == ("reference", mine)
     assert payload["telemetry"]["labels"] == labels
+    counters = payload["telemetry"]["counters"]
+    assert {name: counters[name] for name in invocations} == invocations
+
+
+def test_error_path_counts_model_invocations_per_tick():
+    """One session is one context: one member call per scored tick.
+    Several sessions in different contexts: one stacked pass instead."""
+    monitor = make_synthetic_monitor(n_features=6, seed=3)
+    frames = np.random.default_rng(0).standard_normal((4, 20, 6)) * 2.0
+    lone = MonitorService(monitor, max_sessions=1)
+    lone.feed(lone.open_session(), frames[0])
+    lone.drain()
+    counters = lone.telemetry.snapshot()["counters"]
+    assert counters["error_stacked_passes"] == 0
+    assert 0 < counters["error_member_calls"] <= 16  # 20 frames less warm-up
+
+    fleet = MonitorService(monitor, max_sessions=4)
+    for stream in frames:
+        fleet.feed(fleet.open_session(), stream)
+    fleet.drain()
+    counters = fleet.telemetry.snapshot()["counters"]
+    assert counters["error_stacked_passes"] > 0
+    assert counters["error_stacked_passes"] + counters["error_member_calls"] <= 16
+    for backend in ("compiled", "compiled-f32"):
+        service = MonitorService(monitor, max_sessions=4, backend=backend)
+        for stream in frames:
+            service.feed(service.open_session(), stream)
+        service.drain()
+        snapshot = service.telemetry.snapshot()
+        assert snapshot["labels"]["error_path"] == ["per-member"]
+        assert snapshot["counters"]["error_stacked_passes"] == 0
+        assert snapshot["counters"]["error_member_calls"] > 16
 
 
 def test_gesture_path_is_read_from_the_models_layers():

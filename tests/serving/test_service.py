@@ -468,7 +468,7 @@ class TestBackendSelection:
             service.tick()
         backends = [
             service._gesture_backend[1],
-            *(backend for _, backend in service._error_backends.values()),
+            *(backend for _, backend in service._error_library._members.values()),
         ]
         pointers = {
             id(b): [buf.__array_interface__["data"][0] for buf in b.scratch_arrays()]

@@ -545,6 +545,31 @@ class TestWorkerCrash:
             assert {e.session_id for e in crash_events} == victims
             assert all(e.frame_index == 30 for e in crash_events)
 
+    def test_imported_session_fails_safe_at_its_stream_position(self, monitor):
+        """An imported session's router record starts at the archive's
+        ``frames_done``, not at 0: the terminal event names the frame
+        of the *stream* monitoring was lost at."""
+        frames = make_random_walk_trajectory(
+            50, n_features=N_FEATURES, seed=540
+        ).frames
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=8
+        ) as service:
+            sid = service.open_session("moved")
+            service.feed(sid, frames[:40])
+            assert len(service.drain()) == 40
+            assert service.import_session(service.export_session(sid)) == sid
+            service.feed(sid, frames[40:])
+            # tick(), not drain(): a drain reply re-reads the worker's count.
+            after = [e for _ in range(10) for e in service.tick()]
+            assert [e.frame_index for e in after] == list(range(40, 50))
+            self._kill_shard(service, service.shard_of(sid))
+            terminals = [e for e in service.tick() if e.error is not None]
+            terminals += service.take_undelivered_events()
+        assert [(e.session_id, e.flag, e.frame_index) for e in terminals] == [
+            (sid, True, 50)
+        ]
+
     def test_hung_worker_fails_safe_within_request_timeout(self, monitor):
         """SIGSTOP one worker: the process is alive but silent, so only
         ``request_timeout_s`` can surface it.  Its sessions each get one
@@ -777,6 +802,47 @@ class TestAsyncFrontend:
         assert {e.session_id for e in crash_events} == victims
         assert all(e.flag and e.error for e in crash_events)
         assert failed == victims
+
+
+    def test_async_imported_session_fails_safe_at_its_stream_position(
+        self, monitor
+    ):
+        """The front-end's import seeds the router record the same way."""
+        frames = make_random_walk_trajectory(
+            50, n_features=N_FEATURES, seed=541
+        ).frames
+
+        async def run():
+            batches = []
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=8
+            ) as service:
+                async with AsyncShardedMonitor(
+                    service, sink=batches.append
+                ) as frontend:
+                    sid = await frontend.open_session("moved")
+                    await frontend.feed(sid, frames[:40])
+                    await frontend.drain()
+                    state = await frontend.export_session(sid)
+                    assert await frontend.import_session(state) == sid
+                    await frontend.feed(sid, frames[40:])
+                    await frontend.drain()
+                    os.kill(
+                        service._shards[service.shard_of(sid)].process.pid,
+                        signal.SIGKILL,
+                    )
+                    deadline = time.monotonic() + 10.0
+                    while not service.failed_sessions:
+                        assert time.monotonic() < deadline, "crash never surfaced"
+                        await asyncio.sleep(0.01)
+                    await asyncio.sleep(0.05)  # let the terminal reach the sink
+            return [event for batch in batches for event in batch]
+
+        events = asyncio.run(run())
+        assert [e.frame_index for e in events if e.error is None] == list(range(50))
+        assert [
+            (e.session_id, e.flag, e.frame_index) for e in events if e.error
+        ] == [("moved", True, 50)]
 
 
 #: Worker-side fault injection patches ``MonitorService`` in this
