@@ -71,6 +71,19 @@ class MonitorOutput:
         return self.gesture_ms + self.error_ms
 
 
+def forward_fill_scores(scores: np.ndarray, scored: np.ndarray) -> np.ndarray:
+    """Give every frame the score of the most recent scored frame.
+
+    ``scores`` holds a fresh value wherever ``scored`` is set; a running
+    maximum over the scored frame indices finds each frame's source (0.0
+    while none exists yet).  Shared by the offline scorers;
+    :meth:`SafetyMonitor.process` keeps its own copy of these three
+    lines because it is the oracle they are compared against.
+    """
+    source = np.maximum.accumulate(np.where(scored, np.arange(scored.size), -1))
+    return np.where(source >= 0, scores[np.maximum(source, 0)], 0.0)
+
+
 class SafetyMonitor:
     """Two-stage context-aware anomaly detector."""
 

@@ -5,8 +5,8 @@
 - :mod:`~repro.eval.roc` — ROC curves and AUC;
 - :mod:`~repro.eval.timing` — jitter, reaction time and early-detection
   percentage (Equation 4 / Figure 8 semantics);
-- :mod:`~repro.eval.reports` — ASCII table rendering for the benchmark
-  harness.
+- :mod:`~repro.eval.reports` — ASCII table rendering for the
+  experiments.
 """
 
 from .metrics import (

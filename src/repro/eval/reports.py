@@ -1,6 +1,6 @@
-"""ASCII/markdown table rendering for the benchmark harness.
+"""ASCII/markdown table rendering for the experiments.
 
-Every benchmark prints the rows of the paper table it regenerates; these
+Every experiment prints the rows of the paper table it regenerates; these
 helpers keep the formatting consistent and dependency-free.
 """
 
@@ -50,7 +50,7 @@ def format_markdown_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
 ) -> str:
-    """GitHub-flavoured markdown table (for EXPERIMENTS.md)."""
+    """GitHub-flavoured markdown table (``docs/fidelity.md``)."""
     if not headers:
         raise ShapeError("headers must not be empty")
     str_rows = [[_stringify(c) for c in row] for row in rows]

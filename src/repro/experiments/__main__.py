@@ -6,8 +6,8 @@ Regenerate any paper table/figure from the shell:
     python -m repro.experiments table8 --scale fast --seed 1
     python -m repro.experiments figure9
 
-Prints the same ASCII tables the benchmark suite emits, without the
-pytest-benchmark wrapper.
+Prints each experiment's ``render`` of its ``run`` — the tables whose
+digits and claims the fidelity contract pins at ``--scale smoke --seed 0``.
 """
 
 from __future__ import annotations

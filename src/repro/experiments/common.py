@@ -10,7 +10,7 @@ qualitative results in minutes; ``smoke`` exists for the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,9 +27,7 @@ from ..errors import ConfigurationError
 from ..faults.campaign import generate_fault_free_demos, run_campaign
 from ..faults.outcomes import gesture_error_labels
 from ..jigsaws.dataset import Demonstration, SurgicalDataset
-from ..jigsaws.synthesis import make_suturing_dataset
-from ..kinematics.trajectory import Trajectory
-from ..serving.bulk import BulkScorer
+from ..jigsaws.synthesis import make_suturing_dataset, make_task_dataset
 from ..simulation.physics import PhysicsOutcome
 
 
@@ -178,16 +176,14 @@ class SuturingComponents:
 
 
 def train_suturing_fold(
+    dataset: SurgicalDataset,
     scale: "str | ExperimentScale" = "fast",
     held_out_trial: int = 2,
     seed: int = 0,
     architecture: str = "conv",
-    dataset: SurgicalDataset | None = None,
 ) -> SuturingComponents:
-    """Generate data and train all components for one LOSO fold."""
+    """Train all components for one LOSO fold of ``dataset``."""
     preset = get_scale(scale)
-    if dataset is None:
-        dataset = make_suturing_dataset(n_demos=preset.suturing_demos, rng=seed)
     train, test = dataset.split_by_trials(held_out_trial)
     window = WindowConfig(5, 1)
 
@@ -282,22 +278,43 @@ def make_blocktransfer_dataset(
     return SurgicalDataset(demos, task="block_transfer")
 
 
-def trajectories_with_outputs(
-    monitor: SafetyMonitor,
-    dataset: SurgicalDataset,
-    use_true_gestures: bool = False,
-    backend: str = "reference",
-) -> list[tuple[Trajectory, "object"]]:
-    """Run the monitor over every demonstration of a dataset.
+# ----------------------------------------------------------------------
+# The one owner of "the dataset of ..." and "the trained fold of ..."
+# ----------------------------------------------------------------------
+#: Per-process memo, keyed on the arguments alone.  A hit returns the
+#: very object the miss built, so no experiment may mutate what it is
+#: handed (``tests/experiments/test_fidelity_claims.py`` checks).
+_DATASETS: dict[tuple[str, ExperimentScale, int], SurgicalDataset] = {}
+_FOLDS: dict[tuple[str, ExperimentScale, int, int], SuturingComponents] = {}
 
-    Scoring goes through one :class:`~repro.serving.bulk.BulkScorer`
-    (one fused batch per pipeline stage per demonstration); with the
-    default ``"reference"`` backend the outputs are bit-identical to
-    the looped ``process()``, so every table/figure number is the one
-    that path would print.
-    """
-    trajectories = [demo.trajectory for demo in dataset.demonstrations]
-    outputs = BulkScorer(monitor, backend=backend).score_many(
-        trajectories, use_true_gestures
-    )
-    return list(zip(trajectories, outputs))
+
+def dataset_of(
+    task: str, scale: "str | ExperimentScale", seed: int
+) -> SurgicalDataset:
+    """The dataset of ``(task, scale, seed)``, generated once per process."""
+    preset = get_scale(scale)
+    key = (task, preset, seed)
+    if key not in _DATASETS:
+        if task == "block_transfer":
+            _DATASETS[key] = make_blocktransfer_dataset(preset, seed=seed)
+        elif task == "suturing":
+            _DATASETS[key] = make_suturing_dataset(
+                n_demos=preset.suturing_demos, rng=seed
+            )
+        else:  # knot_tying / needle_passing: Table IV only, paper sizes
+            _DATASETS[key] = make_task_dataset(task, rng=seed)
+    return _DATASETS[key]
+
+
+def fold_of(
+    task: str, scale: "str | ExperimentScale", seed: int, held_out_trial: int
+) -> SuturingComponents:
+    """The trained LOSO fold of ``(task, scale, seed, held-out trial)``,
+    trained once per process on :func:`dataset_of` ``(task, scale, seed)``."""
+    preset = get_scale(scale)
+    key = (task, preset, seed, held_out_trial)
+    if key not in _FOLDS:
+        _FOLDS[key] = train_suturing_fold(
+            dataset_of(task, preset, seed), preset, held_out_trial, seed=seed
+        )
+    return _FOLDS[key]

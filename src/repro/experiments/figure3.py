@@ -18,8 +18,7 @@ from ..gestures.markov import MarkovChain
 from ..gestures.models import block_transfer_chain, suturing_chain
 from ..gestures.vocabulary import END_TOKEN, START_TOKEN
 from ..jigsaws.dataset import SurgicalDataset
-from ..jigsaws.synthesis import make_suturing_dataset
-from .common import ExperimentScale, get_scale, make_blocktransfer_dataset
+from .common import ExperimentScale, dataset_of
 
 
 @dataclass
@@ -48,23 +47,15 @@ def fit_chain(dataset: SurgicalDataset) -> MarkovChain:
 
 
 def run(
-    scale: "str | ExperimentScale" = "fast",
-    seed: int = 0,
-    suturing: SurgicalDataset | None = None,
-    block_transfer: SurgicalDataset | None = None,
+    scale: "str | ExperimentScale" = "fast", seed: int = 0
 ) -> list[Figure3Result]:
     """Fit chains for both tasks and compare with Figure 3."""
-    preset = get_scale(scale)
-    if suturing is None:
-        suturing = make_suturing_dataset(n_demos=preset.suturing_demos, rng=seed)
-    if block_transfer is None:
-        block_transfer = make_blocktransfer_dataset(preset, seed=seed)
     results = []
-    for task, dataset, reference in (
-        ("suturing", suturing, suturing_chain()),
-        ("block_transfer", block_transfer, block_transfer_chain()),
+    for task, reference in (
+        ("suturing", suturing_chain()),
+        ("block_transfer", block_transfer_chain()),
     ):
-        fitted = fit_chain(dataset)
+        fitted = fit_chain(dataset_of(task, scale, seed))
         results.append(
             Figure3Result(
                 task=task,

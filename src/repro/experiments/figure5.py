@@ -15,9 +15,7 @@ import numpy as np
 from ..config import WindowConfig
 from ..core.divergence import js_divergence_matrix, pairwise_divergence_report
 from ..gestures.vocabulary import Gesture
-from ..jigsaws.dataset import SurgicalDataset
-from ..jigsaws.synthesis import make_suturing_dataset
-from .common import ExperimentScale, get_scale
+from .common import ExperimentScale, dataset_of
 
 
 @dataclass
@@ -46,14 +44,10 @@ class Figure5Result:
 def run(
     scale: "str | ExperimentScale" = "fast",
     seed: int = 0,
-    dataset: SurgicalDataset | None = None,
     n_components: int = 2,
 ) -> Figure5Result:
     """Compute the Figure 5 divergence matrix on Suturing data."""
-    preset = get_scale(scale)
-    if dataset is None:
-        dataset = make_suturing_dataset(n_demos=preset.suturing_demos, rng=seed)
-    data = dataset.windows(WindowConfig(5, 1))
+    data = dataset_of("suturing", scale, seed).windows(WindowConfig(5, 1))
     matrix, gestures = js_divergence_matrix(
         data, n_components=n_components, rng_seed=seed
     )

@@ -16,7 +16,7 @@ from ..core.pipeline import MonitorOutput
 from ..core.reaction import evaluate_timing
 from ..kinematics.trajectory import Trajectory
 from ..serving.bulk import BulkScorer
-from .common import ExperimentScale, get_scale, train_suturing_fold
+from .common import ExperimentScale, fold_of
 
 
 @dataclass
@@ -35,14 +35,13 @@ def run(
     held_out_trial: int = 2,
     demo_index: int = 0,
 ) -> Figure8Result:
-    """Train one fold and monitor one of its held-out demonstrations.
+    """Monitor one held-out demonstration of the trained Suturing fold.
 
     Picks the first held-out demonstration containing at least one
     erroneous gesture (so the timeline shows a reaction-time event),
     falling back to ``demo_index``.
     """
-    preset = get_scale(scale)
-    components = train_suturing_fold(preset, held_out_trial, seed=seed)
+    components = fold_of("suturing", scale, seed, held_out_trial)
     demos = components.test.demonstrations
     chosen = demos[demo_index]
     for demo in demos:

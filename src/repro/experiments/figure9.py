@@ -15,7 +15,7 @@ import numpy as np
 from ..eval.reports import format_table
 from ..eval.roc import auc_score, roc_curve
 from ..serving.bulk import BulkScorer
-from .common import ExperimentScale, get_scale, train_suturing_fold
+from .common import ExperimentScale, fold_of
 from .table8 import _baseline_output
 
 
@@ -51,9 +51,8 @@ def run(
     seed: int = 0,
     held_out_trial: int = 2,
 ) -> Figure9Result:
-    """Train one Suturing fold and collect per-demo ROC curves."""
-    preset = get_scale(scale)
-    components = train_suturing_fold(preset, held_out_trial, seed=seed)
+    """Collect per-demo ROC curves on the trained Suturing fold."""
+    components = fold_of("suturing", scale, seed, held_out_trial)
     scorer = BulkScorer(components.monitor())
 
     context: list[RocSummary] = []

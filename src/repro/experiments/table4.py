@@ -18,8 +18,7 @@ from ..core import GestureClassifier
 from ..eval.reports import format_table
 from ..gestures.vocabulary import N_GESTURE_CLASSES
 from ..jigsaws.dataset import SurgicalDataset
-from ..jigsaws.synthesis import make_task_dataset
-from .common import ExperimentScale, get_scale, make_blocktransfer_dataset
+from .common import ExperimentScale, dataset_of, get_scale
 
 
 @dataclass
@@ -105,18 +104,13 @@ def run(
 
     The paper averages over all five LOSO folds; one representative fold
     is used here by default (pass different ``held_out_trial`` values and
-    average externally for the full protocol — the full-fold sweep is
-    what ``scale="full"`` benchmark runs do).
+    average externally for the full protocol).
     """
     preset = get_scale(scale)
     rows: list[Table4Row] = []
     suturing: SurgicalDataset | None = None
     for task in tasks:
-        if task == "block_transfer":
-            dataset = make_blocktransfer_dataset(preset, seed=seed)
-        else:
-            n = preset.suturing_demos if task == "suturing" else None
-            dataset = make_task_dataset(task, n_demos=n, rng=seed)
+        dataset = dataset_of(task, preset, seed)
         if task == "suturing":
             suturing = dataset
         accuracy, n_windows = _lstm_accuracy(dataset, preset, held_out_trial, seed)

@@ -19,9 +19,8 @@ from ..eval.metrics import BinaryMetrics, binary_metrics
 from ..eval.reports import format_table
 from ..gestures.vocabulary import Gesture
 from ..jigsaws.dataset import SurgicalDataset
-from ..jigsaws.synthesis import make_suturing_dataset
 from ..kinematics.features import feature_indices
-from .common import ExperimentScale, get_scale
+from .common import ExperimentScale, dataset_of, get_scale
 
 
 @dataclass
@@ -76,40 +75,43 @@ TABLE_V_GRID: tuple[tuple[str, str, str | None], ...] = (
 )
 
 
-def run(
-    scale: "str | ExperimentScale" = "fast",
-    seed: int = 0,
-    held_out_trial: int = 2,
-    dataset: SurgicalDataset | None = None,
-    grid: tuple[tuple[str, str, str | None], ...] = TABLE_V_GRID,
+def run_grid(
+    task: str,
+    scale: "str | ExperimentScale",
+    seed: int,
+    held_out_trial: int,
+    grid: tuple[tuple[str, str, str | None], ...],
+    window: WindowConfig,
 ) -> list[Table5Row]:
-    """Evaluate the ablation grid on one Suturing LOSO fold."""
+    """Evaluate an ablation grid on one LOSO fold of ``task``'s dataset."""
     preset = get_scale(scale)
-    if dataset is None:
-        dataset = make_suturing_dataset(n_demos=preset.suturing_demos, rng=seed)
-    train, test = dataset.split_by_trials(held_out_trial)
+    train, test = dataset_of(task, preset, seed).split_by_trials(held_out_trial)
+    return [
+        Table5Row(
+            setup=setup,
+            model=architecture,
+            features=features or "All",
+            metrics=_evaluate_setup(
+                train,
+                test,
+                preset,
+                architecture,
+                features,
+                gesture_specific=setup == "gesture-specific",
+                seed=seed,
+                window=window,
+            ),
+        )
+        for setup, architecture, features in grid
+    ]
+
+
+def run(
+    scale: "str | ExperimentScale" = "fast", seed: int = 0, held_out_trial: int = 2
+) -> list[Table5Row]:
+    """Evaluate the Table V grid on one Suturing LOSO fold."""
     window = WindowConfig(5, 1)  # paper: time-window 5, stride 1
-    rows = []
-    for setup, architecture, features in grid:
-        metrics = _evaluate_setup(
-            train,
-            test,
-            preset,
-            architecture,
-            features,
-            gesture_specific=setup == "gesture-specific",
-            seed=seed,
-            window=window,
-        )
-        rows.append(
-            Table5Row(
-                setup=setup,
-                model=architecture,
-                features=features or "All",
-                metrics=metrics,
-            )
-        )
-    return rows
+    return run_grid("suturing", scale, seed, held_out_trial, TABLE_V_GRID, window)
 
 
 def render(rows: list[Table5Row], title: str | None = None) -> str:

@@ -8,9 +8,8 @@ Cartesian + Grasper features.
 from __future__ import annotations
 
 from ..config import WindowConfig
-from ..jigsaws.dataset import SurgicalDataset
-from .common import ExperimentScale, get_scale, make_blocktransfer_dataset
-from .table5 import Table5Row, _evaluate_setup, render as _render
+from .common import ExperimentScale
+from .table5 import Table5Row, render as _render, run_grid
 
 #: The paper's Table VI grid: (setup, architecture, features).
 TABLE_VI_GRID: tuple[tuple[str, str, str | None], ...] = (
@@ -21,39 +20,11 @@ TABLE_VI_GRID: tuple[tuple[str, str, str | None], ...] = (
 
 
 def run(
-    scale: "str | ExperimentScale" = "fast",
-    seed: int = 0,
-    held_out_trial: int = 2,
-    dataset: SurgicalDataset | None = None,
-    grid: tuple[tuple[str, str, str | None], ...] = TABLE_VI_GRID,
+    scale: "str | ExperimentScale" = "fast", seed: int = 0, held_out_trial: int = 2
 ) -> list[Table5Row]:
-    """Evaluate the Block Transfer ablation grid on one fold."""
-    preset = get_scale(scale)
-    if dataset is None:
-        dataset = make_blocktransfer_dataset(preset, seed=seed)
-    train, test = dataset.split_by_trials(held_out_trial)
+    """Evaluate the Table VI grid on one Block Transfer LOSO fold."""
     window = WindowConfig(10, 1)  # paper: time-window 10, stride 1
-    rows = []
-    for setup, architecture, features in grid:
-        metrics = _evaluate_setup(
-            train,
-            test,
-            preset,
-            architecture,
-            features,
-            gesture_specific=setup == "gesture-specific",
-            seed=seed,
-            window=window,
-        )
-        rows.append(
-            Table5Row(
-                setup=setup,
-                model=architecture,
-                features=features or "All",
-                metrics=metrics,
-            )
-        )
-    return rows
+    return run_grid("block_transfer", scale, seed, held_out_trial, TABLE_VI_GRID, window)
 
 
 def render(rows: list[Table5Row]) -> str:

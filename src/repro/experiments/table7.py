@@ -16,8 +16,7 @@ from ..eval.reports import format_table
 from ..eval.roc import auc_score
 from ..gestures.vocabulary import Gesture
 from ..jigsaws.dataset import SurgicalDataset
-from ..jigsaws.synthesis import make_suturing_dataset
-from .common import ExperimentScale, get_scale, make_blocktransfer_dataset
+from .common import ExperimentScale, dataset_of, get_scale
 
 
 @dataclass
@@ -74,29 +73,17 @@ def _rows_for_task(
 
 
 def run(
-    scale: "str | ExperimentScale" = "fast",
-    seed: int = 0,
-    held_out_trial: int = 2,
-    suturing: SurgicalDataset | None = None,
-    block_transfer: SurgicalDataset | None = None,
+    scale: "str | ExperimentScale" = "fast", seed: int = 0, held_out_trial: int = 2
 ) -> list[Table7Row]:
     """Per-gesture rows for both tasks (Suturing first, as in the paper)."""
     preset = get_scale(scale)
-    if suturing is None:
-        suturing = make_suturing_dataset(n_demos=preset.suturing_demos, rng=seed)
-    rows = _rows_for_task(
-        "suturing", suturing, preset, WindowConfig(5, 1), held_out_trial, seed
-    )
-    if block_transfer is None:
-        block_transfer = make_blocktransfer_dataset(preset, seed=seed)
-    rows += _rows_for_task(
-        "block_transfer",
-        block_transfer,
-        preset,
-        WindowConfig(10, 1),
-        held_out_trial,
-        seed,
-    )
+    rows: list[Table7Row] = []
+    for task, window in (
+        ("suturing", WindowConfig(5, 1)),
+        ("block_transfer", WindowConfig(10, 1)),
+    ):
+        dataset = dataset_of(task, preset, seed)
+        rows += _rows_for_task(task, dataset, preset, window, held_out_trial, seed)
     return rows
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import WindowConfig, frames_to_ms
+from ..config import WindowConfig
 from ..core.baseline_monitor import BaselineMonitor
-from ..core.pipeline import MonitorOutput
+from ..core.pipeline import MonitorOutput, forward_fill_scores
 from ..core.reaction import evaluate_timing
 from ..eval.metrics import f1_score
 from ..eval.reports import format_table
@@ -26,13 +26,7 @@ from ..kinematics.trajectory import Trajectory
 from ..kinematics.windows import sliding_windows
 from ..serving.bulk import BulkScorer
 from ..serving.service import reject_non_finite
-from .common import (
-    ExperimentScale,
-    SuturingComponents,
-    get_scale,
-    make_blocktransfer_dataset,
-    train_suturing_fold,
-)
+from .common import ExperimentScale, SuturingComponents, fold_of
 
 
 @dataclass
@@ -66,13 +60,9 @@ def _baseline_output(
     scores = np.zeros(n_frames)
     probs, per_window_ms = baseline.timed_predict_proba(windows)
     scores[ends] = probs
-    # Forward-fill with the same running-maximum source index as
-    # process(): each frame reads the most recent scored frame (0 before
-    # the first window).
     scored = np.zeros(n_frames, dtype=bool)
     scored[ends] = True
-    source = np.maximum.accumulate(np.where(scored, np.arange(n_frames), -1))
-    scores = np.where(source >= 0, scores[np.maximum(source, 0)], 0.0)
+    scores = forward_fill_scores(scores, scored)
     assert trajectory.gestures is not None
     return MonitorOutput(
         gestures=trajectory.gestures.copy(),  # baseline has no gesture stage
@@ -153,19 +143,11 @@ def run(
     held_out_trial: int = 2,
     tasks: tuple[str, ...] = ("suturing", "block_transfer"),
 ) -> list[Table8Row]:
-    """Train components and evaluate the pipeline for the given tasks."""
-    preset = get_scale(scale)
+    """Evaluate the pipeline on each task's trained fold."""
     rows: list[Table8Row] = []
     for task in tasks:
-        if task == "suturing":
-            components = train_suturing_fold(preset, held_out_trial, seed=seed)
-            rows += run_task(task, components, components.test)
-        else:
-            dataset = make_blocktransfer_dataset(preset, seed=seed)
-            components = train_suturing_fold(
-                preset, held_out_trial, seed=seed, dataset=dataset
-            )
-            rows += run_task(task, components, components.test)
+        components = fold_of(task, scale, seed, held_out_trial)
+        rows += run_task(task, components, components.test)
     return rows
 
 

@@ -12,20 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import frames_to_ms
 from ..core.reaction import evaluate_timing
 from ..eval.metrics import f1_score
 from ..eval.reports import format_table
 from ..gestures.vocabulary import Gesture
 from ..jigsaws.dataset import SurgicalDataset
 from ..serving.bulk import BulkScorer
-from .common import (
-    ExperimentScale,
-    SuturingComponents,
-    get_scale,
-    make_blocktransfer_dataset,
-    train_suturing_fold,
-)
+from .common import ExperimentScale, SuturingComponents, fold_of
 
 
 @dataclass
@@ -111,17 +104,10 @@ def run(
     held_out_trial: int = 2,
     tasks: tuple[str, ...] = ("suturing", "block_transfer"),
 ) -> list[Table9Row]:
-    """Train components and compute the per-gesture breakdown."""
-    preset = get_scale(scale)
+    """Per-gesture breakdown on each task's trained fold."""
     rows: list[Table9Row] = []
     for task in tasks:
-        if task == "suturing":
-            components = train_suturing_fold(preset, held_out_trial, seed=seed)
-        else:
-            dataset = make_blocktransfer_dataset(preset, seed=seed)
-            components = train_suturing_fold(
-                preset, held_out_trial, seed=seed, dataset=dataset
-            )
+        components = fold_of(task, scale, seed, held_out_trial)
         rows += run_task(task, components, components.test)
     return rows
 

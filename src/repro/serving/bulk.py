@@ -48,7 +48,7 @@ import time
 
 import numpy as np
 
-from ..core.pipeline import MonitorOutput, SafetyMonitor
+from ..core.pipeline import MonitorOutput, SafetyMonitor, forward_fill_scores
 from ..errors import NotFittedError
 from ..kinematics.trajectory import Trajectory
 from ..kinematics.windows import sliding_windows_view
@@ -222,12 +222,7 @@ class BulkScorer:
             error_wall_ms += 1000.0 * (time.perf_counter() - stage_start)
             scores[ends[mask]] = probs
 
-        # Forward-fill: identical running-maximum source index as
-        # process(), one vectorised pass for the whole trajectory.
-        source = np.maximum.accumulate(
-            np.where(scored, np.arange(n_frames), -1)
-        )
-        scores = np.where(source >= 0, scores[np.maximum(source, 0)], 0.0)
+        scores = forward_fill_scores(scores, scored)
         flags = (scores >= self.monitor.threshold).astype(int)
 
         wall_ms = 1000.0 * (time.perf_counter() - wall_start)

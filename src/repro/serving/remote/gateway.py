@@ -541,7 +541,8 @@ class MonitorGateway:
         #: disconnects, idle timeouts, queue overflows, shard crashes,
         #: shutdown with live sessions.  ``error`` set, ``flag=True``.
         self.failsafe_events: list[SessionEvent] = []
-        #: Session id -> reason, for every session that ended fail-safe.
+        #: Session id -> reason, for every session that ended fail-safe;
+        #: an entry lasts until its id is opened again.
         self.failed_sessions: dict[str, str] = {}
 
         # Lifetime counters surfaced by gateway_stats().
@@ -767,6 +768,9 @@ class MonitorGateway:
             with contextlib.suppress(ReproError):
                 await self._engine.close_session(session_id)
             return
+        # A new incarnation of the id: a predecessor's failure record
+        # must not answer for it (nor for requests after its clean close).
+        self.failed_sessions.pop(session_id, None)
         session = _RemoteSession(conn, record_timeline)
         ack: dict = {"session_id": session_id}
         if self._resume_enabled:
@@ -1715,7 +1719,7 @@ class MonitorGateway:
                 "peak_open": self._peak_open_sessions,
                 "opened_total": self._sessions_opened,
                 "closed_total": self._sessions_closed,
-                "failed_total": len(self.failed_sessions),
+                "failed_total": len(self.failsafe_events),
             },
             "queues": {
                 "capacity": self.send_queue_max,

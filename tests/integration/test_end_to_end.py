@@ -123,43 +123,3 @@ class TestRavenEndToEnd:
             probs[mask] = library.predict_proba(gesture, te.x[mask])
         if len(np.unique(te.unsafe)) == 2:
             assert auc_score(te.unsafe, probs) > 0.6
-
-
-class TestExperimentsSmoke:
-    @pytest.mark.slow
-    def test_table5_smoke(self, suturing_dataset):
-        from repro.experiments import table5
-
-        rows = table5.run(
-            scale="smoke",
-            dataset=suturing_dataset,
-            grid=(
-                ("gesture-specific", "conv", "CRG"),
-                ("non-gesture-specific", "conv", "CRG"),
-            ),
-        )
-        assert len(rows) == 2
-        text = table5.render(rows)
-        assert "TPR" in text
-
-    @pytest.mark.slow
-    def test_figure3_recovers_chain(self, suturing_dataset):
-        from repro.experiments import figure3
-
-        results = figure3.run(scale="smoke", suturing=suturing_dataset,
-                              block_transfer=_tiny_bt())
-        suturing_result = results[0]
-        assert suturing_result.mean_abs_probability_error < 0.15
-        block_result = results[1]
-        assert block_result.mean_abs_probability_error < 0.01
-
-    @pytest.mark.slow
-    def test_figure5_runs(self, suturing_dataset):
-        from repro.experiments import figure5
-
-        result = figure5.run(scale="smoke", dataset=suturing_dataset)
-        assert result.matrix.shape[0] >= 2
-
-
-def _tiny_bt():
-    return make_blocktransfer_dataset("smoke", seed=5, n_fault_free=6)

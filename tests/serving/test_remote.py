@@ -520,6 +520,38 @@ class TestFailSafe:
             assert stats["sessions"]["failed_total"] == 1
             assert stats["frames_received"] == trajectory.n_frames
 
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_reopened_id_sheds_its_predecessors_failure(self, monitor, n_shards):
+        """A clean procedure on a re-used id must not read as a lost
+        monitor: the failure record of an earlier incarnation goes when
+        the id is opened again, while STATS keeps counting failures."""
+        with running_gateway(monitor, n_shards=n_shards, max_sessions=4) as runner:
+            gateway = runner.gateway
+            for failures in (1, 2):  # the same id fails twice
+                client = RemoteMonitorClient(runner.host, runner.port)
+                client.open_session("theatre-7")
+                client.close()  # vanish without CLOSE
+                assert wait_until(
+                    lambda: len(gateway.failsafe_events) == failures
+                )
+            assert "disconnect" in gateway.failed_sessions["theatre-7"]
+            with RemoteMonitorClient(runner.host, runner.port) as client:
+                client.open_session("theatre-7")
+                assert gateway.failed_sessions == {}
+                client.feed("theatre-7", np.zeros((3, N_FEATURES)))
+                assert len(client.events_for("theatre-7", 3)) == 3
+                assert client.close_session("theatre-7")["n_frames"] == 3
+                # Closed cleanly: requests for the id now name no
+                # session — not the old incarnation's disconnect.
+                with pytest.raises(ProtocolError, match="no session"):
+                    client.close_session("theatre-7")
+                client.feed("theatre-7", np.zeros((1, N_FEATURES)))
+                with pytest.raises(ProtocolError, match="no session"):
+                    client.gateway_stats()
+            sessions = runner.stats()["sessions"]
+            assert sessions["failed_total"] == 2
+            assert sessions["closed_total"] == 1
+
     def test_killed_shard_worker_surfaces_error_events(self, monitor):
         """Killing a shard worker mid-stream: the gateway records the
         fail-safe events AND pushes them to the owning client."""
