@@ -18,7 +18,6 @@ from .metrics import (
 )
 from .roc import auc_score, roc_curve
 from .timing import (
-    DetectionTiming,
     early_detection_percentage,
     gesture_jitter,
     reaction_times,
@@ -27,7 +26,6 @@ from .reports import format_table, format_markdown_table
 
 __all__ = [
     "BinaryMetrics",
-    "DetectionTiming",
     "accuracy",
     "auc_score",
     "binary_metrics",

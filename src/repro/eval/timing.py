@@ -14,43 +14,9 @@ Semantics follow paper Section IV-C and Figure 8:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..config import frames_to_ms
 from ..errors import ShapeError
-
-
-@dataclass
-class DetectionTiming:
-    """Collected timing observations (frames) with ms conversion."""
-
-    values_frames: list[float] = field(default_factory=list)
-    frame_rate_hz: float = 30.0
-
-    def add(self, frames: float) -> None:
-        """Record one observation (in frames)."""
-        self.values_frames.append(float(frames))
-
-    @property
-    def n(self) -> int:
-        """Number of observations."""
-        return len(self.values_frames)
-
-    def mean_frames(self) -> float:
-        """Mean in frames (nan when empty)."""
-        return float(np.mean(self.values_frames)) if self.values_frames else float("nan")
-
-    def mean_ms(self) -> float:
-        """Mean in milliseconds (nan when empty)."""
-        return frames_to_ms(self.mean_frames(), self.frame_rate_hz)
-
-    def std_ms(self) -> float:
-        """Standard deviation in milliseconds (nan when empty)."""
-        if not self.values_frames:
-            return float("nan")
-        return frames_to_ms(float(np.std(self.values_frames)), self.frame_rate_hz)
 
 
 def _segments(labels: np.ndarray) -> list[tuple[int, int, int]]:

@@ -16,6 +16,9 @@ front door:
   semantics and — with a resume grace window — park/adopt session
   resume over reconnects; :class:`GatewayRunner` bridges it into sync
   programs;
+- :mod:`~repro.serving.remote.session` — the gateway's sans-IO record
+  of one wire session: seq/ack/journal/replay arithmetic and resume
+  admission, with no event loop, socket or engine;
 - :mod:`~repro.serving.remote.client` — the SDKs:
   :class:`RemoteMonitorClient` (blocking sockets) and
   :class:`AsyncRemoteMonitorClient` (asyncio); both speak the resume

@@ -54,10 +54,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
-import secrets
 import threading
 import time
-from collections import deque
 from typing import TYPE_CHECKING
 
 from ...errors import ConfigurationError, ProtocolError, ReproError, WorkerError
@@ -87,6 +85,7 @@ from .protocol import (
     encode_json,
     encode_message,
 )
+from .session import _RemoteSession
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..eventstore import EventStoreWriter
@@ -216,77 +215,6 @@ class _LocalEngine:
         self._closed = True
 
 
-class _RemoteSession:
-    """The gateway's one record of a wire-opened session, OPEN to end.
-
-    The record stays in ``MonitorGateway._sessions`` from OPEN until
-    close, fail-safe or lapse; *live* and *parked* are phases of it, not
-    separate objects.  ``conn`` is the owning connection, or ``None``
-    while the session is parked for the resume grace window.
-
-    With resume enabled (``resume_grace_s > 0``) the record carries the
-    session's durability state: the resume ``token`` handed to the
-    client at OPEN, the ``journal`` of every accepted frame batch (the
-    source every engine-side rebuild replays), and the ``history`` ring
-    of recently delivered events (the replay source for events a
-    disconnected client never read — events in flight through the
-    engine when the client vanished keep landing in it while parked).
-
-    Phase flags, each a guard some handler checks before acting:
-
-    - ``recovering`` — a background task is rebuilding the engine side
-      from the journal after a worker crash.  Incoming frames are
-      journaled (and acked: the journal is what the ack promises) but
-      not fed until the task catches up; a park meanwhile is *cold*, and
-      a RESUME waits until the task has noticed the park and let go.
-    - ``parking`` — the park's export is in flight: the engine side is
-      mid-removal, so a RESUME must wait for the park to land instead of
-      re-binding a session whose engine state is about to vanish, and a
-      crash event starts no recovery (the export is about to fail and
-      park the session cold; a rebuild would re-open the id under it).
-    - ``inflight`` — FRAME batches currently awaiting their engine feed.
-      While > 0, ``fed`` understates what the journal will hold once
-      those handlers resume — a RESUME reading it now would report an
-      acked_seq that makes the client re-send the in-flight batch past
-      the duplicate filter.  Resumes wait.
-    - ``resuming`` — a RESUME is adopting this parked session (import or
-      journal rebuild in flight); a second RESUME is refused.
-
-    Park-only fields: ``state`` is the engine-exported
-    :func:`session_to_bytes` archive (pending frames and window rings
-    included), or ``None`` when the export was impossible — the owning
-    worker was dead or mid-recovery — in which case the journal alone
-    rebuilds the session (a *cold adopt*, bit-identical because
-    inference is deterministic); ``reason`` is why the connection
-    ended; ``expiry`` is the grace-window timer.
-    """
-
-    __slots__ = (
-        "conn", "fed", "delivered", "flagged", "token", "journal",
-        "history", "record_timeline", "recovering", "parking", "inflight",
-        "resuming", "state", "reason", "expiry",
-    )
-
-    def __init__(
-        self, conn: "_Connection", record_timeline: bool = False
-    ) -> None:
-        self.conn: _Connection | None = conn
-        self.fed = 0  # frames accepted off the wire
-        self.delivered = 0  # events routed back (== frames processed)
-        self.flagged = 0  # events with flag=True
-        self.token: str | None = None
-        self.journal: list | None = None  # frame batches, oldest first
-        self.history: deque | None = None  # recently delivered events
-        self.record_timeline = record_timeline
-        self.recovering = False
-        self.parking = False
-        self.inflight = 0
-        self.resuming = False
-        self.state: bytes | None = None
-        self.reason: str | None = None
-        self.expiry: asyncio.TimerHandle | None = None
-
-
 class _Connection:
     """One accepted client connection and its tasks/queues."""
 
@@ -319,6 +247,54 @@ class _Connection:
         except asyncio.QueueFull:
             return False
         return True
+
+    async def write_loop(self) -> None:
+        """Drain the send queue, coalescing bursts into single writes."""
+        try:
+            while True:
+                chunk = await self.queue.get()
+                if chunk is _CLOSED:
+                    return
+                await self.writer_gate.wait()
+                parts = [chunk]
+                while len(parts) < _WRITE_BATCH:
+                    try:
+                        extra = self.queue.get_nowait()
+                    except asyncio.QueueEmpty:
+                        break
+                    if extra is _CLOSED:
+                        self.queue.put_nowait(_CLOSED)
+                        break
+                    parts.append(extra)
+                self.writer.write(b"".join(parts))
+                await self.writer.drain()
+        except (ConnectionError, OSError):
+            return  # peer is gone; the read loop's teardown handles it
+
+    async def aclose(self) -> None:
+        """Stop the heartbeat, let the writer flush what is queued, and
+        close the socket.  Safe to call from the heartbeat task itself
+        (an idle timeout tears its own connection down)."""
+        if (
+            self.heartbeat_task is not None
+            and self.heartbeat_task is not asyncio.current_task()
+        ):
+            self.heartbeat_task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await self.heartbeat_task
+        if self.writer_task is not None:
+            self.writer_gate.set()
+            try:
+                self.queue.put_nowait(_CLOSED)
+            except asyncio.QueueFull:
+                self.writer_task.cancel()  # queue wedged; no orderly flush
+            # A writer wedged in drain() against a non-reading peer must
+            # not wedge the teardown with it: past the bound wait_for
+            # cancels it.  A cancelled writer (that, or the wedged queue
+            # above) completing here is the expected outcome.
+            with contextlib.suppress(asyncio.CancelledError, asyncio.TimeoutError):
+                await asyncio.wait_for(self.writer_task, 5.0)
+        self.writer.close()
 
 
 class MonitorGateway:
@@ -414,7 +390,10 @@ class MonitorGateway:
     Every wire-opened session is one :class:`_RemoteSession` record in
     one map from OPEN until close, fail-safe or lapse; a parked session
     is that record without a connection (:attr:`n_open_sessions` and
-    :attr:`n_parked_sessions` count the two phases).
+    :attr:`n_parked_sessions` count the two phases).  The record alone
+    changes and interprets the session's stream position (seq, ack,
+    journal, replay); the handlers here do the awaits and the I/O, and
+    every fail-safe ending is :meth:`_fail_session`.
     """
 
     def __init__(
@@ -481,22 +460,18 @@ class MonitorGateway:
         self.idle_timeout_s = idle_timeout_s
         self.drain_timeout_s = drain_timeout_s
         self._start_method = start_method
-        if autoscale_interval_s is not None:
-            if autoscale_interval_s <= 0:
-                raise ConfigurationError("autoscale_interval_s must be > 0")
-            if n_shards < 2:
+        for name, what, interval in (
+            ("autoscale_interval_s", "autoscaling", autoscale_interval_s),
+            ("balance_interval_s", "load balancing", balance_interval_s),
+        ):
+            if interval is not None and interval <= 0:
+                raise ConfigurationError(f"{name} must be > 0")
+            if interval is not None and n_shards < 2:
                 raise ConfigurationError(
-                    "autoscaling requires a sharded fleet (n_shards >= 2)"
+                    f"{what} requires a sharded fleet (n_shards >= 2)"
                 )
         self.autoscale_interval_s = autoscale_interval_s
         self.autoscale_max_shards = int(autoscale_max_shards)
-        if balance_interval_s is not None:
-            if balance_interval_s <= 0:
-                raise ConfigurationError("balance_interval_s must be > 0")
-            if n_shards < 2:
-                raise ConfigurationError(
-                    "load balancing requires a sharded fleet (n_shards >= 2)"
-                )
         if balance_max_moves < 1:
             raise ConfigurationError("balance_max_moves must be >= 1")
         self.balance_interval_s = balance_interval_s
@@ -615,12 +590,10 @@ class MonitorGateway:
 
     async def _shutdown_engine(self) -> None:
         """End the engine's tasks and terminate any worker processes."""
-        if self._balancer is not None:
-            await self._balancer.stop()
-            self._balancer = None
-        if self._autoscaler is not None:
-            await self._autoscaler.stop()
-            self._autoscaler = None
+        for control_loop in (self._balancer, self._autoscaler):
+            if control_loop is not None:
+                await control_loop.stop()
+        self._balancer = self._autoscaler = None
         if self._engine is None:
             return
         await self._engine.aclose()
@@ -665,8 +638,8 @@ class MonitorGateway:
             await asyncio.gather(*list(self._bg_tasks), return_exceptions=True)
         # Only parked sessions are left, and they cannot outlive the
         # gateway: fail them safe now.
-        for session_id in list(self._sessions):
-            self._expire_parked(session_id, reason="gateway shutting down")
+        for session in list(self._sessions.values()):
+            self._expire_parked(session, "gateway shutting down")
         await self._shutdown_engine()
 
     async def __aenter__(self) -> "MonitorGateway":
@@ -691,7 +664,7 @@ class MonitorGateway:
         self._connections[conn.id] = conn
         self._connections_total += 1
         conn.writer_task = asyncio.create_task(
-            self._writer_loop(conn), name=f"gateway-writer-{conn.id}"
+            conn.write_loop(), name=f"gateway-writer-{conn.id}"
         )
         conn.heartbeat_task = asyncio.create_task(
             self._heartbeat_loop(conn), name=f"gateway-heartbeat-{conn.id}"
@@ -711,35 +684,11 @@ class MonitorGateway:
         except ProtocolError as exc:
             reason = f"protocol violation: {exc}"
             self._send_error(conn, ProtocolError(str(exc)), None)
-        except asyncio.CancelledError:  # pragma: no cover - loop shutdown
-            raise
         finally:
             await self._teardown(conn, reason)
 
-    async def _dispatch(
-        self, conn: _Connection, msg_type: MessageType, payload: bytes
-    ) -> None:
-        if msg_type is MessageType.HEARTBEAT:
-            return  # liveness only; last_recv is already refreshed
-        if msg_type is MessageType.FRAME:
-            await self._handle_frames(conn, payload)
-            return
-        if msg_type is MessageType.OPEN:
-            await self._handle_open(conn, payload)
-            return
-        if msg_type is MessageType.CLOSE:
-            await self._handle_close(conn, payload)
-            return
-        if msg_type is MessageType.RESUME:
-            await self._handle_resume(conn, payload)
-            return
-        if msg_type is MessageType.STATS:
-            stats = await self.gateway_stats()
-            self._enqueue_or_overflow(
-                conn, encode_message(MessageType.STATS, encode_json(stats))
-            )
-            return
-        raise ProtocolError(f"unexpected client message type {msg_type.name}")
+    async def _handle_stats(self, conn: _Connection, payload: bytes) -> None:
+        self._send_json(conn, MessageType.STATS, await self.gateway_stats())
 
     async def _handle_open(self, conn: _Connection, payload: bytes) -> None:
         request = decode_json(payload)
@@ -747,21 +696,22 @@ class MonitorGateway:
         if session_id is not None and not isinstance(session_id, str):
             raise ProtocolError("OPEN session_id must be a string or null")
         record_timeline = bool(request.get("record_timeline", False))
-        if session_id in self._sessions:
-            # The engine refuses a live id itself, but a parked one it
-            # may no longer hold: its record (and the fail-safe it is
-            # owed if nobody resumes) must not be overwritten.
-            error = ConfigurationError(f"session {session_id!r} is already open")
-            self._send_error(conn, error, session_id, MessageType.OPEN)
-            return
         try:
-            session_id = await self._engine.open_session(
-                session_id, record_timeline
-            )
-        except ReproError as exc:
+            if session_id in self._sessions:
+                # The engine refuses a live id itself, but a parked one
+                # it may no longer hold: its record (and the fail-safe it
+                # is owed if nobody resumes) must not be overwritten.
+                raise ConfigurationError(f"session {session_id!r} is already open")
+            if session_id is not None:
+                # OPEN is JSON, but every ACK and EVENT names the session
+                # in a u16-length UTF-8 field: an id that does not fit
+                # one could be fed yet never alerted on.
+                encode_ack(session_id, 0)
+            session_id = await self._engine.open_session(session_id, record_timeline)
+        except (ReproError, UnicodeError) as exc:
             self._send_error(conn, exc, session_id, MessageType.OPEN)
             return
-        if conn.torn_down or conn.closed:
+        if conn.closed:
             # The connection died while the open was in flight; release
             # the engine slot instead of registering a zombie session
             # that no teardown will ever drain or fail safe.
@@ -771,115 +721,83 @@ class MonitorGateway:
         # A new incarnation of the id: a predecessor's failure record
         # must not answer for it (nor for requests after its clean close).
         self.failed_sessions.pop(session_id, None)
-        session = _RemoteSession(conn, record_timeline)
-        ack: dict = {"session_id": session_id}
-        if self._resume_enabled:
-            session.token = secrets.token_hex(16)
-            session.journal = []
-            session.history = deque(maxlen=self.event_replay_max)
-            ack["resume_token"] = session.token
+        session = _RemoteSession(
+            session_id,
+            conn,
+            record_timeline,
+            self.event_replay_max if self._resume_enabled else None,
+        )
         self._sessions[session_id] = session
-        conn.sessions.add(session_id)
         self._sessions_opened += 1
-        self._peak_open_sessions = max(
-            self._peak_open_sessions, self.n_open_sessions
-        )
-        self._enqueue_or_overflow(
-            conn, encode_message(MessageType.OPEN, encode_json(ack))
-        )
+        self._peak_open_sessions = max(self._peak_open_sessions, self.n_open_sessions)
+        self._send_json(conn, MessageType.OPEN, session.open_reply())
 
-    def _no_session_error(
-        self, session_id: str, session: _RemoteSession | None, message: str
-    ) -> ReproError:
+    def _owned(self, conn: _Connection, session_id: str) -> _RemoteSession | None:
+        """The session ``session_id`` names, iff it is open on ``conn``."""
+        session = self._sessions.get(session_id)
+        return session if session is not None and session.conn is conn else None
+
+    def _no_session_error(self, session_id: str, message: str) -> ReproError:
         """Why a request names a session this connection cannot act on:
         the recorded failure when the session ended fail-safe, else a
         :class:`ProtocolError` carrying ``message``."""
         reason = self.failed_sessions.get(session_id)
-        if reason is not None and session is None:
+        if reason is not None and session_id not in self._sessions:
             return WorkerError(f"session {session_id!r} failed: {reason}")
         return ProtocolError(message)
 
+    def _request_session(
+        self, conn: _Connection, session_id: str, in_reply_to: MessageType | None = None
+    ) -> _RemoteSession | None:
+        """The session a FRAME or CLOSE acts on; ``None`` — the ERROR
+        already sent — when ``conn`` does not own it."""
+        session = self._owned(conn, session_id)
+        if session is None:
+            error = self._no_session_error(
+                session_id, f"no session {session_id!r} open on this connection"
+            )
+            self._send_error(conn, error, session_id, in_reply_to)
+        return session
+
     async def _handle_frames(self, conn: _Connection, payload: bytes) -> None:
         session_id, seq, frames = decode_frames(payload)
-        session = self._sessions.get(session_id)
-        if session is None or session.conn is not conn:
-            error = self._no_session_error(
-                session_id,
-                session,
-                f"no session {session_id!r} open on this connection",
+        session = self._request_session(conn, session_id)
+        if session is None:
+            return
+        frames = session.admit(seq, frames)
+        # While a recovery task replays the journal tail, feeding the
+        # engine here would race it: the batch waits in the journal.
+        if frames is not None and not session.recovering:
+            session.inflight += 1
+            try:
+                await self._engine.feed(session_id, frames)
+            except ReproError as exc:
+                # A worker crash with resume on is not the batch's
+                # fault: the crash's terminal event triggers the journal
+                # rebuild, which replays it.  Anything else (shape, ...)
+                # is, and the batch is rejected.
+                if session.journal is None or not isinstance(exc, WorkerError):
+                    session.retract()
+                    self._send_error(conn, exc, session_id)
+                    return
+            finally:
+                session.inflight -= 1
+        n_frames = 0 if frames is None else frames.shape[0]
+        ack = session.accept(n_frames)
+        self._frames_received += n_frames
+        if ack is not None:
+            self._enqueue_or_overflow(
+                conn, encode_message(MessageType.ACK, encode_ack(session_id, ack))
             )
-            self._send_error(conn, error, session_id)
-            return
-        if session.journal is not None:
-            # Resume mode: validate the batch's position in the stream.
-            # ``seq`` counts frames the client sent before this batch;
-            # ``fed`` counts frames we accepted — a gap means frames were
-            # lost in a way the protocol cannot repair.
-            expected = session.fed
-            if seq > expected:
-                raise ProtocolError(
-                    f"FRAME sequence gap for session {session_id!r}: "
-                    f"got seq {seq}, expected {expected}"
-                )
-            if seq < expected:
-                # A resume replay overlapping frames already accepted
-                # before the disconnect: drop the duplicate prefix.
-                overlap = expected - seq
-                if overlap >= frames.shape[0]:
-                    self._send_ack(conn, session_id, session.fed)
-                    return
-                frames = frames[overlap:]
-            session.journal.append(frames)
-            if session.recovering:
-                # The recovery task replays the journal tail; feeding
-                # the engine here would race it.  The journal is what
-                # the ack promises, so acking now is honest.
-                session.fed += frames.shape[0]
-                self._frames_received += frames.shape[0]
-                self._send_ack(conn, session_id, session.fed)
-                return
-        session.inflight += 1
-        try:
-            await self._engine.feed(session_id, frames)
-        except ReproError as exc:
-            if session.journal is not None:
-                if isinstance(exc, WorkerError):
-                    # Worker crash with resume on: the crash's terminal
-                    # event triggers transparent journal recovery, and
-                    # the journaled frames will be replayed — accept.
-                    session.fed += frames.shape[0]
-                    self._frames_received += frames.shape[0]
-                    self._send_ack(conn, session_id, session.fed)
-                    return
-                session.journal.pop()  # client fault (shape, ...): rejected
-            self._send_error(conn, exc, session_id)
-            return
-        finally:
-            session.inflight -= 1
-        session.fed += frames.shape[0]
-        self._frames_received += frames.shape[0]
-        if session.journal is not None:
-            self._send_ack(conn, session_id, session.fed)
-
-    def _send_ack(self, conn: _Connection, session_id: str, seq: int) -> None:
-        self._enqueue_or_overflow(
-            conn, encode_message(MessageType.ACK, encode_ack(session_id, seq))
-        )
-        self._acks_sent += 1
+            self._acks_sent += 1
 
     async def _handle_close(self, conn: _Connection, payload: bytes) -> None:
         request = decode_json(payload)
         session_id = request.get("session_id")
         if not isinstance(session_id, str):
             raise ProtocolError("CLOSE session_id must be a string")
-        session = self._sessions.get(session_id)
-        if session is None or session.conn is not conn:
-            error = self._no_session_error(
-                session_id,
-                session,
-                f"no session {session_id!r} open on this connection",
-            )
-            self._send_error(conn, error, session_id, MessageType.CLOSE)
+        session = self._request_session(conn, session_id, MessageType.CLOSE)
+        if session is None:
             return
         await self._drain_session(session_id)
         try:
@@ -889,16 +807,9 @@ class MonitorGateway:
             # routed; the close itself reports the failure.
             self._send_error(conn, exc, session_id, MessageType.CLOSE)
             return
-        summary = {
-            "session_id": session_id,
-            "n_frames": session.delivered,
-            "n_flagged": session.flagged,
-        }
-        self._unregister(session_id)
+        self._unregister(session)
         self._sessions_closed += 1
-        self._enqueue_or_overflow(
-            conn, encode_message(MessageType.CLOSE, encode_json(summary))
-        )
+        self._send_json(conn, MessageType.CLOSE, session.close_reply())
 
     async def _handle_resume(self, conn: _Connection, payload: bytes) -> None:
         """Bind a session to this connection on the strength of its token.
@@ -911,9 +822,9 @@ class MonitorGateway:
         noticed is dead (a half-open socket, or an EOF teardown still
         queued) is *stolen*: the engine never hears about it, only the
         event route and the frame source move, and the old connection
-        loses ownership at once — its later frames fail the
-        ``_handle_frames`` ownership check and its teardown skips the
-        session (no park, no fail-safe).
+        loses ownership at once — its later frames fail the ownership
+        check and its teardown skips the session (no park, no
+        fail-safe).
 
         The reply carries ``acked_seq`` (frames the gateway durably
         holds; the client replays everything after it) and is followed
@@ -932,105 +843,41 @@ class MonitorGateway:
         if not isinstance(last_event, int) or last_event < 0:
             raise ProtocolError("RESUME last_event must be a non-negative int")
         session = self._sessions.get(session_id)
-        if (
-            session is None
-            or session.token is None
-            or session.parking
-            or session.inflight
-            or session.resuming
-            or (session.conn is None and session.recovering)
-        ):
-            # Nothing to resume — or not yet: each busy phase above ends
-            # on its own, so the client retries the same request.
+        if session is None or session.token is None or session.busy:
+            # Nothing to resume — or not yet: every busy phase ends on
+            # its own, so the client retries the same request.
             error = self._no_session_error(
-                session_id, session, f"no parked session {session_id!r}"
+                session_id, f"no parked session {session_id!r}"
             )
-            self._send_error(conn, error, session_id, MessageType.RESUME)
-            return
-        error = self._resume_refusal(session_id, session, token, last_event)
-        if error is not None:
+        else:
+            error = session.refusal(token, last_event)
             if session.conn is None and isinstance(error, WorkerError):
                 # Beyond replay reach: resuming would silently skip
                 # events, so the park fails safe now.  (A session still
                 # bound to its old connection stays there — when that
                 # dies for real, the park / expiry lifecycle decides.)
-                self._expire_parked(
-                    session_id,
-                    reason=(
-                        f"resume replay window exceeded: client missed "
-                        f"{session.delivered - last_event} events, ring "
-                        f"holds {len(session.history)}"
-                    ),
-                )
+                self._expire_parked(session, session.overrun(last_event))
+        if error is not None:
             self._send_error(conn, error, session_id, MessageType.RESUME)
             return
         if session.conn is None and not await self._adopt(
-            conn, session_id, session, token, last_event
+            conn, session, token, last_event
         ):
             return
-        if session.conn is not conn:
-            if session.conn is not None:
-                session.conn.sessions.discard(session_id)
-            session.conn = conn
-            conn.sessions.add(session_id)
+        session.bind(conn)
         self._resumed_total += 1
-        self._peak_open_sessions = max(
-            self._peak_open_sessions, self.n_open_sessions
-        )
-        self._enqueue_or_overflow(
-            conn,
-            encode_message(
-                MessageType.RESUME,
-                encode_json(
-                    {
-                        "session_id": session_id,
-                        "acked_seq": session.fed,
-                        "delivered": session.delivered,
-                        "resume_token": session.token,
-                    }
-                ),
-            ),
-        )
-        missed = session.delivered - last_event
-        if missed:
+        self._peak_open_sessions = max(self._peak_open_sessions, self.n_open_sessions)
+        self._send_json(conn, MessageType.RESUME, session.resume_reply())
+        replay = session.replay(last_event)
+        if replay:
             # One message however many events are owed: a message per
             # event, enqueued here with no await for the writer to
             # drain on, would overflow the send queue with the replay
             # itself (event_replay_max defaults above send_queue_max).
-            replay = list(session.history)[-missed:]
-            self._enqueue_or_overflow(
-                conn, encode_message(MessageType.EVENT, encode_events(replay))
-            )
-            self._events_sent += missed
-
-    def _resume_refusal(
-        self,
-        session_id: str,
-        session: _RemoteSession,
-        token: str,
-        last_event: int,
-    ) -> ReproError | None:
-        """The one admission check of a RESUME, parked or live: the
-        error to answer with, or ``None`` when the client may have the
-        session and can be caught up gaplessly from the replay ring."""
-        if not secrets.compare_digest(token, session.token):
-            return ProtocolError(f"resume token mismatch for {session_id!r}")
-        if last_event > session.delivered:
-            return ProtocolError(
-                f"RESUME last_event {last_event} exceeds the "
-                f"{session.delivered} events delivered for {session_id!r}"
-            )
-        if session.delivered - last_event > len(session.history):
-            return WorkerError(f"session {session_id!r} is beyond replay reach")
-        return None
+            self._send_events(conn, replay)
 
     async def _adopt(
-        self,
-        conn: _Connection,
-        session_id: str,
-        session: _RemoteSession,
-        token: str,
-        last_event: int,
+        self, conn: _Connection, session: _RemoteSession, token: str, last_event: int
     ) -> bool:
         """Bring a parked session's engine side back for ``conn``.
 
@@ -1040,6 +887,7 @@ class MonitorGateway:
         ended here: the session failed safe (error already sent) or the
         resumer vanished and the session is parked again.
         """
+        session_id = session.session_id
         session.resuming = True
         session.expiry.cancel()
         session.expiry = None
@@ -1055,47 +903,29 @@ class MonitorGateway:
                     # archive with it; the journal still covers a cold
                     # adopt, exactly as when the export itself fails.
                     session.state = None
-            if session.state is None and not await self._rebuild(
-                session_id, session, parked=True
-            ):
+            if session.state is None and not await self._rebuild(session, parked=True):
                 return False  # lapsed underneath the adopt (shutdown)
         except ReproError as exc:
-            self._unregister(session_id)
-            self._record_failsafe(
-                SessionEvent.failsafe(
-                    session_id, session.delivered, f"resume failed: {exc}"
-                )
-            )
+            self._fail_session(session, f"resume failed: {exc}")
             self._send_error(conn, exc, session_id, MessageType.RESUME)
             return False
-        if conn.torn_down or conn.closed:
+        if conn.closed:
             # The resumer vanished while the adopt was in flight: park
             # again (fresh export — the engine now owns the session)
             # rather than leak a session nobody tracks.
-            try:
-                session.state = await self._engine.export_session(session_id)
-            except ReproError:
-                session.state = None  # journal still covers a cold adopt
+            await self._park_session(session, session.reason)
             session.resuming = False
-            self._schedule_expiry(session_id, session)
             if self._stopped:
-                self._expire_parked(session_id)
+                self._expire_parked(session)
             return False
         session.resuming = False
         session.state = None
-        error = self._resume_refusal(session_id, session, token, last_event)
+        error = session.refusal(token, last_event)
         if error is not None:
             # Events that landed while the adopt was in flight evicted
             # ring entries; the client can no longer be caught up
             # gaplessly.
-            self._unregister(session_id)
-            self._record_failsafe(
-                SessionEvent.failsafe(
-                    session_id,
-                    session.delivered,
-                    "resume replay window exceeded during adopt",
-                )
-            )
+            self._fail_session(session, session.overrun(last_event))
             self._send_error(conn, error, session_id, MessageType.RESUME)
             with contextlib.suppress(ReproError):
                 await self._engine.close_session(session_id)
@@ -1111,7 +941,7 @@ class MonitorGateway:
             return
         deadline = asyncio.get_running_loop().time() + self.drain_timeout_s
         while (
-            session.delivered < session.fed
+            not session.drained
             and self._sessions.get(session_id) is session
             and session.conn is not None
             and asyncio.get_running_loop().time() < deadline
@@ -1135,116 +965,62 @@ class MonitorGateway:
         conn.closed = True  # stop routing/replies to this connection now
         park = self._resume_enabled and allow_park and not self._stopped
         for session_id in list(conn.sessions):
+            if not park:
+                await self._drain_session(session_id)
+            session = self._owned(conn, session_id)
+            if session is None:
+                continue  # ended (e.g. shard crash event) or stolen meanwhile
             if park:
-                await self._park_session(conn, session_id, reason)
-                continue
-            await self._drain_session(session_id)
-            session = self._sessions.get(session_id)
-            if session is None or session.conn is not conn:
-                continue  # already ended (e.g. shard crash event)
-            # Engine-side loss; the fail-safe event below stands.
-            with contextlib.suppress(ReproError):
-                await self._engine.close_session(session_id)
-            self._record_failsafe(
-                SessionEvent.failsafe(session_id, session.delivered, reason)
-            )
-            self._unregister(session_id)
-        conn.sessions.clear()
+                await self._park_session(session, reason)
+            else:
+                # Engine-side loss; the fail-safe event stands.
+                with contextlib.suppress(ReproError):
+                    await self._engine.close_session(session_id)
+                self._fail_session(session, reason)
         self._connections.pop(conn.id, None)
-        if (
-            conn.heartbeat_task is not None
-            and conn.heartbeat_task is not asyncio.current_task()
-        ):
-            conn.heartbeat_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await conn.heartbeat_task
-        if conn.writer_task is not None:
-            conn.writer_gate.set()
-            try:
-                conn.queue.put_nowait(_CLOSED)
-            except asyncio.QueueFull:
-                conn.writer_task.cancel()  # queue wedged; no orderly flush
-            # A cancelled writer (queue wedged above) completing here is
-            # the expected outcome, not an error.
-            with contextlib.suppress(asyncio.CancelledError):
-                try:
-                    # A writer wedged in drain() against a non-reading
-                    # peer must not wedge the teardown with it.
-                    await asyncio.wait_for(
-                        asyncio.shield(conn.writer_task), 5.0
-                    )
-                except asyncio.TimeoutError:
-                    conn.writer_task.cancel()
-            if not conn.writer_task.done():
-                with contextlib.suppress(asyncio.CancelledError):
-                    await conn.writer_task
-        conn.writer.close()
+        await conn.aclose()
 
     # ------------------------------------------------------------------
     # Session parking (resume grace window)
     # ------------------------------------------------------------------
-    async def _park_session(
-        self, conn: _Connection, session_id: str, reason: str
-    ) -> None:
+    async def _park_session(self, session: _RemoteSession, reason: str) -> None:
         """Export a disconnected session and hold it for the grace window."""
-        session = self._sessions.get(session_id)
-        if session is None or session.conn is not conn:
-            return  # already ended (e.g. shard crash event)
         state: bytes | None = None
         if not session.recovering:
-            session.parking = True
-            # A mid-recovery session's engine state is a partial journal
+            # (A mid-recovery session's engine state is a partial journal
             # replay — exporting it would drop the un-replayed tail, so
-            # it parks cold (journal only) and the recovery task, seeing
-            # the session parked, releases its half-open engine side.
-            try:
-                state = await self._engine.export_session(session_id)
-            except ReproError:
-                state = None  # worker dead: the journal covers cold adopt
+            # it parks cold, journal only, and the recovery task, seeing
+            # the session parked, releases its half-open engine side.)
+            session.parking = True
+            # Worker dead: the journal covers a cold adopt.
+            with contextlib.suppress(ReproError):
+                state = await self._engine.export_session(session.session_id)
             session.parking = False
-            if (
-                self._sessions.get(session_id) is not session
-                or session.conn is not conn
-            ):
-                # Ended — or stolen by a RESUME on a fresh connection —
-                # while the export ran; it is no longer ours to park.
+            if self._sessions.get(session.session_id) is not session:
+                # Ended while the export ran (``parking`` keeps every
+                # RESUME out meanwhile): no longer ours to park.
                 return
-        conn.sessions.discard(session_id)
-        session.conn = None
-        session.state = state
-        session.reason = reason
+        session.park(state, reason)
         self._parked_total += 1
-        self._schedule_expiry(session_id, session)
-
-    def _schedule_expiry(
-        self, session_id: str, session: _RemoteSession
-    ) -> None:
         session.expiry = asyncio.get_running_loop().call_later(
-            self.resume_grace_s, self._expire_parked, session_id
+            self.resume_grace_s, self._expire_parked, session
         )
 
-    def _expire_parked(self, session_id: str, reason: str | None = None) -> None:
-        """Fail a parked session safe: the grace window lapsed unresumed."""
-        session = self._sessions.get(session_id)
-        if session is None or session.conn is not None:
+    def _expire_parked(
+        self, session: _RemoteSession, reason: str | None = None
+    ) -> None:
+        """Fail a parked session safe: the grace window lapsed unresumed
+        (or ``reason``)."""
+        if (
+            self._sessions.get(session.session_id) is not session
+            or session.conn is not None
+        ):
             return
-        self._unregister(session_id)
         self._resume_expired_total += 1
-        self._record_failsafe(
-            SessionEvent.failsafe(
-                session_id,
-                session.delivered,
-                reason
-                or (
-                    f"resume grace window expired "
-                    f"({self.resume_grace_s}s): {session.reason}"
-                ),
-            )
-        )
+        lapse = f"resume grace window expired ({self.resume_grace_s}s)"
+        self._fail_session(session, reason or f"{lapse}: {session.reason}")
 
-    async def _rebuild(
-        self, session_id: str, session: _RemoteSession, parked: bool
-    ) -> bool:
+    async def _rebuild(self, session: _RemoteSession, parked: bool) -> bool:
         """Rebuild a session's engine side from its frame journal.
 
         The one journal replay in the gateway, behind transparent
@@ -1253,9 +1029,9 @@ class MonitorGateway:
         (consistent hashing skips a dead one) and replays every
         journaled batch, frame zero onwards — ticks are deterministic,
         so the regenerated events are bit-identical, and those for
-        already-delivered frames are dropped by the routing filter: the
-        client sees an uninterrupted, duplicate-free stream.  Any
-        mid-rebuild failure — the engine still reaping the crash, a
+        already-delivered frames are dropped by the record's duplicate
+        filter: the client sees an uninterrupted, duplicate-free stream.
+        Any mid-rebuild failure — the engine still reaping the crash, a
         worker found dead only by this very exchange, or a *second*
         crash taking down the shard the session was just rebuilt on —
         releases whatever half-state exists and restarts from scratch
@@ -1265,6 +1041,7 @@ class MonitorGateway:
         leaves the phase it was in (live to parked) underneath: whoever
         resumes it rebuilds anew.
         """
+        session_id = session.session_id
 
         def wanted() -> bool:
             return (
@@ -1278,9 +1055,7 @@ class MonitorGateway:
             opened = False
             failure = None
             try:
-                await self._engine.open_session(
-                    session_id, session.record_timeline
-                )
+                await self._engine.open_session(session_id, session.record_timeline)
                 opened = True
                 replayed = 0
                 while wanted():
@@ -1289,9 +1064,7 @@ class MonitorGateway:
                         # can flip the session's phase before any frame
                         # slips in unreplayed.
                         return True
-                    await self._engine.feed(
-                        session_id, session.journal[replayed]
-                    )
+                    await self._engine.feed(session_id, session.journal[replayed])
                     replayed += 1
             except ReproError as exc:
                 failure = exc
@@ -1310,98 +1083,61 @@ class MonitorGateway:
                 raise failure
             await asyncio.sleep(0.05 * attempt)
 
-    def _begin_recovery(self, session_id: str, session: _RemoteSession) -> None:
-        """Spawn the transparent worker-crash recovery task."""
-        session.recovering = True
-        task = asyncio.get_running_loop().create_task(
-            self._recover_session(session_id, session),
-            name=f"gateway-recover-{session_id}",
-        )
-        self._bg_tasks.add(task)
-        task.add_done_callback(self._bg_tasks.discard)
-
-    async def _recover_session(
-        self, session_id: str, session: _RemoteSession
-    ) -> None:
+    async def _recover_session(self, session: _RemoteSession) -> None:
         """Rebuild a live session whose worker died; only when the
         rebuild's restarts are exhausted does the session fall back to
         the fail-safe contract."""
         try:
-            if await self._rebuild(session_id, session, parked=False):
+            if await self._rebuild(session, parked=False):
                 self._recovered_total += 1
         except ReproError as exc:
-            event = SessionEvent.failsafe(
-                session_id,
-                session.delivered,
-                f"unrecoverable worker crash: {exc}",
-            )
-            if not session.conn.closed:
-                self._enqueue_or_overflow(
-                    session.conn,
-                    encode_message(MessageType.EVENT, encode_events([event])),
-                )
-                self._events_sent += 1
-            self._record_failsafe(event)
-            self._unregister(session_id)
+            self._fail_session(session, f"unrecoverable worker crash: {exc}")
         session.recovering = False
+
+    _HANDLERS = {
+        MessageType.FRAME: _handle_frames,
+        MessageType.OPEN: _handle_open,
+        MessageType.CLOSE: _handle_close,
+        MessageType.RESUME: _handle_resume,
+        MessageType.STATS: _handle_stats,
+    }
+
+    async def _dispatch(
+        self, conn: _Connection, msg_type: MessageType, payload: bytes
+    ) -> None:
+        if msg_type is MessageType.HEARTBEAT:
+            return  # liveness only; last_recv is already refreshed
+        handler = self._HANDLERS.get(msg_type)
+        if handler is None:
+            raise ProtocolError(f"unexpected client message type {msg_type.name}")
+        await handler(self, conn, payload)
 
     # ------------------------------------------------------------------
     # Per-connection tasks
     # ------------------------------------------------------------------
-    async def _writer_loop(self, conn: _Connection) -> None:
-        """Drain the send queue, coalescing bursts into single writes."""
-        try:
-            while True:
-                chunk = await conn.queue.get()
-                if chunk is _CLOSED:
-                    return
-                await conn.writer_gate.wait()
-                parts = [chunk]
-                while len(parts) < _WRITE_BATCH:
-                    try:
-                        extra = conn.queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if extra is _CLOSED:
-                        conn.queue.put_nowait(_CLOSED)
-                        break
-                    parts.append(extra)
-                conn.writer.write(b"".join(parts))
-                await conn.writer.drain()
-        except (ConnectionError, OSError):
-            return  # peer is gone; the read loop's teardown handles it
-        except asyncio.CancelledError:  # pragma: no cover - loop shutdown
-            raise
-
     async def _heartbeat_loop(self, conn: _Connection) -> None:
         """Ping the client; declare it dead past the idle timeout."""
         loop = asyncio.get_running_loop()
-        try:
-            while not conn.closed:
-                await asyncio.sleep(self.heartbeat_interval_s)
-                if conn.closed:
-                    return
-                if (
-                    self.idle_timeout_s is not None
-                    and loop.time() - conn.last_recv > self.idle_timeout_s
-                ):
-                    self._idle_disconnects += 1
-                    self._send_error(
-                        conn,
-                        WorkerError(
-                            f"idle timeout: no traffic for "
-                            f"{self.idle_timeout_s}s"
-                        ),
-                        None,
-                    )
-                    await self._teardown(conn, "idle timeout")
-                    return
-                self._enqueue_or_overflow(
-                    conn, encode_message(MessageType.HEARTBEAT)
+        while not conn.closed:
+            await asyncio.sleep(self.heartbeat_interval_s)
+            if conn.closed:
+                return
+            if (
+                self.idle_timeout_s is not None
+                and loop.time() - conn.last_recv > self.idle_timeout_s
+            ):
+                self._idle_disconnects += 1
+                self._send_error(
+                    conn,
+                    WorkerError(
+                        f"idle timeout: no traffic for {self.idle_timeout_s}s"
+                    ),
+                    None,
                 )
-                self._heartbeats_sent += 1
-        except asyncio.CancelledError:
-            return
+                await self._teardown(conn, "idle timeout")
+                return
+            self._enqueue_or_overflow(conn, encode_message(MessageType.HEARTBEAT))
+            self._heartbeats_sent += 1
 
     # ------------------------------------------------------------------
     # Event routing
@@ -1411,10 +1147,12 @@ class MonitorGateway:
 
         The single sink both engines call, on the loop thread, with the
         events of one tick (or one crash/resize/shed flush).  Every
-        per-event decision is taken in batch order; then each connection
-        gets **one** EVENT message carrying its events in that order,
-        and the accepted events are teed into the durable log with one
-        ``append_batch``.
+        per-event decision is taken in batch order — each session's
+        record says whether the event joins its client-visible stream —
+        then the accepted events are teed into the durable log with one
+        ``append_batch`` and each connection gets **one** EVENT message
+        carrying its events in that order.  The tee comes first: what a
+        connection can or cannot be sent never decides what is logged.
         """
         outgoing: dict[_Connection, list[SessionEvent]] = {}
         logged: list[SessionEvent] = []
@@ -1423,72 +1161,71 @@ class MonitorGateway:
             if session is None:
                 self._events_dropped += 1
                 continue
-            conn = session.conn
             if event.error is not None and session.journal is not None:
                 # Resume mode treats a worker crash as recoverable:
                 # rebuild from the journal instead of failing the
                 # session safe — now for a live session, at resume time
-                # for a parked one.  A session whose park is in flight
-                # counts as parked already: its export is about to fail
-                # on the dead worker and park it cold, whereas a rebuild
-                # started now would re-open the id underneath that
-                # export, which would then carry off a half-replayed
-                # session as if it were the whole one.  A second
-                # terminal event while recovery is already in flight is
-                # a stale echo of the same crash.
-                if (
-                    conn is not None
-                    and not session.parking
-                    and not session.recovering
-                ):
-                    self._begin_recovery(event.session_id, session)
+                # for a parked one.
+                if session.recoverable:
+                    session.recovering = True
+                    self._spawn(
+                        self._recover_session(session),
+                        f"gateway-recover-{event.session_id}",
+                    )
                 continue
-            if (
-                session.journal is not None
-                and event.frame_index < session.delivered
-            ):
-                # Journal-replay regeneration after a crash recovery (or
-                # cold adopt): the client already has this event.  Events
-                # arrive one per frame in frame order, so a fresh event
-                # always lands exactly at frame_index == delivered.
+            if not session.deliver(event):
                 continue
-            session.delivered += 1
-            if event.flag:
-                session.flagged += 1
-            if session.history is not None:
-                session.history.append(event)
             # Past the duplicate filter: part of the client-visible
             # stream, and of the durable log, exactly once — sent now,
             # or, in flight when its client vanished, kept in the
             # history for the resume to replay.
             logged.append(event)
+            conn = session.conn
             if conn is not None and not conn.closed:
                 outgoing.setdefault(conn, []).append(event)
             if event.error is not None:
                 # Terminal: the engine lost this session (worker crash).
                 # Surface it at the gateway too, not only on the wire.
                 self._note_failsafe(event)
-                self._unregister(event.session_id)
-        for conn, events in outgoing.items():
-            self._enqueue_or_overflow(
-                conn, encode_message(MessageType.EVENT, encode_events(events))
-            )
-            self._events_sent += len(events)
+                self._unregister(session)
         if logged and self.event_store is not None:
             self.event_store.append_batch(logged)
+        for conn, events in outgoing.items():
+            self._send_events(conn, events)
+
+    def _send_events(self, conn: _Connection, events: list[SessionEvent]) -> None:
+        """Queue one EVENT message carrying ``events`` in order."""
+        try:
+            payload = encode_events(events)
+        except ProtocolError as exc:
+            # An event the wire cannot carry must neither be skipped
+            # silently nor cost other connections theirs: this
+            # connection ends (its sessions park or fail safe).
+            self._disconnect(conn, f"unencodable event: {exc}")
+            return
+        self._enqueue_or_overflow(conn, encode_message(MessageType.EVENT, payload))
+        self._events_sent += len(events)
+
+    def _send_json(self, conn: _Connection, msg_type: MessageType, obj: dict) -> None:
+        self._enqueue_or_overflow(conn, encode_message(msg_type, encode_json(obj)))
 
     def _enqueue_or_overflow(self, conn: _Connection, data: bytes) -> None:
         self._peak_queue_depth = max(self._peak_queue_depth, conn.queue.qsize())
         if not conn.enqueue(data):
             self._overflow_disconnects += 1
-            conn.closed = True  # stop routing immediately
-            task = asyncio.get_running_loop().create_task(
-                self._teardown(
-                    conn, "send queue overflow (client not reading events)"
-                )
-            )
-            self._bg_tasks.add(task)
-            task.add_done_callback(self._bg_tasks.discard)
+            self._disconnect(conn, "send queue overflow (client not reading events)")
+
+    def _disconnect(self, conn: _Connection, reason: str) -> None:
+        """Cut a connection off from a synchronous path: routing to it
+        stops now, its teardown runs as a background task."""
+        conn.closed = True
+        self._spawn(self._teardown(conn, reason))
+
+    def _spawn(self, coro, name: str | None = None) -> None:
+        """Run a fire-and-forget task, strongly referenced until done."""
+        task = asyncio.get_running_loop().create_task(coro, name=name)
+        self._bg_tasks.add(task)
+        task.add_done_callback(self._bg_tasks.discard)
 
     def _send_error(
         self,
@@ -1504,39 +1241,40 @@ class MonitorGateway:
         an *asynchronous* error (a rejected unacked FRAME, an idle
         timeout) that arrives while some other reply is pending.
         """
-        self._enqueue_or_overflow(
+        self._send_json(
             conn,
-            encode_message(
-                MessageType.ERROR,
-                encode_json(
-                    {
-                        "error_type": type(exc).__name__,
-                        "error": str(exc),
-                        "session_id": session_id,
-                        "in_reply_to": (
-                            in_reply_to.name if in_reply_to is not None else None
-                        ),
-                    }
-                ),
-            ),
+            MessageType.ERROR,
+            {
+                "error_type": type(exc).__name__,
+                "error": str(exc),
+                "session_id": session_id,
+                "in_reply_to": in_reply_to.name if in_reply_to is not None else None,
+            },
         )
 
     def _note_failsafe(self, event: SessionEvent) -> None:
         self.failsafe_events.append(event)
         self.failed_sessions[event.session_id] = event.error or "unknown"
 
-    def _record_failsafe(self, event: SessionEvent) -> None:
-        """Note a terminal event raised outside routing and tee it."""
+    def _fail_session(self, session: _RemoteSession, reason: str) -> None:
+        """End a session fail-safe — the one ending behind every
+        disconnect, lapse, failed resume and exhausted recovery: the
+        record leaves the map, its terminal event (``flag=True``, at
+        the position the client-visible stream stops at) is noted and
+        teed into the store, and a connection still listening is sent
+        it."""
+        conn = session.conn
+        self._unregister(session)
+        event = session.terminal(reason)
         self._note_failsafe(event)
         if self.event_store is not None:
             self.event_store.append(event)
+        if conn is not None and not conn.closed:
+            self._send_events(conn, [event])
 
-    def _unregister(self, session_id: str) -> None:
-        session = self._sessions.pop(session_id, None)
-        if session is None:
-            return
-        if session.conn is not None:
-            session.conn.sessions.discard(session_id)
+    def _unregister(self, session: _RemoteSession) -> None:
+        self._sessions.pop(session.session_id, None)
+        session.bind(None)
         if session.expiry is not None:
             session.expiry.cancel()
             session.expiry = None

@@ -6,6 +6,8 @@ session-scoped so the whole suite pays for them once.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,19 @@ from repro.simulation import (
     generate_demonstration,
 )
 from repro.simulation.teleop import DEFAULT_OPERATORS
+
+#: The numeric core: an overflow or invalid value in a rewritten
+#: activation or ring update must fail the test, not scroll past.
+_WARNINGS_ARE_ERRORS = [
+    Path(__file__).parent / name for name in ("nn", "kinematics")
+]
+
+
+def pytest_collection_modifyitems(items):
+    strict = pytest.mark.filterwarnings("error::RuntimeWarning")
+    for item in items:
+        if any(d in item.path.parents for d in _WARNINGS_ARE_ERRORS):
+            item.add_marker(strict)
 
 
 @pytest.fixture(scope="session")

@@ -1359,6 +1359,85 @@ class TestProtocolOverTheWire:
                 )
                 assert len(events) == 3
 
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_session_id_no_event_can_carry_is_refused_at_open(
+        self, monitor, n_shards
+    ):
+        """OPEN is JSON and would take any id; ACK and EVENT name the
+        session in a u16-length UTF-8 field.  An id that does not fit
+        one (too long, or not UTF-8 text at all) is refused when it is
+        asked for — typed, in reply to OPEN, the connection intact —
+        not discovered when its first alert cannot be encoded."""
+        with running_gateway(
+            monitor, n_shards=n_shards, max_sessions=4
+        ) as runner:
+            with RemoteMonitorClient(runner.host, runner.port) as client:
+                with pytest.raises(ProtocolError, match="65536 bytes"):
+                    client.open_session("é" * 32768)
+                with pytest.raises(WorkerError, match="UnicodeEncodeError"):
+                    client.open_session("lone-surrogate-\ud800")
+                assert runner.gateway.n_open_sessions == 0
+                longest = "x" * 0xFFFF  # the bound itself still fits
+                assert client.open_session(longest) == longest
+                client.feed(longest, np.zeros((2, N_FEATURES)))
+                assert len(client.events_for(longest, 2)) == 2
+                assert client.close_session(longest)["n_frames"] == 2
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_unencodable_event_costs_only_its_own_connection(
+        self, monitor, n_shards, tmp_path, monkeypatch
+    ):
+        """A crash batch in which one connection's EVENT cannot be
+        encoded: the batch is teed whole, every other connection still
+        receives its terminal event, and the connection that cannot be
+        told is cut off with its remaining sessions failed safe."""
+        from repro.serving.remote import gateway as gateway_module
+
+        def encode_unless_poisoned(events):
+            if any(e.session_id == "poison" for e in events):
+                raise ProtocolError("session id of 70000 bytes is too long")
+            return encode_events(events)
+
+        monkeypatch.setattr(
+            gateway_module, "encode_events", encode_unless_poisoned
+        )
+        store = EventStoreWriter(tmp_path)
+        with running_gateway(
+            monitor, n_shards=n_shards, max_sessions=8, event_store=store
+        ) as runner:
+            gateway = runner.gateway
+            first = RemoteMonitorClient(runner.host, runner.port)
+            first.open_session("poison")
+            first.open_session("sibling")
+            with RemoteMonitorClient(runner.host, runner.port) as second:
+                second.open_session("bystander")
+
+                async def crash():
+                    gateway._route_events(
+                        [
+                            SessionEvent.failsafe(sid, 0, "shard 0 worker died")
+                            for sid in ("poison", "bystander")
+                        ]
+                    )
+
+                runner.run(crash())
+                event = second.next_event()
+                assert event_key(event) == (
+                    "bystander", 0, 0, 0.0, True, "shard 0 worker died"
+                )
+            assert wait_until(lambda: "sibling" in gateway.failed_sessions)
+            assert "unencodable event" in gateway.failed_sessions["sibling"]
+            assert set(gateway.failed_sessions) == {
+                "poison", "sibling", "bystander"
+            }
+            first.close()
+        store.close()
+        logged = [e for e in EventStoreReader(tmp_path).replay() if e.error]
+        assert sorted(e.session_id for e in logged) == [
+            "bystander", "poison", "sibling"
+        ]
+        assert all(e.flag for e in logged)
+
 
 class TestResume:
     """Session resume over reconnects (PR 7): park/adopt, seq/ack
