@@ -90,6 +90,11 @@ class WindowConfig:
             return 0
         return (n_frames - self.window) // self.stride + 1
 
+    def completes(self, seen):
+        """Whether a stream's ``seen``-th frame (int or array) completes
+        a window: the first at ``window`` frames, then every ``stride``."""
+        return (seen >= self.window) & ((seen - self.window) % self.stride == 0)
+
 
 @dataclass(frozen=True)
 class TrainingConfig:

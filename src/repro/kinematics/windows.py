@@ -10,30 +10,11 @@ hot path), and :class:`StreamingWindow` is its single-stream wrapper.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import WindowConfig
 from ..errors import ConfigurationError, ShapeError
-
-
-@dataclass
-class WindowSlotState:
-    """Portable snapshot of one stream slot's ring state.
-
-    Produced by :meth:`StreamingWindowBatch.export_slot` and consumed by
-    :meth:`StreamingWindowBatch.import_slot` — the unit of session
-    migration between serving engines.  ``buffer`` holds the slot's raw
-    ring rows (ring order, *not* time order: position depends only on
-    ``seen % window``, which travels with the state), so importing into
-    any batch built from the same :class:`~repro.config.WindowConfig`
-    reproduces the slot bit for bit.
-    """
-
-    buffer: np.ndarray  # (window, n_features) raw ring rows
-    seen: int
-    since_emit: int
 
 
 def sliding_windows(
@@ -164,7 +145,7 @@ def window_labels(
 class StreamingWindowBatch:
     """Ring-buffered sliding windows over many concurrent streams.
 
-    The serving hot path: a preallocated ``(n_streams, window,
+    The serving hot path: a preallocated ``(n_streams, history,
     n_features)`` buffer absorbs one new frame per pushed stream per call
     and reports — with a vectorized readiness mask, no per-stream Python
     state — which streams completed a window on this push.  Stream slots
@@ -175,20 +156,36 @@ class StreamingWindowBatch:
     frames one-by-one through a :class:`StreamingWindow`: the first window
     emits once ``window`` frames arrived, subsequent windows every
     ``stride`` frames after that.
+
+    A slot is its frame count and its last ``history`` frames, nothing
+    else: :meth:`recent_frames` reads that pair out and :meth:`prime`
+    starts a slot from it.  ``history`` defaults to the configured
+    window; a longer ring also serves windows of *other* configurations
+    over the same frames (:meth:`windows`), which is how the serving
+    engine runs both pipeline stages off one ring.
     """
 
-    def __init__(self, config: WindowConfig, n_streams: int, n_features: int) -> None:
+    def __init__(
+        self,
+        config: WindowConfig,
+        n_streams: int,
+        n_features: int,
+        history: int | None = None,
+    ) -> None:
         if n_streams < 1:
             raise ConfigurationError("n_streams must be >= 1")
         if n_features < 1:
             raise ConfigurationError("n_features must be >= 1")
+        history = config.window if history is None else int(history)
+        if history < config.window:
+            raise ConfigurationError("history must cover the configured window")
         self._config = config
         self._n_streams = int(n_streams)
         self._n_features = int(n_features)
-        self._buffer = np.zeros((n_streams, config.window, n_features))
+        self._history = history
+        self._buffer = np.zeros((n_streams, history, n_features))
         self._seen = np.zeros(n_streams, dtype=np.int64)
-        self._since_emit = np.zeros(n_streams, dtype=np.int64)
-        self._window_offsets = np.arange(config.window)
+        self._offsets = np.arange(history)
         self._all_ids = np.arange(n_streams)
         self._id_mark = np.zeros(n_streams, dtype=bool)  # _check_ids scratch
 
@@ -235,41 +232,6 @@ class StreamingWindowBatch:
             shape ``(ready.sum(), window, n_features)`` with rows in
             ``stream_ids`` order, each window's frames in time order.
         """
-        ready, seen, ids = self._advance(frames, stream_ids)
-        window = self._config.window
-        ready_ids = ids[ready]
-        if ready_ids.size == 0:
-            return ready, np.empty((0, window, self._n_features))
-        # The oldest frame of stream s lives at ring slot seen[s] % window,
-        # so rotating the slot axis restores time order.
-        order = (seen[ready, None] + self._window_offsets) % window
-        return ready, self._buffer[ready_ids[:, None], order]
-
-    def advance(
-        self, frames: np.ndarray, stream_ids: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`push` without assembling the completed windows.
-
-        For a consumer that keeps its own running state per stream (a
-        :class:`~repro.nn.backends.stepper.StreamStepper`) and needs
-        from the ring only *when* a window completes and where each
-        stream stands.  Same arguments and ring update as :meth:`push`.
-
-        Returns
-        -------
-        ready, seen
-            The :meth:`push` readiness mask, and each pushed stream's
-            frame count including this frame, both aligned with
-            ``stream_ids``.
-        """
-        ready, seen, _ = self._advance(frames, stream_ids)
-        return ready, seen
-
-    def _advance(
-        self, frames: np.ndarray, stream_ids: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Store one frame per stream and update the emission counters;
-        returns ``(ready, seen, ids)`` (``ids`` validated)."""
         frames = np.asarray(frames, dtype=float)
         ids = self._check_ids(stream_ids)
         if frames.shape != (ids.size, self._n_features):
@@ -277,79 +239,85 @@ class StreamingWindowBatch:
                 f"frames must have shape ({ids.size}, {self._n_features}), "
                 f"got {frames.shape}"
             )
-        window = self._config.window
-        # Gather the pushed slots' counters once, advance them locally,
-        # scatter them back once.
-        seen = self._seen[ids]
-        since_emit = self._since_emit[ids]
-        self._buffer[ids, seen % window] = frames
-        seen += 1
-        follow = seen > window
-        since_emit += follow
-        ready = (seen == window) | (follow & (since_emit >= self._config.stride))
-        since_emit[ready] = 0
+        seen = self._seen[ids] + 1  # counting this frame, frame seen - 1
+        self._buffer[ids, (seen - 1) % self._history] = frames
         self._seen[ids] = seen
-        self._since_emit[ids] = since_emit
-        return ready, seen, ids
+        return self._latest(self._config, ids, seen)
+
+    def windows(
+        self,
+        config: WindowConfig,
+        stream_ids: np.ndarray | None = None,
+        columns: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """What each stream's last :meth:`push` would have returned had
+        the batch been built with ``config`` (any window up to the
+        ring's ``history``; :class:`ShapeError` beyond) — with
+        ``columns``, over those feature columns only."""
+        ids = self._check_ids(stream_ids)
+        return self._latest(config, ids, self._seen[ids], columns)
+
+    def _latest(
+        self, config: WindowConfig, ids: np.ndarray, seen: np.ndarray, columns=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        window = config.window
+        if window > self._history:
+            raise ShapeError(
+                f"the ring keeps {self._history} frames per stream, "
+                f"too few for windows of {window}"
+            )
+        ready = config.completes(seen)
+        ready_ids = ids[ready]
+        if ready_ids.size == 0:
+            width = self._n_features if columns is None else len(columns)
+            return ready, np.empty((0, window, width))
+        # Frame t of a stream lives at ring position t % history.
+        order = (seen[ready, None] - window + self._offsets[:window]) % self._history
+        if columns is None:
+            return ready, self._buffer[ready_ids[:, None], order]
+        return ready, self._buffer[ready_ids[:, None, None], order[:, :, None], columns]
 
     def reset(self, stream_ids: np.ndarray | None = None) -> None:
         """Restore fresh-stream state for some (default: all) streams."""
-        ids = self._check_ids(stream_ids)
-        self._seen[ids] = 0
-        self._since_emit[ids] = 0
+        self._seen[self._check_ids(stream_ids)] = 0
 
     def recent_frames(self, stream_id: int) -> tuple[np.ndarray, int]:
         """One slot's retained frames in time order, and its frame count.
 
-        The last ``min(seen, window)`` frames the stream pushed (a
+        The last ``min(seen, history)`` frames the stream pushed (a
         copy): everything the ring still knows about the stream's past,
-        which is what state derived from it is rebuilt from.
+        which is what state derived from it is rebuilt from, and all
+        :meth:`prime` needs to continue the stream in another batch.
         """
         slot = self._check_ids(np.array([stream_id]))[0]
         seen = int(self._seen[slot])
-        kept = min(seen, self._config.window)
-        order = np.arange(seen - kept, seen) % self._config.window
-        return self._buffer[slot, order], seen
+        kept = min(seen, self._history)
+        return self._buffer[slot, np.arange(seen - kept, seen) % self._history], seen
 
-    def export_slot(self, stream_id: int) -> WindowSlotState:
-        """Snapshot one slot's complete ring state (a deep copy).
+    def prime(self, stream_id: int, frames: np.ndarray, seen: int) -> None:
+        """Start one slot from a :meth:`recent_frames` pair.
 
-        Together with :meth:`import_slot` this is the migration
-        primitive: emission semantics depend only on ``(seen,
-        since_emit)`` and window contents only on the ring rows plus
-        ``seen % window``, so the triple reproduces the slot exactly in
-        any batch with the same window configuration.
+        ``frames`` are the stream's most recent frames in time order —
+        its last ``min(seen, history)`` at least; older rows are ignored
+        — and ``seen`` its frame count: the slot then emits the windows
+        that stream would have (:class:`ShapeError` when the rows do
+        not cover that history or have another width).
         """
         slot = self._check_ids(np.array([stream_id]))[0]
-        return WindowSlotState(
-            buffer=self._buffer[slot].copy(),
-            seen=int(self._seen[slot]),
-            since_emit=int(self._since_emit[slot]),
-        )
-
-    def import_slot(self, stream_id: int, state: WindowSlotState) -> None:
-        """Restore a slot from an :meth:`export_slot` snapshot.
-
-        The receiving batch must have the same window length and feature
-        width the state was exported from (:class:`ShapeError`
-        otherwise); the target slot's previous state is overwritten.
-        """
-        slot = self._check_ids(np.array([stream_id]))[0]
-        buffer = np.asarray(state.buffer, dtype=float)
-        expected = (self._config.window, self._n_features)
-        if buffer.shape != expected:
+        frames = np.asarray(frames, dtype=float)
+        seen = int(seen)
+        kept = min(seen, self._history)
+        if seen < 0 or frames.ndim != 2 or frames.shape[0] < kept or (
+            kept and frames.shape[1] != self._n_features
+        ):
             raise ShapeError(
-                f"slot state buffer must have shape {expected}, "
-                f"got {buffer.shape}"
+                f"a stream at frame {seen} is primed from its last {kept} "
+                f"frames of width {self._n_features}, got shape {frames.shape}"
             )
-        if state.seen < 0 or state.since_emit < 0:
-            raise ShapeError(
-                "slot state counters must be non-negative, got "
-                f"seen={state.seen}, since_emit={state.since_emit}"
-            )
-        self._buffer[slot] = buffer
-        self._seen[slot] = int(state.seen)
-        self._since_emit[slot] = int(state.since_emit)
+        if kept:
+            order = np.arange(seen - kept, seen) % self._history
+            self._buffer[slot, order] = frames[-kept:]
+        self._seen[slot] = seen
 
     def _check_ids(self, stream_ids: np.ndarray | None) -> np.ndarray:
         """Validate stream indices: integers, 1-D, in range, no duplicates."""

@@ -173,9 +173,9 @@ class AsyncShardedMonitor:
         """``resolve`` for a session-addressed exchange: the shard of *this
         incarnation* of the session.  A resize or shed moves its record
         and the exchange follows; a crash then a re-open of the id (the
-        gateway's journal rebuild) replaces the record, and an exchange
+        gateway's crash recovery) replaces the record, and an exchange
         that waited on the lost session must fail like one — a feed that
-        followed the id would land frames the replay already fed."""
+        followed the id would land frames the recovery already carried."""
         record = self._service._record(session_id)
 
         def resolve() -> int:

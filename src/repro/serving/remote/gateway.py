@@ -34,15 +34,17 @@ Flow control and failure semantics:
   crash surfaces the same way *and* is pushed to the owning client as
   an EVENT with ``error`` set.
 - **Session resume** (``resume_grace_s > 0``) — disconnects *park* the
-  session instead (engine state exported through the migration codec,
-  in-flight events folded into a replay history); a client returning
-  within the grace window presents its resume token, replays frames
-  from the acked seq the RESUME reply names, and receives the events
-  it missed before any live one — zero lost frames, no duplicates.
-  Accepted frame batches are acked (v2 ACK) and journaled, which also
-  turns a shard worker crash into a transparent re-open-and-replay
-  instead of a terminal event.  An unresumed park falls back to the
-  fail-safe contract when the window lapses.  See ``docs/remote.md``.
+  session instead (engine side released, in-flight events folded into
+  a replay history); a client returning within the grace window
+  presents its resume token, replays frames from the acked seq the
+  RESUME reply names, and receives the events it missed before any
+  live one — zero lost frames, no duplicates.  Accepted frame batches
+  are acked (v2 ACK) and journaled until no future event can depend on
+  them, so the record alone restores the engine side
+  (:meth:`_RemoteSession.archive`) — for a resume, and for a shard
+  worker crash, which becomes a transparent restore instead of a
+  terminal event.  An unresumed park falls back to the fail-safe
+  contract when the window lapses.  See ``docs/remote.md``.
 
 ``gateway_stats()`` aggregates the engine's per-shard
 :meth:`shard_stats` with connection/session/queue-depth counters; the
@@ -101,7 +103,7 @@ class _LocalEngine:
     """Single-threaded serving engine over one in-process :class:`MonitorService`.
 
     The K=1 topology: no worker processes, no executor, no lock — every
-    call into the service (open/feed/tick/close/export/import/telemetry)
+    call into the service (open/feed/tick/close/import/telemetry)
     runs on the event-loop thread.  :meth:`feed` schedules
     :meth:`_tick_once` with ``call_soon``; each pass of the loop runs at
     most **one** tick, hands its events to ``sink`` (the gateway's
@@ -177,12 +179,6 @@ class _LocalEngine:
     async def close_session(self, session_id: str):
         self._check_failure()
         return self.service.close_session(session_id)
-
-    async def export_session(self, session_id: str) -> bytes:
-        self._check_failure()
-        return session_to_bytes(
-            self.service.export_session(session_id, remove=True)
-        )
 
     async def import_session(
         self, state: bytes, record_timeline: bool = True
@@ -360,12 +356,12 @@ class MonitorGateway:
         marker into the event store next to the resize markers.
     resume_grace_s / event_replay_max:
         ``resume_grace_s > 0`` enables session resume: a disconnected
-        client's sessions are *parked* (engine state exported via the
-        migration codec) for that many seconds instead of fail-safe
-        closed, frame batches are acked (v2 ACK messages) and journaled
-        — so a shard worker crash is recovered transparently by
-        replaying the journal — and a reconnecting client presenting
-        its resume token replays from its last-acked seq.
+        client's sessions are *parked* for that many seconds instead of
+        fail-safe closed, frame batches are acked (v2 ACK messages) and
+        journaled while an event still to come can depend on them — so
+        a shard worker crash is recovered transparently from the
+        session's record — and a reconnecting client presenting its
+        resume token replays from its last-acked seq.
         ``event_replay_max`` bounds the per-session ring of delivered
         events kept for replaying what a vanished client never read.
         The default ``0.0`` keeps the fail-safe-on-disconnect contract.
@@ -537,6 +533,7 @@ class MonitorGateway:
         self._resumed_total = 0
         self._resume_expired_total = 0
         self._recovered_total = 0
+        self._restore_retries_total = 0
 
     @property
     def _resume_enabled(self) -> bool:
@@ -726,6 +723,7 @@ class MonitorGateway:
             conn,
             record_timeline,
             self.event_replay_max if self._resume_enabled else None,
+            self._engine.service.history_frames,
         )
         self._sessions[session_id] = session
         self._sessions_opened += 1
@@ -765,16 +763,16 @@ class MonitorGateway:
         if session is None:
             return
         frames = session.admit(seq, frames)
-        # While a recovery task replays the journal tail, feeding the
-        # engine here would race it: the batch waits in the journal.
+        # While a recovery task restores the engine side, feeding it
+        # here would race the task: the batch waits in the journal.
         if frames is not None and not session.recovering:
             session.inflight += 1
             try:
                 await self._engine.feed(session_id, frames)
             except ReproError as exc:
                 # A worker crash with resume on is not the batch's
-                # fault: the crash's terminal event triggers the journal
-                # rebuild, which replays it.  Anything else (shape, ...)
+                # fault: the crash's terminal event triggers the
+                # restore, which carries it.  Anything else (shape, ...)
                 # is, and the batch is rejected.
                 if session.journal is None or not isinstance(exc, WorkerError):
                     session.retract()
@@ -817,7 +815,7 @@ class MonitorGateway:
         The client proves ownership with the resume token from its OPEN
         ack and reports ``last_event`` — how many events it received
         before the disconnect.  A *parked* session is adopted: its
-        engine side is brought back first (:meth:`_adopt`).  A session
+        engine side is restored first (:meth:`_adopt`).  A session
         still bound to another connection the gateway has not yet
         noticed is dead (a half-open socket, or an EOF teardown still
         queued) is *stolen*: the engine never hears about it, only the
@@ -879,31 +877,18 @@ class MonitorGateway:
     async def _adopt(
         self, conn: _Connection, session: _RemoteSession, token: str, last_event: int
     ) -> bool:
-        """Bring a parked session's engine side back for ``conn``.
+        """Restore a parked session's engine side for ``conn``.
 
-        Imports the parked archive, or — parked cold, or the import
-        landing on a worker that died unnoticed and took the archive
-        with it — rebuilds from the journal.  False when the resume
-        ended here: the session failed safe (error already sent) or the
-        resumer vanished and the session is parked again.
+        False when the resume ended here: the session failed safe
+        (error already sent) or the resumer vanished and the session is
+        parked again.
         """
         session_id = session.session_id
         session.resuming = True
         session.expiry.cancel()
         session.expiry = None
         try:
-            if session.state is not None:
-                try:
-                    await self._engine.import_session(
-                        session.state, session.record_timeline
-                    )
-                except WorkerError:
-                    # The target worker died under the import (a crash
-                    # the engine had not noticed yet) and took the
-                    # archive with it; the journal still covers a cold
-                    # adopt, exactly as when the export itself fails.
-                    session.state = None
-            if session.state is None and not await self._rebuild(session, parked=True):
+            if not await self._restore(session, parked=True):
                 return False  # lapsed underneath the adopt (shutdown)
         except ReproError as exc:
             self._fail_session(session, f"resume failed: {exc}")
@@ -911,15 +896,13 @@ class MonitorGateway:
             return False
         if conn.closed:
             # The resumer vanished while the adopt was in flight: park
-            # again (fresh export — the engine now owns the session)
-            # rather than leak a session nobody tracks.
+            # again rather than leak a session nobody tracks.
             await self._park_session(session, session.reason)
             session.resuming = False
             if self._stopped:
                 self._expire_parked(session)
             return False
         session.resuming = False
-        session.state = None
         error = session.refusal(token, last_event)
         if error is not None:
             # Events that landed while the adopt was in flight evicted
@@ -955,9 +938,9 @@ class MonitorGateway:
 
         Default contract: drain-and-close its sessions fail-safe.  With
         resume enabled (and ``allow_park``), sessions are parked for the
-        grace window instead — no drain, no closure: the exported state
-        carries the pending frames, and in-flight events keep landing in
-        the parked history until a resume or expiry.
+        grace window instead — no drain, no closure: the record's
+        journal holds the frames still to process, and in-flight events
+        keep landing in the parked history until a resume or expiry.
         """
         if conn.torn_down:
             return
@@ -984,23 +967,19 @@ class MonitorGateway:
     # Session parking (resume grace window)
     # ------------------------------------------------------------------
     async def _park_session(self, session: _RemoteSession, reason: str) -> None:
-        """Export a disconnected session and hold it for the grace window."""
-        state: bytes | None = None
-        if not session.recovering:
-            # (A mid-recovery session's engine state is a partial journal
-            # replay — exporting it would drop the un-replayed tail, so
-            # it parks cold, journal only, and the recovery task, seeing
-            # the session parked, releases its half-open engine side.)
-            session.parking = True
-            # Worker dead: the journal covers a cold adopt.
-            with contextlib.suppress(ReproError):
-                state = await self._engine.export_session(session.session_id)
-            session.parking = False
-            if self._sessions.get(session.session_id) is not session:
-                # Ended while the export ran (``parking`` keeps every
-                # RESUME out meanwhile): no longer ours to park.
-                return
-        session.park(state, reason)
+        """Release a disconnected session's engine side and hold its
+        record for the grace window."""
+        session.parking = True
+        # Whatever the engine had not processed is in the journal; a
+        # dead worker has nothing left to release.
+        with contextlib.suppress(ReproError):
+            await self._engine.close_session(session.session_id)
+        session.parking = False
+        if self._sessions.get(session.session_id) is not session:
+            # Ended while the close ran (``parking`` keeps every RESUME
+            # out meanwhile): no longer ours to park.
+            return
+        session.park(reason)
         self._parked_total += 1
         session.expiry = asyncio.get_running_loop().call_later(
             self.resume_grace_s, self._expire_parked, session
@@ -1020,26 +999,27 @@ class MonitorGateway:
         lapse = f"resume grace window expired ({self.resume_grace_s}s)"
         self._fail_session(session, reason or f"{lapse}: {session.reason}")
 
-    async def _rebuild(self, session: _RemoteSession, parked: bool) -> bool:
-        """Rebuild a session's engine side from its frame journal.
+    async def _restore(self, session: _RemoteSession, parked: bool) -> bool:
+        """Bring a session's engine side back from its record.
 
-        The one journal replay in the gateway, behind transparent
-        worker-crash recovery (``parked=False``) and behind a cold adopt
-        (``parked=True``) alike.  Re-opens the id on a live shard
-        (consistent hashing skips a dead one) and replays every
-        journaled batch, frame zero onwards — ticks are deterministic,
-        so the regenerated events are bit-identical, and those for
-        already-delivered frames are dropped by the record's duplicate
-        filter: the client sees an uninterrupted, duplicate-free stream.
-        Any mid-rebuild failure — the engine still reaping the crash, a
-        worker found dead only by this very exchange, or a *second*
-        crash taking down the shard the session was just rebuilt on —
-        releases whatever half-state exists and restarts from scratch
-        (the journal always covers a full rebuild).  Raises the last
-        failure once the bounded restarts are exhausted.  Returns False,
-        its own engine session released, when the session ends or
-        leaves the phase it was in (live to parked) underneath: whoever
-        resumes it rebuilds anew.
+        The one restore in the gateway, behind transparent worker-crash
+        recovery (``parked=False``) and behind a resume (``parked=True``)
+        alike: import :meth:`_RemoteSession.archive` — the session at
+        ``delivered``, every accepted frame not yet processed as its
+        pending input; consistent hashing places it on a live shard —
+        then feed whatever was admitted while the import ran.  The cost
+        is the engine's ``history_frames`` plus the undelivered frames,
+        however long the session has run.  Ticks are deterministic, so
+        the stream continues bit-identically, and an event of the lost
+        engine side still in flight meets the record's duplicate
+        filter.  Any failure on the way — the engine still reaping the
+        crash, a worker found dead only by this very exchange, a
+        *second* crash under the shard the session just landed on —
+        releases whatever half-state exists and starts over from a
+        fresh archive; the last failure is raised once the bounded
+        restarts are exhausted.  Returns False, its own engine session
+        released, when the session ends or leaves the phase it was in
+        (live to parked) underneath: whoever resumes it restores anew.
         """
         session_id = session.session_id
 
@@ -1047,48 +1027,54 @@ class MonitorGateway:
             return (
                 self._sessions.get(session_id) is session
                 and (session.conn is None) == parked
+                and not session.parking
             )
 
         for attempt in range(1, 9):
             if not wanted():
                 return False
-            opened = False
+            imported = False
             failure = None
             try:
-                await self._engine.open_session(session_id, session.record_timeline)
-                opened = True
-                replayed = 0
+                state = session.archive()
+                sent = state.frames_done + state.pending_frames
+                await self._engine.import_session(
+                    session_to_bytes(state), session.record_timeline
+                )
+                imported = True
                 while wanted():
-                    if replayed == len(session.journal):
-                        # No await since the length check: the caller
-                        # can flip the session's phase before any frame
-                        # slips in unreplayed.
+                    tail = session.held()[sent - session.base :]
+                    if not len(tail):
+                        # No await since the journal was read: the
+                        # caller can flip the session's phase before
+                        # any frame slips in unfed.
                         return True
-                    await self._engine.feed(session_id, session.journal[replayed])
-                    replayed += 1
+                    await self._engine.feed(session_id, tail)
+                    sent += len(tail)
             except ReproError as exc:
                 failure = exc
-            if opened or wanted():
-                # The half-open engine session must go before a retry
-                # (a crashed shard's failure record is popped by the
-                # re-open, a survivor is closed outright: the next
+            if imported or wanted():
+                # The half-restored engine session must go before a
+                # retry (a crashed shard's failure record is popped by
+                # the re-import, a survivor is closed outright: the next
                 # attempt starts from a clean slate) and before an
-                # abandonment — but an id this attempt never opened and
-                # no longer owns may be somebody else's by now.
+                # abandonment — but an id this attempt never imported
+                # and no longer owns may be somebody else's by now.
                 with contextlib.suppress(ReproError):
                     await self._engine.close_session(session_id)
             if not wanted():
                 return False
             if attempt == 8:
                 raise failure
+            self._restore_retries_total += 1
             await asyncio.sleep(0.05 * attempt)
 
     async def _recover_session(self, session: _RemoteSession) -> None:
-        """Rebuild a live session whose worker died; only when the
-        rebuild's restarts are exhausted does the session fall back to
+        """Restore a live session whose worker died; only when the
+        restore's restarts are exhausted does the session fall back to
         the fail-safe contract."""
         try:
-            if await self._rebuild(session, parked=False):
+            if await self._restore(session, parked=False):
                 self._recovered_total += 1
         except ReproError as exc:
             self._fail_session(session, f"unrecoverable worker crash: {exc}")
@@ -1163,7 +1149,7 @@ class MonitorGateway:
                 continue
             if event.error is not None and session.journal is not None:
                 # Resume mode treats a worker crash as recoverable:
-                # rebuild from the journal instead of failing the
+                # restore from the record instead of failing the
                 # session safe — now for a live session, at resume time
                 # for a parked one.
                 if session.recoverable:
@@ -1473,6 +1459,12 @@ class MonitorGateway:
                 "resumed_total": self._resumed_total,
                 "expired_total": self._resume_expired_total,
                 "recovered_total": self._recovered_total,
+                "restore_retries_total": self._restore_retries_total,
+                "journal_frames": sum(
+                    len(batch)
+                    for session in self._sessions.values()
+                    for batch in session.journal or ()
+                ),
                 "acks_sent": self._acks_sent,
             },
             "frames_received": self._frames_received,

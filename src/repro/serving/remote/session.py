@@ -14,8 +14,10 @@ from __future__ import annotations
 import secrets
 from collections import deque
 
-from ...errors import ProtocolError, ReproError, WorkerError
-from ..service import SessionEvent
+import numpy as np
+
+from ...errors import ProtocolError, ReproError, ShapeError, WorkerError
+from ..service import SessionEvent, SessionState
 
 
 class _RemoteSession:
@@ -32,27 +34,31 @@ class _RemoteSession:
     ``delivered`` events routed back (:meth:`deliver`; equal to frames
     processed), ``flagged`` those with ``flag=True``.  With resume
     enabled (a ``replay_max``) the record also carries the resume
-    ``token`` handed out at OPEN, the ``journal`` of every accepted
-    batch (what every engine-side rebuild replays) and the ``history``
-    ring of the last ``replay_max`` delivered events (what a returning
-    client is caught up from; events in flight when it vanished keep
-    landing there while parked).  Without it all three are ``None``:
-    seq is not interpreted, nothing is acked or filtered.
+    ``token`` handed out at OPEN, the ``history`` ring of the last
+    ``replay_max`` delivered events (what a returning client is caught
+    up from; events in flight when it vanished keep landing there while
+    parked) and the ``journal``: the accepted batches, oldest first,
+    from stream index ``base`` on.  :meth:`deliver` retires every batch
+    that ends more than ``window`` frames (the engine's
+    ``history_frames``) before ``delivered``: no event still to come
+    can depend on it.  An acked frame is therefore either still held or
+    its event has been delivered, and :meth:`archive` writes the
+    session down from the record alone, whatever became of its engine
+    side.  Without resume all three are ``None``: seq is not
+    interpreted, nothing is acked or filtered.
 
     Phase flags, set by the handler inside the phase, read through
     :attr:`busy` and :attr:`recoverable`:
 
-    - ``recovering`` — a task is rebuilding the engine side from the
-      journal after a worker crash.  Incoming frames are journaled (and
-      acked: the journal is what the ack promises) but not fed until
-      the task catches up; a park meanwhile is *cold*, and a RESUME
-      waits until the task has noticed the park and let go.
-    - ``parking`` — the park's export is in flight: the engine side is
-      mid-removal, so a RESUME waits for the park to land instead of
-      re-binding a session whose engine state is about to vanish, and a
-      crash event starts no rebuild (the export is about to fail and
-      park the session cold; a rebuild re-opening the id under it would
-      hand it a half-replayed session to carry off as the whole one).
+    - ``recovering`` — a task is restoring the engine side from
+      :meth:`archive` after a worker crash.  Incoming frames are
+      journaled (and acked: the journal is what the ack promises) but
+      not fed until the task catches up; a RESUME of a session parked
+      meanwhile waits until the task has noticed the park and let go.
+    - ``parking`` — the park is releasing the engine side: a RESUME
+      waits for the park to land instead of re-binding a session whose
+      engine side is about to vanish, and a crash event starts no
+      restore (whoever resumes the session restores it).
     - ``inflight`` — FRAME batches awaiting their engine feed.  While
       > 0, ``fed`` understates what the journal will hold once those
       handlers resume: a RESUME answered now would name an acked_seq
@@ -60,18 +66,15 @@ class _RemoteSession:
     - ``resuming`` — a RESUME is adopting this parked session; a second
       one waits.
 
-    Park-only fields: ``state`` is the engine-exported session archive
-    (pending frames and window rings included), or ``None`` when the
-    worker was dead or mid-recovery and the journal alone rebuilds the
-    session (a *cold adopt*, bit-identical because inference is
-    deterministic); ``reason`` is why the connection ended; ``expiry``
-    is the gateway's grace-window timer handle.
+    Park-only fields: ``reason`` is why the connection ended;
+    ``expiry`` is the gateway's grace-window timer handle.  A parked
+    session has no engine side at all.
     """
 
     __slots__ = (
         "session_id", "conn", "fed", "delivered", "flagged", "token",
-        "journal", "history", "record_timeline", "recovering", "parking",
-        "inflight", "resuming", "state", "reason", "expiry",
+        "journal", "base", "window", "history", "record_timeline",
+        "recovering", "parking", "inflight", "resuming", "reason", "expiry",
     )
 
     def __init__(
@@ -80,6 +83,7 @@ class _RemoteSession:
         conn,
         record_timeline: bool = False,
         replay_max: int | None = None,
+        window: int = 0,
     ) -> None:
         self.session_id = session_id
         self.conn = None
@@ -87,18 +91,19 @@ class _RemoteSession:
         self.delivered = 0
         self.flagged = 0
         self.token: str | None = None
-        self.journal: list | None = None  # frame batches, oldest first
+        self.journal: deque | None = None  # frame batches, oldest first
+        self.base = 0  # stream index of the journal's first row
+        self.window = window
         self.history: deque | None = None  # recently delivered events
         if replay_max is not None:
             self.token = secrets.token_hex(16)
-            self.journal = []
+            self.journal = deque()
             self.history = deque(maxlen=replay_max)
         self.record_timeline = record_timeline
         self.recovering = False
         self.parking = False
         self.inflight = 0
         self.resuming = False
-        self.state: bytes | None = None
         self.reason: str | None = None
         self.expiry = None
         self.bind(conn)
@@ -113,11 +118,9 @@ class _RemoteSession:
         if conn is not None:
             conn.sessions.add(self.session_id)
 
-    def park(self, state: bytes | None, reason: str) -> None:
-        """Leave the connection that ended for ``reason``, holding the
-        exported ``state`` (``None``: cold) for whoever resumes."""
+    def park(self, reason: str) -> None:
+        """Leave the connection that ended for ``reason``."""
         self.bind(None)
-        self.state = state
         self.reason = reason
 
     def admit(self, seq: int, frames):
@@ -146,7 +149,7 @@ class _RemoteSession:
 
     def retract(self) -> None:
         """Withdraw the batch just admitted: the engine refused it as
-        the client's fault (shape, ...), so no rebuild may replay it."""
+        the client's fault (shape, ...), so no restore may carry it."""
         if self.journal is not None:
             self.journal.pop()
 
@@ -154,7 +157,7 @@ class _RemoteSession:
         """Commit ``n_frames`` admitted rows; the ACK value owed
         (``None`` with resume off).  The journal is what an ack
         promises: a batch counts once journaled, even while its feed
-        waits for a rebuild."""
+        waits for a restore."""
         self.fed += n_frames
         return self.fed if self.journal is not None else None
 
@@ -167,7 +170,9 @@ class _RemoteSession:
         """Take the engine's next event into the client-visible stream;
         ``False`` for one the client already has.  Events arrive one per
         frame in order, so a fresh one lands at ``frame_index ==
-        delivered``; anything below is a journal rebuild regenerating."""
+        delivered``; anything below is an event that was in flight when
+        the engine side was restored, arriving twice.  A fresh event
+        retires the batches no future one can depend on."""
         if self.journal is not None and event.frame_index < self.delivered:
             return False
         self.delivered += 1
@@ -175,13 +180,48 @@ class _RemoteSession:
             self.flagged += 1
         if self.history is not None:
             self.history.append(event)
+            journal, retired = self.journal, self.delivered - self.window
+            while journal and self.base + len(journal[0]) <= retired:
+                self.base += len(journal.popleft())
         return True
+
+    def held(self) -> np.ndarray:
+        """The journal as one array: stream rows ``base`` onwards.
+        :class:`ShapeError` while it holds a batch of another width (the
+        engine is about to refuse it, or never saw it: a restore ran)."""
+        if len({batch.shape[1] for batch in self.journal}) > 1:
+            raise ShapeError(
+                f"session {self.session_id!r} holds frames of mixed widths"
+            )
+        return np.concatenate(self.journal) if self.journal else np.empty((0, 0))
+
+    def archive(self) -> SessionState:
+        """The session as an engine holds it right after event
+        ``delivered - 1``, from this record alone: the journal split at
+        ``delivered`` into the last ``window`` frames processed and
+        those still to process, and the last delivered event's
+        gesture/score.  Importing it continues the client-visible
+        stream exactly; the engine-side timeline restarts empty."""
+        held = self.held()
+        cut = self.delivered - self.base
+        last = self.history[-1] if self.delivered else None
+        return SessionState(
+            session_id=self.session_id,
+            frames_done=self.delivered,
+            record_timeline=self.record_timeline,
+            current_gesture=last.gesture if last else 0,
+            current_score=last.score if last else 0.0,
+            gestures=np.empty(0, dtype=np.int64),
+            scores=np.empty(0),
+            pending=held[cut:],
+            recent=held[max(cut - self.window, 0) : cut],
+        )
 
     @property
     def recoverable(self) -> bool:
-        """A worker-crash event starts a journal rebuild now: not for a
-        parked session (rebuilt when resumed) nor one being parked, and
-        not twice (a second terminal event is an echo of the crash)."""
+        """A worker-crash event starts a restore now: not for a parked
+        session (restored when resumed) nor one being parked, and not
+        twice (a second terminal event is an echo of the crash)."""
         return (
             self.conn is not None and not self.parking and not self.recovering
         )

@@ -17,9 +17,12 @@ stage does not re-run its LSTM over each completed window: it keeps
 every session's in-flight windows as chains of LSTM state and advances
 them one step per frame (:mod:`repro.nn.backends.stepper`), which is
 the same arithmetic on every element and, under the reference backend,
-the same bits.  Chains are derived from the gesture ring — rebuilt at
-:meth:`MonitorService.import_session` and when the gesture model is
-rebound — and are no part of a session's exported state.
+the same bits.  Both stages read one full-width frame ring per session,
+``W = max(gesture window, error window)`` frames long: a session *is*
+its stream position, those frames, the last emitted gesture and score,
+and its unprocessed input (:class:`SessionState`).  Chains are derived
+from the ring — rebuilt at :meth:`MonitorService.import_session` and
+when the gesture model is rebound — and are no part of that state.
 
 Model invocations go through a pluggable
 :class:`~repro.nn.backends.InferenceBackend` (the ``backend``
@@ -45,7 +48,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ConfigurationError, DatasetError, ShapeError
-from ..kinematics.windows import StreamingWindowBatch, WindowSlotState
+from ..kinematics.windows import StreamingWindowBatch
 from ..nn.backends import (
     DEFAULT_BACKEND,
     InferenceBackend,
@@ -147,21 +150,24 @@ class SessionState:
 
     Produced by :meth:`MonitorService.export_session` and consumed by
     :meth:`MonitorService.import_session`: everything a session *is* —
-    progress counters, recorded timeline, un-ticked pending frames, the
-    per-slot ring state of both pipeline stages and the sticky
-    gesture/score context — as plain arrays and scalars (no code, no
-    live objects), so the state can cross a process boundary through the
+    its stream position ``frames_done``, the ``recent`` frames both
+    stages still window over (the last ``min(frames_done, W)``
+    processed, ``W`` being :attr:`MonitorService.history_frames`), the
+    sticky gesture/score (what the event of frame ``frames_done - 1``
+    carried), the un-ticked ``pending`` frames and the recorded
+    timeline — as plain arrays and scalars (no code, no live objects),
+    so the state can cross a process boundary through the
     :mod:`repro.serving.snapshot` codec
-    (:func:`~repro.serving.snapshot.session_to_bytes`).
+    (:func:`~repro.serving.snapshot.session_to_bytes`).  Which windows
+    are due and every LSTM chain in flight follow from position and
+    frames, so no two fields can disagree about where the stream
+    stands, and whoever holds those four things can write the state
+    down — an engine need not have exported it.
 
     A session imported into any engine built from the same trained
-    monitor continues *bit-identically* under the reference backend: the
-    ring rows, emission counters and pending backlog reproduce exactly
-    the windows the un-migrated session would have seen.
-
-    ``n_features`` (and both window states) are ``None`` when the source
-    service had not yet bound its feature width — a session that was
-    opened but never fed.
+    monitor continues *bit-identically* under the reference backend.
+    Both frame arrays are ``(n, n_features)``; ``(0, 0)`` from a service
+    that had not yet bound its feature width (opened, never fed).
     """
 
     session_id: str
@@ -172,9 +178,7 @@ class SessionState:
     gestures: np.ndarray  # recorded timeline (empty when not recording)
     scores: np.ndarray
     pending: np.ndarray  # (n, n_features) un-ticked frames, feed order
-    n_features: int | None
-    gesture_window: WindowSlotState | None
-    error_window: WindowSlotState | None
+    recent: np.ndarray  # (>= min(frames_done, W), n_features), time order
 
     @property
     def pending_frames(self) -> int:
@@ -423,10 +427,15 @@ class MonitorService:
         self._sessions: dict[str, _Session] = {}
         self._free_slots: list[int] = list(range(max_sessions - 1, -1, -1))
         self._next_id = 0
-        # Window batches and per-tick scratch are allocated on the first
+        self._gesture_window = monitor.gesture_classifier.config.window
+        #: ``W``: the frames of a session's past that can still shape an
+        #: event — the longer of the two stages' windows.
+        self.history_frames = max(
+            self._gesture_window.window, monitor.config.error_window.window
+        )
+        # The frame ring and per-tick scratch are allocated on the first
         # feed, when the kinematics feature width becomes known.
-        self._gesture_batch: StreamingWindowBatch | None = None
-        self._error_batch: StreamingWindowBatch | None = None
+        self._ring: StreamingWindowBatch | None = None
         self._n_features: int | None = None
         self._slots_scratch: np.ndarray | None = None
         self._frames_scratch: np.ndarray | None = None
@@ -467,7 +476,7 @@ class MonitorService:
         that leads with an LSTM stack is served one LSTM step per frame
         (:mod:`repro.nn.backends.stepper`), any other by scoring the
         ring's windows, and the ``gesture_path`` telemetry label says
-        which.  A stepper's chains are derived from the gesture ring,
+        which.  A stepper's chains are derived from the frame ring,
         so a new one starts from the ring's view of every open session.
         """
         classifier = self.monitor.gesture_classifier
@@ -484,7 +493,7 @@ class MonitorService:
             )
             self._gesture_backend = (model, backend)
             self._gesture_stepper = backend.stream_stepper(
-                classifier.config.window, self.max_sessions
+                self._gesture_window, self.max_sessions
             )
             self.telemetry.label(
                 "gesture_path",
@@ -496,10 +505,11 @@ class MonitorService:
 
     def _rebuild_chains(self, slot: int) -> None:
         """Recompute one slot's gesture chains from its ring frames."""
-        if self._gesture_stepper is not None and self._gesture_batch is not None:
-            self._gesture_stepper.rebuild(
-                slot, *self._gesture_batch.recent_frames(slot)
-            )
+        if self._gesture_stepper is not None and self._ring is not None:
+            frames, seen = self._ring.recent_frames(slot)
+            if self._feature_idx is not None:
+                frames = frames[:, self._feature_idx]
+            self._gesture_stepper.rebuild(slot, frames, seen)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -577,10 +587,8 @@ class MonitorService:
         self._sessions[session_id] = _Session(session_id, slot, record_timeline)
         self._current_gesture[slot] = 0
         self._current_score[slot] = 0.0
-        if self._gesture_batch is not None:
-            self._gesture_batch.reset(np.array([slot]))
-        if self._error_batch is not None:
-            self._error_batch.reset(np.array([slot]))
+        if self._ring is not None:
+            self._ring.reset(np.array([slot]))
         if self._gesture_stepper is not None:
             self._gesture_stepper.reset(np.array([slot]))
         return session_id
@@ -658,10 +666,10 @@ class MonitorService:
         """Snapshot one session's complete serving state.
 
         The returned :class:`SessionState` carries everything needed to
-        continue the session elsewhere — progress, recorded timeline,
-        **pending (un-ticked) frames**, and the ring/emission state of
-        both pipeline stages — so no drain is required before a
-        migration and no frame is ever dropped by one.
+        continue the session elsewhere — position, recorded timeline,
+        **pending (un-ticked) frames** and the frames both stages still
+        window over — so no drain is required before a migration and no
+        frame is ever dropped by one.
 
         Parameters
         ----------
@@ -682,12 +690,10 @@ class MonitorService:
             )
         else:
             pending = np.empty((0, self._n_features or 0))
-        gesture_window: WindowSlotState | None = None
-        error_window: WindowSlotState | None = None
-        if self._gesture_batch is not None:
-            assert self._error_batch is not None
-            gesture_window = self._gesture_batch.export_slot(session.slot)
-            error_window = self._error_batch.export_slot(session.slot)
+        if self._ring is not None:
+            recent, _ = self._ring.recent_frames(session.slot)
+        else:
+            recent = np.empty((0, 0))
         state = SessionState(
             session_id=session.id,
             frames_done=session.frames_done,
@@ -697,9 +703,7 @@ class MonitorService:
             gestures=np.asarray(session.gestures, dtype=np.int64),
             scores=np.asarray(session.scores, dtype=float),
             pending=pending,
-            n_features=self._n_features,
-            gesture_window=gesture_window,
-            error_window=error_window,
+            recent=recent,
         )
         if remove:
             del self._sessions[session_id]
@@ -707,21 +711,26 @@ class MonitorService:
         return state
 
     def import_session(self, state: SessionState) -> str:
-        """Adopt a session exported from another (or this) service.
+        """Adopt a session exported from another (or this) service, or
+        written down by whoever holds what a :class:`SessionState` is.
 
         The receiving service must serve the same trained monitor (same
-        window configurations and feature width); the session resumes
-        exactly where the export left it — the next :meth:`tick`
-        advances it onto the frame it would have processed had it never
-        moved, with identical window contents.
+        window configurations and feature width); the next :meth:`tick`
+        advances the session onto frame ``frames_done`` with the window
+        contents and gesture chains an uninterrupted session would hold
+        there.  The state is checked whole before a slot is taken.
 
         Raises
         ------
         ConfigurationError
             If the session id is already open here, or no slot is free.
         ShapeError
-            If the state's feature width or window shapes disagree with
-            this service's binding.
+            If a frame array is not 2-D or not of this service's
+            width, or ``recent`` has fewer than ``min(frames_done,
+            history_frames)`` rows (older extra rows are ignored).
+        DatasetError
+            If ``recent``, ``pending`` or the sticky score holds a NaN
+            or ±Inf — the same ingress rule as :meth:`feed`.
         """
         if state.session_id in self._sessions:
             raise ConfigurationError(
@@ -731,37 +740,34 @@ class MonitorService:
             raise ConfigurationError(
                 f"all {self.max_sessions} session slots are in use"
             )
-        if state.n_features is not None:
-            self._ensure_buffers(state.n_features)
-            if state.n_features != self._n_features:
+        recent = np.asarray(state.recent, dtype=float)
+        pending = np.asarray(state.pending, dtype=float)
+        done = int(state.frames_done)
+        kept = min(done, self.history_frames)
+        if recent.ndim != 2 or pending.ndim != 2 or not 0 <= kept <= recent.shape[0]:
+            raise ShapeError(
+                f"a session at frame {done} needs its last {kept} frames and its "
+                f"pending ones as 2-D arrays, got {recent.shape} and {pending.shape}"
+            )
+        reject_non_finite(state.session_id, np.float64(state.current_score))
+        for frames in (recent, pending):
+            if not frames.shape[0]:
+                continue
+            reject_non_finite(state.session_id, frames)
+            self._ensure_buffers(frames.shape[1])
+            if frames.shape[1] != self._n_features:
                 raise ShapeError(
                     f"service is bound to {self._n_features} features, "
-                    f"imported session carries {state.n_features}"
+                    f"imported session carries {frames.shape[1]}"
                 )
-        # Validate window state against this service's batches before
-        # mutating anything, so a mismatched import leaves no trace.
-        if (state.gesture_window is not None) != (state.error_window is not None):
-            raise ConfigurationError(
-                "session state must carry both window states or neither"
-            )
         slot = self._free_slots.pop()
-        try:
-            if self._gesture_batch is not None:
-                assert self._error_batch is not None
-                self._gesture_batch.reset(np.array([slot]))
-                self._error_batch.reset(np.array([slot]))
-                if state.gesture_window is not None:
-                    self._gesture_batch.import_slot(slot, state.gesture_window)
-                    self._error_batch.import_slot(slot, state.error_window)
-        except ShapeError:
-            self._free_slots.append(slot)
-            raise
+        if self._ring is not None:
+            self._ring.prime(slot, recent, done)
         self._rebuild_chains(slot)
         session = _Session(state.session_id, slot, state.record_timeline)
-        session.frames_done = int(state.frames_done)
+        session.frames_done = done
         session.gestures = [int(g) for g in state.gestures]
         session.scores = [float(s) for s in state.scores]
-        pending = np.asarray(state.pending, dtype=float)
         if pending.shape[0]:
             session.pending.append(pending)
             # Migrated frames are re-stamped at import: latency counts
@@ -815,8 +821,7 @@ class MonitorService:
             return []
         start = time.perf_counter()
         assert (
-            self._gesture_batch is not None
-            and self._error_batch is not None
+            self._ring is not None
             and self._slots_scratch is not None
             and self._frames_scratch is not None
         )
@@ -827,26 +832,33 @@ class MonitorService:
             slots[i] = session.slot
             session.pop_frame_into(frames[i])
 
-        if self._feature_idx is None:
-            g_frames = frames
-        else:
-            assert self._g_frames_scratch is not None
-            g_frames = self._g_frames_scratch[:n_active]
-            np.take(frames, self._feature_idx, axis=1, out=g_frames)
+        # A rebound gesture model rebuilds its chains from the ring as it
+        # stands before this tick's frames.
         gesture_backend = self._gesture_backend_or_none()
+        # The tick's one ring write; the error windows it completes are
+        # copies, scored below once the gesture context is current.
+        e_ready, e_windows = self._ring.push(frames, slots)
         if self._gesture_stepper is not None:
-            g_ready, g_seen = self._gesture_batch.advance(g_frames, slots)
+            g_seen = self._ring.frames_seen[slots]
+            g_ready = self._gesture_window.completes(g_seen)
+            if self._feature_idx is None:
+                g_frames = frames
+            else:
+                assert self._g_frames_scratch is not None
+                g_frames = self._g_frames_scratch[:n_active]
+                np.take(frames, self._feature_idx, axis=1, out=g_frames)
             self._current_gesture[slots[g_ready]] = (
                 self._gesture_stepper.step(g_frames, slots, g_seen, g_ready) + 1
             )
-        else:
-            g_ready, g_windows = self._gesture_batch.push(g_frames, slots)
-            if gesture_backend is not None and g_ready.any():
+        elif gesture_backend is not None:
+            g_ready, g_windows = self._ring.windows(
+                self._gesture_window, slots, self._feature_idx
+            )
+            if g_ready.any():
                 self._current_gesture[slots[g_ready]] = (
                     gesture_backend.predict(g_windows) + 1
                 )
 
-        e_ready, e_windows = self._error_batch.push(frames, slots)
         if e_ready.any():
             e_slots = slots[e_ready]
             gestures = self._current_gesture[e_slots]
@@ -946,7 +958,7 @@ class MonitorService:
         return None
 
     def _ensure_buffers(self, n_features: int) -> None:
-        if self._gesture_batch is not None:
+        if self._ring is not None:
             return
         expected = self._expected_n_features()
         if expected is not None and n_features != expected:
@@ -955,19 +967,22 @@ class MonitorService:
                 f"got frames with {n_features}"
             )
         self._n_features = int(n_features)
-        classifier_cfg = self.monitor.gesture_classifier.config
-        feature_idx = classifier_cfg.feature_indices
-        g_features = n_features if feature_idx is None else len(feature_idx)
-        self._gesture_batch = StreamingWindowBatch(
-            classifier_cfg.window, self.max_sessions, g_features
-        )
-        self._error_batch = StreamingWindowBatch(
-            self.monitor.config.error_window, self.max_sessions, n_features
+        # One full-width ring serves both stages: the error windows
+        # come out of its push, the gesture stage reads its own window
+        # (and feature subset) over the same frames.
+        self._ring = StreamingWindowBatch(
+            self.monitor.config.error_window,
+            self.max_sessions,
+            n_features,
+            history=self.history_frames,
         )
         # Per-tick staging scratch: slot ids and one popped frame per
         # advanced session, reused across every tick.
         self._slots_scratch = np.empty(self.max_sessions, dtype=np.int64)
         self._frames_scratch = np.empty((self.max_sessions, n_features))
+        feature_idx = self.monitor.gesture_classifier.config.feature_indices
         if feature_idx is not None:
             self._feature_idx = np.asarray(feature_idx, dtype=np.intp)
-            self._g_frames_scratch = np.empty((self.max_sessions, g_features))
+            self._g_frames_scratch = np.empty(
+                (self.max_sessions, len(feature_idx))
+            )

@@ -39,8 +39,8 @@ rejects after that (the safety net) surface as deferred
 The fleet is also **elastic** without dropping a frame:
 :meth:`ShardedMonitorService.add_shard` / :meth:`remove_shard` /
 :meth:`resize` move live sessions between workers by exporting their
-complete serving state — pending frames, window ring contents, sticky
-gesture/score context (:meth:`MonitorService.export_session` via the
+complete serving state — stream position, pending and recent frames,
+sticky gesture/score context (:meth:`MonitorService.export_session` via the
 :mod:`~repro.serving.snapshot` session codec) — and importing it on the
 consistent-hash target, so a fleet resized mid-stream reproduces the
 static single-service event stream bit for bit under the reference
@@ -88,6 +88,7 @@ from .snapshot import (
     session_snapshot_id,
     session_snapshot_meta,
     snapshot_backend,
+    snapshot_history_frames,
     snapshot_n_features,
 )
 from .transport import Reply, Request, raise_remote, recv_message
@@ -427,6 +428,8 @@ class ShardedMonitorService:
         # the router enforces the trained width up front (same eager
         # check MonitorService runs on its first feed).
         self._n_features = snapshot_n_features(monitor_bytes)
+        #: :attr:`MonitorService.history_frames` of every worker's service.
+        self.history_frames = snapshot_history_frames(monitor_bytes)
         if start_method is None:
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
@@ -755,7 +758,7 @@ class ShardedMonitorService:
 
         No drain happens and none is needed — the exported
         :class:`~repro.serving.service.SessionState` carries the
-        session's pending frames and window ring state, so the next
+        session's pending and recent frames, so the next
         :meth:`tick` advances it on the target exactly as it would have
         on the source (the resize-parity guarantee).
 
@@ -1261,7 +1264,7 @@ class ShardedMonitorService:
         """Remove a live session from the fleet, returning its state.
 
         The returned bytes are the :func:`session_to_bytes` archive —
-        pending frames and window ring state included — so a later
+        pending and recent frames included — so a later
         :meth:`import_session` resumes the session bit-identically, on
         this fleet or another one with the same monitor snapshot.  This
         is :meth:`_migrate_session`'s export half exposed as a public

@@ -13,8 +13,8 @@ a process boundary, mirroring :mod:`repro.nn.serialization`):
   is bit-identical at inference time.
 - **Session snapshots** — live fleet elasticity moves *sessions*
   between workers without dropping a frame: :func:`session_to_bytes`
-  packs a :class:`~repro.serving.service.SessionState` (ring contents
-  of both window stages, pending frames, timeline, context) and
+  packs a :class:`~repro.serving.service.SessionState` (stream
+  position, recent and pending frames, timeline, context) and
   :func:`session_from_bytes` restores it, byte-exactly, on the
   receiving worker — the payload of the ``migrate_out``/``migrate_in``
   transport ops.
@@ -38,7 +38,6 @@ from ..core.gesture_classifier import GestureClassifier, GestureClassifierConfig
 from ..core.pipeline import SafetyMonitor
 from ..errors import ConfigurationError, NotFittedError
 from ..gestures.vocabulary import Gesture
-from ..kinematics.windows import WindowSlotState
 from ..nn import (
     Adam,
     SigmoidBinaryCrossEntropy,
@@ -54,8 +53,9 @@ from .service import SessionState
 SNAPSHOT_VERSION = 1
 
 #: Version byte of the *session* archive (migration payloads); bumped
-#: independently of the monitor snapshot layout.
-SESSION_SNAPSHOT_VERSION = 1
+#: independently of the monitor snapshot layout.  Session archives live
+#: in pipes and in memory only, never on disk: readers know one version.
+SESSION_SNAPSHOT_VERSION = 2
 
 
 def _bytes_to_array(data: bytes) -> np.ndarray:
@@ -199,6 +199,16 @@ def snapshot_backend(data: bytes) -> str | None:
     return meta.get("serving", {}).get("backend")
 
 
+def snapshot_history_frames(data: bytes) -> int:
+    """:attr:`MonitorService.history_frames` of a snapshot's monitor —
+    the longer of its two stages' windows — from the metadata alone."""
+    with np.load(io.BytesIO(data)) as archive:
+        meta = _read_meta(archive)
+    return max(
+        meta["gesture"]["window"][0], meta["monitor_config"]["error_window"][0]
+    )
+
+
 def snapshot_n_features(data: bytes) -> int | None:
     """Kinematics feature width a snapshot's monitor was trained for.
 
@@ -302,9 +312,9 @@ def monitor_from_bytes(data: bytes) -> SafetyMonitor:
 def session_to_bytes(state: SessionState) -> bytes:
     """Serialise a :class:`SessionState` into one ``.npz`` archive.
 
-    Arrays (timeline, pending frames, window ring rows) travel as raw
-    npz entries — bit-exact float64 — and scalars as JSON metadata, so
-    a migrated session resumes with byte-identical state.  This is the
+    Arrays (timeline, recent and pending frames) travel as raw npz
+    entries — bit-exact float64 — and scalars as JSON metadata, so a
+    migrated session resumes with byte-identical state.  This is the
     wire payload of the sharded transport's ``migrate_out`` /
     ``migrate_in`` operations.
     """
@@ -312,19 +322,8 @@ def session_to_bytes(state: SessionState) -> bytes:
         "gestures": np.asarray(state.gestures, dtype=np.int64),
         "scores": np.asarray(state.scores, dtype=float),
         "pending": np.asarray(state.pending, dtype=float),
+        "recent": np.asarray(state.recent, dtype=float),
     }
-    windows_meta = {}
-    for name, slot_state in (
-        ("gesture_window", state.gesture_window),
-        ("error_window", state.error_window),
-    ):
-        if slot_state is None:
-            continue
-        arrays[f"{name}.buffer"] = np.asarray(slot_state.buffer, dtype=float)
-        windows_meta[name] = {
-            "seen": int(slot_state.seen),
-            "since_emit": int(slot_state.since_emit),
-        }
     meta = {
         "version": SESSION_SNAPSHOT_VERSION,
         "session_id": state.session_id,
@@ -334,15 +333,21 @@ def session_to_bytes(state: SessionState) -> bytes:
         # json round-trips finite float64 exactly (shortest-repr), so
         # the sticky score survives migration bit for bit.
         "current_score": float(state.current_score),
-        "n_features": (
-            int(state.n_features) if state.n_features is not None else None
-        ),
-        "windows": windows_meta,
     }
     arrays["__meta__"] = _bytes_to_array(json.dumps(meta).encode("utf-8"))
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     return buffer.getvalue()
+
+
+def _session_meta(archive) -> dict:
+    """Parse and version-check an open session archive's metadata."""
+    meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
+    if meta.get("version") != SESSION_SNAPSHOT_VERSION:
+        raise ConfigurationError(
+            f"unsupported session snapshot version {meta.get('version')!r}"
+        )
+    return meta
 
 
 def session_snapshot_meta(data: bytes) -> tuple[str, int]:
@@ -351,16 +356,12 @@ def session_snapshot_meta(data: bytes) -> tuple[str, int]:
     Reads only the metadata entry — no arrays are materialised — so the
     sharded router and the gateway's resume path can place an imported
     session, and know how far into its stream it is, without decoding
-    the full window state.  Raises
+    its frame arrays.  Raises
     :class:`~repro.errors.ConfigurationError` on a foreign version
     byte, like :func:`session_from_bytes`.
     """
     with np.load(io.BytesIO(data)) as archive:
-        meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
-    if meta.get("version") != SESSION_SNAPSHOT_VERSION:
-        raise ConfigurationError(
-            f"unsupported session snapshot version {meta.get('version')!r}"
-        )
+        meta = _session_meta(archive)
     return str(meta["session_id"]), int(meta["frames_done"])
 
 
@@ -374,31 +375,16 @@ def session_from_bytes(data: bytes) -> SessionState:
     """Rebuild a :class:`SessionState` from :func:`session_to_bytes` output.
 
     Raises :class:`~repro.errors.ConfigurationError` on a foreign
-    version byte or an archive missing either half of a window pair.
+    version byte or an archive missing one of its arrays.
     """
     with np.load(io.BytesIO(data)) as archive:
-        meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
-        if meta.get("version") != SESSION_SNAPSHOT_VERSION:
+        meta = _session_meta(archive)
+        missing = {"gestures", "scores", "pending", "recent"} - set(archive.files)
+        if missing:
             raise ConfigurationError(
-                f"unsupported session snapshot version {meta.get('version')!r}"
+                f"session snapshot is missing the {sorted(missing)} arrays"
             )
-        windows: dict[str, WindowSlotState | None] = {}
-        for name in ("gesture_window", "error_window"):
-            entry = meta.get("windows", {}).get(name)
-            if entry is None:
-                windows[name] = None
-                continue
-            key = f"{name}.buffer"
-            if key not in archive.files:
-                raise ConfigurationError(
-                    f"session snapshot is missing the {key!r} array"
-                )
-            windows[name] = WindowSlotState(
-                buffer=np.asarray(archive[key], dtype=float),
-                seen=int(entry["seen"]),
-                since_emit=int(entry["since_emit"]),
-            )
-        state = SessionState(
+        return SessionState(
             session_id=meta["session_id"],
             frames_done=int(meta["frames_done"]),
             record_timeline=bool(meta["record_timeline"]),
@@ -407,12 +393,5 @@ def session_from_bytes(data: bytes) -> SessionState:
             gestures=np.asarray(archive["gestures"], dtype=np.int64),
             scores=np.asarray(archive["scores"], dtype=float),
             pending=np.asarray(archive["pending"], dtype=float),
-            n_features=(
-                int(meta["n_features"])
-                if meta.get("n_features") is not None
-                else None
-            ),
-            gesture_window=windows["gesture_window"],
-            error_window=windows["error_window"],
+            recent=np.asarray(archive["recent"], dtype=float),
         )
-    return state

@@ -311,8 +311,8 @@ class ChaosCampaign:
 
     def _act_kill(self, runner):
         """SIGKILL a live shard worker; with resume enabled the gateway
-        must replay each victim session's journal onto a surviving
-        shard with no client-visible interruption."""
+        must restore each victim session from its record onto a
+        surviving shard with no client-visible interruption."""
         gateway = runner.gateway
         service = getattr(gateway._engine, "service", None)
         if service is None or not hasattr(service, "_shards"):
@@ -332,7 +332,7 @@ class ChaosCampaign:
         handle.process.join(10.0)
         self.report.injections["kill"] += 1
         # Wait for every in-flight transparent recovery to settle so a
-        # follow-up kill can't land while journals are mid-replay.
+        # follow-up kill can't land while restores are in flight.
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             try:

@@ -290,26 +290,84 @@ class TestStreamingWindowBatch:
         assert np.array_equal(again[0].ravel(), [2.0, 3.0])
 
     @pytest.mark.parametrize("window,stride", [(4, 1), (3, 2), (2, 5), (1, 1)])
-    def test_advance_is_push_without_the_windows(self, window, stride):
-        """Same ring update, same readiness mask; plus where each pushed
-        stream stands, for a consumer that keeps its own running state."""
-        config = WindowConfig(window, stride)
-        pushed = StreamingWindowBatch(config, n_streams=3, n_features=2)
-        advanced = StreamingWindowBatch(config, n_streams=3, n_features=2)
+    @pytest.mark.parametrize("other", [(2, 1), (3, 3), (6, 2)])
+    def test_a_deeper_ring_serves_any_window_over_the_same_frames(
+        self, window, stride, other
+    ):
+        """One ring, ``history`` frames deep: ``windows`` reads another
+        configuration's windows at the position ``push`` left the
+        streams at — what a batch built for it would have emitted."""
+        config, other = WindowConfig(window, stride), WindowConfig(*other)
+        deep = StreamingWindowBatch(config, n_streams=3, n_features=4, history=6)
+        plain = StreamingWindowBatch(config, n_streams=3, n_features=4)
+        twin = StreamingWindowBatch(other, n_streams=3, n_features=4)
+        columns = np.array([3, 1])
         rng = np.random.default_rng(0)
-        for step in range(14):
+        for step in range(17):
             ids = np.array([[0, 1, 2], [2, 0], [1]][step % 3])
-            frames = rng.standard_normal((ids.size, 2))
-            ready, _ = pushed.push(frames, ids)
-            got_ready, seen = advanced.advance(frames, ids)
-            assert np.array_equal(got_ready, ready)
-            assert np.array_equal(seen, pushed.frames_seen[ids])
-            for slot in range(3):
-                assert np.array_equal(
-                    advanced.export_slot(slot).buffer, pushed.export_slot(slot).buffer
-                )
+            frames = rng.standard_normal((ids.size, 4))
+            ready, windows = deep.push(frames, ids)
+            for got, want in zip((ready, windows), plain.push(frames, ids)):
+                assert np.array_equal(got, want)
+            want_ready, want_windows = twin.push(frames, ids)
+            got_ready, got_windows = deep.windows(other, ids)
+            assert np.array_equal(got_ready, want_ready)
+            assert np.array_equal(got_ready, other.completes(deep.frames_seen[ids]))
+            assert np.array_equal(got_windows, want_windows)
+            assert np.array_equal(
+                deep.windows(other, ids, columns)[1], want_windows[:, :, columns]
+            )
+        deep.reset([1])
+        ready, windows = deep.windows(other, columns=columns)
+        assert not ready[1] and windows.shape == (ready.sum(), other.window, 2)
         with pytest.raises(ShapeError):
-            advanced.advance(np.ones((2, 2)), [1, 1])
+            deep.windows(WindowConfig(7, 1), [0])  # longer than the ring remembers
+        with pytest.raises(ShapeError):
+            deep.windows(other, [1, 1])
+        with pytest.raises(ConfigurationError):
+            StreamingWindowBatch(WindowConfig(5, 1), 1, 1, history=4)
+
+    @pytest.mark.parametrize("window,stride", [(4, 1), (3, 2), (2, 5)])
+    @pytest.mark.parametrize("history", [None, 7])
+    def test_a_slot_is_its_frame_count_and_its_recent_frames(
+        self, window, stride, history
+    ):
+        """``prime`` with what ``recent_frames`` returned — at any point
+        of the window cycle, into a dirty slot of another batch —
+        continues the stream: emission keeps no state of its own."""
+        config = WindowConfig(window, stride)
+        frames = ramp_frames(20)
+        for cut in range(12):
+            source = StreamingWindowBatch(config, 2, 2, history=history)
+            target = StreamingWindowBatch(config, 3, 2, history=history)
+            for t in range(9):  # the target slot's previous tenant
+                target.push(-frames[t][None, :], [2])
+            for t in range(cut):
+                source.push(frames[t][None, :], [1])
+            kept, seen = source.recent_frames(1)
+            padded = np.concatenate([np.full((3, 2), 99.0), kept])
+            target.prime(2, padded, seen)  # older rows are ignored
+            for t in range(cut, 20):
+                want = source.push(frames[t][None, :], [1])
+                got = target.push(frames[t][None, :], [2])
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+
+    def test_prime_refuses_a_history_it_cannot_continue(self):
+        batch = StreamingWindowBatch(WindowConfig(3, 1), n_streams=2, n_features=2)
+        for frames, seen in [
+            (np.zeros((2, 2)), 3),  # a stream at frame 3 needs 3 rows
+            (np.zeros((2, 2)), 50),
+            (np.zeros((3, 5)), 3),  # another width
+            (np.zeros(6), 3),
+            (np.zeros((0, 2)), -1),
+        ]:
+            with pytest.raises(ShapeError):
+                batch.prime(0, frames, seen)
+        with pytest.raises(ShapeError):
+            batch.prime(2, np.zeros((3, 2)), 3)
+        assert batch.frames_seen.tolist() == [0, 0]
+        batch.prime(0, np.zeros((0, 0)), 0)  # a stream that never pushed
 
     def test_recent_frames_are_the_ring_in_time_order(self):
         batch = StreamingWindowBatch(WindowConfig(3, 1), n_streams=2, n_features=2)

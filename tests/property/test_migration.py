@@ -11,8 +11,8 @@ fields always exact).
 
 The offset is the interesting axis: it lands in every phase of the
 window machinery — mid-warm-up (ring not yet full), exactly on a window
-boundary, between strides — and the ring/emission counters must survive
-each one.
+boundary, between strides — and the stream position and recent frames
+the state carries must reproduce each one.
 """
 
 import numpy as np
@@ -81,7 +81,7 @@ def test_export_import_at_any_offset_is_bit_identical(
     ] == [(e.session_id, e.frame_index, e.gesture, e.flag) for e in ref_events]
     assert np.array_equal(result.gestures, ref_result.gestures)
     if backend == "reference":
-        # Bit-identical scores: the ring rows, emission counters and
+        # Bit-identical scores: the position, recent frames and
         # pending backlog moved exactly, and the reference backend is
         # batch-invariant.
         assert [e.score for e in events] == [e.score for e in ref_events]

@@ -12,6 +12,7 @@ engine, the npz session codec, minimal-slice rebalancing on
 """
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
@@ -120,8 +121,7 @@ class TestSessionExportImport:
         source = MonitorService(monitor, max_sessions=2)
         source.open_session("idle")
         state = source.export_session("idle", remove=True)
-        assert state.n_features is None
-        assert state.gesture_window is None
+        assert state.recent.shape == state.pending.shape == (0, 0)
         target = MonitorService(monitor, max_sessions=2)
         target.import_session(state)
         trajectory = make_random_walk_trajectory(
@@ -177,6 +177,68 @@ class TestSessionExportImport:
         assert wide.n_open_sessions == 0
         wide.open_session("fresh")
 
+    @staticmethod
+    def hostile(state, fault):
+        """One archive no service may adopt, per way of being wrong."""
+        if fault in ("pending", "recent"):
+            frames = getattr(state, fault).copy()
+            frames[1, 3] = {"pending": np.nan, "recent": -np.inf}[fault]
+            return dataclasses.replace(state, **{fault: frames}), DatasetError
+        if fault == "score":
+            return dataclasses.replace(state, current_score=np.nan), DatasetError
+        if fault == "short":  # a position its frames do not cover
+            return dataclasses.replace(state, recent=state.recent[1:]), ShapeError
+        if fault == "flat":
+            return dataclasses.replace(state, recent=state.recent.ravel()), ShapeError
+        assert fault == "behind"
+        return dataclasses.replace(state, frames_done=-1), ShapeError
+
+    HOSTILE = ["pending", "recent", "score", "short", "flat", "behind"]
+
+    def midstream_state(self, monitor, session_id="s"):
+        source = MonitorService(monitor, max_sessions=2)
+        source.open_session(session_id)
+        source.feed(session_id, self.FRAMES)
+        for _ in range(20):
+            source.tick()
+        return source.export_session(session_id, remove=True)
+
+    FRAMES = make_random_walk_trajectory(30, n_features=N_FEATURES, seed=14).frames
+
+    @pytest.mark.parametrize("fault", HOSTILE)
+    def test_hostile_archive_is_refused_whole(self, monitor, fault):
+        """``import_session`` is an ingress like ``feed``: one NaN among
+        the pending frames used to be adopted and served as
+        ``score=nan, flag=False`` for a window's worth of frames — the
+        silent-safe verdict.  Refused before a slot is taken."""
+        state = self.midstream_state(monitor)
+        bad, error = self.hostile(state, fault)
+        target = MonitorService(monitor, max_sessions=1)
+        with pytest.raises(error):
+            target.import_session(bad)
+        assert target.n_open_sessions == 0
+        target.import_session(state)  # the one slot is still free
+        events = target.drain()
+        assert [e.frame_index for e in events] == list(range(20, 30))
+        assert all(np.isfinite(e.score) for e in events)
+
+    @pytest.mark.parametrize("fault", ["pending", "short"])
+    def test_hostile_archive_gets_a_typed_reply_from_a_worker(self, monitor, fault):
+        """Through the fleet the refusal is the caller's typed error; the
+        worker it landed on keeps serving, and takes the honest archive."""
+        state = self.midstream_state(monitor, "h")
+        bad, error = self.hostile(state, fault)
+        with ShardedMonitorService(monitor, n_shards=2) as service:
+            service.open_session("bystander")
+            with pytest.raises(error):
+                service.import_session(session_to_bytes(bad))
+            assert service.session_ids == ["bystander"]
+            assert not service.failed_sessions and service.n_shards == 2
+            assert service.import_session(session_to_bytes(state)) == "h"
+            events = service.drain()
+        assert [e.frame_index for e in events] == list(range(20, 30))
+        assert not any(e.error for e in events)
+
 
 class TestSessionCodec:
     """session_to_bytes / session_from_bytes round trips."""
@@ -202,14 +264,13 @@ class TestSessionCodec:
         assert np.array_equal(restored.gestures, state.gestures)
         assert np.array_equal(restored.scores, state.scores)
         assert np.array_equal(restored.pending, state.pending)
-        assert restored.n_features == state.n_features
-        for name in ("gesture_window", "error_window"):
-            ours, theirs = getattr(state, name), getattr(restored, name)
-            assert np.array_equal(ours.buffer, theirs.buffer)
-            assert ours.seen == theirs.seen
-            assert ours.since_emit == theirs.since_emit
+        assert np.array_equal(restored.recent, state.recent)
+        assert restored.recent.shape == (5, N_FEATURES)
 
-    def test_foreign_version_rejected(self, monitor):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_foreign_version_rejected(self, monitor, version):
+        """Version 1 (paired window rings) included: session archives
+        never rest on disk, so there is no reader for an older one."""
         import io
         import json
 
@@ -219,7 +280,7 @@ class TestSessionCodec:
         with np.load(io.BytesIO(blob)) as archive:
             arrays = {name: archive[name] for name in archive.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
-        meta["version"] = 99
+        meta["version"] = version
         arrays["__meta__"] = np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
         ).copy()

@@ -4,11 +4,14 @@ One :class:`_RemoteSession` — the record behind every wire session of
 ``MonitorGateway`` — driven by a hypothesis state machine with **no
 event loop, socket or engine**: the rules play the gateway's handlers
 (FRAME in, engine feed result, event out, disconnect, RESUME, worker
-crash and journal rebuild) in any interleaving and call the record the
-way the handlers do.  The oracle is two plain lists — the frames a
-correct gateway has accepted and the events a perfect client would have
-seen — plus a toy engine that emits event ``i`` for the ``i``-th frame
-it was fed since its last (re)start.
+crash and restore) in any interleaving and call the record the way the
+handlers do.  The oracle is two plain lists — the frames a correct
+gateway has accepted and the events a perfect client would have seen —
+plus a toy engine that is nothing but a stream position: it emits event
+``i`` for frame ``i``, and the only way to bring it back after a crash,
+a park or a steal is :meth:`_RemoteSession.archive`, which it checks the
+way ``MonitorService.import_session`` does (its last ``W`` frames, the
+right ones, and the last event's context).
 
 The socket suites in ``test_remote.py`` pin the same contract end to
 end for a handful of schedules; this file is the arithmetic alone, for
@@ -30,13 +33,15 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.errors import ProtocolError, WorkerError
+from repro.errors import ProtocolError, ShapeError, WorkerError
 from repro.serving import SessionEvent
 from repro.serving.remote import session as session_module
 from repro.serving.remote.session import _RemoteSession
 
 SID = "theatre-7"
 RING = 4  # event_replay_max: small, so clients do fall out of reach
+W = 3  # the engine's history_frames: what a restore must still hold
+BATCH = 6  # the largest FRAME batch a client sends
 
 
 def rows(start, stop):
@@ -44,9 +49,11 @@ def rows(start, stop):
     return np.arange(start, stop, dtype=float)[:, None]
 
 
-def numbers(batch):
-    """The frame indices a batch of :func:`rows` carries."""
-    return batch[:, 0].astype(int).tolist()
+def assert_rows(frames, start, stop):
+    """``frames`` are exactly :func:`rows` ``start..stop-1`` (an empty
+    stretch may come without a width: nothing was ever journaled)."""
+    assert frames.ndim == 2
+    assert frames.ravel().tolist() == list(range(start, stop))
 
 
 def event_for(frame):
@@ -64,6 +71,33 @@ def connection():
     return SimpleNamespace(sessions=set())
 
 
+class Engine:
+    """The engine side of one session: where it stands (``position``
+    frames processed) and how far its input reaches (``end``)."""
+
+    def __init__(self, position=0, end=0):
+        self.position, self.end = position, end
+
+    @classmethod
+    def restored(cls, state, delivered):
+        """``import_session``: refuse an archive that is not the session
+        at ``delivered`` — position, the last ``W`` frames before it,
+        the context of the last event, the frames from it on."""
+        assert state.session_id == SID and state.frames_done == delivered
+        recent = state.recent[state.recent.shape[0] - min(delivered, W) :]
+        assert_rows(recent, max(0, delivered - W), delivered)
+        last = event_for(delivered - 1) if delivered else None
+        assert state.current_gesture == (last.gesture if last else 0)
+        assert state.current_score == (last.score if last else 0.0)
+        end = delivered + state.pending_frames
+        assert_rows(state.pending, delivered, end)
+        return cls(delivered, end)
+
+    def feed(self, batch):
+        assert_rows(batch, self.end, self.end + len(batch))
+        self.end += len(batch)
+
+
 class GatewaySessionMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -74,7 +108,7 @@ class GatewaySessionMachine(RuleBasedStateMachine):
         """OPEN: a fresh record, a fresh engine session, a fresh client."""
         conn = connection()
         self.conns.append(conn)
-        self.session = _RemoteSession(SID, conn, replay_max=RING)
+        self.session = _RemoteSession(SID, conn, replay_max=RING, window=W)
         assert self.session.open_reply() == {
             "session_id": SID,
             "resume_token": self.session.token,
@@ -83,14 +117,20 @@ class GatewaySessionMachine(RuleBasedStateMachine):
         self.stream = []  # oracle: events a perfect client has seen
         self.acks = []
         self.pending = None  # the admitted batch awaiting its feed
-        self.engine = []  # frames fed to the engine's current incarnation
-        self.emitted = 0  # events that incarnation has produced
-        self.replayed = 0  # journal batches the rebuild has fed back
+        self.doomed = False  # ... whose engine side is already gone
+        self.engine = Engine()  # None: crashed, or released by a park
+        self.in_flight = []  # emitted by a lost engine side, not yet routed
+        self.sent = None  # stream index the restore in progress has fed up to
         self.client = []  # what the connected client holds
+
+    def journaled(self):
+        """Where the journal must end: accepted plus the batch in flight."""
+        extra = 0 if self.pending is None else self.pending.shape[0]
+        return self.accepted + extra
 
     # -- frames in ------------------------------------------------------
     @precondition(lambda self: self.session.conn and self.pending is None)
-    @rule(back=st.integers(0, 6), n=st.integers(1, 6))
+    @rule(back=st.integers(0, 6), n=st.integers(1, BATCH))
     def frames_arrive(self, back, n):
         """A batch at the client's next_seq (``back == 0``) or a resume
         re-send reaching ``back`` frames into what is already held."""
@@ -106,7 +146,7 @@ class GatewaySessionMachine(RuleBasedStateMachine):
         np.testing.assert_array_equal(
             admitted, rows(self.accepted, seq + n)
         )
-        if session.recovering:  # journaled and acked; the rebuild feeds it
+        if session.recovering:  # journaled and acked; the restore feeds it
             self.accepted += admitted.shape[0]
             self.acks.append(session.accept(admitted.shape[0]))
             return
@@ -128,22 +168,36 @@ class GatewaySessionMachine(RuleBasedStateMachine):
         session, batch = self.session, self.pending
         self.pending = None
         session.inflight -= 1
+        if self.doomed:  # bound to the lost incarnation: only one way out
+            outcome, self.doomed = "worker died", False
         if outcome == "refused":  # the client's fault: nothing was accepted
             session.retract()
             return
         self.accepted += batch.shape[0]
         self.acks.append(session.accept(batch.shape[0]))
         if outcome == "fed":
-            self.engine.extend(numbers(batch))
-        else:  # the feed found the worker dead: accepted, rebuilt later
+            self.engine.feed(batch)
+        elif not session.recovering:
+            # The feed found the worker dead (or the session re-imported
+            # under it): accepted all the same, restored from the record.
             self.worker_dies()
 
     # -- events out -----------------------------------------------------
-    @precondition(lambda self: self.emitted < len(self.engine))
+    @precondition(lambda self: self.engine and self.engine.position < self.engine.end)
     @rule()
     def engine_emits(self):
-        event = event_for(self.engine[self.emitted])
-        self.emitted += 1
+        self.route(event_for(self.engine.position))
+        self.engine.position += 1
+
+    @precondition(lambda self: self.in_flight)
+    @rule()
+    def a_lost_engines_event_lands(self):
+        """An event the engine side emitted before it was lost or
+        released reaches ``_route_events`` late — possibly after the
+        restored side has emitted the same frame."""
+        self.route(self.in_flight.pop(0))
+
+    def route(self, event):
         fresh = event.frame_index == len(self.stream)
         assert self.session.deliver(event) is fresh
         if fresh:
@@ -151,44 +205,60 @@ class GatewaySessionMachine(RuleBasedStateMachine):
             if self.session.conn is not None:
                 self.client.append(event)
 
-    # -- worker crash and journal rebuild -------------------------------
-    @precondition(lambda self: self.pending is None)
-    @rule()
-    def worker_dies(self):
+    def lose_engine(self, ahead):
+        """The engine side goes; up to ``ahead`` events it had emitted
+        are still on their way to the gateway."""
+        if self.engine is not None and self.sent is None:
+            stop = min(self.engine.position + ahead, self.engine.end)
+            self.in_flight += [
+                event_for(i) for i in range(self.engine.position, stop)
+            ]
+        self.engine, self.sent = None, None
+
+    # -- worker crash and restore ---------------------------------------
+    @rule(ahead=st.integers(0, 3))
+    def worker_dies(self, ahead=0):
         """The crash event reaches ``_route_events``: the engine side is
-        gone; a live session starts a rebuild, a parked one waits for
-        its resume."""
-        self.engine, self.emitted, self.replayed = [], 0, 0
+        gone — under a feed in flight, perhaps, whose batch the archive
+        then carries; a live session starts a restore (one in progress
+        starts over), a parked one waits for its resume."""
+        self.lose_engine(ahead)
+        self.doomed = self.pending is not None
         if self.session.recoverable:
             self.session.recovering = True
-        elif self.session.conn is None:
-            self.session.state = None  # the archive died with the worker
 
     @precondition(lambda self: self.session.recovering)
     @rule()
-    def rebuild_takes_a_step(self):
-        """The recovery task between two awaits: it feeds the next
-        journal batch, finishes — or finds the session parked
-        underneath it and lets its half-built engine side go."""
+    def restore_takes_a_step(self):
+        """The recovery task between two awaits: it imports the archive,
+        feeds what was admitted since, finishes — or finds the session
+        parked underneath it and lets its engine side go."""
         session = self.session
         if session.conn is None:
-            self.engine, self.emitted = [], 0
+            self.engine, self.sent = None, None
             session.recovering = False
-        elif self.replayed == len(session.journal):
-            session.recovering = False
+        elif self.sent is None:
+            self.engine = Engine.restored(session.archive(), len(self.stream))
+            self.sent = self.engine.end
         else:
-            self.engine.extend(numbers(session.journal[self.replayed]))
-            self.replayed += 1
+            tail = session.held()[self.sent - session.base :]
+            if len(tail):
+                self.engine.feed(tail)
+                self.sent = self.engine.end
+            else:
+                self.sent = None
+                session.recovering = False
 
     # -- disconnect, park, resume ---------------------------------------
     @precondition(lambda self: self.session.conn and self.pending is None)
-    @rule()
-    def client_disconnects(self):
-        """Park: with the engine's archive, or cold while a rebuild is
-        in flight (its half-replayed engine state is not the session)."""
+    @rule(ahead=st.integers(0, 3))
+    def client_disconnects(self, ahead):
+        """Park: the engine side is released, whatever it still held."""
         session = self.session
         assert not session.busy
-        session.park(None if session.recovering else b"archive", "EOF")
+        if not session.recovering:  # else the recovery task lets go of its own
+            self.lose_engine(ahead)
+        session.park("EOF")
         assert session.conn is None and session.reason == "EOF"
 
     @rule(data=st.data(), right_token=st.booleans())
@@ -217,14 +287,11 @@ class GatewaySessionMachine(RuleBasedStateMachine):
                 self.fails_safe()
             return
         assert refusal is None
-        if session.conn is None and session.state is None:
-            # Cold adopt: the whole journal through a fresh engine session.
-            self.engine = [f for b in session.journal for f in numbers(b)]
-            self.emitted = 0
+        if session.conn is None:  # adopt: the same restore, from the record
+            self.engine = Engine.restored(session.archive(), len(self.stream))
         conn = connection()
         self.conns.append(conn)
         session.bind(conn)
-        session.state = None
         assert session.resume_reply() == {
             "session_id": SID,
             "acked_seq": self.accepted,
@@ -235,7 +302,7 @@ class GatewaySessionMachine(RuleBasedStateMachine):
 
     @rule()
     def fails_safe(self):
-        """Any fail-safe ending (lapse, shutdown, exhausted rebuild):
+        """Any fail-safe ending (lapse, shutdown, exhausted restore):
         the terminal lands where the client-visible stream stops; the
         id may then be opened afresh."""
         terminal = self.session.terminal("monitoring lost")
@@ -251,13 +318,28 @@ class GatewaySessionMachine(RuleBasedStateMachine):
 
     # -- what must hold after every step --------------------------------
     @invariant()
-    def journal_is_the_accepted_frames_once_and_in_order(self):
-        held = self.accepted
-        if self.pending is not None:
-            held += self.pending.shape[0]
-        journal = self.session.journal
-        np.testing.assert_array_equal(
-            np.concatenate(journal) if journal else rows(0, 0), rows(0, held)
+    def journal_is_the_accepted_frames_a_future_event_can_depend_on(self):
+        """Once and in order, from ``base`` on; nothing the next ``W``-frame
+        window reaches is gone (an acked frame is held, or its event is
+        in the stream), and nothing older than a batch before it is kept."""
+        session = self.session
+        assert_rows(session.held(), session.base, self.journaled())
+        delivered = len(self.stream)
+        assert session.base <= max(0, delivered - W)
+        assert sum(map(len, session.journal)) <= (
+            W + (self.journaled() - delivered) + BATCH - 1
+        )
+
+    @invariant()
+    def the_archive_is_the_session_at_delivered(self):
+        """A pure function of the record: readable in any phase, it
+        names the oracle's position, frames and context."""
+        before = (self.session.base, self.session.delivered, len(self.session.journal))
+        restored = Engine.restored(self.session.archive(), len(self.stream))
+        assert restored.end == self.journaled()
+        assert self.session.archive().recent.shape[0] == min(len(self.stream), W)
+        assert before == (
+            self.session.base, self.session.delivered, len(self.session.journal)
         )
 
     @invariant()

@@ -3,7 +3,7 @@
 The gesture stage of ``MonitorService.tick`` keeps, per session slot, the
 LSTM state of every window in flight (``repro.nn.backends.stepper``) and
 advances it one step per frame.  That state is never exported: it is
-zeroed when a slot opens, and rebuilt from the gesture ring when a
+zeroed when a slot opens, and rebuilt from the frame ring when a
 session is imported or the gesture model is rebound.  Each case below
 walks one of those edges and demands the event stream of a service that
 never took it — bit for bit, under the reference backend, against two
@@ -14,6 +14,7 @@ and ``SafetyMonitor.process()`` past warm-up.
 
 import dataclasses
 import io
+import json
 from contextlib import contextmanager
 
 import numpy as np
@@ -150,16 +151,19 @@ def test_export_import_between_services_and_back(windows):
         assert [key(e) for e in events] == expected
 
 
-def test_session_state_and_its_codec_are_unchanged():
-    """Chains are derived state: no new field, no new schema version."""
+def test_session_state_is_one_position_and_one_frame_history():
+    """Chains, ring phase and window emission are derived state: the
+    archive carries a single position integer and a single history of
+    frames, so no two of its fields can disagree about where the stream
+    stands."""
     assert [f.name for f in dataclasses.fields(SessionState)] == [
         "session_id", "frames_done", "record_timeline", "current_gesture",
-        "current_score", "gestures", "scores", "pending", "n_features",
-        "gesture_window", "error_window",
+        "current_score", "gestures", "scores", "pending", "recent",
     ]
-    assert snapshot.SESSION_SNAPSHOT_VERSION == 1
-    monitor = make_monitor()
+    assert snapshot.SESSION_SNAPSHOT_VERSION == 2
+    monitor = make_monitor(WINDOWS[1])
     service = MonitorService(monitor, max_sessions=1)
+    assert service.history_frames == 6
     service.open_session("s")
     service.feed("s", frames_of(9, 6))
     for _ in range(7):
@@ -167,9 +171,13 @@ def test_session_state_and_its_codec_are_unchanged():
     blob = session_to_bytes(service.export_session("s"))
     with np.load(io.BytesIO(blob)) as archive:
         assert sorted(archive.files) == [
-            "__meta__", "error_window.buffer", "gesture_window.buffer",
-            "gestures", "pending", "scores",
+            "__meta__", "gestures", "pending", "recent", "scores",
         ]
+        assert archive["recent"].shape == (6, N_FEATURES)
+        meta = json.loads(bytes(archive["__meta__"]))
+    integers = {k: v for k, v in meta.items() if type(v) is int}
+    assert integers == {"version": 2, "frames_done": 7, "current_gesture": meta["current_gesture"]}
+    assert set(meta) - set(integers) == {"session_id", "record_timeline", "current_score"}
 
 
 def retrained(monitor, seed):

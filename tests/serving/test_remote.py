@@ -45,6 +45,7 @@ from repro.serving import (
     make_synthetic_monitor,
     monitor_from_bytes,
     monitor_to_bytes,
+    session_from_bytes,
 )
 from repro.serving.remote import protocol
 from repro.serving.remote.client import _SessionCore
@@ -460,7 +461,8 @@ class TestErrors:
 
     def test_rejected_non_finite_batch_leaves_the_journal(self, monitor):
         """Resume mode: the journal is what the ACK promises, so a batch
-        the engine refused must be popped from it, not replayed later."""
+        the engine refused must be popped from it, not carried into the
+        engine by a later restore (which would refuse the whole archive)."""
         with running_gateway(
             monitor, n_shards=1, max_sessions=4, resume_grace_s=30.0
         ) as runner:
@@ -471,8 +473,12 @@ class TestErrors:
                 client.feed(sid, np.full((2, N_FEATURES), np.nan))
                 with pytest.raises(DatasetError):
                     client.gateway_stats()
-                journal = runner.gateway._sessions[sid].journal
-                assert [batch.shape[0] for batch in journal] == [3]
+                record = runner.gateway._sessions[sid]
+                assert [batch.shape[0] for batch in record.journal] == [3]
+                assert runner.stats()["resume"]["journal_frames"] == 3
+                archive = record.archive()
+                assert (archive.frames_done, archive.pending_frames) == (3, 0)
+                assert np.isfinite(archive.recent).all()
 
     def test_constructor_validation(self, monitor):
         with pytest.raises(ConfigurationError):
@@ -1647,12 +1653,12 @@ class TestResume:
                     event_key(e) for e in reference
                 ], sid
 
-    def test_resume_onto_a_just_killed_worker_cold_adopts(self, monitor):
+    def test_resume_onto_a_just_killed_worker_lands_on_a_survivor(self, monitor):
         """A worker SIGKILLed while its shard is idle stays in the hash
         ring until somebody talks to it, so a parked session's RESUME
         can be the exchange that discovers the death.  The import dies
-        with the worker; the journal must rebuild the session on a
-        survivor instead of failing it."""
+        with the worker; the restore must start over and land the
+        session on a survivor instead of failing it."""
         trajectory = make_random_walk_trajectory(
             24, n_features=N_FEATURES, seed=76
         )
@@ -1685,6 +1691,8 @@ class TestResume:
                 event_key(e) for e in reference
             ]
             assert not gateway.failed_sessions
+            assert service.shard_indices == [1 - home]
+            assert runner.stats()["resume"]["restore_retries_total"] >= 1
 
     def test_async_detach_resume(self, monitor):
         trajectory = make_random_walk_trajectory(
@@ -1739,10 +1747,90 @@ class TestResume:
         ]
 
 
+class TestRestoreCost:
+    """A session is its stream position and its last ``W`` frames: what
+    the gateway holds for it, and what bringing its engine side back
+    costs, must not grow with how long it has run."""
+
+    CHUNK = 100
+
+    @pytest.mark.parametrize("loss", ["worker killed", "client resumes"])
+    def test_restore_is_flat_and_the_journal_bounded(self, monitor, loss):
+        """3 000 frames in, then the engine side is lost — its worker
+        SIGKILLed, or released by a disconnect and brought back by the
+        RESUME.  The engine is handed ``W`` rows (plus what was still in
+        flight, here nothing), not the session's history; the record
+        never held more than ``W`` + a batch + the undelivered; and the
+        stream the client assembles is the uninterrupted local one."""
+        trajectory = make_random_walk_trajectory(
+            3200, n_features=N_FEATURES, seed=91
+        )
+        reference = local_events(monitor, trajectory, session_id="long")
+        with running_gateway(
+            monitor, n_shards=2, max_sessions=8, resume_grace_s=30.0
+        ) as runner:
+            gateway = runner.gateway
+            engine = gateway._engine
+            engine.poll_interval_s = 0.05
+            window = engine.service.history_frames
+            assert window == 5
+            handed = []  # rows per engine call, restore or not
+            real_import, real_feed = engine.import_session, engine.feed
+
+            async def spied_import(state, record_timeline=True):
+                archive = session_from_bytes(state)
+                handed.append(archive.recent.shape[0] + archive.pending_frames)
+                return await real_import(state, record_timeline)
+
+            async def spied_feed(session_id, frames):
+                handed.append(frames.shape[0])
+                return await real_feed(session_id, frames)
+
+            engine.import_session, engine.feed = spied_import, spied_feed
+            client = RemoteMonitorClient(runner.host, runner.port)
+            sid = client.open_session("long")
+            events = []
+            for start in range(0, 3000, self.CHUNK):
+                client.feed(sid, trajectory.frames[start : start + self.CHUNK])
+                events += client.events_for(sid, self.CHUNK)
+                held = runner.stats()["resume"]["journal_frames"]
+                assert held <= window + self.CHUNK, (start, held)
+            assert gateway._sessions[sid].delivered == 3000
+            del handed[:]
+            if loss == "worker killed":
+                process = engine.service._shards[
+                    engine.service.shard_of(sid)
+                ].process
+                os.kill(process.pid, signal.SIGKILL)
+                process.join(10.0)
+                assert wait_until(
+                    lambda: runner.stats()["resume"]["recovered_total"] == 1
+                )
+            else:
+                client.close()
+                state = client.detach_session(sid)
+                assert wait_until(lambda: gateway.n_parked_sessions == 1)
+                client = RemoteMonitorClient(runner.host, runner.port)
+                assert client.resume_session(state) == sid
+            # One import per attempt, each of W rows, and not one feed.
+            retries = runner.stats()["resume"]["restore_retries_total"]
+            assert handed == [window] * (1 + retries)
+            client.feed(sid, trajectory.frames[3000:])
+            events += client.events_for(sid, 200)
+            assert client.close_session(sid)["n_frames"] == 3200
+            client.close()
+            assert [event_key(e) for e in events] == [
+                event_key(e) for e in reference
+            ]
+            assert not gateway.failed_sessions
+            assert runner.stats()["resume"]["journal_frames"] == 0
+
+
 class TestResumeReplay:
-    """The gateway-side resume paths PR 15 collapsed: the missed-event
-    replay as one EVENT message, the retried cold adopt, and the one
-    admission check behind both the parked and the steal route."""
+    """The gateway-side resume paths: the missed-event replay as one
+    EVENT message, the restore a RESUME retries like crash recovery
+    does, and the one admission check behind both the parked and the
+    steal route."""
 
     @pytest.mark.parametrize("resumer", ["sync", "async"])
     def test_replay_larger_than_the_send_queue_resumes(self, monitor, resumer):
@@ -1800,61 +1888,57 @@ class TestResumeReplay:
             assert stats["resume"]["resumed_total"] == 1
             assert not gateway.failed_sessions
 
-    def test_cold_adopt_retries_like_crash_recovery(self, monitor):
-        """A RESUME of a cold-parked session whose first re-open lands
-        on a worker that just died must retry the rebuild, as live
-        crash recovery does, not fail the session for good."""
+    def test_resume_retries_its_restore_like_crash_recovery(self, monitor):
+        """A RESUME whose import lands on a worker that just died must
+        retry the restore, as live crash recovery does, not fail the
+        session for good."""
         trajectory = make_random_walk_trajectory(
             24, n_features=N_FEATURES, seed=82
         )
-        reference = local_events(monitor, trajectory, session_id="cold")
+        reference = local_events(monitor, trajectory, session_id="again")
         with running_gateway(
             monitor, n_shards=1, max_sessions=4, resume_grace_s=30.0
         ) as runner:
             gateway = runner.gateway
             engine = gateway._engine
-            real_open = engine.open_session
+            real_import = engine.import_session
+            imports = []
 
-            async def dead_export(session_id):
-                # The worker died and took the session with it: nothing
-                # to export, the park is cold (journal only).
-                await engine.close_session(session_id)
-                raise WorkerError("shard worker died")
-
-            opens = []
-
-            async def flaky_open(session_id, record_timeline):
-                opens.append(session_id)
-                if len(opens) == 1:
-                    raise WorkerError("shard worker died (found by this open)")
-                return await real_open(session_id, record_timeline)
+            async def flaky_import(state, record_timeline=True):
+                imports.append(session_from_bytes(state).frames_done)
+                if len(imports) == 1:
+                    raise WorkerError("shard worker died (found by this import)")
+                return await real_import(state, record_timeline)
 
             first = RemoteMonitorClient(runner.host, runner.port)
-            sid = first.open_session("cold")
+            sid = first.open_session("again")
             first.feed(sid, trajectory.frames[:10])
             events = first.events_for(sid, 10)
-            engine.export_session = dead_export
             first.close()
             state = first.detach_session(sid)
             assert wait_until(lambda: gateway.n_parked_sessions == 1)
-            engine.open_session = flaky_open
+            assert engine.service.n_open_sessions == 0  # parked: no engine side
+            engine.import_session = flaky_import
             with RemoteMonitorClient(runner.host, runner.port) as second:
                 assert second.resume_session(state) == sid
                 second.feed(sid, trajectory.frames[10:])
                 events += second.events_for(sid, 14)
                 assert second.close_session(sid)["n_frames"] == 24
-            assert opens == [sid, sid]
+            assert imports == [10, 10]
             assert [event_key(e) for e in events] == [
                 event_key(e) for e in reference
             ]
             assert not gateway.failed_sessions
+            stats = runner.stats()["resume"]
+            assert stats["restore_retries_total"] == 1
+            assert stats["recovered_total"] == 0  # a resume, not a recovery
 
-    def test_crash_found_by_the_parks_own_export_parks_cold(self, monitor):
+    def test_crash_found_by_the_parks_own_close_starts_no_restore(self, monitor):
         """The exchange that discovers a dead worker can be the park's
-        own export.  That crash must not start a live recovery: the
-        rebuild would re-open the id, and the export — next in line at
-        the engine — would carry off a half-replayed session as the
-        parked state, silently losing the frames not yet replayed."""
+        own release of the engine side.  That crash must not start a
+        live restore under the park: the session is about to have no
+        owner to stream to, and whoever resumes it restores it — from a
+        record that by then holds the frames admitted meanwhile."""
         trajectory = make_random_walk_trajectory(
             30, n_features=N_FEATURES, seed=84
         )
@@ -1864,21 +1948,20 @@ class TestResumeReplay:
         ) as runner:
             gateway = runner.gateway
             engine = gateway._engine
-            real_export, real_feed = engine.export_session, engine.feed
+            real_close = engine.close_session
+            imports = []
+            real_import = engine.import_session
 
-            async def suspending_feed(session_id, frames):
-                # A fleet feed suspends (shard lock, executor); the
-                # embedded engine's never does.
-                await asyncio.sleep(0.01)
-                await real_feed(session_id, frames)
+            async def counting_import(state, record_timeline=True):
+                imports.append(session_from_bytes(state).frames_done)
+                return await real_import(state, record_timeline)
 
-            async def export_finds_the_crash(session_id):
-                # What the fleet does when an export lands on a dead
+            async def close_finds_the_crash(session_id):
+                # What the fleet does when a close lands on a dead
                 # worker: the session is lost, its crash event is routed
-                # before the error reaches the caller — and the export
-                # then runs against whatever holds the id by then.
+                # before the error reaches the caller.
                 delivered = gateway._sessions[session_id].delivered
-                await engine.close_session(session_id)
+                await real_close(session_id)
                 gateway._route_events(
                     [
                         SessionEvent.failsafe(
@@ -1887,31 +1970,35 @@ class TestResumeReplay:
                     ]
                 )
                 await asyncio.sleep(0.025)
-                return await real_export(session_id)
+                engine.close_session = real_close
+                raise WorkerError("close of session failed: worker died")
 
             first = RemoteMonitorClient(runner.host, runner.port)
             sid = first.open_session("race")
             for start in range(0, 10, 2):  # five journal batches
                 first.feed(sid, trajectory.frames[start : start + 2])
             events = first.events_for(sid, 10)
-            engine.export_session = export_finds_the_crash
-            engine.feed = suspending_feed
+            engine.close_session = close_finds_the_crash
+            engine.import_session = counting_import
             first.close()
             state = first.detach_session(sid)
             assert wait_until(lambda: gateway.n_parked_sessions == 1)
+            assert imports == [] and not gateway._sessions[sid].recovering
             with RemoteMonitorClient(runner.host, runner.port) as second:
                 assert second.resume_session(state) == sid
                 second.feed(sid, trajectory.frames[10:])
                 # Bounded here: heartbeats keep a starved read alive.
                 assert wait_until(
                     lambda: gateway._sessions[sid].delivered == 30
-                ), "frames lost: the park exported a half-rebuilt session"
+                ), "frames lost across the park"
                 events += second.events_for(sid, 20)
                 assert second.close_session(sid)["n_frames"] == 30
+            assert imports == [10]
             assert [event_key(e) for e in events] == [
                 event_key(e) for e in reference
             ]
             assert not gateway.failed_sessions
+            assert runner.stats()["resume"]["recovered_total"] == 0
 
     ADMISSION_FAULTS = {
         "token": (

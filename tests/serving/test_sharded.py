@@ -1197,9 +1197,9 @@ class TestSessionIncarnation:
     ):
         """A feed queued behind its shard's pipe lock while the worker
         dies and the id is re-opened elsewhere (what the gateway's
-        journal rebuild does) must fail as the lost session's feed.
+        crash recovery does) must fail as the lost session's feed.
         Following the id would land its frames on the new session a
-        second time — the rebuild already replayed them — which the
+        second time — the recovery already carried them — which the
         chaos gate saw as ``gateway counted 28 frames, fed 24``."""
 
         async def run():
