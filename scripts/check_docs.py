@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs consistency checks, run by the CI docs job.
 
-Three guarantees:
+Four guarantees:
 
 1. every ```mermaid block in ``docs/*.md`` (and ``README.md``) parses —
    a lightweight structural validation: known diagram type on the first
@@ -13,7 +13,10 @@ Three guarantees:
    serving surface grows;
 3. every backticked repo-relative path in those files exists on disk,
    so deleting or renaming a file fails here until the prose that cites
-   it is rewritten.
+   it is rewritten;
+4. the message-type table in ``docs/remote.md`` lists exactly the
+   members of ``protocol.MessageType`` with their wire numbers, so the
+   wire reference cannot drift from the enum both ends dispatch on.
 
 Run:  PYTHONPATH=src python scripts/check_docs.py
 Exits non-zero with one line per problem.
@@ -27,6 +30,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
+sys.path.insert(0, str(REPO / "src"))  # the checks that import ``repro``
 
 #: Mermaid diagram types we know how to sanity-check.  Anything else in
 #: a mermaid block is flagged (add the type here when docs start using it).
@@ -183,7 +187,6 @@ def check_api_coverage() -> list[str]:
     """Every documented module's export must be mentioned in docs/api.md."""
     import importlib
 
-    sys.path.insert(0, str(REPO / "src"))
     api_path = DOCS / "api.md"
     if not api_path.exists():
         return [f"{api_path}: missing (docs/api.md is required)"]
@@ -200,6 +203,28 @@ def check_api_coverage() -> list[str]:
     return errors
 
 
+#: A row of the wire reference's message-type table:
+#: ``| `NAME` | number | direction | payload |``.
+_MESSAGE_ROW = re.compile(r"^\|\s*`([A-Z_]+)`\s*\|\s*(\d+)\s*\|", re.MULTILINE)
+
+
+def check_message_types(page: Path) -> list[str]:
+    """The (name, number) pairs ``page`` tabulates are exactly
+    ``protocol.MessageType``'s."""
+    from repro.serving.remote.protocol import MessageType
+
+    listed = {(name, int(number)) for name, number in _MESSAGE_ROW.findall(page.read_text())}
+    members = {(member.name, member.value) for member in MessageType}
+    return [
+        f"{page}: message type `{name}` = {number} is {problem}"
+        for problem, pairs in (
+            ("in protocol.MessageType but not in the table", members - listed),
+            ("in the table but not in protocol.MessageType", listed - members),
+        )
+        for name, number in sorted(pairs)
+    ]
+
+
 def main() -> int:
     errors: list[str] = []
     targets = sorted(DOCS.glob("*.md")) + [REPO / "README.md"]
@@ -210,6 +235,7 @@ def main() -> int:
             errors.extend(check_mermaid(path))
             errors.extend(check_paths(path))
     errors.extend(check_api_coverage())
+    errors.extend(check_message_types(DOCS / "remote.md"))
     if errors:
         print("\n".join(errors), file=sys.stderr)
         print(f"\ncheck_docs: {len(errors)} problem(s)", file=sys.stderr)
@@ -221,7 +247,7 @@ def main() -> int:
     )
     print(
         f"check_docs: OK ({n_blocks} mermaid block(s), api.md covers __all__, "
-        "every cited path exists)"
+        "every cited path exists, remote.md tabulates MessageType)"
     )
     return 0
 

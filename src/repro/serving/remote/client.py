@@ -1,37 +1,53 @@
 """Client SDKs for the remote ingest gateway: sync sockets and asyncio.
 
-Two clients over the same wire protocol
+One conversation core and two I/O shells over the wire protocol
 (:mod:`~repro.serving.remote.protocol`):
 
+- :class:`_SessionCore` — the client's whole side of the conversation,
+  sans-IO: :meth:`~_SessionCore.receive` takes every message off the
+  stream (heartbeats echoed, owned events counted and buffered, acks
+  applied, replies matched to the requests in flight, ERRORs
+  attributed), and the one buffer of decoded-but-unconsumed events
+  lives there, carried across a resume by ``detach`` and the RESUME
+  reply.
 - :class:`RemoteMonitorClient` — blocking sockets, for robot-side
-  integrations, scripts and tests that live in synchronous code.  Every
-  read transparently answers gateway heartbeats and buffers event
-  messages, so control calls (``open_session``, ``close_session``,
-  ``gateway_stats``) and the event reader (``next_event``) can
-  interleave freely on one connection.
-- :class:`AsyncRemoteMonitorClient` — asyncio streams, for
-  fleet-scale ingest (``bench/``'s ``sat_wire_k2`` workload drives 64
-  sessions through these).  A background reader task demultiplexes the stream:
-  events flow to the ``events()`` async iterator, control replies
-  resolve the awaiting call, heartbeats are echoed.
+  integrations, scripts and tests that live in synchronous code.  The
+  *caller* reads the socket: any call that waits (a control reply,
+  ``next_event``) pumps the stream through the core until what it
+  waits for is there, so control calls and event reads interleave
+  freely on one connection.
+- :class:`AsyncRemoteMonitorClient` — asyncio streams, for fleet-scale
+  ingest (``bench/``'s ``sat_wire_k2`` workload drives 64 sessions
+  through these).  A background *reader task* pumps the stream through
+  the core; callers await a future (control replies) or the event
+  buffer.
 
-Shared semantics:
+What the two shells share, because the core decides it:
 
 - ``feed`` is **unacknowledged** at the call site — frames stream at
   full rate and backpressure is TCP itself (``sendall`` /
   ``writer.drain()`` block when the gateway falls behind).  A feed the
   gateway rejects (wrong width, unknown session) arrives as an ERROR
-  message and is raised by the *next* call that reads the stream.
+  naming no request: the sync client raises it from whichever call is
+  reading the stream, the async client from the event stream, in
+  stream order.
+- **requests are answered in order** — the gateway serves one
+  connection's messages one at a time, so the core keeps a FIFO of the
+  requests in flight, and a reply (or an ERROR whose ``in_reply_to``
+  names the oldest request's type) resolves the oldest.  A request
+  whose caller gave up — a timeout, a cancelled task — *stays owed*:
+  its reply is swallowed when it arrives, the next request gets its
+  own, and the connection and its other sessions live on.
 - gateway-side failures re-raise as their original
   :mod:`repro.errors` types (same mapping as the shard transport), so
   remote and local engines fail identically at the call site.
 - an event with ``error`` set is a terminal fail-safe notice for its
   session (worker crash at the gateway), carrying ``flag=True``.
 - **session resume** — when the gateway runs with a resume grace
-  window, OPEN acks carry a ``resume_token`` and both clients
-  transparently number their FRAME batches, buffer them until the
-  gateway's ACK, and count events at wire-decode time.  After a
-  disconnect, :meth:`~RemoteMonitorClient.detach_session` captures a
+  window, OPEN acks carry a ``resume_token`` and the core numbers the
+  FRAME batches, buffers them until the gateway's ACK, and counts
+  events at wire-decode time.  After a disconnect,
+  :meth:`~RemoteMonitorClient.detach_session` captures a
   :class:`ResumeState` (pure local bookkeeping — it works on a dead
   client) and :meth:`~RemoteMonitorClient.resume_session` on a fresh
   connection replays the unacked tail from the gateway's acked seq and
@@ -47,6 +63,7 @@ import logging
 import socket
 from collections import deque
 from collections.abc import AsyncIterator
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,33 +133,39 @@ class _SessionTrack:
 
 
 class _SessionCore:
-    """The socket-free half of both client SDKs.
+    """One connection's conversation with the gateway, socket-free.
 
     Sans-IO, like :class:`~repro.serving.remote.protocol.MessageReader`:
-    payloads in, messages out, and the per-session resume bookkeeping
-    (seq numbering, unacked buffer, decode-time event counts) in
-    between.  Each SDK owns one and adds only its own I/O — who reads
-    the socket, and where decoded events wait for the application.
+    every message the connection carries passes through here —
+    :meth:`send_frames` and :meth:`request` on the way out,
+    :meth:`receive` on the way in — and what the conversation has
+    established lives here: the per-session resume bookkeeping (seq
+    numbering, unacked buffer, decode-time event counts), the FIFO of
+    requests the gateway still owes a reply, and ``events``, the one
+    buffer of decoded items the application has yet to consume.  Each
+    SDK owns one per connection and adds only its I/O: who reads the
+    socket, and how a caller waits.
+
+    A request's caller waits on a *future* — anything with ``done()``,
+    ``set_result()`` and ``set_exception()``; the shells pass a
+    :class:`concurrent.futures.Future` or an :class:`asyncio.Future` —
+    and gives up by cancelling it.
     """
 
     def __init__(self) -> None:
         self._tracks: dict[str, _SessionTrack] = {}
+        #: (reply type, future, ResumeState | None) per request in
+        #: flight, oldest first.
+        self._owed: deque = deque()
+        #: Owned events in wire order (the async shell adds the
+        #: unattributed errors it surfaces through the same stream).
+        self.events: deque = deque()
 
     @staticmethod
-    def open_message(session_id: str | None, record_timeline: bool) -> bytes:
+    def open_message(session_id: str | None) -> bytes:
         return encode_message(
-            MessageType.OPEN,
-            encode_json(
-                {"session_id": session_id, "record_timeline": record_timeline}
-            ),
+            MessageType.OPEN, encode_json({"session_id": session_id})
         )
-
-    def opened(self, payload: bytes) -> str:
-        """Bind the session an OPEN ack names; returns its id."""
-        ack = decode_json(payload)
-        sid = ack["session_id"]
-        self._tracks[sid] = _SessionTrack(ack.get("resume_token"))
-        return sid
 
     @staticmethod
     def close_message(session_id: str) -> bytes:
@@ -150,9 +173,18 @@ class _SessionCore:
             MessageType.CLOSE, encode_json({"session_id": session_id})
         )
 
-    def drop(self, session_id: str) -> None:
-        """Forget a session (closed, or its resume was refused)."""
-        self._tracks.pop(session_id, None)
+    @staticmethod
+    def resume_message(state: ResumeState) -> bytes:
+        return encode_message(
+            MessageType.RESUME,
+            encode_json(
+                {
+                    "session_id": state.session_id,
+                    "token": state.token,
+                    "last_event": state.events_received,
+                }
+            ),
+        )
 
     def send_frames(self, session_id: str, frames: np.ndarray, send) -> None:
         """Number one batch of kinematics rows, encode it and hand the
@@ -171,35 +203,88 @@ class _SessionCore:
         if track is not None:
             track.record_send(seq, frames)
 
-    def events(self, payload: bytes) -> list[SessionEvent]:
-        """Decode an EVENT payload into the events this connection owns."""
-        owned = []
-        for event in decode_events(payload):
-            track = self._tracks.get(event.session_id)
-            if track is None:
-                # No track means this connection never bound the
-                # session (an OPEN/RESUME ack installs one): the event
-                # is an orphan from a resume attempt that was abandoned
-                # mid-flight — the session lives (or will live) on
-                # another connection, which receives the event via the
-                # resume replay.
-                continue
-            # Counted at decode time, not consumption time: what a
-            # resume must NOT replay is exactly what already crossed
-            # the wire.
-            track.events_received += 1
-            owned.append(event)
-        return owned
+    def request(
+        self, expect: MessageType, future, state: ResumeState | None = None
+    ) -> None:
+        """Book a request about to go out: the gateway owes it an
+        ``expect`` reply, which resolves ``future`` (``state``: the
+        session a RESUME asks for)."""
+        self._owed.append((expect, future, state))
 
-    def acked(self, payload: bytes) -> None:
-        session_id, seq = decode_ack(payload)
-        track = self._tracks.get(session_id)
-        if track is not None:
-            track.record_ack(seq)
+    def receive(self, msg_type: MessageType, payload: bytes, send) -> Exception | None:
+        """Take one message off the stream.
+
+        A heartbeat is echoed through ``send``; events of sessions this
+        connection owns are counted and appended to ``events``; an ack
+        trims its session's replay buffer; a reply, or an ERROR whose
+        ``in_reply_to`` names the oldest request in flight, resolves
+        that request.  Any other ERROR is asynchronous — a rejected
+        unacked feed, an idle timeout — and is *returned*, mapped to its
+        exception, for the shell to surface; requests in flight stay
+        owed.  A reply nobody asked for is a :class:`ProtocolError`.
+        """
+        if msg_type is MessageType.EVENT:
+            for event in decode_events(payload):
+                track = self._tracks.get(event.session_id)
+                if track is None:
+                    # This connection never bound the session (an OPEN
+                    # or RESUME reply installs the track): the event is
+                    # an orphan of a resume its caller gave up on — the
+                    # session lives (or will live) on another
+                    # connection, which gets the event by resume replay.
+                    continue
+                # Counted at decode time, not consumption time: what a
+                # resume must NOT replay is exactly what already crossed
+                # the wire.
+                track.events_received += 1
+                self.events.append(event)
+            return None
+        if msg_type is MessageType.ACK:
+            session_id, seq = decode_ack(payload)
+            track = self._tracks.get(session_id)
+            if track is not None:
+                track.record_ack(seq)
+            return None
+        if msg_type is MessageType.HEARTBEAT:
+            send(encode_message(MessageType.HEARTBEAT))
+            return None
+        info = decode_json(payload)
+        expect = self._owed[0][0] if self._owed else None
+        if msg_type is MessageType.ERROR:
+            error = _gateway_exception(info)
+            if expect is None or info.get("in_reply_to") != expect.name:
+                return error
+        elif msg_type is not expect:
+            raise ProtocolError(f"unsolicited {msg_type.name} message")
+        _, future, state = self._owed.popleft()
+        if msg_type is MessageType.CLOSE:
+            self._tracks.pop(info["session_id"], None)
+        if future.done():
+            # The caller gave up (timeout, cancellation): its reply is
+            # swallowed here, never handed to the next request.
+            return None
+        if msg_type is MessageType.ERROR:
+            future.set_exception(error)
+        elif msg_type is MessageType.OPEN:
+            self._tracks[info["session_id"]] = _SessionTrack(info.get("resume_token"))
+            future.set_result(info["session_id"])
+        elif msg_type is MessageType.RESUME:
+            future.set_result(self._install(state, int(info["acked_seq"])))
+        else:
+            future.set_result(info)
+        return None
+
+    def fail(self, exc: Exception) -> None:
+        """The connection ended: every request still owed fails with
+        ``exc``."""
+        while self._owed:
+            future = self._owed.popleft()[1]
+            if not future.done():
+                future.set_exception(exc)
 
     def detach(self, session_id: str) -> ResumeState:
-        """Take a session's resume state off this client (the SDK adds
-        the events it still holds undelivered).  Raises
+        """Take a session off this client: its resume state, with the
+        events it still holds unconsumed.  Raises
         :class:`~repro.errors.ProtocolError` when the session has none
         (opened on a gateway without a grace window)."""
         track = self._tracks.pop(session_id, None)
@@ -208,6 +293,12 @@ class _SessionCore:
                 f"session {session_id!r} has no resume state "
                 "(gateway resume disabled?)"
             )
+        pending, kept = [], []
+        for item in self.events:
+            mine = isinstance(item, SessionEvent) and item.session_id == session_id
+            (pending if mine else kept).append(item)
+        self.events.clear()
+        self.events.extend(kept)
         return ResumeState(
             session_id=session_id,
             token=track.token,
@@ -215,40 +306,28 @@ class _SessionCore:
             acked_seq=track.acked,
             events_received=track.events_received,
             buffer=list(track.buffer),
+            pending_events=pending,
         )
 
-    @staticmethod
-    def resume_message(state: ResumeState) -> bytes:
-        return encode_message(
-            MessageType.RESUME,
-            encode_json(
-                {
-                    "session_id": state.session_id,
-                    "token": state.token,
-                    "last_event": state.events_received,
-                }
-            ),
-        )
-
-    def install(self, state: ResumeState) -> None:
-        """Bind a detached session: from here on its events are owned
-        (and counted) by this connection."""
+    def _install(self, state: ResumeState, acked_seq: int) -> list[bytes]:
+        """Bind a detached session on its RESUME reply — nothing behind
+        the reply is decoded yet, so the gateway's replayed events find
+        the session owned (and counted) here and land behind the
+        carried-over ones, which predate them.  Returns the FRAME
+        messages the reply asks for: the buffered batches reaching past
+        the gateway's ``acked_seq`` (the gateway trims any overlap
+        inside the first by seq)."""
         track = _SessionTrack(state.token)
         track.next_seq = state.next_seq
         track.acked = state.acked_seq
         track.events_received = state.events_received
         track.buffer = deque(state.buffer)
+        track.record_ack(acked_seq)
         self._tracks[state.session_id] = track
-
-    def resumed(self, session_id: str, payload: bytes) -> list[bytes]:
-        """The FRAME messages a RESUME reply asks for: the buffered
-        batches reaching past the gateway's acked seq (the gateway trims
-        any overlap inside the first by seq)."""
-        track = self._tracks[session_id]
-        track.record_ack(int(decode_json(payload)["acked_seq"]))
+        self.events.extend(state.pending_events)
         return [
             encode_message(
-                MessageType.FRAME, encode_frames(session_id, frames, seq)
+                MessageType.FRAME, encode_frames(state.session_id, frames, seq)
             )
             for seq, frames in track.buffer
         ]
@@ -291,11 +370,6 @@ class RemoteMonitorClient:
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = MessageReader()
-        self._events: deque[SessionEvent] = deque()
-        #: Reply types still owed by the gateway for requests that were
-        #: answered by an *asynchronous* ERROR instead (e.g. a rejected
-        #: feed raising out of a stats call); swallowed when they arrive.
-        self._stale: deque[MessageType] = deque()
         self._core = _SessionCore()
         self._closed = False
 
@@ -345,75 +419,37 @@ class RemoteMonitorClient:
                 raise WorkerError("gateway closed the connection")
             self._reader.feed(data)
 
-    def _read_until(self, expected: MessageType | None) -> bytes | None:
-        """The one demux loop: read until ``expected`` arrives, or —
-        with ``expected=None`` — until at least one event is buffered.
+    def _pump(self, ready) -> None:
+        """Read the stream through the core until ``ready()``.  An
+        asynchronous gateway ERROR (e.g. a rejected unacked feed) is
+        raised from here, whatever the caller was waiting for."""
+        while not ready():
+            error = self._core.receive(*self._read_next(), self._send)
+            if error is not None:
+                raise error
 
-        Along the way: heartbeats are echoed, events buffered, and
-        mapped ERRORs raised.  An ERROR not attributed to this request
-        (``in_reply_to``) is an asynchronous failure — e.g. a rejected
-        unacked feed; it is raised here while the still-owed
-        ``expected`` reply is marked *stale* so a later read swallows it
-        (reply or attributed ERROR alike, FIFO) instead of
-        desynchronising the stream.  A read timeout likewise marks the
-        owed reply stale before propagating.
-        """
-        while True:
-            if expected is None and self._events:
-                return None
-            try:
-                msg_type, payload = self._read_next()
-            except TimeoutError:
-                if expected is not None:
-                    self._stale.append(expected)
-                raise
-            if msg_type is MessageType.HEARTBEAT:
-                self._send(encode_message(MessageType.HEARTBEAT))
-                continue
-            if msg_type is MessageType.EVENT:
-                self._events.extend(self._core.events(payload))
-                continue
-            if msg_type is MessageType.ACK:
-                self._core.acked(payload)
-                continue
-            if self._stale and msg_type is self._stale[0]:
-                self._stale.popleft()
-                continue
-            if msg_type is MessageType.ERROR:
-                info = decode_json(payload)
-                in_reply_to = info.get("in_reply_to")
-                if (
-                    in_reply_to is not None
-                    and self._stale
-                    and in_reply_to == self._stale[0].name
-                ):
-                    # Replies arrive in request order, so an attributed
-                    # ERROR matching the oldest owed reply answers that
-                    # abandoned request — swallow it, don't blame the
-                    # current one.
-                    self._stale.popleft()
-                    continue
-                if expected is not None and in_reply_to != expected.name:
-                    self._stale.append(expected)
-                raise _gateway_exception(info)
-            if expected is not None and msg_type is expected:
-                return payload
-            raise ProtocolError(
-                f"expected {expected.name} reply, got {msg_type.name}"
-                if expected is not None
-                else f"unexpected {msg_type.name} while waiting for events"
-            )
+    def _call(
+        self, message: bytes, expect: MessageType, state: ResumeState | None = None
+    ):
+        """Send one request and read until its reply."""
+        reply: Future = Future()
+        self._core.request(expect, reply, state)
+        try:
+            self._send(message)
+            self._pump(reply.done)
+        finally:
+            # Leaving without the reply (a read timeout, an asynchronous
+            # ERROR) is giving up on it: a no-op once resolved.
+            reply.cancel()
+        return reply.result()
 
     # ------------------------------------------------------------------
     # Session lifecycle
     # ------------------------------------------------------------------
-    def open_session(
-        self, session_id: str | None = None, record_timeline: bool = False
-    ) -> str:
+    def open_session(self, session_id: str | None = None) -> str:
         """Open a session on the gateway; returns the (possibly
         gateway-assigned) session id."""
-        self._send(self._core.open_message(session_id, record_timeline))
-        return self._core.opened(self._read_until(MessageType.OPEN))
+        return self._call(self._core.open_message(session_id), MessageType.OPEN)
 
     def feed(self, session_id: str, frames: np.ndarray) -> None:
         """Stream kinematics rows (see the module docs; acked and
@@ -422,8 +458,8 @@ class RemoteMonitorClient:
 
     def next_event(self) -> SessionEvent:
         """The next event from any of this connection's sessions."""
-        self._read_until(None)
-        return self._events.popleft()
+        self._pump(lambda: self._core.events)
+        return self._core.events.popleft()
 
     def events_for(self, session_id: str, n_events: int) -> list[SessionEvent]:
         """Collect the next ``n_events`` events of one session (events of
@@ -448,17 +484,14 @@ class RemoteMonitorClient:
         finally:
             # Restore other sessions' events even when next_event raises
             # (async ERROR, timeout) — they were received, not consumed.
-            self._events.extendleft(reversed(requeue))
+            self._core.events.extendleft(reversed(requeue))
         return collected
 
     def close_session(self, session_id: str) -> dict:
         """Close a session (the gateway drains it first); returns the
         summary ``{"session_id", "n_frames", "n_flagged"}``.  Events
         still in flight are buffered for ``next_event``."""
-        self._send(self._core.close_message(session_id))
-        summary = decode_json(self._read_until(MessageType.CLOSE))
-        self._core.drop(session_id)
-        return summary
+        return self._call(self._core.close_message(session_id), MessageType.CLOSE)
 
     # ------------------------------------------------------------------
     # Resume
@@ -473,15 +506,7 @@ class RemoteMonitorClient:
         :class:`~repro.errors.ProtocolError` when the session has no
         resume state (opened on a gateway without a grace window).
         """
-        state = self._core.detach(session_id)
-        state.pending_events = [
-            e for e in self._events if e.session_id == session_id
-        ]
-        if state.pending_events:
-            self._events = deque(
-                e for e in self._events if e.session_id != session_id
-            )
-        return state
+        return self._core.detach(session_id)
 
     def resume_session(self, state: ResumeState) -> str:
         """Adopt a detached session onto this connection.
@@ -492,25 +517,19 @@ class RemoteMonitorClient:
         decoded but the application never consumed are re-queued first,
         and the gateway follows its RESUME ack with the events the
         client missed — the merged stream is gapless and
-        duplicate-free.
+        duplicate-free.  A refused resume leaves ``state`` valid for a
+        retry.
         """
-        self._send(self._core.resume_message(state))
-        reply = self._read_until(MessageType.RESUME)
-        # Nothing read past the reply yet: the replayed events behind it
-        # will find the session bound.
-        self._core.install(state)
-        # Carried-over events predate anything this connection will
-        # deliver for the session (the gateway's replay starts after
-        # our last_event), so plain FIFO order is already correct.
-        self._events.extend(state.pending_events)
-        for message in self._core.resumed(state.session_id, reply):
+        replay = self._call(
+            self._core.resume_message(state), MessageType.RESUME, state
+        )
+        for message in replay:
             self._send(message)
         return state.session_id
 
     def gateway_stats(self) -> dict:
         """Fetch :meth:`MonitorGateway.gateway_stats` over the wire."""
-        self._send(encode_message(MessageType.STATS))
-        return decode_json(self._read_until(MessageType.STATS))
+        return self._call(encode_message(MessageType.STATS), MessageType.STATS)
 
     def stream_session(
         self,
@@ -568,9 +587,9 @@ class AsyncRemoteMonitorClient:
         await client.close_session(sid)
         await client.aclose()
 
-    A background reader task demultiplexes the connection; control
-    calls are serialised (one in flight at a time), feeds and event
-    consumption run freely alongside them.
+    A background reader task pumps the connection through the
+    conversation core; control calls, feeds and event consumption run
+    freely alongside each other (replies come back in request order).
     """
 
     def __init__(
@@ -582,11 +601,11 @@ class AsyncRemoteMonitorClient:
         self._reader = reader
         self._writer = writer
         self.timeout_s = timeout_s
-        self._events: asyncio.Queue = asyncio.Queue()
-        self._control_lock = asyncio.Lock()
-        self._pending: tuple[MessageType, asyncio.Future] | None = None
-        self._conn_error: Exception | None = None
         self._core = _SessionCore()
+        #: Set whenever ``next_event`` has something to look at: a
+        #: buffered item, or the end of the connection.
+        self._arrived = asyncio.Event()
+        self._conn_error: Exception | None = None
         self._closed = False
         self._reader_task = asyncio.create_task(
             self._read_loop(), name="remote-client-reader"
@@ -610,6 +629,7 @@ class AsyncRemoteMonitorClient:
 
     # ------------------------------------------------------------------
     async def _read_loop(self) -> None:
+        core, events = self._core, self._core.events
         try:
             while True:
                 header = await self._reader.readexactly(HEADER_SIZE)
@@ -617,55 +637,21 @@ class AsyncRemoteMonitorClient:
                 payload = (
                     await self._reader.readexactly(length) if length else b""
                 )
-                if msg_type is MessageType.HEARTBEAT:
-                    self._writer.write(encode_message(MessageType.HEARTBEAT))
-                    continue
-                if msg_type is MessageType.EVENT:
-                    for event in self._core.events(payload):
-                        self._events.put_nowait(event)
-                    continue
-                if msg_type is MessageType.ACK:
-                    self._core.acked(payload)
-                    continue
-                if msg_type is MessageType.ERROR:
-                    info = decode_json(payload)
-                    exc = _gateway_exception(info)
-                    pending = self._pending
-                    if (
-                        pending is not None
-                        and info.get("in_reply_to") == pending[0].name
-                        and not pending[1].done()
-                    ):
-                        self._pending = None
-                        pending[1].set_exception(exc)
-                    else:
-                        # Asynchronous failure (e.g. a rejected unacked
-                        # feed): surfaced through the event stream.
-                        self._events.put_nowait(exc)
-                    continue
-                pending = self._pending
-                if pending is not None and pending[0] is msg_type:
-                    self._pending = None
-                    if not pending[1].done():
-                        pending[1].set_result(payload)
-                    continue
-                raise ProtocolError(f"unsolicited {msg_type.name} message")
+                error = core.receive(msg_type, payload, self._writer.write)
+                if error is not None:
+                    # Asynchronous failure (e.g. a rejected unacked
+                    # feed): surfaced through the event stream.
+                    events.append(error)
+                if events:
+                    self._arrived.set()
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 - fan the failure out
             if isinstance(exc, (asyncio.IncompleteReadError, ConnectionError, OSError)):
                 exc = WorkerError(f"gateway connection lost: {exc}")
             self._conn_error = exc
-            self._resolve_pending_error(exc)
-            self._events.put_nowait(_STREAM_END)
-
-    def _resolve_pending_error(self, exc: Exception) -> bool:
-        pending = self._pending
-        if pending is not None and not pending[1].done():
-            self._pending = None
-            pending[1].set_exception(exc)
-            return True
-        return False
+            core.fail(exc)
+            self._arrived.set()
 
     def _check_alive(self) -> None:
         if self._closed:
@@ -673,51 +659,43 @@ class AsyncRemoteMonitorClient:
         if self._conn_error is not None:
             raise self._conn_error
 
-    async def _control(self, message: bytes, expect: MessageType) -> bytes:
-        async with self._control_lock:
-            self._check_alive()
-            future = asyncio.get_running_loop().create_future()
-            self._pending = (expect, future)
+    async def _write(self, message: bytes) -> None:
+        try:
+            self._writer.write(message)
+            await self._writer.drain()
+        except (ConnectionError, OSError) as exc:
+            raise WorkerError(f"gateway connection lost: {exc}") from exc
+
+    async def _call(
+        self, message: bytes, expect: MessageType, state: ResumeState | None = None
+    ):
+        """Send one request and await its reply — bounded like the sync
+        client's socket timeout: a live-but-wedged gateway must not hang
+        callers."""
+        self._check_alive()
+        reply = asyncio.get_running_loop().create_future()
+        self._core.request(expect, reply, state)
+        try:
             try:
-                self._writer.write(message)
-                await self._writer.drain()
-            except (ConnectionError, OSError) as exc:
-                # The request never made it out: retire the pending slot
-                # so the reader loop cannot resolve an abandoned future.
-                if self._pending is not None and self._pending[1] is future:
-                    self._pending = None
-                future.cancel()
-                raise WorkerError(f"gateway connection lost: {exc}") from exc
-            try:
-                # Bound the wait like the sync client's socket timeout:
-                # a live-but-wedged gateway must not hang callers.
-                return await asyncio.wait_for(future, self.timeout_s)
-            except asyncio.TimeoutError:
-                # The reply may still arrive later; rather than risk
-                # attributing it to a future request, declare the
-                # connection dead (the gateway fail-safes our sessions).
-                self._conn_error = WorkerError(
-                    f"no {expect.name} reply within {self.timeout_s}s; "
-                    "connection abandoned"
-                )
-                if self._pending is not None and self._pending[1] is future:
-                    self._pending = None
-                self._reader_task.cancel()
-                self._events.put_nowait(_STREAM_END)
-                raise TimeoutError(
-                    f"no {expect.name} reply within {self.timeout_s}s"
-                ) from None
+                await self._write(message)
+            except WorkerError as exc:
+                self._core.fail(exc)  # a dead connection answers nothing
+            return await asyncio.wait_for(reply, self.timeout_s)
+        except asyncio.TimeoutError:
+            raise TimeoutError(
+                f"no {expect.name} reply within {self.timeout_s}s"
+            ) from None
+        finally:
+            # Leaving without the reply (timeout, cancellation, a failed
+            # write) is giving up on it: a no-op once resolved.
+            reply.cancel()
 
     # ------------------------------------------------------------------
-    async def open_session(
-        self, session_id: str | None = None, record_timeline: bool = False
-    ) -> str:
+    async def open_session(self, session_id: str | None = None) -> str:
         """Open a session; returns the (possibly assigned) session id."""
-        payload = await self._control(
-            self._core.open_message(session_id, record_timeline),
-            MessageType.OPEN,
+        return await self._call(
+            self._core.open_message(session_id), MessageType.OPEN
         )
-        return self._core.opened(payload)
 
     async def feed(self, session_id: str, frames: np.ndarray) -> None:
         """Stream kinematics rows; ``await`` applies TCP backpressure
@@ -732,11 +710,9 @@ class AsyncRemoteMonitorClient:
 
     async def close_session(self, session_id: str) -> dict:
         """Drain-and-close one session; returns the gateway's summary."""
-        payload = await self._control(
+        return await self._call(
             self._core.close_message(session_id), MessageType.CLOSE
         )
-        self._core.drop(session_id)
-        return decode_json(payload)
 
     # ------------------------------------------------------------------
     # Resume
@@ -745,77 +721,33 @@ class AsyncRemoteMonitorClient:
         """Capture a session's resume state (local bookkeeping only —
         works on a client whose connection already died).  See
         :meth:`RemoteMonitorClient.detach_session`."""
-        state = self._core.detach(session_id)
-        state.pending_events = self._take_events(session_id)
-        return state
-
-    def _take_events(self, session_id: str) -> list[SessionEvent]:
-        """Pull one session's buffered events out of the queue; whatever
-        else waits there (other sessions, errors, the end marker) keeps
-        its order."""
-        taken: list[SessionEvent] = []
-        keep: list = []
-        while True:
-            try:
-                item = self._events.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if (
-                isinstance(item, SessionEvent)
-                and item.session_id == session_id
-            ):
-                taken.append(item)
-            else:
-                keep.append(item)
-        for item in keep:
-            self._events.put_nowait(item)
-        return taken
+        return self._core.detach(session_id)
 
     async def resume_session(self, state: ResumeState) -> str:
         """Adopt a detached session onto this connection; replays the
         unacked frame tail.  See
         :meth:`RemoteMonitorClient.resume_session`."""
-        # Bind the session and re-queue carried-over events *before*
-        # the request goes out: the reader task may process the
-        # gateway's replayed events the moment the RESUME reply
-        # resolves, and they must find the session bound (decode-time
-        # counting) and land behind the carried-over ones.
-        self._core.install(state)
-        for event in state.pending_events:
-            self._events.put_nowait(event)
-        try:
-            payload = await self._control(
-                self._core.resume_message(state), MessageType.RESUME
-            )
-        except BaseException:
-            # Rejected: roll back so ``state`` stays valid for a retry
-            # on another connection.  No replay event can have arrived
-            # (the session was never adopted), so the queue holds at
-            # most the events we just added — reclaim them.
-            self._core.drop(state.session_id)
-            self._take_events(state.session_id)
-            raise
-        try:
-            for message in self._core.resumed(state.session_id, payload):
-                self._writer.write(message)
-            await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            raise WorkerError(f"gateway connection lost: {exc}") from exc
+        replay = await self._call(
+            self._core.resume_message(state), MessageType.RESUME, state
+        )
+        await self._write(b"".join(replay))
         return state.session_id
 
     async def gateway_stats(self) -> dict:
         """Fetch :meth:`MonitorGateway.gateway_stats` over the wire."""
-        payload = await self._control(
+        return await self._call(
             encode_message(MessageType.STATS), MessageType.STATS
         )
-        return decode_json(payload)
 
     async def next_event(self) -> SessionEvent:
-        """The next event from any of this connection's sessions."""
-        self._check_alive()
-        item = await self._events.get()
-        if item is _STREAM_END:
-            raise self._conn_error or WorkerError("gateway connection lost")
+        """The next event from any of this connection's sessions; once
+        the connection has ended and the buffer is empty, the reason."""
+        events = self._core.events
+        while not events:
+            self._check_alive()
+            self._arrived.clear()
+            await self._arrived.wait()
+        item = events.popleft()
         if isinstance(item, Exception):
             raise item
         return item
@@ -836,6 +768,7 @@ class AsyncRemoteMonitorClient:
         if self._closed:
             return
         self._closed = True
+        self._arrived.set()  # a blocked next_event learns of the close
         self._reader_task.cancel()
         try:
             await self._reader_task
@@ -854,7 +787,3 @@ class AsyncRemoteMonitorClient:
 
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
-
-
-#: Sentinel the reader task pushes when the connection ends.
-_STREAM_END = object()

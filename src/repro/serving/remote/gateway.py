@@ -692,7 +692,6 @@ class MonitorGateway:
         session_id = request.get("session_id")
         if session_id is not None and not isinstance(session_id, str):
             raise ProtocolError("OPEN session_id must be a string or null")
-        record_timeline = bool(request.get("record_timeline", False))
         try:
             if session_id in self._sessions:
                 # The engine refuses a live id itself, but a parked one
@@ -704,7 +703,9 @@ class MonitorGateway:
                 # in a u16-length UTF-8 field: an id that does not fit
                 # one could be fed yet never alerted on.
                 encode_ack(session_id, 0)
-            session_id = await self._engine.open_session(session_id, record_timeline)
+            # No timeline: a wire session's summary is built from the
+            # record, and nothing reads the engine's per-frame lists.
+            session_id = await self._engine.open_session(session_id, False)
         except (ReproError, UnicodeError) as exc:
             self._send_error(conn, exc, session_id, MessageType.OPEN)
             return
@@ -721,7 +722,6 @@ class MonitorGateway:
         session = _RemoteSession(
             session_id,
             conn,
-            record_timeline,
             self.event_replay_max if self._resume_enabled else None,
             self._engine.service.history_frames,
         )
@@ -1038,9 +1038,7 @@ class MonitorGateway:
             try:
                 state = session.archive()
                 sent = state.frames_done + state.pending_frames
-                await self._engine.import_session(
-                    session_to_bytes(state), session.record_timeline
-                )
+                await self._engine.import_session(session_to_bytes(state))
                 imported = True
                 while wanted():
                     tail = session.held()[sent - session.base :]

@@ -27,7 +27,7 @@ Message types and their direction:
 =========== ============== ==============================================
 type        direction      payload
 =========== ============== ==============================================
-OPEN        client→gateway ``{"session_id": str|null, "record_timeline"}``
+OPEN        client→gateway ``{"session_id": str|null}``
 OPEN        gateway→client ack: ``{"session_id": str, "resume_token"}``
 FRAME       client→gateway :func:`encode_frames` binary (seq-numbered)
 CLOSE       client→gateway ``{"session_id": str}``

@@ -73,15 +73,14 @@ class _RemoteSession:
 
     __slots__ = (
         "session_id", "conn", "fed", "delivered", "flagged", "token",
-        "journal", "base", "window", "history", "record_timeline",
-        "recovering", "parking", "inflight", "resuming", "reason", "expiry",
+        "journal", "base", "window", "history", "recovering", "parking",
+        "inflight", "resuming", "reason", "expiry",
     )
 
     def __init__(
         self,
         session_id: str,
         conn,
-        record_timeline: bool = False,
         replay_max: int | None = None,
         window: int = 0,
     ) -> None:
@@ -99,7 +98,6 @@ class _RemoteSession:
             self.token = secrets.token_hex(16)
             self.journal = deque()
             self.history = deque(maxlen=replay_max)
-        self.record_timeline = record_timeline
         self.recovering = False
         self.parking = False
         self.inflight = 0
@@ -208,7 +206,7 @@ class _RemoteSession:
         return SessionState(
             session_id=self.session_id,
             frames_done=self.delivered,
-            record_timeline=self.record_timeline,
+            record_timeline=False,
             current_gesture=last.gesture if last else 0,
             current_score=last.score if last else 0.0,
             gestures=np.empty(0, dtype=np.int64),

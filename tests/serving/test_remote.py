@@ -19,6 +19,7 @@ import socket
 import struct
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -425,6 +426,79 @@ class TestErrors:
                 await client.aclose()
 
         asyncio.run(run())
+
+    def test_cancelled_control_call_keeps_the_connection_in_step(self, monitor):
+        """``asyncio.wait_for(client.close_session(a), t)`` giving up
+        must not hand ``a``'s late reply to the next CLOSE: the request
+        stays owed, its reply is swallowed, and the connection and its
+        other sessions live on."""
+
+        async def run():
+            async with MonitorGateway(
+                monitor, n_shards=1, max_sessions=4
+            ) as gateway:
+                gate = asyncio.Event()
+                real_close = gateway._engine.close_session
+
+                async def gated_close(session_id):
+                    await gate.wait()
+                    return await real_close(session_id)
+
+                gateway._engine.close_session = gated_close
+                async with await AsyncRemoteMonitorClient.connect(
+                    gateway.host, gateway.port
+                ) as client:
+                    for sid in "abc":
+                        await client.open_session(sid)
+                    await client.feed("b", np.zeros((2, N_FEATURES)))
+                    with pytest.raises(asyncio.TimeoutError):
+                        await asyncio.wait_for(client.close_session("a"), 0.2)
+                    closing_b = asyncio.create_task(client.close_session("b"))
+                    await asyncio.sleep(0.05)  # b's CLOSE queues behind a's
+                    gate.set()
+                    summary = await asyncio.wait_for(closing_b, 10.0)
+                    assert (summary["session_id"], summary["n_frames"]) == ("b", 2)
+                    # The connection was never out of step: c still works.
+                    await client.feed("c", np.zeros((3, N_FEATURES)))
+                    events = [
+                        await asyncio.wait_for(client.next_event(), 10.0)
+                        for _ in range(5)
+                    ]
+                    assert [e.session_id for e in events] == list("bbccc")
+                    stats = await client.gateway_stats()
+                    assert stats["sessions"]["closed_total"] == 2
+                assert not gateway.failed_sessions
+
+        asyncio.run(run())
+
+    def test_sync_reply_arriving_after_the_read_timeout_is_swallowed(
+        self, monitor
+    ):
+        """The same rule on the blocking client: a control call that
+        timed out stays owed, and the next call gets its own reply.
+        (Heartbeats held back: each one read restarts the socket timeout.)"""
+        with running_gateway(
+            monitor, n_shards=1, max_sessions=4, heartbeat_interval_s=5.0
+        ) as runner:
+            gate = threading.Event()
+            real_close = runner.gateway._engine.close_session
+
+            async def gated_close(session_id):
+                while not gate.is_set():
+                    await asyncio.sleep(0.01)
+                return await real_close(session_id)
+
+            runner.gateway._engine.close_session = gated_close
+            with RemoteMonitorClient(
+                runner.host, runner.port, timeout_s=0.3
+            ) as client:
+                client.open_session("a")
+                client.open_session("b")
+                with pytest.raises(TimeoutError):
+                    client.close_session("a")
+                gate.set()
+                assert client.close_session("b")["session_id"] == "b"
+                assert client.gateway_stats()["sessions"]["closed_total"] == 2
 
     @pytest.mark.parametrize("n_shards", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1365,6 +1439,33 @@ class TestProtocolOverTheWire:
                 )
                 assert len(events) == 3
 
+    def test_an_old_clients_record_timeline_key_is_ignored(
+        self, monitor, monkeypatch
+    ):
+        """Nothing reads a wire session's engine-side timeline (the CLOSE
+        reply is built from the gateway's record), so no OPEN can make
+        the engine grow two list entries per frame for the life of the
+        procedure."""
+        monkeypatch.setattr(
+            _SessionCore,
+            "open_message",
+            staticmethod(
+                lambda session_id, *_: encode_message(
+                    MessageType.OPEN,
+                    encode_json({"session_id": session_id, "record_timeline": True}),
+                )
+            ),
+        )
+        with running_gateway(monitor, n_shards=1, max_sessions=4) as runner:
+            with RemoteMonitorClient(runner.host, runner.port) as client:
+                sid = client.open_session("old")
+                client.feed(sid, np.zeros((6, N_FEATURES)))
+                assert len(client.events_for(sid, 6)) == 6
+                session = runner.gateway._engine.service._sessions[sid]
+                assert session.frames_done == 6
+                assert (session.gestures, session.scores) == ([], [])
+                assert client.close_session(sid)["n_frames"] == 6
+
     @pytest.mark.parametrize("n_shards", [1, 2])
     def test_session_id_no_event_can_carry_is_refused_at_open(
         self, monitor, n_shards
@@ -1530,7 +1631,7 @@ class TestResume:
             # Force the events onto this client's buffer, then put them
             # back unconsumed so detach must carry them.
             events = first.events_for(sid, 8)
-            first._events.extendleft(reversed(events))
+            first._core.events.extendleft(reversed(events))
             first.close()
             state = first.detach_session(sid)
             assert len(state.pending_events) == 8
@@ -2088,7 +2189,9 @@ class TestResumeReplay:
 
 
 class TestClientCore:
-    """The sans-IO core both SDKs hold, driven without a socket."""
+    """The sans-IO conversation core both SDKs hold, driven without a
+    socket: messages in through ``receive``, messages out through a
+    list, a :class:`concurrent.futures.Future` per request."""
 
     @staticmethod
     def event(session_id, frame_index):
@@ -2110,13 +2213,42 @@ class TestClientCore:
             out.append(decode_frames(message[1]))
         return out
 
+    @staticmethod
+    def ask(core, expect, state=None):
+        reply = Future()
+        core.request(expect, reply, state)
+        return reply
+
+    @staticmethod
+    def answer(core, msg_type, payload=b""):
+        """One gateway message in; what ``receive`` returned and sent."""
+        sent = []
+        if isinstance(payload, dict):
+            payload = encode_json(payload)
+        return core.receive(msg_type, payload, sent.append), sent
+
+    @staticmethod
+    def error(in_reply_to, error_type="ShapeError", text="bad batch"):
+        return {
+            "error_type": error_type,
+            "error": text,
+            "session_id": None,
+            "in_reply_to": in_reply_to,
+        }
+
+    def opened(self, session_id="c", token="tok"):
+        core = _SessionCore()
+        reply = self.ask(core, MessageType.OPEN)
+        ack = {"session_id": session_id}
+        if token is not None:
+            ack["resume_token"] = token
+        assert self.answer(core, MessageType.OPEN, ack) == (None, [])
+        assert reply.result(0) == session_id
+        return core
+
     def test_scripted_session_detaches_into_the_expected_state(self):
         frames = np.arange(80, dtype=float).reshape(8, N_FEATURES)
-        core = _SessionCore()
-        sid = core.opened(
-            encode_json({"session_id": "c", "resume_token": "tok"})
-        )
-        assert sid == "c"
+        core, sid = self.opened(), "c"
         sent = []
         core.send_frames(sid, frames[:3], sent.append)
         core.send_frames(sid, frames[3], sent.append)  # one row, promoted
@@ -2124,36 +2256,62 @@ class TestClientCore:
         assert [(s, seq, f.shape[0]) for s, seq, f in self.sent_frames(sent)] == [
             ("c", 0, 3), ("c", 3, 1), ("c", 4, 4),
         ]
-        core.acked(encode_ack("c", 3))
-        core.acked(encode_ack("other", 99))  # not ours: ignored
-        own = core.events(
+        self.answer(core, MessageType.ACK, encode_ack("c", 3))
+        self.answer(core, MessageType.ACK, encode_ack("other", 99))  # ignored
+        assert self.answer(core, MessageType.HEARTBEAT) == (
+            None, [encode_message(MessageType.HEARTBEAT)],
+        )
+        self.answer(
+            core,
+            MessageType.EVENT,
             encode_events(
                 [self.event("c", 0), self.event("orphan", 0), self.event("c", 1)]
-            )
+            ),
         )
-        assert [(e.session_id, e.frame_index) for e in own] == [
+        assert [(e.session_id, e.frame_index) for e in core.events] == [
             ("c", 0), ("c", 1),
         ]
+        core.events.popleft()  # the application consumes one
         state = core.detach(sid)
         assert (state.session_id, state.token) == ("c", "tok")
         assert (state.next_seq, state.acked_seq) == (8, 3)
-        assert state.events_received == 2  # the orphan is not counted
+        assert state.events_received == 2  # decoded, consumed or not; no orphan
         assert [(seq, f.shape[0]) for seq, f in state.buffer] == [(3, 1), (4, 4)]
-        assert state.pending_events == []
+        assert [e.frame_index for e in state.pending_events] == [1]
+        assert not core.events
         with pytest.raises(ProtocolError, match="no resume state"):
             core.detach(sid)  # detached: this client no longer owns it
-        assert core.events(encode_events([self.event("c", 2)])) == []
+        self.answer(core, MessageType.EVENT, encode_events([self.event("c", 2)]))
+        assert not core.events
+
+    def test_detach_leaves_everything_else_buffered_in_order(self):
+        core = self.opened("a")
+        reply = self.ask(core, MessageType.OPEN)
+        self.answer(core, MessageType.OPEN, {"session_id": "b", "resume_token": "t"})
+        assert reply.result(0) == "b"
+        self.answer(
+            core,
+            MessageType.EVENT,
+            encode_events([self.event(s, i) for i in range(2) for s in "ab"]),
+        )
+        failure = ShapeError("surfaced by the async shell")
+        core.events.append(failure)
+        self.answer(core, MessageType.EVENT, encode_events([self.event("b", 2)]))
+        state = core.detach("a")
+        assert [e.frame_index for e in state.pending_events] == [0, 1]
+        assert [getattr(e, "frame_index", e) for e in core.events] == [
+            0, 1, failure, 2,
+        ]
 
     def test_send_failure_leaves_the_batch_unbuffered(self):
-        core = _SessionCore()
-        sid = core.opened(encode_json({"session_id": "c", "resume_token": "t"}))
+        core = self.opened()
 
         def broken(message):
             raise WorkerError("gateway connection lost")
 
         with pytest.raises(WorkerError):
-            core.send_frames(sid, np.zeros((2, N_FEATURES)), broken)
-        state = core.detach(sid)
+            core.send_frames("c", np.zeros((2, N_FEATURES)), broken)
+        state = core.detach("c")
         assert state.next_seq == 0 and state.buffer == []
 
     def test_resume_replays_exactly_the_unacked_batches(self):
@@ -2165,6 +2323,7 @@ class TestClientCore:
             acked_seq=0,
             events_received=4,
             buffer=[(0, frames[:3]), (3, frames[3:8]), (8, frames[8:])],
+            pending_events=[self.event("r", 3)],
         )
         request = MessageReader()
         request.feed(_SessionCore.resume_message(state))
@@ -2174,15 +2333,110 @@ class TestClientCore:
             "session_id": "r", "token": "tok", "last_event": 4,
         }
         core = _SessionCore()
-        core.install(state)
+        reply = self.ask(core, MessageType.RESUME, state)
+        # Not bound before the gateway says so: an event is an orphan.
+        self.answer(core, MessageType.EVENT, encode_events([self.event("r", 9)]))
+        assert not core.events
         # acked_seq 5 falls inside the second batch: the first is fully
         # held by the gateway, the second is re-sent whole (the gateway
         # trims the overlap by seq), the third was never seen.
-        replay = core.resumed("r", encode_json({"acked_seq": 5}))
-        resent = self.sent_frames(replay)
+        self.answer(core, MessageType.RESUME, {"session_id": "r", "acked_seq": 5})
+        resent = self.sent_frames(reply.result(0))
         assert [(s, seq) for s, seq, _ in resent] == [("r", 3), ("r", 8)]
         np.testing.assert_array_equal(resent[0][2], frames[3:8])
         np.testing.assert_array_equal(resent[1][2], frames[8:])
+        # The carried-over event first, the gateway's replay behind it.
+        self.answer(core, MessageType.EVENT, encode_events([self.event("r", 4)]))
+        assert [e.frame_index for e in core.events] == [3, 4]
         again = core.detach("r")
         assert (again.next_seq, again.acked_seq) == (10, 5)
-        assert again.events_received == 4
+        assert again.events_received == 5
+
+    def test_a_refused_or_abandoned_resume_binds_nothing(self):
+        state = ResumeState("r", "tok", 0, 0, 1, pending_events=[self.event("r", 0)])
+        core = _SessionCore()
+        refused = self.ask(core, MessageType.RESUME, state)
+        self.answer(
+            core, MessageType.ERROR, self.error("RESUME", "ProtocolError", "busy")
+        )
+        with pytest.raises(ProtocolError, match="busy"):
+            refused.result(0)
+        abandoned = self.ask(core, MessageType.RESUME, state)
+        abandoned.cancel()
+        self.answer(core, MessageType.RESUME, {"session_id": "r", "acked_seq": 0})
+        self.answer(core, MessageType.EVENT, encode_events([self.event("r", 1)]))
+        assert not core.events  # ``state`` is whole for the next connection
+        with pytest.raises(ProtocolError, match="no resume state"):
+            core.detach("r")
+
+    # -- the reply FIFO: one late-reply rule for both SDKs ---------------
+    def test_late_reply_after_a_timeout_is_swallowed(self):
+        core = self.opened()
+        gave_up = self.ask(core, MessageType.STATS)
+        gave_up.cancel()  # the caller's timeout; the reply stays owed
+        waiting = self.ask(core, MessageType.CLOSE)
+        assert self.answer(core, MessageType.STATS, {"late": True}) == (None, [])
+        assert not waiting.done()
+        self.answer(core, MessageType.CLOSE, {"session_id": "c", "n_frames": 7})
+        assert waiting.result(0) == {"session_id": "c", "n_frames": 7}
+        with pytest.raises(ProtocolError, match="no resume state"):
+            core.detach("c")  # closed: the session left with its reply
+
+    def test_attributed_error_for_an_abandoned_request_is_swallowed(self):
+        core = _SessionCore()
+        gave_up = self.ask(core, MessageType.OPEN)
+        gave_up.cancel()
+        waiting = self.ask(core, MessageType.OPEN)
+        outcome = self.answer(
+            core, MessageType.ERROR, self.error("OPEN", "ConfigurationError")
+        )
+        assert outcome == (None, []) and not waiting.done()
+        self.answer(core, MessageType.OPEN, {"session_id": "mine"})
+        assert waiting.result(0) == "mine"
+
+    def test_unattributed_error_leaves_the_owed_reply_owed(self):
+        core = self.opened()
+        waiting = self.ask(core, MessageType.STATS)
+        surfaced, _ = self.answer(core, MessageType.ERROR, self.error(None))
+        assert isinstance(surfaced, ShapeError) and "bad batch" in str(surfaced)
+        # ... and so does an ERROR answering a type the oldest request
+        # did not ask for, or one arriving with nothing owed at all.
+        surfaced, _ = self.answer(
+            core, MessageType.ERROR, self.error("CLOSE", "Mystery", "?")
+        )
+        assert isinstance(surfaced, WorkerError) and "Mystery" in str(surfaced)
+        assert not waiting.done()
+        self.answer(core, MessageType.STATS, {"frames": 3})
+        assert waiting.result(0) == {"frames": 3}
+        surfaced, _ = self.answer(core, MessageType.ERROR, self.error("STATS"))
+        assert isinstance(surfaced, ShapeError)
+
+    def test_two_outstanding_requests_of_one_type_get_their_own_replies(self):
+        core = self.opened("a")
+        first = self.ask(core, MessageType.CLOSE)
+        second = self.ask(core, MessageType.CLOSE)
+        self.answer(core, MessageType.CLOSE, {"session_id": "a", "n_frames": 1})
+        assert first.result(0)["session_id"] == "a" and not second.done()
+        self.answer(
+            core, MessageType.ERROR, self.error("CLOSE", "ProtocolError", "no b")
+        )
+        with pytest.raises(ProtocolError, match="no b"):
+            second.result(0)
+
+    def test_unsolicited_reply_is_a_protocol_error(self):
+        core = self.opened()
+        with pytest.raises(ProtocolError, match="unsolicited STATS"):
+            self.answer(core, MessageType.STATS, {})
+        waiting = self.ask(core, MessageType.CLOSE)
+        with pytest.raises(ProtocolError, match="unsolicited OPEN"):
+            self.answer(core, MessageType.OPEN, {"session_id": "x"})
+        assert not waiting.done()
+
+    def test_a_dead_connection_fails_every_request_still_waited_for(self):
+        core = self.opened()
+        gave_up, waiting = (self.ask(core, MessageType.STATS) for _ in range(2))
+        gave_up.cancel()
+        core.fail(WorkerError("gateway connection lost"))
+        assert gave_up.cancelled()
+        with pytest.raises(WorkerError, match="connection lost"):
+            waiting.result(0)

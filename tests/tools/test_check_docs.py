@@ -1,8 +1,9 @@
-"""Unit tests for the dangling-path guard in ``scripts/check_docs.py``.
+"""Unit tests for the guards in ``scripts/check_docs.py``.
 
 A doc that cites a file must fail the docs job once that file is
 deleted or renamed; exercised against a miniature tree with one passing
-and one failing page.
+and one failing page.  The wire reference's message-type table must
+fail it once it and ``protocol.MessageType`` disagree.
 """
 
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
 
-from check_docs import check_paths  # noqa: E402 - path set up above
+from check_docs import DOCS, check_message_types, check_paths  # noqa: E402 - path set up above
 
 
 def _tree(tmp_path: Path) -> Path:
@@ -44,4 +45,21 @@ def test_deleted_files_are_reported_with_their_line(tmp_path):
     assert check_paths(page, root=tmp_path) == [
         f"{page}:2: `benchmarks/bench_gone.py` does not exist",
         f"{page}:3: `GONE.json` does not exist",
+    ]
+
+
+def test_the_wire_reference_tabulates_the_enum(tmp_path):
+    assert check_message_types(DOCS / "remote.md") == []
+    page = tmp_path / "remote.md"
+    table = (DOCS / "remote.md").read_text()
+    page.write_text(
+        table.replace("| `ACK` | 8 |", "| `ACK` | 10 |").replace(
+            "| `HEARTBEAT` | 6 |", "| `PING` | 6 |"
+        )
+    )
+    assert check_message_types(page) == [
+        f"{page}: message type `ACK` = 8 is in protocol.MessageType but not in the table",
+        f"{page}: message type `HEARTBEAT` = 6 is in protocol.MessageType but not in the table",
+        f"{page}: message type `ACK` = 10 is in the table but not in protocol.MessageType",
+        f"{page}: message type `PING` = 6 is in the table but not in protocol.MessageType",
     ]
