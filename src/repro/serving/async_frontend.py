@@ -6,24 +6,37 @@ one slow or dead shard stall the rest.  :class:`AsyncShardedMonitor`
 wraps a :class:`~repro.serving.sharded.ShardedMonitorService` with that
 contract:
 
-- :meth:`feed` / :meth:`open_session` / :meth:`close_session` are
-  coroutines; the blocking exchange — a shared-memory ring write for
-  ``feed`` (no reply round-trip, it blocks only on ring back-pressure),
-  a pipe request/reply for control ops —
-  runs on an executor thread while the event loop keeps serving
-  everything else;
-- one background ticker task per shard advances that shard whenever it
-  has pending frames and hands each tick's
-  :class:`~repro.serving.service.SessionEvent`\\ s over as one list —
-  to the ``sink`` callable the front-end was wired with (the gateway's
-  router), or else onto the queue behind :meth:`events`;
+- the data path stays on the event loop.  :meth:`feed` copies the block
+  into its shard's shared-memory frame ring right there, on the loop
+  thread, whenever the ring has room for it and no other call holds or
+  awaits the shard's ingest turn — a write with no reply to wait for.
+  One background ticker task per shard sends the worker a tick request
+  whenever the shard has pending frames, awaits the worker's pipe
+  becoming readable, reads the reply and the event ring, and hands the
+  tick's :class:`~repro.serving.service.SessionEvent`\\ s over as one
+  list — to the ``sink`` callable the front-end was wired with (the
+  gateway's router), or else onto the queue behind :meth:`events`;
+- what has to block runs on an executor thread: control ops (open,
+  close, export, import, stats, telemetry: one pipe request/reply
+  each), a feed that must wait on ring back-pressure (the ring is full,
+  or the block is over half the ring and goes in chunks), and the
+  fleet-wide :meth:`resize` / :meth:`shed`;
 - :meth:`events` is the merged async event stream.  A worker crash
   surfaces *in the stream* as terminal events with ``error`` set (and
   ``flag=True``), while the other shards' tickers keep running.
 
-Per-shard ``asyncio.Lock``\\ s serialise access to each worker's pipe
-(one pipe cannot carry two interleaved request/reply exchanges), which
-is also what guarantees a slow shard only ever delays *its own*
+Each shard has two turns (``asyncio.Lock``\\ s), and every call that
+needs both takes the pipe turn first:
+
+- the **pipe turn** — one pipe cannot carry two interleaved
+  request/reply exchanges — is taken by ticks and control ops;
+- the **ingest turn** — the frame ring has one producer, and a feed
+  must not overtake a control op or an earlier feed of its shard — is
+  taken by control ops and back-pressure feeds; an inline feed runs
+  only while nobody holds or awaits it.
+
+So a feed never waits on a tick, :meth:`resize` and :meth:`shed` hold
+every turn of every shard, and a slow shard only ever delays *its own*
 sessions.  Do not mix sync calls (``service.tick()`` etc.) with a
 running front-end — go through the front-end exclusively.
 """
@@ -40,9 +53,37 @@ from ..errors import WorkerError
 from .service import ServiceStats, SessionEvent, SessionResult
 from .sharded import ShardedMonitorService
 from .telemetry import TelemetryRegistry
+from .transport import Request
 
 #: Sentinel pushed to the event queue when the front-end shuts down.
 _CLOSED = object()
+
+
+class _Turn(asyncio.Lock):
+    """A shard's ingest turn: an ``asyncio.Lock`` that also knows whether
+    anyone is *waiting* for it.
+
+    ``locked()`` turns false the moment a holder releases, before the
+    next waiter has run; an inline feed that trusted it could overtake a
+    feed queued on the turn.  ``claims`` counts the holder and the
+    waiters, so zero means the turn is truly idle.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.claims = 0
+
+    async def acquire(self) -> bool:
+        self.claims += 1
+        try:
+            return await super().acquire()
+        except BaseException:
+            self.claims -= 1
+            raise
+
+    def release(self) -> None:
+        super().release()
+        self.claims -= 1
 
 
 class AsyncShardedMonitor:
@@ -82,7 +123,9 @@ class AsyncShardedMonitor:
         #: Event batches awaiting :meth:`events` (unused with a sink).
         self._queue: asyncio.Queue = asyncio.Queue()
         self._sink = sink if sink is not None else self._queue.put_nowait
-        self._locks: dict[int, asyncio.Lock] = {}
+        #: Each shard's pipe turn and ingest turn (module docstring).
+        self._pipe: dict[int, asyncio.Lock] = {}
+        self._ingest: dict[int, _Turn] = {}
         self._kick: dict[int, asyncio.Event] = {}
         self._tasks: list[asyncio.Task] = []
         self._closed = False
@@ -105,7 +148,6 @@ class AsyncShardedMonitor:
             self._spawn_ticker(index)
 
     def _spawn_ticker(self, index: int) -> None:
-        self._locks.setdefault(index, asyncio.Lock())
         self._kick[index] = asyncio.Event()
         self._tasks.append(
             asyncio.create_task(
@@ -134,39 +176,62 @@ class AsyncShardedMonitor:
         if batch:
             self._sink(batch)
 
-    async def _run(self, resolve, call):
+    def _wake(self, shard: int) -> None:
+        """Kick ``shard``'s ticker: a feed or an import left it frames."""
+        kick = self._kick.get(shard)
+        if kick is not None:
+            kick.set()
+
+    @contextlib.contextmanager
+    def _handing_over_crashes(self):
+        """When a call discovers a dead worker (``WorkerError``), the lost
+        sessions' terminal events are claimed and handed over before it
+        propagates: the shard's ticker may already have parked, so no
+        later tick can be relied on to deliver them."""
+        try:
+            yield
+        except WorkerError:
+            self._emit(self._service.take_undelivered_events())
+            raise
+
+    @contextlib.asynccontextmanager
+    async def _turns(self, shard: int, pipe: bool = True):
+        """Hold ``shard``'s pipe turn (unless ``pipe`` is false), then its
+        ingest turn — the one order in which anything takes both."""
+        pipe_turn = (
+            self._pipe.setdefault(shard, asyncio.Lock())
+            if pipe
+            else contextlib.nullcontext()
+        )
+        async with pipe_turn:
+            async with self._ingest.setdefault(shard, _Turn()):
+                yield
+
+    async def _run(self, resolve, call, pipe: bool = True):
         """Run ``call(shard)``, one blocking exchange, on the executor.
 
-        The one lock–resolve–revalidate–run loop under every coroutine
-        that talks to a single worker.  ``resolve()`` names the shard
-        (no IPC) and its pipe lock is held for the duration.  A
-        concurrent :meth:`resize` or :meth:`shed` (which hold every lock
-        while they migrate) may move the session or retire the shard
-        while we wait — executing then would talk to another shard's
-        pipe unserialised against its ticker — so ``resolve()`` runs
-        again under the lock, retrying until both agree.
-
-        When the exchange discovers a dead worker (``WorkerError``), the
-        lost sessions' terminal events are claimed and handed over
-        before re-raising: the shard's ticker may already have parked,
-        so no later tick can be relied on to deliver them.  Otherwise
-        the ticker is woken: a feed or an import left it frames to tick.
+        The one turn–resolve–revalidate–run loop under every coroutine
+        that sends a single worker's exchange off the loop thread:
+        control ops, and (``pipe=False``: the ingest turn only) a feed
+        that has to wait on back-pressure.  ``resolve()`` names the
+        shard (no IPC) and its turns (:meth:`_turns`) are held for the
+        duration.  A concurrent :meth:`resize` or :meth:`shed` (which
+        hold every turn while they migrate) may move the session or
+        retire the shard while we wait — executing then would talk to
+        another shard's pipe unserialised against its ticker — so
+        ``resolve()`` runs again under the turns, retrying until both
+        agree.  Afterwards the shard's ticker is woken.
         """
         while True:
             shard = resolve()
-            async with self._locks.setdefault(shard, asyncio.Lock()):
+            async with self._turns(shard, pipe):
                 if resolve() != shard:
                     continue  # moved or retired while we waited; re-resolve
-                try:
+                with self._handing_over_crashes():
                     result = await asyncio.get_running_loop().run_in_executor(
                         None, call, shard
                     )
-                except WorkerError:
-                    self._emit(self._service.take_undelivered_events())
-                    raise
-            kick = self._kick.get(shard)
-            if kick is not None:
-                kick.set()
+            self._wake(shard)
             return result
 
     def _shard_of(self, session_id: str):
@@ -201,11 +266,9 @@ class AsyncShardedMonitor:
             kick.clear()
             try:
                 if self._service.shard_maybe_pending(index):
-                    # Looked up per tick: a patched tick_shard (tracing,
-                    # fault injection) takes effect on the next one.
-                    self._emit(
-                        await self._run(lambda: index, self._service.tick_shard)
-                    )
+                    # Looked up per round: a patched _tick (tracing, fault
+                    # injection) takes effect on the next one.
+                    self._emit(await self._tick(index))
                     # Let feeds/consumers run between ticks of a busy shard.
                     await asyncio.sleep(0)
                     continue
@@ -226,6 +289,49 @@ class AsyncShardedMonitor:
                         f"shard {index} ticker failed: {type(exc).__name__}: {exc}",
                     )
             self._emit(self._service.take_undelivered_events())
+
+    async def _tick(self, index: int) -> list[SessionEvent]:
+        """One tick round of shard ``index``, on the loop thread.
+
+        The one call :meth:`_shard_loop` makes per round (tracing and
+        fault injection patch it here).  Under the shard's pipe turn it
+        runs :meth:`ShardedMonitorService._round`'s send half, awaits the
+        worker's pipe (:meth:`_readable`), then runs the receive half,
+        which reads the reply and the event ring and applies the round's
+        outcome rule.  No thread waits on the worker.
+        """
+        async with self._pipe.setdefault(index, asyncio.Lock()):
+            round_ = self._service._round(Request("tick"), index)
+            sent = next(round_)
+            try:
+                readable = {h for h in sent if await self._readable(h.conn)}
+            except BaseException:  # cancelled mid-round, most likely
+                # Still read the owed reply (blocking): no pipe is ever
+                # left a reply out of step for its next exchange.
+                self._emit(round_.send(None))
+                raise
+            return round_.send(readable)
+
+    async def _readable(self, conn) -> bool:
+        """Await a worker pipe until it is readable — a reply waiting, or
+        end-of-file from a dead worker — for at most the service's
+        ``request_timeout_s``.  False when the wait timed out."""
+        loop = asyncio.get_running_loop()
+        ready = loop.create_future()
+        fd = conn.fileno()
+
+        def on_readable() -> None:
+            loop.remove_reader(fd)
+            if not ready.done():  # not timed out in this same loop pass
+                ready.set_result(True)
+
+        loop.add_reader(fd, on_readable)
+        try:
+            return await asyncio.wait_for(ready, self._service.request_timeout_s)
+        except asyncio.TimeoutError:
+            return False
+        finally:
+            loop.remove_reader(fd)
 
     # ------------------------------------------------------------------
     async def open_session(
@@ -266,13 +372,31 @@ class AsyncShardedMonitor:
     async def feed(self, session_id: str, frames: np.ndarray) -> None:
         """Enqueue frames for a session without blocking the event loop.
 
-        Waits only on the owning shard's frame-ring write (other
-        shards' ingest and ticking proceed concurrently), then wakes
-        that shard's ticker.
+        In the common case this never leaves the loop thread: when the
+        shard's frame ring has room for the whole block and no control
+        op or back-pressure feed holds or awaits the shard's ingest
+        turn, :meth:`ShardedMonitorService.feed` — validation and one
+        ring copy — runs right here.  The room check is exact: the loop
+        thread is then the ring's only producer, and room only grows
+        until it writes.  Otherwise (ring full, block over half the
+        ring, or a turn to wait for) the same call runs on the executor
+        under the ingest turn, with back-pressure, after every call
+        queued on the turn before it — so one session's frames land in
+        order either way.  A refused block raises here, on both paths;
+        then the shard's ticker is woken.
         """
+        resolve = self._shard_of(session_id)
+        shard = resolve()
+        ingest = self._ingest.get(shard)
+        if (ingest is None or not ingest.claims) and self._service._room_for(
+            shard, frames
+        ):
+            with self._handing_over_crashes():
+                self._service.feed(session_id, frames)
+            self._wake(shard)
+            return
         await self._run(
-            self._shard_of(session_id),
-            lambda _: self._service.feed(session_id, frames),
+            resolve, lambda _: self._service.feed(session_id, frames), pipe=False
         )
 
     async def close_session(self, session_id: str) -> SessionResult:
@@ -309,20 +433,21 @@ class AsyncShardedMonitor:
         return self._service
 
     async def _run_on_fleet(self, fn, *args):
-        """Run a fleet-wide blocking call holding **every** shard's lock.
+        """Run a fleet-wide blocking call holding **every** shard's turns.
 
         Migration is a two-pipe exchange whose source varies per
-        session, so no ticker or feed may interleave with a resize or a
-        shed.  Afterwards fail-safe events queued by a crash during the
-        call are flushed (no tick may ever come for them) and every
-        ticker is kicked, so migrated backlogs resume immediately.
+        session, so no ticker, feed or control op may interleave with a
+        resize or a shed — and with every ingest turn held, no feed runs
+        inline either.  Afterwards fail-safe events queued by a crash
+        during the call are flushed (no tick may ever come for them) and
+        every ticker is kicked, so migrated backlogs resume immediately.
         """
-        indices = sorted(set(self._locks) | set(self._service.shard_indices))
+        indices = sorted(
+            set(self._pipe) | set(self._ingest) | set(self._service.shard_indices)
+        )
         async with contextlib.AsyncExitStack() as stack:
             for index in indices:
-                await stack.enter_async_context(
-                    self._locks.setdefault(index, asyncio.Lock())
-                )
+                await stack.enter_async_context(self._turns(index))
             result = await asyncio.get_running_loop().run_in_executor(
                 None, fn, *args
             )
@@ -335,19 +460,20 @@ class AsyncShardedMonitor:
         """Live-resize the fleet without dropping a session or a frame.
 
         Runs :meth:`ShardedMonitorService.resize` under every shard's
-        pipe lock (:meth:`_run_on_fleet`), then reconciles the ticker
+        turns (:meth:`_run_on_fleet`), then reconciles the ticker
         tasks: new shards get their own loops, loops of removed shards
         wake and exit.  Returns the service's resize summary dict.
         """
         result = await self._run_on_fleet(self._service.resize, target_k)
         # Prune retired indices (never reused: an oscillating autoscaler
         # would otherwise grow the maps and the task list without bound).
-        # Waiters and loops holding a popped lock/event keep working;
+        # Waiters and loops holding a popped turn/event keep working;
         # removal only stops *future* lookups.
         live = set(self._service.shard_indices)
         for index in [i for i in self._kick if i not in live]:
             self._kick.pop(index).set()  # wake the parked loop so it exits
-            self._locks.pop(index, None)
+            self._pipe.pop(index, None)
+            self._ingest.pop(index, None)
         self._tasks = [t for t in self._tasks if not t.done()]
         if self._started and not self._closed:
             for index in live - set(self._kick):
@@ -360,7 +486,7 @@ class AsyncShardedMonitor:
         The balancer's actuator
         (:meth:`~repro.serving.balancer.MonitorBalancer.step` calls this
         with the sessions its plan selected): the blocking
-        :meth:`ShardedMonitorService.shed` under every shard's pipe lock
+        :meth:`ShardedMonitorService.shed` under every shard's turns
         (:meth:`_run_on_fleet`).  Returns the service's ``{session_id:
         previous shard}`` map.
         """
@@ -378,7 +504,7 @@ class AsyncShardedMonitor:
 
     async def _poll_shards(self, poll) -> dict:
         """``{shard: poll(shard)}`` over the live shards, one at a time,
-        each under its own pipe lock — the fleet keeps serving.  Shards
+        each under its own turns — the fleet keeps serving.  Shards
         that die under the poll are skipped (their crash events surface
         through the usual fail-safe paths)."""
         out = {}

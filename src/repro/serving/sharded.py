@@ -247,12 +247,34 @@ class _ShardHandle:
         #: the next tick/drain converts them to fail-safe events.
         self.pending_ingest: list[tuple[int, str]] = []
         self.alive = True
-        #: True while the worker may still have un-ticked frames; updated
-        #: from the ``has_pending`` field piggy-backed on every reply,
-        #: and set eagerly by every frame-ring write.
-        self.maybe_pending = False
+        #: Frame-ring writes so far.  ``feed`` counts them, and one feed
+        #: at a time writes a shard's ring (the ring has one producer),
+        #: so the increment needs no lock; other threads only read it.
+        self.writes = 0
+        #: ``writes`` when the request in flight was sent, and when the
+        #: request the last reply answered was sent.
+        self._writes_at_send = 0
+        self._writes_answered = 0
+        #: The last reply's ``has_pending``.
+        self._reply_pending = False
+
+    @property
+    def maybe_pending(self) -> bool:
+        """True while the worker may still have un-ticked frames.
+
+        A reply's ``has_pending`` speaks for the frames written before
+        its request was sent: the worker ingests the ring before it
+        dispatches a request, but a write racing the exchange (a feed
+        while a tick round is in flight) may land after the worker
+        answered.  So a write counted since that request went out keeps
+        the shard pending whatever the reply said — a stale
+        ``has_pending=False`` must not park the shard on frames nothing
+        would then tick.
+        """
+        return self._reply_pending or self.writes != self._writes_answered
 
     def send(self, request: Request) -> None:
+        self._writes_at_send = self.writes
         try:
             self.conn.send(request)
         except (BrokenPipeError, OSError) as exc:
@@ -274,7 +296,10 @@ class _ShardHandle:
             raise WorkerError(
                 f"shard {self.index} worker died (exitcode {exitcode})"
             ) from exc
-        self.maybe_pending = reply.has_pending
+        # Pending first: a reader in between sees the older, smaller
+        # count and errs towards one more tick, never towards parking.
+        self._reply_pending = reply.has_pending
+        self._writes_answered = self._writes_at_send
         if reply.ingest_errors:
             self.pending_ingest.extend(reply.ingest_errors)
         return reply
@@ -377,7 +402,8 @@ class ShardedMonitorService:
     their un-ticked frames move between workers, nothing closes),
     :attr:`failed_sessions` and :meth:`close`.  It also exposes a
     per-shard sub-surface (:meth:`tick_shard`,
-    :meth:`shard_maybe_pending`, …) used by the asyncio front-end
+    :meth:`shard_maybe_pending`, …) for callers that serialise access
+    per shard, such as the asyncio front-end
     (:class:`~repro.serving.async_frontend.AsyncShardedMonitor`).
     """
 
@@ -539,7 +565,22 @@ class ShardedMonitorService:
         """Mark a shard dead and fail its sessions (:meth:`_fail_sessions`).
 
         It leaves the hash ring, so new sessions rebalance onto the
-        survivors.  Idempotent: a shard already failed returns no pairs.
+        survivors, and its worker is terminated — which also ends, with
+        end-of-file, any wait on its pipe.  Idempotent: a shard already
+        failed returns no pairs.
+
+        A shard fails on whichever thread finds it broken, which under
+        the asyncio front-end is not always the one using it: an
+        executor feed may be copying into the frame ring, a tick round
+        on the loop may be reading the event ring or waiting on the
+        pipe's fd.  Its rings are destroyed here all the same — crash is
+        one of the three unlink paths (stop, removal, crash), and the
+        memory goes with the shard — because :class:`ShmRing` serialises
+        every access with its close: a copy in progress finishes first,
+        and a later one raises ``WorkerError``.  The pipe end stays open
+        until :meth:`_ShardHandle.stop` (:meth:`close`,
+        :meth:`remove_shard`): closing it could free its fd number for
+        reuse while the event loop still watches it.
         """
         with self._lock:
             if not handle.alive:
@@ -555,20 +596,8 @@ class ShardedMonitorService:
                 },
                 handle.index,
             )
-        try:
-            handle.conn.close()
-        except OSError as exc:
-            # The close itself failing is secondary to the crash being
-            # handled, but never silent — it would mask fd leaks.
-            logger.warning(
-                "closing pipe of failed shard %d: %s", handle.index, exc
-            )
         if handle.process.is_alive():
             handle.process.terminate()
-        # Unlink the dead shard's segments now: crash is one of the three
-        # unlink paths (stop, removal, crash), so no /dev/shm entry ever
-        # waits for close().  The terminated worker's own mapping stays
-        # valid until it exits; unlink only removes the name.
         handle.destroy_rings()
         return pairs
 
@@ -862,7 +891,7 @@ class ShardedMonitorService:
                     moved[session_id] = target
             if handle.alive:
                 self._retire_shard_counters(handle)
-                handle.stop()
+        handle.stop()  # a crashed shard's pipe end goes too
         del self._shards[index]
         return moved
 
@@ -1012,7 +1041,7 @@ class ShardedMonitorService:
         """Allocate/validate a session id and compute its shard (no IPC).
 
         Split from :meth:`open_on_shard` so the asyncio front-end can
-        take the target shard's lock *before* the blocking pipe call.
+        take the target shard's turns *before* the blocking pipe call.
         """
         self._check_open()
         if session_id is None:
@@ -1104,7 +1133,8 @@ class ShardedMonitorService:
         A single copy into the shard's frame ring — **no reply round
         trip**.  Back-pressure replaces the ack: a full ring blocks until
         the worker frees space (bounded by ``request_timeout_s`` when
-        set).  Shape and width are validated
+        set; counted as ``feeds_backpressured`` in the router's
+        telemetry).  Shape and width are validated
         here, synchronously, against the snapshot's trained width;
         anything the worker itself rejects later surfaces on the next
         :meth:`tick`/:meth:`drain` as that session's fail-safe terminal
@@ -1142,7 +1172,7 @@ class ShardedMonitorService:
             self._queue_crash(handle, reason)
             raise WorkerError(f"session {session_id!r} lost: {reason}")
         try:
-            write_frames_blocking(
+            waited = write_frames_blocking(
                 handle.frame_ring,
                 record.order,
                 frames,
@@ -1153,10 +1183,23 @@ class ShardedMonitorService:
         except WorkerError as exc:
             self._queue_crash(handle, str(exc))
             raise WorkerError(f"session {session_id!r} lost: {exc}") from exc
-        handle.maybe_pending = True
+        handle.writes += 1
+        if waited:
+            self.telemetry.counter("feeds_backpressured").inc()
 
-    def _round(self, request: Request, index: int | None = None) -> list[SessionEvent]:
-        """One broadcast-and-collect ``tick``/``drain`` round.
+    def _room_for(self, shard: int, frames) -> bool:
+        """True when ``frames`` fit ``shard``'s frame ring as one record
+        right now: :meth:`feed` would neither chunk nor wait.  No IPC;
+        exact for the ring's one producer (:meth:`ShmRing._has_room`)."""
+        handle = self._shards.get(shard)
+        return (
+            handle is not None
+            and handle.alive
+            and handle.frame_ring._has_room(np.size(frames))
+        )
+
+    def _round(self, request: Request, index: int | None = None):
+        """One broadcast-and-collect ``tick``/``drain`` round, in two halves.
 
         Under :meth:`tick`, :meth:`drain` and :meth:`tick_shard`
         (``index`` names the one shard asked).  The request goes to
@@ -1166,6 +1209,19 @@ class ShardedMonitorService:
         shard's failure is raised out of the round, leaves another
         shard's reply in its pipe, or costs another shard its events.
 
+        A generator, so that its caller decides how to wait between the
+        halves.  The send half runs to the first ``yield``, which hands
+        out the handles whose replies the round owes; the caller sends
+        back the set of them whose pipes it saw become readable, or
+        ``None`` to have each reply read blocking (bounded by
+        ``request_timeout_s``).  The receive half runs to the second
+        ``yield``, which hands out the events.  The sync callers run the
+        halves back to back (:meth:`_run_round`);
+        :class:`~repro.serving.async_frontend.AsyncShardedMonitor` awaits
+        the pipes on its event loop between them.  A handle left out of
+        the readable set stayed silent for the whole wait: it is
+        unresponsive.
+
         A shard whose exchange fails — transport failure, event ring
         out of step with the reply, or an error reply of *any* type
         (its service is in an unknown state) — fails safe
@@ -1173,9 +1229,9 @@ class ShardedMonitorService:
         output, as do queued crash terminals, the liveness poll's and
         deferred ingest failures, while the survivors' events flow on.
 
-        Returns the k-th ticks of all shards merged in global session
-        opening order (what one :class:`MonitorService` over the same
-        sessions would produce), terminals merged into the first.
+        The events are the k-th ticks of all shards merged in global
+        session opening order (what one :class:`MonitorService` over the
+        same sessions would produce), terminals merged into the first.
         """
         ticks = {0: self._flush_undelivered() + self._reap_dead()}
         sent: list[_ShardHandle] = []
@@ -1186,8 +1242,14 @@ class ShardedMonitorService:
                     sent.append(handle)
                 except WorkerError as exc:
                     ticks[0].extend(self._fail_shard(handle, str(exc)))
+        readable = yield sent
         for handle in sent:
             try:
+                if readable is not None and handle not in readable:
+                    raise WorkerError(
+                        f"shard {handle.index} unresponsive after "
+                        f"{self.request_timeout_s}s"
+                    )
                 reply = handle.recv(self.request_timeout_s)
                 if not reply.ok:
                     raise WorkerError(
@@ -1211,23 +1273,29 @@ class ShardedMonitorService:
             except WorkerError as exc:
                 ticks[0].extend(self._fail_shard(handle, str(exc)))
         ticks[0].extend(self._ingest_failures())
-        return [
+        yield [
             event
             for k in sorted(ticks)
             for _, event in sorted(ticks[k], key=lambda pair: pair[0])
         ]
 
+    def _run_round(self, request: Request, index: int | None = None) -> list[SessionEvent]:
+        """A :meth:`_round` with its halves back to back: its events."""
+        round_ = self._round(request, index)
+        next(round_)
+        return round_.send(None)
+
     def tick_shard(self, index: int) -> list[SessionEvent]:
         """Advance one shard by one frame per pending session
         (:meth:`_round`): its events plus any queued crash events; a
         failure of *this* shard becomes terminal events, not an exception."""
-        return self._round(Request("tick"), index)
+        return self._run_round(Request("tick"), index)
 
     def tick(self) -> list[SessionEvent]:
         """Advance every live shard by one frame per pending session
         (:meth:`_round`): shards tick concurrently; failed shards surface
         as terminal per-session events, never as an exception."""
-        return self._round(Request("tick"))
+        return self._run_round(Request("tick"))
 
     def drain(self, collect: bool = True) -> list[SessionEvent]:
         """Tick every shard until no live shard has pending frames.
@@ -1239,7 +1307,7 @@ class ShardedMonitorService:
         with ``collect=False`` only crash events (if any) are returned —
         those are never dropped.
         """
-        return self._round(Request("drain", collect=collect))
+        return self._run_round(Request("drain", collect=collect))
 
     def close_session(self, session_id: str) -> SessionResult:
         """Free the session's slot on its shard; return its timeline.

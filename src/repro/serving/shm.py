@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import logging
 import struct
+import threading
 import time
 from multiprocessing import shared_memory
 
@@ -167,6 +168,17 @@ class ShmRing:
             struct.pack_into("<QQ", self._shm.buf, 0, 0, 0)
         self._owner = not attach
         self._closed = False
+        #: Held by every access to the mapping and by :meth:`close`: the
+        #: router uses a shard's rings from more than one thread, and a
+        #: crash may close them from any of those, so a close never
+        #: unmaps a ring mid-copy, and an access after it raises.
+        self._lock = threading.Lock()
+
+    def _check_mapped(self) -> None:
+        """Raise ``WorkerError`` once the ring is closed (caller holds
+        ``_lock``): the shard it served has been torn down."""
+        if self._closed:
+            raise WorkerError(f"ring {self._shm.name} is closed")
 
     # ------------------------------------------------------------------
     # Positions (u64 monotonic byte counters)
@@ -191,7 +203,9 @@ class ShmRing:
     @property
     def data_bytes(self) -> int:
         """Unread payload bytes currently in the ring (pads included)."""
-        return self._write_pos() - self._read_pos()
+        with self._lock:
+            self._check_mapped()
+            return self._write_pos() - self._read_pos()
 
     @property
     def free_bytes(self) -> int:
@@ -201,13 +215,12 @@ class ShmRing:
     # ------------------------------------------------------------------
     # Producer
     # ------------------------------------------------------------------
-    def _reserve(self, need: int) -> tuple[int, int] | None:
-        """Find space for a ``need``-byte record; insert a pad on wrap.
+    def _place(self, need: int) -> tuple[int, int] | None:
+        """Where a ``need``-byte record would go right now, or ``None``.
 
-        Returns ``(write_pos_after_pad, data_offset)`` or ``None`` when
-        the ring cannot currently hold the record.  Nothing is published
-        until the caller commits, so a reader never sees a half-written
-        record.
+        Returns ``(write_pos_after_pad, data_offset)``: a record that
+        would straddle the end of the region starts at offset 0 behind a
+        pad filling the tail.  Writes nothing.
         """
         if need > self.capacity // 2:
             raise ConfigurationError(
@@ -219,36 +232,59 @@ class ShmRing:
         offset = write % self.capacity
         contig = self.capacity - offset
         if contig < need:
-            # Pad out the tail, then the record starts at offset 0.
-            if free < contig + need:
-                return None
+            return (write + contig, 0) if free >= contig + need else None
+        return (write, offset) if free >= need else None
+
+    def _reserve(self, need: int) -> tuple[int, int] | None:
+        """:meth:`_place` a ``need``-byte record, writing the pad it needs.
+
+        Nothing is published until the caller commits, so a reader never
+        sees a half-written record.
+        """
+        placed = self._place(need)
+        write = self._write_pos()
+        if placed is not None and placed[0] != write:  # pad out the tail
+            offset = write % self.capacity
             struct.pack_into(
-                "<II", self._shm.buf, _HEADER_BYTES + offset, REC_PAD, contig
+                "<II", self._shm.buf, _HEADER_BYTES + offset, REC_PAD, placed[0] - write
             )
-            return write + contig, 0
-        if free < need:
-            return None
-        return write, offset
+        return placed
+
+    def _has_room(self, n_values: int) -> bool:
+        """True when a frame block of ``n_values`` float64s fits in one
+        record right now — no chunking, no back-pressure wait.
+
+        Exact for the ring's producer: the consumer only ever frees
+        space, so the answer holds until the producer writes again.
+        """
+        need = _align8(_REC_HEADER + 16 + 8 * n_values)
+        if need > self.capacity // 2:
+            return False
+        with self._lock:
+            self._check_mapped()
+            return self._place(need) is not None
 
     def try_write_frames(self, route: int, frames: np.ndarray) -> bool:
         """Write one ``(rows, cols)`` float64 frame block; False if full."""
         rows, cols = frames.shape
         payload = 16 + rows * cols * 8
         need = _align8(_REC_HEADER + payload)
-        reserved = self._reserve(need)
-        if reserved is None:
-            return False
-        write, offset = reserved
-        base = _HEADER_BYTES + offset
-        struct.pack_into(
-            "<IIQII", self._shm.buf, base, REC_FRAMES, need, route, rows, cols
-        )
-        dst = np.frombuffer(
-            self._shm.buf, dtype=np.float64, count=rows * cols, offset=base + 24
-        )
-        np.copyto(dst, frames.reshape(-1), casting="no")
-        del dst  # release the buffer view before any close()
-        self._publish_write(write + need)
+        with self._lock:
+            self._check_mapped()
+            reserved = self._reserve(need)
+            if reserved is None:
+                return False
+            write, offset = reserved
+            base = _HEADER_BYTES + offset
+            struct.pack_into(
+                "<IIQII", self._shm.buf, base, REC_FRAMES, need, route, rows, cols
+            )
+            dst = np.frombuffer(
+                self._shm.buf, dtype=np.float64, count=rows * cols, offset=base + 24
+            )
+            np.copyto(dst, frames.reshape(-1), casting="no")
+            del dst  # release the buffer view before any close()
+            self._publish_write(write + need)
         return True
 
     def try_write_events(self, records: np.ndarray) -> bool:
@@ -257,18 +293,22 @@ class ShmRing:
             raise ConfigurationError("event batch must use EVENT_DTYPE")
         count = records.shape[0]
         need = _align8(_REC_HEADER + 8 + count * EVENT_DTYPE.itemsize)
-        reserved = self._reserve(need)
-        if reserved is None:
-            return False
-        write, offset = reserved
-        base = _HEADER_BYTES + offset
-        struct.pack_into("<IIII", self._shm.buf, base, REC_EVENTS, need, count, 0)
-        dst = np.frombuffer(
-            self._shm.buf, dtype=EVENT_DTYPE, count=count, offset=base + 16
-        )
-        np.copyto(dst, records, casting="no")
-        del dst
-        self._publish_write(write + need)
+        with self._lock:
+            self._check_mapped()
+            reserved = self._reserve(need)
+            if reserved is None:
+                return False
+            write, offset = reserved
+            base = _HEADER_BYTES + offset
+            struct.pack_into(
+                "<IIII", self._shm.buf, base, REC_EVENTS, need, count, 0
+            )
+            dst = np.frombuffer(
+                self._shm.buf, dtype=EVENT_DTYPE, count=count, offset=base + 16
+            )
+            np.copyto(dst, records, casting="no")
+            del dst
+            self._publish_write(write + need)
         return True
 
     # ------------------------------------------------------------------
@@ -301,61 +341,61 @@ class ShmRing:
         — the rings are single-purpose channels, so a foreign record
         means the peer is out of protocol.
         """
-        record = self._next_record()
-        if record is None:
-            return None
-        kind, offset, length = record
-        if kind != REC_FRAMES:
-            raise WorkerError(f"expected a frame record, got kind {kind}")
-        base = _HEADER_BYTES + offset
-        route, rows, cols = struct.unpack_from("<QII", self._shm.buf, base + 8)
-        frames = (
-            np.frombuffer(
-                self._shm.buf,
-                dtype=np.float64,
-                count=rows * cols,
-                offset=base + 24,
+        with self._lock:
+            self._check_mapped()
+            record = self._next_record()
+            if record is None:
+                return None
+            kind, offset, length = record
+            if kind != REC_FRAMES:
+                raise WorkerError(f"expected a frame record, got kind {kind}")
+            base = _HEADER_BYTES + offset
+            route, rows, cols = struct.unpack_from("<QII", self._shm.buf, base + 8)
+            frames = (
+                np.frombuffer(
+                    self._shm.buf,
+                    dtype=np.float64,
+                    count=rows * cols,
+                    offset=base + 24,
+                )
+                .reshape(rows, cols)
+                .copy()
             )
-            .reshape(rows, cols)
-            .copy()
-        )
-        self._publish_read(self._read_pos() + length)
+            self._publish_read(self._read_pos() + length)
         return int(route), frames
 
     def read_events(self) -> np.ndarray | None:
         """Pop the next event batch as an :data:`EVENT_DTYPE` array copy."""
-        record = self._next_record()
-        if record is None:
-            return None
-        kind, offset, length = record
-        if kind != REC_EVENTS:
-            raise WorkerError(f"expected an event record, got kind {kind}")
-        base = _HEADER_BYTES + offset
-        (count,) = struct.unpack_from("<I", self._shm.buf, base + 8)
-        events = np.frombuffer(
-            self._shm.buf, dtype=EVENT_DTYPE, count=count, offset=base + 16
-        ).copy()
-        self._publish_read(self._read_pos() + length)
+        with self._lock:
+            self._check_mapped()
+            record = self._next_record()
+            if record is None:
+                return None
+            kind, offset, length = record
+            if kind != REC_EVENTS:
+                raise WorkerError(f"expected an event record, got kind {kind}")
+            base = _HEADER_BYTES + offset
+            (count,) = struct.unpack_from("<I", self._shm.buf, base + 8)
+            events = np.frombuffer(
+                self._shm.buf, dtype=EVENT_DTYPE, count=count, offset=base + 16
+            ).copy()
+            self._publish_read(self._read_pos() + length)
         return events
-
-    def discard_all(self) -> int:
-        """Drop every unread record (resync after a failed exchange)."""
-        dropped = self.data_bytes
-        self._publish_read(self._write_pos())
-        return dropped
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Detach from the segment (both sides).  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._shm.close()
-        except (OSError, BufferError) as exc:
-            _logger.warning("closing ring %s failed: %s", self._shm.name, exc)
+        """Detach from the segment (both sides).  Idempotent; waits for
+        an access in progress on another thread."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            try:
+                self._shm.close()
+            except (OSError, BufferError) as exc:
+                _logger.warning("closing ring %s failed: %s", self._shm.name, exc)
 
     def unlink(self) -> None:
         """Remove the segment name (owner side).  Idempotent."""
@@ -387,13 +427,14 @@ def write_frames_blocking(
     alive: "callable",
     timeout_s: float | None = None,
     who: str = "worker",
-) -> None:
+) -> bool:
     """Write a frame block with ring-full back-pressure.
 
     The shm data plane has no per-feed ack: a full ring simply means the
     consumer owes ingest work, so the writer spins (``alive`` is checked
     each round — a dead consumer raises immediately rather than
-    spinning forever).  Blocks larger than the ring are chunked.
+    spinning forever).  Blocks larger than half the ring are chunked.
+    Returns True when the writer found the ring full and waited.
 
     Raises
     ------
@@ -407,9 +448,11 @@ def write_frames_blocking(
         1, (ring.capacity // 2 - _REC_HEADER - 16) // (8 * frames.shape[1])
     )
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    waited = False
     for start in range(0, frames.shape[0], max_rows):
         chunk = frames[start : start + max_rows]
         while not ring.try_write_frames(route, chunk):
+            waited = True
             if not alive():
                 raise WorkerError(
                     f"{who} died with the frame ring full "
@@ -421,6 +464,7 @@ def write_frames_blocking(
                     f"{timeout_s}s"
                 )
             time.sleep(BACKPRESSURE_POLL_S)
+    return waited
 
 
 __all__ = [

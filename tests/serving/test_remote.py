@@ -1079,17 +1079,18 @@ class TestEventHandOff:
         with running_gateway(
             monitor, n_shards=2, max_sessions=8, event_store=store
         ) as runner:
-            service = runner.gateway._engine.service
+            frontend = runner.gateway._engine
+            service = frontend.service
             batches = []
-            real_tick_shard = service.tick_shard
+            real_tick = frontend._tick
 
-            def spying_tick_shard(index):
-                events = real_tick_shard(index)
+            async def spying_tick(index):
+                events = await real_tick(index)
                 if events:
                     batches.append(tuple(event_key(e) for e in events))
                 return events
 
-            service.tick_shard = spying_tick_shard
+            frontend._tick = spying_tick
             raw = socket.create_connection((runner.host, runner.port))
             raw.settimeout(10.0)
             reader = MessageReader()

@@ -11,7 +11,10 @@ import asyncio
 import multiprocessing as mp
 import os
 import signal
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import shared_memory
 from types import SimpleNamespace
 
@@ -31,6 +34,7 @@ from repro.serving import (
 )
 from repro.serving.shm import EVENT_DTYPE
 from repro.serving.telemetry import TelemetryRegistry
+from repro.serving.transport import Request
 
 N_FEATURES = 10
 
@@ -996,19 +1000,20 @@ class TestFailingWorkerTick:
     def test_shard_loop_cannot_die_with_sessions_routed_to_it(
         self, monitor, monkeypatch, start_method
     ):
-        """Whatever escapes ``tick_shard`` on the router side, the ticker
-        fails its shard's sessions safe instead of ending silently."""
-        real_tick_shard = ShardedMonitorService.tick_shard
+        """Whatever escapes a tick round (``AsyncShardedMonitor._tick``)
+        on the router side, the ticker fails its shard's sessions safe
+        instead of ending silently."""
+        real_tick = AsyncShardedMonitor._tick
         doomed = {"shard": None, "calls": 0}
 
-        def tick_shard(self, index):
+        async def tick(self, index):
             if index == doomed["shard"]:
                 doomed["calls"] += 1
                 if doomed["calls"] > 3:
                     raise RuntimeError("router-side tick failure")
-            return real_tick_shard(self, index)
+            return await real_tick(self, index)
 
-        monkeypatch.setattr(ShardedMonitorService, "tick_shard", tick_shard)
+        monkeypatch.setattr(AsyncShardedMonitor, "_tick", tick)
 
         async def run():
             batches = []
@@ -1195,7 +1200,7 @@ class TestSessionIncarnation:
     def test_waiting_feed_does_not_follow_its_id_onto_a_reopened_session(
         self, monitor
     ):
-        """A feed queued behind its shard's pipe lock while the worker
+        """A feed queued behind its shard's ingest turn while the worker
         dies and the id is re-opened elsewhere (what the gateway's
         crash recovery does) must fail as the lost session's feed.
         Following the id would land its frames on the new session a
@@ -1209,11 +1214,11 @@ class TestSessionIncarnation:
                 async with AsyncShardedMonitor(service) as frontend:
                     await frontend.open_session("s")
                     shard = service.shard_of("s")
-                    async with frontend._locks[shard]:  # an exchange in flight
+                    async with frontend._ingest[shard]:  # a control op in flight
                         waiting = asyncio.ensure_future(
                             frontend.feed("s", np.ones((4, N_FEATURES)))
                         )
-                        await asyncio.sleep(0.05)  # parked on the lock
+                        await asyncio.sleep(0.05)  # parked on the turn
                         kill_worker(service, shard)
                         (terminal,) = service.take_undelivered_events()
                         assert terminal.session_id == "s" and terminal.flag
@@ -1226,6 +1231,368 @@ class TestSessionIncarnation:
                     return await frontend.close_session("s")
 
         assert asyncio.run(run()).n_frames == 2
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """The loop's default executor, recording what is submitted to it."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=4)
+        self.calls: list[str] = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.calls.append(fn.__qualname__)
+        return super().submit(fn, *args, **kwargs)
+
+
+def other_shard_id(service, shard, prefix):
+    """A session id that ``service`` would place on a shard other than
+    ``shard`` (placement is a pure function of the id; no IPC)."""
+    return next(
+        f"{prefix}-{i}"
+        for i in range(1000)
+        if service.resolve_placement(f"{prefix}-{i}")[1] != shard
+    )
+
+
+class TestLoopThreadDataPath:
+    """The front-end's data path never leaves the event loop: a feed
+    that fits its shard's frame ring is written on the loop thread, and
+    a tick round is awaited on the worker's pipe.  Only control ops and
+    feeds that must wait on back-pressure (ring full, or a block over
+    half the ring) go to the executor — and the two feed paths give
+    every block the same answer."""
+
+    def test_steady_state_submits_nothing_to_the_executor(self, monitor):
+        """Closed loop at K=2: zero executor submissions between the
+        opens and the back-pressure feed; the streams stay bit-identical
+        to one local service."""
+        fleet = make_fleet(6, base_seed=1300, frames=60, step=0)
+        bulk = make_random_walk_trajectory(300, n_features=N_FEATURES, seed=1399)
+        ref_events, _ = single_service_reference(monitor, {**fleet, "bulk": bulk})
+        executor = CountingExecutor()
+
+        async def run():
+            asyncio.get_running_loop().set_default_executor(executor)
+            streams = {sid: [] for sid in [*fleet, "bulk"]}
+
+            def sink(batch):
+                for event in batch:
+                    streams[event.session_id].append(event)
+
+            # 16 KiB rings: a 5-frame block always fits, 300 frames are
+            # over half the ring and go in chunks.
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=8,
+                frame_ring_bytes=16 * 1024,
+            ) as service:
+                async with AsyncShardedMonitor(service, sink=sink) as frontend:
+                    for session_id in streams:
+                        await frontend.open_session(session_id)
+                    opened = len(executor.calls)
+                    for start in range(0, 60, 5):
+                        for session_id, trajectory in fleet.items():
+                            await frontend.feed(
+                                session_id, trajectory.frames[start : start + 5]
+                            )
+                        while any(
+                            len(streams[s]) < start + 5 for s in fleet
+                        ):
+                            await asyncio.sleep(0.001)
+                    steady = executor.calls[opened:]
+                    await frontend.feed("bulk", bulk.frames)
+                    await frontend.drain()
+                    for session_id in streams:
+                        await frontend.close_session(session_id)
+            return opened, steady, executor.calls[opened:], streams
+
+        opened, steady, later, streams = asyncio.run(run())
+        assert steady == []
+        assert opened == 7 and all("open_session" in c for c in executor.calls[:7])
+        assert "AsyncShardedMonitor.feed" in later[0]
+        assert len(later) == 8 and all("close_session" in c for c in later[1:])
+        reference = {}
+        for event in ref_events:
+            reference.setdefault(event.session_id, []).append(event_key(event))
+        for session_id, events in streams.items():
+            assert [event_key(e) for e in events] == reference[session_id]
+
+    @pytest.mark.parametrize("path", ["inline", "backpressure"])
+    def test_hostile_blocks_get_the_same_answer_on_both_paths(
+        self, monitor, monkeypatch, path
+    ):
+        """NaN/±Inf, the wrong width, a 1-D frame, an empty block, a
+        block of a failed session and a block over half the ring, once
+        through the inline path and once through the back-pressure path
+        (forced: the room check says no).  Every refusal is the typed
+        error a local ``MonitorService`` raises, from the ``feed`` call
+        itself, with nothing written to the ring and no session failed;
+        what is accepted streams bit-identically to that service."""
+        poisoned = np.ones((3, N_FEATURES))
+        poisoned[1, 4] = np.nan
+        inputs = {
+            "nan": poisoned,
+            "+inf": np.full((2, N_FEATURES), np.inf),
+            "-inf": np.full((2, N_FEATURES), -np.inf),
+            "wide": np.ones((3, N_FEATURES + 1)),
+            "cube": np.ones((2, 3, N_FEATURES)),
+            "1-D, wrong width": np.ones(N_FEATURES - 3),
+            "empty": np.ones((0, N_FEATURES)),
+            "1-D": np.linspace(0.0, 1.0, N_FEATURES),
+            "over half the ring": make_random_walk_trajectory(
+                60, n_features=N_FEATURES, seed=1401
+            ).frames,
+        }
+        oracle = MonitorService(monitor, max_sessions=1)
+        oracle.open_session("s")
+        expected = {}
+        for name, frames in inputs.items():
+            try:
+                oracle.feed("s", frames)
+                expected[name] = None
+            except (DatasetError, ShapeError) as exc:
+                expected[name] = type(exc)
+        assert expected["1-D"] is expected["empty"] is None
+        assert expected["over half the ring"] is None
+        executor = CountingExecutor()
+
+        async def run():
+            asyncio.get_running_loop().set_default_executor(executor)
+            batches = []
+            # 4 KiB rings: at most 25 frames of 10 features per record.
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=4,
+                frame_ring_bytes=4096,
+            ) as service:
+                async with AsyncShardedMonitor(
+                    service, sink=batches.append
+                ) as frontend:
+                    await frontend.open_session("s")
+                    shard = service.shard_of("s")
+                    gone = other_shard_id(service, shard, "gone")
+                    await frontend.open_session(gone)
+                    kill_worker(service, service.shard_of(gone))
+                    service.take_undelivered_events()
+                    assert list(service.failed_sessions) == [gone]
+                    if path == "backpressure":
+                        monkeypatch.setattr(
+                            service, "_room_for", lambda shard, frames: False
+                        )
+                    ring = service._shards[shard].frame_ring
+                    outcomes, submitted = {}, {}
+                    for name, frames in inputs.items():
+                        before, calls = ring._write_pos(), len(executor.calls)
+                        try:
+                            await frontend.feed("s", frames)
+                            outcomes[name] = None
+                        except (DatasetError, ShapeError) as exc:
+                            outcomes[name] = type(exc)
+                            assert ring._write_pos() == before, name
+                        submitted[name] = len(executor.calls) - calls
+                    with pytest.raises(WorkerError, match="failed"):
+                        await frontend.feed(gone, np.ones((2, N_FEATURES)))
+                    await frontend.drain()
+                    assert list(service.failed_sessions) == [gone]
+                    result = await frontend.close_session("s")
+            return outcomes, submitted, batches, result
+
+        outcomes, submitted, batches, result = asyncio.run(run())
+        assert outcomes == expected
+        inline = path == "inline"
+        assert submitted == {
+            name: int(not inline or name == "over half the ring")
+            for name in inputs
+        }
+        events = [
+            event_key(e) for batch in batches for e in batch if e.session_id == "s"
+        ]
+        assert events == [event_key(e) for e in oracle.drain()]
+        assert result.n_frames == 61
+
+    def test_a_feed_that_waits_on_a_full_frame_ring_is_counted(self, monitor):
+        """The loss signal: a feed that found its shard's frame ring
+        full and waited for the worker shows in the router telemetry the
+        gateway's STATS carries (``feeds_backpressured``)."""
+        block = np.zeros((25, N_FEATURES))  # a 2 024-byte record
+
+        async def run():
+            # The timeout bounds a back-pressure wait run on the loop
+            # thread by mistake: it could never see the SIGCONT.
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=2,
+                frame_ring_bytes=4096, request_timeout_s=10.0,
+            ) as service:
+                async with AsyncShardedMonitor(service) as frontend:
+                    sid = await frontend.open_session("s")
+                    handle = service._shards[service.shard_of(sid)]
+                    full = threading.Event()
+                    write = handle.frame_ring.try_write_frames
+
+                    def try_write_frames(route, frames):
+                        written = write(route, frames)
+                        if not written:
+                            full.set()
+                        return written
+
+                    handle.frame_ring.try_write_frames = try_write_frames
+                    os.kill(handle.process.pid, signal.SIGSTOP)
+                    try:
+                        await frontend.feed(sid, block)
+                        await frontend.feed(sid, block)  # the ring is full
+                        waiting = asyncio.ensure_future(frontend.feed(sid, block))
+                        assert await asyncio.to_thread(full.wait, 10.0)
+                    finally:
+                        os.kill(handle.process.pid, signal.SIGCONT)
+                    await asyncio.wait_for(waiting, 10.0)
+                    await frontend.drain()
+                    counters = (await frontend.telemetry())["counters"]
+                    result = await frontend.close_session(sid)
+            return counters, result
+
+        counters, result = asyncio.run(run())
+        assert counters["feeds_backpressured"] == 1
+        assert result.n_frames == 75
+
+    def test_a_hung_worker_fails_safe_while_the_loop_serves_on(self, monitor):
+        """SIGSTOP one worker: its tick round's wait on the pipe ends at
+        ``request_timeout_s`` and the shard fails safe as unresponsive —
+        and while that round waits, the loop keeps feeding and ticking
+        the other shard."""
+        healthy_frames = make_random_walk_trajectory(
+            20, n_features=N_FEATURES, seed=1450
+        ).frames
+
+        async def run():
+            batches = []
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=4,
+                request_timeout_s=2.0,
+            ) as service:
+                async with AsyncShardedMonitor(
+                    service, sink=batches.append
+                ) as frontend:
+                    await frontend.open_session("hung")
+                    shard = service.shard_of("hung")
+                    healthy = other_shard_id(service, shard, "healthy")
+                    await frontend.open_session(healthy)
+                    pid = service._shards[shard].process.pid
+                    os.kill(pid, signal.SIGSTOP)
+                    try:
+                        await frontend.feed("hung", np.zeros((3, N_FEATURES)))
+                        await frontend.feed(healthy, healthy_frames)
+                        deadline = time.monotonic() + 10.0
+                        while "hung" not in service.failed_sessions:
+                            assert time.monotonic() < deadline
+                            await asyncio.sleep(0.01)
+                    finally:
+                        os.kill(pid, signal.SIGCONT)
+                    await frontend.drain()
+            return healthy, [e for batch in batches for e in batch]
+
+        healthy, events = asyncio.run(run())
+        (terminal,) = [e for e in events if e.session_id == "hung"]
+        assert terminal.flag and terminal.frame_index == 0
+        assert "unresponsive after 2.0s" in terminal.error
+        served = [e for e in events if e.session_id == healthy]
+        assert events.index(served[-1]) < events.index(terminal)
+        oracle = MonitorService(monitor, max_sessions=1)
+        oracle.open_session(healthy)
+        oracle.feed(healthy, healthy_frames)
+        assert [event_key(e) for e in served] == [
+            event_key(e) for e in oracle.drain()
+        ]
+
+    def test_mixed_feed_paths_under_a_short_switch_interval(self, monitor):
+        """Stress, time-bounded: eight sessions feed blocks of 1–60
+        frames into 4 KiB rings at once, three blocks per session in
+        flight, so inline writes, back-pressure waits and chunked blocks
+        on executor threads interleave with tick rounds while the
+        interpreter switches threads every 10 µs.  A feed overtaking one
+        of its session's feeds queued before it, or a wakeup lost to a
+        stale reply, shows as a stream that differs from one local
+        service's or as a drain that never ends."""
+        fleet = make_fleet(8, base_seed=1600, frames=120, step=10)
+        ref_events, _ = single_service_reference(monitor, fleet)
+        rng = np.random.default_rng(1600)
+        sizes = {
+            sid: rng.integers(1, 61, size=trajectory.n_frames)
+            for sid, trajectory in fleet.items()
+        }
+        executor = CountingExecutor()
+
+        async def feeder(frontend, session_id, frames):
+            ends = np.cumsum(sizes[session_id])
+            blocks = np.split(frames, ends[ends < len(frames)])
+            for i in range(0, len(blocks), 3):  # tasks start in this order
+                await asyncio.gather(
+                    *(frontend.feed(session_id, b) for b in blocks[i : i + 3])
+                )
+
+        async def run():
+            asyncio.get_running_loop().set_default_executor(executor)
+            batches = []
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=8,
+                frame_ring_bytes=4096,
+            ) as service:
+                async with AsyncShardedMonitor(
+                    service, sink=batches.append
+                ) as frontend:
+                    for session_id in fleet:
+                        await frontend.open_session(session_id)
+                    await asyncio.wait_for(
+                        asyncio.gather(
+                            *(
+                                feeder(frontend, sid, trajectory.frames)
+                                for sid, trajectory in fleet.items()
+                            )
+                        ),
+                        60.0,
+                    )
+                    await asyncio.wait_for(frontend.drain(), 60.0)
+            return batches
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            batches = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(previous)
+        assert any("AsyncShardedMonitor.feed" in call for call in executor.calls)
+        streams, reference = {}, {}
+        for event in (e for batch in batches for e in batch):
+            streams.setdefault(event.session_id, []).append(event_key(event))
+        for event in ref_events:
+            reference.setdefault(event.session_id, []).append(event_key(event))
+        assert streams == reference
+
+    def test_a_stale_reply_cannot_park_a_fed_shard(self, monitor):
+        """Lost wakeup, deterministically: a round's request is sent and
+        answered (nothing pending), a block is fed, and only then is the
+        reply read.  Its ``has_pending=False`` predates the write, so
+        the shard must stay pending and the block tick with no further
+        feed."""
+        frames = make_random_walk_trajectory(5, n_features=N_FEATURES, seed=1500).frames
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=4
+        ) as service:
+            sid = service.open_session("s")
+            shard = service.shard_of(sid)
+            handle = service._shards[shard]
+            round_ = service._round(Request("tick"), shard)
+            assert next(round_) == [handle]
+            assert handle.conn.poll(10.0)  # the worker has answered
+            service.feed(sid, frames)
+            assert round_.send(None) == []
+            assert not handle._reply_pending  # the stale answer
+            assert service.shard_maybe_pending(shard)
+            events = service.drain()
+        oracle = MonitorService(monitor, max_sessions=1)
+        oracle.open_session("s")
+        oracle.feed("s", frames)
+        assert [event_key(e) for e in events] == [
+            event_key(e) for e in oracle.drain()
+        ]
 
 
 def stats_with_p99(tick_ms: float, n_ticks: int = 100) -> ServiceStats:

@@ -9,6 +9,7 @@ lifecycle contract: every segment the router creates is unlinked on
 
 import os
 import signal
+import sys
 import threading
 import time
 from multiprocessing import shared_memory
@@ -218,6 +219,41 @@ class TestShmRing:
                     ring, 0, frames, alive=lambda: True, timeout_s=0.05, who="shard 0"
                 )
             assert time.monotonic() - start < 5.0
+
+    def test_close_is_serialised_with_every_access(self):
+        """A ring destroyed on one thread while another writes and reads
+        it — a shard failed under a feed: the copy in progress finishes,
+        and the next access raises ``WorkerError``, never a stray error
+        from an unmapped segment."""
+        frames = np.arange(64.0).reshape(8, 8)
+        ring = ShmRing(4096)
+        errors, copies = [], [0]
+        running = threading.Event()
+
+        def hammer():
+            try:
+                while True:
+                    copies[0] += ring.try_write_frames(1, frames)
+                    ring.read_frames()
+                    running.set()
+            except Exception as exc:  # noqa: BLE001 - what the test inspects
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            user = threading.Thread(target=hammer)
+            user.start()
+            assert running.wait(10.0)
+            ring.destroy()
+            user.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not user.is_alive()
+        assert [type(e) for e in errors] == [WorkerError], errors
+        assert "closed" in str(errors[0])
+        assert copies[0] > 0
+        assert not segment_exists(ring.name)
 
 
 class TestFleetSegmentLifecycle:
