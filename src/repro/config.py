@@ -93,6 +93,8 @@ class WindowConfig:
     def completes(self, seen):
         """Whether a stream's ``seen``-th frame (int or array) completes
         a window: the first at ``window`` frames, then every ``stride``."""
+        if self.stride == 1:  # every frame from the first window on
+            return seen >= self.window
         return (seen >= self.window) & ((seen - self.window) % self.stride == 0)
 
 

@@ -185,9 +185,8 @@ class StreamingWindowBatch:
         self._history = history
         self._buffer = np.zeros((n_streams, history, n_features))
         self._seen = np.zeros(n_streams, dtype=np.int64)
-        self._offsets = np.arange(history)
+        self._orders: dict[int, np.ndarray] = {}  # _order's tables
         self._all_ids = np.arange(n_streams)
-        self._id_mark = np.zeros(n_streams, dtype=bool)  # _check_ids scratch
 
     @property
     def config(self) -> WindowConfig:
@@ -239,6 +238,19 @@ class StreamingWindowBatch:
                 f"frames must have shape ({ids.size}, {self._n_features}), "
                 f"got {frames.shape}"
             )
+        if ids.shape[0] == 1:
+            # One stream (a lone session's tick): the same bookkeeping
+            # in Python ints, where every numpy call on a one-element
+            # array costs more than the work it does.
+            slot = int(ids[0])
+            seen = int(self._seen[slot]) + 1
+            self._seen[slot] = seen
+            self._buffer[slot, (seen - 1) % self._history] = frames[0]
+            window = self._config.window
+            if not self._config.completes(seen):
+                return np.zeros(1, dtype=bool), np.empty((0, window, self._n_features))
+            order = self._order(window)[seen % self._history]
+            return np.array([True]), self._buffer[slot].take(order, axis=0)[None]
         seen = self._seen[ids] + 1  # counting this frame, frame seen - 1
         self._buffer[ids, (seen - 1) % self._history] = frames
         self._seen[ids] = seen
@@ -271,11 +283,25 @@ class StreamingWindowBatch:
         if ready_ids.size == 0:
             width = self._n_features if columns is None else len(columns)
             return ready, np.empty((0, window, width))
-        # Frame t of a stream lives at ring position t % history.
-        order = (seen[ready, None] - window + self._offsets[:window]) % self._history
+        order = self._order(window).take(seen[ready] % self._history, axis=0)
         if columns is None:
             return ready, self._buffer[ready_ids[:, None], order]
         return ready, self._buffer[ready_ids[:, None, None], order[:, :, None], columns]
+
+    def _order(self, window: int) -> np.ndarray:
+        """Ring positions of a ``window``-frame window, in time order,
+        by the ring position of the frame after it.
+
+        Frame ``t`` of a stream lives at ring position ``t % history``,
+        so where the window completed by a stream's ``seen``-th frame
+        lies depends on ``seen % history`` only: one row per position.
+        """
+        order = self._orders.get(window)
+        if order is None:
+            ends = np.arange(self._history)[:, None]
+            order = (ends - window + np.arange(window)) % self._history
+            self._orders[window] = order
+        return order
 
     def reset(self, stream_ids: np.ndarray | None = None) -> None:
         """Restore fresh-stream state for some (default: all) streams."""
@@ -333,18 +359,15 @@ class StreamingWindowBatch:
         ids = ids.astype(np.intp, copy=False)
         if ids.ndim != 1:
             raise ShapeError(f"stream_ids must be 1-D, got shape {ids.shape}")
-        if ids.size and (ids.min() < 0 or ids.max() >= self._n_streams):
+        # As Python ints: a tick's few ids are checked in well under a
+        # microsecond each, where every numpy reduction costs one.
+        values = ids.tolist()
+        if values and (min(values) < 0 or max(values) >= self._n_streams):
             raise ShapeError(
                 f"stream_ids must lie in [0, {self._n_streams}), got "
-                f"[{ids.min()}, {ids.max()}]"
+                f"[{min(values)}, {max(values)}]"
             )
-        # Duplicates mark the same slot twice, so fewer slots end up
-        # marked than ids were given (no sort needed; ids are in range).
-        mark = self._id_mark
-        mark[ids] = True
-        n_distinct = np.count_nonzero(mark)
-        mark[ids] = False
-        if n_distinct != ids.size:
+        if len(values) > 1 and len(set(values)) != len(values):
             raise ShapeError("stream_ids must not contain duplicates")
         return ids
 

@@ -177,9 +177,21 @@ class LibraryBackend:
         distinct gesture, over every window in that context
         (:meth:`_score_together` may take some contexts off that loop
         first); a gesture without a trained classifier scores 0.0
-        (safe) — never a stale carry-over.
+        (safe) — never a stale carry-over.  A context alone in the call
+        goes straight to its member, whole.
         """
-        scores = np.zeros(len(gestures))
+        n = len(gestures)
+        if n == 1 or (n and gestures.min() == gestures.max()):
+            number = int(gestures[0])
+            if number >= 0:
+                backend = self.member(number) if number else None
+                if backend is None:
+                    return np.zeros(n)
+                self.member_calls += 1
+                # A copy in float64: a compiled member's result may
+                # alias its scratch, or be float32.
+                return backend.predict_proba(windows).reshape(-1).astype(float)
+        scores = np.zeros(n)
         counts = np.bincount(gestures)
         for number in self._score_together(windows, gestures, counts, scores):
             backend = self.member(number) if number else None
@@ -244,7 +256,7 @@ class ReferenceLibraryBackend(LibraryBackend):
         ):
             self._restack()
         stack = self._stack
-        if stack is None:
+        if stack is None or windows.shape[1:] != stack.shape:
             return numbers
         # Rows ordered by member: a stable sort by stack row (rows
         # ascend with the gesture number), everything that is not in a
@@ -343,8 +355,12 @@ class _Layout:
         return out.reshape(-1, n).take(dest, axis=0).reshape(a.shape[:-1] + (n,))
 
 
-#: One stacked layer: ``(activations, layout) -> activations``.
-_Apply = Callable[[np.ndarray, _Layout], np.ndarray]
+#: One inference step: ``(activations, ctx) -> activations``, where
+#: ``ctx`` supplies the contraction (``ctx.contract``) and, to the steps
+#: of a stacked pass, every window's parameter-stack row (``ctx.rows``):
+#: a :class:`_Layout`, or a one-member plan's context
+#: (:class:`repro.nn.backends.reference._Alone`).
+_Apply = Callable[[np.ndarray, object], np.ndarray]
 
 
 def _per_window(vectors: list[np.ndarray], ndim: int) -> np.ndarray:
@@ -355,83 +371,124 @@ def _per_window(vectors: list[np.ndarray], ndim: int) -> np.ndarray:
     return stack.reshape(stack.shape[0], *([1] * (ndim - 2)), stack.shape[1])
 
 
+def _shared(arrays: list[np.ndarray]) -> np.ndarray:
+    """A weight every window of a member meets: a lone member's own
+    array, by reference; several members' stacked (a copy)."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _per_row(ndim: int, *columns: list[np.ndarray]) -> Callable | tuple:
+    """Per-channel vectors (biases, statistics), one list per column.
+
+    For a lone member, its own arrays, by reference, whatever the call:
+    a tuple, one vector per column (viewed as ``(1, channels)``: against
+    a one-row batch numpy then skips its broadcasting loop).  For
+    several members, ``ctx -> (vector per column)`` giving each window's
+    row of every column, gathered together in one ``take`` of a
+    ``(members, columns, 1.., channels)`` stack.
+    """
+    if len(columns[0]) == 1:
+        return tuple(column[0].reshape(1, -1) for column in columns)
+    stack = np.stack([_per_window(column, ndim) for column in columns], axis=1)
+    return lambda ctx: stack.take(ctx.rows, axis=0).swapaxes(0, 1)
+
+
+def _stack_scaler(scalers: list[StandardScaler]) -> _Apply:
+    standardise = StandardScaler.standardise
+    stats = _per_row(3, [s.mean_ for s in scalers], [s.scale_ for s in scalers])
+    if type(stats) is tuple:
+        mean, scale = stats
+        return lambda x, ctx: standardise(x, mean, scale)
+    return lambda x, ctx: standardise(x, *stats(ctx))
+
+
 def _stack_dense(layers: list[Dense]) -> _Apply:
-    first = layers[0]
-    w = np.stack([layer.params["W"] for layer in layers])
-    b = _per_window([layer.params["b"] for layer in layers], len(first.input_shape) + 1)
-    return lambda x, layout: first.affine(
-        x, w, b.take(layout.rows, axis=0), layout.contract
-    )
+    affine = layers[0].affine
+    w = _shared([layer.params["W"] for layer in layers])
+    b = _per_row(len(layers[0].input_shape) + 1, [layer.params["b"] for layer in layers])
+    if type(b) is tuple:
+        (b,) = b
+        return lambda x, ctx: affine(x, w, b, ctx.contract)
+    return lambda x, ctx: affine(x, w, *b(ctx), ctx.contract)
 
 
 def _stack_conv(layers: list[Conv1D]) -> _Apply:
-    first = layers[0]
-    w = np.stack([layer.params["W"].reshape(-1, layer.filters) for layer in layers])
-    b = _per_window([layer.params["b"] for layer in layers], 3)
-    return lambda x, layout: first.convolve(
-        x, w, b.take(layout.rows, axis=0), layout.contract
-    )[0]
+    convolve, first = Conv1D.convolve, layers[0]
+    w = _shared([layer.params["W"].reshape(-1, layer.filters) for layer in layers])
+    b = _per_row(3, [layer.params["b"] for layer in layers])
+    pads = first._pad_amounts()
+    idx = first.im2col_index(first.input_shape[0])
+    if type(b) is tuple:
+        (b,) = b
+        return lambda x, ctx: convolve(x, w, b, ctx.contract, pads, idx)[0]
+    return lambda x, ctx: convolve(x, w, *b(ctx), ctx.contract, pads, idx)[0]
 
 
 def _stack_batch_norm(layers: list[BatchNorm]) -> _Apply:
-    first = layers[0]
-    ndim = len(first.input_shape) + 1
-    # (members, 4, 1.., channels): one gather per call fetches a window's
-    # running mean, running variance, gamma and beta together.
-    stats = np.stack(
-        [
-            _per_window([layer.running_mean for layer in layers], ndim),
-            _per_window([layer.running_var for layer in layers], ndim),
-            _per_window([layer.params["gamma"] for layer in layers], ndim),
-            _per_window([layer.params["beta"] for layer in layers], ndim),
-        ],
-        axis=1,
+    scale_shift = BatchNorm.scale_shift
+    # One gather per call fetches a window's running mean, inverse
+    # standard deviation (a function of the running variance: computed
+    # here, once), gamma and beta together.
+    stats = _per_row(
+        len(layers[0].input_shape) + 1,
+        [layer.running_mean for layer in layers],
+        [layer.inverse_std(layer.running_var) for layer in layers],
+        [layer.params["gamma"] for layer in layers],
+        [layer.params["beta"] for layer in layers],
     )
-
-    def apply(x, layout):
-        mean, var, gamma, beta = stats.take(layout.rows, axis=0).swapaxes(0, 1)
-        return first.normalise(x, mean, var, gamma, beta)[0]
-
-    return apply
+    if type(stats) is tuple:
+        mean, inv_std, gamma, beta = stats
+        return lambda x, ctx: scale_shift(x, mean, inv_std, gamma, beta)[0]
+    return lambda x, ctx: scale_shift(x, *stats(ctx))[0]
 
 
 def _stack_lstm(layers: list[LSTM]) -> _Apply:
-    first = layers[0]
-    wx = np.stack([layer.params["Wx"] for layer in layers])
-    wh = np.stack([layer.params["Wh"] for layer in layers])
-    b = np.stack([layer.params["b"] for layer in layers])
-    return lambda x, layout: first.recur(
-        x, wx, wh, b.take(layout.rows, axis=0), layout.contract
-    )
+    recur = layers[0].recur
+    wx = _shared([layer.params["Wx"] for layer in layers])
+    wh = _shared([layer.params["Wh"] for layer in layers])
+    b = _per_row(2, [layer.params["b"] for layer in layers])
+    if type(b) is tuple:
+        (b,) = b
+        return lambda x, ctx: recur(x, wx, wh, b, ctx.contract)
+    return lambda x, ctx: recur(x, wx, wh, *b(ctx), ctx.contract)
 
 
-def _stack_free(layers: list[Layer]) -> _Apply:
-    """A layer without parameters: its own forward, every window at once
-    (element-wise, or a reduction inside one window)."""
-    first = layers[0]
-    return lambda x, layout: first.forward(x, training=False)
+def _stack_elementwise(layers: list[Layer]) -> _Apply:
+    fn = layers[0]._fn
+    return lambda x, ctx: fn(x)
 
 
-#: The layer types a stacked pass covers — everything
-#: ``ErrorClassifier._build_model`` emits, plus the other parameter-free
-#: layers.  A model holding anything else is served per member.
-_STACKERS: dict[type, Callable[[list], _Apply]] = {
+def _stack_max_pool(layers: list[MaxPool1D]) -> _Apply:
+    size = layers[0].pool_size
+    return lambda x, ctx: MaxPool1D.pool(x, size)[0]
+
+
+#: The layer types an inference step covers — everything
+#: ``ErrorClassifier._build_model`` and ``GestureClassifier._build_model``
+#: emit, plus the other parameter-free layers — and how each is built
+#: from a list of same-typed layers, one per member.  A step built from
+#: one layer is a reference plan's (:func:`_steps`); a model holding
+#: anything else has no plan and is served layer by layer, and a library
+#: holding one is served per member.  ``None``: nothing to do at
+#: inference (dropout is the identity there).
+_STACKERS: dict[type, Callable[[list], _Apply | None]] = {
     Dense: _stack_dense,
     Conv1D: _stack_conv,
     BatchNorm: _stack_batch_norm,
     LSTM: _stack_lstm,
-    **{
-        kind: _stack_free
-        for kind in (
-            ReLU, Tanh, Sigmoid, Dropout, GlobalAveragePool1D, MaxPool1D, Flatten
-        )
-    },
+    ReLU: _stack_elementwise,
+    Tanh: _stack_elementwise,
+    Sigmoid: _stack_elementwise,
+    Dropout: lambda layers: None,
+    GlobalAveragePool1D: lambda layers: lambda x, ctx: GlobalAveragePool1D.average(x),
+    MaxPool1D: _stack_max_pool,
+    Flatten: lambda layers: lambda x, ctx: x.reshape(x.shape[0], -1),
 }
 
 
 def _architecture(model) -> tuple | None:
     """What two models must share to be stacked, read from their
-    structure; ``None`` for a model the stacked pass does not cover."""
+    structure; ``None`` for a model no inference step covers."""
     if not model.built or model.loss is None:
         return None
     if any(type(layer) not in _STACKERS for layer in model.layers):
@@ -450,6 +507,33 @@ def _architecture(model) -> tuple | None:
     )
 
 
+def _steps(members: list[tuple[StandardScaler, object]]) -> list[_Apply]:
+    """The inference steps of ``(scaler, model)`` members of one
+    architecture (:func:`_architecture`): the scaler's, one per layer
+    that computes anything at inference, and the loss head's.
+
+    Built from one member they are the reference backend's plan, holding
+    the member's own arrays; from several, the stacked pass's.  Either
+    way every step is the layer's own inference arithmetic — the same
+    functions its ``forward(training=False)`` calls — so the plan and
+    the stacked pass are the layer path's bits (``tests/nn/test_plan.py``
+    and ``tests/nn/test_library_forward.py`` compare bytes).  Values that
+    are functions of the parameters alone (the flattened conv kernel and
+    its im2col index, BatchNorm's inverse standard deviation) are
+    worked out here, once.
+    """
+    scalers = [scaler for scaler, _ in members]
+    models = [model for _, model in members]
+    steps = [_stack_scaler(scalers)]
+    for layers in zip(*(model.layers for model in models)):
+        step = _STACKERS[type(layers[0])](list(layers))
+        if step is not None:
+            steps.append(step)
+    head = models[0].loss.predict
+    steps.append(lambda x, ctx: head(x))
+    return steps
+
+
 class _Stack:
     """Every member's scaler and layer parameters, stacked along a
     leading member axis (copies: about 100 KB for 12 default members)."""
@@ -458,15 +542,9 @@ class _Stack:
         #: gesture number -> row of every parameter stack (ascending, so
         #: rows sorted by gesture number are rows sorted by stack row).
         self.slot = {gesture: row for row, (gesture, _, _) in enumerate(members)}
-        scalers = [scaler for _, scaler, _ in members]
-        models = [model for _, _, model in members]
-        self._mean = _per_window([s.mean_ for s in scalers], 3)
-        self._scale = _per_window([s.scale_ for s in scalers], 3)
-        self._layers = [
-            _STACKERS[type(layers[0])](list(layers))
-            for layers in zip(*(model.layers for model in models))
-        ]
-        self._head = models[0].loss.predict
+        #: The windows' shape every member was built for.
+        self.shape = members[0][2].layers[0].input_shape
+        self._steps = _steps([(scaler, model) for _, scaler, model in members])
 
     @classmethod
     def build(cls, members: list[tuple[int, StandardScaler, object]]) -> "_Stack | None":
@@ -489,9 +567,7 @@ class _Stack:
         ``sizes[j]`` consecutive windows for stack row ``slots[j]``,
         ``rows`` naming every window's stack row."""
         layout = _Layout(rows, slots, sizes)
-        x = StandardScaler.standardise(
-            windows, self._mean.take(rows, axis=0), self._scale.take(rows, axis=0)
-        )
-        for apply in self._layers:
-            x = apply(x, layout)
-        return self._head(x)
+        x = windows
+        for step in self._steps:
+            x = step(x, layout)
+        return x

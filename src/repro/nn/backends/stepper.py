@@ -92,6 +92,29 @@ class StreamStepper:
         self._h = [np.zeros((rows, u), dtype) for u in units]
         self._c = [np.zeros((rows, u), dtype) for u in units]
         self._no_windows = np.empty((0, *prob_shape), dtype)
+        # Which chains a frame starts and carries depends on its index
+        # only through its phase, ``index % (stride * n_chains)``: one
+        # row of each table per phase (see :meth:`_plan`).
+        self._period = self.stride * self.n_chains
+        index = np.arange(self._period)
+        #: The chain a frame at each phase starts, if it starts one.
+        self._chain = index // self.stride % self.n_chains
+        #: Whether a frame at each phase starts a chain.
+        self._starts = index % self.stride == 0
+        #: The chains a frame at each phase carries (all the others).
+        self._carried = np.ones((self._period, self.n_chains), dtype=bool)
+        self._carried[self._starts, self._chain[self._starts]] = False
+        #: A lone slot's row layout at each phase, its state rows
+        #: relative to the slot's first.
+        self._lone = []
+        for phase in range(self._period):
+            chains = np.flatnonzero(self._carried[phase])
+            n_recurrent = chains.shape[0]
+            if self._starts[phase]:
+                chains = np.append(chains, self._chain[phase])
+            self._lone.append(
+                (np.zeros(chains.shape[0], dtype=np.intp), chains, n_recurrent)
+            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -143,10 +166,12 @@ class StreamStepper:
         slots:
             Distinct slot indices, aligned with ``frames``.
         seen:
-            Each slot's frame count *including* this frame (what
-            :meth:`StreamingWindowBatch.advance
-            <repro.kinematics.windows.StreamingWindowBatch.advance>`
-            reports), which fixes the phase of its chains.
+            Each slot's frame count *including* this frame (its
+            :attr:`StreamingWindowBatch.frames_seen
+            <repro.kinematics.windows.StreamingWindowBatch.frames_seen>`
+            after the frame's :meth:`push
+            <repro.kinematics.windows.StreamingWindowBatch.push>`), which
+            fixes the phase of its chains.
         ready:
             Boolean mask of the slots whose window completes on this
             frame (``seen >= window``, on the stride).
@@ -165,16 +190,24 @@ class StreamStepper:
             raise ShapeError(
                 f"frames must be ({slots.shape[0]}, n_features), got {frames.shape}"
             )
-        for start in range(0, slots.shape[0], self.group):
-            part = slice(start, start + self.group)
-            self._advance(frames[part], *self._plan(slots[part], seen[part]))
-        if not ready.any():
+        if slots.shape[0] <= self.group:
+            self._advance(frames, *self._plan(slots, seen))
+        else:
+            for start in range(0, slots.shape[0], self.group):
+                part = slice(start, start + self.group)
+                self._advance(frames[part], *self._plan(slots[part], seen[part]))
+        # The chain a ready slot completes started `window` frames ago
+        # (in Python ints: a tick's few slots cost less than the numpy
+        # calls would).
+        window, stride, n_chains = self.window, self.stride, self.n_chains
+        done = [
+            slot * n_chains + (count - window) // stride % n_chains
+            for slot, count, is_ready in zip(slots.tolist(), seen.tolist(), ready.tolist())
+            if is_ready
+        ]
+        if not done:
             return self._no_windows
-        # The chain a ready slot completes started `window` frames ago.
-        done = slots[ready] * self.n_chains + (
-            (seen[ready] - self.window) // self.stride % self.n_chains
-        )
-        return self._head(done)
+        return self._head(np.array(done, dtype=np.intp))
 
     def step(
         self,
@@ -198,16 +231,18 @@ class StreamStepper:
         ``n_recurrent`` rows carry state into this step; the rest are
         the chains starting on this frame.
         """
-        index = seen - 1  # this frame's position in its stream
-        chain = index // self.stride % self.n_chains
-        carried = np.ones((slots.shape[0], self.n_chains), dtype=bool)
-        starting = np.flatnonzero(index % self.stride == 0)
-        carried[starting, chain[starting]] = False
-        rows, chains = np.nonzero(carried)
+        if slots.shape[0] == 1:
+            frame_rows, chains, n_recurrent = self._lone[(int(seen[0]) - 1) % self._period]
+            return frame_rows, chains + int(slots[0]) * self.n_chains, n_recurrent
+        phase = (seen - 1) % self._period  # of this frame's index
+        rows, chains = self._carried[phase].nonzero()
+        (starting,) = self._starts[phase].nonzero()
         base = slots * self.n_chains
         return (
             np.concatenate([rows, starting]),
-            np.concatenate([base[rows] + chains, base[starting] + chain[starting]]),
+            np.concatenate(
+                [base[rows] + chains, base[starting] + self._chain[phase[starting]]]
+            ),
             rows.shape[0],
         )
 

@@ -99,6 +99,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically-stable softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = x - x.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=axis, keepdims=True)

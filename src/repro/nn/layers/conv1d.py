@@ -44,9 +44,7 @@ class Conv1D(Layer):
         self.kernel_size = int(kernel_size)
         self.padding = padding
         self._cache: dict[str, np.ndarray] | None = None
-        #: ``(out_time, kernel_size)`` gather index of the im2col step,
-        #: kept from one forward to the next (rebuilt if the time length
-        #: changes).
+        #: The last :meth:`im2col_index`.
         self._im2col_idx: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -93,7 +91,15 @@ class Conv1D(Layer):
                 f"Conv1D built for {self.params['W'].shape[1]} channels, got {channels}"
             )
         w_flat = self.params["W"].reshape(self.kernel_size * channels, self.filters)
-        out, columns = self.convolve(x, w_flat, self.params["b"], contract, training)
+        out, columns = self.convolve(
+            x,
+            w_flat,
+            self.params["b"],
+            contract,
+            self._pad_amounts(),
+            self.im2col_index(time_steps),
+            training,
+        )
         if training:
             self._cache = {
                 "columns": columns,
@@ -102,36 +108,46 @@ class Conv1D(Layer):
             }
         return out
 
+    @staticmethod
     def convolve(
-        self, x: np.ndarray, w_flat, b, contract, training: bool = False
+        x: np.ndarray, w_flat, b, contract, pads, idx, training: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The forward arithmetic, written once: zero-pad the time axis,
-        im2col, contract with the flattened kernel, add the bias.
+        """The forward arithmetic, written once: zero-pad the time axis
+        by ``pads = (left, right)``, gather the im2col columns through
+        ``idx`` (:meth:`im2col_index`), contract with the flattened
+        kernel, add the bias.
 
         Returns ``(output, columns)``.  :meth:`forward` passes its own
         parameters and :func:`~repro.nn.layers.contract.contract`; the
-        stacked library pass (:mod:`repro.nn.backends.library`) passes
-        every member's flattened kernels, a bias row per window and its
-        own contraction.  Padding and the gather are per window, so
-        which windows share the call is free.
+        inference steps of :mod:`repro.nn.backends.library` (a reference
+        backend's plan, the stacked library pass) pass the padding and
+        index worked out once at build, and the stacked pass every
+        member's flattened kernels, a bias row per window and its own
+        contraction.  Padding and the gather are per window, so which
+        windows share the call is free.
         """
         batch, time_steps, channels = x.shape
-        left, right = self._pad_amounts()
+        left, right = pads
         if left or right:
             x_padded = np.zeros((batch, left + time_steps + right, channels))
             x_padded[:, left : left + time_steps, :] = x
         else:
             x_padded = x
-        out_time = self._output_time(time_steps)
-        k = self.kernel_size
-
+        out_time, k = idx.shape
         # im2col: (batch, out_time, kernel * channels)
-        idx = self._im2col_idx
-        if idx is None or idx.shape[0] != out_time:
-            idx = np.arange(out_time)[:, None] + np.arange(k)[None, :]
-            self._im2col_idx = idx
         columns = x_padded.take(idx, axis=1).reshape(batch, out_time, k * channels)
         return contract(columns, w_flat, training) + b, columns
+
+    def im2col_index(self, time_steps: int) -> np.ndarray:
+        """``(out_time, kernel_size)`` gather index of the im2col step
+        for inputs ``time_steps`` long, kept from one call to the next
+        (rebuilt if the time length changes)."""
+        out_time = self._output_time(time_steps)
+        idx = self._im2col_idx
+        if idx is None or idx.shape[0] != out_time:
+            idx = np.arange(out_time)[:, None] + np.arange(self.kernel_size)[None, :]
+            self._im2col_idx = idx
+        return idx
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self._check_built()

@@ -71,8 +71,9 @@ class BatchNorm(Layer):
             assert self.running_mean is not None and self.running_var is not None
             mean = self.running_mean
             var = self.running_var
-        out, x_hat, inv_std = self.normalise(
-            x, mean, var, self.params["gamma"], self.params["beta"]
+        inv_std = self.inverse_std(var)
+        out, x_hat = self.scale_shift(
+            x, mean, inv_std, self.params["gamma"], self.params["beta"]
         )
         if training:
             self._cache = {
@@ -82,21 +83,29 @@ class BatchNorm(Layer):
             }
         return out
 
-    def normalise(
-        self, x: np.ndarray, mean, var, gamma, beta
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The forward arithmetic, written once: ``(output, x_hat,
-        inv_std)`` from the statistics and affine it is handed.
+    def inverse_std(self, var: np.ndarray) -> np.ndarray:
+        """``1 / sqrt(var + epsilon)``: the statistics half of the
+        forward arithmetic, written once.  At inference it depends on
+        the running variance only, so the inference steps of
+        :mod:`repro.nn.backends.library` compute it once, at build."""
+        return 1.0 / np.sqrt(var + self.epsilon)
+
+    @staticmethod
+    def scale_shift(
+        x: np.ndarray, mean, inv_std, gamma, beta
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(output, x_hat)``: the element-wise half of the forward
+        arithmetic, written once.
 
         :meth:`forward` passes the batch's statistics when training and
-        the running ones at inference; the stacked library pass
-        (:mod:`repro.nn.backends.library`) passes, per input row, the
-        running statistics and affine of the member the row belongs
-        to.  Every operation is element-wise.
+        the running ones at inference; the inference steps of
+        :mod:`repro.nn.backends.library` pass the running statistics
+        with :meth:`inverse_std` worked out at build — the stacked
+        library pass one row of each per input row, from the member
+        the row belongs to.
         """
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
         x_hat = (x - mean) * inv_std
-        return gamma * x_hat + beta, x_hat, inv_std
+        return gamma * x_hat + beta, x_hat
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self._check_built()

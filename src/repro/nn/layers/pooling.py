@@ -41,11 +41,7 @@ class MaxPool1D(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._check_built()
         x = self._require_ndim(x, 3, "MaxPool1D input")
-        batch, time_steps, channels = x.shape
-        out_time = time_steps // self.pool_size
-        trimmed = x[:, : out_time * self.pool_size, :]
-        blocks = trimmed.reshape(batch, out_time, self.pool_size, channels)
-        out = blocks.max(axis=2)
+        out, blocks = self.pool(x, self.pool_size)
         if training:
             mask = blocks == out[:, :, None, :]
             # Break ties: keep only the first max within each pool window.
@@ -55,6 +51,17 @@ class MaxPool1D(Layer):
                 "x_shape": np.array(x.shape),
             }
         return out
+
+    @staticmethod
+    def pool(x: np.ndarray, pool_size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(output, blocks)``: the forward arithmetic, written once
+        (the inference steps of :mod:`repro.nn.backends.library` call
+        it too)."""
+        batch, time_steps, channels = x.shape
+        out_time = time_steps // pool_size
+        trimmed = x[:, : out_time * pool_size, :]
+        blocks = trimmed.reshape(batch, out_time, pool_size, channels)
+        return blocks.max(axis=2), blocks
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self._check_built()
@@ -104,7 +111,15 @@ class GlobalAveragePool1D(Layer):
         x = self._require_ndim(x, 3, "GlobalAveragePool1D input")
         if training:
             self._time_steps = x.shape[1]
-        return x.mean(axis=1)
+        return self.average(x)
+
+    @staticmethod
+    def average(x: np.ndarray) -> np.ndarray:
+        """The forward arithmetic, written once: the sum over the time
+        axis over its length — what ``x.mean(axis=1)`` computes, without
+        its Python-level dispatch (the inference steps of
+        :mod:`repro.nn.backends.library` call it too)."""
+        return np.add.reduce(x, axis=1) / x.shape[1]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self._check_built()

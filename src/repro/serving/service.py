@@ -43,7 +43,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from ..nn.backends import (
     validate_backend_name,
 )
 from ..nn.layers.contract import numerics_fingerprint
-from .telemetry import TelemetryRegistry
+from .telemetry import Counter, TelemetryRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> serving)
     from ..core.pipeline import SafetyMonitor
@@ -458,9 +458,17 @@ class MonitorService:
         self._error_library: LibraryBackend = make_library_backend(
             self.backend, monitor.library, max_batch=self.max_sessions
         )
-        self.telemetry.label("error_path", self._error_library.path)
-        for name in ("error_member_calls", "error_stacked_passes"):
-            self.telemetry.counter(name)
+        # The tick's instruments, bound once: the error stage's path
+        # label (rewritten only when it changes) and counters here, the
+        # rest on the first tick that needs them — a registry shows an
+        # instrument from its first use on.
+        self._error_path = self._error_library.path
+        self.telemetry.label("error_path", self._error_path)
+        self._member_calls = self.telemetry.counter("error_member_calls")
+        self._stacked_passes = self.telemetry.counter("error_stacked_passes")
+        self._observe_latency: Callable[[float], None] | None = None
+        self._events_emitted: Counter | None = None
+        self._events_flagged: Counter | None = None
 
     def _gesture_backend_or_none(self) -> InferenceBackend | None:
         """The gesture-stage backend, tracking the classifier's model.
@@ -816,7 +824,7 @@ class MonitorService:
 
         Each non-empty tick appends one latency sample to :attr:`stats`.
         """
-        active = [s for s in self._sessions.values() if s.has_pending]
+        active = [s for s in self._sessions.values() if s.pending]
         if not active:
             return []
         start = time.perf_counter()
@@ -839,7 +847,7 @@ class MonitorService:
         # copies, scored below once the gesture context is current.
         e_ready, e_windows = self._ring.push(frames, slots)
         if self._gesture_stepper is not None:
-            g_seen = self._ring.frames_seen[slots]
+            g_seen = self._ring.frames_seen.take(slots)
             g_ready = self._gesture_window.completes(g_seen)
             if self._feature_idx is None:
                 g_frames = frames
@@ -859,9 +867,9 @@ class MonitorService:
                     gesture_backend.predict(g_windows) + 1
                 )
 
-        if e_ready.any():
+        if e_windows.shape[0]:
             e_slots = slots[e_ready]
-            gestures = self._current_gesture[e_slots]
+            gestures = self._current_gesture.take(e_slots)
             known = gestures > 0
             # Sessions without a gesture context yet keep their score;
             # a gesture without a trained classifier scores 0.0 (safe).
@@ -870,22 +878,26 @@ class MonitorService:
             self._current_score[e_slots[known]] = library.score(
                 e_windows, gestures
             )[known]
-            self.telemetry.label("error_path", library.path)
-            self.telemetry.counter("error_member_calls").inc(
-                library.member_calls - calls
-            )
-            self.telemetry.counter("error_stacked_passes").inc(
-                library.stacked_passes - passes
-            )
+            path = library.path
+            if path != self._error_path:
+                self.telemetry.label("error_path", path)
+                self._error_path = path
+            self._member_calls.inc(library.member_calls - calls)
+            self._stacked_passes.inc(library.stacked_passes - passes)
 
         # Everything the per-session loop needs is looked up once per
         # tick: current gesture/score as plain Python values (one gather
         # each instead of two numpy scalar reads per session), the
         # threshold, the latency instrument and the list append.
         threshold = self.monitor.threshold
-        gestures_now = self._current_gesture[slots].tolist()
-        scores_now = self._current_score[slots].tolist()
-        observe_latency = self.telemetry.histogram("alert_latency_us").observe
+        gestures_now = self._current_gesture.take(slots).tolist()
+        scores_now = self._current_score.take(slots).tolist()
+        observe_latency = self._observe_latency
+        if observe_latency is None:
+            observe_latency = self._observe_latency = self.telemetry.histogram(
+                "alert_latency_us"
+            ).observe
+            self._events_emitted = self.telemetry.counter("events_emitted")
         events: list[SessionEvent] = []
         emit = events.append
         now = time.perf_counter()
@@ -900,21 +912,19 @@ class MonitorService:
             latency_us = (now - last_feed_ts) * 1e6 if last_feed_ts else 0.0
             if latency_us > 0.0:
                 observe_latency(latency_us)
+            # Positional: a frozen dataclass's keywords cost a third more.
             emit(
                 SessionEvent(
-                    session_id=session.id,
-                    frame_index=session.frames_done,
-                    gesture=gesture,
-                    score=score,
-                    flag=flag,
-                    latency_us=latency_us,
+                    session.id, session.frames_done, gesture, score, flag, None, latency_us
                 )
             )
             session.frames_done += 1
         self.stats.record(1000.0 * (time.perf_counter() - start), len(active))
-        self.telemetry.counter("events_emitted").inc(len(events))
+        self._events_emitted.inc(len(events))
         if n_flagged:
-            self.telemetry.counter("events_flagged").inc(int(n_flagged))
+            if self._events_flagged is None:
+                self._events_flagged = self.telemetry.counter("events_flagged")
+            self._events_flagged.inc(int(n_flagged))
         if self.event_store is not None:
             self.event_store.append_batch(events)
         return events
