@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs consistency checks, run by the CI docs job.
 
-Four guarantees:
+Five guarantees:
 
 1. every ```mermaid block in ``docs/*.md`` (and ``README.md``) parses —
    a lightweight structural validation: known diagram type on the first
@@ -16,7 +16,10 @@ Four guarantees:
    it is rewritten;
 4. the message-type table in ``docs/remote.md`` lists exactly the
    members of ``protocol.MessageType`` with their wire numbers, so the
-   wire reference cannot drift from the enum both ends dispatch on.
+   wire reference cannot drift from the enum both ends dispatch on;
+5. every ``TICKS_PER_ROUND`` = n that ``docs/serving.md`` states (at
+   least one) equals ``async_frontend.TICKS_PER_ROUND``, so the round
+   the operator docs describe is the one the fleet's tickers run.
 
 Run:  PYTHONPATH=src python scripts/check_docs.py
 Exits non-zero with one line per problem.
@@ -225,6 +228,24 @@ def check_message_types(page: Path) -> list[str]:
     ]
 
 
+#: A stated round size: ``TICKS_PER_ROUND`` = n, backticked or not.
+_TICKS_PER_ROUND = re.compile(r"`?TICKS_PER_ROUND`?\s*=\s*(\d+)")
+
+
+def check_ticks_per_round(page: Path) -> list[str]:
+    """Every round size ``page`` states is ``TICKS_PER_ROUND``'s value."""
+    from repro.serving.async_frontend import TICKS_PER_ROUND
+
+    stated = [int(n) for n in _TICKS_PER_ROUND.findall(page.read_text())]
+    if not stated:
+        return [f"{page}: states no `TICKS_PER_ROUND` = n"]
+    return [
+        f"{page}: states `TICKS_PER_ROUND` = {n}, the code has {TICKS_PER_ROUND}"
+        for n in stated
+        if n != TICKS_PER_ROUND
+    ]
+
+
 def main() -> int:
     errors: list[str] = []
     targets = sorted(DOCS.glob("*.md")) + [REPO / "README.md"]
@@ -236,6 +257,7 @@ def main() -> int:
             errors.extend(check_paths(path))
     errors.extend(check_api_coverage())
     errors.extend(check_message_types(DOCS / "remote.md"))
+    errors.extend(check_ticks_per_round(DOCS / "serving.md"))
     if errors:
         print("\n".join(errors), file=sys.stderr)
         print(f"\ncheck_docs: {len(errors)} problem(s)", file=sys.stderr)
@@ -247,7 +269,8 @@ def main() -> int:
     )
     print(
         f"check_docs: OK ({n_blocks} mermaid block(s), api.md covers __all__, "
-        "every cited path exists, remote.md tabulates MessageType)"
+        "every cited path exists, remote.md tabulates MessageType, "
+        "serving.md states TICKS_PER_ROUND)"
     )
     return 0
 

@@ -11,11 +11,13 @@ contract:
   thread, whenever the ring has room for it and no other call holds or
   awaits the shard's ingest turn — a write with no reply to wait for.
   One background ticker task per shard sends the worker a tick request
-  whenever the shard has pending frames, awaits the worker's pipe
-  becoming readable, reads the reply and the event ring, and hands the
-  tick's :class:`~repro.serving.service.SessionEvent`\\ s over as one
-  list — to the ``sink`` callable the front-end was wired with (the
-  gateway's router), or else onto the queue behind :meth:`events`;
+  whenever the shard has pending frames — one round, up to
+  :data:`TICKS_PER_ROUND` ticks run back to back by the worker — awaits
+  the worker's pipe becoming readable, reads the reply and the event
+  ring, and hands the round's
+  :class:`~repro.serving.service.SessionEvent`\\ s over as one list —
+  to the ``sink`` callable the front-end was wired with (the gateway's
+  router), or else onto the queue behind :meth:`events`;
 - what has to block runs on an executor thread: control ops (open,
   close, export, import, stats, telemetry: one pipe request/reply
   each), a feed that must wait on ring back-pressure (the ring is full,
@@ -58,6 +60,13 @@ from .transport import Request
 #: Sentinel pushed to the event queue when the front-end shuts down.
 _CLOSED = object()
 
+#: The most ticks one ticker round asks its worker for: the round's
+#: pipe exchange, event-ring handoff and hand-over are paid once per up
+#: to this many ticks.  A count, not a time budget: the shard's core is
+#: shared, and a round that ran until idle would hold a chunk's early
+#: events back until its last frame.
+TICKS_PER_ROUND = 8
+
 
 class _Turn(asyncio.Lock):
     """A shard's ingest turn: an ``asyncio.Lock`` that also knows whether
@@ -99,8 +108,8 @@ class AsyncShardedMonitor:
                 ...
 
     ``sink`` is wiring, not tuning: a callable taking one
-    ``list[SessionEvent]`` — the events of one shard tick, or of one
-    crash/resize/shed flush — called on the loop thread in place of
+    ``list[SessionEvent]`` — the events of one shard's tick round, or of
+    one crash/resize/shed flush — called on the loop thread in place of
     queueing for :meth:`events` (which then stays empty).  The gateway
     passes its router; leave it out to consume :meth:`events`.
 
@@ -120,9 +129,10 @@ class AsyncShardedMonitor:
         #: so a worker dying while nothing is pending still surfaces its
         #: sessions' fail-safe terminal events within this bound.
         self.poll_interval_s = poll_interval_s
-        #: Event batches awaiting :meth:`events` (unused with a sink).
+        #: Events awaiting :meth:`events`, one entry each, so an iteration
+        #: left early loses none of a batch (unused with a sink).
         self._queue: asyncio.Queue = asyncio.Queue()
-        self._sink = sink if sink is not None else self._queue.put_nowait
+        self._sink = sink if sink is not None else self._enqueue
         #: Each shard's pipe turn and ingest turn (module docstring).
         self._pipe: dict[int, asyncio.Lock] = {}
         self._ingest: dict[int, _Turn] = {}
@@ -171,8 +181,12 @@ class AsyncShardedMonitor:
         self._queue.put_nowait(_CLOSED)
 
     # ------------------------------------------------------------------
+    def _enqueue(self, batch: list[SessionEvent]) -> None:
+        for event in batch:
+            self._queue.put_nowait(event)
+
     def _emit(self, batch: list[SessionEvent]) -> None:
-        """Hand one tick's (or one flush's) events over, in order."""
+        """Hand one round's (or one flush's) events over, in order."""
         if batch:
             self._sink(batch)
 
@@ -294,14 +308,17 @@ class AsyncShardedMonitor:
         """One tick round of shard ``index``, on the loop thread.
 
         The one call :meth:`_shard_loop` makes per round (tracing and
-        fault injection patch it here).  Under the shard's pipe turn it
+        fault injection patch it here): up to :data:`TICKS_PER_ROUND`
+        ticks of the shard's worker.  Under the shard's pipe turn it
         runs :meth:`ShardedMonitorService._round`'s send half, awaits the
         worker's pipe (:meth:`_readable`), then runs the receive half,
         which reads the reply and the event ring and applies the round's
         outcome rule.  No thread waits on the worker.
         """
         async with self._pipe.setdefault(index, asyncio.Lock()):
-            round_ = self._service._round(Request("tick"), index)
+            round_ = self._service._round(
+                Request("tick", ticks=TICKS_PER_ROUND), index
+            )
             sent = next(round_)
             try:
                 readable = {h for h in sent if await self._readable(h.conn)}
@@ -539,11 +556,12 @@ class AsyncShardedMonitor:
 
         Yields until :meth:`aclose`; events of one session arrive in
         frame order, interleaving across sessions follows shard timing.
-        Crash events (``error`` set) are part of the stream.
+        Crash events (``error`` set) are part of the stream.  Leaving an
+        iteration early loses nothing: the next one resumes at the first
+        event not yet yielded.
         """
         while True:
-            batch = await self._queue.get()
-            if batch is _CLOSED:
+            event = await self._queue.get()
+            if event is _CLOSED:
                 return
-            for event in batch:
-                yield event
+            yield event

@@ -61,6 +61,7 @@ import asyncio
 import contextlib
 import logging
 import socket
+import time
 from collections import deque
 from collections.abc import AsyncIterator
 from concurrent.futures import Future
@@ -362,7 +363,10 @@ class RemoteMonitorClient:
 
     One connection can multiplex many sessions.  All methods may raise
     the gateway's re-mapped :mod:`repro.errors` exceptions; a dead
-    gateway surfaces as :class:`WorkerError`.
+    gateway surfaces as :class:`WorkerError`.  ``timeout_s`` bounds each
+    call that waits (a control call, ``next_event``, ``events_for``) as
+    a whole: what else the stream carries meanwhile — heartbeats, other
+    sessions' events — does not extend it (``TimeoutError``).
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 60.0) -> None:
@@ -397,34 +401,44 @@ class RemoteMonitorClient:
         if self._closed:
             raise WorkerError("client is closed")
         try:
+            self._sock.settimeout(self.timeout_s)  # a read may have shortened it
             self._sock.sendall(message)
         except OSError as exc:
             raise WorkerError(f"gateway connection lost: {exc}") from exc
 
-    def _read_next(self) -> tuple[MessageType, bytes]:
-        """One complete message off the stream (blocking)."""
+    def _deadline(self) -> float:
+        """The ``time.monotonic()`` by which a call starting now must end."""
+        return time.monotonic() + self.timeout_s
+
+    def _read_next(self, deadline: float) -> tuple[MessageType, bytes]:
+        """One complete message off the stream, blocking until
+        ``deadline`` at the latest (then ``TimeoutError``)."""
         while True:
             message = self._reader.next_message()
             if message is not None:
                 return message
+            expired = f"gateway call not answered within {self.timeout_s}s"
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(expired)
             try:
+                self._sock.settimeout(left)
                 data = self._sock.recv(65536)
             except socket.timeout as exc:
-                raise TimeoutError(
-                    f"no gateway message within {self._sock.gettimeout()}s"
-                ) from exc
+                raise TimeoutError(expired) from exc
             except OSError as exc:
                 raise WorkerError(f"gateway connection lost: {exc}") from exc
             if not data:
                 raise WorkerError("gateway closed the connection")
             self._reader.feed(data)
 
-    def _pump(self, ready) -> None:
-        """Read the stream through the core until ``ready()``.  An
-        asynchronous gateway ERROR (e.g. a rejected unacked feed) is
-        raised from here, whatever the caller was waiting for."""
+    def _pump(self, ready, deadline: float) -> None:
+        """Read the stream through the core until ``ready()``, by
+        ``deadline``.  An asynchronous gateway ERROR (e.g. a rejected
+        unacked feed) is raised from here, whatever the caller was
+        waiting for."""
         while not ready():
-            error = self._core.receive(*self._read_next(), self._send)
+            error = self._core.receive(*self._read_next(deadline), self._send)
             if error is not None:
                 raise error
 
@@ -432,11 +446,12 @@ class RemoteMonitorClient:
         self, message: bytes, expect: MessageType, state: ResumeState | None = None
     ):
         """Send one request and read until its reply."""
+        deadline = self._deadline()
         reply: Future = Future()
         self._core.request(expect, reply, state)
         try:
             self._send(message)
-            self._pump(reply.done)
+            self._pump(reply.done, deadline)
         finally:
             # Leaving without the reply (a read timeout, an asynchronous
             # ERROR) is giving up on it: a no-op once resolved.
@@ -458,7 +473,10 @@ class RemoteMonitorClient:
 
     def next_event(self) -> SessionEvent:
         """The next event from any of this connection's sessions."""
-        self._pump(lambda: self._core.events)
+        return self._next_event(self._deadline())
+
+    def _next_event(self, deadline: float) -> SessionEvent:
+        self._pump(lambda: self._core.events, deadline)
         return self._core.events.popleft()
 
     def events_for(self, session_id: str, n_events: int) -> list[SessionEvent]:
@@ -472,9 +490,10 @@ class RemoteMonitorClient:
         """
         collected: list[SessionEvent] = []
         requeue: list[SessionEvent] = []
+        deadline = self._deadline()
         try:
             while len(collected) < n_events:
-                event = self.next_event()
+                event = self._next_event(deadline)
                 if event.session_id == session_id:
                     collected.append(event)
                     if event.error is not None:

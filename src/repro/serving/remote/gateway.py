@@ -1127,10 +1127,11 @@ class MonitorGateway:
     # Event routing
     # ------------------------------------------------------------------
     def _route_events(self, batch: list[SessionEvent]) -> None:
-        """Route one engine tick's events to their owning connections.
+        """Route one engine hand-over's events to their owning connections.
 
         The single sink both engines call, on the loop thread, with the
-        events of one tick (or one crash/resize/shed flush).  Every
+        events of one K=1 tick, of one fleet shard's tick round, or of
+        one crash/resize/shed flush.  Every
         per-event decision is taken in batch order — each session's
         record says whether the event joins its client-visible stream —
         then the accepted events are teed into the durable log with one

@@ -1229,9 +1229,19 @@ class ShardedMonitorService:
         output, as do queued crash terminals, the liveness poll's and
         deferred ingest failures, while the survivors' events flow on.
 
+        A ``tick`` request may carry ``ticks=n > 1``: the worker then runs
+        up to ``n`` ticks back to back and announces their batches in one
+        reply.  An error reply may announce the batches of the ticks that
+        completed before the one that raised; they are delivered before
+        the shard fails safe.
+
         The events are the k-th ticks of all shards merged in global
         session opening order (what one :class:`MonitorService` over the
-        same sessions would produce), terminals merged into the first.
+        same sessions would produce).  A failed shard's terminals join
+        the position after the last tick it delivered — so each lands
+        after its session's events — deferred ingest failures join the
+        round's last tick, and the terminals queued before the round
+        join its first.
         """
         ticks = {0: self._flush_undelivered() + self._reap_dead()}
         sent: list[_ShardHandle] = []
@@ -1244,6 +1254,7 @@ class ShardedMonitorService:
                     ticks[0].extend(self._fail_shard(handle, str(exc)))
         readable = yield sent
         for handle in sent:
+            done = 0  # this shard's ticks delivered so far
             try:
                 if readable is not None and handle not in readable:
                     raise WorkerError(
@@ -1251,16 +1262,18 @@ class ShardedMonitorService:
                         f"{self.request_timeout_s}s"
                     )
                 reply = handle.recv(self.request_timeout_s)
+                if reply.value is not None:  # an error reply may announce too
+                    for tick_events in self._collect_ticks(
+                        handle, *reply.value[:2]
+                    ):
+                        ticks.setdefault(done, []).extend(
+                            self._account_events(handle, tick_events)
+                        )
+                        done += 1
                 if not reply.ok:
                     raise WorkerError(
                         f"shard {handle.index} {request.op} failed: "
                         f"{reply.error_type}: {reply.error}"
-                    )
-                for k, tick_events in enumerate(
-                    self._collect_ticks(handle, *reply.value[:2])
-                ):
-                    ticks.setdefault(k, []).extend(
-                        self._account_events(handle, tick_events)
                     )
                 if request.op == "drain":
                     # The worker's authoritative per-session frame counts
@@ -1271,8 +1284,12 @@ class ShardedMonitorService:
                         if record is not None:
                             record.events_seen = frames_done
             except WorkerError as exc:
-                ticks[0].extend(self._fail_shard(handle, str(exc)))
-        ticks[0].extend(self._ingest_failures())
+                ticks.setdefault(done, []).extend(
+                    self._fail_shard(handle, str(exc))
+                )
+        # After the round's last tick: a block rejected between two
+        # ticks of a round follows the events its session got before.
+        ticks[max(ticks)].extend(self._ingest_failures())
         yield [
             event
             for k in sorted(ticks)

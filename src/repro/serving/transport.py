@@ -68,6 +68,9 @@ class Request:
     #: Integer route id the session is addressed by on the shm rings;
     #: always set by ``open`` and ``migrate_in``.
     route: int | None = None
+    #: ``tick``: the most ticks the worker runs back to back for this
+    #: one request (it stops early once the shard has no pending frame).
+    ticks: int = 1
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,10 @@ class Reply:
     ``error_type``/``error`` carry the exception's class name and
     message.  ``has_pending`` piggy-backs the worker's post-operation
     backlog state on every reply so the router can track which shards
-    still owe ticks without extra round trips.
+    still owe ticks without extra round trips.  An error reply to a
+    ``tick`` still carries ``value`` when ticks of its round completed
+    before the one that raised: their event batches, announced like an
+    ``ok`` reply's.
 
     ``ingest_errors`` carries deferred failures of the asynchronous
     frame ring: ``feed()`` waits for no per-call ack, so a frame block

@@ -13,9 +13,10 @@ for this shard:
 - **frame ring** (in): the worker drains it into its service before
   dispatching *any* pipe request — so a ``feed`` written to the ring is
   always ordered ahead of the ``tick``/``close``/``migrate_out`` that
-  followed it on the router thread — and opportunistically between
-  requests (a short pipe poll timeout), which is what frees space for a
-  back-pressured writer even when no request is in flight.
+  followed it on the router thread — between the ticks of one ``tick``
+  round, and opportunistically between requests (a short pipe poll
+  timeout), which is what frees space for a back-pressured writer even
+  when no request is in flight.
 - **event ring** (out): each tick's event batch is packed as one
   :data:`~repro.serving.shm.EVENT_DTYPE` record; the pipe reply carries
   only the batch count.  If the ring is momentarily full the remaining
@@ -154,12 +155,43 @@ class _ShardWorker:
         """
         n_ring = 0
         for k, events in enumerate(tick_lists):
-            if not events or not self.event_ring.try_write_events(
-                self._encode_events(events)
-            ):
+            if not events or not self._publish(events):
                 return n_ring, tick_lists[k:]
             n_ring += 1
         return n_ring, []
+
+    def _publish(self, events: list[SessionEvent]) -> bool:
+        """Write one tick's batch to the event ring; False if it does not fit."""
+        return self.event_ring.try_write_events(self._encode_events(events))
+
+    def tick_round(self, ticks: int) -> Reply:
+        """Up to ``ticks`` service ticks back to back, one reply.
+
+        Ticks run while the service has pending frames, and the frame
+        ring is drained after each one, so a back-pressured feed still
+        waits at most about one tick plus :data:`RING_POLL_S`.  A tick's
+        batch is published before that drain, which may evict a session
+        (and drop its route) that the tick served; batches go to the
+        event ring oldest first, with the same sticky overflow as
+        :meth:`emit_events`.  A tick that raises ends the round with an
+        error reply that still announces the batches of the ticks
+        completed before it, so the router delivers them before it
+        fails the shard safe.
+        """
+        n_ring, overflow = 0, []
+        try:
+            for _ in range(ticks):
+                if not self.service.has_pending:
+                    break
+                events = self.service.tick()
+                if not overflow and self._publish(events):
+                    n_ring += 1
+                else:
+                    overflow.append(events)
+                self.consume_frames()
+        except Exception as exc:  # noqa: BLE001 - reduced to an error reply
+            return dataclasses.replace(error_reply(exc), value=(n_ring, overflow))
+        return Reply(ok=True, value=(n_ring, overflow))
 
 
 def _dispatch(worker: _ShardWorker, request: Request) -> Reply:
@@ -173,8 +205,7 @@ def _dispatch(worker: _ShardWorker, request: Request) -> Reply:
         worker.bind_route(session_id, request.route)
         return Reply(ok=True, value=session_id)
     if op == "tick":
-        n_ring, overflow = worker.emit_events([service.tick()])
-        return Reply(ok=True, value=(n_ring, overflow))
+        return worker.tick_round(request.ticks)
     if op == "drain":
         if request.collect:
             ticks = []
@@ -271,14 +302,15 @@ def worker_main(
             try:
                 reply = _dispatch(worker, request)
             except Exception as exc:  # noqa: BLE001 - reduced to an error reply
-                reply = error_reply(exc, has_pending=service.has_pending)
-            else:
-                reply = dataclasses.replace(reply, has_pending=service.has_pending)
-            reply = dataclasses.replace(
-                reply, ingest_errors=worker.take_ingest_errors()
-            )
+                reply = error_reply(exc)
             try:
-                conn.send(reply)
+                conn.send(
+                    dataclasses.replace(
+                        reply,
+                        has_pending=service.has_pending,
+                        ingest_errors=worker.take_ingest_errors(),
+                    )
+                )
             except (BrokenPipeError, OSError):
                 break
             if request.op == "stop":

@@ -152,8 +152,7 @@ def drain_available(client, timeout_s=0.05):
     committing to a blocking wait — the campaign's steady-state relief
     valve for the gateway's bounded send queues."""
     events = []
-    old = client._sock.gettimeout()
-    client._sock.settimeout(timeout_s)
+    old, client.timeout_s = client.timeout_s, timeout_s
     try:
         while True:
             try:
@@ -161,7 +160,7 @@ def drain_available(client, timeout_s=0.05):
             except TimeoutError:
                 return events
     finally:
-        client._sock.settimeout(old)
+        client.timeout_s = old
 
 
 def reference_streams(monitor, trajectories):

@@ -48,6 +48,7 @@ from repro.serving import (
     monitor_to_bytes,
     session_from_bytes,
 )
+from repro.serving.async_frontend import TICKS_PER_ROUND
 from repro.serving.remote import protocol
 from repro.serving.remote.client import _SessionCore
 from repro.serving.remote.protocol import (
@@ -475,8 +476,7 @@ class TestErrors:
         self, monitor
     ):
         """The same rule on the blocking client: a control call that
-        timed out stays owed, and the next call gets its own reply.
-        (Heartbeats held back: each one read restarts the socket timeout.)"""
+        timed out stays owed, and the next call gets its own reply."""
         with running_gateway(
             monitor, n_shards=1, max_sessions=4, heartbeat_interval_s=5.0
         ) as runner:
@@ -499,6 +499,46 @@ class TestErrors:
                 gate.set()
                 assert client.close_session("b")["session_id"] == "b"
                 assert client.gateway_stats()["sessions"]["closed_total"] == 2
+
+    def test_sync_timeout_bounds_the_call_not_each_read(self):
+        """A listener that sends HEARTBEAT every 50 ms and never answers
+        OPEN: each heartbeat is a successful socket read, but the call as
+        a whole still times out.  Its own bound, because a client that
+        restarted its timeout on every read would never return."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        stop = threading.Event()
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                while not stop.wait(0.05):
+                    conn.sendall(encode_message(MessageType.HEARTBEAT))
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        outcome = {}
+
+        def call():
+            started = time.monotonic()
+            try:
+                client.open_session("never-answered")
+            except Exception as exc:  # noqa: BLE001 - inspected below
+                outcome["error"] = exc
+            outcome["took_s"] = time.monotonic() - started
+
+        client = RemoteMonitorClient(*listener.getsockname(), timeout_s=0.5)
+        caller = threading.Thread(target=call, daemon=True)
+        try:
+            caller.start()
+            caller.join(2.0)
+            assert not caller.is_alive(), "open_session outlived its timeout_s"
+        finally:
+            stop.set()  # the listener hangs up: a stuck call ends too
+            server.join(5.0)
+            client.close()
+            listener.close()
+        assert isinstance(outcome["error"], TimeoutError)
+        assert outcome["took_s"] < 2.0
 
     @pytest.mark.parametrize("n_shards", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -930,13 +970,14 @@ class TestBackpressure:
                 conn.writer_gate.clear()
 
             runner.run(park_writer())
-            slow.feed("slow", np.zeros((50, N_FEATURES)))
+            # Enough frames for more than send_queue_max full rounds.
+            slow.feed("slow", np.zeros((200, N_FEATURES)))
             assert wait_until(lambda: gateway.failed_sessions)
             assert "overflow" in gateway.failed_sessions["slow"]
             stats = runner.stats()
             assert stats["connections"]["overflow_disconnects"] == 1
             assert stats["queues"]["peak_depth"] == 8
-            assert 8 <= stats["events_sent"] < 50
+            assert 8 <= stats["events_sent"] < 200
             slow.close()
 
 
@@ -1066,9 +1107,10 @@ class TestEventHandOff:
     def test_k2_one_fleet_tick_is_one_event_message_per_connection(
         self, monitor, tmp_path
     ):
-        """Raw socket, K=2: every shard tick's events for this connection
-        arrive as exactly one EVENT message, in tick order; the decoded
-        stream and the on-disk replay are bit-identical to a local run."""
+        """Raw socket, K=2: every shard round's events for this connection
+        (up to ``TICKS_PER_ROUND`` ticks) arrive as exactly one EVENT
+        message, in tick order; the decoded stream and the on-disk replay
+        are bit-identical to a local run."""
         fleet = {
             f"proc-{i}": make_random_walk_trajectory(
                 20, n_features=N_FEATURES, seed=80 + i
@@ -1145,11 +1187,19 @@ class TestEventHandOff:
             for msg_type, payload in messages
             if msg_type is MessageType.EVENT
         ]
-        # One message per non-empty shard tick, same content, and fewer
-        # messages than events: sessions sharing a shard share messages.
+        # One message per non-empty shard round, same content, and fewer
+        # messages than events: sessions sharing a shard share messages,
+        # and the ticks of one round share them too.
         assert sorted(event_messages) == sorted(batches)
         assert on_one_shard >= 2
-        assert max(len(m) for m in event_messages) == on_one_shard
+        sessions_per_message = [len({key[0] for key in m}) for m in event_messages]
+        assert max(sessions_per_message) == on_one_shard
+        assert max(len(m) for m in event_messages) > on_one_shard
+        for message in event_messages:
+            per_session = {}
+            for key in message:
+                per_session[key[0]] = per_session.get(key[0], 0) + 1
+            assert max(per_session.values()) <= TICKS_PER_ROUND
         streams = {sid: [] for sid in fleet}
         for message in event_messages:
             for key in message:

@@ -32,9 +32,11 @@ from repro.serving import (
     make_synthetic_monitor,
     suggest_shard_count,
 )
-from repro.serving.shm import EVENT_DTYPE
+from repro.serving.async_frontend import TICKS_PER_ROUND
+from repro.serving.shm import EVENT_DTYPE, ShmRing
 from repro.serving.telemetry import TelemetryRegistry
 from repro.serving.transport import Request
+from repro.serving.worker import _ShardWorker
 
 N_FEATURES = 10
 
@@ -1039,7 +1041,10 @@ class TestFailingWorkerTick:
                     doomed["shard"] = service.shard_of(sids[0])
                     victims = set(service.sessions_on(doomed["shard"]))
                     assert victims < set(sids)
-                    await frontend.feed(sids[0], np.zeros((10, N_FEATURES)))
+                    # More frames than three full rounds carry: a fourth comes.
+                    await frontend.feed(
+                        sids[0], np.zeros((4 * TICKS_PER_ROUND, N_FEATURES))
+                    )
                     deadline = time.monotonic() + 10.0
                     while (
                         set(service.failed_sessions) != victims
@@ -1116,6 +1121,271 @@ class TestFailingWorkerTick:
             assert (terminal.session_id, terminal.frame_index) == ("witness", 6)
             for tally in tallies.values():
                 assert tally["sent"] == tally["received"] or tally is tallies[high]
+
+
+def per_session_keys(events):
+    """``{session_id: [event_key, ...]}`` in stream order."""
+    streams = {}
+    for event in events:
+        streams.setdefault(event.session_id, []).append(event_key(event))
+    return streams
+
+
+class TestMultiTickRound:
+    """A ``tick`` request with ``ticks=n`` runs up to ``n`` worker ticks
+    back to back behind one exchange (``docs/serving.md``, "The data
+    plane"): each tick is still one frame per pending session, so every
+    stream is unchanged; only how many ticks share a round moves."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 30])
+    def test_async_streams_match_one_service(self, monitor, chunk):
+        """K=2 behind the front-end, sessions fed in chunks of ``chunk``
+        and half of them opened mid-stream: each session's events equal
+        one local service's, bit for bit."""
+        fleet = make_fleet(6, base_seed=1300, frames=30, step=7)
+        ref_events, _ = single_service_reference(monitor, fleet)
+        early, late = list(fleet)[:3], list(fleet)[3:]
+
+        async def run():
+            batches = []
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=8
+            ) as service:
+                async with AsyncShardedMonitor(
+                    service, sink=batches.append
+                ) as frontend:
+                    fed = dict.fromkeys(fleet, 0)
+
+                    async def feed_all(session_ids, until):
+                        while any(fed[s] < until(s) for s in session_ids):
+                            for session_id in session_ids:
+                                start = fed[session_id]
+                                stop = min(start + chunk, until(session_id))
+                                if start < stop:
+                                    await frontend.feed(
+                                        session_id,
+                                        fleet[session_id].frames[start:stop],
+                                    )
+                                    fed[session_id] = stop
+
+                    for session_id in early:
+                        await frontend.open_session(session_id)
+                    await feed_all(early, lambda s: fleet[s].n_frames // 2)
+                    for session_id in late:  # joins while the early ones tick
+                        await frontend.open_session(session_id)
+                    await feed_all(list(fleet), lambda s: fleet[s].n_frames)
+                    await frontend.drain()
+            return [e for batch in batches for e in batch]
+
+        events = asyncio.run(run())
+        assert not [e for e in events if e.error is not None]
+        assert per_session_keys(events) == per_session_keys(ref_events)
+
+    def test_a_round_advances_each_session_by_at_most_n(self, monitor):
+        """≥ n frames pending: a round is exactly ``n`` ticks (``n_ticks``
+        moves by ``n``), a session with fewer pending stops early; fewer
+        pending on the whole shard: the round ends when it goes idle.
+        The sync ``tick()`` still advances one frame per session."""
+        fleet = {
+            name: make_random_walk_trajectory(n, n_features=N_FEATURES, seed=seed)
+            for name, n, seed in (("long", 35, 1350), ("short", 10, 1351), ("other", 30, 1352))
+        }
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=4
+        ) as service:
+            low, high = sorted(service.shard_indices)
+            service.open_on_shard("long", low)
+            service.open_on_shard("short", low)
+            service.open_on_shard("other", high)
+            service.feed("long", fleet["long"].frames[:20])
+            service.feed("short", fleet["short"].frames[:5])
+            service.feed("other", fleet["other"].frames)
+            events = []
+
+            def round_of(n):
+                before = service.stats_of(low).n_ticks
+                batch = service._run_round(Request("tick", ticks=n), low)
+                events.extend(batch)
+                advanced = {}
+                for event in batch:
+                    advanced[event.session_id] = advanced.get(event.session_id, 0) + 1
+                return advanced, service.stats_of(low).n_ticks - before
+
+            # 20 and 5 pending: both advance n = 4.
+            assert round_of(4) == ({"long": 4, "short": 4}, 4)
+            # 16 and 1 pending: the short session stops, the round does not.
+            assert round_of(8) == ({"long": 8, "short": 1}, 8)
+            assert round_of(8) == ({"long": 8}, 8)
+            assert not service.shard_maybe_pending(low)
+            # Fewer than n pending: the round stops when the shard is idle.
+            service.feed("long", fleet["long"].frames[20:23])
+            assert round_of(8) == ({"long": 3}, 3)
+            # The sync tick() is one tick of every pending shard.
+            service.feed("long", fleet["long"].frames[23:])
+            service.feed("short", fleet["short"].frames[5:])
+            before = service.stats_of(low).n_ticks
+            batch = service.tick()
+            events.extend(batch)
+            assert sorted(e.session_id for e in batch) == ["long", "other", "short"]
+            assert service.stats_of(low).n_ticks - before == 1
+            events.extend(service.drain())
+        ref_events, _ = single_service_reference(monitor, fleet)
+        assert per_session_keys(events) == per_session_keys(ref_events)
+
+    def test_frames_landing_mid_round_join_its_next_tick(self, monitor):
+        """The worker drains the frame ring between the ticks of a round,
+        so a block written while a round runs is ticked by that round."""
+        service = MonitorService(monitor, max_sessions=2)
+        trajectory = make_random_walk_trajectory(12, n_features=N_FEATURES, seed=1360)
+        with ShmRing(1 << 16) as frame_ring, ShmRing(1 << 16) as event_ring:
+            worker = _ShardWorker(service, frame_ring, event_ring)
+            worker.bind_route(service.open_session("s"), 7)
+            service.feed("s", trajectory.frames[:2])
+            real_tick = service.tick
+
+            def tick():
+                events = real_tick()
+                if service.stats.n_ticks == 1:  # the round is under way
+                    assert frame_ring.try_write_frames(7, trajectory.frames[2:5])
+                return events
+
+            service.tick = tick
+            reply = worker.tick_round(8)
+            assert reply.ok
+            n_ring, overflow = reply.value
+            assert (n_ring, overflow) == (5, [])
+            frames = [int(event_ring.read_events()["frame"][0]) for _ in range(n_ring)]
+            assert frames == [0, 1, 2, 3, 4]
+            assert not service.has_pending
+
+    def test_a_session_evicted_mid_round_keeps_the_events_it_got(self, monitor):
+        """A block the worker rejects between two ticks of a round evicts
+        its session; the events earlier ticks of the round gave it are
+        still announced under its route, and the rejection rides the
+        reply for the router to fail the session safe after them."""
+        service = MonitorService(monitor, max_sessions=2)
+        frames = make_random_walk_trajectory(6, n_features=N_FEATURES, seed=1365).frames
+        with ShmRing(1 << 16) as frame_ring, ShmRing(1 << 16) as event_ring:
+            worker = _ShardWorker(service, frame_ring, event_ring)
+            for route, session_id in enumerate(("kept", "evicted")):
+                worker.bind_route(service.open_session(session_id), route)
+                service.feed(session_id, frames)
+            real_tick = service.tick
+
+            def tick():
+                events = real_tick()
+                if service.stats.n_ticks == 1:  # a block of the wrong width
+                    assert frame_ring.try_write_frames(1, np.zeros((2, N_FEATURES + 1)))
+                return events
+
+            service.tick = tick
+            reply = worker.tick_round(4)
+            assert reply.ok
+            assert reply.value == (4, [])
+            routes = [event_ring.read_events()["route"].tolist() for _ in range(4)]
+            assert routes == [[0, 1], [0], [0], [0]]
+            assert [route for route, _ in worker.take_ingest_errors()] == [1]
+            assert list(service.session_ids) == ["kept"]
+
+    def test_a_rejection_reported_by_a_round_follows_its_events(self, monitor):
+        """The router side of the eviction above: a rejection that rides a
+        round's reply becomes the session's terminal *after* the events
+        that round delivered for it, at its true stream position."""
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=4
+        ) as service:
+            low, _ = sorted(service.shard_indices)
+            for session_id in ("a", "b"):
+                service.open_on_shard(session_id, low)
+                service.feed(session_id, np.zeros((10, N_FEATURES)))
+            handle = service._shards[low]
+            (route,) = [r for r, sid in handle.routes.items() if sid == "a"]
+            real_recv = handle.recv
+
+            def recv(timeout_s):
+                reply = real_recv(timeout_s)
+                handle.pending_ingest.append((route, "injected rejection"))
+                return reply
+
+            handle.recv = recv
+            events = service._run_round(Request("tick", ticks=4), low)
+        *live, terminal = [e for e in events if e.session_id == "a"]
+        assert [e.frame_index for e in live] == [0, 1, 2, 3]
+        assert "injected rejection" in terminal.error
+        assert terminal.frame_index == 4
+        assert [e.frame_index for e in events if e.session_id == "b"] == [0, 1, 2, 3]
+
+    @needs_fork
+    @pytest.mark.parametrize("after", [0, 3, 10])
+    def test_a_tick_failing_inside_a_round(self, monitor, monkeypatch, after):
+        """The worker's tick raises once the doomed session has been
+        served ``after`` frames — at the first tick of a round, inside the
+        first, inside the second.  The shard's sessions get exactly those
+        ``after`` events, then one terminal each at that position; every
+        request gets its reply, and the other shard's streams stay
+        bit-identical to one service."""
+        monkeypatch.setattr(
+            MonitorService, "tick", failing_tick(RuntimeError, after=after)
+        )
+        fleet = make_fleet(4, base_seed=1370, frames=24, step=0)
+        doomed = {"doomed": fleet.pop("proc-0"), "buddy": fleet.pop("proc-1")}
+        ref_events, _ = single_service_reference(monitor, fleet)
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=4, start_method="fork"
+        ) as service:
+            low, high = sorted(service.shard_indices)
+            for session_id in doomed:
+                service.open_on_shard(session_id, low)
+            for session_id in fleet:
+                service.open_on_shard(session_id, high)
+            tallies = count_exchanges(service)
+            for session_id, trajectory in {**doomed, **fleet}.items():
+                service.feed(session_id, trajectory.frames)
+            events = []
+            while service.has_pending:
+                events.extend(
+                    service._run_round(Request("tick", ticks=TICKS_PER_ROUND))
+                )
+                for tally in tallies.values():
+                    assert tally["sent"] == tally["received"]
+            terminals = assert_failed_safe(service, events, set(doomed), low)
+        streams = {}
+        for event in events:
+            streams.setdefault(event.session_id, []).append(event)
+        for session_id in doomed:
+            *live, terminal = streams[session_id]
+            assert terminal is terminals[session_id]
+            assert [e.frame_index for e in live] == list(range(after))
+            assert all(e.error is None for e in live)
+            assert terminal.frame_index == after
+            assert "RuntimeError: injected tick failure" in terminal.error
+        assert per_session_keys(e for e in events if e.session_id in fleet) == (
+            per_session_keys(ref_events)
+        )
+
+    def test_async_rounds_carry_up_to_ticks_per_round(self, monitor):
+        """Behind the front-end one ticker round is up to
+        ``TICKS_PER_ROUND`` ticks: a block already in the ring when the
+        ticker wakes is handed over in rounds of that many frames."""
+        n_frames = 2 * TICKS_PER_ROUND + 3
+        trajectory = make_random_walk_trajectory(n_frames, n_features=N_FEATURES, seed=1380)
+
+        async def run():
+            batches = []
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=4
+            ) as service:
+                async with AsyncShardedMonitor(
+                    service, sink=batches.append
+                ) as frontend:
+                    session_id = await frontend.open_session("solo")
+                    await frontend.feed(session_id, trajectory.frames)
+                    await frontend.drain()
+            return batches
+
+        batches = asyncio.run(run())
+        assert [len(batch) for batch in batches] == [TICKS_PER_ROUND] * 2 + [3]
+        assert [e.frame_index for batch in batches for e in batch] == list(range(n_frames))
 
 
 class TestExchangeOutcomes:

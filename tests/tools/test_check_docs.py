@@ -3,7 +3,8 @@
 A doc that cites a file must fail the docs job once that file is
 deleted or renamed; exercised against a miniature tree with one passing
 and one failing page.  The wire reference's message-type table must
-fail it once it and ``protocol.MessageType`` disagree.
+fail it once it and ``protocol.MessageType`` disagree, and the operator
+docs' round size once it and ``TICKS_PER_ROUND`` do.
 """
 
 import sys
@@ -11,7 +12,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
 
-from check_docs import DOCS, check_message_types, check_paths  # noqa: E402 - path set up above
+from check_docs import (  # noqa: E402 - path set up above
+    DOCS,
+    check_message_types,
+    check_paths,
+    check_ticks_per_round,
+)
+
+from repro.serving.async_frontend import TICKS_PER_ROUND  # noqa: E402
 
 
 def _tree(tmp_path: Path) -> Path:
@@ -63,3 +71,18 @@ def test_the_wire_reference_tabulates_the_enum(tmp_path):
         f"{page}: message type `ACK` = 10 is in the table but not in protocol.MessageType",
         f"{page}: message type `PING` = 6 is in the table but not in protocol.MessageType",
     ]
+
+
+def test_the_operator_docs_state_the_round_size(tmp_path):
+    assert check_ticks_per_round(DOCS / "serving.md") == []
+    page = tmp_path / "serving.md"
+    drifted = TICKS_PER_ROUND + 1
+    page.write_text(
+        f"A round is up to `TICKS_PER_ROUND` = {TICKS_PER_ROUND} ticks;\n"
+        f"elsewhere it says TICKS_PER_ROUND = {drifted}.\n"
+    )
+    assert check_ticks_per_round(page) == [
+        f"{page}: states `TICKS_PER_ROUND` = {drifted}, the code has {TICKS_PER_ROUND}"
+    ]
+    page.write_text("A round is some ticks.\n")
+    assert check_ticks_per_round(page) == [f"{page}: states no `TICKS_PER_ROUND` = n"]
