@@ -62,9 +62,11 @@ _CLOSED = object()
 
 #: The most ticks one ticker round asks its worker for: the round's
 #: pipe exchange, event-ring handoff and hand-over are paid once per up
-#: to this many ticks.  A count, not a time budget: the shard's core is
-#: shared, and a round that ran until idle would hold a chunk's early
-#: events back until its last frame.
+#: to this many ticks.  The worker runs no more than the backlog it
+#: holds when the round begins, so paced traffic gets one-tick rounds.
+#: A count, not a time budget: the shard's core is shared, and a round
+#: that ran until idle would hold a chunk's early events back until its
+#: last frame.
 TICKS_PER_ROUND = 8
 
 

@@ -366,10 +366,13 @@ class RemoteMonitorClient:
     gateway surfaces as :class:`WorkerError`.  ``timeout_s`` bounds each
     call that waits (a control call, ``next_event``, ``events_for``) as
     a whole: what else the stream carries meanwhile — heartbeats, other
-    sessions' events — does not extend it (``TimeoutError``).
+    sessions' events — does not extend it (``TimeoutError``);
+    ``None`` waits without bound.
     """
 
-    def __init__(self, host: str, port: int, timeout_s: float = 60.0) -> None:
+    def __init__(
+        self, host: str, port: int, timeout_s: float | None = 60.0
+    ) -> None:
         self.timeout_s = timeout_s
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -406,11 +409,14 @@ class RemoteMonitorClient:
         except OSError as exc:
             raise WorkerError(f"gateway connection lost: {exc}") from exc
 
-    def _deadline(self) -> float:
-        """The ``time.monotonic()`` by which a call starting now must end."""
+    def _deadline(self) -> float | None:
+        """The ``time.monotonic()`` by which a call starting now must end
+        (``None``: ``timeout_s`` is ``None``, no deadline)."""
+        if self.timeout_s is None:
+            return None
         return time.monotonic() + self.timeout_s
 
-    def _read_next(self, deadline: float) -> tuple[MessageType, bytes]:
+    def _read_next(self, deadline: float | None) -> tuple[MessageType, bytes]:
         """One complete message off the stream, blocking until
         ``deadline`` at the latest (then ``TimeoutError``)."""
         while True:
@@ -418,8 +424,8 @@ class RemoteMonitorClient:
             if message is not None:
                 return message
             expired = f"gateway call not answered within {self.timeout_s}s"
-            left = deadline - time.monotonic()
-            if left <= 0:
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and left <= 0:
                 raise TimeoutError(expired)
             try:
                 self._sock.settimeout(left)
@@ -432,7 +438,7 @@ class RemoteMonitorClient:
                 raise WorkerError("gateway closed the connection")
             self._reader.feed(data)
 
-    def _pump(self, ready, deadline: float) -> None:
+    def _pump(self, ready, deadline: float | None) -> None:
         """Read the stream through the core until ``ready()``, by
         ``deadline``.  An asynchronous gateway ERROR (e.g. a rejected
         unacked feed) is raised from here, whatever the caller was
@@ -475,7 +481,7 @@ class RemoteMonitorClient:
         """The next event from any of this connection's sessions."""
         return self._next_event(self._deadline())
 
-    def _next_event(self, deadline: float) -> SessionEvent:
+    def _next_event(self, deadline: float | None) -> SessionEvent:
         self._pump(lambda: self._core.events, deadline)
         return self._core.events.popleft()
 

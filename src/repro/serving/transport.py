@@ -69,7 +69,9 @@ class Request:
     #: always set by ``open`` and ``migrate_in``.
     route: int | None = None
     #: ``tick``: the most ticks the worker runs back to back for this
-    #: one request (it stops early once the shard has no pending frame).
+    #: one request.  It runs no more than the longest per-session
+    #: backlog the shard held when the request arrived, and stops early
+    #: once the shard has no pending frame.
     ticks: int = 1
 
 

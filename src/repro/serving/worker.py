@@ -14,9 +14,9 @@ for this shard:
   dispatching *any* pipe request — so a ``feed`` written to the ring is
   always ordered ahead of the ``tick``/``close``/``migrate_out`` that
   followed it on the router thread — between the ticks of one ``tick``
-  round, and opportunistically between requests (a short pipe poll
-  timeout), which is what frees space for a back-pressured writer even
-  when no request is in flight.
+  or ``drain`` round, and opportunistically between requests (a short
+  pipe poll timeout), which is what frees space for a back-pressured
+  writer even when no request is in flight.
 - **event ring** (out): each tick's event batch is packed as one
   :data:`~repro.serving.shm.EVENT_DTYPE` record; the pipe reply carries
   only the batch count.  If the ring is momentarily full the remaining
@@ -37,6 +37,7 @@ ends the process.
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 
@@ -142,24 +143,6 @@ class _ShardWorker:
             )
         return batch
 
-    def emit_events(
-        self, tick_lists: list[list[SessionEvent]]
-    ) -> tuple[int, list[list[SessionEvent]]]:
-        """Write per-tick event batches to the ring, oldest first.
-
-        Returns ``(n_ring_batches, overflow_ticks)``.  Once one batch
-        fails to fit, the rest of this reply's ticks go to the pipe as
-        well (*sticky overflow*), so chronological order is simply
-        "ring batches, then overflow batches" and a reader can never
-        interleave them wrongly.
-        """
-        n_ring = 0
-        for k, events in enumerate(tick_lists):
-            if not events or not self._publish(events):
-                return n_ring, tick_lists[k:]
-            n_ring += 1
-        return n_ring, []
-
     def _publish(self, events: list[SessionEvent]) -> bool:
         """Write one tick's batch to the event ring; False if it does not fit."""
         return self.event_ring.try_write_events(self._encode_events(events))
@@ -167,23 +150,37 @@ class _ShardWorker:
     def tick_round(self, ticks: int) -> Reply:
         """Up to ``ticks`` service ticks back to back, one reply.
 
-        Ticks run while the service has pending frames, and the frame
-        ring is drained after each one, so a back-pressured feed still
-        waits at most about one tick plus :data:`RING_POLL_S`.  A tick's
-        batch is published before that drain, which may evict a session
-        (and drop its route) that the tick served; batches go to the
-        event ring oldest first, with the same sticky overflow as
-        :meth:`emit_events`.  A tick that raises ends the round with an
-        error reply that still announces the batches of the ticks
-        completed before it, so the router delivers them before it
-        fails the shard safe.
+        The round is bounded by the work pending when it starts: at most
+        as many ticks as the longest per-session backlog held then, and
+        it ends early once the shard has no pending frame.  The frame
+        ring is drained after each tick, so a back-pressured feed still
+        waits at most about one tick plus :data:`RING_POLL_S`, but the
+        frames that drain brings in cannot lengthen the round — a round
+        started with one frame pending per session is one tick, whatever
+        lands meanwhile.
+
+        Returns ``Reply(value=(n_ring_batches, overflow_ticks))``.  A
+        tick's batch is published before the drain that follows it
+        (which may evict a session, and drop its route, that the tick
+        served).  Batches go to the event ring oldest first; once one
+        does not fit, it and every later one go to the pipe instead
+        (*sticky overflow*), so chronological order is simply "ring
+        batches, then overflow batches".  A tick that raises ends the
+        round with an error reply that still announces the batches of
+        the ticks completed before it, so the router delivers them
+        before it fails the shard safe.
         """
+        service = self.service
+        owed = max(
+            (service.pending_frames(session_id) for session_id in service.session_ids),
+            default=0,
+        )
         n_ring, overflow = 0, []
         try:
-            for _ in range(ticks):
-                if not self.service.has_pending:
+            for _ in range(min(ticks, owed)):
+                if not service.has_pending:
                     break
-                events = self.service.tick()
+                events = service.tick()
                 if not overflow and self._publish(events):
                     n_ring += 1
                 else:
@@ -208,13 +205,16 @@ def _dispatch(worker: _ShardWorker, request: Request) -> Reply:
         return worker.tick_round(request.ticks)
     if op == "drain":
         if request.collect:
-            ticks = []
-            while service.has_pending:
-                ticks.append(service.tick())
+            reply = worker.tick_round(sys.maxsize)
+            if not reply.ok:
+                # A failed drain announces none of its ticks: the shard
+                # fails safe from its last delivered position, and its
+                # rings go with it.
+                return dataclasses.replace(reply, value=None)
+            n_ring, overflow = reply.value
         else:
             service.drain(collect=False)
-            ticks = []
-        n_ring, overflow = worker.emit_events(ticks)
+            n_ring, overflow = 0, []
         # Per-session progress rides along so the router's frame
         # accounting stays exact even when events are not collected.
         progress = {sid: service.frames_done(sid) for sid in service.session_ids}

@@ -540,6 +540,30 @@ class TestErrors:
         assert isinstance(outcome["error"], TimeoutError)
         assert outcome["took_s"] < 2.0
 
+    def test_sync_timeout_none_waits_without_bound(self, monitor):
+        """``timeout_s=None`` is no deadline: every waiting call, and one
+        answered only after heartbeats went by, completes."""
+        with running_gateway(
+            monitor, n_shards=1, max_sessions=4, heartbeat_interval_s=0.05
+        ) as runner:
+            gate = threading.Event()
+            real_close = runner.gateway._engine.close_session
+
+            async def gated_close(session_id):
+                while not gate.is_set():
+                    await asyncio.sleep(0.01)
+                return await real_close(session_id)
+
+            runner.gateway._engine.close_session = gated_close
+            frames = make_random_walk_trajectory(5, n_features=N_FEATURES, seed=90).frames
+            with RemoteMonitorClient(runner.host, runner.port, timeout_s=None) as client:
+                client.open_session("a")
+                client.feed("a", frames)
+                assert len(client.events_for("a", 4)) == 4
+                assert client.next_event().frame_index == 4
+                threading.Timer(0.3, gate.set).start()
+                assert client.close_session("a")["n_frames"] == 5
+
     @pytest.mark.parametrize("n_shards", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_frames_rejected_over_the_wire(

@@ -1133,9 +1133,10 @@ def per_session_keys(events):
 
 class TestMultiTickRound:
     """A ``tick`` request with ``ticks=n`` runs up to ``n`` worker ticks
-    back to back behind one exchange (``docs/serving.md``, "The data
-    plane"): each tick is still one frame per pending session, so every
-    stream is unchanged; only how many ticks share a round moves."""
+    back to back behind one exchange, within the backlog the shard held
+    when it arrived (``docs/serving.md``, "The data plane"): each tick
+    is still one frame per pending session, so every stream is
+    unchanged; only how many ticks share a round moves."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 30])
     def test_async_streams_match_one_service(self, monitor, chunk):
@@ -1232,31 +1233,59 @@ class TestMultiTickRound:
         ref_events, _ = single_service_reference(monitor, fleet)
         assert per_session_keys(events) == per_session_keys(ref_events)
 
-    def test_frames_landing_mid_round_join_its_next_tick(self, monitor):
-        """The worker drains the frame ring between the ticks of a round,
-        so a block written while a round runs is ticked by that round."""
-        service = MonitorService(monitor, max_sessions=2)
-        trajectory = make_random_walk_trajectory(12, n_features=N_FEATURES, seed=1360)
+    def test_frames_landing_mid_round_do_not_lengthen_it(self, monitor):
+        """The worker drains the frame ring between the ticks of a round
+        (back-pressure), but the round is bounded by the backlog it
+        started with: a block written while it runs waits for the next
+        round.  Paced sessions — one frame each pending, a new frame
+        landing after every tick — get a one-tick round."""
+        service = MonitorService(monitor, max_sessions=4)
+        frames = {
+            session_id: make_random_walk_trajectory(
+                12, n_features=N_FEATURES, seed=1360 + route
+            ).frames
+            for route, session_id in enumerate(("s", "p", "q"))
+        }
         with ShmRing(1 << 16) as frame_ring, ShmRing(1 << 16) as event_ring:
             worker = _ShardWorker(service, frame_ring, event_ring)
-            worker.bind_route(service.open_session("s"), 7)
-            service.feed("s", trajectory.frames[:2])
+            worker.bind_route(service.open_session("s"), 0)
+            service.feed("s", frames["s"][:2])
             real_tick = service.tick
+            landing = []  # (route, frames) written after each tick
 
             def tick():
                 events = real_tick()
-                if service.stats.n_ticks == 1:  # the round is under way
-                    assert frame_ring.try_write_frames(7, trajectory.frames[2:5])
+                if landing:
+                    assert frame_ring.try_write_frames(*landing.pop(0))
                 return events
 
+            def ticked_frames(n_ring):
+                return [
+                    event_ring.read_events()["frame"].tolist() for _ in range(n_ring)
+                ]
+
             service.tick = tick
+            landing.append((0, frames["s"][2:5]))
             reply = worker.tick_round(8)
-            assert reply.ok
-            n_ring, overflow = reply.value
-            assert (n_ring, overflow) == (5, [])
-            frames = [int(event_ring.read_events()["frame"][0]) for _ in range(n_ring)]
-            assert frames == [0, 1, 2, 3, 4]
-            assert not service.has_pending
+            assert reply.ok and reply.value[1] == []
+            assert ticked_frames(reply.value[0]) == [[0], [1]]
+            # Drained into the service (the ring has room again), not ticked.
+            assert service.pending_frames("s") == 3
+            assert frame_ring.read_frames() is None
+            reply = worker.tick_round(8)
+            assert ticked_frames(reply.value[0]) == [[2], [3], [4]]
+
+            # The 30 Hz shape: every session one frame behind, and frames
+            # keep landing mid-round at staggered phases.
+            for route, session_id in ((1, "p"), (2, "q")):
+                worker.bind_route(service.open_session(session_id), route)
+            for route, session_id in enumerate(("s", "p", "q")):
+                service.feed(session_id, frames[session_id][5:6])
+            landing.extend((route, frames[sid][6:7]) for route, sid in ((0, "s"), (1, "p"), (2, "q")))
+            reply = worker.tick_round(8)
+            assert ticked_frames(reply.value[0]) == [[5, 0, 0]]
+            assert service.stats.n_ticks == 6
+            assert [service.pending_frames(sid) for sid in ("s", "p", "q")] == [1, 0, 0]
 
     def test_a_session_evicted_mid_round_keeps_the_events_it_got(self, monitor):
         """A block the worker rejects between two ticks of a round evicts
