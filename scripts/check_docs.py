@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs consistency checks, run by the CI docs job.
 
-Five guarantees:
+Six guarantees:
 
 1. every ```mermaid block in ``docs/*.md`` (and ``README.md``) parses —
    a lightweight structural validation: known diagram type on the first
@@ -18,8 +18,12 @@ Five guarantees:
    members of ``protocol.MessageType`` with their wire numbers, so the
    wire reference cannot drift from the enum both ends dispatch on;
 5. every ``TICKS_PER_ROUND`` = n that ``docs/serving.md`` states (at
-   least one) equals ``async_frontend.TICKS_PER_ROUND``, so the round
-   the operator docs describe is the one the fleet's tickers run.
+   least one) equals ``transport.TICKS_PER_ROUND``, so the round the
+   operator docs describe is the one the fleet's tickers run;
+6. every constructor block in ``docs/api.md`` — a ```python block that
+   opens with ``Name(`` for a name in ``repro.serving.__all__`` — lists
+   exactly the parameters of ``inspect.signature(Name)``, so a removed
+   knob cannot linger in the reference, nor a new one go unlisted.
 
 Run:  PYTHONPATH=src python scripts/check_docs.py
 Exits non-zero with one line per problem.
@@ -234,7 +238,7 @@ _TICKS_PER_ROUND = re.compile(r"`?TICKS_PER_ROUND`?\s*=\s*(\d+)")
 
 def check_ticks_per_round(page: Path) -> list[str]:
     """Every round size ``page`` states is ``TICKS_PER_ROUND``'s value."""
-    from repro.serving.async_frontend import TICKS_PER_ROUND
+    from repro.serving.transport import TICKS_PER_ROUND
 
     stated = [int(n) for n in _TICKS_PER_ROUND.findall(page.read_text())]
     if not stated:
@@ -244,6 +248,55 @@ def check_ticks_per_round(page: Path) -> list[str]:
         for n in stated
         if n != TICKS_PER_ROUND
     ]
+
+
+#: The head of a constructor block: ``Name(`` opening a ```python block.
+_BLOCK_HEAD = re.compile(r"^```python\n(\w+)\(", re.MULTILINE)
+
+
+def _parameters(text: str) -> set[str]:
+    """The parameter names of the call whose arguments ``text`` opens
+    with, up to its closing paren: the leading name of each top-level
+    comma-separated item (``*`` and annotations/defaults dropped)."""
+    items, item, depth = [], "", 0
+    for char in text:
+        if char in ")]}" and depth == 0:
+            break
+        depth += (char in "([{") - (char in ")]}")
+        if char == "," and depth == 0:
+            items.append(item)
+            item = ""
+        else:
+            item += char
+    items.append(item)
+    return {name for name in (re.match(r"\s*(\w*)", i).group(1) for i in items) if name}
+
+
+def check_constructor_blocks(page: Path) -> list[str]:
+    """Each ``Name(`` block of ``page`` lists exactly the parameters of
+    ``repro.serving.Name``'s signature."""
+    import inspect
+
+    import repro.serving as serving
+
+    text = page.read_text()
+    errors = []
+    for match in _BLOCK_HEAD.finditer(text):
+        name = match.group(1)
+        if name not in serving.__all__:
+            continue
+        listed = _parameters(text[match.end():])
+        actual = set(inspect.signature(getattr(serving, name)).parameters)
+        line = text.count("\n", 0, match.start()) + 2
+        errors.extend(
+            f"{page}:{line}: `{name}(` lists `{param}`, not in its signature"
+            for param in sorted(listed - actual)
+        )
+        errors.extend(
+            f"{page}:{line}: `{name}(` omits its parameter `{param}`"
+            for param in sorted(actual - listed)
+        )
+    return errors
 
 
 def main() -> int:
@@ -258,6 +311,7 @@ def main() -> int:
     errors.extend(check_api_coverage())
     errors.extend(check_message_types(DOCS / "remote.md"))
     errors.extend(check_ticks_per_round(DOCS / "serving.md"))
+    errors.extend(check_constructor_blocks(DOCS / "api.md"))
     if errors:
         print("\n".join(errors), file=sys.stderr)
         print(f"\ncheck_docs: {len(errors)} problem(s)", file=sys.stderr)
@@ -270,7 +324,8 @@ def main() -> int:
     print(
         f"check_docs: OK ({n_blocks} mermaid block(s), api.md covers __all__, "
         "every cited path exists, remote.md tabulates MessageType, "
-        "serving.md states TICKS_PER_ROUND)"
+        "serving.md states TICKS_PER_ROUND, api.md's constructor blocks "
+        "match their signatures)"
     )
     return 0
 

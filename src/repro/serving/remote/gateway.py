@@ -848,7 +848,7 @@ class MonitorGateway:
                 session_id, f"no parked session {session_id!r}"
             )
         else:
-            error = session.refusal(token, last_event)
+            error = session.refusal(token, last_event, conn)
             if session.conn is None and isinstance(error, WorkerError):
                 # Beyond replay reach: resuming would silently skip
                 # events, so the park fails safe now.  (A session still
@@ -903,7 +903,7 @@ class MonitorGateway:
                 self._expire_parked(session)
             return False
         session.resuming = False
-        error = session.refusal(token, last_event)
+        error = session.refusal(token, last_event, conn)
         if error is not None:
             # Events that landed while the adopt was in flight evicted
             # ring entries; the client can no longer be caught up

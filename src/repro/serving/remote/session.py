@@ -32,7 +32,9 @@ class _RemoteSession:
     Stream position: ``fed`` counts frames accepted off the wire
     (:meth:`admit`, then :meth:`accept` or :meth:`retract`),
     ``delivered`` events routed back (:meth:`deliver`; equal to frames
-    processed), ``flagged`` those with ``flag=True``.  With resume
+    processed), ``flagged`` those with ``flag=True``.  ``seq`` is the
+    wire position — the client's seq space: ``fed`` plus the rows the
+    engine refused, which the client counted as sent.  With resume
     enabled (a ``replay_max``) the record also carries the resume
     ``token`` handed out at OPEN, the ``history`` ring of the last
     ``replay_max`` delivered events (what a returning client is caught
@@ -41,8 +43,8 @@ class _RemoteSession:
     from stream index ``base`` on.  :meth:`deliver` retires every batch
     that ends more than ``window`` frames (the engine's
     ``history_frames``) before ``delivered``: no event still to come
-    can depend on it.  An acked frame is therefore either still held or
-    its event has been delivered, and :meth:`archive` writes the
+    can depend on it.  An acked frame is therefore either still held,
+    delivered as an event or refused, and :meth:`archive` writes the
     session down from the record alone, whatever became of its engine
     side.  Without resume all three are ``None``: seq is not
     interpreted, nothing is acked or filtered.
@@ -72,7 +74,7 @@ class _RemoteSession:
     """
 
     __slots__ = (
-        "session_id", "conn", "fed", "delivered", "flagged", "token",
+        "session_id", "conn", "fed", "seq", "delivered", "flagged", "token",
         "journal", "base", "window", "history", "recovering", "parking",
         "inflight", "resuming", "reason", "expiry",
     )
@@ -87,6 +89,7 @@ class _RemoteSession:
         self.session_id = session_id
         self.conn = None
         self.fed = 0
+        self.seq = 0
         self.delivered = 0
         self.flagged = 0
         self.token: str | None = None
@@ -126,20 +129,20 @@ class _RemoteSession:
         engine, journaled — ``None`` when all are already held.
 
         ``seq`` counts the frames the client sent before this batch,
-        ``fed`` those accepted.  A batch starting past ``fed`` means
-        frames were lost beyond repair (:class:`ProtocolError`); one
-        starting before it is a resume replay and loses the prefix
-        accepted before the disconnect.
+        ``self.seq`` those the gateway took off the wire.  A batch
+        starting past ``self.seq`` means frames were lost beyond repair
+        (:class:`ProtocolError`); one starting before it is a resume
+        replay and loses the prefix taken before the disconnect.
         """
         if self.journal is None:
             return frames
-        if seq > self.fed:
+        if seq > self.seq:
             raise ProtocolError(
                 f"FRAME sequence gap for session {self.session_id!r}: "
-                f"got seq {seq}, expected {self.fed}"
+                f"got seq {seq}, expected {self.seq}"
             )
-        if seq < self.fed:
-            frames = frames[self.fed - seq :]
+        if seq < self.seq:
+            frames = frames[self.seq - seq :]
             if not frames.shape[0]:
                 return None
         self.journal.append(frames)
@@ -147,17 +150,20 @@ class _RemoteSession:
 
     def retract(self) -> None:
         """Withdraw the batch just admitted: the engine refused it as
-        the client's fault (shape, ...), so no restore may carry it."""
+        the client's fault (shape, ...), so no restore may carry it.
+        Its rows stay counted on the wire, where the client counted
+        them, so the next batch does not read as a gap."""
         if self.journal is not None:
-            self.journal.pop()
+            self.seq += self.journal.pop().shape[0]
 
     def accept(self, n_frames: int) -> int | None:
         """Commit ``n_frames`` admitted rows; the ACK value owed
-        (``None`` with resume off).  The journal is what an ack
-        promises: a batch counts once journaled, even while its feed
-        waits for a restore."""
+        (``None`` with resume off), in the client's seq space.  The
+        journal is what an ack promises: a batch counts once journaled,
+        even while its feed waits for a restore."""
         self.fed += n_frames
-        return self.fed if self.journal is not None else None
+        self.seq += n_frames
+        return self.seq if self.journal is not None else None
 
     @property
     def drained(self) -> bool:
@@ -241,13 +247,23 @@ class _RemoteSession:
             or (self.conn is None and self.recovering)
         )
 
-    def refusal(self, token: str, last_event: int) -> ReproError | None:
-        """The one admission check of a RESUME, parked or live: the
-        error to answer with, or ``None`` when the client may have the
-        session and can be caught up gaplessly from the replay ring."""
+    def refusal(self, token: str, last_event: int, conn) -> ReproError | None:
+        """The one admission check of a RESUME on ``conn``, parked or
+        live: the error to answer with, or ``None`` when the client may
+        have the session and can be caught up gaplessly from the replay
+        ring.  A RESUME from a connection accepted before the current
+        owner gets the retryable "no parked session" refusal: it may be
+        one still buffered on a dead connection, overtaken by the live
+        one's, and must not take the session back.  Once the owner's
+        end is noticed the session parks, and a retry is admitted."""
         if not secrets.compare_digest(token, self.token):
             return ProtocolError(
                 f"resume token mismatch for {self.session_id!r}"
+            )
+        if self.conn is not None and conn.id < self.conn.id:
+            return ProtocolError(
+                f"no parked session {self.session_id!r}: connection "
+                f"{conn.id} is older than its owner {self.conn.id}"
             )
         if last_event > self.delivered:
             return ProtocolError(
@@ -280,11 +296,11 @@ class _RemoteSession:
         return reply
 
     def resume_reply(self) -> dict:
-        """``acked_seq``: the frames the gateway durably holds — the
-        client replays everything after it."""
+        """``acked_seq``: the wire position the gateway durably holds —
+        the client replays everything after it."""
         return {
             "session_id": self.session_id,
-            "acked_seq": self.fed,
+            "acked_seq": self.seq,
             "delivered": self.delivered,
             "resume_token": self.token,
         }

@@ -26,12 +26,12 @@ sessions rebalance onto the survivors while healthy shards keep ticking.
 
 Data moves over the **shared-memory data plane** (:mod:`.shm`): each
 shard owns a frame ring ``feed()`` writes into without a reply round
-trip (a full ring is the back-pressure signal) and an event ring whose
-batches ``tick()``/``drain()`` read in place, so the pipe carries only
-control ops.  Sessions are addressed on the rings by their global
-opening ``order`` — the same integer that merges event streams — and
-frame widths are validated router-side against the snapshot
-(:func:`~repro.serving.snapshot.snapshot_n_features`), so a bad
+trip (a full ring is the back-pressure signal) and an event ring, sized
+to hold one tick round, whose batches every round reads in place, so
+the pipe carries only control ops.  Sessions are addressed on the rings
+by their global opening ``order`` — the same integer that merges event
+streams — and frame widths are validated router-side against the
+snapshot (:func:`~repro.serving.snapshot.snapshot_n_features`), so a bad
 ``feed`` still raises synchronously.  Frame blocks the *worker*
 rejects after that (the safety net) surface as deferred
 ``ingest_errors`` on the next exchange and fail the session safe.
@@ -78,9 +78,9 @@ from .telemetry import TelemetryRegistry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .eventstore import EventStoreWriter
 from .shm import (
-    DEFAULT_EVENT_RING_BYTES,
     DEFAULT_FRAME_RING_BYTES,
     ShmRing,
+    event_ring_capacity,
     write_frames_blocking,
 )
 from .snapshot import (
@@ -91,7 +91,7 @@ from .snapshot import (
     snapshot_history_frames,
     snapshot_n_features,
 )
-from .transport import Reply, Request, raise_remote, recv_message
+from .transport import TICKS_PER_ROUND, Reply, Request, raise_remote, recv_message
 from .worker import worker_main
 
 logger = logging.getLogger(__name__)
@@ -377,14 +377,16 @@ class ShardedMonitorService:
         ``monitor`` itself.  Caller-supplied ``monitor_bytes`` are
         shipped verbatim: an explicit ``backend`` override applies to
         this fleet without rewriting the archive's own metadata.
-    frame_ring_bytes / event_ring_bytes:
-        Capacities of each shard's shared-memory rings (:mod:`.shm`):
-        ``feed()`` is a zero-ack write into the frame ring with
-        ring-full back-pressure, and tick/drain event batches are read
-        out of the event ring instead of being pickled.  See
-        :data:`~repro.serving.shm.DEFAULT_FRAME_RING_BYTES`; sizing
-        bounds the un-ingested backlog a shard will buffer before
-        ``feed()`` blocks.
+    frame_ring_bytes:
+        Capacity of each shard's shared-memory frame ring (:mod:`.shm`):
+        ``feed()`` is a zero-ack write into it with ring-full
+        back-pressure, so it bounds the un-ingested backlog a shard will
+        buffer before ``feed()`` blocks.  See
+        :data:`~repro.serving.shm.DEFAULT_FRAME_RING_BYTES`.  Each
+        shard's event ring is derived, not configured: it holds one
+        round of :data:`~repro.serving.transport.TICKS_PER_ROUND`
+        batches of ``max_sessions_per_shard`` events
+        (:func:`~repro.serving.shm.event_ring_capacity`).
     event_store:
         Optional :class:`~repro.serving.eventstore.EventStoreWriter`
         the router tees every delivered event into — live tick/drain
@@ -392,8 +394,7 @@ class ShardedMonitorService:
         ingest-failure terminals, and a ``"resize"`` marker per
         :meth:`resize` — each exactly once, at the point it enters the
         merged stream.  Leave ``None`` when a gateway in front owns
-        the tee.  Note ``drain(collect=False)`` discards live events
-        inside the workers, so nothing reaches the tee for them.
+        the tee.
 
     The façade mirrors the :class:`MonitorService` lifecycle —
     ``open_session`` / ``feed`` / ``tick`` / ``drain`` /
@@ -418,7 +419,6 @@ class ShardedMonitorService:
         request_timeout_s: float | None = None,
         backend: str | None = None,
         frame_ring_bytes: int = DEFAULT_FRAME_RING_BYTES,
-        event_ring_bytes: int = DEFAULT_EVENT_RING_BYTES,
         event_store: "EventStoreWriter | None" = None,
     ) -> None:
         if n_shards < 1:
@@ -448,7 +448,6 @@ class ShardedMonitorService:
         self.max_sessions_per_shard = int(max_sessions_per_shard)
         self.request_timeout_s = request_timeout_s
         self.frame_ring_bytes = int(frame_ring_bytes)
-        self.event_ring_bytes = int(event_ring_bytes)
         # Router-side feed validation width: with the asynchronous frame
         # ring there is no reply to carry a worker-side ShapeError, so
         # the router enforces the trained width up front (same eager
@@ -494,7 +493,9 @@ class ShardedMonitorService:
     # ------------------------------------------------------------------
     def _spawn_shard(self, index: int) -> None:
         frame_ring = ShmRing(self.frame_ring_bytes)
-        event_ring = ShmRing(self.event_ring_bytes)
+        event_ring = ShmRing(
+            event_ring_capacity(TICKS_PER_ROUND, self.max_sessions_per_shard)
+        )
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         try:
             process = self._ctx.Process(
@@ -1199,7 +1200,7 @@ class ShardedMonitorService:
         )
 
     def _round(self, request: Request, index: int | None = None):
-        """One broadcast-and-collect ``tick``/``drain`` round, in two halves.
+        """One broadcast-and-collect ``tick`` round, in two halves.
 
         Under :meth:`tick`, :meth:`drain` and :meth:`tick_shard`
         (``index`` names the one shard asked).  The request goes to
@@ -1232,7 +1233,7 @@ class ShardedMonitorService:
         A ``tick`` request may carry ``ticks=n > 1``: the worker then runs
         up to ``n`` ticks back to back and announces their batches in one
         reply.  An error reply may announce the batches of the ticks that
-        completed before the one that raised; they are delivered before
+        completed before the one that failed; they are delivered before
         the shard fails safe.
 
         The events are the k-th ticks of all shards merged in global
@@ -1262,27 +1263,17 @@ class ShardedMonitorService:
                         f"{self.request_timeout_s}s"
                     )
                 reply = handle.recv(self.request_timeout_s)
-                if reply.value is not None:  # an error reply may announce too
-                    for tick_events in self._collect_ticks(
-                        handle, *reply.value[:2]
-                    ):
-                        ticks.setdefault(done, []).extend(
-                            self._account_events(handle, tick_events)
-                        )
-                        done += 1
+                # An error reply announces too (none when it answers no tick).
+                for tick_events in self._collect_ticks(handle, reply.value or 0):
+                    ticks.setdefault(done, []).extend(
+                        self._account_events(handle, tick_events)
+                    )
+                    done += 1
                 if not reply.ok:
                     raise WorkerError(
                         f"shard {handle.index} {request.op} failed: "
                         f"{reply.error_type}: {reply.error}"
                     )
-                if request.op == "drain":
-                    # The worker's authoritative per-session frame counts
-                    # keep crash-event frame indices exact even when
-                    # events were not collected (collect=False).
-                    for session_id, frames_done in reply.value[2].items():
-                        record = self._sessions.get(session_id)
-                        if record is not None:
-                            record.events_seen = frames_done
             except WorkerError as exc:
                 ticks.setdefault(done, []).extend(
                     self._fail_shard(handle, str(exc))
@@ -1317,14 +1308,19 @@ class ShardedMonitorService:
     def drain(self, collect: bool = True) -> list[SessionEvent]:
         """Tick every shard until no live shard has pending frames.
 
-        Each worker drains its own backlog in one round trip
-        (:meth:`_round`), so K shards drain concurrently.  With
-        ``collect=True`` the per-tick event lists are interleaved
-        tick-by-tick across shards (a single service's drain order);
-        with ``collect=False`` only crash events (if any) are returned —
-        those are never dropped.
+        A run of :meth:`_round` calls of :data:`TICKS_PER_ROUND` ticks
+        each, so K shards drain concurrently and every round obeys the
+        one failure rule.  With ``collect=True`` the per-tick event
+        lists are interleaved tick-by-tick across shards (a single
+        service's drain order); with ``collect=False`` only the
+        fail-safe terminals are returned — those are never dropped —
+        while every event is still counted and teed to ``event_store``.
         """
-        return self._run_round(Request("drain", collect=collect))
+        request = Request("tick", ticks=TICKS_PER_ROUND)
+        events = self._run_round(request)
+        while self.has_pending:
+            events.extend(self._run_round(request))
+        return events if collect else [e for e in events if e.error is not None]
 
     def close_session(self, session_id: str) -> SessionResult:
         """Free the session's slot on its shard; return its timeline.
@@ -1564,15 +1560,10 @@ class ShardedMonitorService:
     # Shm data plane: event-ring decode and deferred ingest failures
     # ------------------------------------------------------------------
     def _collect_ticks(
-        self, handle: _ShardHandle, n_ring: int, overflow: list
+        self, handle: _ShardHandle, n_ring: int
     ) -> list[list[SessionEvent]]:
-        """Materialise one tick/drain reply's event batches in order.
-
-        The worker announces ``(n_ring_batches, overflow_ticks)``: the
-        first ``n_ring`` ticks are read off the shard's event ring, the
-        overflow ticks (ring momentarily full) ride the reply itself —
-        chronological order is ring batches then overflow.
-        """
+        """Read the ``n_ring`` event batches one reply announced off the
+        shard's event ring, oldest first."""
         ticks: list[list[SessionEvent]] = []
         for _ in range(n_ring):
             batch = handle.event_ring.read_events()
@@ -1582,7 +1573,6 @@ class ShardedMonitorService:
                     f"announced batch missing"
                 )
             ticks.append(self._decode_event_batch(handle, batch))
-        ticks.extend(overflow)
         return ticks
 
     @staticmethod

@@ -14,7 +14,9 @@ module carries that traffic instead in two
 - an **event ring** (worker → router): each tick's
   :class:`~repro.serving.service.SessionEvent` batch travels as one
   packed :data:`EVENT_DTYPE` record instead of a pickled object list;
-  ``tick()``/``drain()`` replies shrink to a batch count.
+  a tick round's reply shrinks to a batch count.  The router reads every
+  announced batch before it sends the next round, so a ring of
+  :func:`event_ring_capacity` for one round never fills.
 
 The pipe remains, but only for **control ops** — open, close, tick
 triggers, migrate, stats, stop — whose payloads are small and rare.
@@ -89,12 +91,10 @@ EVENT_DTYPE = np.dtype(
     ]
 )
 
-#: Default per-shard ring capacities.  4 MiB of frames is ~14k frames of
-#: the paper's 38-feature kinematics — minutes of 30 Hz backlog per
-#: shard; 4 MiB of events is ~100k queued events.  Both are plain RAM in
-#: ``/dev/shm`` and configurable per fleet.
+#: Default per-shard frame-ring capacity.  4 MiB of frames is ~14k
+#: frames of the paper's 38-feature kinematics — minutes of 30 Hz
+#: backlog per shard; plain RAM in ``/dev/shm``, configurable per fleet.
 DEFAULT_FRAME_RING_BYTES = 4 * 1024 * 1024
-DEFAULT_EVENT_RING_BYTES = 4 * 1024 * 1024
 
 #: How long the frame-ring writer sleeps between full-ring retries.
 BACKPRESSURE_POLL_S = 0.0005
@@ -102,6 +102,22 @@ BACKPRESSURE_POLL_S = 0.0005
 
 def _align8(n: int) -> int:
     return (n + 7) & ~7
+
+
+def _event_record_bytes(count: int) -> int:
+    """Ring bytes of one event batch record of ``count`` events."""
+    return _align8(_REC_HEADER + 8 + count * EVENT_DTYPE.itemsize)
+
+
+def event_ring_capacity(batches: int, max_events: int) -> int:
+    """Event-ring bytes that hold ``batches`` records of up to
+    ``max_events`` events each, written into an empty ring at any offset.
+
+    One record more than the batches: a record that would straddle the
+    end of the region is preceded by a pad shorter than itself, and
+    batches written from empty wrap the region at most once.
+    """
+    return (batches + 1) * _event_record_bytes(max_events)
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -292,7 +308,7 @@ class ShmRing:
         if records.dtype != EVENT_DTYPE:
             raise ConfigurationError("event batch must use EVENT_DTYPE")
         count = records.shape[0]
-        need = _align8(_REC_HEADER + 8 + count * EVENT_DTYPE.itemsize)
+        need = _event_record_bytes(count)
         with self._lock:
             self._check_mapped()
             reserved = self._reserve(need)
@@ -468,9 +484,9 @@ def write_frames_blocking(
 
 
 __all__ = [
-    "DEFAULT_EVENT_RING_BYTES",
     "DEFAULT_FRAME_RING_BYTES",
     "EVENT_DTYPE",
     "ShmRing",
+    "event_ring_capacity",
     "write_frames_blocking",
 ]

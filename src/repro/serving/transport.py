@@ -11,7 +11,7 @@ strings — so the wire format stays portable across ``fork`` and
 
 The per-frame traffic moves over the shared-memory data plane
 (:mod:`repro.serving.shm`), so this pipe carries **control ops only**:
-session lifecycle (``open``/``close``), tick triggers whose event
+session lifecycle (``open``/``close``), tick rounds whose event
 payloads ride the event ring, migration, stats and shutdown.  Sessions
 are identified on the rings by the integer ``route`` id assigned at
 ``open``/``migrate_in`` time, so the data plane never carries strings.
@@ -41,6 +41,16 @@ from typing import Any
 from .. import errors
 from ..errors import WorkerError
 
+#: The most ticks one ``tick`` request asks its worker for: the round's
+#: pipe exchange, event-ring handoff and hand-over are paid once per up
+#: to this many ticks.  The worker runs no more than the backlog it
+#: holds when the round begins, so paced traffic gets one-tick rounds.
+#: A count, not a time budget: the shard's core is shared, and a round
+#: that ran until idle would hold a chunk's early events back until its
+#: last frame.  The router sizes each shard's event ring to hold one
+#: round (:func:`~repro.serving.shm.event_ring_capacity`).
+TICKS_PER_ROUND = 8
+
 
 @dataclass(frozen=True)
 class Request:
@@ -60,7 +70,6 @@ class Request:
     op: str
     session_id: str | None = None
     record_timeline: bool = True
-    collect: bool = True
     #: ``migrate_in`` payload: a session archive produced by
     #: :func:`~repro.serving.snapshot.session_to_bytes` (bytes only —
     #: the no-pickled-objects policy applies to migration too).
@@ -69,9 +78,10 @@ class Request:
     #: always set by ``open`` and ``migrate_in``.
     route: int | None = None
     #: ``tick``: the most ticks the worker runs back to back for this
-    #: one request.  It runs no more than the longest per-session
-    #: backlog the shard held when the request arrived, and stops early
-    #: once the shard has no pending frame.
+    #: one request, at most :data:`TICKS_PER_ROUND`.  It runs no more
+    #: than the longest per-session backlog the shard held when the
+    #: request arrived, and stops early once the shard has no pending
+    #: frame.
     ticks: int = 1
 
 
@@ -83,10 +93,10 @@ class Reply:
     ``error_type``/``error`` carry the exception's class name and
     message.  ``has_pending`` piggy-backs the worker's post-operation
     backlog state on every reply so the router can track which shards
-    still owe ticks without extra round trips.  An error reply to a
-    ``tick`` still carries ``value`` when ticks of its round completed
-    before the one that raised: their event batches, announced like an
-    ``ok`` reply's.
+    still owe ticks without extra round trips.  A reply to a ``tick``
+    carries the number of event batches its round put on the event
+    ring — an error reply too, for the ticks that completed before the
+    one that failed.
 
     ``ingest_errors`` carries deferred failures of the asynchronous
     frame ring: ``feed()`` waits for no per-call ack, so a frame block

@@ -14,14 +14,15 @@ for this shard:
   dispatching *any* pipe request — so a ``feed`` written to the ring is
   always ordered ahead of the ``tick``/``close``/``migrate_out`` that
   followed it on the router thread — between the ticks of one ``tick``
-  or ``drain`` round, and opportunistically between requests (a short
-  pipe poll timeout), which is what frees space for a back-pressured
-  writer even when no request is in flight.
+  round, and opportunistically between requests (a short pipe poll
+  timeout), which is what frees space for a back-pressured writer even
+  when no request is in flight.
 - **event ring** (out): each tick's event batch is packed as one
   :data:`~repro.serving.shm.EVENT_DTYPE` record; the pipe reply carries
-  only the batch count.  If the ring is momentarily full the remaining
-  batches of that reply fall back to the pipe (``overflow``), so events
-  are never dropped and never deadlock the drain.
+  only the batch count.  This is the only way events leave a worker.
+  The router sizes the ring to hold one round and reads it empty before
+  the next, so a batch that does not fit is a broken contract: the tick
+  round raises, and the shard fails safe.
 
 A frame block the service rejects (a safety net — the router validates
 shape and width before writing) cannot raise in ``feed()`` any more,
@@ -37,7 +38,6 @@ ends the process.
 from __future__ import annotations
 
 import dataclasses
-import sys
 
 import numpy as np
 
@@ -143,9 +143,12 @@ class _ShardWorker:
             )
         return batch
 
-    def _publish(self, events: list[SessionEvent]) -> bool:
-        """Write one tick's batch to the event ring; False if it does not fit."""
-        return self.event_ring.try_write_events(self._encode_events(events))
+    def _publish(self, events: list[SessionEvent]) -> None:
+        """Write one tick's batch to the event ring; raise if it does not fit."""
+        if not self.event_ring.try_write_events(self._encode_events(events)):
+            raise WorkerError(
+                f"event ring full: a batch of {len(events)} events does not fit"
+            )
 
     def tick_round(self, ticks: int) -> Reply:
         """Up to ``ticks`` service ticks back to back, one reply.
@@ -159,15 +162,12 @@ class _ShardWorker:
         started with one frame pending per session is one tick, whatever
         lands meanwhile.
 
-        Returns ``Reply(value=(n_ring_batches, overflow_ticks))``.  A
-        tick's batch is published before the drain that follows it
+        Returns ``Reply(value=n_batches)``: each tick's batch goes on
+        the event ring as it completes, before the drain that follows it
         (which may evict a session, and drop its route, that the tick
-        served).  Batches go to the event ring oldest first; once one
-        does not fit, it and every later one go to the pipe instead
-        (*sticky overflow*), so chronological order is simply "ring
-        batches, then overflow batches".  A tick that raises ends the
-        round with an error reply that still announces the batches of
-        the ticks completed before it, so the router delivers them
+        served).  A tick that raises, or a batch that does not fit the
+        ring, ends the round with an error reply that still announces
+        the batches written before it, so the router delivers them
         before it fails the shard safe.
         """
         service = self.service
@@ -175,20 +175,35 @@ class _ShardWorker:
             (service.pending_frames(session_id) for session_id in service.session_ids),
             default=0,
         )
-        n_ring, overflow = 0, []
+        n_batches = 0
         try:
             for _ in range(min(ticks, owed)):
                 if not service.has_pending:
                     break
-                events = service.tick()
-                if not overflow and self._publish(events):
-                    n_ring += 1
-                else:
-                    overflow.append(events)
+                self._publish(service.tick())
+                n_batches += 1
                 self.consume_frames()
         except Exception as exc:  # noqa: BLE001 - reduced to an error reply
-            return dataclasses.replace(error_reply(exc), value=(n_ring, overflow))
-        return Reply(ok=True, value=(n_ring, overflow))
+            return dataclasses.replace(error_reply(exc), value=n_batches)
+        return Reply(ok=True, value=n_batches)
+
+    def serve(self, request: Request) -> Reply:
+        """Answer one pipe request: ingest first, then the op.
+
+        Ring frames written before ``request`` land before it runs (feed
+        -> tick ordering is the parity contract), and the reply carries
+        the post-op backlog flag and the deferred ingest failures.
+        """
+        self.consume_frames()
+        try:
+            reply = _dispatch(self, request)
+        except Exception as exc:  # noqa: BLE001 - reduced to an error reply
+            reply = error_reply(exc)
+        return dataclasses.replace(
+            reply,
+            has_pending=self.service.has_pending,
+            ingest_errors=self.take_ingest_errors(),
+        )
 
 
 def _dispatch(worker: _ShardWorker, request: Request) -> Reply:
@@ -203,22 +218,6 @@ def _dispatch(worker: _ShardWorker, request: Request) -> Reply:
         return Reply(ok=True, value=session_id)
     if op == "tick":
         return worker.tick_round(request.ticks)
-    if op == "drain":
-        if request.collect:
-            reply = worker.tick_round(sys.maxsize)
-            if not reply.ok:
-                # A failed drain announces none of its ticks: the shard
-                # fails safe from its last delivered position, and its
-                # rings go with it.
-                return dataclasses.replace(reply, value=None)
-            n_ring, overflow = reply.value
-        else:
-            service.drain(collect=False)
-            n_ring, overflow = 0, []
-        # Per-session progress rides along so the router's frame
-        # accounting stays exact even when events are not collected.
-        progress = {sid: service.frames_done(sid) for sid in service.session_ids}
-        return Reply(ok=True, value=(n_ring, overflow, progress))
     if op == "close":
         assert request.session_id is not None
         result = service.close_session(request.session_id)
@@ -296,21 +295,8 @@ def worker_main(
                 except (BrokenPipeError, OSError):
                     break
                 continue
-            # Ring frames written before this request must land first
-            # (feed -> tick ordering is the parity contract).
-            worker.consume_frames()
             try:
-                reply = _dispatch(worker, request)
-            except Exception as exc:  # noqa: BLE001 - reduced to an error reply
-                reply = error_reply(exc)
-            try:
-                conn.send(
-                    dataclasses.replace(
-                        reply,
-                        has_pending=service.has_pending,
-                        ingest_errors=worker.take_ingest_errors(),
-                    )
-                )
+                conn.send(worker.serve(request))
             except (BrokenPipeError, OSError):
                 break
             if request.op == "stop":

@@ -346,6 +346,44 @@ class TestServiceTee:
         assert sorted(map(event_key, replayed)) == sorted(map(event_key, live))
 
 
+    def test_uncollected_drains_tee_alike(self, monitor, tmp_path):
+        """``drain(collect=False)`` returns no live events at either layer,
+        but both tee every one: one service's store and a K=2 fleet's
+        replay equal per session."""
+        fleet = {
+            f"proc-{i}": make_random_walk_trajectory(
+                20 + 3 * i, n_features=N_FEATURES, seed=760 + i
+            )
+            for i in range(6)
+        }
+        stores = {
+            name: EventStoreWriter(tmp_path / name, fsync="never")
+            for name in ("local", "sharded")
+        }
+        local = MonitorService(monitor, max_sessions=8, event_store=stores["local"])
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=8, event_store=stores["sharded"]
+        ) as sharded:
+            for service in (local, sharded):
+                for sid, trajectory in fleet.items():
+                    service.open_session(sid)
+                    service.feed(sid, trajectory.frames[:12])
+                assert service.drain(collect=False) == []
+                for sid, trajectory in fleet.items():
+                    service.feed(sid, trajectory.frames[12:])
+                assert service.drain(collect=False) == []
+        replayed = {}
+        for name, store in stores.items():
+            store.close()
+            streams = replayed[name] = {}
+            for event in EventStoreReader(tmp_path / name).replay():
+                streams.setdefault(event.session_id, []).append(event_key(event))
+        assert replayed["sharded"] == replayed["local"]
+        assert {sid: len(keys) for sid, keys in replayed["local"].items()} == {
+            sid: trajectory.n_frames for sid, trajectory in fleet.items()
+        }
+
+
 class TestTelemetry:
     def test_histogram_percentiles_and_merge(self):
         registry = TelemetryRegistry()

@@ -30,6 +30,7 @@ thousands.
 
 import ast
 import inspect
+import itertools
 from concurrent.futures import Future
 
 import numpy as np
@@ -123,9 +124,13 @@ def take_message(buffer):
 class Wire:
     """One TCP connection: the bytes in flight each way, and the
     ``sessions`` set :meth:`_RemoteSession.bind` keeps in step on the
-    gateway's connection object."""
+    gateway's connection object.  ``id`` is its accept order, as on the
+    gateway's connections."""
+
+    _ids = itertools.count()
 
     def __init__(self):
+        self.id = next(self._ids)
         self.sessions = set()
         self.up = bytearray()  # client -> gateway, not yet read
         self.down = bytearray()  # gateway -> client, not yet read
@@ -189,6 +194,12 @@ class WireSessionMachine(RuleBasedStateMachine):
         self.wires = [wire]  # the connections the gateway still serves
         self.session = _RemoteSession(SID, wire, replay_max=RING, window=W)
         self.accepted = 0  # oracle: frames 0..accepted-1, each once
+        # Rows the engine refused: the client counted them in its seq
+        # space, so the wire position is accepted + refused.  A refused
+        # batch is taken off the wire as it is sent, so every batch still
+        # to come starts past it: its seq is its first row + refused.
+        self.refused = 0
+        self.refused_at = 0  # accepted when the last refusal happened
         self.stream = []  # oracle: the client-visible event stream
         self.acks = []
         self.pending = None  # the admitted batch awaiting its feed
@@ -278,15 +289,10 @@ class WireSessionMachine(RuleBasedStateMachine):
                 assert wire.up.endswith(HEARTBEAT)
             if error is not None:
                 # Only what the gateway refused outside any request: a
-                # batch, or a frame on a connection that lost the session
-                # — never a reply or an ERROR that answers a request.
-                assert isinstance(error, (ShapeError, ProtocolError))
-                if isinstance(error, ProtocolError):
-                    # A RESUME from one of this client's dead connections
-                    # was served after the live one's and took the
-                    # session along: the application resumes once more.
-                    assert "open on this connection" in str(error)
-                    return self.client_drops()
+                # batch — never a reply or an ERROR that answers a
+                # request, and never a frame of a connection that lost
+                # the session (no older connection's RESUME takes it).
+                assert isinstance(error, ShapeError)
             self.replies_land()
             if not greedy:
                 return
@@ -308,9 +314,10 @@ class WireSessionMachine(RuleBasedStateMachine):
                 sid, seq, frames = decode_frames(message[1])
                 assert sid == SID and seq <= reach < seq + len(frames)
                 assert seq == reach or not strict
-                assert_rows(frames, seq, seq + len(frames))
+                first = seq - self.refused
+                assert_rows(frames, first, first + len(frames))
                 reach, strict = seq + len(frames), True
-            assert reach == self.fed
+            assert reach == self.fed + self.refused
             self.phase = "connected"
             try:
                 for message in self.resumed.result(0):
@@ -397,6 +404,7 @@ class WireSessionMachine(RuleBasedStateMachine):
                 "asks for stats", "asks for stats", "caller gives up",
                 "takes events", "stale resend", "stale resend", "ping",
                 "frames past a gap", "refused batch", "forged resume",
+                "stale resume",
             )
         ),
         data=st.data(),
@@ -433,12 +441,21 @@ class WireSessionMachine(RuleBasedStateMachine):
             self.frames_arrive_past_a_gap(
                 data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
             )
-        elif what == "refused batch" and handler and not self.session.recovering:
+        elif (
+            what == "refused batch"
+            and connected
+            and handler
+            and self.session.conn is self.wire
+            and not (self.wire.cut or self.wire.up or self.session.recovering)
+        ):
             self.a_batch_the_engine_refuses_arrives()
         elif what == "forged resume":
             self.a_forged_resume_is_refused(data, data.draw(st.booleans()))
+        elif what == "stale resume" and self.session.conn is not None:
+            self.a_stale_resume_arrives(data)
 
     def ack(self, wire, value):
+        assert value == self.accepted + self.refused  # the wire position
         self.acks.append(value)
         wire.reply(MessageType.ACK, encode_ack(SID, value))
 
@@ -453,11 +470,13 @@ class WireSessionMachine(RuleBasedStateMachine):
             return wire.reply(MessageType.ERROR, error_payload(refusal, None))
         journaled = len(session.journal)
         admitted = session.admit(seq, frames)
-        if seq + n <= self.accepted:
+        if seq + n <= self.accepted + self.refused:
             assert admitted is None  # wholly duplicate: re-acked, no more
             assert len(session.journal) == journaled
             return self.ack(wire, session.accept(0))
-        np.testing.assert_array_equal(admitted, rows(self.accepted, seq + n))
+        np.testing.assert_array_equal(
+            admitted, rows(self.accepted, seq + n - self.refused)
+        )
         if session.recovering:  # journaled and acked; the restore feeds it
             self.accepted += admitted.shape[0]
             return self.ack(wire, session.accept(admitted.shape[0]))
@@ -469,26 +488,36 @@ class WireSessionMachine(RuleBasedStateMachine):
         session's connection, from anywhere inside what is held to
         anywhere short of ``fed`` — so the client's own batches then
         overlap what is held at any offset, not just whole."""
-        seq = max(0, self.accepted - back)
-        if seq < self.fed:
-            n = data.draw(st.integers(1, min(BATCH, self.fed - seq)))
-            self.frames_arrive(self.session.conn, seq, rows(seq, seq + n))
+        first = max(self.refused_at, self.accepted - back)
+        if first < self.fed:
+            n = data.draw(st.integers(1, min(BATCH, self.fed - first)))
+            self.frames_arrive(
+                self.session.conn, first + self.refused, rows(first, first + n)
+            )
 
     def frames_arrive_past_a_gap(self, ahead, n):
-        seq = self.accepted + ahead
+        seq = self.accepted + self.refused + ahead
         journaled = len(self.session.journal)
         with pytest.raises(ProtocolError, match="sequence gap"):
             self.session.admit(seq, rows(seq, seq + n))
         assert len(self.session.journal) == journaled
 
     def a_batch_the_engine_refuses_arrives(self):
-        """The client's fault (shape, NaN): nothing was accepted, no
-        restore may carry it, and the ERROR names no request."""
-        session = self.session
+        """The client's fault (shape, NaN), sent through the real core —
+        which counts its rows in its seq — and refused as it arrives:
+        nothing was accepted, no restore may carry it, the ERROR names
+        no request, and the wire position moves past it, so the next
+        batch is no gap."""
+        session, n = self.session, 2
+        self.core.send_frames(SID, np.zeros((n, 3)), self.wire.send)
+        _, seq, frames = decode_frames(take_message(self.wire.up)[1])
+        assert seq == self.accepted + self.refused
         before = (session.fed, len(session.journal))
-        assert session.admit(self.accepted, np.zeros((2, 3))) is not None
+        assert session.admit(seq, frames) is not None
         session.retract()
         assert before == (session.fed, len(session.journal))
+        self.refused += n
+        self.refused_at = self.accepted
         session.conn.reply(
             MessageType.ERROR, error_payload(ShapeError("frame width 3"), None)
         )
@@ -608,7 +637,13 @@ class WireSessionMachine(RuleBasedStateMachine):
             return wire.reply(MessageType.ERROR, error_payload(refusal, "RESUME"))
         missed = len(self.stream) - last_event
         assert missed >= 0
-        refusal = session.refusal(token, last_event)
+        refusal = session.refusal(token, last_event, wire)
+        if session.conn is not None and wire.id < session.conn.id:
+            # Overtaken by a newer connection's RESUME: refused, whatever
+            # the ring holds, and the session stays with its owner.
+            assert isinstance(refusal, ProtocolError)
+            assert "older than its owner" in str(refusal)
+            return wire.reply(MessageType.ERROR, error_payload(refusal, "RESUME"))
         if missed > min(RING, len(self.stream)):
             assert isinstance(refusal, WorkerError)
             assert f"missed {missed} events" in session.overrun(last_event)
@@ -623,7 +658,7 @@ class WireSessionMachine(RuleBasedStateMachine):
         reply = session.resume_reply()
         assert reply == {
             "session_id": SID,
-            "acked_seq": self.accepted,
+            "acked_seq": self.accepted + self.refused,
             "delivered": len(self.stream),
             "resume_token": session.token,
         }
@@ -643,8 +678,27 @@ class WireSessionMachine(RuleBasedStateMachine):
             last_event = data.draw(st.integers(0, last_event))
         token = session.token if right_token else "0" * len(session.token)
         before = (session.conn, session.delivered)
-        assert isinstance(session.refusal(token, last_event), ProtocolError)
+        assert isinstance(session.refusal(token, last_event, self.wire), ProtocolError)
         assert before == (session.conn, session.delivered)
+
+    def a_stale_resume_arrives(self, data):
+        """A RESUME one of the client's dead connections sent is read
+        after a newer connection's took the session: refused, and the
+        session stays where it is."""
+        owner = self.session.conn
+        older = [wire for wire in self.conns if wire.cut and wire.id < owner.id]
+        if not older:
+            return
+        before = (owner, self.session.seq, self.session.delivered)
+        self.resume_arrives(
+            data.draw(st.sampled_from(older)),
+            {
+                "session_id": SID,
+                "token": self.session.token,
+                "last_event": data.draw(st.integers(0, len(self.stream))),
+            },
+        )
+        assert before == (self.session.conn, self.session.seq, self.session.delivered)
 
     def fails_safe(self):
         """Any fail-safe ending (lapse, shutdown, exhausted restore):
@@ -696,11 +750,14 @@ class WireSessionMachine(RuleBasedStateMachine):
         )
 
     @invariant()
-    def acks_are_monotone_and_name_the_journaled_frames(self):
+    def acks_are_monotone_and_name_the_wire_position(self):
+        """Every ack names the wire position when it was sent
+        (:meth:`ack`); a refusal since moves the position, not the ack."""
         assert self.acks == sorted(self.acks)
         assert self.session.fed == self.accepted
+        assert self.session.seq == self.accepted + self.refused
         if self.acks:
-            assert self.acks[-1] == self.accepted
+            assert self.acks[-1] <= self.session.seq
 
     @invariant()
     def delivered_is_a_gapless_duplicate_free_prefix(self):
@@ -752,7 +809,7 @@ class WireSessionMachine(RuleBasedStateMachine):
             ]
             if sent:
                 _, seq, frames = decode_frames(sent[-1])
-                reach = max(reach, seq + len(frames))
+                reach = max(reach, seq - self.refused + len(frames))
             assert reach == self.fed
 
     @invariant()

@@ -48,7 +48,6 @@ from repro.serving import (
     monitor_to_bytes,
     session_from_bytes,
 )
-from repro.serving.async_frontend import TICKS_PER_ROUND
 from repro.serving.remote import protocol
 from repro.serving.remote.client import _SessionCore
 from repro.serving.remote.protocol import (
@@ -67,6 +66,7 @@ from repro.serving.remote.protocol import (
     encode_json,
     encode_message,
 )
+from repro.serving.transport import TICKS_PER_ROUND
 
 N_FEATURES = 10
 
@@ -2246,6 +2246,57 @@ class TestResumeReplay:
                     ]
                     assert not gateway.failed_sessions
             first.close()
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_a_stale_resume_does_not_take_the_session_back(self, monitor, n_shards):
+        """A RESUME from a connection accepted before the session's owner
+        — one still buffered on a dead connection, read after the live
+        connection's — is refused: the session stays with the newer
+        connection, whose frames keep flowing."""
+        trajectory = make_random_walk_trajectory(12, n_features=N_FEATURES, seed=85)
+        reference = local_events(monitor, trajectory, session_id="stale")
+        with running_gateway(
+            monitor, n_shards=n_shards, max_sessions=4, resume_grace_s=30.0
+        ) as runner:
+            gateway = runner.gateway
+            first = RemoteMonitorClient(runner.host, runner.port)
+            sid = first.open_session("stale")
+            first.feed(sid, trajectory.frames[:6])
+            events = first.events_for(sid, 6)
+            state = first.detach_session(sid)  # local bookkeeping only
+            with RemoteMonitorClient(runner.host, runner.port) as second:
+                assert second.resume_session(state) == sid  # a steal
+                with pytest.raises(ProtocolError, match="older than its owner"):
+                    first.resume_session(state)
+                second.feed(sid, trajectory.frames[6:])
+                events += second.events_for(sid, 6)
+                assert second.close_session(sid)["n_frames"] == 12
+            first.close()
+            assert not gateway.failed_sessions
+        assert [event_key(e) for e in events] == [event_key(e) for e in reference]
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_a_refused_batch_keeps_the_seq_in_step(self, monitor, n_shards):
+        """With resume on, a batch the engine refuses still took its rows
+        of the client's seq space: one ERROR, then the next batch is no
+        sequence gap — its events arrive on the same connection."""
+        trajectory = make_random_walk_trajectory(8, n_features=N_FEATURES, seed=86)
+        reference = local_events(monitor, trajectory, session_id="refused")
+        with running_gateway(
+            monitor, n_shards=n_shards, max_sessions=4, resume_grace_s=30.0
+        ) as runner:
+            with RemoteMonitorClient(runner.host, runner.port) as client:
+                sid = client.open_session("refused")
+                client.feed(sid, np.zeros((2, N_FEATURES + 3)))
+                client.feed(sid, trajectory.frames)
+                with pytest.raises(ShapeError):
+                    client.events_for(sid, 8)
+                events = client.events_for(sid, 8)
+                assert client.close_session(sid)["n_frames"] == 8
+                connections = runner.stats()["connections"]
+            assert (connections["open"], connections["total"]) == (1, 1)
+            assert not runner.gateway.failed_sessions
+        assert [event_key(e) for e in events] == [event_key(e) for e in reference]
 
     def test_open_of_a_parked_id_is_refused(self, monitor):
         """A parked session is still the gateway's: an OPEN reusing its

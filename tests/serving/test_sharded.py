@@ -32,10 +32,11 @@ from repro.serving import (
     make_synthetic_monitor,
     suggest_shard_count,
 )
-from repro.serving.async_frontend import TICKS_PER_ROUND
-from repro.serving.shm import EVENT_DTYPE, ShmRing
+from repro.serving.sharded import _ShardHandle
+from repro.serving.shm import EVENT_DTYPE, ShmRing, event_ring_capacity
+from repro.serving.snapshot import monitor_from_bytes
 from repro.serving.telemetry import TelemetryRegistry
-from repro.serving.transport import Request
+from repro.serving.transport import TICKS_PER_ROUND, Request
 from repro.serving.worker import _ShardWorker
 
 N_FEATURES = 10
@@ -532,9 +533,10 @@ class TestWorkerCrash:
             assert set(service.failed_sessions) == victims
 
     def test_crash_frame_index_exact_after_uncollected_drain(self, monitor):
-        """drain(collect=False) returns no events, but the workers'
-        progress reports keep the router's frame accounting exact — a
-        later crash event must report the true number of frames served."""
+        """drain(collect=False) returns no events, but the router still
+        reads and accounts every one, so its frame accounting stays
+        exact — a later crash event must report the true number of
+        frames served."""
         with ShardedMonitorService(
             monitor, n_shards=2, max_sessions_per_shard=8
         ) as service:
@@ -1105,8 +1107,9 @@ class TestFailingWorkerTick:
                     assert tally["sent"] == tally["received"]
             terminals = assert_failed_safe(service, events, {"doomed"}, low)
             delivered = [e for e in events if e.session_id == "doomed" and not e.error]
-            assert terminals["doomed"].frame_index == len(delivered)
-            assert len(delivered) == (2 if how == "tick" else 0)
+            # One failure rule: the terminal lands at the frames served.
+            assert terminals["doomed"].frame_index == 2
+            assert len(delivered) == (0 if how == "drain-uncollected" else 2)
             healthy = [e for e in events if e.session_id == "healthy"]
             assert len(healthy) == (0 if how == "drain-uncollected" else 6)
             # One reply out of step would hand close_session a stale
@@ -1114,8 +1117,8 @@ class TestFailingWorkerTick:
             result = service.close_session("healthy")
             assert result.n_frames == 6
             assert [e.score for e in healthy] == list(result.unsafe_scores)[: len(healthy)]
-            # The progress map stayed exact: a later crash of the healthy
-            # shard reports the true number of frames served.
+            # The router's frame accounting stayed exact: a later crash of
+            # the healthy shard reports the true number of frames served.
             kill_worker(service, high)
             (terminal,) = service.tick()
             assert (terminal.session_id, terminal.frame_index) == ("witness", 6)
@@ -1267,13 +1270,13 @@ class TestMultiTickRound:
             service.tick = tick
             landing.append((0, frames["s"][2:5]))
             reply = worker.tick_round(8)
-            assert reply.ok and reply.value[1] == []
-            assert ticked_frames(reply.value[0]) == [[0], [1]]
+            assert reply.ok
+            assert ticked_frames(reply.value) == [[0], [1]]
             # Drained into the service (the ring has room again), not ticked.
             assert service.pending_frames("s") == 3
             assert frame_ring.read_frames() is None
             reply = worker.tick_round(8)
-            assert ticked_frames(reply.value[0]) == [[2], [3], [4]]
+            assert ticked_frames(reply.value) == [[2], [3], [4]]
 
             # The 30 Hz shape: every session one frame behind, and frames
             # keep landing mid-round at staggered phases.
@@ -1283,7 +1286,7 @@ class TestMultiTickRound:
                 service.feed(session_id, frames[session_id][5:6])
             landing.extend((route, frames[sid][6:7]) for route, sid in ((0, "s"), (1, "p"), (2, "q")))
             reply = worker.tick_round(8)
-            assert ticked_frames(reply.value[0]) == [[5, 0, 0]]
+            assert ticked_frames(reply.value) == [[5, 0, 0]]
             assert service.stats.n_ticks == 6
             assert [service.pending_frames(sid) for sid in ("s", "p", "q")] == [1, 0, 0]
 
@@ -1310,7 +1313,7 @@ class TestMultiTickRound:
             service.tick = tick
             reply = worker.tick_round(4)
             assert reply.ok
-            assert reply.value == (4, [])
+            assert reply.value == 4
             routes = [event_ring.read_events()["route"].tolist() for _ in range(4)]
             assert routes == [[0, 1], [0], [0], [0]]
             assert [route for route, _ in worker.take_ingest_errors()] == [1]
@@ -1415,6 +1418,202 @@ class TestMultiTickRound:
         batches = asyncio.run(run())
         assert [len(batch) for batch in batches] == [TICKS_PER_ROUND] * 2 + [3]
         assert [e.frame_index for batch in batches for e in batch] == list(range(n_frames))
+
+
+
+class InlineShard:
+    """A shard whose worker answers inline, on the caller's thread: the
+    pipe and process faces a ``_ShardHandle`` talks to, over a real
+    ``_ShardWorker``.  No process, no thread, no wait — ``send`` serves
+    the request, so the reply is ready when the router reads it."""
+
+    exitcode = None
+
+    def __init__(self, worker):
+        self.worker = worker
+        self.replies = []
+        self.running = True
+
+    def send(self, request):
+        self.replies.append(self.worker.serve(request))
+        self.running = request.op != "stop"
+
+    def poll(self, timeout=None):
+        return bool(self.replies)
+
+    def recv(self):
+        return self.replies.pop(0)
+
+    def close(self):
+        pass
+
+    def is_alive(self):
+        return self.running
+
+    def terminate(self):
+        self.running = False
+
+    def join(self, timeout=None):
+        pass
+
+
+class InlineFleet(ShardedMonitorService):
+    """The real router over :class:`InlineShard` workers.  Each event ring
+    has the derived capacity unless ``event_ring_bytes`` overrides it."""
+
+    def __init__(self, *args, event_ring_bytes=None, **kwargs):
+        self._event_ring_bytes = event_ring_bytes
+        super().__init__(*args, frame_ring_bytes=1 << 16, **kwargs)
+
+    def _spawn_shard(self, index):
+        service = MonitorService(
+            monitor_from_bytes(self.monitor_bytes),
+            max_sessions=self.max_sessions_per_shard,
+            backend=self.backend,
+        )
+        capacity = self._event_ring_bytes or event_ring_capacity(
+            TICKS_PER_ROUND, self.max_sessions_per_shard
+        )
+        worker = _ShardWorker(service, ShmRing(self.frame_ring_bytes), ShmRing(capacity))
+        shard = InlineShard(worker)
+        self._shards[index] = _ShardHandle(
+            index, shard, shard, worker.frame_ring, worker.event_ring
+        )
+        self._ring.add(index)
+
+
+def empty_at(ring, offset):
+    """Leave ``ring`` empty with its next record due at byte ``offset``."""
+    pos = ring._write_pos()
+    pos += (offset - pos) % ring.capacity
+    ring._publish_write(pos)
+    ring._publish_read(pos)
+
+
+class TestEventRingHoldsOneRound:
+    """Events leave a worker one way: one batch per tick on an event ring
+    sized to hold a whole round (``event_ring_capacity``).  The router
+    reads the ring empty after every reply, so the largest round —
+    ``TICKS_PER_ROUND`` ticks of ``max_sessions`` events each — must fit
+    from whatever offset the ring starts at; a ring that cannot hold it
+    fails the round safe, it never drops a batch."""
+
+    MAX_SESSIONS = 3
+
+    def _worker(self, monitor, capacity):
+        service = MonitorService(monitor, max_sessions=self.MAX_SESSIONS)
+        worker = _ShardWorker(service, ShmRing(1 << 16), ShmRing(capacity))
+        for route in range(self.MAX_SESSIONS):
+            worker.bind_route(service.open_session(f"s{route}"), route)
+            service.feed(f"s{route}", np.zeros((1, N_FEATURES)))
+        return worker
+
+    def _feed_round(self, service):
+        for session_id in service.session_ids:
+            service.feed(session_id, np.zeros((TICKS_PER_ROUND, N_FEATURES)))
+
+    def _short_capacity(self):
+        """The derived capacity less one full batch record."""
+        full = event_ring_capacity(TICKS_PER_ROUND, self.MAX_SESSIONS)
+        return 2 * full - event_ring_capacity(TICKS_PER_ROUND + 1, self.MAX_SESSIONS)
+
+    def test_a_full_round_fits_at_every_offset(self, monitor):
+        worker = self._worker(
+            monitor, event_ring_capacity(TICKS_PER_ROUND, self.MAX_SESSIONS)
+        )
+        ring = worker.event_ring
+        served, spans = 0, set()
+        try:
+            for offset in range(0, ring.capacity, 8):
+                self._feed_round(worker.service)  # TICKS_PER_ROUND + 1 pending
+                empty_at(ring, offset)
+                start = ring._write_pos()
+                reply = worker.tick_round(TICKS_PER_ROUND)
+                assert (reply.ok, reply.value) == (True, TICKS_PER_ROUND), offset
+                spans.add(ring._write_pos() - start)
+                for _ in range(TICKS_PER_ROUND):
+                    frames = ring.read_events()["frame"].tolist()
+                    assert frames == [served] * self.MAX_SESSIONS
+                    served += 1
+                assert ring.read_events() is None
+        finally:
+            worker.frame_ring.destroy()
+            ring.destroy()
+        assert len(spans) > 1  # some rounds wrapped behind a pad
+
+    def test_a_ring_one_record_short_fails_the_round(self, monitor):
+        worker = self._worker(monitor, self._short_capacity())
+        ring = worker.event_ring
+        try:
+            self._feed_round(worker.service)
+            empty_at(ring, 8)  # the last batch would straddle the end
+            reply = worker.tick_round(TICKS_PER_ROUND)
+            assert (reply.ok, reply.error_type) == (False, "WorkerError")
+            assert "event ring full" in reply.error
+            assert reply.value == TICKS_PER_ROUND - 1  # the batches that fit
+            assert [
+                ring.read_events()["frame"].tolist() for _ in range(reply.value)
+            ] == [[k] * self.MAX_SESSIONS for k in range(TICKS_PER_ROUND - 1)]
+            assert ring.read_events() is None
+        finally:
+            worker.frame_ring.destroy()
+            ring.destroy()
+
+    def test_the_router_delivers_what_fit_then_fails_the_shard_safe(self, monitor):
+        with InlineFleet(
+            monitor,
+            n_shards=1,
+            max_sessions_per_shard=self.MAX_SESSIONS,
+            event_ring_bytes=self._short_capacity(),
+        ) as service:
+            (index,) = service.shard_indices
+            sids = [service.open_session(f"s{i}") for i in range(self.MAX_SESSIONS)]
+            for session_id in sids:
+                service.feed(session_id, np.zeros((TICKS_PER_ROUND + 1, N_FEATURES)))
+            empty_at(service._shards[index].event_ring, 8)
+            events = service.drain()
+            assert_failed_safe(service, events, set(sids), index)
+        for session_id in sids:
+            *live, terminal = [e for e in events if e.session_id == session_id]
+            assert [e.frame_index for e in live] == list(range(TICKS_PER_ROUND - 1))
+            assert terminal.frame_index == TICKS_PER_ROUND - 1
+            assert "event ring full" in terminal.error
+
+    def test_a_spawned_shard_gets_the_derived_ring(self, monitor):
+        with ShardedMonitorService(
+            monitor, n_shards=1, max_sessions_per_shard=self.MAX_SESSIONS
+        ) as service:
+            (handle,) = service._shards.values()
+            assert handle.event_ring.capacity == event_ring_capacity(
+                TICKS_PER_ROUND, self.MAX_SESSIONS
+            )
+
+    def test_drain_is_a_run_of_capped_rounds(self, monitor):
+        """The sync ``drain()`` asks for no more than a round at a time, so
+        its rounds fit the derived ring too — and its stream is still one
+        ``MonitorService``'s."""
+        fleet = {
+            f"s{i}": make_random_walk_trajectory(
+                3 * TICKS_PER_ROUND + i, n_features=N_FEATURES, seed=1400 + i
+            )
+            for i in range(self.MAX_SESSIONS)
+        }
+        ref_events, _ = single_service_reference(monitor, fleet)
+        requests = []
+        with InlineFleet(
+            monitor, n_shards=2, max_sessions_per_shard=self.MAX_SESSIONS
+        ) as service:
+            for session_id, trajectory in fleet.items():
+                service.open_session(session_id)
+                service.feed(session_id, trajectory.frames)
+            for handle in service._shards.values():
+                send = handle.conn.send
+                handle.conn.send = lambda request, send=send: (
+                    requests.append(request), send(request)
+                )
+            events = service.drain()
+            assert {(r.op, r.ticks) for r in requests} == {("tick", TICKS_PER_ROUND)}
+        assert [event_key(e) for e in events] == [event_key(e) for e in ref_events]
 
 
 class TestExchangeOutcomes:

@@ -3,8 +3,9 @@
 A doc that cites a file must fail the docs job once that file is
 deleted or renamed; exercised against a miniature tree with one passing
 and one failing page.  The wire reference's message-type table must
-fail it once it and ``protocol.MessageType`` disagree, and the operator
-docs' round size once it and ``TICKS_PER_ROUND`` do.
+fail it once it and ``protocol.MessageType`` disagree, the operator
+docs' round size once it and ``TICKS_PER_ROUND`` do, and an API
+reference constructor block once it and the signature do.
 """
 
 import sys
@@ -14,12 +15,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
 
 from check_docs import (  # noqa: E402 - path set up above
     DOCS,
+    check_constructor_blocks,
     check_message_types,
     check_paths,
     check_ticks_per_round,
 )
 
-from repro.serving.async_frontend import TICKS_PER_ROUND  # noqa: E402
+from repro.serving.transport import TICKS_PER_ROUND  # noqa: E402
 
 
 def _tree(tmp_path: Path) -> Path:
@@ -86,3 +88,34 @@ def test_the_operator_docs_state_the_round_size(tmp_path):
     ]
     page.write_text("A round is some ticks.\n")
     assert check_ticks_per_round(page) == [f"{page}: states no `TICKS_PER_ROUND` = n"]
+
+
+def test_constructor_blocks_list_the_signature(tmp_path):
+    assert check_constructor_blocks(DOCS / "api.md") == []
+    page = tmp_path / "api.md"
+    page.write_text(
+        "```python\n"
+        "AsyncShardedMonitor(service: ShardedMonitorService, poll_interval_s=1.0,\n"
+        "                    sink=None)\n"
+        "```\n"
+        "\n"
+        "```python\n"
+        "suggest_shard_count(shard_stats: dict[int, ServiceStats], *,\n"
+        "                    frame_interval_ms=33.33, high_watermark=0.5,\n"
+        "                    low_watermark=0.1, min_shards=1) -> int\n"
+        "```\n"
+        "\n"
+        "```python\n"
+        "ShardedMonitorService(monitor=None, n_shards=2, max_sessions_per_shard=64, *,\n"
+        "    monitor_bytes=None, start_method=None, request_timeout_s=None,\n"
+        "    backend=None, frame_ring_bytes=..., event_ring_bytes=..., event_store=None)\n"
+        "```\n"
+        "\n"
+        "```python\n"
+        "not_an_export(anything)\n"
+        "```\n"
+    )
+    assert check_constructor_blocks(page) == [
+        f"{page}:7: `suggest_shard_count(` omits its parameter `max_shards`",
+        f"{page}:13: `ShardedMonitorService(` lists `event_ring_bytes`, not in its signature",
+    ]
