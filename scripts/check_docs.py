@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs consistency checks, run by the CI docs job.
 
-Six guarantees:
+Seven guarantees:
 
 1. every ```mermaid block in ``docs/*.md`` (and ``README.md``) parses —
    a lightweight structural validation: known diagram type on the first
@@ -23,7 +23,12 @@ Six guarantees:
 6. every constructor block in ``docs/api.md`` — a ```python block that
    opens with ``Name(`` for a name in ``repro.serving.__all__`` — lists
    exactly the parameters of ``inspect.signature(Name)``, so a removed
-   knob cannot linger in the reference, nor a new one go unlisted.
+   knob cannot linger in the reference, nor a new one go unlisted;
+7. no ``.py`` or ``.md`` file under ``src/``, ``tests/``, ``docs/``,
+   ``scripts/`` or ``examples/``, nor ``README.md``, cites a ROADMAP
+   item by number (``ROADMAP( item)? <digit>``): items are renumbered
+   whenever the roadmap is re-anchored, so a citation names the claim
+   or the doc section instead.
 
 Run:  PYTHONPATH=src python scripts/check_docs.py
 Exits non-zero with one line per problem.
@@ -179,7 +184,6 @@ def check_paths(path: Path, root: Path = REPO) -> list[str]:
 DOCUMENTED_MODULES = (
     "repro.serving",
     "repro.serving.analytics",
-    "repro.serving.balancer",
     "repro.serving.bulk",
     "repro.serving.eventstore",
     "repro.serving.remote",
@@ -299,6 +303,31 @@ def check_constructor_blocks(page: Path) -> list[str]:
     return errors
 
 
+#: A citation of a roadmap item by its number.
+_ROADMAP_ITEM = re.compile(r"ROADMAP(?: item)? \d")
+
+#: Where roadmap item numbers may not appear: everything but the
+#: roadmap itself, the changelog and the frozen benchmark.
+CITATION_TREES = ("src", "tests", "docs", "scripts", "examples")
+
+
+def check_roadmap_citations(root: Path = REPO) -> list[str]:
+    """No file outside ``ROADMAP.md`` cites a roadmap item by number."""
+    files = [root / "README.md"] + [
+        path
+        for tree in CITATION_TREES
+        for pattern in ("*.py", "*.md")
+        for path in sorted((root / tree).rglob(pattern))
+    ]
+    return [
+        f"{path}:{number}: cites a ROADMAP item by number; name the claim or section"
+        for path in files
+        if path.exists()
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if _ROADMAP_ITEM.search(line)
+    ]
+
+
 def main() -> int:
     errors: list[str] = []
     targets = sorted(DOCS.glob("*.md")) + [REPO / "README.md"]
@@ -312,6 +341,7 @@ def main() -> int:
     errors.extend(check_message_types(DOCS / "remote.md"))
     errors.extend(check_ticks_per_round(DOCS / "serving.md"))
     errors.extend(check_constructor_blocks(DOCS / "api.md"))
+    errors.extend(check_roadmap_citations())
     if errors:
         print("\n".join(errors), file=sys.stderr)
         print(f"\ncheck_docs: {len(errors)} problem(s)", file=sys.stderr)
@@ -325,7 +355,7 @@ def main() -> int:
         f"check_docs: OK ({n_blocks} mermaid block(s), api.md covers __all__, "
         "every cited path exists, remote.md tabulates MessageType, "
         "serving.md states TICKS_PER_ROUND, api.md's constructor blocks "
-        "match their signatures)"
+        "match their signatures, no ROADMAP item is cited by number)"
     )
     return 0
 

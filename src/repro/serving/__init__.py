@@ -9,20 +9,10 @@ and a production deployment monitoring many procedures at once:
 - :mod:`~repro.serving.sharded` — :class:`ShardedMonitorService`, the
   scale-out layer fanning sessions across worker processes by
   consistent hashing, each worker running its own ``MonitorService``,
-  plus :func:`suggest_shard_count`, the autoscaling policy over
+  plus :func:`suggest_shard_count`, a pure shard-count policy over
   ``shard_stats()``, and the elasticity actuators ``add_shard`` /
-  ``remove_shard`` / ``resize`` that live-migrate sessions (state,
-  pending frames and all) instead of closing them;
-- :mod:`~repro.serving.autoscaler` — :class:`MonitorAutoscaler`, the
-  loop that applies ``suggest_shard_count`` recommendations through
-  ``resize`` under hysteresis;
-- :mod:`~repro.serving.balancer` — :func:`plan_sheds` /
-  :class:`MonitorBalancer`, the second control level: resize fixes
-  capacity, the balancer fixes *skew* by continuously shedding
-  sessions off hot shards through the live-migration path (placement
-  overlay keeps routing with the moved sessions), with hysteresis,
-  per-cycle migration budgets and flap suppression so the two levels
-  never fight;
+  ``remove_shard`` / ``resize`` / ``shed`` that live-migrate sessions
+  (state, pending frames and all) instead of closing them;
 - :mod:`~repro.serving.async_frontend` — :class:`AsyncShardedMonitor`,
   the asyncio ingest/egress façade whose ``feed()``/``events()`` never
   block on a slow shard;
@@ -66,8 +56,6 @@ folded zero-allocation plans.  See ``docs/architecture.md``,
 """
 
 from .async_frontend import AsyncShardedMonitor
-from .autoscaler import MonitorAutoscaler
-from .balancer import MonitorBalancer, ShedPlan, plan_sheds
 from .bulk import BulkScorer, score_procedure, score_procedures
 from .eventstore import EventStoreReader, EventStoreWriter, StoredRecord
 from .remote import (
@@ -104,8 +92,6 @@ __all__ = [
     "EventStoreWriter",
     "GatewayRunner",
     "Histogram",
-    "MonitorAutoscaler",
-    "MonitorBalancer",
     "MonitorGateway",
     "MonitorService",
     "RemoteMonitorClient",
@@ -115,14 +101,12 @@ __all__ = [
     "SessionResult",
     "SessionState",
     "ShardedMonitorService",
-    "ShedPlan",
     "StoredRecord",
     "TelemetryRegistry",
     "make_random_walk_trajectory",
     "make_synthetic_monitor",
     "monitor_from_bytes",
     "monitor_to_bytes",
-    "plan_sheds",
     "score_procedure",
     "score_procedures",
     "session_from_bytes",

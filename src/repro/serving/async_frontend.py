@@ -436,10 +436,10 @@ class AsyncShardedMonitor:
 
     @property
     def service(self) -> "ShardedMonitorService":
-        """The wrapped :class:`ShardedMonitorService` (configuration
-        introspection — e.g. the balancer reads
-        ``max_sessions_per_shard`` for its capacity clamp).  Drive the
-        fleet through this front-end's coroutines, not directly."""
+        """The wrapped :class:`ShardedMonitorService`, for configuration
+        and placement introspection (``max_sessions_per_shard``,
+        ``shard_occupancy()``, ``sessions_on()``).  Drive the fleet
+        through this front-end's coroutines, not directly."""
         return self._service
 
     async def _run_on_fleet(self, fn, *args):
@@ -475,8 +475,8 @@ class AsyncShardedMonitor:
         wake and exit.  Returns the service's resize summary dict.
         """
         result = await self._run_on_fleet(self._service.resize, target_k)
-        # Prune retired indices (never reused: an oscillating autoscaler
-        # would otherwise grow the maps and the task list without bound).
+        # Prune retired indices (never reused: repeated resizes would
+        # otherwise grow the maps and the task list without bound).
         # Waiters and loops holding a popped turn/event keep working;
         # removal only stops *future* lookups.
         live = set(self._service.shard_indices)
@@ -493,24 +493,13 @@ class AsyncShardedMonitor:
     async def shed(self, session_ids: list[str], to_shard: int) -> dict[str, int]:
         """Migrate named sessions onto ``to_shard`` and pin them there.
 
-        The balancer's actuator
-        (:meth:`~repro.serving.balancer.MonitorBalancer.step` calls this
-        with the sessions its plan selected): the blocking
-        :meth:`ShardedMonitorService.shed` under every shard's turns
-        (:meth:`_run_on_fleet`).  Returns the service's ``{session_id:
+        The blocking :meth:`ShardedMonitorService.shed` under every
+        shard's turns (:meth:`_run_on_fleet`).  Returns the service's ``{session_id:
         previous shard}`` map.
         """
         return await self._run_on_fleet(
             self._service.shed, list(session_ids), to_shard
         )
-
-    def shard_occupancy(self) -> dict[int, int]:
-        """Open-session count per live shard (no IPC, no lock needed)."""
-        return self._service.shard_occupancy()
-
-    def sessions_on(self, index: int) -> list[str]:
-        """Open session ids routed to one shard (no IPC, no lock needed)."""
-        return self._service.sessions_on(index)
 
     async def _poll_shards(self, poll) -> dict:
         """``{shard: poll(shard)}`` over the live shards, one at a time,

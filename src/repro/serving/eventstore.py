@@ -255,11 +255,10 @@ class EventStoreWriter:
         """Buffer a fleet marker with a JSON body.
 
         The durable record of fleet-shape decisions, interleaved with
-        the event stream in append order: ``"resize"`` markers from the
-        capacity level (manual resizes and the autoscaler) and
-        ``"shed"`` placement-change markers from the skew level (manual
-        sheds and the balancer) — so a replay can attribute any latency
-        shift to the topology change that caused it.
+        the event stream in append order: a ``"resize"`` marker per
+        applied resize and a ``"shed"`` marker per applied shed — so a
+        replay can attribute any latency shift to the topology change
+        that caused it.
         """
         marker = {"type": kind, **(data or {})}
         with self._lock:

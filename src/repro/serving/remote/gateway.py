@@ -64,8 +64,6 @@ from ...errors import ConfigurationError, ProtocolError, ReproError, WorkerError
 from ...nn.backends import DEFAULT_BACKEND, validate_backend_name
 from ...nn.layers.contract import numerics_fingerprint
 from ..async_frontend import AsyncShardedMonitor
-from ..autoscaler import MonitorAutoscaler
-from ..balancer import MonitorBalancer
 from ..service import MonitorService, ServiceStats, SessionEvent
 from ..sharded import ShardedMonitorService
 from ..telemetry import TelemetryRegistry
@@ -204,7 +202,7 @@ class _LocalEngine:
         raise ConfigurationError(
             "the embedded single-service engine has no shards to shed "
             "between; start the gateway with n_shards >= 2 for a "
-            "load-balanced fleet"
+            "sharded fleet"
         )
 
     async def aclose(self) -> None:
@@ -331,29 +329,6 @@ class MonitorGateway:
     data_plane:
         ``"shm"`` is the only data plane; keyword retained until the
         benchmark stops passing it.
-    autoscale_interval_s / autoscale_max_shards:
-        When ``autoscale_interval_s`` is set (requires ``n_shards >=
-        2``), the gateway runs a
-        :class:`~repro.serving.autoscaler.MonitorAutoscaler` over its
-        fleet at that cadence, live-resizing within ``[1,
-        autoscale_max_shards]``.  Every applied (or manual
-        :meth:`resize`) resize is recorded and visible to STATS clients
-        — socket sessions ride through resizes transparently, their
-        frames migrating with them.
-    balance_interval_s / balance_max_moves:
-        When ``balance_interval_s`` is set (requires ``n_shards >= 2``),
-        the gateway runs a
-        :class:`~repro.serving.balancer.MonitorBalancer` over its fleet
-        at that cadence — the *skew* level of the two-level controller:
-        sessions are continuously shed off hot shards (at most
-        ``balance_max_moves`` per cycle) through the same live-migration
-        path resize uses, so socket sessions ride through sheds
-        transparently too.  When both loops run they are cross-linked:
-        a shed in flight defers a pending resize, and every applied
-        resize resets the balancer's hysteresis.  Applied sheds (and
-        manual :meth:`shed` calls) are recorded in :attr:`shed_events`,
-        surfaced in STATS under ``"placement"``, and tee a ``"shed"``
-        marker into the event store next to the resize markers.
     resume_grace_s / event_replay_max:
         ``resume_grace_s > 0`` enables session resume: a disconnected
         client's sessions are *parked* for that many seconds instead of
@@ -371,8 +346,8 @@ class MonitorGateway:
         the gateway tees its client-visible event stream into: every
         delivered event, every event absorbed into a parked session's
         replay history, every terminal fail-safe event, plus a marker
-        per applied resize.  The tee happens at the gateway (the engine
-        is built *without* a store), so the on-disk log replays the
+        per applied resize or shed.  The tee happens at the gateway (the
+        engine is built *without* a store), so the on-disk log replays the
         exact exactly-once stream clients saw — duplicates filtered,
         crash regenerations deduplicated.  The caller owns the writer's
         lifecycle (``close()`` it after ``stop()``); a full ring is a
@@ -408,10 +383,6 @@ class MonitorGateway:
         drain_timeout_s: float = 10.0,
         start_method: str | None = None,
         data_plane: str = "shm",
-        autoscale_interval_s: float | None = None,
-        autoscale_max_shards: int = 8,
-        balance_interval_s: float | None = None,
-        balance_max_moves: int = 8,
         resume_grace_s: float = 0.0,
         event_replay_max: int = 4096,
         event_store: "EventStoreWriter | None" = None,
@@ -456,22 +427,6 @@ class MonitorGateway:
         self.idle_timeout_s = idle_timeout_s
         self.drain_timeout_s = drain_timeout_s
         self._start_method = start_method
-        for name, what, interval in (
-            ("autoscale_interval_s", "autoscaling", autoscale_interval_s),
-            ("balance_interval_s", "load balancing", balance_interval_s),
-        ):
-            if interval is not None and interval <= 0:
-                raise ConfigurationError(f"{name} must be > 0")
-            if interval is not None and n_shards < 2:
-                raise ConfigurationError(
-                    f"{what} requires a sharded fleet (n_shards >= 2)"
-                )
-        self.autoscale_interval_s = autoscale_interval_s
-        self.autoscale_max_shards = int(autoscale_max_shards)
-        if balance_max_moves < 1:
-            raise ConfigurationError("balance_max_moves must be >= 1")
-        self.balance_interval_s = balance_interval_s
-        self.balance_max_moves = int(balance_max_moves)
         if resume_grace_s < 0:
             raise ConfigurationError("resume_grace_s must be >= 0")
         if event_replay_max < 1:
@@ -479,14 +434,12 @@ class MonitorGateway:
         self.resume_grace_s = float(resume_grace_s)
         self.event_replay_max = int(event_replay_max)
         self.event_store = event_store
-        self._autoscaler: MonitorAutoscaler | None = None
-        self._balancer: MonitorBalancer | None = None
-        #: Applied resizes (manual and autoscaler), oldest first —
-        #: summary dicts surfaced to STATS clients by gateway_stats().
+        #: Applied resizes, oldest first — summary dicts surfaced to
+        #: STATS clients by gateway_stats().
         self.resize_events: list[dict] = []
-        #: Applied sheds (manual and balancer), oldest first — the
-        #: placement-change records surfaced to STATS clients and teed
-        #: into the event store as ``"shed"`` markers.
+        #: Applied sheds, oldest first — the placement-change records
+        #: surfaced to STATS clients and teed into the event store as
+        #: ``"shed"`` markers.
         self.shed_events: list[dict] = []
 
         self._engine: _LocalEngine | AsyncShardedMonitor | None = None
@@ -551,29 +504,6 @@ class MonitorGateway:
         self._engine = await loop.run_in_executor(None, self._build_engine)
         try:
             await self._engine.start()
-            # The constructor rejected both loops for n_shards < 2, so
-            # the engine here is the AsyncShardedMonitor.
-            if self.autoscale_interval_s is not None:
-                self._autoscaler = MonitorAutoscaler(
-                    self._engine,
-                    interval_s=self.autoscale_interval_s,
-                    max_shards=self.autoscale_max_shards,
-                    on_resize=self._note_resize,
-                )
-                await self._autoscaler.start()
-            if self.balance_interval_s is not None:
-                self._balancer = MonitorBalancer(
-                    self._engine,
-                    interval_s=self.balance_interval_s,
-                    max_moves=self.balance_max_moves,
-                    on_shed=self._note_shed,
-                )
-                if self._autoscaler is not None:
-                    # Cross-link the two controller levels: shed in
-                    # flight defers a pending resize; an applied resize
-                    # resets the balancer's hysteresis.
-                    self._autoscaler.balancer = self._balancer
-                await self._balancer.start()
             self._server = await asyncio.start_server(
                 self._serve_connection, self.host, self.port
             )
@@ -587,10 +517,6 @@ class MonitorGateway:
 
     async def _shutdown_engine(self) -> None:
         """End the engine's tasks and terminate any worker processes."""
-        for control_loop in (self._balancer, self._autoscaler):
-            if control_loop is not None:
-                await control_loop.stop()
-        self._balancer = self._autoscaler = None
         if self._engine is None:
             return
         await self._engine.aclose()
@@ -1271,9 +1197,9 @@ class MonitorGateway:
     def uptime_s(self) -> float:
         """Monotonic seconds since this gateway was constructed.
 
-        Never resets — resizes, autoscaler actions and reconnect storms
-        leave it (and the cumulative event counters it contextualises)
-        strictly increasing.
+        Never resets — resizes, sheds and reconnect storms leave it (and
+        the cumulative event counters it contextualises) strictly
+        increasing.
         """
         return time.monotonic() - self._started_at
 
@@ -1302,28 +1228,19 @@ class MonitorGateway:
         if self._engine is None:
             raise ConfigurationError("gateway is not started")
         summary = await self._engine.resize(target_k)
-        self._note_resize(dict(summary, trigger="manual"))
-        return summary
-
-    def _note_resize(self, event: dict) -> None:
-        """Record an applied resize (manual or autoscaler-triggered)."""
+        event = dict(summary, trigger="manual")
         self.resize_events.append(event)
         self.n_shards = int(event.get("to", self.n_shards))
-        if self._balancer is not None and event.get("trigger") != "autoscaler":
-            # The autoscaler resets the balancer itself before calling
-            # on_resize; a *manual* resize must reset it here, or the
-            # balancer would act on a hot-streak built against the old
-            # topology.
-            self._balancer.notify_resize(event)
         if self.event_store is not None:
             self.event_store.append_marker("resize", dict(event))
+        return summary
 
     async def shed(self, session_ids: list[str], to_shard: int) -> dict[str, int]:
         """Live-migrate named sessions onto one shard and pin them there.
 
-        The manual twin of the balancer's continuous loop (and what a
-        chaos campaign injects): sessions ride through exactly as they
-        do under resize — pending frames migrate, no event is lost, no
+        What an operator (or a chaos campaign) calls to move sessions
+        off a hot shard: sessions ride through exactly as they do under
+        resize — pending frames migrate, no event is lost, no
         fail-safe closure — and the placement overlay keeps routing
         them to ``to_shard`` afterwards.  Sessions that closed or
         failed meanwhile are skipped; the returned
@@ -1336,21 +1253,16 @@ class MonitorGateway:
             raise ConfigurationError("gateway is not started")
         moved = await self._engine.shed(list(session_ids), to_shard)
         if moved:
-            self._note_shed(
-                {
-                    "to": to_shard,
-                    "sessions": sorted(moved),
-                    "n": len(moved),
-                    "trigger": "manual",
-                }
-            )
+            event = {
+                "to": to_shard,
+                "sessions": sorted(moved),
+                "n": len(moved),
+                "trigger": "manual",
+            }
+            self.shed_events.append(event)
+            if self.event_store is not None:
+                self.event_store.append_marker("shed", dict(event))
         return moved
-
-    def _note_shed(self, event: dict) -> None:
-        """Record an applied shed (manual or balancer-triggered)."""
-        self.shed_events.append(event)
-        if self.event_store is not None:
-            self.event_store.append_marker("shed", dict(event))
 
     async def shard_stats(self) -> dict[int, ServiceStats]:
         """The embedded engine's per-shard :class:`ServiceStats`.
@@ -1414,21 +1326,17 @@ class MonitorGateway:
             },
             "store": store_stats,
             "telemetry": registry.snapshot(),
-            # Resize history (manual and autoscaler): how clients learn
-            # the fleet changed shape underneath their sessions — and
-            # that nothing happened to those sessions.
+            # Resize history: how clients learn the fleet changed shape
+            # underneath their sessions — and that nothing happened to
+            # those sessions.
             "resizes": {
                 "count": len(self.resize_events),
-                "autoscaling": self.autoscale_interval_s is not None,
                 "events": self.resize_events[-16:],
             },
-            # Placement history (manual sheds and the balancer): the
-            # skew level of the two-level controller — which sessions
-            # were moved off a hot shard, where they landed, and the
-            # p99 evidence the decision was made on.
+            # Placement history: which sessions were shed onto which
+            # shard.
             "placement": {
                 "count": len(self.shed_events),
-                "balancing": self.balance_interval_s is not None,
                 "events": self.shed_events[-16:],
             },
             "connections": {

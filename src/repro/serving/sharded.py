@@ -118,9 +118,9 @@ def suggest_shard_count(
     """Recommend a shard count from observed per-shard tick latency.
 
     A pure function over a :meth:`ShardedMonitorService.shard_stats`
-    snapshot (no IPC, no side effects) — the policy half of the ROADMAP
-    autoscaling item, usable from a cron job, the gateway's stats loop,
-    or an operator script:
+    snapshot (no IPC, no side effects), for an operator to apply with
+    :meth:`ShardedMonitorService.resize` (or a gateway's ``resize``) —
+    from a cron job or an operator script:
 
     - the serving deadline is one frame interval (33.3 ms at the
       paper's 30 Hz); the *busiest* shard's p99 tick latency is the
@@ -684,9 +684,8 @@ class ShardedMonitorService:
     def shard_occupancy(self) -> dict[int, int]:
         """Open-session count per live shard (no IPC).
 
-        The occupancy half of the balancer's input: paired with
-        :meth:`shard_stats` it is what
-        :func:`~repro.serving.balancer.plan_sheds` consumes.
+        Paired with :meth:`shard_stats` it tells an operator which
+        shard is hot and which has room before a :meth:`shed`.
         """
         with self._lock:
             occupancy = {handle.index: 0 for handle in self._live_shards()}
@@ -728,18 +727,16 @@ class ShardedMonitorService:
     def shed(self, session_ids: list[str], to_shard: int) -> dict[str, int]:
         """Migrate named sessions onto an explicit shard and pin them.
 
-        The load-aware placement actuator
-        (:class:`~repro.serving.balancer.MonitorBalancer` calls this
-        through the asyncio front-end): each session is live-migrated
+        The manual placement actuator (the asyncio front-end and the
+        gateway wrap it): each session is live-migrated
         via the export→import path — pending frames and window state
         intact, so ticks after the shed are bit-identical to an
         unbalanced run — and pinned to ``to_shard`` in the placement
         overlay so future :meth:`feed` routing, park/resume round trips
         and ``add_shard`` rebalances all follow the move.
 
-        Designed to race safely with a continuously evolving fleet:
-        sessions closed or failed since the plan was computed are
-        skipped, a full target stops the batch (``ConfigurationError``
+        Safe to race with a live fleet: sessions closed or failed since
+        the caller picked them are skipped, a full target stops the batch (``ConfigurationError``
         would hit every remaining session too), and worker crashes
         fail their sessions safe through the usual paths.  Returns
         ``{session_id: previous shard}`` for the sessions actually
@@ -866,9 +863,9 @@ class ShardedMonitorService:
             self._ring.remove(index)
             with self._lock:
                 # A shed target being retired releases its pins: the
-                # sessions fall back to ring placement below — fail-safe
-                # for the balancer, no session is ever stranded on a pin
-                # to a shard that no longer exists.
+                # sessions fall back to ring placement below, so no
+                # session is ever stranded on a pin to a shard that no
+                # longer exists.
                 for session_id in [
                     s for s, pin in self._overlay.items() if pin == index
                 ]:
@@ -951,9 +948,8 @@ class ShardedMonitorService:
         Applies :meth:`add_shard` / :meth:`remove_shard` until the live
         shard count matches — this is what turns a
         :func:`suggest_shard_count` recommendation into reality without
-        a fleet rebuild and without interrupting a single session
-        (:class:`~repro.serving.autoscaler.MonitorAutoscaler` runs this
-        loop under hysteresis).  Scale-down retires the highest-index
+        a fleet rebuild and without interrupting a single session.
+        Scale-down retires the highest-index
         shards first; indices are never reused.
 
         Returns a summary dict: ``{"from", "to", "added", "removed",
@@ -1369,7 +1365,7 @@ class ShardedMonitorService:
         The session keeps the id embedded in its snapshot and is placed
         as :meth:`resolve_placement` places that id — so an export/import
         round trip lands it exactly where a fresh open would, on its
-        pinned shard if it was shed (the balancer's placement survives
+        pinned shard if it was shed (a shed's placement survives
         disconnect/reconnect).  Raises
         :class:`~repro.errors.ConfigurationError` if the archive is
         foreign-versioned or the id is already open.

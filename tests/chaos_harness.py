@@ -3,8 +3,8 @@
 Drives a fleet of sessions over a real TCP gateway while a seeded RNG
 injects faults — abrupt client disconnects followed by resumes on fresh
 connections, SIGKILLed shard workers, mid-stream fleet resizes, and
-balancer-style session sheds (live migrations through the placement
-overlay) — then asserts the two invariants the resume protocol
+manual session sheds (live migrations through the placement overlay)
+— then asserts the two invariants the resume protocol
 promises:
 
 - **zero lost frames**: every session's closing summary accounts for
@@ -355,7 +355,7 @@ class ChaosCampaign:
 
     def _act_shed(self, runner):
         """Live-migrate one attached session onto a random live shard —
-        the balancer's actuation path, fired mid-stream so the placement
+        the gateway's ``shed`` path, fired mid-stream so the placement
         overlay must keep routing follow-up frames to the moved session
         while disconnects, kills and resizes land around it."""
         gateway = runner.gateway

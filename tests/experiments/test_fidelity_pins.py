@@ -1,7 +1,7 @@
 """Detection quality is pinned: every table's digits at smoke scale, seed 0.
 
-The first slice of the fidelity contract (ROADMAP item 4; the claims
-those digits are read for are ``test_fidelity_claims.py``).  Tables IV
+The first slice of the fidelity contract (the claims those digits are
+read for are ``test_fidelity_claims.py``).  Tables IV
 and VIII below were printed by ``python -m repro.experiments
 table4|table8 --scale smoke --seed 0`` at the commit *before* the
 inference contraction moved from a sequential multiply-add chain to

@@ -5,7 +5,7 @@ Each campaign drives a fleet of sessions over a live TCP gateway while
 ``tests/chaos_harness.py`` randomly kills client connections (followed
 by detach/resume on fresh connections), SIGKILLs shard workers,
 resizes the fleet mid-stream, and sheds live sessions between shards
-through the balancer's migration path — then asserts **zero lost
+through the gateway's ``shed`` migration path — then asserts **zero lost
 frames** and **bit-identical per-session event streams** against an
 uninterrupted single :class:`~repro.serving.MonitorService` run.
 

@@ -7,8 +7,8 @@ backend matches gestures/flags/order exactly and scores within its
 documented ``atol=1e-6``, exactly like the pre-existing K>=2 parity
 matrix).  Plus the building blocks: session export/import on the core
 engine, the npz session codec, minimal-slice rebalancing on
-``add_shard``, the last-shard guard, capacity pre-checks, the asyncio
-``resize`` and the :class:`MonitorAutoscaler` hysteresis actuator.
+``add_shard``, the last-shard guard, capacity pre-checks and the
+asyncio ``resize``.
 """
 
 import asyncio
@@ -20,9 +20,7 @@ import pytest
 from repro.errors import ConfigurationError, DatasetError, ShapeError, WorkerError
 from repro.serving import (
     AsyncShardedMonitor,
-    MonitorAutoscaler,
     MonitorService,
-    ServiceStats,
     ShardedMonitorService,
     make_random_walk_trajectory,
     make_synthetic_monitor,
@@ -507,265 +505,3 @@ class TestAsyncResize:
         assert [e.gesture for e in collected] == gestures
         assert [e.score for e in collected] == scores
         assert np.array_equal(result.unsafe_scores, np.asarray(scores))
-
-
-def stats_with_p99(tick_ms: float, n_ticks: int = 50) -> ServiceStats:
-    stats = ServiceStats(capacity=max(n_ticks, 1))
-    for _ in range(n_ticks):
-        stats.record(tick_ms, 4)
-    return stats
-
-
-class TestAutoscaler:
-    """The actuator loop over suggest_shard_count, driven via step()."""
-
-    def _hot(self, k):  # p99 of 2x the high watermark -> suggest 2k
-        return {i: stats_with_p99(33.3) for i in range(k)}
-
-    def _in_band(self, k):
-        return {i: stats_with_p99(8.0) for i in range(k)}
-
-    def test_applies_after_consecutive_agreement(self, monitor):
-        async def run():
-            with ShardedMonitorService(
-                monitor, n_shards=2, max_sessions_per_shard=8
-            ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
-                    sid = await frontend.open_session("scaled")
-                    await frontend.feed(
-                        sid,
-                        make_random_walk_trajectory(
-                            20, n_features=N_FEATURES, seed=740
-                        ).frames,
-                    )
-                    scaler = MonitorAutoscaler(
-                        frontend, consecutive=2, cooldown_s=0.0, max_shards=8
-                    )
-                    first = await scaler.step(self._hot(2))
-                    assert first is None  # streak of 1 < consecutive=2
-                    assert service.n_shards == 2
-                    second = await scaler.step(self._hot(2))
-                    assert second == 4  # applied
-                    assert service.n_shards == 4
-                    assert len(scaler.resize_events) == 1
-                    event = scaler.resize_events[0]
-                    assert event["trigger"] == "autoscaler"
-                    assert (event["from"], event["to"]) == (2, 4)
-                    # The session survived the autoscaled resize.
-                    await frontend.drain()
-                    result = await frontend.close_session(sid)
-                    return result
-
-        result = asyncio.run(run())
-        assert result.n_frames == 20
-
-    def test_in_band_resets_the_streak(self, monitor):
-        async def run():
-            with ShardedMonitorService(
-                monitor, n_shards=2, max_sessions_per_shard=4
-            ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
-                    scaler = MonitorAutoscaler(
-                        frontend, consecutive=2, cooldown_s=0.0
-                    )
-                    assert await scaler.step(self._hot(2)) is None
-                    assert await scaler.step(self._in_band(2)) is None
-                    # The interruption reset the streak: one more hot
-                    # sample is again not enough.
-                    assert await scaler.step(self._hot(2)) is None
-                    assert service.n_shards == 2
-                    assert scaler.resize_events == []
-
-        asyncio.run(run())
-
-    def test_cooldown_blocks_back_to_back_resizes(self, monitor):
-        async def run():
-            with ShardedMonitorService(
-                monitor, n_shards=2, max_sessions_per_shard=4
-            ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
-                    scaler = MonitorAutoscaler(
-                        frontend, consecutive=1, cooldown_s=3600.0, max_shards=8
-                    )
-                    assert await scaler.step(self._hot(2)) == 4
-                    # Immediately hot again: suggestion repeats but the
-                    # cooldown gate holds the fleet steady.
-                    assert await scaler.step(self._hot(4)) is None
-                    assert service.n_shards == 4
-                    assert len(scaler.resize_events) == 1
-
-        asyncio.run(run())
-
-    def test_overcap_fleet_is_not_shrunk_under_load(self, monitor):
-        """A fleet already above max_shards whose load asks for MORE
-        capacity must be held where it is — the clamp must never turn a
-        scale-up recommendation into a scale-down."""
-
-        async def run():
-            with ShardedMonitorService(
-                monitor, n_shards=3, max_sessions_per_shard=4
-            ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
-                    scaler = MonitorAutoscaler(
-                        frontend, consecutive=1, cooldown_s=0.0, max_shards=2
-                    )
-                    # Hot: the raw recommendation is > 3, the clamp says
-                    # 2 — applying it would shrink an overloaded fleet.
-                    assert await scaler.step(self._hot(3)) is None
-                    assert service.n_shards == 3
-                    assert scaler.resize_events == []
-                    # A genuinely idle fleet still scales down normally.
-                    idle = {i: ServiceStats(capacity=4) for i in range(3)}
-                    assert await scaler.step(idle) == 1
-                    assert service.n_shards == 1
-
-        asyncio.run(run())
-
-    def test_cooldown_boundary_exactly_at_threshold_applies(self, monitor):
-        """The cooldown gate is a strict ``<``: a step landing exactly at
-        (or a hair past) the cooldown boundary applies, one clearly
-        inside it holds.  Driven by pinning ``_last_applied`` against
-        the loop clock — no sleeps, no flakiness."""
-
-        async def run():
-            with ShardedMonitorService(
-                monitor, n_shards=2, max_sessions_per_shard=4
-            ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
-                    scaler = MonitorAutoscaler(
-                        frontend,
-                        consecutive=1,
-                        cooldown_s=3600.0,
-                        max_shards=8,
-                    )
-                    loop = asyncio.get_running_loop()
-                    # Still 0.5 s inside the window: blocked (the step
-                    # itself runs in far less than the margin).
-                    scaler._last_applied = loop.time() - 3600.0 + 0.5
-                    assert await scaler.step(self._hot(2)) is None
-                    assert service.n_shards == 2
-                    # Exactly at the boundary: the elapsed time is >=
-                    # cooldown_s by the time the gate evaluates, so the
-                    # resize goes through.
-                    scaler._last_applied = loop.time() - 3600.0
-                    assert await scaler.step(self._hot(2)) == 4
-                    assert service.n_shards == 4
-
-        asyncio.run(run())
-
-    def test_single_shard_floor_never_breached(self, monitor):
-        """An idle 1-shard fleet must stay at 1 — the policy floor means
-        the actuator never even proposes 0, no matter how long the idle
-        streak runs."""
-
-        async def run():
-            with ShardedMonitorService(
-                monitor, n_shards=1, max_sessions_per_shard=4
-            ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
-                    scaler = MonitorAutoscaler(
-                        frontend, consecutive=1, cooldown_s=0.0
-                    )
-                    idle = {0: ServiceStats(capacity=4)}
-                    for _ in range(5):
-                        assert await scaler.step(idle) is None
-                    assert service.n_shards == 1
-                    assert scaler.resize_events == []
-
-        asyncio.run(run())
-
-    def test_flapping_load_never_applies(self, monitor):
-        """Alternating hot/idle samples disagree on the target every
-        evaluation, so with consecutive=2 the streak never matures and
-        the fleet never moves — the hysteresis exists exactly for this
-        oscillation."""
-
-        async def run():
-            with ShardedMonitorService(
-                monitor, n_shards=2, max_sessions_per_shard=4
-            ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
-                    scaler = MonitorAutoscaler(
-                        frontend, consecutive=2, cooldown_s=0.0, max_shards=8
-                    )
-                    idle = {i: ServiceStats(capacity=4) for i in range(2)}
-                    for _ in range(4):
-                        # Hot proposes 4, idle proposes 1: each sample
-                        # restarts the other's streak at 1 < 2.
-                        assert await scaler.step(self._hot(2)) is None
-                        assert await scaler.step(idle) is None
-                    assert service.n_shards == 2
-                    assert scaler.resize_events == []
-
-        asyncio.run(run())
-
-    def test_constructor_validation(self, monitor):
-        async def run():
-            with ShardedMonitorService(
-                monitor, n_shards=1, max_sessions_per_shard=2
-            ) as service:
-                frontend = AsyncShardedMonitor(service)
-                with pytest.raises(ConfigurationError):
-                    MonitorAutoscaler(frontend, interval_s=0.0)
-                with pytest.raises(ConfigurationError):
-                    MonitorAutoscaler(frontend, consecutive=0)
-                with pytest.raises(ConfigurationError):
-                    MonitorAutoscaler(frontend, cooldown_s=-1.0)
-                with pytest.raises(ConfigurationError):
-                    MonitorAutoscaler(frontend, min_shards=4, max_shards=2)
-
-        asyncio.run(run())
-
-    def test_background_loop_applies_resize(self, monitor):
-        """The self-driving loop: a persistently hot fleet is scaled up
-        without anyone calling step()."""
-
-        async def run():
-            with ShardedMonitorService(
-                monitor, n_shards=2, max_sessions_per_shard=8
-            ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
-                    scaler = MonitorAutoscaler(
-                        frontend,
-                        interval_s=0.05,
-                        consecutive=1,
-                        cooldown_s=0.0,
-                        max_shards=4,
-                    )
-                    # Make the policy see a hot fleet regardless of real
-                    # load: feed synthetic stats through a stub.
-                    real_stats = frontend.shard_stats
-
-                    async def hot_stats():
-                        return {
-                            i: stats_with_p99(33.3)
-                            for i in range(service.n_shards)
-                        }
-
-                    frontend.shard_stats = hot_stats
-                    try:
-                        async with scaler:
-                            deadline = (
-                                asyncio.get_running_loop().time() + 10.0
-                            )
-                            while (
-                                service.n_shards < 4
-                                and asyncio.get_running_loop().time()
-                                < deadline
-                            ):
-                                await asyncio.sleep(0.02)
-                    finally:
-                        frontend.shard_stats = real_stats
-                    return service.n_shards, len(scaler.resize_events)
-
-        n_shards, n_events = asyncio.run(run())
-        assert n_shards == 4
-        assert n_events >= 1
-
-    def test_gateway_autoscale_requires_fleet(self, monitor):
-        from repro.serving import MonitorGateway
-
-        with pytest.raises(ConfigurationError, match="n_shards >= 2"):
-            MonitorGateway(monitor, n_shards=1, autoscale_interval_s=1.0)
-        with pytest.raises(ConfigurationError, match="> 0"):
-            MonitorGateway(monitor, n_shards=2, autoscale_interval_s=0.0)

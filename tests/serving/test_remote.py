@@ -40,6 +40,7 @@ from repro.serving import (
     MonitorService,
     RemoteMonitorClient,
     ResumeState,
+    ServiceStats,
     SessionEvent,
     ShardedMonitorService,
     make_random_walk_trajectory,
@@ -47,6 +48,7 @@ from repro.serving import (
     monitor_from_bytes,
     monitor_to_bytes,
     session_from_bytes,
+    suggest_shard_count,
 )
 from repro.serving.remote import protocol
 from repro.serving.remote.client import _SessionCore
@@ -1200,11 +1202,13 @@ class TestEventHandOff:
                     )
                     == total
                 )
+                # Read before the close: the gateway fails the dropped
+                # connection's sessions safe and takes them off their shards.
+                on_one_shard = max(
+                    len(service.sessions_on(i)) for i in service.shard_indices
+                )
             finally:
                 raw.close()
-            on_one_shard = max(
-                len(service.sessions_on(i)) for i in service.shard_indices
-            )
         store.close()
         event_messages = [
             tuple(event_key(e) for e in decode_events(payload))
@@ -1376,13 +1380,76 @@ class TestGatewayResize:
         assert stats["sessions"]["failed_total"] == 0
         assert not runner.gateway.failsafe_events
 
+    @pytest.mark.parametrize(
+        "tick_ms, expected", [(33.3, 4), (8.0, 2), (None, 1)],
+        ids=["hot", "in-band", "idle"],
+    )
+    def test_operator_recipe_resizes_to_the_policy_count(
+        self, monitor, tmp_path, tick_ms, expected
+    ):
+        """The manual scaling recipe: the policy reads the gateway's own
+        per-shard snapshot (every shard at ``tick_ms`` p99 here, so no
+        wall clock decides), the operator resizes to its answer, and a
+        socket session rides through; the resize is on the record with
+        ``trigger: "manual"``, in STATS and in the event store."""
+        trajectory = make_random_walk_trajectory(
+            30, n_features=N_FEATURES, seed=62
+        )
+        reference = local_events(monitor, trajectory, session_id="recipe")
+        store = EventStoreWriter(tmp_path)
+        with running_gateway(
+            monitor, n_shards=2, max_sessions=16, event_store=store
+        ) as runner:
+            with RemoteMonitorClient(runner.host, runner.port) as client:
+                sid = client.open_session("recipe")
+                head, tail = np.array_split(trajectory.frames, 2)
+                client.feed(sid, head)
+                events = client.events_for(sid, len(head))
+                snapshot = runner.run(runner.gateway.shard_stats())
+                assert sorted(snapshot) == sorted(
+                    runner.gateway._engine.service.shard_indices
+                )
+                assert all(isinstance(s, ServiceStats) for s in snapshot.values())
+                load = {index: ServiceStats(capacity=100) for index in snapshot}
+                for stats in load.values():
+                    for _ in range(100 if tick_ms is not None else 0):
+                        stats.record(tick_ms, 4)
+                k = suggest_shard_count(load, max_shards=4)
+                assert k == expected
+                summary = runner.run(runner.gateway.resize(k))
+                assert (summary["from"], summary["to"]) == (2, expected)
+                client.feed(sid, tail)
+                events += client.events_for(sid, len(tail))
+                stats = client.gateway_stats()
+                client.close_session(sid)
+        store.close()
+        assert [event_key(e) for e in events] == [
+            event_key(e) for e in reference
+        ]
+        assert stats["n_shards"] == expected
+        (event,) = stats["resizes"]["events"]
+        assert (event["from"], event["to"], event["trigger"]) == (
+            2,
+            expected,
+            "manual",
+        )
+        markers = list(EventStoreReader(tmp_path).iter_markers())
+        assert markers == [dict(event, type="resize")]
+
+    @pytest.mark.parametrize("change", ["resize", "shed"])
+    def test_shape_changes_need_a_started_gateway(self, monitor, change):
+        gateway = MonitorGateway(monitor, n_shards=2, max_sessions=4)
+        call = gateway.resize(3) if change == "resize" else gateway.shed(["s"], 0)
+        with pytest.raises(ConfigurationError, match="not started"):
+            asyncio.run(call)
+        assert gateway.resize_events == [] and gateway.shed_events == []
+
     def test_embedded_engine_rejects_resize(self, monitor):
         with running_gateway(monitor, n_shards=1, max_sessions=4) as runner:
             with pytest.raises(ConfigurationError, match="n_shards >= 2"):
                 runner.run(runner.gateway.resize(2))
             stats = runner.stats()
             assert stats["resizes"]["count"] == 0
-            assert stats["resizes"]["autoscaling"] is False
 
 
 class TestSnapshotRestart:

@@ -108,8 +108,8 @@ class TestSessionLifecycle:
 
 
 class TestNonFiniteFrames:
-    """ROADMAP 4(b): a NaN/Inf feature must never turn into `window`
-    frames of silent ``score=nan flag=False`` verdicts."""
+    """Hostile input fails safe: a NaN/Inf feature must never turn into
+    `window` frames of silent ``score=nan flag=False`` verdicts."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejected_with_typed_error_and_state_untouched(self, monitor, bad):

@@ -2102,7 +2102,7 @@ def stats_with_p99(tick_ms: float, n_ticks: int = 100) -> ServiceStats:
 
 
 class TestSuggestShardCount:
-    """The pure autoscaling policy over shard_stats() snapshots.
+    """The pure shard-count policy over shard_stats() snapshots.
 
     Budget at the paper's 30 Hz: 33.3 ms per frame; default watermarks
     are 50% (scale up above ~16.7 ms p99) and 10% (scale down below
@@ -2137,6 +2137,7 @@ class TestSuggestShardCount:
         stats = {i: ServiceStats(capacity=4) for i in range(6)}
         assert suggest_shard_count(stats) == 1
         assert suggest_shard_count(stats, min_shards=2) == 2
+        assert suggest_shard_count({0: ServiceStats(capacity=4)}) == 1
 
     def test_scale_down_never_triggers_next_scale_up(self):
         # Property: applying the suggestion to a cold fleet never lands

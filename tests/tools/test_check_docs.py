@@ -4,12 +4,15 @@ A doc that cites a file must fail the docs job once that file is
 deleted or renamed; exercised against a miniature tree with one passing
 and one failing page.  The wire reference's message-type table must
 fail it once it and ``protocol.MessageType`` disagree, the operator
-docs' round size once it and ``TICKS_PER_ROUND`` do, and an API
-reference constructor block once it and the signature do.
+docs' round size once it and ``TICKS_PER_ROUND`` do, an API
+reference constructor block once it and the signature do, and any
+file outside the roadmap once it cites a roadmap item by number.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
 
@@ -18,6 +21,7 @@ from check_docs import (  # noqa: E402 - path set up above
     check_constructor_blocks,
     check_message_types,
     check_paths,
+    check_roadmap_citations,
     check_ticks_per_round,
 )
 
@@ -119,3 +123,69 @@ def test_constructor_blocks_list_the_signature(tmp_path):
         f"{page}:7: `suggest_shard_count(` omits its parameter `max_shards`",
         f"{page}:13: `ShardedMonitorService(` lists `event_ring_bytes`, not in its signature",
     ]
+
+
+def test_roadmap_items_are_cited_by_name_not_number(tmp_path):
+    assert check_roadmap_citations() == []
+    # Built, not written: this file is itself under tests/.
+    item = "ROADMAP item " + "3"
+    for tree in ("src", "docs", "bench"):
+        (tmp_path / tree).mkdir()
+    (tmp_path / "README.md").write_text(f"Unmeasured ({item}).\n")
+    (tmp_path / "src" / "mod.py").write_text(f"x = 1\n# {item}(b)\n")
+    (tmp_path / "docs" / "page.md").write_text(
+        "See `ROADMAP.md` and the ROADMAP's north star.\n"
+    )
+    # bench/ is not scanned: its README is frozen with the benchmark.
+    (tmp_path / "bench" / "README.md").write_text(f"{item}\n")
+    problem = "cites a ROADMAP item by number; name the claim or section"
+    assert check_roadmap_citations(tmp_path) == [
+        f"{tmp_path / 'README.md'}:1: {problem}",
+        f"{tmp_path / 'src' / 'mod.py'}:2: {problem}",
+    ]
+    (tmp_path / "src" / "mod.py").write_text(f"# ROADMAP {4}(b)\n")
+    assert check_roadmap_citations(tmp_path)[1:] == [
+        f"{tmp_path / 'src' / 'mod.py'}:1: {problem}"
+    ]
+
+
+# Built, not written: this file is itself under tests/.
+_CITATION = "ROADMAP item " + "5"
+
+
+@pytest.mark.parametrize(
+    "relative",
+    [
+        "README.md",
+        "src/repro/serving/mod.py",
+        "tests/serving/test_mod.py",
+        "docs/page.md",
+        "scripts/tool.py",
+        "examples/demo.py",
+    ],
+)
+def test_roadmap_citation_is_caught_in_every_scanned_tree(tmp_path, relative):
+    path = tmp_path / relative
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(f"Fine.\nOpen ({_CITATION}(b)).\n")
+    assert check_roadmap_citations(tmp_path) == [
+        f"{path}:2: cites a ROADMAP item by number; name the claim or section"
+    ]
+
+
+@pytest.mark.parametrize(
+    "relative, text",
+    [
+        ("ROADMAP.md", f"{_CITATION}: the roadmap numbers its own items.\n"),
+        ("CHANGES.md", f"Took {_CITATION}.\n"),
+        ("bench/README.md", f"Frozen with the benchmark: {_CITATION}.\n"),
+        ("src/notes.txt", f"Not a .py or .md file: {_CITATION}.\n"),
+        ("docs/page.md", "See `ROADMAP.md` § Open items and the ROADMAP's north star.\n"),
+    ],
+    ids=["roadmap", "changelog", "frozen-bench", "other-suffix", "named-citation"],
+)
+def test_roadmap_mentions_outside_the_rule_pass(tmp_path, relative, text):
+    path = tmp_path / relative
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    assert check_roadmap_citations(tmp_path) == []
