@@ -15,17 +15,19 @@ contract:
   :data:`TICKS_PER_ROUND` ticks run back to back by the worker — awaits
   the worker's pipe becoming readable, reads the reply and the event
   ring, and hands the round's
-  :class:`~repro.serving.service.SessionEvent`\\ s over as one list —
-  to the ``sink`` callable the front-end was wired with (the gateway's
-  router), or else onto the queue behind :meth:`events`;
+  :class:`~repro.serving.service.SessionEvent`\\ s over as one list to
+  the ``sink`` callable the front-end was wired with (the gateway's
+  router).  An idle ticker waits for a kick or its worker's exit,
+  never on a timer, and every wait on a worker ends at the reply
+  deadline (:data:`~repro.serving.transport.REPLY_DEADLINE_S`);
 - what has to block runs on an executor thread: control ops (open,
   close, export, import, stats, telemetry: one pipe request/reply
   each), a feed that must wait on ring back-pressure (the ring is full,
   or the block is over half the ring and goes in chunks), and the
   fleet-wide :meth:`resize` / :meth:`shed`;
-- :meth:`events` is the merged async event stream.  A worker crash
-  surfaces *in the stream* as terminal events with ``error`` set (and
-  ``flag=True``), while the other shards' tickers keep running.
+- a dead or hung worker surfaces *in the sink* as its sessions'
+  terminal events with ``error`` set (and ``flag=True``), while the
+  other shards' tickers keep running.
 
 Each shard has two turns (``asyncio.Lock``\\ s), and every call that
 needs both takes the pipe turn first:
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from collections.abc import AsyncIterator, Callable
+from collections.abc import Callable
 
 import numpy as np
 
@@ -55,10 +57,8 @@ from ..errors import WorkerError
 from .service import ServiceStats, SessionEvent, SessionResult
 from .sharded import ShardedMonitorService
 from .telemetry import TelemetryRegistry
+from . import transport
 from .transport import TICKS_PER_ROUND, Request
-
-#: Sentinel pushed to the event queue when the front-end shuts down.
-_CLOSED = object()
 
 
 class _Turn(asyncio.Lock):
@@ -94,17 +94,16 @@ class AsyncShardedMonitor:
     Use as an async context manager::
 
         service = ShardedMonitorService(monitor, n_shards=4)
-        async with AsyncShardedMonitor(service) as frontend:
+        async with AsyncShardedMonitor(service, batches.append) as frontend:
             sid = await frontend.open_session("theatre-7")
             await frontend.feed(sid, frames)        # returns immediately
-            async for event in frontend.events():   # merged across shards
-                ...
+            await frontend.drain()                  # events are in batches
 
     ``sink`` is wiring, not tuning: a callable taking one
     ``list[SessionEvent]`` — the events of one shard's tick round, or of
-    one crash/resize/shed flush — called on the loop thread in place of
-    queueing for :meth:`events` (which then stays empty).  The gateway
-    passes its router; leave it out to consume :meth:`events`.
+    one crash/resize/shed flush — called on the loop thread.  Events of
+    one session arrive in frame order, crash terminals included; the
+    gateway passes its router.
 
     The front-end does not own the service's worker processes; call
     ``service.close()`` (or use the service as a context manager) after
@@ -114,18 +113,10 @@ class AsyncShardedMonitor:
     def __init__(
         self,
         service: ShardedMonitorService,
-        poll_interval_s: float = 1.0,
-        sink: Callable[[list[SessionEvent]], None] | None = None,
+        sink: Callable[[list[SessionEvent]], None],
     ) -> None:
         self._service = service
-        #: How often a parked (idle-shard) ticker polls worker liveness,
-        #: so a worker dying while nothing is pending still surfaces its
-        #: sessions' fail-safe terminal events within this bound.
-        self.poll_interval_s = poll_interval_s
-        #: Events awaiting :meth:`events`, one entry each, so an iteration
-        #: left early loses none of a batch (unused with a sink).
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._sink = sink if sink is not None else self._enqueue
+        self._sink = sink
         #: Each shard's pipe turn and ingest turn (module docstring).
         self._pipe: dict[int, asyncio.Lock] = {}
         self._ingest: dict[int, _Turn] = {}
@@ -159,7 +150,7 @@ class AsyncShardedMonitor:
         )
 
     async def aclose(self) -> None:
-        """Stop the tickers and terminate the :meth:`events` stream.
+        """Stop the tickers.
 
         Pending frames are left un-ticked (use :meth:`drain` first when
         they must be processed); the underlying service stays open.
@@ -171,13 +162,8 @@ class AsyncShardedMonitor:
             kick.set()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._queue.put_nowait(_CLOSED)
 
     # ------------------------------------------------------------------
-    def _enqueue(self, batch: list[SessionEvent]) -> None:
-        for event in batch:
-            self._queue.put_nowait(event)
-
     def _emit(self, batch: list[SessionEvent]) -> None:
         """Hand one round's (or one flush's) events over, in order."""
         if batch:
@@ -260,13 +246,23 @@ class AsyncShardedMonitor:
     async def _shard_loop(self, index: int) -> None:
         """Tick one shard whenever it has pending frames.
 
+        A pass with nothing to tick hands over what
+        :meth:`ShardedMonitorService.take_undelivered_events` holds —
+        queued crash terminals, deaths its liveness check reaps,
+        ingest failures a control op's reply stashed — then waits for a
+        kick or for its worker's exit (:meth:`_idle`).  The hand-over
+        holds the shard's pipe turn: :meth:`resize` and :meth:`shed`
+        hold every turn while they add and delete shards, which the
+        hand-over iterates.
+
         The loop cannot end while sessions are still routed to its
         shard.  The tick round already turns every worker failure into
-        terminal events, so whatever still escapes a tick is a
+        terminal events, so whatever still escapes a pass is a
         router-side fault — and the ticker owes the shard's sessions
         what ``_LocalEngine`` owes its own: the shard fails safe
-        (terminal ``flag=True`` events, ``failed_sessions``), never a
-        session that silently stops being monitored.
+        (terminal ``flag=True`` events, ``failed_sessions``), handed
+        over by the next pass, never a session that silently stops
+        being monitored.
         """
         kick = self._kick[index]
         while not self._closed:
@@ -279,15 +275,15 @@ class AsyncShardedMonitor:
                     # Let feeds/consumers run between ticks of a busy shard.
                     await asyncio.sleep(0)
                     continue
-                if index not in self._service.shard_indices:
-                    break  # shard crashed or was removed; nothing to tick
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        kick.wait(), timeout=self.poll_interval_s
-                    )
-                    continue
-                # Nothing woke us: cheap liveness poll (below) so a worker
-                # that died while idle still fails fast-safe.
+                async with self._pipe.setdefault(index, asyncio.Lock()):
+                    self._emit(self._service.take_undelivered_events())
+                    handle = self._service._shards.get(index)
+                if handle is None or not handle.alive:
+                    # Crashed or removed: nothing to tick.  Its turn goes
+                    # too, as :meth:`resize` prunes a retired shard's.
+                    self._pipe.pop(index, None)
+                    break
+                await self._idle(kick, handle.process)
             except Exception as exc:  # noqa: BLE001 - a dead ticker must fail safe
                 handle = self._service._shards.get(index)
                 if handle is not None:
@@ -295,7 +291,25 @@ class AsyncShardedMonitor:
                         handle,
                         f"shard {index} ticker failed: {type(exc).__name__}: {exc}",
                     )
-            self._emit(self._service.take_undelivered_events())
+
+    @staticmethod
+    async def _idle(kick: asyncio.Event, process) -> None:
+        """Wait until the ticker is kicked or ``process`` — its shard's
+        worker — exits, whichever comes first; never on a timer.
+
+        The worker's sentinel turns readable when it exits, so a worker
+        that dies while its shard is idle wakes the ticker at once.
+        ``process`` stays referenced for the whole wait (this frame holds
+        it) and the reader goes before the wait returns: a collected
+        process closes its sentinel, whose fd number could then be
+        reused while the loop still watched it.
+        """
+        loop = asyncio.get_running_loop()
+        loop.add_reader(process.sentinel, kick.set)
+        try:
+            await kick.wait()
+        finally:
+            loop.remove_reader(process.sentinel)
 
     async def _tick(self, index: int) -> list[SessionEvent]:
         """One tick round of shard ``index``, on the loop thread.
@@ -324,8 +338,9 @@ class AsyncShardedMonitor:
 
     async def _readable(self, conn) -> bool:
         """Await a worker pipe until it is readable — a reply waiting, or
-        end-of-file from a dead worker — for at most the service's
-        ``request_timeout_s``.  False when the wait timed out."""
+        end-of-file from a dead worker — for at most the reply deadline,
+        :data:`~repro.serving.transport.REPLY_DEADLINE_S`.  False when
+        the wait timed out."""
         loop = asyncio.get_running_loop()
         ready = loop.create_future()
         fd = conn.fileno()
@@ -337,7 +352,7 @@ class AsyncShardedMonitor:
 
         loop.add_reader(fd, on_readable)
         try:
-            return await asyncio.wait_for(ready, self._service.request_timeout_s)
+            return await asyncio.wait_for(ready, transport.REPLY_DEADLINE_S)
         except asyncio.TimeoutError:
             return False
         finally:
@@ -421,7 +436,7 @@ class AsyncShardedMonitor:
         """Wait until no live shard has pending frames.
 
         The tickers do the actual work; this just parks until the
-        backlog is gone (events keep flowing to :meth:`events`).
+        backlog is gone (events keep flowing to the sink).
         """
         while any(
             self._service.shard_maybe_pending(i)
@@ -532,18 +547,3 @@ class AsyncShardedMonitor:
         for snapshot in (await self._poll_shards(self._service.telemetry_of)).values():
             merged.merge(snapshot)
         return merged.snapshot()
-
-    async def events(self) -> AsyncIterator[SessionEvent]:
-        """Merged event stream across all shards.
-
-        Yields until :meth:`aclose`; events of one session arrive in
-        frame order, interleaving across sessions follows shard timing.
-        Crash events (``error`` set) are part of the stream.  Leaving an
-        iteration early loses nothing: the next one resumes at the first
-        event not yet yielded.
-        """
-        while True:
-            event = await self._queue.get()
-            if event is _CLOSED:
-                return
-            yield event

@@ -16,8 +16,9 @@ same session on one local ``MonitorService`` — the sharded parity suite
 (``tests/serving/test_sharded.py``, ``tests/core/test_parity.py``)
 locks this in for K ∈ {1, 2, 4}.
 
-Failure semantics are fail-safe: when a worker dies, hangs past its
-timeout or answers a tick with an error, its sessions are not silently
+Failure semantics are fail-safe: when a worker dies, stays silent past
+the reply deadline (:data:`~repro.serving.transport.REPLY_DEADLINE_S`)
+or answers a tick with an error, its sessions are not silently
 dropped — each one surfaces a terminal :class:`SessionEvent` with
 ``error`` set and ``flag=True`` (a monitoring outage on a surgical robot
 must read as *unsafe*, see ``docs/serving.md``), the sessions move to
@@ -91,6 +92,7 @@ from .snapshot import (
     snapshot_history_frames,
     snapshot_n_features,
 )
+from . import transport
 from .transport import TICKS_PER_ROUND, Reply, Request, raise_remote, recv_message
 from .worker import worker_main
 
@@ -280,7 +282,7 @@ class _ShardHandle:
         except (BrokenPipeError, OSError) as exc:
             raise WorkerError(f"shard {self.index} pipe broken: {exc}") from exc
 
-    def recv(self, timeout_s: float | None) -> Reply:
+    def recv(self, timeout_s: float) -> Reply:
         """Read one reply, or raise ``WorkerError``: the worker died, is
         unresponsive, or sent a corrupt/truncated/foreign reply — it
         cannot be trusted to stay in protocol either way."""
@@ -304,7 +306,7 @@ class _ShardHandle:
             self.pending_ingest.extend(reply.ingest_errors)
         return reply
 
-    def request(self, request: Request, timeout_s: float | None) -> Reply:
+    def request(self, request: Request, timeout_s: float) -> Reply:
         self.send(request)
         return self.recv(timeout_s)
 
@@ -362,10 +364,6 @@ class ShardedMonitorService:
     start_method:
         ``multiprocessing`` start method; default prefers ``fork`` where
         available (fast) and falls back to ``spawn``.
-    request_timeout_s:
-        Per-request timeout on worker replies.  ``None`` (default) waits
-        indefinitely; set it to surface *hung* workers as crashes.  Dead
-        workers are detected immediately regardless (broken pipe).
     backend:
         Inference backend every worker's engine runs (see
         :data:`repro.nn.backends.BACKEND_NAMES`).  ``None`` resolves to
@@ -416,7 +414,6 @@ class ShardedMonitorService:
         *,
         monitor_bytes: bytes | None = None,
         start_method: str | None = None,
-        request_timeout_s: float | None = None,
         backend: str | None = None,
         frame_ring_bytes: int = DEFAULT_FRAME_RING_BYTES,
         event_store: "EventStoreWriter | None" = None,
@@ -446,7 +443,6 @@ class ShardedMonitorService:
             )
         self.monitor_bytes = monitor_bytes
         self.max_sessions_per_shard = int(max_sessions_per_shard)
-        self.request_timeout_s = request_timeout_s
         self.frame_ring_bytes = int(frame_ring_bytes)
         # Router-side feed validation width: with the asynchronous frame
         # ring there is no reply to carry a worker-side ShapeError, so
@@ -621,7 +617,7 @@ class ShardedMonitorService:
         after spawn, and where a control op's outcome is classified:
 
         - **the worker cannot be trusted** — a transport failure (dead,
-          hung past ``request_timeout_s``, corrupt or foreign reply), or
+          silent past the reply deadline, corrupt or foreign reply), or
           an error reply :func:`raise_remote` can only render as
           ``WorkerError`` (a type outside :mod:`repro.errors`).  The
           shard fails safe (:meth:`_queue_crash`) and ``WorkerError``
@@ -632,7 +628,7 @@ class ShardedMonitorService:
           it; the worker keeps serving.
         """
         try:
-            reply = handle.request(request, self.request_timeout_s)
+            reply = handle.request(request, transport.REPLY_DEADLINE_S)
             raise_remote(reply)
         except WorkerError as exc:
             self._queue_crash(handle, str(exc))
@@ -1129,10 +1125,9 @@ class ShardedMonitorService:
 
         A single copy into the shard's frame ring — **no reply round
         trip**.  Back-pressure replaces the ack: a full ring blocks until
-        the worker frees space (bounded by ``request_timeout_s`` when
-        set; counted as ``feeds_backpressured`` in the router's
-        telemetry).  Shape and width are validated
-        here, synchronously, against the snapshot's trained width;
+        the worker frees space (bounded by the reply deadline; counted as
+        ``feeds_backpressured`` in the router's telemetry).  Shape and
+        width are validated here, synchronously, against the snapshot's trained width;
         anything the worker itself rejects later surfaces on the next
         :meth:`tick`/:meth:`drain` as that session's fail-safe terminal
         event.
@@ -1174,7 +1169,7 @@ class ShardedMonitorService:
                 record.order,
                 frames,
                 alive=handle.process.is_alive,
-                timeout_s=self.request_timeout_s,
+                timeout_s=transport.REPLY_DEADLINE_S,
                 who=f"shard {handle.index}",
             )
         except WorkerError as exc:
@@ -1210,10 +1205,11 @@ class ShardedMonitorService:
         halves.  The send half runs to the first ``yield``, which hands
         out the handles whose replies the round owes; the caller sends
         back the set of them whose pipes it saw become readable, or
-        ``None`` to have each reply read blocking (bounded by
-        ``request_timeout_s``).  The receive half runs to the second
-        ``yield``, which hands out the events.  The sync callers run the
-        halves back to back (:meth:`_run_round`);
+        ``None`` to have each reply read blocking (bounded by the reply
+        deadline, :data:`~repro.serving.transport.REPLY_DEADLINE_S`).
+        The receive half runs to the second ``yield``, which hands out
+        the events.  The sync callers run the halves back to back
+        (:meth:`_run_round`);
         :class:`~repro.serving.async_frontend.AsyncShardedMonitor` awaits
         the pipes on its event loop between them.  A handle left out of
         the readable set stayed silent for the whole wait: it is
@@ -1256,9 +1252,9 @@ class ShardedMonitorService:
                 if readable is not None and handle not in readable:
                     raise WorkerError(
                         f"shard {handle.index} unresponsive after "
-                        f"{self.request_timeout_s}s"
+                        f"{transport.REPLY_DEADLINE_S}s"
                     )
-                reply = handle.recv(self.request_timeout_s)
+                reply = handle.recv(transport.REPLY_DEADLINE_S)
                 # An error reply announces too (none when it answers no tick).
                 for tick_events in self._collect_ticks(handle, reply.value or 0):
                     ticks.setdefault(done, []).extend(
@@ -1418,12 +1414,13 @@ class ShardedMonitorService:
         a migration) queues its sessions' terminal events for the next
         :meth:`tick`/:meth:`drain`.  Callers that cannot guarantee a
         further tick — the asyncio front-end after a ``WorkerError``, or
-        its idle poll — claim them here instead; events are only ever
-        delivered once, by whichever path gets there first.
+        an idle ticker's pass — claim them here instead; events are only
+        ever delivered once, by whichever path gets there first.
 
-        Also runs the no-IPC liveness poll, so a worker that dies while
+        Also runs the no-IPC liveness check, so a worker that dies while
         its shard is idle (nothing to tick, nothing talking to it) still
-        surfaces its sessions' fail-safe terminal events here.
+        surfaces its sessions' fail-safe terminal events here — at once
+        under the front-end, whose idle ticker its exit wakes.
         """
         pairs = (
             self._flush_undelivered() + self._reap_dead() + self._ingest_failures()

@@ -441,7 +441,7 @@ def write_frames_blocking(
     frames: np.ndarray,
     *,
     alive: "callable",
-    timeout_s: float | None = None,
+    timeout_s: float,
     who: str = "worker",
 ) -> bool:
     """Write a frame block with ring-full back-pressure.
@@ -457,13 +457,13 @@ def write_frames_blocking(
     WorkerError
         When ``alive()`` turns false (the worker died; the caller runs
         its crash path) or ``timeout_s`` expires with the ring still
-        full (a *hung* worker; same contract as a request timeout).
+        full (a *hung* worker; the reply deadline's contract).
     """
     frames = np.ascontiguousarray(frames, dtype=np.float64)
     max_rows = max(
         1, (ring.capacity // 2 - _REC_HEADER - 16) // (8 * frames.shape[1])
     )
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    deadline = time.monotonic() + timeout_s
     waited = False
     for start in range(0, frames.shape[0], max_rows):
         chunk = frames[start : start + max_rows]
@@ -474,7 +474,7 @@ def write_frames_blocking(
                     f"{who} died with the frame ring full "
                     f"({ring.data_bytes} bytes backlogged)"
                 )
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 raise WorkerError(
                     f"{who} unresponsive: frame ring still full after "
                     f"{timeout_s}s"

@@ -51,6 +51,19 @@ from ..errors import WorkerError
 #: round (:func:`~repro.serving.shm.event_ring_capacity`).
 TICKS_PER_ROUND = 8
 
+#: The most the router waits on a worker that owes it something: a
+#: control op's reply, a tick round's reply, the reply a cancelled
+#: round still reads, room in a full frame ring.  A worker silent past
+#: it is hung, and its shard fails safe like a dead one.  A constant,
+#: not a knob: no caller can leave a hung worker's sessions waiting
+#: forever.  The slowest exchange measured on a 2-core box, send to
+#: reply, was 54 ms over the tier-1 suite (a tick round) and 12 ms over
+#: a 64-session chaos campaign (seed 2020), leaving out the start-up
+#: pings and the tests that stop a worker on purpose: 5 s is ~90× the
+#: slower.  Start-up (the spawn ping, up to 0.3 s measured) keeps its
+#: own, longer bound.
+REPLY_DEADLINE_S = 5.0
+
 
 @dataclass(frozen=True)
 class Request:

@@ -13,6 +13,7 @@ asyncio ``resize``.
 
 import asyncio
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -468,20 +469,20 @@ class TestAsyncResize:
         )
 
         async def run():
+            batches = []
             with ShardedMonitorService(
                 monitor, n_shards=2, max_sessions_per_shard=8
             ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
+                async with AsyncShardedMonitor(service, batches.append) as frontend:
                     sid = await frontend.open_session("ride")
                     chunks = np.array_split(trajectory.frames, 3)
                     await frontend.feed(sid, chunks[0])
-                    collected = []
 
                     async def pump(n):
-                        async for event in frontend.events():
-                            collected.append(event)
-                            if len(collected) >= n:
-                                return
+                        deadline = time.monotonic() + 30.0
+                        while sum(map(len, batches)) < n:
+                            assert time.monotonic() < deadline
+                            await asyncio.sleep(0.005)
 
                     await pump(5)
                     summary = await frontend.resize(4)
@@ -493,7 +494,7 @@ class TestAsyncResize:
                     await frontend.feed(sid, chunks[2])
                     await pump(45)
                     result = await frontend.close_session(sid)
-                    return collected, result, summary
+                    return [e for batch in batches for e in batch], result, summary
 
         collected, result, summary = asyncio.run(run())
         assert summary["from"] == 2 and summary["to"] == 4

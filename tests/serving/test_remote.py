@@ -49,6 +49,7 @@ from repro.serving import (
     monitor_to_bytes,
     session_from_bytes,
     suggest_shard_count,
+    transport,
 )
 from repro.serving.remote import protocol
 from repro.serving.remote.client import _SessionCore
@@ -705,7 +706,6 @@ class TestFailSafe:
             monitor, n_shards=2, max_sessions=16
         ) as runner:
             gateway = runner.gateway
-            gateway._engine.poll_interval_s = 0.05
             service = gateway._engine.service
             with RemoteMonitorClient(runner.host, runner.port) as client:
                 sids = [client.open_session(f"proc-{i}") for i in range(6)]
@@ -744,6 +744,46 @@ class TestFailSafe:
             )
             for sid in victims:
                 assert sid in gateway.failed_sessions
+
+    def test_hung_shard_worker_fails_its_sessions_safe(self, monitor, monkeypatch):
+        """SIGSTOP one worker of a K=2 gateway: alive but silent, so only
+        the reply deadline can surface it.  The client of each of its
+        sessions gets one ``flag=True`` terminal naming the unresponsive
+        shard, and the other shard's sessions stream on, bit-identical."""
+        monkeypatch.setattr(transport, "REPLY_DEADLINE_S", 1.0)
+        trajectory = make_random_walk_trajectory(
+            12, n_features=N_FEATURES, seed=62
+        )
+        with running_gateway(monitor, n_shards=2, max_sessions=8) as runner:
+            service = runner.gateway._engine.service
+            with RemoteMonitorClient(
+                runner.host, runner.port, timeout_s=15.0
+            ) as client:
+                sids = [client.open_session(f"proc-{i}") for i in range(6)]
+                placement = {sid: service.shard_of(sid) for sid in sids}
+                assert len(set(placement.values())) == 2
+                hung = placement[sids[0]]
+                victims = {s for s in sids if placement[s] == hung}
+                pid = service._shards[hung].process.pid
+                os.kill(pid, signal.SIGSTOP)
+                try:
+                    for sid in sids:
+                        client.feed(sid, trajectory.frames[:6])
+                    events = {sid: client.events_for(sid, 6) for sid in sids}
+                    for sid in set(sids) - victims:
+                        client.feed(sid, trajectory.frames[6:])
+                        events[sid] += client.events_for(sid, 6)
+                finally:
+                    os.kill(pid, signal.SIGCONT)
+        for sid in victims:
+            (terminal,) = events[sid]
+            assert terminal.flag and terminal.frame_index == 0
+            assert f"shard {hung} unresponsive after 1.0s" in terminal.error
+        for sid in set(sids) - victims:
+            assert [event_key(e) for e in events[sid]] == [
+                event_key(e)
+                for e in local_events(monitor, trajectory, session_id=sid)
+            ], sid
 
     def test_local_engine_tick_failure_fails_safe(self, monitor):
         """K=1 has no worker process to crash, but a tick() exception
@@ -1244,20 +1284,19 @@ class TestEventHandOff:
             assert streams[sid] == reference
             assert replayed[sid] == reference
 
-    def test_events_view_without_a_sink_is_unchanged(self, monitor):
-        """`AsyncShardedMonitor.events()` still yields single events in
-        per-session frame order, crash events included; with a sink the
-        same events arrive as per-tick lists and the view stays empty."""
+    def test_sink_gets_each_round_as_one_list(self, monitor):
+        """`AsyncShardedMonitor`'s sink gets each tick round's events as
+        one non-empty list, in per-session frame order, and a killed
+        shard's crash terminals arrive through it too, last in their
+        sessions' streams."""
         frames = np.zeros((6, N_FEATURES))
+        sunk = []
 
-        async def run(sink):
+        async def run():
             with ShardedMonitorService(
                 monitor, n_shards=2, max_sessions_per_shard=4
             ) as service:
-                frontend = AsyncShardedMonitor(
-                    service, poll_interval_s=0.05, sink=sink
-                )
-                async with frontend:
+                async with AsyncShardedMonitor(service, sunk.append) as frontend:
                     sids = [
                         await frontend.open_session(f"proc-{i}")
                         for i in range(4)
@@ -1269,43 +1308,26 @@ class TestEventHandOff:
                     victim = service.shard_of(sids[0])
                     victims = {s for s in sids if service.shard_of(s) == victim}
                     os.kill(service._shards[victim].process.pid, signal.SIGKILL)
-                    seen = []
-                    if sink is None:
-                        async for event in frontend.events():
-                            seen.append(event)
-                            if sum(e.error is not None for e in seen) == len(
-                                victims
-                            ):
-                                break
-                    else:
-                        deadline = time.monotonic() + 10.0
-                        while (
-                            sum(e.error is not None for b in sunk for e in b)
-                            < len(victims)
-                            and time.monotonic() < deadline
-                        ):
-                            await asyncio.sleep(0.02)
-                        assert frontend._queue.empty()
-                    return sids, victims, seen
+                    deadline = time.monotonic() + 10.0
+                    while (
+                        sum(e.error is not None for b in sunk for e in b)
+                        < len(victims)
+                        and time.monotonic() < deadline
+                    ):
+                        await asyncio.sleep(0.02)
+                    return sids, victims
 
-        sids, victims, seen = asyncio.run(run(None))
-        assert all(isinstance(e, SessionEvent) for e in seen)
+        sids, victims = asyncio.run(run())
+        assert all(isinstance(b, list) and b for b in sunk)
+        flat = [e for b in sunk for e in b]
+        assert all(isinstance(e, SessionEvent) for e in flat)
         for sid in sids:
-            mine = [e for e in seen if e.session_id == sid]
+            mine = [e for e in flat if e.session_id == sid]
             normal = [e.frame_index for e in mine if e.error is None]
             assert normal == list(range(6))
             crashed = [e for e in mine if e.error is not None]
             assert len(crashed) == (1 if sid in victims else 0)
             assert all(e.flag and e is mine[-1] for e in crashed)
-
-        sunk = []
-        sids, victims, _ = asyncio.run(run(sunk.append))
-        assert all(isinstance(b, list) and b for b in sunk)
-        flat = [e for b in sunk for e in b]
-        assert sorted(
-            (e.session_id, e.frame_index) for e in flat if e.error is None
-        ) == sorted((sid, i) for sid in sids for i in range(6))
-        assert {e.session_id for e in flat if e.error is not None} == victims
 
 
 class TestGatewayStats:
@@ -1862,7 +1884,6 @@ class TestResume:
             monitor, n_shards=2, max_sessions=16, resume_grace_s=30.0
         ) as runner:
             gateway = runner.gateway
-            gateway._engine.poll_interval_s = 0.05
             service = gateway._engine.service
             with RemoteMonitorClient(runner.host, runner.port) as client:
                 sids = [client.open_session(f"proc-{i}") for i in range(6)]
@@ -1897,11 +1918,12 @@ class TestResume:
                 ], sid
 
     def test_resume_onto_a_just_killed_worker_lands_on_a_survivor(self, monitor):
-        """A worker SIGKILLed while its shard is idle stays in the hash
-        ring until somebody talks to it, so a parked session's RESUME
-        can be the exchange that discovers the death.  The import dies
-        with the worker; the restore must start over and land the
-        session on a survivor instead of failing it."""
+        """A worker SIGKILLed just as a parked session's RESUME imports
+        onto it: its ticker has not seen the exit yet, so the shard is
+        still in the hash ring and the import is the exchange that
+        discovers the death.  The import dies with the worker; the
+        restore must start over and land the session on a survivor
+        instead of failing it."""
         trajectory = make_random_walk_trajectory(
             24, n_features=N_FEATURES, seed=76
         )
@@ -1910,10 +1932,8 @@ class TestResume:
             monitor, n_shards=2, max_sessions=8, resume_grace_s=30.0
         ) as runner:
             gateway = runner.gateway
-            # Keep the idle-shard liveness poll out of the race: the
-            # RESUME below must be what finds the dead worker.
-            gateway._engine.poll_interval_s = 30.0
-            service = gateway._engine.service
+            engine = gateway._engine
+            service = engine.service
             first = RemoteMonitorClient(runner.host, runner.port)
             sid = first.open_session("k")
             first.feed(sid, trajectory.frames[:10])
@@ -1923,8 +1943,18 @@ class TestResume:
             state = first.detach_session(sid)
             assert wait_until(lambda: gateway.n_parked_sessions == 1)
             process = service._shards[home].process
-            os.kill(process.pid, signal.SIGKILL)
-            process.join(10.0)
+            real_import = engine.import_session
+
+            async def import_onto_a_dying_worker(state, record_timeline=True):
+                # Killed and reaped on the loop thread, so the home
+                # shard's ticker cannot run before the import takes the
+                # shard's turns: the import is what finds it dead.
+                if process.is_alive():
+                    os.kill(process.pid, signal.SIGKILL)
+                    process.join(10.0)
+                return await real_import(state, record_timeline)
+
+            engine.import_session = import_onto_a_dying_worker
             with RemoteMonitorClient(runner.host, runner.port) as second:
                 assert second.resume_session(state) == sid
                 second.feed(sid, trajectory.frames[10:])
@@ -2014,7 +2044,6 @@ class TestRestoreCost:
         ) as runner:
             gateway = runner.gateway
             engine = gateway._engine
-            engine.poll_interval_s = 0.05
             window = engine.service.history_frames
             assert window == 5
             handed = []  # rows per engine call, restore or not

@@ -31,6 +31,7 @@ from repro.serving import (
     make_random_walk_trajectory,
     make_synthetic_monitor,
     suggest_shard_count,
+    transport,
 )
 from repro.serving.sharded import _ShardHandle
 from repro.serving.shm import EVENT_DTYPE, ShmRing, event_ring_capacity
@@ -70,6 +71,19 @@ def single_service_reference(monitor, fleet):
 
 def event_key(event):
     return (event.session_id, event.frame_index, event.gesture, event.score, event.flag)
+
+
+def discard(batch):
+    """The sink of a front-end whose events a test does not read."""
+
+
+async def sunk(batches, enough, timeout_s=30.0):
+    """The events a list sink has collected, flat, once ``enough(events)``."""
+    deadline = time.monotonic() + timeout_s
+    while not enough(events := [e for batch in batches for e in batch]):
+        assert time.monotonic() < deadline, "the sink never got enough events"
+        await asyncio.sleep(0.005)
+    return events
 
 
 class TestShardedParity:
@@ -578,13 +592,16 @@ class TestWorkerCrash:
             (sid, True, 50)
         ]
 
-    def test_hung_worker_fails_safe_within_request_timeout(self, monitor):
+    def test_hung_worker_fails_safe_within_request_timeout(
+        self, monitor, monkeypatch
+    ):
         """SIGSTOP one worker: the process is alive but silent, so only
-        ``request_timeout_s`` can surface it.  Its sessions each get one
+        the reply deadline can surface it.  Its sessions each get one
         terminal event naming the unresponsive shard, the healthy shard
         keeps ticking, and the hung shard's segments are unlinked."""
+        monkeypatch.setattr(transport, "REPLY_DEADLINE_S", 1.0)
         with ShardedMonitorService(
-            monitor, n_shards=2, max_sessions_per_shard=8, request_timeout_s=1.0
+            monitor, n_shards=2, max_sessions_per_shard=8
         ) as service:
             sids = self._open_fleet(service, n=6, frames=10)
             placement = {sid: service.shard_of(sid) for sid in sids}
@@ -620,21 +637,18 @@ class TestAsyncFrontend:
         fleet = make_fleet(4, base_seed=600, frames=25, step=0)
 
         async def run():
+            batches = []
             with ShardedMonitorService(
                 monitor, n_shards=2, max_sessions_per_shard=4
             ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
+                async with AsyncShardedMonitor(service, batches.append) as frontend:
                     for session_id, trajectory in fleet.items():
                         await frontend.open_session(session_id)
                         await frontend.feed(session_id, trajectory.frames)
                     expected = sum(t.n_frames for t in fleet.values())
                     per_session = {}
-                    count = 0
-                    async for event in frontend.events():
+                    for event in await sunk(batches, lambda e: len(e) == expected):
                         per_session.setdefault(event.session_id, []).append(event)
-                        count += 1
-                        if count == expected:
-                            break
                     results = {
                         sid: await frontend.close_session(sid) for sid in fleet
                     }
@@ -668,7 +682,7 @@ class TestAsyncFrontend:
             with ShardedMonitorService(
                 monitor, n_shards=2, max_sessions_per_shard=4
             ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
+                async with AsyncShardedMonitor(service, discard) as frontend:
                     session_id = await frontend.open_session()
                     for start in range(0, 30, 10):
                         await frontend.feed(
@@ -689,10 +703,11 @@ class TestAsyncFrontend:
         the stream — nothing may depend on a later tick happening."""
 
         async def run():
+            batches = []
             with ShardedMonitorService(
                 monitor, n_shards=2, max_sessions_per_shard=8
             ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
+                async with AsyncShardedMonitor(service, batches.append) as frontend:
                     sids = []
                     for i in range(6):
                         sid = await frontend.open_session(f"proc-{i}")
@@ -716,14 +731,13 @@ class TestAsyncFrontend:
                         await frontend.feed(
                             sids[0], np.zeros((1, N_FEATURES))
                         )
-                    # The queue still holds the normal events from the
+                    # The sink already holds the normal events from the
                     # drain; the crash events must follow them.
-                    crash_events = []
-                    async for event in frontend.events():
-                        if event.error is not None:
-                            crash_events.append(event)
-                            if len(crash_events) == len(victims):
-                                break
+                    events = await sunk(
+                        batches,
+                        lambda e: sum(x.error is not None for x in e) == len(victims),
+                    )
+                    crash_events = [e for e in events if e.error is not None]
                     return victims, crash_events
 
         victims, crash_events = asyncio.run(run())
@@ -732,16 +746,16 @@ class TestAsyncFrontend:
 
     def test_async_idle_shard_crash_surfaces_via_liveness_poll(self, monitor):
         """A worker dying while its shard is idle (tickers parked, no
-        exchange to break) must still surface terminal events, via the
-        parked tickers' periodic liveness poll."""
+        exchange to break) must still surface terminal events, and at
+        once: its exit wakes the parked ticker, whose liveness check
+        fails the shard.  No timer is involved."""
 
         async def run():
+            batches = []
             with ShardedMonitorService(
                 monitor, n_shards=2, max_sessions_per_shard=8
             ) as service:
-                async with AsyncShardedMonitor(
-                    service, poll_interval_s=0.05
-                ) as frontend:
+                async with AsyncShardedMonitor(service, batches.append) as frontend:
                     sids = []
                     for i in range(4):
                         sid = await frontend.open_session(f"proc-{i}")
@@ -759,27 +773,29 @@ class TestAsyncFrontend:
                         s for s, sh in placement.items() if sh == victim_shard
                     }
                     process = service._shards[victim_shard].process
+                    killed = time.monotonic()
                     os.kill(process.pid, signal.SIGKILL)
-                    process.join(5.0)
-                    # No feed, no tick — only the liveness poll can act.
-                    crash_events = []
-                    async for event in frontend.events():
-                        if event.error is not None:
-                            crash_events.append(event)
-                            if len(crash_events) == len(victims):
-                                break
-                    return victims, crash_events
+                    # No feed, no tick — only the worker's exit can act.
+                    events = await sunk(
+                        batches,
+                        lambda e: sum(x.error is not None for x in e) == len(victims),
+                    )
+                    took = time.monotonic() - killed
+                    crash_events = [e for e in events if e.error is not None]
+                    return victims, crash_events, took
 
-        victims, crash_events = asyncio.run(run())
+        victims, crash_events, took = asyncio.run(run())
         assert {e.session_id for e in crash_events} == victims
         assert all(e.flag for e in crash_events)
+        assert took < 0.5, took
 
     def test_async_crash_surfaces_in_event_stream(self, monitor):
         async def run():
+            batches = []
             with ShardedMonitorService(
                 monitor, n_shards=2, max_sessions_per_shard=8
             ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
+                async with AsyncShardedMonitor(service, batches.append) as frontend:
                     sids = []
                     for i in range(6):
                         sid = await frontend.open_session(f"proc-{i}")
@@ -798,12 +814,11 @@ class TestAsyncFrontend:
                     os.kill(
                         service._shards[victim_shard].process.pid, signal.SIGKILL
                     )
-                    crash_events = []
-                    async for event in frontend.events():
-                        if event.error is not None:
-                            crash_events.append(event)
-                            if len(crash_events) == len(victims):
-                                break
+                    events = await sunk(
+                        batches,
+                        lambda e: sum(x.error is not None for x in e) == len(victims),
+                    )
+                    crash_events = [e for e in events if e.error is not None]
                     return victims, crash_events, set(service.failed_sessions)
 
         victims, crash_events, failed = asyncio.run(run())
@@ -1709,7 +1724,7 @@ class TestSessionIncarnation:
             with ShardedMonitorService(
                 monitor, n_shards=2, max_sessions_per_shard=4
             ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
+                async with AsyncShardedMonitor(service, discard) as frontend:
                     await frontend.open_session("s")
                     shard = service.shard_of("s")
                     async with frontend._ingest[shard]:  # a control op in flight
@@ -1907,20 +1922,23 @@ class TestLoopThreadDataPath:
         assert events == [event_key(e) for e in oracle.drain()]
         assert result.n_frames == 61
 
-    def test_a_feed_that_waits_on_a_full_frame_ring_is_counted(self, monitor):
+    def test_a_feed_that_waits_on_a_full_frame_ring_is_counted(
+        self, monitor, monkeypatch
+    ):
         """The loss signal: a feed that found its shard's frame ring
         full and waited for the worker shows in the router telemetry the
         gateway's STATS carries (``feeds_backpressured``)."""
         block = np.zeros((25, N_FEATURES))  # a 2 024-byte record
 
         async def run():
-            # The timeout bounds a back-pressure wait run on the loop
+            # The deadline bounds a back-pressure wait run on the loop
             # thread by mistake: it could never see the SIGCONT.
+            monkeypatch.setattr(transport, "REPLY_DEADLINE_S", 10.0)
             with ShardedMonitorService(
                 monitor, n_shards=2, max_sessions_per_shard=2,
-                frame_ring_bytes=4096, request_timeout_s=10.0,
+                frame_ring_bytes=4096,
             ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
+                async with AsyncShardedMonitor(service, discard) as frontend:
                     sid = await frontend.open_session("s")
                     handle = service._shards[service.shard_of(sid)]
                     full = threading.Event()
@@ -1951,11 +1969,14 @@ class TestLoopThreadDataPath:
         assert counters["feeds_backpressured"] == 1
         assert result.n_frames == 75
 
-    def test_a_hung_worker_fails_safe_while_the_loop_serves_on(self, monitor):
+    def test_a_hung_worker_fails_safe_while_the_loop_serves_on(
+        self, monitor, monkeypatch
+    ):
         """SIGSTOP one worker: its tick round's wait on the pipe ends at
-        ``request_timeout_s`` and the shard fails safe as unresponsive —
+        the reply deadline and the shard fails safe as unresponsive —
         and while that round waits, the loop keeps feeding and ticking
         the other shard."""
+        monkeypatch.setattr(transport, "REPLY_DEADLINE_S", 2.0)
         healthy_frames = make_random_walk_trajectory(
             20, n_features=N_FEATURES, seed=1450
         ).frames
@@ -1963,8 +1984,7 @@ class TestLoopThreadDataPath:
         async def run():
             batches = []
             with ShardedMonitorService(
-                monitor, n_shards=2, max_sessions_per_shard=4,
-                request_timeout_s=2.0,
+                monitor, n_shards=2, max_sessions_per_shard=4
             ) as service:
                 async with AsyncShardedMonitor(
                     service, sink=batches.append
@@ -2196,7 +2216,7 @@ class TestAsyncShardStats:
             with ShardedMonitorService(
                 monitor, n_shards=2, max_sessions_per_shard=4
             ) as service:
-                async with AsyncShardedMonitor(service) as frontend:
+                async with AsyncShardedMonitor(service, discard) as frontend:
                     sid = await frontend.open_session("proc")
                     await frontend.feed(
                         sid,

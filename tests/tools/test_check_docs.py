@@ -99,8 +99,8 @@ def test_constructor_blocks_list_the_signature(tmp_path):
     page = tmp_path / "api.md"
     page.write_text(
         "```python\n"
-        "AsyncShardedMonitor(service: ShardedMonitorService, poll_interval_s=1.0,\n"
-        "                    sink=None)\n"
+        "AsyncShardedMonitor(service: ShardedMonitorService,\n"
+        "                    sink: Callable[[list[SessionEvent]], None])\n"
         "```\n"
         "\n"
         "```python\n"
@@ -111,8 +111,8 @@ def test_constructor_blocks_list_the_signature(tmp_path):
         "\n"
         "```python\n"
         "ShardedMonitorService(monitor=None, n_shards=2, max_sessions_per_shard=64, *,\n"
-        "    monitor_bytes=None, start_method=None, request_timeout_s=None,\n"
-        "    backend=None, frame_ring_bytes=..., event_ring_bytes=..., event_store=None)\n"
+        "    monitor_bytes=None, start_method=None, backend=None,\n"
+        "    frame_ring_bytes=..., event_ring_bytes=..., event_store=None)\n"
         "```\n"
         "\n"
         "```python\n"
