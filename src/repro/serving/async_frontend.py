@@ -8,8 +8,9 @@ contract:
 
 - the data path stays on the event loop.  :meth:`feed` copies the block
   into its shard's shared-memory frame ring right there, on the loop
-  thread, whenever the ring has room for it and no other call holds or
-  awaits the shard's ingest turn — a write with no reply to wait for.
+  thread, whenever the ring has room for it and no control op or
+  back-pressure feed holds or awaits the shard's turn — a write with no
+  reply to wait for.
   One background ticker task per shard sends the worker a tick request
   whenever the shard has pending frames — one round, up to
   :data:`TICKS_PER_ROUND` ticks run back to back by the worker — awaits
@@ -23,32 +24,33 @@ contract:
 - what has to block runs on an executor thread: control ops (open,
   close, export, import, stats, telemetry: one pipe request/reply
   each), a feed that must wait on ring back-pressure (the ring is full,
-  or the block is over half the ring and goes in chunks), and the
-  fleet-wide :meth:`resize` / :meth:`shed`;
+  or the block is over half the ring and goes in chunks; a chunk that
+  does not fit costs one ``ping`` exchange), and the fleet-wide
+  :meth:`resize` / :meth:`shed`;
 - a dead or hung worker surfaces *in the sink* as its sessions'
   terminal events with ``error`` set (and ``flag=True``), while the
   other shards' tickers keep running.
 
-Each shard has two turns (``asyncio.Lock``\\ s), and every call that
-needs both takes the pipe turn first:
+Each shard has one turn, an ``asyncio.Lock``: one pipe cannot carry
+two interleaved request/reply exchanges, the frame ring has one
+producer, and a feed must not overtake a control op or an earlier feed
+of its shard.  Ticks, control ops and back-pressure feeds take it; the
+front-end counts the control ops and back-pressure feeds that hold or
+await it (ticks are not counted), and an inline feed runs only while
+that count is zero.
 
-- the **pipe turn** — one pipe cannot carry two interleaved
-  request/reply exchanges — is taken by ticks and control ops;
-- the **ingest turn** — the frame ring has one producer, and a feed
-  must not overtake a control op or an earlier feed of its shard — is
-  taken by control ops and back-pressure feeds; an inline feed runs
-  only while nobody holds or awaits it.
-
-So a feed never waits on a tick, :meth:`resize` and :meth:`shed` hold
-every turn of every shard, and a slow shard only ever delays *its own*
-sessions.  Do not mix sync calls (``service.tick()`` etc.) with a
-running front-end — go through the front-end exclusively.
+So an inline feed never waits on a tick; a back-pressure feed waits for
+its shard's turn.  :meth:`resize` and :meth:`shed` hold the turn of
+every shard, and a slow shard only ever delays *its own* sessions.  Do
+not mix sync calls (``service.tick()`` etc.) with a running front-end —
+go through the front-end exclusively.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+from collections import Counter
 from collections.abc import Callable
 
 import numpy as np
@@ -59,33 +61,6 @@ from .sharded import ShardedMonitorService
 from .telemetry import TelemetryRegistry
 from . import transport
 from .transport import TICKS_PER_ROUND, Request
-
-
-class _Turn(asyncio.Lock):
-    """A shard's ingest turn: an ``asyncio.Lock`` that also knows whether
-    anyone is *waiting* for it.
-
-    ``locked()`` turns false the moment a holder releases, before the
-    next waiter has run; an inline feed that trusted it could overtake a
-    feed queued on the turn.  ``claims`` counts the holder and the
-    waiters, so zero means the turn is truly idle.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.claims = 0
-
-    async def acquire(self) -> bool:
-        self.claims += 1
-        try:
-            return await super().acquire()
-        except BaseException:
-            self.claims -= 1
-            raise
-
-    def release(self) -> None:
-        super().release()
-        self.claims -= 1
 
 
 class AsyncShardedMonitor:
@@ -117,9 +92,12 @@ class AsyncShardedMonitor:
     ) -> None:
         self._service = service
         self._sink = sink
-        #: Each shard's pipe turn and ingest turn (module docstring).
+        #: Each shard's turn, and how many control ops and back-pressure
+        #: feeds hold or await it (module docstring).  ``locked()`` turns
+        #: false the moment a holder releases, before the next waiter
+        #: has run; the count stays above zero until every waiter is done.
         self._pipe: dict[int, asyncio.Lock] = {}
-        self._ingest: dict[int, _Turn] = {}
+        self._claims: Counter[int] = Counter()
         self._kick: dict[int, asyncio.Event] = {}
         self._tasks: list[asyncio.Task] = []
         self._closed = False
@@ -188,36 +166,36 @@ class AsyncShardedMonitor:
             raise
 
     @contextlib.asynccontextmanager
-    async def _turns(self, shard: int, pipe: bool = True):
-        """Hold ``shard``'s pipe turn (unless ``pipe`` is false), then its
-        ingest turn — the one order in which anything takes both."""
-        pipe_turn = (
-            self._pipe.setdefault(shard, asyncio.Lock())
-            if pipe
-            else contextlib.nullcontext()
-        )
-        async with pipe_turn:
-            async with self._ingest.setdefault(shard, _Turn()):
+    async def _turns(self, shard: int):
+        """Hold ``shard``'s turn, counted from before the wait until the
+        release, so an inline feed can tell that a call is queued."""
+        self._claims[shard] += 1
+        try:
+            async with self._pipe.setdefault(shard, asyncio.Lock()):
                 yield
+        finally:
+            self._claims[shard] -= 1
+            if not self._claims[shard]:
+                del self._claims[shard]
 
-    async def _run(self, resolve, call, pipe: bool = True):
+    async def _run(self, resolve, call):
         """Run ``call(shard)``, one blocking exchange, on the executor.
 
         The one turn–resolve–revalidate–run loop under every coroutine
         that sends a single worker's exchange off the loop thread:
-        control ops, and (``pipe=False``: the ingest turn only) a feed
-        that has to wait on back-pressure.  ``resolve()`` names the
-        shard (no IPC) and its turns (:meth:`_turns`) are held for the
-        duration.  A concurrent :meth:`resize` or :meth:`shed` (which
-        hold every turn while they migrate) may move the session or
-        retire the shard while we wait — executing then would talk to
-        another shard's pipe unserialised against its ticker — so
-        ``resolve()`` runs again under the turns, retrying until both
-        agree.  Afterwards the shard's ticker is woken.
+        control ops, and a feed that has to wait on back-pressure.
+        ``resolve()`` names the shard (no IPC) and its turn
+        (:meth:`_turns`) is held for the duration.  A concurrent
+        :meth:`resize` or :meth:`shed` (which hold every turn while they
+        migrate) may move the session or retire the shard while we
+        wait — executing then would talk to another shard's pipe
+        unserialised against its ticker — so ``resolve()`` runs again
+        under the turn, retrying until both agree.  Afterwards the
+        shard's ticker is woken.
         """
         while True:
             shard = resolve()
-            async with self._turns(shard, pipe):
+            async with self._turns(shard):
                 if resolve() != shard:
                     continue  # moved or retired while we waited; re-resolve
                 with self._handing_over_crashes():
@@ -251,7 +229,7 @@ class AsyncShardedMonitor:
         queued crash terminals, deaths its liveness check reaps,
         ingest failures a control op's reply stashed — then waits for a
         kick or for its worker's exit (:meth:`_idle`).  The hand-over
-        holds the shard's pipe turn: :meth:`resize` and :meth:`shed`
+        holds the shard's turn: :meth:`resize` and :meth:`shed`
         hold every turn while they add and delete shards, which the
         hand-over iterates.
 
@@ -269,11 +247,13 @@ class AsyncShardedMonitor:
             kick.clear()
             try:
                 if self._service.shard_maybe_pending(index):
+                    # Let the feeds and calls already scheduled run first:
+                    # a round then carries their frames, and a feed that
+                    # must wait on back-pressure takes the turn before it.
+                    await asyncio.sleep(0)
                     # Looked up per round: a patched _tick (tracing, fault
                     # injection) takes effect on the next one.
                     self._emit(await self._tick(index))
-                    # Let feeds/consumers run between ticks of a busy shard.
-                    await asyncio.sleep(0)
                     continue
                 async with self._pipe.setdefault(index, asyncio.Lock()):
                     self._emit(self._service.take_undelivered_events())
@@ -316,7 +296,7 @@ class AsyncShardedMonitor:
 
         The one call :meth:`_shard_loop` makes per round (tracing and
         fault injection patch it here): up to :data:`TICKS_PER_ROUND`
-        ticks of the shard's worker.  Under the shard's pipe turn it
+        ticks of the shard's worker.  Under the shard's turn (uncounted) it
         runs :meth:`ShardedMonitorService._round`'s send half, awaits the
         worker's pipe (:meth:`_readable`), then runs the receive half,
         which reads the reply and the event ring and applies the round's
@@ -399,30 +379,26 @@ class AsyncShardedMonitor:
 
         In the common case this never leaves the loop thread: when the
         shard's frame ring has room for the whole block and no control
-        op or back-pressure feed holds or awaits the shard's ingest
-        turn, :meth:`ShardedMonitorService.feed` — validation and one
-        ring copy — runs right here.  The room check is exact: the loop
-        thread is then the ring's only producer, and room only grows
-        until it writes.  Otherwise (ring full, block over half the
-        ring, or a turn to wait for) the same call runs on the executor
-        under the ingest turn, with back-pressure, after every call
+        op or back-pressure feed holds or awaits the shard's turn,
+        :meth:`ShardedMonitorService.feed` — validation and one ring
+        copy — runs right here, and never exchanges.  The room check is
+        exact: the loop thread is then the ring's only producer, and
+        room only grows until it writes.  Otherwise (ring full, block
+        over half the ring, or a call to queue behind) the same call
+        runs on the executor under the shard's turn, after every call
         queued on the turn before it — so one session's frames land in
-        order either way.  A refused block raises here, on both paths;
+        order either way — and a chunk that does not fit costs one
+        ``ping`` exchange.  A refused block raises here, on both paths;
         then the shard's ticker is woken.
         """
         resolve = self._shard_of(session_id)
         shard = resolve()
-        ingest = self._ingest.get(shard)
-        if (ingest is None or not ingest.claims) and self._service._room_for(
-            shard, frames
-        ):
+        if not self._claims[shard] and self._service._room_for(shard, frames):
             with self._handing_over_crashes():
                 self._service.feed(session_id, frames)
             self._wake(shard)
             return
-        await self._run(
-            resolve, lambda _: self._service.feed(session_id, frames), pipe=False
-        )
+        await self._run(resolve, lambda _: self._service.feed(session_id, frames))
 
     async def close_session(self, session_id: str) -> SessionResult:
         """Close a session and return its timeline (see
@@ -458,18 +434,16 @@ class AsyncShardedMonitor:
         return self._service
 
     async def _run_on_fleet(self, fn, *args):
-        """Run a fleet-wide blocking call holding **every** shard's turns.
+        """Run a fleet-wide blocking call holding **every** shard's turn.
 
         Migration is a two-pipe exchange whose source varies per
         session, so no ticker, feed or control op may interleave with a
-        resize or a shed — and with every ingest turn held, no feed runs
-        inline either.  Afterwards fail-safe events queued by a crash
+        resize or a shed — and with every turn held and counted, no feed
+        runs inline either.  Afterwards fail-safe events queued by a crash
         during the call are flushed (no tick may ever come for them) and
         every ticker is kicked, so migrated backlogs resume immediately.
         """
-        indices = sorted(
-            set(self._pipe) | set(self._ingest) | set(self._service.shard_indices)
-        )
+        indices = sorted(set(self._pipe) | set(self._service.shard_indices))
         async with contextlib.AsyncExitStack() as stack:
             for index in indices:
                 await stack.enter_async_context(self._turns(index))
@@ -485,7 +459,7 @@ class AsyncShardedMonitor:
         """Live-resize the fleet without dropping a session or a frame.
 
         Runs :meth:`ShardedMonitorService.resize` under every shard's
-        turns (:meth:`_run_on_fleet`), then reconciles the ticker
+        turn (:meth:`_run_on_fleet`), then reconciles the ticker
         tasks: new shards get their own loops, loops of removed shards
         wake and exit.  Returns the service's resize summary dict.
         """
@@ -498,7 +472,6 @@ class AsyncShardedMonitor:
         for index in [i for i in self._kick if i not in live]:
             self._kick.pop(index).set()  # wake the parked loop so it exits
             self._pipe.pop(index, None)
-            self._ingest.pop(index, None)
         self._tasks = [t for t in self._tasks if not t.done()]
         if self._started and not self._closed:
             for index in live - set(self._kick):
@@ -509,8 +482,8 @@ class AsyncShardedMonitor:
         """Migrate named sessions onto ``to_shard`` and pin them there.
 
         The blocking :meth:`ShardedMonitorService.shed` under every
-        shard's turns (:meth:`_run_on_fleet`).  Returns the service's ``{session_id:
-        previous shard}`` map.
+        shard's turn (:meth:`_run_on_fleet`).  Returns the service's
+        ``{session_id: previous shard}`` map.
         """
         return await self._run_on_fleet(
             self._service.shed, list(session_ids), to_shard
@@ -518,7 +491,7 @@ class AsyncShardedMonitor:
 
     async def _poll_shards(self, poll) -> dict:
         """``{shard: poll(shard)}`` over the live shards, one at a time,
-        each under its own turns — the fleet keeps serving.  Shards
+        each under its own turn — the fleet keeps serving.  Shards
         that die under the poll are skipped (their crash events surface
         through the usual fail-safe paths)."""
         out = {}

@@ -160,10 +160,9 @@ class EventStoreWriter:
         ``"always"`` — fsync after every flush batch; ``"rotate"``
         (default) — fsync only when a segment is closed; ``"never"`` —
         leave durability to the OS page cache.
-    flush_interval_s:
-        Background flusher wake-up period; appends also wake it
-        eagerly, so this is the *idle* latency bound, not the throughput
-        batch size.
+
+    The background flusher sleeps until an append (or :meth:`close`)
+    wakes it; no timer wakes an idle writer.
 
     Thread-safe: any number of threads may ``append`` concurrently
     (the K-shard tee paths do).  Counters — ``appended_total``,
@@ -179,7 +178,6 @@ class EventStoreWriter:
         segment_bytes: int = 8 << 20,
         ring_capacity: int = 65536,
         fsync: str = "rotate",
-        flush_interval_s: float = 0.05,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ConfigurationError(
@@ -194,7 +192,6 @@ class EventStoreWriter:
         self.segment_bytes = int(segment_bytes)
         self.ring_capacity = int(ring_capacity)
         self.fsync = fsync
-        self.flush_interval_s = float(flush_interval_s)
 
         self._lock = threading.Lock()
         self._io_lock = threading.Lock()
@@ -274,7 +271,7 @@ class EventStoreWriter:
     # -- flusher -------------------------------------------------------
     def _flush_loop(self) -> None:
         while True:
-            self._wake.wait(self.flush_interval_s)
+            self._wake.wait()
             self._wake.clear()
             with self._lock:
                 closed = self._closed

@@ -78,12 +78,7 @@ from .telemetry import TelemetryRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .eventstore import EventStoreWriter
-from .shm import (
-    DEFAULT_FRAME_RING_BYTES,
-    ShmRing,
-    event_ring_capacity,
-    write_frames_blocking,
-)
+from .shm import DEFAULT_FRAME_RING_BYTES, ShmRing, event_ring_capacity
 from .snapshot import (
     monitor_to_bytes,
     session_snapshot_id,
@@ -315,16 +310,17 @@ class _ShardHandle:
         self.frame_ring.destroy()
         self.event_ring.destroy()
 
-    def stop(self, join_timeout_s: float = 5.0) -> None:
-        """Best-effort graceful stop; escalates to terminate, then kill."""
+    def stop(self) -> None:
+        """Stop the worker: the ``stop`` exchange while it is live, one
+        join bounded by the reply deadline, then SIGKILL for whatever
+        still runs (a failed shard's worker is already killed)."""
         if self.alive:
             try:
-                self.send(Request("stop"))
-                self.recv(join_timeout_s)
+                self.request(Request("stop"), transport.REPLY_DEADLINE_S)
             except WorkerError as exc:
-                # Not silent: the worker gets escalated to terminate()
-                # below either way, but record *why* the graceful path
-                # failed — a stop that routinely escalates is a bug.
+                # Not silent: the worker is killed below either way, but
+                # record *why* the graceful path failed — a stop that
+                # routinely escalates is a bug.
                 logger.warning(
                     "shard %d stop handshake failed: %s", self.index, exc
                 )
@@ -334,11 +330,8 @@ class _ShardHandle:
             logger.warning(
                 "shard %d pipe close failed during stop: %s", self.index, exc
             )
-        self.process.join(join_timeout_s)
+        self.process.join(transport.REPLY_DEADLINE_S)
         if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(join_timeout_s)
-        if self.process.is_alive():  # pragma: no cover - last resort
             self.process.kill()
             self.process.join()
         self.alive = False
@@ -562,7 +555,8 @@ class ShardedMonitorService:
         """Mark a shard dead and fail its sessions (:meth:`_fail_sessions`).
 
         It leaves the hash ring, so new sessions rebalance onto the
-        survivors, and its worker is terminated — which also ends, with
+        survivors, and its worker is killed (SIGKILL: a stopped, hung
+        worker never acts on SIGTERM) — which also ends, with
         end-of-file, any wait on its pipe.  Idempotent: a shard already
         failed returns no pairs.
 
@@ -594,7 +588,7 @@ class ShardedMonitorService:
                 handle.index,
             )
         if handle.process.is_alive():
-            handle.process.terminate()
+            handle.process.kill()
         handle.destroy_rings()
         return pairs
 
@@ -984,7 +978,7 @@ class ShardedMonitorService:
         return summary
 
     def close(self) -> None:
-        """Stop every worker process (graceful ``stop``, then terminate).
+        """Stop every worker process (graceful ``stop``, then SIGKILL).
 
         Does **not** drain: call :meth:`drain` first if un-ticked frames
         must still be processed, and :meth:`close_session` for the
@@ -1034,7 +1028,7 @@ class ShardedMonitorService:
         """Allocate/validate a session id and compute its shard (no IPC).
 
         Split from :meth:`open_on_shard` so the asyncio front-end can
-        take the target shard's turns *before* the blocking pipe call.
+        take the target shard's turn *before* the blocking pipe call.
         """
         self._check_open()
         if session_id is None:
@@ -1124,9 +1118,13 @@ class ShardedMonitorService:
         """Enqueue kinematics frames on the session's shard.
 
         A single copy into the shard's frame ring — **no reply round
-        trip**.  Back-pressure replaces the ack: a full ring blocks until
-        the worker frees space (bounded by the reply deadline; counted as
-        ``feeds_backpressured`` in the router's telemetry).  Shape and
+        trip**.  Back-pressure replaces the ack: a block goes in chunks
+        of at most half the ring (:meth:`ShmRing.frame_chunks`), and a
+        chunk that does not fit sends the worker a ``ping``
+        (:meth:`_exchange`), which it answers only after reading its ring
+        empty — so the chunk then fits.  Counted as
+        ``feeds_backpressured`` in the router's telemetry; a dead or hung
+        worker fails its shard safe as on every other exchange.  Shape and
         width are validated here, synchronously, against the snapshot's trained width;
         anything the worker itself rejects later surfaces on the next
         :meth:`tick`/:meth:`drain` as that session's fail-safe terminal
@@ -1163,15 +1161,12 @@ class ShardedMonitorService:
             )
             self._queue_crash(handle, reason)
             raise WorkerError(f"session {session_id!r} lost: {reason}")
+        waited = False
         try:
-            waited = write_frames_blocking(
-                handle.frame_ring,
-                record.order,
-                frames,
-                alive=handle.process.is_alive,
-                timeout_s=transport.REPLY_DEADLINE_S,
-                who=f"shard {handle.index}",
-            )
+            for chunk in handle.frame_ring.frame_chunks(frames):
+                while not handle.frame_ring.try_write_frames(record.order, chunk):
+                    waited = True
+                    self._exchange(handle, Request("ping"))
         except WorkerError as exc:
             self._queue_crash(handle, str(exc))
             raise WorkerError(f"session {session_id!r} lost: {exc}") from exc

@@ -8,9 +8,12 @@ module carries that traffic instead in two
 
 - a **frame ring** (router → worker): ``feed()`` copies the frame block
   straight into shared memory — one header write plus one vectorised
-  row copy, no pickling, no ack — and the worker ingests it in place on
-  its next poll.  A full ring *is* the back-pressure signal: the writer
-  spins until the worker frees space (or the worker is found dead).
+  row copy, no pickling, no ack — and the worker ingests it in place
+  before it answers its next request.  A full ring *is* the
+  back-pressure signal: the writer sends the worker one request (a
+  ``ping``), whose answer means the ring has been read empty.  A record
+  is at most half the ring (:meth:`ShmRing.frame_chunks`), so a chunk
+  always fits a ring read empty.
 - an **event ring** (worker → router): each tick's
   :class:`~repro.serving.service.SessionEvent` batch travels as one
   packed :data:`EVENT_DTYPE` record instead of a pickled object list;
@@ -19,7 +22,8 @@ module carries that traffic instead in two
   :func:`event_ring_capacity` for one round never fills.
 
 The pipe remains, but only for **control ops** — open, close, tick
-triggers, migrate, stats, stop — whose payloads are small and rare.
+triggers, migrate, stats, stop, the back-pressure ping — whose payloads
+are small and rare.
 Sessions are addressed on the rings by an integer **route id** (the
 router's global opening order), so no strings cross the data plane.
 
@@ -55,7 +59,6 @@ from __future__ import annotations
 import logging
 import struct
 import threading
-import time
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -95,9 +98,6 @@ EVENT_DTYPE = np.dtype(
 #: frames of the paper's 38-feature kinematics — minutes of 30 Hz
 #: backlog per shard; plain RAM in ``/dev/shm``, configurable per fleet.
 DEFAULT_FRAME_RING_BYTES = 4 * 1024 * 1024
-
-#: How long the frame-ring writer sleeps between full-ring retries.
-BACKPRESSURE_POLL_S = 0.0005
 
 
 def _align8(n: int) -> int:
@@ -266,6 +266,18 @@ class ShmRing:
             )
         return placed
 
+    @property
+    def max_frame_values(self) -> int:
+        """The most float64s one frame record carries: a record is at
+        most half the ring, so it always fits a ring read empty."""
+        return (self.capacity // 2 - _REC_HEADER - 16) // 8
+
+    def frame_chunks(self, frames: np.ndarray) -> list[np.ndarray]:
+        """``frames`` cut into the row blocks it is written as, one
+        record each (at least one row per record)."""
+        rows = max(1, self.max_frame_values // frames.shape[1])
+        return [frames[start : start + rows] for start in range(0, len(frames), rows)]
+
     def _has_room(self, n_values: int) -> bool:
         """True when a frame block of ``n_values`` float64s fits in one
         record right now — no chunking, no back-pressure wait.
@@ -273,12 +285,11 @@ class ShmRing:
         Exact for the ring's producer: the consumer only ever frees
         space, so the answer holds until the producer writes again.
         """
-        need = _align8(_REC_HEADER + 16 + 8 * n_values)
-        if need > self.capacity // 2:
+        if n_values > self.max_frame_values:
             return False
         with self._lock:
             self._check_mapped()
-            return self._place(need) is not None
+            return self._place(_REC_HEADER + 16 + 8 * n_values) is not None
 
     def try_write_frames(self, route: int, frames: np.ndarray) -> bool:
         """Write one ``(rows, cols)`` float64 frame block; False if full."""
@@ -435,58 +446,9 @@ class ShmRing:
         self.destroy()
 
 
-def write_frames_blocking(
-    ring: ShmRing,
-    route: int,
-    frames: np.ndarray,
-    *,
-    alive: "callable",
-    timeout_s: float,
-    who: str = "worker",
-) -> bool:
-    """Write a frame block with ring-full back-pressure.
-
-    The shm data plane has no per-feed ack: a full ring simply means the
-    consumer owes ingest work, so the writer spins (``alive`` is checked
-    each round — a dead consumer raises immediately rather than
-    spinning forever).  Blocks larger than half the ring are chunked.
-    Returns True when the writer found the ring full and waited.
-
-    Raises
-    ------
-    WorkerError
-        When ``alive()`` turns false (the worker died; the caller runs
-        its crash path) or ``timeout_s`` expires with the ring still
-        full (a *hung* worker; the reply deadline's contract).
-    """
-    frames = np.ascontiguousarray(frames, dtype=np.float64)
-    max_rows = max(
-        1, (ring.capacity // 2 - _REC_HEADER - 16) // (8 * frames.shape[1])
-    )
-    deadline = time.monotonic() + timeout_s
-    waited = False
-    for start in range(0, frames.shape[0], max_rows):
-        chunk = frames[start : start + max_rows]
-        while not ring.try_write_frames(route, chunk):
-            waited = True
-            if not alive():
-                raise WorkerError(
-                    f"{who} died with the frame ring full "
-                    f"({ring.data_bytes} bytes backlogged)"
-                )
-            if time.monotonic() > deadline:
-                raise WorkerError(
-                    f"{who} unresponsive: frame ring still full after "
-                    f"{timeout_s}s"
-                )
-            time.sleep(BACKPRESSURE_POLL_S)
-    return waited
-
-
 __all__ = [
     "DEFAULT_FRAME_RING_BYTES",
     "EVENT_DTYPE",
     "ShmRing",
     "event_ring_capacity",
-    "write_frames_blocking",
 ]

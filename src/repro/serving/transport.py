@@ -12,7 +12,8 @@ strings — so the wire format stays portable across ``fork`` and
 The per-frame traffic moves over the shared-memory data plane
 (:mod:`repro.serving.shm`), so this pipe carries **control ops only**:
 session lifecycle (``open``/``close``), tick rounds whose event
-payloads ride the event ring, migration, stats and shutdown.  Sessions
+payloads ride the event ring, migration, stats, the ``ping`` that frees
+a full frame ring, and shutdown.  Sessions
 are identified on the rings by the integer ``route`` id assigned at
 ``open``/``migrate_in`` time, so the data plane never carries strings.
 
@@ -53,10 +54,11 @@ TICKS_PER_ROUND = 8
 
 #: The most the router waits on a worker that owes it something: a
 #: control op's reply, a tick round's reply, the reply a cancelled
-#: round still reads, room in a full frame ring.  A worker silent past
-#: it is hung, and its shard fails safe like a dead one.  A constant,
-#: not a knob: no caller can leave a hung worker's sessions waiting
-#: forever.  The slowest exchange measured on a 2-core box, send to
+#: round still reads, the ``ping`` a feed sends when the frame ring is
+#: full (the worker reads its ring empty before it answers).  A worker
+#: silent past it is hung, and its shard fails safe like a dead one.  A
+#: constant, not a knob: no caller can leave a hung worker's sessions
+#: waiting forever.  The slowest exchange measured on a 2-core box, send to
 #: reply, was 54 ms over the tier-1 suite (a tick round) and 12 ms over
 #: a 64-session chaos campaign (seed 2020), leaving out the start-up
 #: pings and the tests that stop a worker on purpose: 5 s is ~90× the

@@ -10,13 +10,13 @@ The pipe carries control ops only; the bulk traffic moves through the
 two shared-memory rings (:mod:`repro.serving.shm`) the router created
 for this shard:
 
-- **frame ring** (in): the worker drains it into its service before
-  dispatching *any* pipe request — so a ``feed`` written to the ring is
-  always ordered ahead of the ``tick``/``close``/``migrate_out`` that
-  followed it on the router thread — between the ticks of one ``tick``
-  round, and opportunistically between requests (a short pipe poll
-  timeout), which is what frees space for a back-pressured writer even
-  when no request is in flight.
+- **frame ring** (in): the worker reads it empty before it dispatches
+  *any* pipe request, between the ticks of one ``tick`` round, and
+  after each reply.  So a ``feed`` written to the ring is always
+  ordered ahead of the ``tick``/``close``/``migrate_out`` that followed
+  it on the router thread, and a writer that found the ring full gets
+  its room back by sending a ``ping``.  Then the worker sleeps in the
+  pipe read until the next request: no timer wakes it.
 - **event ring** (out): each tick's event batch is packed as one
   :data:`~repro.serving.shm.EVENT_DTYPE` record; the pipe reply carries
   only the batch count.  This is the only way events leave a worker.
@@ -47,11 +47,6 @@ from .service import MonitorService, SessionEvent
 from .shm import EVENT_DTYPE, ShmRing
 from .snapshot import monitor_from_bytes, session_from_bytes, session_to_bytes
 from .transport import Reply, Request, error_reply, recv_message
-
-#: Pipe poll timeout between requests: the upper bound on how long a
-#: back-pressured ``feed()`` waits for the worker to free ring space
-#: while no request is in flight.
-RING_POLL_S = 0.002
 
 
 class _ShardWorker:
@@ -156,11 +151,9 @@ class _ShardWorker:
         The round is bounded by the work pending when it starts: at most
         as many ticks as the longest per-session backlog held then, and
         it ends early once the shard has no pending frame.  The frame
-        ring is drained after each tick, so a back-pressured feed still
-        waits at most about one tick plus :data:`RING_POLL_S`, but the
-        frames that drain brings in cannot lengthen the round — a round
-        started with one frame pending per session is one tick, whatever
-        lands meanwhile.
+        ring is drained after each tick, but the frames that drain
+        brings in cannot lengthen the round — a round started with one
+        frame pending per session is one tick, whatever lands meanwhile.
 
         Returns ``Reply(value=n_batches)``: each tick's batch goes on
         the event ring as it completes, before the drain that follows it
@@ -191,8 +184,9 @@ class _ShardWorker:
         """Answer one pipe request: ingest first, then the op.
 
         Ring frames written before ``request`` land before it runs (feed
-        -> tick ordering is the parity contract), and the reply carries
-        the post-op backlog flag and the deferred ingest failures.
+        -> tick ordering is the parity contract; a ``ping`` answered
+        means the ring was read empty), and the reply carries the
+        post-op backlog flag and the deferred ingest failures.
         """
         self.consume_frames()
         try:
@@ -281,8 +275,6 @@ def worker_main(
         while True:
             try:
                 worker.consume_frames()
-                if not conn.poll(RING_POLL_S):
-                    continue
                 request: Request = recv_message(conn, Request, who="router")
             except EOFError:
                 break  # router is gone; nothing left to serve

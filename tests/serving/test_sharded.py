@@ -611,25 +611,40 @@ class TestWorkerCrash:
             handle = service._shards[victim_shard]
             segments = [handle.frame_ring.name, handle.event_ring.name]
             os.kill(handle.process.pid, signal.SIGSTOP)
-            try:
-                events = service.tick()
-                crash_events = [e for e in events if e.error is not None]
-                assert sorted(e.session_id for e in crash_events) == sorted(victims)
-                assert all(e.flag for e in crash_events)
-                assert all(
-                    f"shard {victim_shard} unresponsive" in e.error
-                    for e in crash_events
-                )
-                assert set(service.failed_sessions) == victims
-                live_events = [e for e in events if e.error is None]
-                assert {e.session_id for e in live_events} == set(sids) - victims
-                for name in segments:
-                    with pytest.raises(FileNotFoundError):
-                        shared_memory.SharedMemory(name=name)
-            finally:
-                # Let the SIGTERM the crash path queued land, so close()
-                # does not sit out its join timeouts on a stopped process.
-                os.kill(handle.process.pid, signal.SIGCONT)
+            events = service.tick()
+            crash_events = [e for e in events if e.error is not None]
+            assert sorted(e.session_id for e in crash_events) == sorted(victims)
+            assert all(e.flag for e in crash_events)
+            assert all(
+                f"shard {victim_shard} unresponsive" in e.error
+                for e in crash_events
+            )
+            assert set(service.failed_sessions) == victims
+            live_events = [e for e in events if e.error is None]
+            assert {e.session_id for e in live_events} == set(sids) - victims
+            for name in segments:
+                with pytest.raises(FileNotFoundError):
+                    shared_memory.SharedMemory(name=name)
+
+    def test_close_after_a_hung_worker_failed_is_prompt(self, monitor, monkeypatch):
+        """A failed worker is killed, not asked to stop: a stopped process
+        never acts on SIGTERM, so ``close()`` would wait out its joins."""
+        monkeypatch.setattr(transport, "REPLY_DEADLINE_S", 1.0)
+        service = ShardedMonitorService(monitor, n_shards=2, max_sessions_per_shard=8)
+        try:
+            sids = self._open_fleet(service, n=6, frames=10)
+            hung = service.shard_of(sids[0])
+            process = service._shards[hung].process
+            os.kill(process.pid, signal.SIGSTOP)
+            events = service.tick()
+            assert hung not in service.shard_indices
+            assert any(e.error and "unresponsive" in e.error for e in events)
+        finally:
+            start = time.monotonic()
+            service.close()
+            took = time.monotonic() - start
+        assert took < 1.0
+        assert not process.is_alive()
 
 
 class TestAsyncFrontend:
@@ -1465,7 +1480,7 @@ class InlineShard:
     def is_alive(self):
         return self.running
 
-    def terminate(self):
+    def kill(self):
         self.running = False
 
     def join(self, timeout=None):
@@ -1631,6 +1646,93 @@ class TestEventRingHoldsOneRound:
         assert [event_key(e) for e in events] == [event_key(e) for e in ref_events]
 
 
+class TestFrameRingBackpressure:
+    """A feed that finds its shard's frame ring full sends the worker one
+    ``ping``: the worker reads its whole ring before it answers any
+    request, so the chunk then fits.  A dead or hung worker fails that
+    exchange like any other, and an idle worker sleeps in its pipe read."""
+
+    BLOCK = np.zeros((25, N_FEATURES))  # a 2 024-byte record
+
+    def test_a_block_three_rings_long_streams_like_one_service(self, monitor):
+        """Inline workers answer on the feeding thread and never read the
+        ring on their own, so only the ping makes room."""
+        with InlineFleet(monitor, n_shards=1, max_sessions_per_shard=1) as service:
+            (handle,) = service._shards.values()
+            n_frames = 3 * handle.frame_ring.capacity // (8 * N_FEATURES)
+            fleet = {
+                "s": make_random_walk_trajectory(
+                    n_frames, n_features=N_FEATURES, seed=1460
+                )
+            }
+            service.open_session("s")
+            service.feed("s", fleet["s"].frames)
+            counters = service.router_telemetry_snapshot()["counters"]
+            events = service.drain()
+        ref_events, _ = single_service_reference(monitor, fleet)
+        assert counters["feeds_backpressured"] == 1
+        assert [event_key(e) for e in events] == [event_key(e) for e in ref_events]
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGKILL, signal.SIGSTOP], ids=["killed", "stopped"]
+    )
+    def test_a_full_ring_of_a_dead_or_hung_worker_fails_its_shard_safe(
+        self, monitor, monkeypatch, signum
+    ):
+        """Killed: the ping reads end-of-file (or the liveness check sees
+        the exit) at once.  Stopped: the ping ends at the reply deadline."""
+        monkeypatch.setattr(transport, "REPLY_DEADLINE_S", 1.0)
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=4, frame_ring_bytes=4096
+        ) as service:
+            service.open_session("s")
+            shard = service.shard_of("s")
+            healthy = other_shard_id(service, shard, "healthy")
+            service.open_session(healthy)
+            service.feed("s", self.BLOCK)
+            service.feed("s", self.BLOCK)
+            time.sleep(0.05)
+            assert not service._room_for(shard, self.BLOCK)  # no request, no ingest
+            os.kill(service._shards[shard].process.pid, signum)
+            start = time.monotonic()
+            with pytest.raises(WorkerError, match="lost") as raised:
+                service.feed("s", self.BLOCK)
+            took = time.monotonic() - start
+            (terminal,) = service.take_undelivered_events()
+            assert_failed_safe(service, [terminal], {"s"}, shard)
+            service.feed(healthy, self.BLOCK)
+            served = service.drain()
+        assert (terminal.flag, terminal.frame_index) == (True, 0)
+        if signum == signal.SIGKILL:
+            assert took < 0.5
+        else:
+            assert took >= 1.0 and "unresponsive after 1.0s" in str(raised.value)
+        assert [(e.session_id, e.frame_index) for e in served] == [
+            (healthy, k) for k in range(len(self.BLOCK))
+        ]
+
+    def test_an_idle_worker_sleeps(self, monitor):
+        """Between requests the worker blocks in its pipe read: no timer
+        wakes it."""
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/<pid>/status")
+
+        def wakeups(pid):
+            with open(f"/proc/{pid}/status") as status:
+                for line in status:
+                    if line.startswith("voluntary_ctxt_switches:"):
+                        return int(line.split()[1])
+
+        with ShardedMonitorService(
+            monitor, n_shards=1, start_method="spawn"
+        ) as service:
+            (handle,) = service._shards.values()
+            before = wakeups(handle.process.pid)
+            time.sleep(0.5)
+            after = wakeups(handle.process.pid)
+        assert after - before < 10
+
+
 class TestExchangeOutcomes:
     """The control-op half of the exchange rule, one test per cell of the
     table in ``docs/serving.md`` ("One worker exchange"): a transport
@@ -1727,7 +1829,7 @@ class TestSessionIncarnation:
                 async with AsyncShardedMonitor(service, discard) as frontend:
                     await frontend.open_session("s")
                     shard = service.shard_of("s")
-                    async with frontend._ingest[shard]:  # a control op in flight
+                    async with frontend._turns(shard):  # a control op in flight
                         waiting = asyncio.ensure_future(
                             frontend.feed("s", np.ones((4, N_FEATURES)))
                         )

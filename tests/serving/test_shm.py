@@ -24,7 +24,7 @@ from repro.serving import (
     make_random_walk_trajectory,
     make_synthetic_monitor,
 )
-from repro.serving.shm import EVENT_DTYPE, ShmRing, write_frames_blocking
+from repro.serving.shm import EVENT_DTYPE, ShmRing
 
 N_FEATURES = 10
 
@@ -169,56 +169,23 @@ class TestShmRing:
             owner.destroy()
         assert not segment_exists(owner.name)
 
-    def test_blocking_write_chunks_payload_larger_than_ring(self):
-        """A frame block bigger than the whole ring goes through in
-        chunks while a consumer drains concurrently."""
-        rng = np.random.default_rng(1)
-        frames = rng.normal(size=(500, 4))
-        collected = []
-
+    def test_frame_chunks_each_fit_a_ring_read_empty(self):
+        """A block of any length goes in records of at most half the
+        ring — so each fits once the worker has read the ring empty —
+        and the records concatenate back to the block."""
+        frames = np.random.default_rng(1).normal(size=(500, 4))
         with ShmRing(2048) as ring:
-            def consume():
-                rows = 0
-                while rows < 500:
-                    record = ring.read_frames()
-                    if record is None:
-                        time.sleep(0.0005)
-                        continue
-                    route, chunk = record
-                    assert route == 9
-                    collected.append(chunk)
-                    rows += chunk.shape[0]
-
-            consumer = threading.Thread(target=consume)
-            consumer.start()
-            write_frames_blocking(
-                ring, 9, frames, alive=lambda: True, timeout_s=30.0, who="test"
-            )
-            consumer.join(timeout=30.0)
-            assert not consumer.is_alive()
-        np.testing.assert_array_equal(np.concatenate(collected), frames)
-
-    def test_blocking_write_dead_peer(self):
-        frames = np.zeros((1, 8))
-        with ShmRing(256) as ring:
-            while ring.try_write_frames(0, frames):
-                pass
-            with pytest.raises(WorkerError):
-                write_frames_blocking(
-                    ring, 0, frames, alive=lambda: False, timeout_s=30.0, who="shard 0"
-                )
-
-    def test_blocking_write_timeout(self):
-        frames = np.zeros((1, 8))
-        with ShmRing(256) as ring:
-            while ring.try_write_frames(0, frames):
-                pass
-            start = time.monotonic()
-            with pytest.raises(WorkerError):
-                write_frames_blocking(
-                    ring, 0, frames, alive=lambda: True, timeout_s=0.05, who="shard 0"
-                )
-            assert time.monotonic() - start < 5.0
+            chunks = ring.frame_chunks(frames)
+            assert len(chunks) > 1
+            for chunk in chunks:
+                assert chunk.size <= ring.max_frame_values
+                assert ring._has_room(chunk.size)
+                assert ring.try_write_frames(9, chunk)
+                route, copy = ring.read_frames()
+                assert route == 9
+                np.testing.assert_array_equal(copy, chunk)
+            assert not ring._has_room(ring.max_frame_values + 1)
+        np.testing.assert_array_equal(np.concatenate(chunks), frames)
 
     def test_close_is_serialised_with_every_access(self):
         """A ring destroyed on one thread while another writes and reads
