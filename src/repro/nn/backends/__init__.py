@@ -14,14 +14,14 @@ from .base import (
     make_backend,
     validate_backend_name,
 )
-from .compiled import BULK_MAX_BATCH, CompiledBackend
+from .compiled import BULK_SCRATCH_BYTES, CompiledBackend
 from .library import LibraryBackend, ReferenceLibraryBackend, make_library_backend
 from .reference import ReferenceBackend
 from .stepper import StreamStepper
 
 __all__ = [
     "BACKEND_NAMES",
-    "BULK_MAX_BATCH",
+    "BULK_SCRATCH_BYTES",
     "CompiledBackend",
     "DEFAULT_BACKEND",
     "InferenceBackend",

@@ -108,16 +108,17 @@ class InferenceBackend:
     # Bulk offline scoring (repro.serving.bulk)
     # ------------------------------------------------------------------
     def forward_bulk(self, windows: np.ndarray) -> np.ndarray:
-        """Probabilities for an arbitrarily large batch, one fused pass.
+        """Probabilities for an arbitrarily large batch, in bounded memory.
 
         The offline entry point: where :meth:`predict_proba` is sized
         for the serving tick (scratch capped at ``max_batch``, oversize
-        calls chunked), ``forward_bulk`` is sized for *every window of a
-        whole recorded procedure at once* — one GEMM per Dense stage,
-        LSTM steps batched across all windows.  The base implementation
-        delegates to :meth:`predict_proba` (already a single full-batch
-        pass for the reference backend); compiled backends override it
-        to run a bulk-sized plan instead of ``max_batch`` chunks.
+        calls chunked), ``forward_bulk`` takes *every window of a whole
+        recorded procedure at once*.  The base implementation delegates
+        to :meth:`predict_proba`, which for the reference backend walks
+        the batch in small window chunks (an LSTM stack time-major, each
+        frame of a window view projected once per chunk); compiled
+        backends override it to run a twin plan sized for bigger slabs,
+        up to a byte budget, instead of ``max_batch`` chunks.
 
         The same aliasing contract as :meth:`predict_proba` applies:
         the result may reuse internal scratch and is valid until the
@@ -126,7 +127,7 @@ class InferenceBackend:
         return self.predict_proba(windows)
 
     def score_bulk(self, windows: np.ndarray) -> np.ndarray:
-        """Hard predictions for an arbitrarily large batch, one pass.
+        """Hard predictions for an arbitrarily large batch.
 
         The :meth:`predict` counterpart of :meth:`forward_bulk`.
         """

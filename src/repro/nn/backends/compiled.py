@@ -65,12 +65,16 @@ from ..preprocessing import StandardScaler
 from .base import InferenceBackend
 from .stepper import StreamStepper
 
-#: Scratch ceiling of a bulk plan, in windows.  A whole recorded
-#: procedure is scored in slabs of at most this many windows — still one
-#: GEMM per stage per slab, but the plan's preallocated buffers stay
-#: bounded (an LSTM stage's time-projection scratch is ``(batch, window,
-#: 4*units)``; at 16384 windows that is tens of MB, not GBs).
-BULK_MAX_BATCH = 16384
+#: Scratch ceiling of a bulk twin, in bytes.  A twin's capacity is this
+#: over the plan's scratch per window (:meth:`CompiledBackend._window_bytes`),
+#: so a whole recorded procedure is scored in slabs of at most that many
+#: windows — still one GEMM per stage per slab, and the cached twin stays
+#: bounded whatever the model's width.  Paper widths: 163 KiB of scratch
+#: per window, 200-window slabs.  Measured on a 2-core x86-64 box, one
+#: BLAS thread, a 2 048-window paper-scale batch ran at 458 / 410 / 392 /
+#: 386 / 383 / 428 us per window through slabs of 32 / 64 / 128 / 256 /
+#: 512 / 1 024 windows (5 to 163 MiB of scratch).
+BULK_SCRATCH_BYTES = 32 << 20
 
 #: Pre-activation magnitude beyond which the in-place sigmoid clips.
 #: ``sigmoid(±60)`` already saturates to 0/1 within ~1e-26 in float64
@@ -674,8 +678,13 @@ class CompiledBackend(InferenceBackend):
     # ------------------------------------------------------------------
     # Bulk offline scoring
     # ------------------------------------------------------------------
+    def _window_bytes(self) -> int:
+        """Bytes of scratch the plan holds per window of capacity."""
+        return sum(buf.nbytes for buf in self._alloc.buffers) // self.max_batch
+
     def _bulk_plan(self, n: int) -> "CompiledBackend":
-        """A twin plan sized for ``n``-window slabs (grown, cached).
+        """The plan that serves an ``n``-window bulk call: this one, or
+        a twin sized for bigger slabs (grown, cached).
 
         The serving plan's ``max_batch`` is the session count — far too
         small for offline scoring, where one trajectory yields thousands
@@ -683,62 +692,38 @@ class CompiledBackend(InferenceBackend):
         GEMM per stage back into dozens.  The twin is compiled lazily at
         the first oversize bulk call, grows geometrically (so a sweep
         over ever-longer procedures compiles O(log n) plans, not one
-        per length) and is capped at :data:`BULK_MAX_BATCH` windows.
+        per length) and never holds more than :data:`BULK_SCRATCH_BYTES`
+        of scratch.  A serving plan already that large serves every call.
         """
-        needed = min(int(n), BULK_MAX_BATCH)
+        cap = BULK_SCRATCH_BYTES // self._window_bytes()
+        needed = min(int(n), cap)
+        if needed <= self.max_batch:
+            return self
         if self._bulk is None or self._bulk.max_batch < needed:
-            capacity = max(self.max_batch, 1)
+            capacity = self.max_batch
             while capacity < needed:
                 capacity *= 2
             scaler, model = self._source
             self._bulk = CompiledBackend(
-                scaler,
-                model,
-                max_batch=min(capacity, BULK_MAX_BATCH),
-                dtype=self.dtype,
+                scaler, model, max_batch=min(capacity, cap), dtype=self.dtype
             )
         return self._bulk
 
     def forward_bulk(self, windows: np.ndarray) -> np.ndarray:
-        """One fused pass over every window — one GEMM per stage.
+        """One fused pass per slab — one GEMM per stage per slab.
 
-        Batches up to :data:`BULK_MAX_BATCH` windows run through a
-        single bulk-sized plan execution; longer procedures run in
-        ``BULK_MAX_BATCH`` slabs (still one GEMM per stage per slab).
-        Results alias the bulk plan's scratch when a single slab
-        suffices — valid until the next bulk call on this backend.
+        A batch that fits the bulk plan runs through one plan execution;
+        a longer one in slabs of the plan's capacity.  Results alias the
+        plan's scratch when a single slab suffices — valid until the
+        next call on this backend.
         """
         x = self._check(windows)
-        n = x.shape[0]
-        if n == 0 or n <= self.max_batch:
-            return self.predict_proba(x)
-        plan = self._bulk_plan(n)
-        if n <= plan.max_batch:
-            return plan._forward(x, n)
-        out = np.empty((n, *self.prob_shape), dtype=self.dtype)
-        for start in range(0, n, plan.max_batch):
-            chunk = x[start : start + plan.max_batch]
-            out[start : start + chunk.shape[0]] = plan._forward(
-                chunk, chunk.shape[0]
-            )
-        return out
+        return self._bulk_plan(x.shape[0]).predict_proba(x)
 
     def score_bulk(self, windows: np.ndarray) -> np.ndarray:
         """Hard predictions over every window via the bulk plan."""
         x = self._check(windows)
-        n = x.shape[0]
-        if n == 0 or n <= self.max_batch:
-            return self.predict(x)
-        plan = self._bulk_plan(n)
-        if n <= plan.max_batch:
-            return plan._predict_batch(x, n)
-        out = np.empty(n, dtype=np.int64)
-        for start in range(0, n, plan.max_batch):
-            chunk = x[start : start + plan.max_batch]
-            out[start : start + chunk.shape[0]] = plan._predict_batch(
-                chunk, chunk.shape[0]
-            )
-        return out
+        return self._bulk_plan(x.shape[0]).predict(x)
 
     def _predict_batch(self, x: np.ndarray, n: int) -> np.ndarray:
         return self._decide(self._forward(x, n), n)

@@ -11,7 +11,17 @@ an **inference plan**: a flat list of steps built once per
 (:func:`~repro.nn.backends.library._steps`, the builders the stacked
 library pass uses too), so a call pays for validation, coercion and
 per-layer dispatch once, at build, instead of once per layer per call
-(``tests/nn/test_plan.py`` compares bytes with the layer path).  Its
+(``tests/nn/test_plan.py`` compares bytes with the layer path).
+
+A model that leads with an LSTM stack (the gesture classifier) is run
+**time-major**: the windows are walked in chunks of :data:`_CHUNK`, and
+at each time step every layer of the stack advances that chunk's rows
+one step, then the plan's tail scores the last hidden state.  When the
+windows are a strided view over frame rows (what
+:func:`~repro.kinematics.windows.sliding_windows_view` hands the bulk
+scorer) each frame is standardised and projected through the first
+layer once per chunk it falls in, not once per window.  The only
+temporaries are one chunk's per-step arrays, whatever the batch.  Its
 stream stepper performs that same sequence on every element, a frame at
 a time (``tests/nn/test_lstm_stepper.py`` compares bytes).
 """
@@ -19,6 +29,7 @@ a time (``tests/nn/test_lstm_stepper.py`` compares bytes).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ...config import WindowConfig
 from ..layers.contract import contract
@@ -29,11 +40,16 @@ from .base import InferenceBackend
 from .library import _architecture, _steps
 from .stepper import StreamStepper
 
-#: Windows one pass of the plan takes: ``Sequential.predict_proba``'s
-#: ``batch_size``, so a long batch is served in the chunks the layer path
-#: serves it in (rows are independent: the chunking bounds the working
-#: set, not the bits).
-_CHUNK = 512
+#: Windows one pass of the plan takes.  A longer batch is served chunk
+#: by chunk, so its working set is one chunk's temporaries (paper
+#: widths, time-major: about 1 MB per per-step array) whatever its
+#: length.  A bare constant: rows are independent, so the chunking
+#: bounds the working set, not the bits.  Measured on a 2-core x86-64
+#: box, one BLAS thread: a paper-scale ``BulkScorer.score`` of 516
+#: frames took 318 / 303 / 293 / 302 / 323 / 329 ms at chunks of
+#: 16 / 32 / 64 / 128 / 256 / 512 windows, and a default conv error
+#: member scored 130 to 1 000 windows 1.8-2.2x faster at 64 than at 512.
+_CHUNK = 64
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -67,10 +83,12 @@ class ReferenceBackend(InferenceBackend):
         self.model = model
         #: The pair the plan was last built for; ``None``: not yet.
         self._planned: tuple | None = None
-        #: The plan's steps (``None``: the layer path serves the pair)
-        #: and the windows shape they take.
+        #: The plan's steps (``None``: the layer path serves the pair),
+        #: the windows shape they take, and the plan cut at the model's
+        #: leading LSTM stack (``None``: the model has none).
         self._steps: list | None = None
         self._shape: tuple[int, ...] | None = None
+        self._lstm: _LstmPlan | None = None
         self._plan()
 
     def _plan(self) -> list | None:
@@ -81,11 +99,14 @@ class ReferenceBackend(InferenceBackend):
             scaler, model = self.scaler, self.model
             if not model.built or model.loss is None or scaler.mean_ is None:
                 return None  # may become plannable: asked again next call
-            self._steps = self._shape = None
+            self._steps = self._shape = self._lstm = None
             if _architecture(model) is not None:
                 shape = model.layers[0].input_shape
                 if scaler.mean_.shape == shape[-1:]:
                     self._steps, self._shape = _steps([(scaler, model)]), shape
+                    stack = leading_lstm_stack(model.layers)
+                    if stack:
+                        self._lstm = _LstmPlan(self._steps, stack)
             self._planned = (scaler, model)
         return self._steps
 
@@ -98,6 +119,8 @@ class ReferenceBackend(InferenceBackend):
             and windows.shape[1:] == self._shape
             and windows.shape[0]
         ):
+            if self._lstm is not None:
+                return self._lstm.run(windows)
             n = windows.shape[0]
             if n <= _CHUNK:
                 return _run(steps, windows)
@@ -113,11 +136,9 @@ class ReferenceBackend(InferenceBackend):
     def stream_stepper(
         self, config: WindowConfig, n_slots: int
     ) -> "_ReferenceStepper | None":
-        stack = leading_lstm_stack(self.model.layers)
-        steps = self._plan()
-        if not stack or steps is None:
+        if self._plan() is None or self._lstm is None:
             return None
-        return _ReferenceStepper(steps, stack, self.model.output_shape, config, n_slots)
+        return _ReferenceStepper(self._lstm, self.model.output_shape, config, n_slots)
 
 
 class _Alone:
@@ -140,28 +161,111 @@ def _run(steps, x: np.ndarray, ctx=_Alone) -> np.ndarray:
     return x
 
 
-class _ReferenceStepper(StreamStepper):
-    """Bit-identical to the windowed forward, by construction.
+def _frame_rows(windows: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """``(frames, hop)`` such that ``windows[i, t]`` is ``frames[i * hop + t]``.
 
-    Every float operation is the one the plan (and so the layer path)
-    performs on the same element — standardisation is the plan's first
-    step, the gate arithmetic literally the same function
-    (:meth:`LSTM._step`), and the rest of the model the plan's tail
-    steps; every contraction goes through ``contract(..., False)``,
-    where a row's bits depend on the row and the weights only — so it
-    does not matter that the rows sharing a call are now chains at
-    different time steps rather than windows at the same one.
+    Read off the memory layout, never guessed: when the window axis
+    strides by a whole number ``hop`` of time steps, ``windows[i, t]``
+    sits where frame row ``i * hop + t`` of one strided frame array
+    does (a sliding-window view has ``hop`` = its stride).  Only
+    ``hop < window`` is taken, so windows share frames and every row of
+    ``frames`` is an element of some window.  A lone window is its own
+    frames.  ``(None, 0)`` for any other batch (a contiguous copy, a
+    transposed or broadcast array).
+    """
+    n, time_steps, n_features = windows.shape
+    step, row, feature = windows.strides
+    if n == 1:
+        hop = 0
+    elif row and step % row == 0 and 0 <= step // row < time_steps:
+        hop = step // row
+    else:
+        return None, 0
+    shape = ((n - 1) * hop + time_steps, n_features)
+    return as_strided(windows, shape, (row, feature), writeable=False), hop
+
+
+class _LstmPlan:
+    """The plan of a model that leads with an LSTM stack, cut at the
+    stack: the plan's own standardisation step, the stack's cells and
+    the plan's tail steps — the one copy of the arithmetic that the
+    time-major pass (:meth:`run`) and the stream stepper share.
+
+    Bit-identical to the windowed forward, by construction: every float
+    operation is the one the plan (and so the layer path) performs on
+    the same element — standardisation is element-wise, the gate
+    arithmetic literally the same function (:meth:`LSTM._step`), with
+    the literal ``0.0`` recurrent term at a chain's first step as
+    :meth:`LSTM.recur` adds it — and every contraction goes through
+    ``contract(..., False)``, where a row's bits depend on the row and
+    the weights only.  So it does not matter which rows share a call:
+    the windows of one chunk at one time step, a chunk's frames, or
+    chains of different streams at different time steps.
     """
 
-    def __init__(self, steps, lstm, prob_shape, config, n_slots) -> None:
-        self._standardise = steps[0]
-        self._cells = [
+    def __init__(self, steps, lstm) -> None:
+        self.standardise = steps[0]
+        #: Per layer: input and recurrent weights, bias, gate arithmetic.
+        self.cells = [
             (layer.params["Wx"], layer.params["Wh"], layer.params["b"], layer._step)
             for layer in lstm
         ]
+        self.units = [layer.units for layer in lstm]
         #: The plan's steps after the LSTM stack, the loss head included.
-        self._tail = steps[1 + len(lstm) :]
-        super().__init__([layer.units for layer in lstm], prob_shape, config, n_slots, float)
+        self.tail = steps[1 + len(lstm) :]
+
+    def run(self, windows: np.ndarray) -> np.ndarray:
+        """Probabilities of raw ``windows``, :data:`_CHUNK` windows at a
+        time, time-major within a chunk."""
+        n, time_steps = windows.shape[:2]
+        frames, hop = _frame_rows(windows)
+        wx = self.cells[0][0]
+        out = None
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            if frames is None:
+                # No shared frames: project each window's step as it comes.
+                x = self.standardise(windows[start:stop], _Alone)
+                inputs = (contract(x[:, t], wx, False) for t in range(time_steps))
+            else:
+                # Each of the chunk's frames once; a window's step is a row.
+                span = frames[start * hop : (stop - 1) * hop + time_steps]
+                projected = contract(self.standardise(span, _Alone), wx, False)
+                rows = np.arange(stop - start) * hop
+                inputs = (projected.take(rows + t, axis=0) for t in range(time_steps))
+            probs = self._score_chunk(inputs, stop - start)
+            if out is None:
+                out = np.empty((n, *probs.shape[1:]), probs.dtype)
+            out[start:stop] = probs
+        return out
+
+    def _score_chunk(self, inputs, m: int) -> np.ndarray:
+        """Every layer of the stack over ``m`` windows, one time step at
+        a time (``inputs`` yields the first layer's input projection per
+        step, an array the step may consume), then the tail."""
+        h = [None] * len(self.cells)
+        c = [np.zeros((m, u)) for u in self.units]
+        for t, z in enumerate(inputs):
+            for k, (wx, wh, b, step) in enumerate(self.cells):
+                if k:
+                    z = contract(h[k - 1], wx, False)
+                z += contract(h[k], wh, False) if t else 0.0
+                h[k] = step(z, c[k], b)
+        out = h[-1]
+        for step in self.tail:
+            out = step(out, _Alone)
+        return out
+
+
+class _ReferenceStepper(StreamStepper):
+    """Bit-identical to the windowed forward, by construction: the
+    arithmetic of :class:`_LstmPlan`, a frame at a time."""
+
+    def __init__(self, lstm: _LstmPlan, prob_shape, config, n_slots) -> None:
+        self._standardise = lstm.standardise
+        self._cells = lstm.cells
+        self._tail = lstm.tail
+        super().__init__(lstm.units, prob_shape, config, n_slots, float)
 
     def _advance(self, frames, frame_rows, state_rows, n_recurrent) -> None:
         x = self._standardise(frames, _Alone)

@@ -1,4 +1,4 @@
-"""Bulk offline scoring: whole procedures, one fused pass per stage.
+"""Bulk offline scoring: whole procedures, one backend call per stage.
 
 The serving stack's second workload.  The online half
 (:class:`~repro.serving.service.MonitorService`) advances live sessions
@@ -7,13 +7,17 @@ every table/figure experiment — replays *recorded* procedures, where all
 frames exist up front and tick-by-tick causality buys nothing.
 :class:`BulkScorer` exploits that: it materialises every sliding window
 of a trajectory as a zero-copy strided view
-(:func:`~repro.kinematics.windows.sliding_windows_view`) and runs each
-pipeline stage **once** over the full ``(n_windows, window, features)``
-batch through the :class:`~repro.nn.backends.InferenceBackend` bulk
-entry points (``forward_bulk`` / ``score_bulk``) — one GEMM per Dense
-stage, LSTM steps batched across all windows, vectorised conv — then
-vectorises the post-processing (per-gesture classifier dispatch as a
-grouped gather/scatter, forward-fill as one running maximum).
+(:func:`~repro.kinematics.windows.sliding_windows_view`) and hands each
+pipeline stage the full ``(n_windows, window, features)`` batch in
+**one** call to the :class:`~repro.nn.backends.InferenceBackend` bulk
+entry points (``forward_bulk`` / ``score_bulk``), then vectorises the
+post-processing (per-gesture classifier dispatch as a grouped
+gather/scatter, forward-fill as one running maximum).  How a backend
+walks the batch is its own business, in bounded memory either way: the
+reference backend in chunks of a few dozen windows (the gesture LSTM
+stack time-major, each frame of the view projected once per chunk,
+read off the view's strides), the compiled plans in slabs whose scratch
+stays under a byte budget.
 
 Correctness contract (pinned by ``tests/property/test_bulk_parity.py``):
 
@@ -26,7 +30,7 @@ Correctness contract (pinned by ``tests/property/test_bulk_parity.py``):
 - ``backend="compiled"`` / ``"compiled-f32"`` — gestures and flags
   exact in practice (discrete outputs), scores within ``atol=1e-6``
   (``~1e-3`` relative for f32): the compiled plan folds the scaler and
-  hands BLAS the whole batch, giving up the reference contraction's
+  hands BLAS whole slabs of windows, giving up the reference contraction's
   batch-invariant bits.
 
 Hostile input: a procedure with any NaN or ±Inf frame is refused whole
@@ -74,9 +78,11 @@ class BulkScorer:
     backend:
         Inference backend name (:data:`repro.nn.backends.BACKEND_NAMES`).
         ``"reference"`` (default) keeps the bit-exact parity contract
-        with the looped ``process()``; ``"compiled"``/``"compiled-f32"``
-        run the folded BLAS plans, sized to the procedure via the
-        backends' grow-and-cache bulk twins.
+        with the looped ``process()``, in chunks of windows whose
+        temporaries do not grow with the procedure;
+        ``"compiled"``/``"compiled-f32"`` run the folded BLAS plans
+        through the backends' cached bulk twins, grown with the
+        procedures up to a byte budget of scratch.
 
     One backend per trained model is compiled on first use and cached by
     model identity (same retrain contract as

@@ -17,11 +17,13 @@ from repro import nn
 from repro.errors import ConfigurationError, NotFittedError, ShapeError
 from repro.nn.backends import (
     BACKEND_NAMES,
+    BULK_SCRATCH_BYTES,
     CompiledBackend,
     ReferenceBackend,
     make_backend,
     validate_backend_name,
 )
+from repro.nn.backends import compiled as compiled_module
 
 #: Over ten warm forwards, tracemalloc's peak may grow by a few KB of
 #: view/Python objects (measured ~2.6 KB); any real per-call array temp
@@ -301,7 +303,7 @@ class TestBulkMethods:
         assert np.array_equal(comp.forward_bulk(x), comp.predict_proba(x))
         assert np.array_equal(comp.score_bulk(x), comp.predict(x))
 
-    def test_bulk_plan_grows_geometrically_and_is_reused(self):
+    def test_bulk_plan_grows_geometrically_and_is_reused(self, monkeypatch):
         scaler, model = conv_binary()
         comp = CompiledBackend(scaler, model, max_batch=4)
         x = np.random.default_rng(5).standard_normal((37, 5, 7))
@@ -316,6 +318,44 @@ class TestBulkMethods:
         )
         assert comp._bulk is not plan  # grown
         assert comp._bulk.max_batch == 128
+        # The byte budget caps the growth: a budget of 200 windows'
+        # scratch stops a fresh twin at 200 windows, not at 256, and
+        # a longer batch is scored in slabs of that many.
+        per_window = comp._window_bytes()
+        assert per_window * comp.max_batch == sum(
+            a.nbytes for a in comp.scratch_arrays()
+        )
+        monkeypatch.setattr(compiled_module, "BULK_SCRATCH_BYTES", 200 * per_window)
+        comp = CompiledBackend(scaler, model, max_batch=4)
+        x = np.random.default_rng(7).standard_normal((700, 5, 7))
+        assert np.array_equal(comp.forward_bulk(x), comp.predict_proba(x))
+        assert np.array_equal(comp.score_bulk(x), comp.predict(x))
+        assert comp._bulk.max_batch == 200
+        assert sum(a.nbytes for a in comp._bulk.scratch_arrays()) <= 200 * per_window
+        # A serving plan already at the budget is its own bulk plan.
+        comp = CompiledBackend(scaler, model, max_batch=256)
+        assert np.array_equal(comp.forward_bulk(x), comp.predict_proba(x))
+        assert comp._bulk is None
+
+    def test_paper_width_bulk_scratch_stays_in_budget(self):
+        """A paper-width gesture plan scoring a long procedure: the twin
+        it caches holds at most ``BULK_SCRATCH_BYTES`` of scratch (a
+        twin sized in windows held 653 MB after 3 000 frames)."""
+        scaler, model = build(
+            [nn.LSTM(512, return_sequences=True), nn.LSTM(96), nn.BatchNorm(),
+             nn.Dense(64), nn.ReLU(), nn.Dense(15)],
+            5,
+            38,
+            nn.SoftmaxCrossEntropy(),
+        )
+        comp = CompiledBackend(scaler, model, max_batch=16)
+        x = np.random.default_rng(9).standard_normal((1500, 5, 38))
+        probs = comp.forward_bulk(x).copy()
+        assert comp._bulk is not None
+        assert comp._bulk.max_batch > comp.max_batch
+        assert sum(a.nbytes for a in comp._bulk.scratch_arrays()) <= BULK_SCRATCH_BYTES
+        reference = ReferenceBackend(scaler, model).predict_proba(x)
+        np.testing.assert_allclose(probs, reference, rtol=0, atol=1e-6)
 
     def test_small_batches_use_serving_plan(self):
         scaler, model = conv_binary()

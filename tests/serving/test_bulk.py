@@ -1,5 +1,7 @@
 """Unit tests for the bulk offline scoring engine (repro.serving.bulk)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,37 @@ class TestBulkScorerOutputContract:
         local.gesture_classifier.model = fresh.gesture_classifier.model
         scorer.score(trajectory)
         assert scorer._gesture_backend[1] is not before
+
+
+class TestBoundedMemory:
+    """The reference scorer's working set does not grow with the batch:
+    the gesture stage runs over chunks of windows, time-major, with no
+    ``(windows, time, units)`` sequence alive — where a whole 512-window
+    batch at once peaked at about 85 MB on a 516-frame procedure."""
+
+    #: Ceiling on the traced peak of one paper-scale ``score`` call.
+    CEILING_BYTES = 16 * 2**20
+
+    def test_paper_scale_peak_is_small_and_flat(self):
+        monitor = make_synthetic_monitor(
+            n_features=38, seed=0, gesture_lstm_units=(512, 96), gesture_dense_units=64
+        )
+        scorer = BulkScorer(monitor, backend="reference")
+        peaks = []
+        for n_frames in (516, 2 * 516):
+            trajectory = make_random_walk_trajectory(n_frames, n_features=38, seed=n_frames)
+            scorer.score(trajectory)  # plans built, outside the measurement
+            tracemalloc.start()
+            try:
+                scorer.score(trajectory)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        short, long = peaks
+        assert short < self.CEILING_BYTES, short
+        # Twice the frames: only the per-frame outputs grow (a few
+        # hundred bytes a frame), never the working set.
+        assert long < 1.1 * short, peaks
 
 
 class TestConveniences:
