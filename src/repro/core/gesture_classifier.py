@@ -23,6 +23,7 @@ from ..gestures.vocabulary import N_GESTURE_CLASSES
 from ..jigsaws.dataset import SurgicalDataset, WindowedData
 from ..kinematics.trajectory import Trajectory
 from ..kinematics.windows import sliding_windows_view
+from ..nn.model import PREDICT_CHUNK
 
 
 @dataclass
@@ -144,17 +145,20 @@ class GestureClassifier:
         frames = trajectory.frames
         if cfg.feature_indices is not None:
             frames = frames[:, cfg.feature_indices]
-        # Zero-copy strided view; standardisation below materialises the
-        # scaled batch, so no windowed copy of the raw frames ever exists.
+        # Zero-copy strided view, standardised and scored one chunk of
+        # windows at a time: the working set is one chunk's, however
+        # long the demonstration (rows are independent, so the bits are
+        # those of one call over every window).
         windows, ends = sliding_windows_view(frames, cfg.window)
         if ends.size == 0:
             return np.zeros(trajectory.n_frames, dtype=int), 0.0
-        x = self.scaler.transform(windows)
+        n_windows = windows.shape[0]
+        class_idx = np.empty(n_windows, dtype=np.intp)
         start_time = time.perf_counter()
-        class_idx = self.model.predict(x)
-        elapsed_ms = (
-            1000.0 * (time.perf_counter() - start_time) / max(x.shape[0], 1)
-        )
+        for start in range(0, n_windows, PREDICT_CHUNK):
+            chunk = slice(start, start + PREDICT_CHUNK)
+            class_idx[chunk] = self.model.predict(self.scaler.transform(windows[chunk]))
+        elapsed_ms = 1000.0 * (time.perf_counter() - start_time) / n_windows
         # Window i's prediction covers frames [ends[i], ends[i+1]) — one
         # np.repeat instead of a per-window Python fill loop.
         numbers = class_idx + 1

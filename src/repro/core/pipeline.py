@@ -26,6 +26,7 @@ from ..errors import NotFittedError
 from ..gestures.vocabulary import Gesture
 from ..kinematics.trajectory import Trajectory
 from ..kinematics.windows import sliding_windows_view
+from ..nn.model import PREDICT_CHUNK
 from .error_classifiers import ErrorClassifierLibrary
 from .gesture_classifier import GestureClassifier
 
@@ -158,10 +159,15 @@ class SafetyMonitor:
             clf = self.library.classifiers.get(Gesture(int(gesture_number)))
             if clf is None:
                 continue
-            probs, per_window_ms = clf.timed_predict_proba(windows[mask])
-            error_ms_total += per_window_ms * int(mask.sum())
-            n_timed += int(mask.sum())
-            scores[ends[mask]] = probs
+            # A chunk of the group's windows at a time: only that
+            # chunk is ever gathered and standardised.
+            rows = np.flatnonzero(mask)
+            for start in range(0, rows.size, PREDICT_CHUNK):
+                chunk = rows[start : start + PREDICT_CHUNK]
+                probs, per_window_ms = clf.timed_predict_proba(windows[chunk])
+                error_ms_total += per_window_ms * chunk.size
+                scores[ends[chunk]] = probs
+            n_timed += rows.size
         error_ms = error_ms_total / n_timed if n_timed else 0.0
 
         # Propagate the last windowed score forward so every frame after

@@ -15,8 +15,10 @@ per-layer dispatch once, at build, instead of once per layer per call
 
 A model that leads with an LSTM stack (the gesture classifier) is run
 **time-major**: the windows are walked in chunks of :data:`_CHUNK`, and
-at each time step every layer of the stack advances that chunk's rows
-one step, then the plan's tail scores the last hidden state.  When the
+at each time step the stack's first layer advances that chunk's rows
+one step; each layer above it then projects the chunk's whole output
+sequence of the layer below in one contraction and steps through it,
+and the plan's tail scores the last hidden state.  When the
 windows are a strided view over frame rows (what
 :func:`~repro.kinematics.windows.sliding_windows_view` hands the bulk
 scorer) each frame is standardised and projected through the first
@@ -34,14 +36,15 @@ from numpy.lib.stride_tricks import as_strided
 from ...config import WindowConfig
 from ..layers.contract import contract
 from ..layers.recurrent import leading_lstm_stack
-from ..model import Sequential, hard_predictions
+from ..model import PREDICT_CHUNK, Sequential, hard_predictions
 from ..preprocessing import StandardScaler
 from .base import InferenceBackend
 from .library import _architecture, _steps
 from .stepper import StreamStepper
 
-#: Windows one pass of the plan takes.  A longer batch is served chunk
-#: by chunk, so its working set is one chunk's temporaries (paper
+#: Windows one pass of the plan takes, the layer path's default chunk
+#: (:data:`~repro.nn.model.PREDICT_CHUNK`).  A longer batch is served
+#: chunk by chunk, so its working set is one chunk's temporaries (paper
 #: widths, time-major: about 1 MB per per-step array) whatever its
 #: length.  A bare constant: rows are independent, so the chunking
 #: bounds the working set, not the bits.  Measured on a 2-core x86-64
@@ -49,7 +52,7 @@ from .stepper import StreamStepper
 #: frames took 318 / 303 / 293 / 302 / 323 / 329 ms at chunks of
 #: 16 / 32 / 64 / 128 / 256 / 512 windows, and a default conv error
 #: member scored 130 to 1 000 windows 1.8-2.2x faster at 64 than at 512.
-_CHUNK = 64
+_CHUNK = PREDICT_CHUNK
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -216,7 +219,7 @@ class _LstmPlan:
 
     def run(self, windows: np.ndarray) -> np.ndarray:
         """Probabilities of raw ``windows``, :data:`_CHUNK` windows at a
-        time, time-major within a chunk."""
+        time (:meth:`_score_chunk`)."""
         n, time_steps = windows.shape[:2]
         frames, hop = _frame_rows(windows)
         wx = self.cells[0][0]
@@ -233,25 +236,44 @@ class _LstmPlan:
                 projected = contract(self.standardise(span, _Alone), wx, False)
                 rows = np.arange(stop - start) * hop
                 inputs = (projected.take(rows + t, axis=0) for t in range(time_steps))
-            probs = self._score_chunk(inputs, stop - start)
+            probs = self._score_chunk(inputs, stop - start, time_steps)
             if out is None:
                 out = np.empty((n, *probs.shape[1:]), probs.dtype)
             out[start:stop] = probs
         return out
 
-    def _score_chunk(self, inputs, m: int) -> np.ndarray:
-        """Every layer of the stack over ``m`` windows, one time step at
-        a time (``inputs`` yields the first layer's input projection per
-        step, an array the step may consume), then the tail."""
-        h = [None] * len(self.cells)
-        c = [np.zeros((m, u)) for u in self.units]
+    def _score_chunk(self, inputs, m: int, time_steps: int) -> np.ndarray:
+        """Every layer of the stack over ``m`` windows, then the tail.
+
+        The first layer runs time-major (``inputs`` yields its input
+        projection per step, an array the step may consume).  Each
+        layer above it runs layer-major: one contraction projects the
+        chunk's ``m * time_steps`` outputs of the layer below, then its
+        recurrence steps through them — so a chunk of fewer than
+        ``ROW_BLOCK`` windows pays one padded block for that projection,
+        not one per time step.
+        """
+        (_, wh, b, step), *above = self.cells
+        below = np.empty((time_steps, m, self.units[0])) if above else None
+        c = np.zeros((m, self.units[0]))
         for t, z in enumerate(inputs):
-            for k, (wx, wh, b, step) in enumerate(self.cells):
-                if k:
-                    z = contract(h[k - 1], wx, False)
-                z += contract(h[k], wh, False) if t else 0.0
-                h[k] = step(z, c[k], b)
-        out = h[-1]
+            z += contract(h, wh, False) if t else 0.0
+            h = step(z, c, b)
+            if below is not None:
+                below[t] = h
+        for k, (wx, wh, b, step) in enumerate(above, 1):
+            units = self.units[k]
+            projected = contract(below.reshape(time_steps * m, -1), wx, False)
+            projected = projected.reshape(time_steps, m, 4 * units)
+            below = np.empty((time_steps, m, units)) if k < len(above) else None
+            c = np.zeros((m, units))
+            for t in range(time_steps):
+                z = projected[t]
+                z += contract(h, wh, False) if t else 0.0
+                h = step(z, c, b)
+                if below is not None:
+                    below[t] = h
+        out = h
         for step in self.tail:
             out = step(out, _Alone)
         return out

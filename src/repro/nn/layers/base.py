@@ -2,7 +2,10 @@
 
 A :class:`Layer` owns named parameter arrays and matching gradient arrays.
 ``build`` is called once with the input shape (excluding the batch axis)
-and an rng; ``forward`` caches whatever the matching ``backward`` needs.
+and an rng and allocates the parameters only; the gradient arrays are
+allocated by the first ``backward`` (:meth:`Layer._gradient_buffers`), so
+a model that only runs inference holds its weights and nothing else.
+``forward`` caches whatever the matching ``backward`` needs.
 Layers are single-use per forward/backward pair, as in any define-by-run
 framework.
 """
@@ -19,7 +22,8 @@ class Layer:
 
     Subclasses must implement :meth:`build`, :meth:`forward` and
     :meth:`backward`, and may expose trainable state through
-    :attr:`params` / :attr:`grads` (dicts sharing keys).
+    :attr:`params` / :attr:`grads` (dicts sharing keys; ``grads`` is
+    empty until the first :meth:`backward`).
     """
 
     def __init__(self) -> None:
@@ -56,6 +60,14 @@ class Layer:
         if self._output_shape is None:
             raise NotFittedError(f"{type(self).__name__} has not been built")
         return self._output_shape
+
+    def _gradient_buffers(self) -> dict[str, np.ndarray]:
+        """:attr:`grads`, allocated on first use: one zeroed array per
+        parameter, in :attr:`params` order, all at once.  ``backward``
+        writes into them in place, so later steps allocate nothing."""
+        if not self.grads:
+            self.grads = {key: np.zeros_like(val) for key, val in self.params.items()}
+        return self.grads
 
     def zero_grads(self) -> None:
         """Reset accumulated gradients to zero."""

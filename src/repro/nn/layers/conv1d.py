@@ -64,7 +64,7 @@ class Conv1D(Layer):
             "W": glorot_uniform((self.kernel_size, channels, self.filters), rng),
             "b": zeros_init((self.filters,), rng),
         }
-        self.grads = {key: np.zeros_like(val) for key, val in self.params.items()}
+        self.grads = {}  # allocated by the first backward()
         self._input_shape = tuple(input_shape)
         self._output_shape = (out_time, self.filters)
         self.built = True
@@ -168,8 +168,9 @@ class Conv1D(Layer):
         w_flat = self.params["W"].reshape(k * channels, self.filters)
         flat_cols = columns.reshape(-1, k * channels)
         flat_grad = grad_output.reshape(-1, self.filters)
-        self.grads["W"][...] = (flat_cols.T @ flat_grad).reshape(self.params["W"].shape)
-        self.grads["b"][...] = flat_grad.sum(axis=0)
+        grads = self._gradient_buffers()
+        grads["W"][...] = (flat_cols.T @ flat_grad).reshape(self.params["W"].shape)
+        grads["b"][...] = flat_grad.sum(axis=0)
 
         # Scatter column gradients back onto the (padded) input.
         d_cols = (flat_grad @ w_flat.T).reshape(batch, out_time, k, channels)

@@ -35,7 +35,7 @@ class Dense(Layer):
             "W": glorot_uniform((in_features, self.units), rng),
             "b": zeros_init((self.units,), rng),
         }
-        self.grads = {key: np.zeros_like(val) for key, val in self.params.items()}
+        self.grads = {}  # allocated by the first backward()
         self._input_shape = tuple(input_shape)
         self._output_shape = (*input_shape[:-1], self.units)
         self.built = True
@@ -71,8 +71,9 @@ class Dense(Layer):
         # Collapse any leading axes so 2-D and 3-D inputs share one path.
         flat_x = x.reshape(-1, x.shape[-1])
         flat_g = grad_output.reshape(-1, self.units)
-        self.grads["W"][...] = flat_x.T @ flat_g
-        self.grads["b"][...] = flat_g.sum(axis=0)
+        grads = self._gradient_buffers()
+        grads["W"][...] = flat_x.T @ flat_g
+        grads["b"][...] = flat_g.sum(axis=0)
         grad_input = grad_output @ self.params["W"].T
         self._cache_x = None
         return grad_input

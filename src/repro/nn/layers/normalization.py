@@ -44,7 +44,7 @@ class BatchNorm(Layer):
             )
         channels = input_shape[-1]
         self.params = {"gamma": np.ones(channels), "beta": np.zeros(channels)}
-        self.grads = {key: np.zeros_like(val) for key, val in self.params.items()}
+        self.grads = {}  # allocated by the first backward()
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
         self._input_shape = tuple(input_shape)
@@ -117,8 +117,9 @@ class BatchNorm(Layer):
         grad_output = np.asarray(grad_output, dtype=float)
         axes = tuple(range(grad_output.ndim - 1))
 
-        self.grads["gamma"][...] = (grad_output * x_hat).sum(axis=axes)
-        self.grads["beta"][...] = grad_output.sum(axis=axes)
+        grads = self._gradient_buffers()
+        grads["gamma"][...] = (grad_output * x_hat).sum(axis=axes)
+        grads["beta"][...] = grad_output.sum(axis=axes)
 
         d_xhat = grad_output * self.params["gamma"]
         # Standard batch-norm backward, vectorised over channels.

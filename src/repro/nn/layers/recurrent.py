@@ -53,14 +53,17 @@ class LSTM(Layer):
         time_steps, features = input_shape
         u = self.units
         wx = glorot_uniform((features, 4 * u), rng)
-        wh = np.concatenate(
-            [orthogonal((u, u), rng) for _ in range(4)], axis=1
-        )
+        # One orthogonal block per gate, drawn in gate order and written
+        # straight into place: one block is alive at a time, not four
+        # beside their concatenation.
+        wh = np.empty((u, 4 * u))
+        for gate in range(4):
+            wh[:, gate * u : (gate + 1) * u] = orthogonal((u, u), rng)
         bias = np.zeros(4 * u)
         bias[u : 2 * u] = 1.0  # forget-gate bias at 1: standard remedy for
         # vanishing memory early in training.
         self.params = {"Wx": wx, "Wh": wh, "b": bias}
-        self.grads = {key: np.zeros_like(val) for key, val in self.params.items()}
+        self.grads = {}  # allocated by the first backward()
         self._input_shape = tuple(input_shape)
         self._output_shape = (
             (time_steps, u) if self.return_sequences else (u,)
@@ -225,9 +228,11 @@ class LSTM(Layer):
                     f"grad_output shape {grad_last.shape} does not match ({batch}, {u})"
                 )
 
-        d_wx = np.zeros_like(wx)
-        d_wh = np.zeros_like(wh)
-        d_b = np.zeros_like(self.params["b"])
+        # Accumulate straight into the gradient buffers.
+        grads = self._gradient_buffers()
+        d_wx, d_wh, d_b = grads["Wx"], grads["Wh"], grads["b"]
+        for d in (d_wx, d_wh, d_b):
+            d[...] = 0.0
         d_x = np.empty_like(x)
 
         d_h_next = np.zeros((batch, u))
@@ -271,9 +276,6 @@ class LSTM(Layer):
             d_x[:, t, :] = d_z @ wx.T
             d_h_next = d_z @ wh.T
 
-        self.grads["Wx"][...] = d_wx
-        self.grads["Wh"][...] = d_wh
-        self.grads["b"][...] = d_b
         self._cache = None
         return d_x
 

@@ -14,6 +14,14 @@ from .losses import Loss
 from .optimizers import Optimizer
 
 
+#: Rows per forward of :meth:`Sequential.predict_proba` unless the caller
+#: says otherwise — the chunk of the ``reference`` backend's plan too
+#: (:mod:`repro.nn.backends.reference`).  Inference rows are independent,
+#: so the chunk bounds the working set (at the paper's widths about 5 MB
+#: of first-layer projections), not the bits.
+PREDICT_CHUNK = 64
+
+
 def hard_predictions(probs: np.ndarray) -> np.ndarray:
     """Argmax for multi-class probabilities, 0.5 threshold for binary."""
     if probs.ndim == 2 and probs.shape[1] > 1:
@@ -98,7 +106,8 @@ class Sequential:
         return arrays
 
     def gradients(self) -> list[np.ndarray]:
-        """Gradient arrays parallel to :meth:`parameters`."""
+        """Gradient arrays parallel to :meth:`parameters`; empty until the
+        first training step's ``backward`` allocates them."""
         return [g for layer in self.layers for g in layer.grads.values()]
 
     def n_parameters(self) -> int:
@@ -117,14 +126,17 @@ class Sequential:
             out = layer.forward(out, training=training)
         return out
 
-    def predict_proba(self, x: np.ndarray, batch_size: int = 512) -> np.ndarray:
+    def predict_proba(
+        self, x: np.ndarray, batch_size: int = PREDICT_CHUNK
+    ) -> np.ndarray:
         """Class probabilities (loss's ``predict`` applied to logits).
 
         Inference is batch-size invariant: a sample scored alone yields
         the bit-identical probability it would get inside any larger
         batch: every contraction runs as fixed-shape ``ROW_BLOCK``-row
         GEMMs (see :mod:`repro.nn.layers.contract`).  The online serving
-        engine relies on this to reproduce batched results exactly.
+        engine relies on this to reproduce batched results exactly, and
+        ``batch_size`` only sets how many rows one forward takes.
         """
         if self.loss is None:
             raise NotFittedError("call compile() before predict_proba()")
@@ -139,7 +151,7 @@ class Sequential:
             return outputs[0]
         return np.concatenate(outputs, axis=0)
 
-    def predict(self, x: np.ndarray, batch_size: int = 512) -> np.ndarray:
+    def predict(self, x: np.ndarray, batch_size: int = PREDICT_CHUNK) -> np.ndarray:
         """Hard predictions: argmax for multi-class, 0.5 threshold for binary."""
         return hard_predictions(self.predict_proba(x, batch_size=batch_size))
 

@@ -455,6 +455,9 @@ class MonitorGateway:
         self._conn_ids = itertools.count()
         #: Every wire-opened session, live or parked, by session id.
         self._sessions: dict[str, _RemoteSession] = {}
+        #: The signal a :meth:`_drain_session` waits on, per session
+        #: being drained; :meth:`_end_drain` sets and drops it.
+        self._drains: dict[_RemoteSession, asyncio.Event] = {}
         self._started = False
         self._stopped = False
         #: Monotonic construction instant backing :attr:`uptime_s` —
@@ -844,18 +847,34 @@ class MonitorGateway:
     async def _drain_session(self, session_id: str) -> None:
         """Park until every accepted frame of a session has produced its
         event (bounded by ``drain_timeout_s``) — the *drain* half of the
-        drain-and-close disconnect contract."""
+        drain-and-close disconnect contract.
+
+        Waits on the session's signal, which :meth:`_end_drain` sets
+        when the event for its last accepted frame is routed, when the
+        record leaves the map and when the session loses its
+        connection; each wake-up re-reads the record, since frames
+        accepted meanwhile extend the drain."""
         session = self._sessions.get(session_id)
         if session is None:
             return
-        deadline = asyncio.get_running_loop().time() + self.drain_timeout_s
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.drain_timeout_s
         while (
             not session.drained
             and self._sessions.get(session_id) is session
             and session.conn is not None
-            and asyncio.get_running_loop().time() < deadline
         ):
-            await asyncio.sleep(0.002)
+            signal = self._drains.setdefault(session, asyncio.Event())
+            try:
+                await asyncio.wait_for(signal.wait(), deadline - loop.time())
+            except asyncio.TimeoutError:
+                return
+
+    def _end_drain(self, session: _RemoteSession) -> None:
+        """Wake whoever drains ``session``: its wait may have ended."""
+        signal = self._drains.pop(session, None)
+        if signal is not None:
+            signal.set()
 
     async def _teardown(
         self, conn: _Connection, reason: str, allow_park: bool = True
@@ -906,6 +925,7 @@ class MonitorGateway:
             # out meanwhile): no longer ours to park.
             return
         session.park(reason)
+        self._end_drain(session)
         self._parked_total += 1
         session.expiry = asyncio.get_running_loop().call_later(
             self.resume_grace_s, self._expire_parked, session
@@ -1086,6 +1106,8 @@ class MonitorGateway:
                 continue
             if not session.deliver(event):
                 continue
+            if self._drains and session.drained:
+                self._end_drain(session)
             # Past the duplicate filter: part of the client-visible
             # stream, and of the durable log, exactly once — sent now,
             # or, in flight when its client vanished, kept in the
@@ -1186,6 +1208,7 @@ class MonitorGateway:
     def _unregister(self, session: _RemoteSession) -> None:
         self._sessions.pop(session.session_id, None)
         session.bind(None)
+        self._end_drain(session)
         if session.expiry is not None:
             session.expiry.cancel()
             session.expiry = None

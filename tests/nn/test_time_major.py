@@ -21,6 +21,7 @@ from repro.config import WindowConfig
 from repro.kinematics.windows import sliding_windows_view
 from repro.nn.backends import ReferenceBackend
 from repro.nn.backends import reference as reference_module
+from repro.nn.layers.contract import ROW_BLOCK
 
 N_FEATURES = 6
 WINDOW = 5
@@ -120,3 +121,30 @@ def test_one_frame_projection_per_chunk(monkeypatch):
     spans.clear()
     backend.predict_proba(np.ascontiguousarray(windows))
     assert spans == [CHUNK] * WINDOW + [CHUNK] * WINDOW + [1] * WINDOW
+
+
+@pytest.mark.parametrize("n", [1, 3, CHUNK + 2])
+def test_upper_layers_project_a_chunk_layer_major(monkeypatch, n):
+    """The layers above the first project a chunk's whole output
+    sequence of the layer below in one contraction: a lone window pays
+    one padded ``ROW_BLOCK``-row block for the second layer's input
+    projection, not one per time step."""
+    scaler, model = gesture_model()
+    backend = ReferenceBackend(scaler, model)
+    wx = model.layers[1].params["Wx"]
+    real = reference_module.contract
+    rows = []
+
+    def spy(a, w, training):
+        if w is wx:
+            rows.append(a.shape[0])
+        return real(a, w, training)
+
+    monkeypatch.setattr(reference_module, "contract", spy)
+    expected = layer_path(scaler, model, view(n, 1))
+    assert backend.predict_proba(view(n, 1)).tobytes() == expected.tobytes()
+    chunks = [min(CHUNK, n - start) for start in range(0, n, CHUNK)]
+    assert rows == [m * WINDOW for m in chunks]
+    blocks = sum(-(-r // ROW_BLOCK) for r in rows)
+    if n == 1:
+        assert blocks == 1  # five, one per time step, when it ran time-major

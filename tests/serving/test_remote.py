@@ -69,6 +69,7 @@ from repro.serving.remote.protocol import (
     encode_json,
     encode_message,
 )
+from repro.serving.remote.session import _RemoteSession
 from repro.serving.transport import TICKS_PER_ROUND
 
 N_FEATURES = 10
@@ -978,6 +979,80 @@ class TestFailSafe:
             assert stats["heartbeats_sent"] > 0
             assert stats["connections"]["idle_disconnects"] == 0
             assert not runner.gateway.failed_sessions
+
+
+class TestEventDrivenDrain:
+    """A CLOSE waits on its session's drain signal, not on a timer: it
+    returns in the loop passes after the event for the last accepted
+    frame is routed, and a drain whose events never come still ends at
+    ``drain_timeout_s``.  The engine's events are held back by swapping
+    its sink, then routed by hand."""
+
+    N = 6
+
+    async def _close_with_events_held(self, monitor, drain_timeout_s, route, n_routed):
+        async with MonitorGateway(
+            monitor, n_shards=1, max_sessions=4, drain_timeout_s=drain_timeout_s
+        ) as gateway:
+            held = []
+            gateway._engine._sink = held.extend
+            client = await AsyncRemoteMonitorClient.connect(gateway.host, gateway.port)
+            sid = await client.open_session("s")
+            await client.feed(sid, np.zeros((self.N, N_FEATURES)))
+            while len(held) < self.N:  # ticked, not routed
+                await asyncio.sleep(0.01)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            closing = asyncio.ensure_future(client.close_session(sid))
+            while sid not in {s.session_id for s in gateway._drains}:
+                await asyncio.sleep(0.01)
+            await route(gateway, held, sid)
+            reply = await asyncio.wait_for(closing, 10.0)
+            took = loop.time() - started
+            events = [
+                await asyncio.wait_for(client.next_event(), 5.0) for _ in range(n_routed)
+            ]
+            await client.aclose()
+            return reply, took, events
+
+    def test_close_returns_as_soon_as_the_last_event_is_routed(
+        self, monitor, monkeypatch
+    ):
+        reads = []
+        drained = _RemoteSession.drained
+        monkeypatch.setattr(
+            _RemoteSession,
+            "drained",
+            property(lambda session: reads.append(1) or drained.fget(session)),
+        )
+
+        async def route(gateway, held, sid):
+            gateway._route_events(held[:-1])
+            reads.clear()
+            await asyncio.sleep(0.05)
+            assert sid in gateway._sessions  # one event still owed
+            assert not reads  # and nothing woke the drain to look
+            gateway._route_events(held[-1:])
+            for _ in range(10):  # a few loop passes
+                await asyncio.sleep(0)
+            assert sid not in gateway._sessions  # drained, closed, gone
+
+        reply, took, events = asyncio.run(
+            self._close_with_events_held(monitor, 30.0, route, self.N)
+        )
+        assert reply["n_frames"] == self.N
+        assert [e.frame_index for e in events] == list(range(self.N))
+        assert took < 10.0
+
+    def test_a_drain_whose_events_never_arrive_ends_at_the_timeout(self, monitor):
+        async def route(gateway, held, sid):
+            pass  # the events never reach the gateway
+
+        reply, took, events = asyncio.run(
+            self._close_with_events_held(monitor, 0.3, route, 0)
+        )
+        assert reply["n_frames"] == 0 and events == []
+        assert 0.3 <= took < 5.0
 
 
 class TestBackpressure:
