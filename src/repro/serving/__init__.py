@@ -66,6 +66,7 @@ from .remote import (
     ResumeState,
 )
 from .service import (
+    EventBlock,
     MonitorService,
     ServiceStats,
     SessionEvent,
@@ -88,6 +89,7 @@ __all__ = [
     "AsyncShardedMonitor",
     "BulkScorer",
     "Counter",
+    "EventBlock",
     "EventStoreReader",
     "EventStoreWriter",
     "GatewayRunner",

@@ -12,8 +12,8 @@ contract:
   back-pressure feed holds or awaits the shard's turn — a write with no
   reply to wait for.
   One background ticker task per shard sends the worker a tick request
-  whenever the shard has pending frames — one round, up to
-  :data:`TICKS_PER_ROUND` ticks run back to back by the worker — awaits
+  whenever the shard has pending frames — one round, one engine step
+  of up to :data:`TICKS_PER_ROUND` ticks run by the worker — awaits
   the worker's pipe becoming readable, reads the reply and the event
   ring, and hands the round's
   :class:`~repro.serving.service.SessionEvent`\\ s over as one list to
@@ -99,6 +99,9 @@ class AsyncShardedMonitor:
         self._pipe: dict[int, asyncio.Lock] = {}
         self._claims: Counter[int] = Counter()
         self._kick: dict[int, asyncio.Event] = {}
+        #: Set by a ticker that finds no live shard pending, or stops:
+        #: what :meth:`drain` waits on.
+        self._settled = asyncio.Event()
         self._tasks: list[asyncio.Task] = []
         self._closed = False
         self._started = False
@@ -146,6 +149,17 @@ class AsyncShardedMonitor:
         """Hand one round's (or one flush's) events over, in order."""
         if batch:
             self._sink(batch)
+
+    def _any_pending(self) -> bool:
+        return any(
+            self._service.shard_maybe_pending(i)
+            for i in self._service.shard_indices
+        )
+
+    def _settle(self) -> None:
+        """Wake :meth:`drain` if no live shard may have pending frames."""
+        if not self._any_pending():
+            self._settled.set()
 
     def _wake(self, shard: int) -> None:
         """Kick ``shard``'s ticker: a feed or an import left it frames."""
@@ -241,6 +255,9 @@ class AsyncShardedMonitor:
         (terminal ``flag=True`` events, ``failed_sessions``), handed
         over by the next pass, never a session that silently stops
         being monitored.
+
+        A round, or a pass with nothing to tick, that leaves no live
+        shard pending wakes :meth:`drain`; so does the loop's end.
         """
         kick = self._kick[index]
         while not self._closed:
@@ -254,6 +271,7 @@ class AsyncShardedMonitor:
                     # Looked up per round: a patched _tick (tracing, fault
                     # injection) takes effect on the next one.
                     self._emit(await self._tick(index))
+                    self._settle()
                     continue
                 async with self._pipe.setdefault(index, asyncio.Lock()):
                     self._emit(self._service.take_undelivered_events())
@@ -263,6 +281,7 @@ class AsyncShardedMonitor:
                     # too, as :meth:`resize` prunes a retired shard's.
                     self._pipe.pop(index, None)
                     break
+                self._settle()
                 await self._idle(kick, handle.process)
             except Exception as exc:  # noqa: BLE001 - a dead ticker must fail safe
                 handle = self._service._shards.get(index)
@@ -271,6 +290,7 @@ class AsyncShardedMonitor:
                         handle,
                         f"shard {index} ticker failed: {type(exc).__name__}: {exc}",
                     )
+        self._settled.set()
 
     @staticmethod
     async def _idle(kick: asyncio.Event, process) -> None:
@@ -411,14 +431,14 @@ class AsyncShardedMonitor:
     async def drain(self) -> None:
         """Wait until no live shard has pending frames.
 
-        The tickers do the actual work; this just parks until the
-        backlog is gone (events keep flowing to the sink).
+        The tickers do the actual work (events keep flowing to the
+        sink); this parks, on no timer, until a ticker's round or idle
+        pass finds no live shard pending, or a ticker stops — its shard
+        failed or was removed — and then looks again.
         """
-        while any(
-            self._service.shard_maybe_pending(i)
-            for i in self._service.shard_indices
-        ):
-            await asyncio.sleep(0.001)
+        while self._any_pending():
+            self._settled.clear()
+            await self._settled.wait()
 
     @property
     def n_shards(self) -> int:

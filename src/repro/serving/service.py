@@ -8,7 +8,9 @@ sessions (open / feed / close lifecycle) against a single trained
 advances every session with pending frames by one frame and runs each
 pipeline stage **once** across all sessions — one model invocation per
 stage per tick, instead of one per stream — via the ring-buffered
-:class:`~repro.kinematics.windows.StreamingWindowBatch`.  The error
+:class:`~repro.kinematics.windows.StreamingWindowBatch`; a tick is the
+engine step :meth:`MonitorService.advance` at one frame, and a fleet
+worker's round is that step at up to eight, its error stage run once.  The error
 stage belongs to one owner, the library backend
 (:mod:`repro.nn.backends.library`): under the reference backend the
 gesture contexts of a tick share one stacked forward, the same bits as
@@ -43,7 +45,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from ..nn.backends import (
     validate_backend_name,
 )
 from ..nn.layers.contract import numerics_fingerprint
-from .telemetry import Counter, TelemetryRegistry
+from .telemetry import Counter, Histogram, TelemetryRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> serving)
     from ..core.pipeline import SafetyMonitor
@@ -194,14 +196,18 @@ TICK_HISTORY = 65536
 
 @dataclass
 class ServiceStats:
-    """Latency accounting across ticks (populated by :meth:`tick`).
+    """Latency accounting across ticks (populated by
+    :meth:`MonitorService.advance`).
 
     The most recent ``capacity`` per-tick latencies live in a
     preallocated ring ndarray, so :meth:`record` is one scalar store and
     the reductions (:meth:`percentile_ms`, :meth:`mean_ms`) slice the
     ring in place instead of re-materialising the history per query.
-    ``n_ticks``, ``frames_processed`` and ``events_emitted`` count the
-    full service lifetime, past the retained window, and
+    A tick is one frame-deep advance of the pending sessions: an engine
+    step of ``n`` ticks (a fleet worker's round) counts ``n`` of them in
+    ``n_ticks`` and retains ``n`` samples, each the step's time over
+    ``n``.  ``n_ticks``, ``frames_processed`` and ``events_emitted``
+    count the full service lifetime, past the retained window, and
     :attr:`uptime_s` is monotonic wall-clock since construction —
     rebased (not reset) when the stats object crosses a worker pipe.
     """
@@ -228,13 +234,17 @@ class ServiceStats:
         """Monotonic seconds since this stats object started counting."""
         return time.monotonic() - self._started
 
-    def record(self, tick_ms: float, n_frames: int) -> None:
-        """Account one executed tick."""
-        self._ring[self._cursor] = tick_ms
-        self._cursor = (self._cursor + 1) % self.capacity
-        if self._filled < self.capacity:
-            self._filled += 1
-        self.n_ticks += 1
+    def record(self, tick_ms: float, n_frames: int, ticks: int = 1) -> None:
+        """Account one engine step of ``ticks`` ticks and ``n_frames``
+        frames: each tick's sample is the step's time shared evenly."""
+        if ticks == 1:
+            self._ring[self._cursor] = tick_ms
+            self._cursor = (self._cursor + 1) % self.capacity
+            if self._filled < self.capacity:
+                self._filled += 1
+        else:
+            self.extend_ms(np.full(ticks, tick_ms / ticks))
+        self.n_ticks += ticks
         self.frames_processed += n_frames
         self.events_emitted += n_frames
 
@@ -325,7 +335,6 @@ class _Session:
         "slot",
         "pending",
         "feed_ts",
-        "last_feed_ts",
         "offset",
         "frames_done",
         "record_timeline",
@@ -338,11 +347,10 @@ class _Session:
         self.slot = slot
         self.pending: deque[np.ndarray] = deque()
         # One ingest timestamp per pending chunk (monotonic, taken at
-        # feed()); pop_frame_into latches the head chunk's timestamp so
-        # the tick loop can report frame-ingest→event-emission latency
-        # with one perf_counter call per tick, not per frame.
+        # feed()): pop_frames_into hands each frame its chunk's, so the
+        # step reports frame-ingest→event-emission latency with one
+        # perf_counter call, not one per frame.
         self.feed_ts: deque[float] = deque()
-        self.last_feed_ts = 0.0
         self.offset = 0  # row cursor into the head chunk
         self.frames_done = 0
         self.record_timeline = record_timeline
@@ -356,21 +364,90 @@ class _Session:
     def pending_frames(self) -> int:
         return sum(chunk.shape[0] for chunk in self.pending) - self.offset
 
-    def pop_frame_into(self, out: np.ndarray) -> None:
-        """Copy the next pending frame straight into ``out``.
+    def pop_frames_into(
+        self, frames: np.ndarray, stamps: np.ndarray, column: int, count: int
+    ) -> None:
+        """Move the next ``count`` pending frames into rows ``0..count``
+        of ``frames[:, column]``.
 
-        Reads the contiguous head-chunk row in place — no intermediate
-        per-frame array, so the tick loop fills its preallocated frame
-        scratch with one row copy per advanced session.
+        One copy per pending chunk the frames come from, no per-frame
+        array; ``stamps[:, column]`` gets each frame's chunk ingest
+        timestamp, so latency is reported per frame with one
+        ``perf_counter`` call per step.
         """
-        head = self.pending[0]
-        self.last_feed_ts = self.feed_ts[0]
-        out[...] = head[self.offset]
-        self.offset += 1
-        if self.offset >= head.shape[0]:
-            self.pending.popleft()
-            self.feed_ts.popleft()
-            self.offset = 0
+        done = 0
+        while done < count:
+            head, offset = self.pending[0], self.offset
+            take = min(count - done, head.shape[0] - offset)
+            if take == 1:  # the paced shape: a row, not a slice, is cheaper
+                frames[done, column] = head[offset]
+                stamps[done, column] = self.feed_ts[0]
+            else:
+                frames[done : done + take, column] = head[offset : offset + take]
+                stamps[done : done + take, column] = self.feed_ts[0]
+            done += take
+            self.offset = offset + take
+            if self.offset >= head.shape[0]:
+                self.pending.popleft()
+                self.feed_ts.popleft()
+                self.offset = 0
+
+
+class EventBlock:
+    """The events of one engine step (:meth:`MonitorService.advance`),
+    as arrays in emission order: tick-major, and within a tick in
+    session opening order.
+
+    ``sessions`` names the advanced sessions in opening order and
+    ``session`` each event's index into it; ``ticks[k]`` is the number
+    of events of the step's tick ``k``, so the first ``ticks[0]`` rows
+    are what one :meth:`MonitorService.tick` would have returned, and so
+    on.  :meth:`events` builds the :class:`SessionEvent` objects, once.
+    """
+
+    __slots__ = (
+        "sessions",
+        "ticks",
+        "session",
+        "frame",
+        "gesture",
+        "score",
+        "flag",
+        "latency_us",
+        "_events",
+    )
+
+    def __init__(self, sessions, ticks, session, frame, gesture, score, flag, latency_us):
+        self.sessions: list[str] = sessions
+        self.ticks: list[int] = ticks
+        self.session: np.ndarray = session
+        self.frame: np.ndarray = frame
+        self.gesture: np.ndarray = gesture
+        self.score: np.ndarray = score
+        self.flag: np.ndarray = flag
+        self.latency_us: np.ndarray = latency_us
+        self._events: list[SessionEvent] | None = None
+
+    def __len__(self) -> int:
+        return int(self.frame.shape[0])
+
+    def events(self) -> list[SessionEvent]:
+        """The block as :class:`SessionEvent` objects, in its order."""
+        if self._events is None:
+            ids = self.sessions
+            # Positional: a frozen dataclass's keywords cost a third more.
+            self._events = [
+                SessionEvent(ids[i], frame, gesture, score, flag, None, latency_us)
+                for i, frame, gesture, score, flag, latency_us in zip(
+                    self.session.tolist(),
+                    self.frame.tolist(),
+                    self.gesture.tolist(),
+                    self.score.tolist(),
+                    self.flag.tolist(),
+                    self.latency_us.tolist(),
+                )
+            ]
+        return self._events
 
 
 class MonitorService:
@@ -433,13 +510,15 @@ class MonitorService:
         self.history_frames = max(
             self._gesture_window.window, monitor.config.error_window.window
         )
-        # The frame ring and per-tick scratch are allocated on the first
-        # feed, when the kinematics feature width becomes known.
+        # The frame ring and the step's staging scratch are allocated on
+        # the first feed, when the kinematics feature width becomes known
+        # (the scratch grows to the deepest step asked for).
         self._ring: StreamingWindowBatch | None = None
         self._n_features: int | None = None
         self._slots_scratch: np.ndarray | None = None
         self._frames_scratch: np.ndarray | None = None
-        self._g_frames_scratch: np.ndarray | None = None
+        self._stamps_scratch: np.ndarray | None = None
+        self._windows_scratch: np.ndarray | None = None
         self._feature_idx: np.ndarray | None = None
         self._current_gesture = np.zeros(max_sessions, dtype=np.int64)
         self._current_score = np.zeros(max_sessions)
@@ -466,7 +545,7 @@ class MonitorService:
         self.telemetry.label("error_path", self._error_path)
         self._member_calls = self.telemetry.counter("error_member_calls")
         self._stacked_passes = self.telemetry.counter("error_stacked_passes")
-        self._observe_latency: Callable[[float], None] | None = None
+        self._latency: Histogram | None = None
         self._events_emitted: Counter | None = None
         self._events_flagged: Counter | None = None
 
@@ -790,144 +869,213 @@ class MonitorService:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def tick(self) -> list[SessionEvent]:
-        """Advance every session with pending input by one frame.
+    def advance(self, n: int = 1) -> EventBlock | None:
+        """Advance every session with pending input by up to ``n`` frames.
 
-        Runs the gesture stage **once** — one LSTM step of every
-        in-flight window chain of every advanced session, the completed
+        The engine's one step: ``n`` ticks at most, tick-major, each
+        session advanced by ``min(n, its backlog now)`` frames — exactly
+        what ``n`` successive :meth:`tick` calls with no feed between
+        them would do, bit for bit.  Per frame, as in a tick, the
+        gesture stage runs **once** across the sessions it advances —
+        one LSTM step of every in-flight window chain, the completed
         chains handed to the rest of the model (a gesture model that
         does not lead with an LSTM stack scores the ready windows
-        instead) — then the error stage **once**: the ready error
-        windows go to the library backend
-        (:class:`~repro.nn.backends.LibraryBackend`) with the gesture
-        context of each, and under the reference backend every context
-        that brings fewer than ``ROW_BLOCK`` windows shares one stacked
-        forward.  That is one model invocation per stage per tick,
-        regardless of how many sessions advanced or how many gestures
-        are active — with three exceptions the ``error_path`` telemetry
-        label and the ``error_member_calls`` / ``error_stacked_passes``
-        counters account for: a context alone in the tick, or one that
-        fills a row block by itself, keeps one call of its member's
-        model (stacking loses there), and the compiled backends, like a
-        library whose members do not share one architecture, make one
-        member call per distinct active gesture.  The advanced slots and their popped frames are staged in
-        preallocated scratch (no per-tick slot/stack arrays).
+        instead) — so each error window gets the gesture context current
+        at its own frame.  Once per step: the frames are staged (one
+        slice copy per pending chunk), and every error window the step
+        completes goes to the library backend
+        (:class:`~repro.nn.backends.LibraryBackend`) in **one** call:
+        under the reference backend every context that brings fewer
+        than ``ROW_BLOCK`` windows shares one stacked forward (a context
+        alone in the call, or one that fills a row block by itself,
+        keeps one call of its member's model; the compiled backends,
+        like a library whose members do not share one architecture,
+        make one member call per distinct context) — the
+        ``error_path`` label and the ``error_member_calls`` /
+        ``error_stacked_passes`` counters account for it.  Rows are
+        scored independently, so the step's results do not depend on
+        ``n``.  Timelines, telemetry and :attr:`stats` are written once
+        per step too.
 
         Returns
         -------
-        list[SessionEvent]
-            One event per advanced session, in session opening order;
-            empty when no session had pending frames (an idle tick is a
-            no-op and is not recorded in :attr:`stats`).  Events report
+        EventBlock or None
+            The step's events as arrays, in emission order; ``None``
+            when no session had pending frames (an idle step is a no-op
+            and is not recorded in :attr:`stats`).  Events report
             gesture 0 and score 0.0 while a session's windows are still
-            warming up.
-
-        Each non-empty tick appends one latency sample to :attr:`stats`.
+            warming up.  A non-empty step of ``k`` ticks counts ``k``
+            ticks in :attr:`stats` (:class:`ServiceStats`).
         """
+        if n < 1:
+            raise ConfigurationError(f"a step advances sessions by n >= 1 frames, got {n}")
         active = [s for s in self._sessions.values() if s.pending]
         if not active:
-            return []
+            return None
         start = time.perf_counter()
-        assert (
-            self._ring is not None
-            and self._slots_scratch is not None
-            and self._frames_scratch is not None
-        )
-        n_active = len(active)
-        slots = self._slots_scratch[:n_active]
-        frames = self._frames_scratch[:n_active]
-        for i, session in enumerate(active):
+        ring = self._ring
+        assert ring is not None and self._slots_scratch is not None
+        m = len(active)
+        depth = [1] * m if n == 1 else [min(n, s.pending_frames()) for s in active]
+        ticks = max(depth)
+        # Every session advances every tick (the saturated and the
+        # one-frame shape), or each only while its backlog lasts.
+        members = None if min(depth) == ticks else np.array(depth)
+        slots = self._slots_scratch[:m]
+        frames, stamps, e_block = self._staging(ticks, m)
+        done = []  # each session's first frame index in this step
+        recording = False
+        for i, (session, count) in enumerate(zip(active, depth)):
             slots[i] = session.slot
-            session.pop_frame_into(frames[i])
+            session.pop_frames_into(frames, stamps, i, count)
+            done.append(session.frames_done)
+            session.frames_done += count
+            recording = recording or session.record_timeline
 
         # A rebound gesture model rebuilds its chains from the ring as it
-        # stands before this tick's frames.
+        # stands before this step's frames.
         gesture_backend = self._gesture_backend_or_none()
-        # The tick's one ring write; the error windows it completes are
-        # copies, scored below once the gesture context is current.
-        e_ready, e_windows = self._ring.push(frames, slots)
-        if self._gesture_stepper is not None:
-            g_seen = self._ring.frames_seen.take(slots)
-            g_ready = self._gesture_window.completes(g_seen)
-            if self._feature_idx is None:
-                g_frames = frames
+        stepper = self._gesture_stepper
+        if stepper is not None and self._feature_idx is not None:
+            g_block = np.take(frames, self._feature_idx, axis=2)
+        else:
+            g_block = frames
+        current_gesture, current_score = self._current_gesture, self._current_score
+        gestures = np.empty((ticks, m), dtype=np.int64)
+        # The error windows the ticks complete under a known gesture
+        # (the first ``n_scored`` rows of ``e_block``), their contexts,
+        # and per tick whose they are.
+        n_scored = 0
+        contexts: list[np.ndarray] = []
+        owners: dict[int, np.ndarray] = {}
+        for t in range(ticks):
+            if members is None:
+                sel, slots_t, frames_t, g_frames = None, slots, frames[t], g_block[t]
             else:
-                assert self._g_frames_scratch is not None
-                g_frames = self._g_frames_scratch[:n_active]
-                np.take(frames, self._feature_idx, axis=1, out=g_frames)
-            self._current_gesture[slots[g_ready]] = (
-                self._gesture_stepper.step(g_frames, slots, g_seen, g_ready) + 1
-            )
-        elif gesture_backend is not None:
-            g_ready, g_windows = self._ring.windows(
-                self._gesture_window, slots, self._feature_idx
-            )
-            if g_ready.any():
-                self._current_gesture[slots[g_ready]] = (
-                    gesture_backend.predict(g_windows) + 1
+                sel = np.flatnonzero(members > t)
+                slots_t, frames_t, g_frames = slots[sel], frames[t, sel], g_block[t, sel]
+            e_ready, e_windows = ring.push(frames_t, slots_t)
+            if stepper is not None:
+                g_seen = ring.frames_seen.take(slots_t)
+                g_ready = self._gesture_window.completes(g_seen)
+                current_gesture[slots_t[g_ready]] = (
+                    stepper.step(g_frames, slots_t, g_seen, g_ready) + 1
                 )
+            elif gesture_backend is not None:
+                g_ready, g_windows = ring.windows(
+                    self._gesture_window, slots_t, self._feature_idx
+                )
+                if g_ready.any():
+                    current_gesture[slots_t[g_ready]] = (
+                        gesture_backend.predict(g_windows) + 1
+                    )
+            current_gesture.take(slots, out=gestures[t])
+            if e_windows.shape[0]:
+                e_index = e_ready.nonzero()[0]
+                if sel is not None:
+                    e_index = sel.take(e_index)
+                context = gestures[t].take(e_index)
+                # Sessions without a gesture context yet keep their score.
+                known = context.nonzero()[0]
+                if known.shape[0] < context.shape[0]:
+                    e_windows, context, e_index = (
+                        e_windows.take(known, axis=0), context.take(known), e_index.take(known)
+                    )
+                if context.shape[0]:
+                    e_block[n_scored : n_scored + context.shape[0]] = e_windows
+                    n_scored += context.shape[0]
+                    contexts.append(context)
+                    owners[t] = e_index
 
-        if e_windows.shape[0]:
-            e_slots = slots[e_ready]
-            gestures = self._current_gesture.take(e_slots)
-            known = gestures > 0
-            # Sessions without a gesture context yet keep their score;
-            # a gesture without a trained classifier scores 0.0 (safe).
+        scored = None
+        if contexts:
+            # A gesture without a trained classifier scores 0.0 (safe).
             library = self._error_library
             calls, passes = library.member_calls, library.stacked_passes
-            self._current_score[e_slots[known]] = library.score(
-                e_windows, gestures
-            )[known]
+            scored = library.score(
+                e_block[:n_scored],
+                contexts[0] if len(contexts) == 1 else np.concatenate(contexts),
+            )
             path = library.path
             if path != self._error_path:
                 self.telemetry.label("error_path", path)
                 self._error_path = path
             self._member_calls.inc(library.member_calls - calls)
             self._stacked_passes.inc(library.stacked_passes - passes)
+        # Scores are sticky: tick by tick, a scored window replaces its
+        # session's score and every other session keeps its own.
+        scores = np.empty((ticks, m))
+        at = 0
+        for t in range(ticks):
+            index = owners.get(t)
+            if index is not None:
+                current_score[slots.take(index)] = scored[at : at + index.shape[0]]
+                at += index.shape[0]
+            current_score.take(slots, out=scores[t])
 
-        # Everything the per-session loop needs is looked up once per
-        # tick: current gesture/score as plain Python values (one gather
-        # each instead of two numpy scalar reads per session), the
-        # threshold, the latency instrument and the list append.
-        threshold = self.monitor.threshold
-        gestures_now = self._current_gesture.take(slots).tolist()
-        scores_now = self._current_score.take(slots).tolist()
-        observe_latency = self._observe_latency
-        if observe_latency is None:
-            observe_latency = self._observe_latency = self.telemetry.histogram(
-                "alert_latency_us"
-            ).observe
-            self._events_emitted = self.telemetry.counter("events_emitted")
-        events: list[SessionEvent] = []
-        emit = events.append
+        # The events, tick-major: every cell of the (tick, session)
+        # grid, or the cells each session's backlog reached.
+        done = np.array(done)
+        if members is None:
+            per_tick = [m] * ticks
+            session_index = np.arange(m) if ticks == 1 else np.arange(ticks * m) % m
+            frame = done if ticks == 1 else np.add.outer(np.arange(ticks), done).reshape(-1)
+            gesture, score, stamp = gestures.reshape(-1), scores.reshape(-1), stamps.reshape(-1)
+        else:
+            cells = np.arange(ticks)[:, None] < members
+            per_tick = cells.sum(axis=1).tolist()
+            tick_index, session_index = np.nonzero(cells)
+            frame = done.take(session_index) + tick_index
+            gesture, score, stamp = gestures[cells], scores[cells], stamps[cells]
+        flag = score >= self.monitor.threshold
         now = time.perf_counter()
-        n_flagged = 0
-        for session, gesture, score in zip(active, gestures_now, scores_now):
-            if session.record_timeline:
-                session.gestures.append(gesture)
-                session.scores.append(score)
-            flag = score >= threshold
-            n_flagged += flag
-            last_feed_ts = session.last_feed_ts
-            latency_us = (now - last_feed_ts) * 1e6 if last_feed_ts else 0.0
-            if latency_us > 0.0:
-                observe_latency(latency_us)
-            # Positional: a frozen dataclass's keywords cost a third more.
-            emit(
-                SessionEvent(
-                    session.id, session.frames_done, gesture, score, flag, None, latency_us
-                )
-            )
-            session.frames_done += 1
-        self.stats.record(1000.0 * (time.perf_counter() - start), len(active))
-        self._events_emitted.inc(len(events))
+        latency_us = (now - stamp) * 1e6
+        if recording:
+            for session, count, g_column, s_column in zip(
+                active, depth, gestures.T.tolist(), scores.T.tolist()
+            ):
+                if session.record_timeline:
+                    session.gestures.extend(g_column[:count])
+                    session.scores.extend(s_column[:count])
+
+        n_events = frame.shape[0]
+        self.stats.record(1000.0 * (time.perf_counter() - start), n_events, ticks)
+        if self._latency is None:
+            self._latency = self.telemetry.histogram("alert_latency_us")
+            self._events_emitted = self.telemetry.counter("events_emitted")
+        self._latency.observe_many(latency_us)
+        self._events_emitted.inc(n_events)
+        n_flagged = int(np.count_nonzero(flag))
         if n_flagged:
             if self._events_flagged is None:
                 self._events_flagged = self.telemetry.counter("events_flagged")
-            self._events_flagged.inc(int(n_flagged))
+            self._events_flagged.inc(n_flagged)
+        block = EventBlock(
+            [session.id for session in active],
+            per_tick,
+            session_index,
+            frame,
+            gesture,
+            score,
+            flag,
+            latency_us,
+        )
         if self.event_store is not None:
-            self.event_store.append_batch(events)
-        return events
+            self.event_store.append_batch(block.events())
+        return block
+
+    def tick(self) -> list[SessionEvent]:
+        """Advance every session with pending input by one frame: the
+        engine step (:meth:`advance`) at ``n = 1``, as events.
+
+        Returns
+        -------
+        list[SessionEvent]
+            One event per advanced session, in session opening order;
+            empty when no session had pending frames.
+        """
+        block = self.advance(1)
+        return [] if block is None else block.events()
 
     def drain(self, collect: bool = True) -> list[SessionEvent]:
         """Tick until no session has pending frames.
@@ -986,13 +1134,32 @@ class MonitorService:
             n_features,
             history=self.history_frames,
         )
-        # Per-tick staging scratch: slot ids and one popped frame per
-        # advanced session, reused across every tick.
         self._slots_scratch = np.empty(self.max_sessions, dtype=np.int64)
-        self._frames_scratch = np.empty((self.max_sessions, n_features))
         feature_idx = self.monitor.gesture_classifier.config.feature_indices
         if feature_idx is not None:
             self._feature_idx = np.asarray(feature_idx, dtype=np.intp)
-            self._g_frames_scratch = np.empty(
-                (self.max_sessions, len(feature_idx))
+
+    def _staging(
+        self, ticks: int, n_active: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A step's scratch, reused across steps and grown to the deepest
+        step asked for: frames and their ingest stamps, one row per tick
+        and one column per session, and room for every error window the
+        step can complete (one per session and tick)."""
+        if self._frames_scratch is None or self._frames_scratch.shape[0] < ticks:
+            assert self._n_features is not None
+            self._frames_scratch = np.empty((ticks, self.max_sessions, self._n_features))
+            self._stamps_scratch = np.empty((ticks, self.max_sessions))
+            self._windows_scratch = np.empty(
+                (
+                    ticks * self.max_sessions,
+                    self.monitor.config.error_window.window,
+                    self._n_features,
+                )
             )
+        assert self._stamps_scratch is not None and self._windows_scratch is not None
+        return (
+            self._frames_scratch[:ticks, :n_active],
+            self._stamps_scratch[:ticks, :n_active],
+            self._windows_scratch[: ticks * n_active],
+        )

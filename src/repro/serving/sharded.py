@@ -1218,10 +1218,10 @@ class ShardedMonitorService:
         deferred ingest failures, while the survivors' events flow on.
 
         A ``tick`` request may carry ``ticks=n > 1``: the worker then runs
-        up to ``n`` ticks back to back and announces their batches in one
-        reply.  An error reply may announce the batches of the ticks that
-        completed before the one that failed; they are delivered before
-        the shard fails safe.
+        one engine step of up to ``n`` ticks and announces their batches
+        in one reply.  An error reply may announce the batches written
+        before the failure; they are delivered before the shard fails
+        safe.
 
         The events are the k-th ticks of all shards merged in global
         session opening order (what one :class:`MonitorService` over the
@@ -1265,8 +1265,8 @@ class ShardedMonitorService:
                 ticks.setdefault(done, []).extend(
                     self._fail_shard(handle, str(exc))
                 )
-        # After the round's last tick: a block rejected between two
-        # ticks of a round follows the events its session got before.
+        # After the round's last tick: a block the worker rejected after
+        # its step follows the events the step gave its session.
         ticks[max(ticks)].extend(self._ingest_failures())
         yield [
             event
@@ -1589,14 +1589,10 @@ class ShardedMonitorService:
                     route,
                 )
                 continue
+            # Positional: a frozen dataclass's keywords cost a third more.
             events.append(
                 SessionEvent(
-                    session_id=session_id,
-                    frame_index=frame,
-                    gesture=gesture,
-                    score=score,
-                    flag=bool(flags & 1),
-                    latency_us=latency_us,
+                    session_id, frame, gesture, score, bool(flags & 1), None, latency_us
                 )
             )
         return events

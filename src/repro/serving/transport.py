@@ -92,11 +92,11 @@ class Request:
     #: Integer route id the session is addressed by on the shm rings;
     #: always set by ``open`` and ``migrate_in``.
     route: int | None = None
-    #: ``tick``: the most ticks the worker runs back to back for this
-    #: one request, at most :data:`TICKS_PER_ROUND`.  It runs no more
-    #: than the longest per-session backlog the shard held when the
-    #: request arrived, and stops early once the shard has no pending
-    #: frame.
+    #: ``tick``: the most ticks of the one engine step the worker runs
+    #: for this request (``MonitorService.advance``), at most
+    #: :data:`TICKS_PER_ROUND`.  No session advances past the backlog
+    #: it held when the request arrived, so the step is as many ticks
+    #: as the longest of those backlogs, if that is fewer.
     ticks: int = 1
 
 

@@ -11,15 +11,19 @@ two shared-memory rings (:mod:`repro.serving.shm`) the router created
 for this shard:
 
 - **frame ring** (in): the worker reads it empty before it dispatches
-  *any* pipe request, between the ticks of one ``tick`` round, and
+  *any* pipe request, after the engine step of a ``tick`` round, and
   after each reply.  So a ``feed`` written to the ring is always
   ordered ahead of the ``tick``/``close``/``migrate_out`` that followed
   it on the router thread, and a writer that found the ring full gets
   its room back by sending a ``ping``.  Then the worker sleeps in the
   pipe read until the next request: no timer wakes it.
-- **event ring** (out): each tick's event batch is packed as one
-  :data:`~repro.serving.shm.EVENT_DTYPE` record; the pipe reply carries
-  only the batch count.  This is the only way events leave a worker.
+- **event ring** (out): a ``tick`` round is one engine step
+  (:meth:`MonitorService.advance`) of up to ``ticks`` frames per
+  session, and each of its ticks goes on the ring as one
+  :data:`~repro.serving.shm.EVENT_DTYPE` record, packed column by
+  column from the step's arrays — no per-event object; the pipe reply
+  carries only the batch count.  This is the only way events leave a
+  worker.
   The router sizes the ring to hold one round and reads it empty before
   the next, so a batch that does not fit is a broken contract: the tick
   round raises, and the shard fails safe.
@@ -43,7 +47,7 @@ import numpy as np
 
 from ..errors import WorkerError
 from ..nn.backends import DEFAULT_BACKEND
-from .service import MonitorService, SessionEvent
+from .service import EventBlock, MonitorService
 from .shm import EVENT_DTYPE, ShmRing
 from .snapshot import monitor_from_bytes, session_from_bytes, session_to_bytes
 from .transport import Reply, Request, error_reply, recv_message
@@ -123,59 +127,55 @@ class _ShardWorker:
     # ------------------------------------------------------------------
     # Event ring egress
     # ------------------------------------------------------------------
-    def _encode_events(self, events: list[SessionEvent]) -> np.ndarray:
-        if len(events) > self._event_scratch.shape[0]:
-            self._event_scratch = np.empty(len(events), dtype=EVENT_DTYPE)
-        batch = self._event_scratch[: len(events)]
-        for i, event in enumerate(events):
-            batch[i] = (
-                self._routes[event.session_id],
-                event.frame_index,
-                event.gesture,
-                event.score,
-                1 if event.flag else 0,
-                event.latency_us,
-            )
-        return batch
-
-    def _publish(self, events: list[SessionEvent]) -> None:
-        """Write one tick's batch to the event ring; raise if it does not fit."""
-        if not self.event_ring.try_write_events(self._encode_events(events)):
-            raise WorkerError(
-                f"event ring full: a batch of {len(events)} events does not fit"
-            )
+    def _records(self, block: EventBlock) -> np.ndarray:
+        """The block's events as :data:`EVENT_DTYPE` rows, column by
+        column into reusable scratch (grown on demand)."""
+        n = len(block)
+        if n > self._event_scratch.shape[0]:
+            self._event_scratch = np.empty(n, dtype=EVENT_DTYPE)
+        records = self._event_scratch[:n]
+        routes = np.array([self._routes[sid] for sid in block.sessions], dtype=np.uint64)
+        records["route"] = routes.take(block.session)
+        records["frame"] = block.frame
+        records["gesture"] = block.gesture
+        records["score"] = block.score
+        records["flags"] = block.flag
+        records["latency_us"] = block.latency_us
+        return records
 
     def tick_round(self, ticks: int) -> Reply:
-        """Up to ``ticks`` service ticks back to back, one reply.
+        """One engine step of up to ``ticks`` ticks, one reply.
 
-        The round is bounded by the work pending when it starts: at most
-        as many ticks as the longest per-session backlog held then, and
-        it ends early once the shard has no pending frame.  The frame
-        ring is drained after each tick, but the frames that drain
-        brings in cannot lengthen the round — a round started with one
-        frame pending per session is one tick, whatever lands meanwhile.
+        The round is :meth:`MonitorService.advance`: bounded by the work
+        pending when it starts — every session advances by at most
+        ``ticks`` frames and at most its backlog then — and its error
+        windows are scored in one library call.  The frame ring is read
+        before the round (:meth:`serve`) and after it, never in
+        between: frames that land while the round runs wait for the
+        next one, and a block rejected then evicts its session after
+        the round gave it every frame it was owed.
 
-        Returns ``Reply(value=n_batches)``: each tick's batch goes on
-        the event ring as it completes, before the drain that follows it
-        (which may evict a session, and drop its route, that the tick
-        served).  A tick that raises, or a batch that does not fit the
-        ring, ends the round with an error reply that still announces
-        the batches written before it, so the router delivers them
-        before it fails the shard safe.
+        Returns ``Reply(value=n_batches)``: each tick of the step goes on
+        the event ring as one :data:`EVENT_DTYPE` record, packed from
+        the step's arrays.  A step that raises, or a record that does
+        not fit the ring, ends the round with an error reply that still
+        announces the records written before it, so the router delivers
+        them before it fails the shard safe.
         """
-        service = self.service
-        owed = max(
-            (service.pending_frames(session_id) for session_id in service.session_ids),
-            default=0,
-        )
         n_batches = 0
         try:
-            for _ in range(min(ticks, owed)):
-                if not service.has_pending:
-                    break
-                self._publish(service.tick())
-                n_batches += 1
-                self.consume_frames()
+            block = self.service.advance(ticks)
+            if block is not None:
+                records = self._records(block)
+                start = 0
+                for count in block.ticks:
+                    if not self.event_ring.try_write_events(records[start : start + count]):
+                        raise WorkerError(
+                            f"event ring full: a batch of {count} events does not fit"
+                        )
+                    n_batches += 1
+                    start += count
+            self.consume_frames()
         except Exception as exc:  # noqa: BLE001 - reduced to an error reply
             return dataclasses.replace(error_reply(exc), value=n_batches)
         return Reply(ok=True, value=n_batches)

@@ -224,7 +224,10 @@ class TestRemoteParity:
         self, monitor, n_shards, backend
     ):
         """The headline guarantee: the socket adds nothing and loses
-        nothing — scores, gestures, flags and order are identical."""
+        nothing — scores, gestures, flags and order are identical.  A
+        compiled fleet round scores the error windows of all its ticks
+        in one call, and compiled scores depend on the batch, so behind
+        K = 2 compiled scores hold the backend's tolerance instead."""
         trajectory = make_random_walk_trajectory(
             40, n_features=N_FEATURES, seed=11
         )
@@ -236,6 +239,14 @@ class TestRemoteParity:
                 events = client.stream_session(
                     trajectory.frames, session_id="s", chunk_size=7
                 )
+        if backend == "compiled" and n_shards > 1:
+            assert [event_key(e)[:3] + event_key(e)[4:] for e in events] == [
+                event_key(e)[:3] + event_key(e)[4:] for e in reference
+            ]
+            np.testing.assert_allclose(
+                [e.score for e in events], [e.score for e in reference], atol=1e-6
+            )
+            return
         assert [event_key(e) for e in events] == [
             event_key(e) for e in reference
         ]
@@ -836,19 +847,22 @@ class TestFailSafe:
         not follow it there, and ends in one fail-safe terminal after the
         bounded rebuilds when it does."""
         fired = tmp_path / "fired"
-        real_tick = MonitorService.tick
+        real_advance = MonitorService.advance
 
-        def tick(self):
-            if (
-                "doomed" in self.session_ids
-                and self.frames_done("doomed") >= 3
-                and not (resume == "on-once" and fired.exists())
+        def advance(self, n=1):
+            # A step never carries "doomed" past frame 3, so the failure
+            # lands there, as a failing tick would.
+            if "doomed" in self.session_ids and not (
+                resume == "on-once" and fired.exists()
             ):
-                fired.touch()
-                raise exc_type("injected tick failure")
-            return real_tick(self)
+                done = self.frames_done("doomed")
+                if done >= 3:
+                    fired.touch()
+                    raise exc_type("injected tick failure")
+                n = min(n, 3 - done)
+            return real_advance(self, n)
 
-        monkeypatch.setattr(MonitorService, "tick", tick)
+        monkeypatch.setattr(MonitorService, "advance", advance)
         frames = make_random_walk_trajectory(
             20, n_features=N_FEATURES, seed=77
         ).frames

@@ -213,7 +213,8 @@ class TestBackendSelection:
         reproduce one local compiled MonitorService — gestures, event
         order and flags exactly, scores bit-for-bit, because every
         worker compiles the identical plan from the same snapshot and
-        sees the same per-shard batches."""
+        sees the same per-shard batches.  A fleet drains in rounds of
+        ``TICKS_PER_ROUND``-tick steps, so the local engine does too."""
         fleet = make_fleet(5, base_seed=950, frames=30)
         local = MonitorService(monitor, max_sessions=8, backend="compiled")
         with ShardedMonitorService(
@@ -228,7 +229,9 @@ class TestBackendSelection:
                     target.open_session(session_id)
                     target.feed(session_id, trajectory.frames)
             sharded_events = service.drain()
-            local_events = local.drain()
+            local_events = []
+            while (block := local.advance(TICKS_PER_ROUND)) is not None:
+                local_events.extend(block.events())
         assert [
             (e.session_id, e.frame_index, e.gesture, e.flag)
             for e in sharded_events
@@ -891,20 +894,22 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def failing_tick(exc_type, after, session_id="doomed"):
-    """A ``MonitorService.tick`` that raises on whichever worker serves
-    ``session_id``, once that session has been served ``after`` frames."""
-    real_tick = MonitorService.tick
+def failing_step(exc_type, after, session_id="doomed"):
+    """A ``MonitorService.advance`` that raises on whichever worker serves
+    ``session_id``, once that session has been served ``after`` frames.
+    A step never carries the session past that frame, so the failure
+    lands exactly there, as a failing tick would."""
+    real_advance = MonitorService.advance
 
-    def tick(self):
-        if (
-            session_id in self.session_ids
-            and self.frames_done(session_id) >= after
-        ):
-            raise exc_type("injected tick failure")
-        return real_tick(self)
+    def advance(self, n=1):
+        if session_id in self.session_ids:
+            done = self.frames_done(session_id)
+            if done >= after:
+                raise exc_type("injected tick failure")
+            n = min(n, after - done)
+        return real_advance(self, n)
 
-    return tick
+    return advance
 
 
 def raising(exc_type):
@@ -968,7 +973,7 @@ class TestFailingWorkerTick:
         reference = {}
         for event in ref_events:
             reference.setdefault(event.session_id, []).append(event_key(event))
-        monkeypatch.setattr(MonitorService, "tick", failing_tick(exc_type, after=3))
+        monkeypatch.setattr(MonitorService, "advance", failing_step(exc_type, after=3))
 
         async def run():
             batches = []
@@ -1114,7 +1119,7 @@ class TestFailingWorkerTick:
         returns the healthy shard's events and the failing shard's
         terminal, and no reply is left in any pipe — the next control op
         on the healthy shard gets *its own* reply."""
-        monkeypatch.setattr(MonitorService, "tick", failing_tick(exc_type, after=2))
+        monkeypatch.setattr(MonitorService, "advance", failing_step(exc_type, after=2))
         with ShardedMonitorService(
             monitor, n_shards=2, max_sessions_per_shard=4, start_method="fork"
         ) as service:
@@ -1267,11 +1272,11 @@ class TestMultiTickRound:
         assert per_session_keys(events) == per_session_keys(ref_events)
 
     def test_frames_landing_mid_round_do_not_lengthen_it(self, monitor):
-        """The worker drains the frame ring between the ticks of a round
-        (back-pressure), but the round is bounded by the backlog it
-        started with: a block written while it runs waits for the next
-        round.  Paced sessions — one frame each pending, a new frame
-        landing after every tick — get a one-tick round."""
+        """A round is one engine step, bounded by the backlog it started
+        with: a block written while it runs is read off the frame ring
+        after the step (back-pressure) and waits for the next round.
+        Paced sessions — one frame each pending, a new frame landing
+        during every round — get a one-tick round."""
         service = MonitorService(monitor, max_sessions=4)
         frames = {
             session_id: make_random_walk_trajectory(
@@ -1283,21 +1288,21 @@ class TestMultiTickRound:
             worker = _ShardWorker(service, frame_ring, event_ring)
             worker.bind_route(service.open_session("s"), 0)
             service.feed("s", frames["s"][:2])
-            real_tick = service.tick
-            landing = []  # (route, frames) written after each tick
+            real_advance = service.advance
+            landing = []  # (route, frames) written while each step runs
 
-            def tick():
-                events = real_tick()
+            def advance(n):
+                block = real_advance(n)
                 if landing:
                     assert frame_ring.try_write_frames(*landing.pop(0))
-                return events
+                return block
 
             def ticked_frames(n_ring):
                 return [
                     event_ring.read_events()["frame"].tolist() for _ in range(n_ring)
                 ]
 
-            service.tick = tick
+            service.advance = advance
             landing.append((0, frames["s"][2:5]))
             reply = worker.tick_round(8)
             assert reply.ok
@@ -1321,9 +1326,9 @@ class TestMultiTickRound:
             assert [service.pending_frames(sid) for sid in ("s", "p", "q")] == [1, 0, 0]
 
     def test_a_session_evicted_mid_round_keeps_the_events_it_got(self, monitor):
-        """A block the worker rejects between two ticks of a round evicts
-        its session; the events earlier ticks of the round gave it are
-        still announced under its route, and the rejection rides the
+        """A block the worker rejects while a round runs evicts its
+        session after the round: the round still gives it every frame it
+        was owed, announced under its route, and the rejection rides the
         reply for the router to fail the session safe after them."""
         service = MonitorService(monitor, max_sessions=2)
         frames = make_random_walk_trajectory(6, n_features=N_FEATURES, seed=1365).frames
@@ -1332,20 +1337,20 @@ class TestMultiTickRound:
             for route, session_id in enumerate(("kept", "evicted")):
                 worker.bind_route(service.open_session(session_id), route)
                 service.feed(session_id, frames)
-            real_tick = service.tick
+            real_advance = service.advance
 
-            def tick():
-                events = real_tick()
-                if service.stats.n_ticks == 1:  # a block of the wrong width
-                    assert frame_ring.try_write_frames(1, np.zeros((2, N_FEATURES + 1)))
-                return events
+            def advance(n):
+                block = real_advance(n)
+                # A block of the wrong width, written while the step runs.
+                assert frame_ring.try_write_frames(1, np.zeros((2, N_FEATURES + 1)))
+                return block
 
-            service.tick = tick
+            service.advance = advance
             reply = worker.tick_round(4)
             assert reply.ok
             assert reply.value == 4
             routes = [event_ring.read_events()["route"].tolist() for _ in range(4)]
-            assert routes == [[0, 1], [0], [0], [0]]
+            assert routes == [[0, 1]] * 4
             assert [route for route, _ in worker.take_ingest_errors()] == [1]
             assert list(service.session_ids) == ["kept"]
 
@@ -1387,7 +1392,7 @@ class TestMultiTickRound:
         request gets its reply, and the other shard's streams stay
         bit-identical to one service."""
         monkeypatch.setattr(
-            MonitorService, "tick", failing_tick(RuntimeError, after=after)
+            MonitorService, "advance", failing_step(RuntimeError, after=after)
         )
         fleet = make_fleet(4, base_seed=1370, frames=24, step=0)
         doomed = {"doomed": fleet.pop("proc-0"), "buddy": fleet.pop("proc-1")}
@@ -1448,6 +1453,105 @@ class TestMultiTickRound:
         batches = asyncio.run(run())
         assert [len(batch) for batch in batches] == [TICKS_PER_ROUND] * 2 + [3]
         assert [e.frame_index for batch in batches for e in batch] == list(range(n_frames))
+
+
+class TestFrontEndDrainIsEventDriven:
+    """``AsyncShardedMonitor.drain`` waits on no timer: a ticker whose
+    round (or idle pass) leaves no live shard pending wakes it, and so
+    does a ticker that stops because its shard failed."""
+
+    def _spy_rounds(self, monkeypatch, after_round=None):
+        """Log, after every ticker round, whether the fleet still has
+        pending frames; ``after_round(frontend, index)`` runs then too."""
+        real_tick = AsyncShardedMonitor._tick
+        log = []
+
+        async def tick(self, index):
+            events = await real_tick(self, index)
+            log.append(self.service.has_pending)
+            if after_round is not None:
+                after_round(self, index)
+            return events
+
+        monkeypatch.setattr(AsyncShardedMonitor, "_tick", tick)
+        return log
+
+    def test_drain_returns_with_the_round_that_empties_the_backlog(
+        self, monitor, monkeypatch
+    ):
+        log = self._spy_rounds(monkeypatch)
+        fleet = make_fleet(4, base_seed=1390, frames=3 * TICKS_PER_ROUND, step=3)
+        timed = []
+        real_sleep = asyncio.sleep
+
+        async def sleep(delay, *args, **kwargs):
+            if delay:
+                timed.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        async def run():
+            batches = []
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=4
+            ) as service:
+                async with AsyncShardedMonitor(service, sink=batches.append) as frontend:
+                    for session_id, trajectory in fleet.items():
+                        await frontend.open_session(session_id)
+                        await frontend.feed(session_id, trajectory.frames)
+                    monkeypatch.setattr(asyncio, "sleep", sleep)
+                    await frontend.drain()
+                    monkeypatch.setattr(asyncio, "sleep", real_sleep)
+                    rounds = len(log)
+                    assert not service.has_pending
+            return batches, rounds
+
+        batches, rounds = asyncio.run(run())
+        # The first round that left the fleet idle was the last one, and
+        # drain returned on it: no round ran after, none was waited for.
+        assert log.index(False) == rounds - 1 == len(log) - 1
+        assert timed == []
+        ref_events, _ = single_service_reference(monitor, fleet)
+        events = [e for batch in batches for e in batch]
+        assert per_session_keys(events) == per_session_keys(ref_events)
+
+    def test_drain_does_not_hang_when_a_shard_fails_mid_drain(
+        self, monitor, monkeypatch
+    ):
+        doomed = {}
+
+        def after_round(frontend, index):
+            if index == doomed.get("shard") and not doomed.get("killed"):
+                doomed["killed"] = True
+                kill_worker(frontend.service, index)
+
+        self._spy_rounds(monkeypatch, after_round)
+        fleet = make_fleet(4, base_seed=1395, frames=6 * TICKS_PER_ROUND, step=0)
+
+        async def run():
+            batches = []
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=4
+            ) as service:
+                async with AsyncShardedMonitor(service, sink=batches.append) as frontend:
+                    for session_id in fleet:
+                        await frontend.open_session(session_id)
+                    doomed["shard"] = service.shard_of("proc-0")
+                    victims = set(service.sessions_on(doomed["shard"]))
+                    assert victims < set(fleet)
+                    for session_id, trajectory in fleet.items():
+                        await frontend.feed(session_id, trajectory.frames)
+                    await asyncio.wait_for(frontend.drain(), 15.0)
+                    assert doomed["killed"] and not service.has_pending
+                    events = [e for batch in batches for e in batch]
+                    assert_failed_safe(service, events, victims, doomed["shard"])
+            return events, victims
+
+        events, victims = asyncio.run(run())
+        survivors = {sid: trajectory for sid, trajectory in fleet.items() if sid not in victims}
+        ref_events, _ = single_service_reference(monitor, survivors)
+        assert per_session_keys(e for e in events if e.session_id in survivors) == (
+            per_session_keys(ref_events)
+        )
 
 
 

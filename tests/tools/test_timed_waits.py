@@ -24,8 +24,6 @@ ALLOWED = {
         "a failed restore retries after a growing backoff",
     ("transport.py", "recv_message"):
         "the reply deadline: a hung worker answers nothing to wake on",
-    ("async_frontend.py", "AsyncShardedMonitor.drain"):
-        "an event-loop poll until no shard has pending frames",
 }
 
 
