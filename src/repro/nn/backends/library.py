@@ -150,6 +150,13 @@ class LibraryBackend:
         ``"stacked"`` or ``"per-member"``."""
         return "per-member"
 
+    @property
+    def batch_invariant(self) -> bool:
+        """Whether a window's score is the same bits whatever else shares
+        its :meth:`score` call: under ``reference``, not under the
+        compiled backends (their members let BLAS see the whole batch)."""
+        return self.name == "reference"
+
     def member(self, gesture: int) -> InferenceBackend | None:
         """The gesture's backend, tracking its classifier's model;
         ``None`` for a constant or untrained gesture (scores 0.0)."""

@@ -72,6 +72,7 @@ from .service import (
     SessionEvent,
     SessionResult,
     SessionState,
+    StepFailure,
 )
 from .sharded import ShardedMonitorService, suggest_shard_count
 from .snapshot import (
@@ -103,6 +104,7 @@ __all__ = [
     "SessionResult",
     "SessionState",
     "ShardedMonitorService",
+    "StepFailure",
     "StoredRecord",
     "TelemetryRegistry",
     "make_random_walk_trajectory",

@@ -234,16 +234,14 @@ class ServiceStats:
         """Monotonic seconds since this stats object started counting."""
         return time.monotonic() - self._started
 
-    def record(self, tick_ms: float, n_frames: int, ticks: int = 1) -> None:
+    def record(self, step_ms: float, n_frames: int, ticks: int = 1) -> None:
         """Account one engine step of ``ticks`` ticks and ``n_frames``
         frames: each tick's sample is the step's time shared evenly."""
-        if ticks == 1:
-            self._ring[self._cursor] = tick_ms
+        sample = step_ms / ticks
+        for _ in range(ticks):
+            self._ring[self._cursor] = sample
             self._cursor = (self._cursor + 1) % self.capacity
-            if self._filled < self.capacity:
-                self._filled += 1
-        else:
-            self.extend_ms(np.full(ticks, tick_ms / ticks))
+        self._filled = min(self._filled + ticks, self.capacity)
         self.n_ticks += ticks
         self.frames_processed += n_frames
         self.events_emitted += n_frames
@@ -336,6 +334,7 @@ class _Session:
         "pending",
         "feed_ts",
         "offset",
+        "backlog",
         "frames_done",
         "record_timeline",
         "gestures",
@@ -347,11 +346,12 @@ class _Session:
         self.slot = slot
         self.pending: deque[np.ndarray] = deque()
         # One ingest timestamp per pending chunk (monotonic, taken at
-        # feed()): pop_frames_into hands each frame its chunk's, so the
+        # feed()): pop_frames hands each frame its chunk's, so the
         # step reports frame-ingest→event-emission latency with one
         # perf_counter call, not one per frame.
         self.feed_ts: deque[float] = deque()
         self.offset = 0  # row cursor into the head chunk
+        self.backlog = 0  # pending frames, all chunks
         self.frames_done = 0
         self.record_timeline = record_timeline
         self.gestures: list[int] = []
@@ -361,48 +361,46 @@ class _Session:
     def has_pending(self) -> bool:
         return bool(self.pending)
 
-    def pending_frames(self) -> int:
-        return sum(chunk.shape[0] for chunk in self.pending) - self.offset
+    def enqueue(self, frames: np.ndarray) -> None:
+        """Queue a chunk of frames, stamped with its ingest time."""
+        self.pending.append(frames)
+        self.feed_ts.append(time.perf_counter())
+        self.backlog += frames.shape[0]
 
-    def pop_frames_into(
-        self, frames: np.ndarray, stamps: np.ndarray, column: int, count: int
-    ) -> None:
-        """Move the next ``count`` pending frames into rows ``0..count``
-        of ``frames[:, column]``.
-
-        One copy per pending chunk the frames come from, no per-frame
-        array; ``stamps[:, column]`` gets each frame's chunk ingest
-        timestamp, so latency is reported per frame with one
-        ``perf_counter`` call per step.
-        """
-        done = 0
-        while done < count:
-            head, offset = self.pending[0], self.offset
-            take = min(count - done, head.shape[0] - offset)
-            if take == 1:  # the paced shape: a row, not a slice, is cheaper
-                frames[done, column] = head[offset]
-                stamps[done, column] = self.feed_ts[0]
-            else:
-                frames[done : done + take, column] = head[offset : offset + take]
-                stamps[done : done + take, column] = self.feed_ts[0]
-            done += take
-            self.offset = offset + take
-            if self.offset >= head.shape[0]:
-                self.pending.popleft()
-                self.feed_ts.popleft()
-                self.offset = 0
+    def pop_frames(self, count: int, views: list[np.ndarray], stamps: list[float]) -> None:
+        """Take the next ``count`` pending frames: one view per pending
+        chunk they come from onto ``views``, no copy, and each frame's
+        chunk ingest timestamp onto ``stamps`` — so latency is reported
+        per frame with one ``perf_counter`` call per step."""
+        self.backlog -= count
+        pending = self.pending
+        while count:
+            head, offset = pending[0], self.offset
+            end = offset + count
+            if end < head.shape[0]:
+                views.append(head[offset:end])
+                stamps += [self.feed_ts[0]] * count
+                self.offset = end
+                return
+            views.append(head[offset:] if offset else head)
+            stamps += [self.feed_ts.popleft()] * (head.shape[0] - offset)
+            pending.popleft()
+            self.offset = 0
+            count = end - head.shape[0]
 
 
 class EventBlock:
     """The events of one engine step (:meth:`MonitorService.advance`),
-    as arrays in emission order: tick-major, and within a tick in
-    session opening order.
+    column by column in emission order: tick-major, and within a tick
+    in session opening order.
 
     ``sessions`` names the advanced sessions in opening order and
     ``session`` each event's index into it; ``ticks[k]`` is the number
     of events of the step's tick ``k``, so the first ``ticks[0]`` rows
     are what one :meth:`MonitorService.tick` would have returned, and so
-    on.  :meth:`events` builds the :class:`SessionEvent` objects, once.
+    on.  The columns are plain lists of Python scalars, ready for
+    ``numpy`` to pack or for :meth:`events` to build the
+    :class:`SessionEvent` objects from, once.
     """
 
     __slots__ = (
@@ -420,16 +418,16 @@ class EventBlock:
     def __init__(self, sessions, ticks, session, frame, gesture, score, flag, latency_us):
         self.sessions: list[str] = sessions
         self.ticks: list[int] = ticks
-        self.session: np.ndarray = session
-        self.frame: np.ndarray = frame
-        self.gesture: np.ndarray = gesture
-        self.score: np.ndarray = score
-        self.flag: np.ndarray = flag
-        self.latency_us: np.ndarray = latency_us
+        self.session: list[int] = session
+        self.frame: list[int] = frame
+        self.gesture: list[int] = gesture
+        self.score: list[float] = score
+        self.flag: list[bool] = flag
+        self.latency_us: list[float] = latency_us
         self._events: list[SessionEvent] | None = None
 
     def __len__(self) -> int:
-        return int(self.frame.shape[0])
+        return len(self.frame)
 
     def events(self) -> list[SessionEvent]:
         """The block as :class:`SessionEvent` objects, in its order."""
@@ -439,15 +437,51 @@ class EventBlock:
             self._events = [
                 SessionEvent(ids[i], frame, gesture, score, flag, None, latency_us)
                 for i, frame, gesture, score, flag, latency_us in zip(
-                    self.session.tolist(),
-                    self.frame.tolist(),
-                    self.gesture.tolist(),
-                    self.score.tolist(),
-                    self.flag.tolist(),
-                    self.latency_us.tolist(),
+                    self.session, self.frame, self.gesture, self.score, self.flag, self.latency_us
                 )
             ]
         return self._events
+
+
+class StepFailure(Exception):
+    """An engine step (:meth:`MonitorService.advance`) that failed after
+    some of its ticks completed.
+
+    ``block`` holds the completed ticks' events — they were served:
+    their timelines, stats and event-store records stand — and
+    ``cause`` (also ``__cause__``) is the exception that stopped the
+    step.  The service is in an unknown state past them.
+    """
+
+    def __init__(self, block: EventBlock, cause: Exception) -> None:
+        super().__init__(f"{type(cause).__name__}: {cause}")
+        self.block = block
+        self.cause = cause
+
+
+class _Tick:
+    """One tick of an engine step, between its gesture and error stages:
+    the sessions it advances (indices into the step's, opening order),
+    their rows among the step's staged frames, their slots and gestures,
+    and the error windows their frames complete (``ready`` marks whose)
+    with, once scored, the windows' gesture contexts and scores."""
+
+    __slots__ = ("live", "rows", "slots", "gestures", "ready", "windows", "context", "scores")
+
+    def __init__(self, live, rows, slots, gestures, ready, windows) -> None:
+        self.live: list[int] = live
+        self.rows: list[int] = rows
+        self.slots: np.ndarray = slots
+        self.gestures: np.ndarray = gestures
+        self.ready: np.ndarray = ready
+        self.windows: np.ndarray = windows
+        self.context: np.ndarray | None = None
+        self.scores: np.ndarray | None = None
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays end to end; the array itself when there is one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 class MonitorService:
@@ -510,15 +544,10 @@ class MonitorService:
         self.history_frames = max(
             self._gesture_window.window, monitor.config.error_window.window
         )
-        # The frame ring and the step's staging scratch are allocated on
-        # the first feed, when the kinematics feature width becomes known
-        # (the scratch grows to the deepest step asked for).
+        # The frame ring is allocated on the first feed, when the
+        # kinematics feature width becomes known.
         self._ring: StreamingWindowBatch | None = None
         self._n_features: int | None = None
-        self._slots_scratch: np.ndarray | None = None
-        self._frames_scratch: np.ndarray | None = None
-        self._stamps_scratch: np.ndarray | None = None
-        self._windows_scratch: np.ndarray | None = None
         self._feature_idx: np.ndarray | None = None
         self._current_gesture = np.zeros(max_sessions, dtype=np.int64)
         self._current_score = np.zeros(max_sessions)
@@ -618,8 +647,7 @@ class MonitorService:
 
     def pending_frames(self, session_id: str) -> int:
         """Number of fed-but-unprocessed frames of one session."""
-        session = self._get(session_id)
-        return session.pending_frames() if session.has_pending else 0
+        return self._get(session_id).backlog
 
     def frames_done(self, session_id: str) -> int:
         """Number of frames one session has processed (ticked) so far."""
@@ -724,8 +752,7 @@ class MonitorService:
                 f"got frames with {frames.shape[1]}"
             )
         reject_non_finite(session_id, frames)
-        session.pending.append(frames)
-        session.feed_ts.append(time.perf_counter())
+        session.enqueue(frames)
 
     def close_session(self, session_id: str) -> SessionResult:
         """Free the session's slot and return its full timeline.
@@ -856,11 +883,10 @@ class MonitorService:
         session.gestures = [int(g) for g in state.gestures]
         session.scores = [float(s) for s in state.scores]
         if pending.shape[0]:
-            session.pending.append(pending)
             # Migrated frames are re-stamped at import: latency counts
             # time in *this* service, not transit (states don't carry
             # cross-process monotonic clocks).
-            session.feed_ts.append(time.perf_counter())
+            session.enqueue(pending)
         self._sessions[state.session_id] = session
         self._current_gesture[slot] = int(state.current_gesture)
         self._current_score[slot] = float(state.current_score)
@@ -875,37 +901,46 @@ class MonitorService:
         The engine's one step: ``n`` ticks at most, tick-major, each
         session advanced by ``min(n, its backlog now)`` frames — exactly
         what ``n`` successive :meth:`tick` calls with no feed between
-        them would do, bit for bit.  Per frame, as in a tick, the
-        gesture stage runs **once** across the sessions it advances —
-        one LSTM step of every in-flight window chain, the completed
-        chains handed to the rest of the model (a gesture model that
-        does not lead with an LSTM stack scores the ready windows
-        instead) — so each error window gets the gesture context current
-        at its own frame.  Once per step: the frames are staged (one
-        slice copy per pending chunk), and every error window the step
-        completes goes to the library backend
-        (:class:`~repro.nn.backends.LibraryBackend`) in **one** call:
-        under the reference backend every context that brings fewer
-        than ``ROW_BLOCK`` windows shares one stacked forward (a context
+        them would do.  Per frame, as in a tick, the gesture stage runs
+        **once** across the sessions it advances — one LSTM step of
+        every in-flight window chain, the completed chains handed to the
+        rest of the model (a gesture model that does not lead with an
+        LSTM stack scores the ready windows instead) — so each error
+        window gets the gesture context current at its own frame.  Once
+        per step: the frames are staged (one slice copy per pending
+        chunk), timelines, telemetry and :attr:`stats` are written, and
+        the error windows go to the library backend
+        (:class:`~repro.nn.backends.LibraryBackend`).  A batch-invariant
+        library (``reference``) takes every window of the step in
+        **one** call, where every context that brings fewer than
+        ``ROW_BLOCK`` windows shares one stacked forward (a context
         alone in the call, or one that fills a row block by itself,
-        keeps one call of its member's model; the compiled backends,
-        like a library whose members do not share one architecture,
-        make one member call per distinct context) — the
-        ``error_path`` label and the ``error_member_calls`` /
-        ``error_stacked_passes`` counters account for it.  Rows are
-        scored independently, so the step's results do not depend on
-        ``n``.  Timelines, telemetry and :attr:`stats` are written once
-        per step too.
+        keeps one call of its member's model) — rows are scored
+        independently, so the bits do not depend on ``n``.  A library
+        whose rows' bits depend on the batch they share (``compiled``)
+        is called once per tick, with the batch a tick makes, so its
+        scores do not depend on ``n`` either.  The ``error_path`` label
+        and the ``error_member_calls`` / ``error_stacked_passes``
+        counters account for the calls.
 
         Returns
         -------
         EventBlock or None
-            The step's events as arrays, in emission order; ``None``
+            The step's events, column by column in emission order; ``None``
             when no session had pending frames (an idle step is a no-op
             and is not recorded in :attr:`stats`).  Events report
             gesture 0 and score 0.0 while a session's windows are still
             warming up.  A non-empty step of ``k`` ticks counts ``k``
             ticks in :attr:`stats` (:class:`ServiceStats`).
+
+        Raises
+        ------
+        StepFailure
+            A tick failed after earlier ticks of the step completed:
+            their events, timelines and stats stand, the exception
+            carries them as its ``block`` and the failure as its
+            ``cause``.  A failure in the step's first tick is raised as
+            it is.
         """
         if n < 1:
             raise ConfigurationError(f"a step advances sessions by n >= 1 frames, got {n}")
@@ -914,154 +949,157 @@ class MonitorService:
             return None
         start = time.perf_counter()
         ring = self._ring
-        assert ring is not None and self._slots_scratch is not None
-        m = len(active)
-        depth = [1] * m if n == 1 else [min(n, s.pending_frames()) for s in active]
-        ticks = max(depth)
-        # Every session advances every tick (the saturated and the
-        # one-frame shape), or each only while its backlog lasts.
-        members = None if min(depth) == ticks else np.array(depth)
-        slots = self._slots_scratch[:m]
-        frames, stamps, e_block = self._staging(ticks, m)
-        done = []  # each session's first frame index in this step
-        recording = False
-        for i, (session, count) in enumerate(zip(active, depth)):
-            slots[i] = session.slot
-            session.pop_frames_into(frames, stamps, i, count)
-            done.append(session.frames_done)
-            session.frames_done += count
-            recording = recording or session.record_timeline
+        assert ring is not None
+        # The step's frames, session by session: session i advances by
+        # ``depth[i]`` frames, rows ``first[i]:first[i] + depth[i]`` of
+        # ``staged``.
+        depth: list[int] = []
+        first: list[int] = []
+        slots: list[int] = []
+        views: list[np.ndarray] = []
+        stamped: list[float] = []
+        for session in active:
+            count = min(n, session.backlog)
+            first.append(len(stamped))
+            depth.append(count)
+            slots.append(session.slot)
+            session.pop_frames(count, views, stamped)
+        staged = _joined(views)
 
+        # The gesture stage, tick by tick.  Tick t advances the sessions
+        # whose backlog reaches it, in opening order (``live``, their
+        # frames at ``rows`` of ``staged``), and takes the error windows
+        # their frames complete off the ring, to be scored under the
+        # gesture current at each one's own frame.
         # A rebound gesture model rebuilds its chains from the ring as it
         # stands before this step's frames.
         gesture_backend = self._gesture_backend_or_none()
         stepper = self._gesture_stepper
-        if stepper is not None and self._feature_idx is not None:
-            g_block = np.take(frames, self._feature_idx, axis=2)
-        else:
-            g_block = frames
-        current_gesture, current_score = self._current_gesture, self._current_score
-        gestures = np.empty((ticks, m), dtype=np.int64)
-        # The error windows the ticks complete under a known gesture
-        # (the first ``n_scored`` rows of ``e_block``), their contexts,
-        # and per tick whose they are.
-        n_scored = 0
-        contexts: list[np.ndarray] = []
-        owners: dict[int, np.ndarray] = {}
-        for t in range(ticks):
-            if members is None:
-                sel, slots_t, frames_t, g_frames = None, slots, frames[t], g_block[t]
-            else:
-                sel = np.flatnonzero(members > t)
-                slots_t, frames_t, g_frames = slots[sel], frames[t, sel], g_block[t, sel]
-            e_ready, e_windows = ring.push(frames_t, slots_t)
-            if stepper is not None:
-                g_seen = ring.frames_seen.take(slots_t)
-                g_ready = self._gesture_window.completes(g_seen)
-                current_gesture[slots_t[g_ready]] = (
-                    stepper.step(g_frames, slots_t, g_seen, g_ready) + 1
-                )
-            elif gesture_backend is not None:
-                g_ready, g_windows = ring.windows(
-                    self._gesture_window, slots_t, self._feature_idx
-                )
-                if g_ready.any():
+        feature_idx = self._feature_idx
+        current_gesture = self._current_gesture
+        ticks: list[_Tick] = []
+        failure = None
+        try:
+            for t in range(max(depth)):
+                live = [i for i, count in enumerate(depth) if count > t]
+                rows = [first[i] + t for i in live]
+                frames = staged.take(rows, axis=0)
+                slots_t = np.array([slots[i] for i in live])
+                e_ready, e_windows = ring.push(frames, slots_t)
+                if stepper is not None:
+                    g_seen = ring.frames_seen.take(slots_t)
+                    g_ready = self._gesture_window.completes(g_seen)
+                    g_frames = frames if feature_idx is None else frames.take(feature_idx, axis=1)
                     current_gesture[slots_t[g_ready]] = (
-                        gesture_backend.predict(g_windows) + 1
+                        stepper.step(g_frames, slots_t, g_seen, g_ready) + 1
                     )
-            current_gesture.take(slots, out=gestures[t])
-            if e_windows.shape[0]:
-                e_index = e_ready.nonzero()[0]
-                if sel is not None:
-                    e_index = sel.take(e_index)
-                context = gestures[t].take(e_index)
-                # Sessions without a gesture context yet keep their score.
-                known = context.nonzero()[0]
-                if known.shape[0] < context.shape[0]:
-                    e_windows, context, e_index = (
-                        e_windows.take(known, axis=0), context.take(known), e_index.take(known)
-                    )
-                if context.shape[0]:
-                    e_block[n_scored : n_scored + context.shape[0]] = e_windows
-                    n_scored += context.shape[0]
-                    contexts.append(context)
-                    owners[t] = e_index
+                elif gesture_backend is not None:
+                    g_ready, g_windows = ring.windows(self._gesture_window, slots_t, feature_idx)
+                    if g_ready.any():
+                        current_gesture[slots_t[g_ready]] = gesture_backend.predict(g_windows) + 1
+                gestures = current_gesture.take(slots_t)
+                ticks.append(_Tick(live, rows, slots_t, gestures, e_ready, e_windows))
+        except Exception as exc:  # noqa: BLE001 - the ticks before it stand
+            failure = exc
 
-        scored = None
-        if contexts:
-            # A gesture without a trained classifier scores 0.0 (safe).
-            library = self._error_library
-            calls, passes = library.member_calls, library.stacked_passes
-            scored = library.score(
-                e_block[:n_scored],
-                contexts[0] if len(contexts) == 1 else np.concatenate(contexts),
-            )
-            path = library.path
-            if path != self._error_path:
-                self.telemetry.label("error_path", path)
-                self._error_path = path
-            self._member_calls.inc(library.member_calls - calls)
-            self._stacked_passes.inc(library.stacked_passes - passes)
-        # Scores are sticky: tick by tick, a scored window replaces its
-        # session's score and every other session keeps its own.
-        scores = np.empty((ticks, m))
-        at = 0
-        for t in range(ticks):
-            index = owners.get(t)
-            if index is not None:
-                current_score[slots.take(index)] = scored[at : at + index.shape[0]]
-                at += index.shape[0]
-            current_score.take(slots, out=scores[t])
+        # The error stage: one library call over every window of the
+        # step when rows are scored independently, else one per tick —
+        # the batch a tick has always made.  A failing call over several
+        # ticks is retried tick by tick: the ticks before the one that
+        # fails still stand.  A gesture without a trained classifier
+        # scores 0.0 (safe).
+        library = self._error_library
+        calls, passes = library.member_calls, library.stacked_passes
+        parts = [tick for tick in ticks if tick.windows.shape[0]]
+        groups = [parts] if parts and library.batch_invariant else [[p] for p in parts]
+        while groups:
+            group = groups.pop(0)
+            for tick in group:
+                tick.context = tick.gestures[tick.ready]
+            try:
+                values = library.score(
+                    _joined([tick.windows for tick in group]),
+                    _joined([tick.context for tick in group]),
+                )
+            except Exception as exc:  # noqa: BLE001 - narrowed, then raised below
+                if len(group) > 1:
+                    groups = [[p] for p in group]
+                    continue
+                del ticks[ticks.index(group[0]) :]
+                failure = exc
+                break
+            at = 0
+            for tick in group:
+                tick.scores = values[at : at + tick.windows.shape[0]]
+                at += tick.windows.shape[0]
+        path = library.path
+        if path != self._error_path:
+            self.telemetry.label("error_path", path)
+            self._error_path = path
+        self._member_calls.inc(library.member_calls - calls)
+        self._stacked_passes.inc(library.stacked_passes - passes)
+        if not ticks:
+            raise failure
 
-        # The events, tick-major: every cell of the (tick, session)
-        # grid, or the cells each session's backlog reached.
-        done = np.array(done)
-        if members is None:
-            per_tick = [m] * ticks
-            session_index = np.arange(m) if ticks == 1 else np.arange(ticks * m) % m
-            frame = done if ticks == 1 else np.add.outer(np.arange(ticks), done).reshape(-1)
-            gesture, score, stamp = gestures.reshape(-1), scores.reshape(-1), stamps.reshape(-1)
-        else:
-            cells = np.arange(ticks)[:, None] < members
-            per_tick = cells.sum(axis=1).tolist()
-            tick_index, session_index = np.nonzero(cells)
-            frame = done.take(session_index) + tick_index
-            gesture, score, stamp = gestures[cells], scores[cells], stamps[cells]
-        flag = score >= self.monitor.threshold
+        # The events, tick by tick.  Scores are sticky: a window scored
+        # under a known gesture sets its session's score, every other
+        # session keeps its own.
+        current_score = self._current_score
+        done: list[int] = []
+        recording = False
+        for session, count in zip(active, depth):
+            done.append(session.frames_done)
+            session.frames_done += min(count, len(ticks))
+            recording = recording or session.record_timeline
+        session_of, frame_of, gesture_of, score_of, latency_of = [], [], [], [], []
         now = time.perf_counter()
-        latency_us = (now - stamp) * 1e6
-        if recording:
-            for session, count, g_column, s_column in zip(
-                active, depth, gestures.T.tolist(), scores.T.tolist()
-            ):
-                if session.record_timeline:
-                    session.gestures.extend(g_column[:count])
-                    session.scores.extend(s_column[:count])
+        for t, tick in enumerate(ticks):
+            if tick.scores is not None:
+                known = tick.context > 0
+                current_score[tick.slots[tick.ready][known]] = tick.scores[known]
+            live = tick.live
+            gestures = tick.gestures.tolist()
+            scores = current_score.take(tick.slots).tolist()
+            session_of += live
+            frame_of += [done[i] + t for i in live]
+            gesture_of += gestures
+            score_of += scores
+            latency_of += [(now - stamped[row]) * 1e6 for row in tick.rows]
+            if recording:
+                for i, gesture, score in zip(live, gestures, scores):
+                    session = active[i]
+                    if session.record_timeline:
+                        session.gestures.append(gesture)
+                        session.scores.append(score)
+        threshold = self.monitor.threshold
+        flag_of = [score >= threshold for score in score_of]
 
-        n_events = frame.shape[0]
-        self.stats.record(1000.0 * (time.perf_counter() - start), n_events, ticks)
+        n_events = len(frame_of)
+        self.stats.record(1000.0 * (time.perf_counter() - start), n_events, len(ticks))
         if self._latency is None:
             self._latency = self.telemetry.histogram("alert_latency_us")
             self._events_emitted = self.telemetry.counter("events_emitted")
-        self._latency.observe_many(latency_us)
+        self._latency.observe_many(latency_of)
         self._events_emitted.inc(n_events)
-        n_flagged = int(np.count_nonzero(flag))
+        n_flagged = sum(flag_of)
         if n_flagged:
             if self._events_flagged is None:
                 self._events_flagged = self.telemetry.counter("events_flagged")
             self._events_flagged.inc(n_flagged)
         block = EventBlock(
             [session.id for session in active],
-            per_tick,
-            session_index,
-            frame,
-            gesture,
-            score,
-            flag,
-            latency_us,
+            [len(tick.live) for tick in ticks],
+            session_of,
+            frame_of,
+            gesture_of,
+            score_of,
+            flag_of,
+            latency_of,
         )
         if self.event_store is not None:
             self.event_store.append_batch(block.events())
+        if failure is not None:
+            raise StepFailure(block, failure) from failure
         return block
 
     def tick(self) -> list[SessionEvent]:
@@ -1134,32 +1172,6 @@ class MonitorService:
             n_features,
             history=self.history_frames,
         )
-        self._slots_scratch = np.empty(self.max_sessions, dtype=np.int64)
         feature_idx = self.monitor.gesture_classifier.config.feature_indices
         if feature_idx is not None:
             self._feature_idx = np.asarray(feature_idx, dtype=np.intp)
-
-    def _staging(
-        self, ticks: int, n_active: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A step's scratch, reused across steps and grown to the deepest
-        step asked for: frames and their ingest stamps, one row per tick
-        and one column per session, and room for every error window the
-        step can complete (one per session and tick)."""
-        if self._frames_scratch is None or self._frames_scratch.shape[0] < ticks:
-            assert self._n_features is not None
-            self._frames_scratch = np.empty((ticks, self.max_sessions, self._n_features))
-            self._stamps_scratch = np.empty((ticks, self.max_sessions))
-            self._windows_scratch = np.empty(
-                (
-                    ticks * self.max_sessions,
-                    self.monitor.config.error_window.window,
-                    self._n_features,
-                )
-            )
-        assert self._stamps_scratch is not None and self._windows_scratch is not None
-        return (
-            self._frames_scratch[:ticks, :n_active],
-            self._stamps_scratch[:ticks, :n_active],
-            self._windows_scratch[: ticks * n_active],
-        )

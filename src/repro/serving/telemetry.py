@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import bisect
 
-import numpy as np
-
 from ..errors import ConfigurationError
 
 __all__ = ["Counter", "Histogram", "TelemetryRegistry"]
@@ -66,14 +64,13 @@ class Histogram:
     histograms stay queryable without shipping raw samples.
     """
 
-    __slots__ = ("name", "bounds", "buckets", "count", "total", "_edges")
+    __slots__ = ("name", "bounds", "buckets", "count", "total")
 
     def __init__(self, name: str, bounds: tuple[float, ...] = DEFAULT_BOUNDS) -> None:
         if not bounds or list(bounds) != sorted(bounds):
             raise ConfigurationError("histogram bounds must be sorted and non-empty")
         self.name = name
         self.bounds = tuple(float(b) for b in bounds)
-        self._edges = np.asarray(self.bounds)
         self.buckets = [0] * (len(self.bounds) + 1)  # +1 overflow
         self.count = 0
         self.total = 0.0
@@ -84,14 +81,13 @@ class Histogram:
         self.count += 1
         self.total += value
 
-    def observe_many(self, values: np.ndarray) -> None:
-        """Record every value of a 1-D array: :meth:`observe` in bulk,
-        one bucket search for the lot."""
-        buckets = self.buckets
-        for index in self._edges.searchsorted(values).tolist():
-            buckets[index] += 1
-        self.count += values.shape[0]
-        self.total += sum(values.tolist())
+    def observe_many(self, values: list[float]) -> None:
+        """Record every value of a list: :meth:`observe` in bulk."""
+        buckets, bounds = self.buckets, self.bounds
+        for value in values:
+            buckets[bisect.bisect_left(bounds, value)] += 1
+        self.count += len(values)
+        self.total += sum(values)
 
     def mean(self) -> float:
         """Mean of all observations (exact — tracked outside buckets)."""

@@ -19,10 +19,10 @@ for this shard:
   pipe read until the next request: no timer wakes it.
 - **event ring** (out): a ``tick`` round is one engine step
   (:meth:`MonitorService.advance`) of up to ``ticks`` frames per
-  session, and each of its ticks goes on the ring as one
-  :data:`~repro.serving.shm.EVENT_DTYPE` record, packed column by
-  column from the step's arrays — no per-event object; the pipe reply
-  carries only the batch count.  This is the only way events leave a
+  session, and each of its ticks goes on the ring as one batch of
+  :data:`~repro.serving.shm.EVENT_DTYPE` rows, packed column by column
+  from the step's :class:`~repro.serving.service.EventBlock` — no
+  per-event object; the pipe reply carries only the batch count.  This is the only way events leave a
   worker.
   The router sizes the ring to hold one round and reads it empty before
   the next, so a batch that does not fit is a broken contract: the tick
@@ -47,7 +47,7 @@ import numpy as np
 
 from ..errors import WorkerError
 from ..nn.backends import DEFAULT_BACKEND
-from .service import EventBlock, MonitorService
+from .service import EventBlock, MonitorService, StepFailure
 from .shm import EVENT_DTYPE, ShmRing
 from .snapshot import monitor_from_bytes, session_from_bytes, session_to_bytes
 from .transport import Reply, Request, error_reply, recv_message
@@ -134,8 +134,8 @@ class _ShardWorker:
         if n > self._event_scratch.shape[0]:
             self._event_scratch = np.empty(n, dtype=EVENT_DTYPE)
         records = self._event_scratch[:n]
-        routes = np.array([self._routes[sid] for sid in block.sessions], dtype=np.uint64)
-        records["route"] = routes.take(block.session)
+        routes = [self._routes[session_id] for session_id in block.sessions]
+        records["route"] = [routes[i] for i in block.session]
         records["frame"] = block.frame
         records["gesture"] = block.gesture
         records["score"] = block.score
@@ -148,23 +148,29 @@ class _ShardWorker:
 
         The round is :meth:`MonitorService.advance`: bounded by the work
         pending when it starts — every session advances by at most
-        ``ticks`` frames and at most its backlog then — and its error
-        windows are scored in one library call.  The frame ring is read
-        before the round (:meth:`serve`) and after it, never in
-        between: frames that land while the round runs wait for the
-        next one, and a block rejected then evicts its session after
-        the round gave it every frame it was owed.
+        ``ticks`` frames and at most its backlog then — and, under the
+        reference backend, its error windows are scored in one library
+        call.  The frame ring is read before the round (:meth:`serve`)
+        and after it, never in between: frames that land while the
+        round runs wait for the next one, and a block rejected then
+        evicts its session after the round gave it every frame it was
+        owed.
 
         Returns ``Reply(value=n_batches)``: each tick of the step goes on
-        the event ring as one :data:`EVENT_DTYPE` record, packed from
-        the step's arrays.  A step that raises, or a record that does
-        not fit the ring, ends the round with an error reply that still
-        announces the records written before it, so the router delivers
-        them before it fails the shard safe.
+        the event ring as one batch of :data:`EVENT_DTYPE` rows, packed
+        column by column from the step's :class:`EventBlock`.  A tick
+        that raises, or a batch that does not fit the ring, ends the
+        round with an error reply that still announces the batches
+        written before it — the ticks of the step that completed before
+        a failing one (:class:`StepFailure`) among them — so the router
+        delivers them before it fails the shard safe.
         """
         n_batches = 0
         try:
-            block = self.service.advance(ticks)
+            try:
+                block, failure = self.service.advance(ticks), None
+            except StepFailure as partial:
+                block, failure = partial.block, partial.cause
             if block is not None:
                 records = self._records(block)
                 start = 0
@@ -175,6 +181,8 @@ class _ShardWorker:
                         )
                     n_batches += 1
                     start += count
+            if failure is not None:
+                raise failure
             self.consume_frames()
         except Exception as exc:  # noqa: BLE001 - reduced to an error reply
             return dataclasses.replace(error_reply(exc), value=n_batches)

@@ -224,10 +224,7 @@ class TestRemoteParity:
         self, monitor, n_shards, backend
     ):
         """The headline guarantee: the socket adds nothing and loses
-        nothing — scores, gestures, flags and order are identical.  A
-        compiled fleet round scores the error windows of all its ticks
-        in one call, and compiled scores depend on the batch, so behind
-        K = 2 compiled scores hold the backend's tolerance instead."""
+        nothing — scores, gestures, flags and order are identical."""
         trajectory = make_random_walk_trajectory(
             40, n_features=N_FEATURES, seed=11
         )
@@ -239,14 +236,6 @@ class TestRemoteParity:
                 events = client.stream_session(
                     trajectory.frames, session_id="s", chunk_size=7
                 )
-        if backend == "compiled" and n_shards > 1:
-            assert [event_key(e)[:3] + event_key(e)[4:] for e in events] == [
-                event_key(e)[:3] + event_key(e)[4:] for e in reference
-            ]
-            np.testing.assert_allclose(
-                [e.score for e in events], [e.score for e in reference], atol=1e-6
-            )
-            return
         assert [event_key(e) for e in events] == [
             event_key(e) for e in reference
         ]
@@ -830,6 +819,42 @@ class TestFailSafe:
         failed = asyncio.run(run())
         assert "s" in failed and "tick failed" in failed["s"]
 
+    def test_local_engine_failure_inside_the_step_ends_where_it_stopped(self, monitor):
+        """A K=1 tick that raises from inside its engine step — here the
+        error stage, scoring the window that ends at frame 6 — fails the
+        session safe at its true stream position: the terminal event's
+        ``frame_index`` is the number of frames delivered before it."""
+        frames = np.zeros((10, N_FEATURES))
+        frames[6] = 7.0  # the last row of exactly one error window
+
+        async def run():
+            async with MonitorGateway(monitor, n_shards=1, max_sessions=4) as gateway:
+                library = gateway._engine.service._error_library
+                real_score = library.score
+
+                def score(windows, gestures):
+                    if (windows[:, -1] == 7.0).all(axis=1).any():
+                        raise RuntimeError("synthetic error-stage failure")
+                    return real_score(windows, gestures)
+
+                library.score = score
+                client = await AsyncRemoteMonitorClient.connect(
+                    gateway.host, gateway.port
+                )
+                sid = await client.open_session("s")
+                await client.feed(sid, frames)
+                events = []
+                while not (events and events[-1].error):
+                    events.append(await asyncio.wait_for(client.next_event(), 10.0))
+                await client.aclose()
+                return events
+
+        *live, terminal = asyncio.run(run())
+        assert [e.frame_index for e in live] == list(range(6))
+        assert all(e.error is None for e in live)
+        assert terminal.flag and "synthetic error-stage failure" in terminal.error
+        assert terminal.frame_index == len(live)
+
     @pytest.mark.skipif(
         "fork" not in mp.get_all_start_methods(),
         reason="worker-side injection needs the fork start method",
@@ -837,7 +862,7 @@ class TestFailSafe:
     @pytest.mark.parametrize("exc_type", [ShapeError, RuntimeError])
     @pytest.mark.parametrize("resume", ["off", "on-once", "on-persistent"])
     def test_sharded_engine_tick_failure_fails_safe(
-        self, monitor, monkeypatch, tmp_path, exc_type, resume
+        self, monitor, fail_inside_step, tmp_path, exc_type, resume
     ):
         """The K=2 twin: a worker whose ``tick`` replies with an error —
         typed or not — must read as ``flag=True`` at the client, never as
@@ -845,24 +870,17 @@ class TestFailSafe:
         terminal event.  Resume on: journal recovery rebuilds the session
         on the surviving shard — the stream completes when the fault does
         not follow it there, and ends in one fail-safe terminal after the
-        bounded rebuilds when it does."""
+        bounded rebuilds when it does.  The fault fires inside a round,
+        at the doomed session's frame 3."""
         fired = tmp_path / "fired"
-        real_advance = MonitorService.advance
 
-        def advance(self, n=1):
-            # A step never carries "doomed" past frame 3, so the failure
-            # lands there, as a failing tick would.
-            if "doomed" in self.session_ids and not (
-                resume == "on-once" and fired.exists()
-            ):
-                done = self.frames_done("doomed")
-                if done >= 3:
-                    fired.touch()
-                    raise exc_type("injected tick failure")
-                n = min(n, 3 - done)
-            return real_advance(self, n)
+        def fire():
+            if resume == "on-once" and fired.exists():
+                return False
+            fired.touch()
+            return True
 
-        monkeypatch.setattr(MonitorService, "advance", advance)
+        fail_inside_step(exc_type, after=3, when=fire)
         frames = make_random_walk_trajectory(
             20, n_features=N_FEATURES, seed=77
         ).frames

@@ -213,8 +213,7 @@ class TestBackendSelection:
         reproduce one local compiled MonitorService — gestures, event
         order and flags exactly, scores bit-for-bit, because every
         worker compiles the identical plan from the same snapshot and
-        sees the same per-shard batches.  A fleet drains in rounds of
-        ``TICKS_PER_ROUND``-tick steps, so the local engine does too."""
+        sees the same per-shard batches."""
         fleet = make_fleet(5, base_seed=950, frames=30)
         local = MonitorService(monitor, max_sessions=8, backend="compiled")
         with ShardedMonitorService(
@@ -229,9 +228,7 @@ class TestBackendSelection:
                     target.open_session(session_id)
                     target.feed(session_id, trajectory.frames)
             sharded_events = service.drain()
-            local_events = []
-            while (block := local.advance(TICKS_PER_ROUND)) is not None:
-                local_events.extend(block.events())
+            local_events = local.drain()
         assert [
             (e.session_id, e.frame_index, e.gesture, e.flag)
             for e in sharded_events
@@ -894,24 +891,6 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def failing_step(exc_type, after, session_id="doomed"):
-    """A ``MonitorService.advance`` that raises on whichever worker serves
-    ``session_id``, once that session has been served ``after`` frames.
-    A step never carries the session past that frame, so the failure
-    lands exactly there, as a failing tick would."""
-    real_advance = MonitorService.advance
-
-    def advance(self, n=1):
-        if session_id in self.session_ids:
-            done = self.frames_done(session_id)
-            if done >= after:
-                raise exc_type("injected tick failure")
-            n = min(n, after - done)
-        return real_advance(self, n)
-
-    return advance
-
-
 def raising(exc_type):
     def method(self, *args, **kwargs):
         raise exc_type("injected failure")
@@ -966,14 +945,14 @@ class TestFailingWorkerTick:
     @needs_fork
     @pytest.mark.parametrize("exc_type", [ShapeError, RuntimeError])
     def test_async_frontend_fails_the_shard_safe(
-        self, monitor, monkeypatch, exc_type
+        self, monitor, fail_inside_step, exc_type
     ):
         fleet = make_fleet(6, base_seed=1100, frames=30, step=2)
         ref_events, _ = single_service_reference(monitor, fleet)
         reference = {}
         for event in ref_events:
             reference.setdefault(event.session_id, []).append(event_key(event))
-        monkeypatch.setattr(MonitorService, "advance", failing_step(exc_type, after=3))
+        fail_inside_step(exc_type, after=3)
 
         async def run():
             batches = []
@@ -1113,13 +1092,13 @@ class TestFailingWorkerTick:
     @pytest.mark.parametrize("exc_type", [ShapeError, RuntimeError])
     @pytest.mark.parametrize("how", ["tick", "drain", "drain-uncollected"])
     def test_round_reads_every_reply_and_keeps_healthy_events(
-        self, monitor, monkeypatch, exc_type, how
+        self, monitor, fail_inside_step, exc_type, how
     ):
         """Sync fleet, failing shard collected first: the same round
         returns the healthy shard's events and the failing shard's
         terminal, and no reply is left in any pipe — the next control op
         on the healthy shard gets *its own* reply."""
-        monkeypatch.setattr(MonitorService, "advance", failing_step(exc_type, after=2))
+        fail_inside_step(exc_type, after=2)
         with ShardedMonitorService(
             monitor, n_shards=2, max_sessions_per_shard=4, start_method="fork"
         ) as service:
@@ -1384,16 +1363,14 @@ class TestMultiTickRound:
 
     @needs_fork
     @pytest.mark.parametrize("after", [0, 3, 10])
-    def test_a_tick_failing_inside_a_round(self, monitor, monkeypatch, after):
-        """The worker's tick raises once the doomed session has been
-        served ``after`` frames — at the first tick of a round, inside the
-        first, inside the second.  The shard's sessions get exactly those
-        ``after`` events, then one terminal each at that position; every
-        request gets its reply, and the other shard's streams stay
-        bit-identical to one service."""
-        monkeypatch.setattr(
-            MonitorService, "advance", failing_step(RuntimeError, after=after)
-        )
+    def test_a_tick_failing_inside_a_round(self, monitor, fail_inside_step, after):
+        """The worker's step raises in the tick that would serve the
+        doomed session its frame ``after`` — at the first tick of a
+        round, inside the first, inside the second.  The shard's sessions
+        get exactly those ``after`` events, then one terminal each at
+        that position; every request gets its reply, and the other
+        shard's streams stay bit-identical to one service."""
+        fail_inside_step(RuntimeError, after=after)
         fleet = make_fleet(4, base_seed=1370, frames=24, step=0)
         doomed = {"doomed": fleet.pop("proc-0"), "buddy": fleet.pop("proc-1")}
         ref_events, _ = single_service_reference(monitor, fleet)
