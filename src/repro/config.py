@@ -132,19 +132,15 @@ class MonitorConfig:
 
     ``gesture_window`` is the window used by the gesture classifier and
     ``error_window`` the one used by the erroneous-gesture classifiers
-    (the paper uses 5 for Suturing and 10 for Block Transfer).
+    (the paper uses 5 for Suturing and 10 for Block Transfer).  A
+    gesture is flagged unsafe on its first erroneous window, as in the
+    paper; there is no vote over the windows of a gesture.
     """
 
     gesture_window: WindowConfig = field(default_factory=WindowConfig)
     error_window: WindowConfig = field(default_factory=WindowConfig)
     frame_rate_hz: float = JIGSAWS_FRAME_RATE_HZ
-    #: Fraction of erroneous windows within a gesture above which the whole
-    #: gesture occurrence is reported as unsafe (the paper flags a gesture
-    #: on the *first* erroneous sample; keep 0.0 for that behaviour).
-    unsafe_vote_threshold: float = 0.0
 
     def __post_init__(self) -> None:
         if self.frame_rate_hz <= 0:
             raise ConfigurationError("frame_rate_hz must be positive")
-        if not 0.0 <= self.unsafe_vote_threshold < 1.0:
-            raise ConfigurationError("unsafe_vote_threshold must be in [0, 1)")

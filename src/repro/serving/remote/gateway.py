@@ -58,6 +58,7 @@ import contextlib
 import itertools
 import threading
 import time
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from ...errors import ConfigurationError, ProtocolError, ReproError, WorkerError
@@ -85,7 +86,7 @@ from .protocol import (
     encode_json,
     encode_message,
 )
-from .session import _RemoteSession
+from .session import ENDED, LIVE, PARKING, _RemoteSession
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..eventstore import EventStoreWriter
@@ -222,7 +223,7 @@ class _Connection:
         self.writer = writer
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=send_queue_max)
         self.sessions: set[str] = set()
-        self.last_recv = 0.0
+        self.last_recv = asyncio.get_running_loop().time()
         self.closed = False  # no further routing to this connection
         self.torn_down = False  # teardown ran (idempotence guard)
         self.heartbeat_task: asyncio.Task | None = None
@@ -324,8 +325,10 @@ class MonitorGateway:
         Gateway→client ping cadence, and how long a connection may stay
         silent before it is declared dead (fail-safe close).
     drain_timeout_s:
-        How long a disconnect/close waits for a session's already-fed
-        frames to finish processing before closing it anyway.
+        How long a disconnect waits for its sessions' already-fed
+        frames to finish processing before closing them anyway — one
+        deadline per teardown, shared by all of the connection's
+        sessions — and how long a CLOSE waits for its own session's.
     data_plane:
         ``"shm"`` is the only data plane; keyword retained until the
         benchmark stops passing it.
@@ -361,10 +364,13 @@ class MonitorGateway:
     Every wire-opened session is one :class:`_RemoteSession` record in
     one map from OPEN until close, fail-safe or lapse; a parked session
     is that record without a connection (:attr:`n_open_sessions` and
-    :attr:`n_parked_sessions` count the two phases).  The record alone
-    changes and interprets the session's stream position (seq, ack,
-    journal, replay); the handlers here do the awaits and the I/O, and
-    every fail-safe ending is :meth:`_fail_session`.
+    :attr:`n_parked_sessions` count the two).  The record alone changes
+    and interprets the session's stream position (seq, ack, journal,
+    replay) and its ``phase`` — which task, if any, is changing its
+    engine side — and decides what a crash, park, lapse or resume does;
+    the handlers here do the awaits and the engine calls and I/O its
+    answers call for, and every fail-safe ending is
+    :meth:`_fail_session`.
     """
 
     def __init__(
@@ -408,14 +414,11 @@ class MonitorGateway:
             raise ConfigurationError(
                 "idle_timeout_s must exceed heartbeat_interval_s (or be None)"
             )
-        if backend is not None:
-            backend = validate_backend_name(backend)
-        if monitor_bytes is None:
-            self.backend = backend or DEFAULT_BACKEND
-        else:
-            self.backend = validate_backend_name(
-                backend or snapshot_backend(monitor_bytes) or DEFAULT_BACKEND
-            )
+        if backend is None and monitor_bytes is not None:
+            backend = snapshot_backend(monitor_bytes)
+        self.backend = validate_backend_name(
+            DEFAULT_BACKEND if backend is None else backend
+        )
         self._monitor = monitor
         self._monitor_bytes = monitor_bytes
         self.n_shards = int(n_shards)
@@ -472,24 +475,11 @@ class MonitorGateway:
         #: an entry lasts until its id is opened again.
         self.failed_sessions: dict[str, str] = {}
 
-        # Lifetime counters surfaced by gateway_stats().
-        self._connections_total = 0
-        self._sessions_opened = 0
-        self._sessions_closed = 0
-        self._frames_received = 0
-        self._events_sent = 0
-        self._events_dropped = 0
-        self._heartbeats_sent = 0
-        self._overflow_disconnects = 0
-        self._idle_disconnects = 0
+        #: Lifetime counters surfaced by gateway_stats(), by name
+        #: (``frames_received``, ``parked_total``, ...), and two peaks.
+        self._counts: Counter[str] = Counter()
         self._peak_open_sessions = 0
         self._peak_queue_depth = 0
-        self._acks_sent = 0
-        self._parked_total = 0
-        self._resumed_total = 0
-        self._resume_expired_total = 0
-        self._recovered_total = 0
-        self._restore_retries_total = 0
 
     @property
     def _resume_enabled(self) -> bool:
@@ -586,9 +576,8 @@ class MonitorGateway:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn = _Connection(next(self._conn_ids), writer, self.send_queue_max)
-        conn.last_recv = asyncio.get_running_loop().time()
         self._connections[conn.id] = conn
-        self._connections_total += 1
+        self._counts["connections_total"] += 1
         conn.writer_task = asyncio.create_task(
             conn.write_loop(), name=f"gateway-writer-{conn.id}"
         )
@@ -655,14 +644,9 @@ class MonitorGateway:
             self._engine.service.history_frames,
         )
         self._sessions[session_id] = session
-        self._sessions_opened += 1
+        self._counts["sessions_opened"] += 1
         self._peak_open_sessions = max(self._peak_open_sessions, self.n_open_sessions)
         self._send_json(conn, MessageType.OPEN, session.open_reply())
-
-    def _owned(self, conn: _Connection, session_id: str) -> _RemoteSession | None:
-        """The session ``session_id`` names, iff it is open on ``conn``."""
-        session = self._sessions.get(session_id)
-        return session if session is not None and session.conn is conn else None
 
     def _no_session_error(self, session_id: str, message: str) -> ReproError:
         """Why a request names a session this connection cannot act on:
@@ -678,13 +662,14 @@ class MonitorGateway:
     ) -> _RemoteSession | None:
         """The session a FRAME or CLOSE acts on; ``None`` — the ERROR
         already sent — when ``conn`` does not own it."""
-        session = self._owned(conn, session_id)
-        if session is None:
-            error = self._no_session_error(
-                session_id, f"no session {session_id!r} open on this connection"
-            )
-            self._send_error(conn, error, session_id, in_reply_to)
-        return session
+        session = self._sessions.get(session_id)
+        if session is not None and session.conn is conn:
+            return session
+        message = f"no session {session_id!r} open on this connection"
+        self._send_error(
+            conn, self._no_session_error(session_id, message), session_id, in_reply_to
+        )
+        return None
 
     async def _handle_frames(self, conn: _Connection, payload: bytes) -> None:
         session_id, seq, frames = decode_frames(payload)
@@ -692,10 +677,9 @@ class MonitorGateway:
         if session is None:
             return
         frames = session.admit(seq, frames)
-        # While a recovery task restores the engine side, feeding it
-        # here would race the task: the batch waits in the journal.
-        if frames is not None and not session.recovering:
-            session.inflight += 1
+        # While a task changes the engine side, feeding it here would
+        # race the task: the batch waits in the journal.
+        if frames is not None and session.phase is LIVE:
             try:
                 await self._engine.feed(session_id, frames)
             except ReproError as exc:
@@ -707,16 +691,14 @@ class MonitorGateway:
                     session.retract()
                     self._send_error(conn, exc, session_id)
                     return
-            finally:
-                session.inflight -= 1
         n_frames = 0 if frames is None else frames.shape[0]
         ack = session.accept(n_frames)
-        self._frames_received += n_frames
+        self._counts["frames_received"] += n_frames
         if ack is not None:
             self._enqueue_or_overflow(
                 conn, encode_message(MessageType.ACK, encode_ack(session_id, ack))
             )
-            self._acks_sent += 1
+            self._counts["acks_sent"] += 1
 
     async def _handle_close(self, conn: _Connection, payload: bytes) -> None:
         request = decode_json(payload)
@@ -726,7 +708,9 @@ class MonitorGateway:
         session = self._request_session(conn, session_id, MessageType.CLOSE)
         if session is None:
             return
-        await self._drain_session(session_id)
+        await self._drain_session(
+            session, asyncio.get_running_loop().time() + self.drain_timeout_s
+        )
         try:
             await self._engine.close_session(session_id)
         except ReproError as exc:
@@ -735,7 +719,7 @@ class MonitorGateway:
             self._send_error(conn, exc, session_id, MessageType.CLOSE)
             return
         self._unregister(session)
-        self._sessions_closed += 1
+        self._counts["sessions_closed"] += 1
         self._send_json(conn, MessageType.CLOSE, session.close_reply())
 
     async def _handle_resume(self, conn: _Connection, payload: bytes) -> None:
@@ -778,10 +762,10 @@ class MonitorGateway:
             )
         else:
             error = session.refusal(token, last_event, conn)
-            if session.conn is None and isinstance(error, WorkerError):
+            if isinstance(error, WorkerError):
                 # Beyond replay reach: resuming would silently skip
-                # events, so the park fails safe now.  (A session still
-                # bound to its old connection stays there — when that
+                # events, so a park fails safe now.  (A session still
+                # bound to its old connection does not lapse: when that
                 # dies for real, the park / expiry lifecycle decides.)
                 self._expire_parked(session, session.overrun(last_event))
         if error is not None:
@@ -791,8 +775,8 @@ class MonitorGateway:
             conn, session, token, last_event
         ):
             return
-        session.bind(conn)
-        self._resumed_total += 1
+        session.resume(conn)
+        self._counts["resumed_total"] += 1
         self._peak_open_sessions = max(self._peak_open_sessions, self.n_open_sessions)
         self._send_json(conn, MessageType.RESUME, session.resume_reply())
         replay = session.replay(last_event)
@@ -812,61 +796,50 @@ class MonitorGateway:
         (error already sent) or the resumer vanished and the session is
         parked again.
         """
-        session_id = session.session_id
-        session.resuming = True
+        session.adopt()
         session.expiry.cancel()
-        session.expiry = None
         try:
-            if not await self._restore(session, parked=True):
+            if not await self._restore(session):
                 return False  # lapsed underneath the adopt (shutdown)
         except ReproError as exc:
             self._fail_session(session, f"resume failed: {exc}")
-            self._send_error(conn, exc, session_id, MessageType.RESUME)
+            self._send_error(conn, exc, session.session_id, MessageType.RESUME)
             return False
         if conn.closed:
             # The resumer vanished while the adopt was in flight: park
             # again rather than leak a session nobody tracks.
             await self._park_session(session, session.reason)
-            session.resuming = False
             if self._stopped:
                 self._expire_parked(session)
             return False
-        session.resuming = False
         error = session.refusal(token, last_event, conn)
         if error is not None:
             # Events that landed while the adopt was in flight evicted
             # ring entries; the client can no longer be caught up
             # gaplessly.
             self._fail_session(session, session.overrun(last_event))
-            self._send_error(conn, error, session_id, MessageType.RESUME)
+            self._send_error(conn, error, session.session_id, MessageType.RESUME)
             with contextlib.suppress(ReproError):
-                await self._engine.close_session(session_id)
+                await self._engine.close_session(session.session_id)
             return False
         return True
 
-    async def _drain_session(self, session_id: str) -> None:
-        """Park until every accepted frame of a session has produced its
-        event (bounded by ``drain_timeout_s``) — the *drain* half of the
-        drain-and-close disconnect contract.
+    async def _drain_session(self, session: _RemoteSession, deadline: float) -> None:
+        """Park until every accepted frame of ``session`` has produced
+        its event, or until the loop clock reaches ``deadline`` — the
+        *drain* half of the drain-and-close disconnect contract.
 
         Waits on the session's signal, which :meth:`_end_drain` sets
         when the event for its last accepted frame is routed, when the
-        record leaves the map and when the session loses its
-        connection; each wake-up re-reads the record, since frames
-        accepted meanwhile extend the drain."""
-        session = self._sessions.get(session_id)
-        if session is None:
-            return
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.drain_timeout_s
-        while (
-            not session.drained
-            and self._sessions.get(session_id) is session
-            and session.conn is not None
-        ):
+        session ends and when it loses its connection; each wake-up
+        re-reads the record, since frames accepted meanwhile extend the
+        drain."""
+        while not session.drained and session.conn is not None:
             signal = self._drains.setdefault(session, asyncio.Event())
             try:
-                await asyncio.wait_for(signal.wait(), deadline - loop.time())
+                await asyncio.wait_for(
+                    signal.wait(), deadline - asyncio.get_running_loop().time()
+                )
             except asyncio.TimeoutError:
                 return
 
@@ -881,29 +854,31 @@ class MonitorGateway:
     ) -> None:
         """Disconnect a client.
 
-        Default contract: drain-and-close its sessions fail-safe.  With
-        resume enabled (and ``allow_park``), sessions are parked for the
-        grace window instead — no drain, no closure: the record's
-        journal holds the frames still to process, and in-flight events
-        keep landing in the parked history until a resume or expiry.
+        Default contract: drain-and-close its sessions fail-safe, all of
+        them under one ``drain_timeout_s`` deadline.  With resume
+        enabled (and ``allow_park``), sessions are parked for the grace
+        window instead — no drain, no closure: the record's journal
+        holds the frames still to process, and in-flight events keep
+        landing in the parked history until a resume or expiry.
         """
         if conn.torn_down:
             return
         conn.torn_down = True
         conn.closed = True  # stop routing/replies to this connection now
         park = self._resume_enabled and allow_park and not self._stopped
-        for session_id in list(conn.sessions):
-            if not park:
-                await self._drain_session(session_id)
-            session = self._owned(conn, session_id)
-            if session is None:
+        deadline = asyncio.get_running_loop().time() + self.drain_timeout_s
+        # A bound record is always in the map: end() unbinds it.
+        for session in [self._sessions[sid] for sid in conn.sessions]:
+            if not park and session.conn is conn:
+                await self._drain_session(session, deadline)
+            if session.conn is not conn:
                 continue  # ended (e.g. shard crash event) or stolen meanwhile
             if park:
                 await self._park_session(session, reason)
             else:
                 # Engine-side loss; the fail-safe event stands.
                 with contextlib.suppress(ReproError):
-                    await self._engine.close_session(session_id)
+                    await self._engine.close_session(session.session_id)
                 self._fail_session(session, reason)
         self._connections.pop(conn.id, None)
         await conn.aclose()
@@ -914,19 +889,16 @@ class MonitorGateway:
     async def _park_session(self, session: _RemoteSession, reason: str) -> None:
         """Release a disconnected session's engine side and hold its
         record for the grace window."""
-        session.parking = True
-        # Whatever the engine had not processed is in the journal; a
-        # dead worker has nothing left to release.
-        with contextlib.suppress(ReproError):
-            await self._engine.close_session(session.session_id)
-        session.parking = False
-        if self._sessions.get(session.session_id) is not session:
-            # Ended while the close ran (``parking`` keeps every RESUME
-            # out meanwhile): no longer ours to park.
-            return
-        session.park(reason)
+        if session.park(reason):
+            # Whatever the engine had not processed is in the journal; a
+            # dead worker has nothing left to release.
+            with contextlib.suppress(ReproError):
+                await self._engine.close_session(session.session_id)
+            session.settle()
+            if session.phase is ENDED:
+                return  # ended while the close ran: no longer ours to park
         self._end_drain(session)
-        self._parked_total += 1
+        self._counts["parked_total"] += 1
         session.expiry = asyncio.get_running_loop().call_later(
             self.resume_grace_s, self._expire_parked, session
         )
@@ -936,48 +908,42 @@ class MonitorGateway:
     ) -> None:
         """Fail a parked session safe: the grace window lapsed unresumed
         (or ``reason``)."""
-        if (
-            self._sessions.get(session.session_id) is not session
-            or session.conn is not None
-        ):
-            return
-        self._resume_expired_total += 1
-        lapse = f"resume grace window expired ({self.resume_grace_s}s)"
-        self._fail_session(session, reason or f"{lapse}: {session.reason}")
+        if session.lapses:
+            self._counts["resume_expired_total"] += 1
+            self._fail_session(
+                session,
+                reason
+                or f"resume grace window expired ({self.resume_grace_s}s): "
+                f"{session.reason}",
+            )
 
-    async def _restore(self, session: _RemoteSession, parked: bool) -> bool:
+    async def _restore(self, session: _RemoteSession) -> bool:
         """Bring a session's engine side back from its record.
 
         The one restore in the gateway, behind transparent worker-crash
-        recovery (``parked=False``) and behind a resume (``parked=True``)
-        alike: import :meth:`_RemoteSession.archive` — the session at
-        ``delivered``, every accepted frame not yet processed as its
-        pending input; consistent hashing places it on a live shard —
-        then feed whatever was admitted while the import ran.  The cost
-        is the engine's ``history_frames`` plus the undelivered frames,
-        however long the session has run.  Ticks are deterministic, so
-        the stream continues bit-identically, and an event of the lost
-        engine side still in flight meets the record's duplicate
-        filter.  Any failure on the way — the engine still reaping the
-        crash, a worker found dead only by this very exchange, a
-        *second* crash under the shard the session just landed on —
-        releases whatever half-state exists and starts over from a
-        fresh archive; the last failure is raised once the bounded
-        restarts are exhausted.  Returns False, its own engine session
-        released, when the session ends or leaves the phase it was in
-        (live to parked) underneath: whoever resumes it restores anew.
+        recovery (the record ``RECOVERING``) and behind a resume
+        (``RESUMING``) alike: import :meth:`_RemoteSession.archive` —
+        the session at ``delivered``, every accepted frame not yet
+        processed as its pending input; consistent hashing places it on
+        a live shard — then feed whatever was admitted while the import
+        ran.  The cost is the engine's ``history_frames`` plus the
+        undelivered frames, however long the session has run.  Ticks
+        are deterministic, so the stream continues bit-identically, and
+        an event of the lost engine side still in flight meets the
+        record's duplicate filter.  Any failure on the way — the engine
+        still reaping the crash, a worker found dead only by this very
+        exchange, a *second* crash under the shard the session just
+        landed on — releases whatever half-state exists and starts over
+        from a fresh archive; the last failure is raised once the
+        bounded restarts are exhausted.  Returns False, its own engine
+        session released, when the record stops wanting the restore
+        underneath (:attr:`_RemoteSession.wanted`: it ended, or a
+        recovering session was parked): whoever resumes it restores
+        anew.
         """
         session_id = session.session_id
-
-        def wanted() -> bool:
-            return (
-                self._sessions.get(session_id) is session
-                and (session.conn is None) == parked
-                and not session.parking
-            )
-
         for attempt in range(1, 9):
-            if not wanted():
+            if not session.wanted:
                 return False
             imported = False
             failure = None
@@ -986,31 +952,32 @@ class MonitorGateway:
                 sent = state.frames_done + state.pending_frames
                 await self._engine.import_session(session_to_bytes(state))
                 imported = True
-                while wanted():
+                while session.wanted:
                     tail = session.held()[sent - session.base :]
                     if not len(tail):
                         # No await since the journal was read: the
-                        # caller can flip the session's phase before
-                        # any frame slips in unfed.
+                        # caller can settle the record before any frame
+                        # slips in unfed.
                         return True
                     await self._engine.feed(session_id, tail)
                     sent += len(tail)
             except ReproError as exc:
                 failure = exc
-            if imported or wanted():
+            if imported or session.wanted:
                 # The half-restored engine session must go before a
                 # retry (a crashed shard's failure record is popped by
                 # the re-import, a survivor is closed outright: the next
                 # attempt starts from a clean slate) and before an
-                # abandonment — but an id this attempt never imported
-                # and no longer owns may be somebody else's by now.
+                # abandonment — but an abandoned id this attempt never
+                # imported holds nothing of the task's, and once the
+                # session ended it may be somebody else's.
                 with contextlib.suppress(ReproError):
                     await self._engine.close_session(session_id)
-            if not wanted():
+            if not session.wanted:
                 return False
             if attempt == 8:
                 raise failure
-            self._restore_retries_total += 1
+            self._counts["restore_retries_total"] += 1
             await asyncio.sleep(0.05 * attempt)
 
     async def _recover_session(self, session: _RemoteSession) -> None:
@@ -1018,11 +985,11 @@ class MonitorGateway:
         restore's restarts are exhausted does the session fall back to
         the fail-safe contract."""
         try:
-            if await self._restore(session, parked=False):
-                self._recovered_total += 1
+            if await self._restore(session):
+                self._counts["recovered_total"] += 1
         except ReproError as exc:
             self._fail_session(session, f"unrecoverable worker crash: {exc}")
-        session.recovering = False
+        session.settle()
 
     _HANDLERS = {
         MessageType.FRAME: _handle_frames,
@@ -1056,7 +1023,7 @@ class MonitorGateway:
                 self.idle_timeout_s is not None
                 and loop.time() - conn.last_recv > self.idle_timeout_s
             ):
-                self._idle_disconnects += 1
+                self._counts["idle_disconnects"] += 1
                 self._send_error(
                     conn,
                     WorkerError(
@@ -1067,7 +1034,7 @@ class MonitorGateway:
                 await self._teardown(conn, "idle timeout")
                 return
             self._enqueue_or_overflow(conn, encode_message(MessageType.HEARTBEAT))
-            self._heartbeats_sent += 1
+            self._counts["heartbeats_sent"] += 1
 
     # ------------------------------------------------------------------
     # Event routing
@@ -1090,15 +1057,14 @@ class MonitorGateway:
         for event in batch:
             session = self._sessions.get(event.session_id)
             if session is None:
-                self._events_dropped += 1
+                self._counts["events_dropped"] += 1
                 continue
             if event.error is not None and session.journal is not None:
                 # Resume mode treats a worker crash as recoverable:
                 # restore from the record instead of failing the
                 # session safe — now for a live session, at resume time
                 # for a parked one.
-                if session.recoverable:
-                    session.recovering = True
+                if session.crash():
                     self._spawn(
                         self._recover_session(session),
                         f"gateway-recover-{event.session_id}",
@@ -1137,7 +1103,7 @@ class MonitorGateway:
             self._disconnect(conn, f"unencodable event: {exc}")
             return
         self._enqueue_or_overflow(conn, encode_message(MessageType.EVENT, payload))
-        self._events_sent += len(events)
+        self._counts["events_sent"] += len(events)
 
     def _send_json(self, conn: _Connection, msg_type: MessageType, obj: dict) -> None:
         self._enqueue_or_overflow(conn, encode_message(msg_type, encode_json(obj)))
@@ -1145,7 +1111,7 @@ class MonitorGateway:
     def _enqueue_or_overflow(self, conn: _Connection, data: bytes) -> None:
         self._peak_queue_depth = max(self._peak_queue_depth, conn.queue.qsize())
         if not conn.enqueue(data):
-            self._overflow_disconnects += 1
+            self._counts["overflow_disconnects"] += 1
             self._disconnect(conn, "send queue overflow (client not reading events)")
 
     def _disconnect(self, conn: _Connection, reason: str) -> None:
@@ -1207,11 +1173,10 @@ class MonitorGateway:
 
     def _unregister(self, session: _RemoteSession) -> None:
         self._sessions.pop(session.session_id, None)
-        session.bind(None)
+        session.end()
         self._end_drain(session)
         if session.expiry is not None:
             session.expiry.cancel()
-            session.expiry = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1233,9 +1198,13 @@ class MonitorGateway:
 
     @property
     def n_parked_sessions(self) -> int:
-        """Number of sessions parked awaiting a resume."""
+        """Number of sessions parked awaiting a resume: no connection
+        holds them, and their park's release has landed."""
         # list() first: tests and harnesses read this off the loop thread.
-        return sum(s.conn is None for s in list(self._sessions.values()))
+        return sum(
+            s.conn is None and s.phase is not PARKING
+            for s in list(self._sessions.values())
+        )
 
     async def resize(self, target_k: int) -> dict:
         """Live-resize the serving fleet to ``target_k`` shards.
@@ -1318,11 +1287,11 @@ class MonitorGateway:
         registry = TelemetryRegistry()
         if self._engine is not None:
             registry.merge(await self._engine.telemetry())
-        registry.counter("gateway_events_sent").inc(self._events_sent)
+        registry.counter("gateway_events_sent").inc(self._counts["events_sent"])
         registry.counter("gateway_events_failsafe").inc(
             len(self.failsafe_events)
         )
-        registry.counter("gateway_frames_received").inc(self._frames_received)
+        registry.counter("gateway_frames_received").inc(self._counts["frames_received"])
         store_stats = (
             self.event_store.stats() if self.event_store is not None else None
         )
@@ -1340,9 +1309,9 @@ class MonitorGateway:
             # fail-safe, and dropped by the durable log's bounded ring
             # (0 without a store — the tee never blocks, only counts).
             "events": {
-                "emitted": self._events_sent,
+                "emitted": self._counts["events_sent"],
                 "failsafe": len(self.failsafe_events),
-                "dropped": self._events_dropped,
+                "dropped": self._counts["events_dropped"],
                 "dropped_log": (
                     store_stats["dropped"] if store_stats is not None else 0
                 ),
@@ -1364,15 +1333,15 @@ class MonitorGateway:
             },
             "connections": {
                 "open": len(self._connections),
-                "total": self._connections_total,
-                "overflow_disconnects": self._overflow_disconnects,
-                "idle_disconnects": self._idle_disconnects,
+                "total": self._counts["connections_total"],
+                "overflow_disconnects": self._counts["overflow_disconnects"],
+                "idle_disconnects": self._counts["idle_disconnects"],
             },
             "sessions": {
                 "open": self.n_open_sessions,
                 "peak_open": self._peak_open_sessions,
-                "opened_total": self._sessions_opened,
-                "closed_total": self._sessions_closed,
+                "opened_total": self._counts["sessions_opened"],
+                "closed_total": self._counts["sessions_closed"],
                 "failed_total": len(self.failsafe_events),
             },
             "queues": {
@@ -1385,22 +1354,22 @@ class MonitorGateway:
                 "enabled": self._resume_enabled,
                 "grace_s": self.resume_grace_s,
                 "parked": self.n_parked_sessions,
-                "parked_total": self._parked_total,
-                "resumed_total": self._resumed_total,
-                "expired_total": self._resume_expired_total,
-                "recovered_total": self._recovered_total,
-                "restore_retries_total": self._restore_retries_total,
+                "parked_total": self._counts["parked_total"],
+                "resumed_total": self._counts["resumed_total"],
+                "expired_total": self._counts["resume_expired_total"],
+                "recovered_total": self._counts["recovered_total"],
+                "restore_retries_total": self._counts["restore_retries_total"],
                 "journal_frames": sum(
                     len(batch)
                     for session in self._sessions.values()
                     for batch in session.journal or ()
                 ),
-                "acks_sent": self._acks_sent,
+                "acks_sent": self._counts["acks_sent"],
             },
-            "frames_received": self._frames_received,
-            "events_sent": self._events_sent,
-            "events_dropped": self._events_dropped,
-            "heartbeats_sent": self._heartbeats_sent,
+            "frames_received": self._counts["frames_received"],
+            "events_sent": self._counts["events_sent"],
+            "events_dropped": self._counts["events_dropped"],
+            "heartbeats_sent": self._counts["heartbeats_sent"],
             "shards": {
                 str(index): {
                     "n_ticks": stats.n_ticks,

@@ -19,6 +19,12 @@ import numpy as np
 from ...errors import ProtocolError, ReproError, ShapeError, WorkerError
 from ..service import SessionEvent, SessionState
 
+#: A record's phases: which task, if any, is changing its engine side
+#: (see :class:`_RemoteSession`).
+LIVE, RECOVERING, PARKING, PARKED, RESUMING, ENDED = (
+    "live", "recovering", "parking", "parked", "resuming", "ended",
+)
+
 
 class _RemoteSession:
     """The gateway's one record of a wire-opened session, OPEN to end.
@@ -27,7 +33,7 @@ class _RemoteSession:
     close, fail-safe or lapse; *live* and *parked* are phases of it, not
     separate objects.  ``conn`` is the owning connection (anything with
     a ``sessions`` set, which :meth:`bind` keeps in step), or ``None``
-    while the session is parked for the resume grace window.
+    from the moment its connection ends until a RESUME binds another.
 
     Stream position: ``fed`` counts frames accepted off the wire
     (:meth:`admit`, then :meth:`accept` or :meth:`retract`),
@@ -49,24 +55,41 @@ class _RemoteSession:
     side.  Without resume all three are ``None``: seq is not
     interpreted, nothing is acked or filtered.
 
-    Phase flags, set by the handler inside the phase, read through
-    :attr:`busy` and :attr:`recoverable`:
+    ``phase`` says which task, if any, is changing the session's engine
+    side; at most one is.  The handlers ask the record what each event
+    does to it and make the engine calls its answers call for:
 
-    - ``recovering`` — a task is restoring the engine side from
-      :meth:`archive` after a worker crash.  Incoming frames are
-      journaled (and acked: the journal is what the ack promises) but
-      not fed until the task catches up; a RESUME of a session parked
-      meanwhile waits until the task has noticed the park and let go.
-    - ``parking`` — the park is releasing the engine side: a RESUME
-      waits for the park to land instead of re-binding a session whose
-      engine side is about to vanish, and a crash event starts no
-      restore (whoever resumes the session restores it).
-    - ``inflight`` — FRAME batches awaiting their engine feed.  While
-      > 0, ``fed`` understates what the journal will hold once those
-      handlers resume: a RESUME answered now would name an acked_seq
-      that sends the in-flight batch past the duplicate filter again.
-    - ``resuming`` — a RESUME is adopting this parked session; a second
-      one waits.
+    - ``LIVE`` — bound to ``conn``, nobody changing the engine side:
+      FRAME batches are fed as they arrive.  A worker-crash event
+      (:meth:`crash`) makes it ``RECOVERING``; the connection ending
+      (:meth:`park`) makes it ``PARKING``.
+    - ``RECOVERING`` — a task restores the engine side from
+      :meth:`archive`.  Incoming frames are journaled (and acked: the
+      journal is what the ack promises) but not fed; the task feeds
+      them.  If the connection ends meanwhile the record is unbound at
+      once and the task, not the park, lets the engine side go: it
+      stops wanting the restore (:attr:`wanted`) at its next await.
+    - ``PARKING`` — unbound; the park is releasing the engine side.
+    - ``PARKED`` — no connection, no engine side; the grace timer
+      runs.  An admitted RESUME makes it ``RESUMING`` (:meth:`adopt`).
+    - ``RESUMING`` — a task restores the engine side for the resumer;
+      :meth:`resume` binds the resumer once it has.
+    - ``ENDED`` — closed, failed safe or lapsed (:meth:`end`).  The id
+      is no longer the record's; a task still holding it stops at its
+      next await.
+
+    A task that changed the engine side hands the record back with
+    :meth:`settle` — live while a connection holds it, parked
+    otherwise.  A steal (:meth:`resume` of a bound record) moves only
+    the connection; a restore in flight carries on for the new owner.
+    ``inflight`` counts FRAME batches between :meth:`admit` and their
+    :meth:`accept` or :meth:`retract`: at any await, those awaiting
+    their engine feed.  While > 0, ``fed`` understates what the journal
+    will hold once those handlers resume: a RESUME answered now would
+    name an acked_seq that sends the in-flight batch past the duplicate
+    filter again.  So a RESUME waits (:attr:`busy`) while a batch is in
+    flight or a task other than the recovery of a bound record is
+    changing the engine side; each of these ends on its own.
 
     Park-only fields: ``reason`` is why the connection ended;
     ``expiry`` is the gateway's grace-window timer handle.  A parked
@@ -75,8 +98,8 @@ class _RemoteSession:
 
     __slots__ = (
         "session_id", "conn", "fed", "seq", "delivered", "flagged", "token",
-        "journal", "base", "window", "history", "recovering", "parking",
-        "inflight", "resuming", "reason", "expiry",
+        "journal", "base", "window", "history", "phase", "inflight",
+        "reason", "expiry",
     )
 
     def __init__(
@@ -101,17 +124,15 @@ class _RemoteSession:
             self.token = secrets.token_hex(16)
             self.journal = deque()
             self.history = deque(maxlen=replay_max)
-        self.recovering = False
-        self.parking = False
+        self.phase = LIVE
         self.inflight = 0
-        self.resuming = False
         self.reason: str | None = None
         self.expiry = None
         self.bind(conn)
 
     def bind(self, conn) -> None:
         """Make ``conn`` the owner (OPEN, adopt, steal), or nobody
-        (``None``: the session ended); the previous owner loses the
+        (``None``: parked or ended); the previous owner loses the
         session at once."""
         if self.conn is not None:
             self.conn.sessions.discard(self.session_id)
@@ -119,10 +140,52 @@ class _RemoteSession:
         if conn is not None:
             conn.sessions.add(self.session_id)
 
-    def park(self, reason: str) -> None:
-        """Leave the connection that ended for ``reason``."""
+    def park(self, reason: str) -> bool:
+        """The owning connection ended for ``reason`` (or the resumer of
+        an adopt vanished): the record leaves it.  True when the caller
+        must release the engine side, then :meth:`settle`; False when a
+        recovery task is changing it — that task lets go instead, so the
+        record is parked now."""
         self.bind(None)
         self.reason = reason
+        if self.phase is RECOVERING:
+            return False
+        self.phase = PARKING
+        return True
+
+    def settle(self) -> None:
+        """The task changing the engine side is done with it (a park
+        landed, a recovery ended or let go, an adopt landed): live while
+        a connection holds the record, parked otherwise."""
+        if self.phase is not ENDED:
+            self.phase = LIVE if self.conn is not None else PARKED
+
+    def adopt(self) -> None:
+        """A RESUME was admitted for the parked record: its engine side
+        is restored for the resumer."""
+        self.phase = RESUMING
+
+    def resume(self, conn) -> None:
+        """A RESUME on ``conn`` takes the record: a steal (the engine
+        side stays as it is; a restore in flight carries on for the new
+        owner) or the landing of the adopt that restored it."""
+        self.bind(conn)
+        if self.phase is RESUMING:
+            self.settle()
+
+    def end(self) -> None:
+        """The session is over (closed, failed safe, lapsed): the owner
+        loses it, and a task still holding the record stops at its next
+        await."""
+        self.bind(None)
+        self.phase = ENDED
+
+    @property
+    def lapses(self) -> bool:
+        """A lapse (grace timer, shutdown, a resume beyond the replay
+        ring) fails the record safe: no connection holds it, and it has
+        not ended."""
+        return self.conn is None and self.phase is not ENDED
 
     def admit(self, seq: int, frames):
         """Place one FRAME batch in the stream: the rows to feed the
@@ -132,15 +195,18 @@ class _RemoteSession:
         ``self.seq`` those the gateway took off the wire.  A batch
         starting past ``self.seq`` means frames were lost beyond repair
         (:class:`ProtocolError`); one starting before it is a resume
-        replay and loses the prefix taken before the disconnect.
+        replay and loses the prefix taken before the disconnect.  The
+        batch counts in ``inflight`` until its :meth:`accept` or
+        :meth:`retract`.
         """
-        if self.journal is None:
-            return frames
-        if seq > self.seq:
+        if self.journal is not None and seq > self.seq:
             raise ProtocolError(
                 f"FRAME sequence gap for session {self.session_id!r}: "
                 f"got seq {seq}, expected {self.seq}"
             )
+        self.inflight += 1
+        if self.journal is None:
+            return frames
         if seq < self.seq:
             frames = frames[self.seq - seq :]
             if not frames.shape[0]:
@@ -153,6 +219,7 @@ class _RemoteSession:
         the client's fault (shape, ...), so no restore may carry it.
         Its rows stay counted on the wire, where the client counted
         them, so the next batch does not read as a gap."""
+        self.inflight -= 1
         if self.journal is not None:
             self.seq += self.journal.pop().shape[0]
 
@@ -161,6 +228,7 @@ class _RemoteSession:
         (``None`` with resume off), in the client's seq space.  The
         journal is what an ack promises: a batch counts once journaled,
         even while its feed waits for a restore."""
+        self.inflight -= 1
         self.fed += n_frames
         self.seq += n_frames
         return self.seq if self.journal is not None else None
@@ -223,11 +291,28 @@ class _RemoteSession:
 
     @property
     def recoverable(self) -> bool:
-        """A worker-crash event starts a restore now: not for a parked
-        session (restored when resumed) nor one being parked, and not
-        twice (a second terminal event is an echo of the crash)."""
-        return (
-            self.conn is not None and not self.parking and not self.recovering
+        """A worker-crash event starts a restore now: only for a live
+        record — not a parked one (restored when resumed), one being
+        parked or resumed (that task restores or releases it), nor twice
+        (a second terminal event is an echo of the crash)."""
+        return self.phase is LIVE
+
+    def crash(self) -> bool:
+        """A worker-crash event reached the record: True when it starts
+        a restore, which the record is ``RECOVERING`` under."""
+        started = self.recoverable
+        if started:
+            self.phase = RECOVERING
+        return started
+
+    @property
+    def wanted(self) -> bool:
+        """The restore in flight is still wanted, at each of its awaits:
+        an adopt's until the record ends, a recovery's while a
+        connection holds the record (parked meanwhile: whoever resumes
+        it restores anew)."""
+        return self.phase is RESUMING or (
+            self.phase is RECOVERING and self.conn is not None
         )
 
     def terminal(self, reason: str) -> SessionEvent:
@@ -237,14 +322,11 @@ class _RemoteSession:
 
     @property
     def busy(self) -> bool:
-        """A RESUME must wait: the record is inside a phase that ends on
-        its own (parking, a feed in flight, another resume, or parked
-        with the recovery task still letting go)."""
-        return bool(
-            self.parking
-            or self.inflight
-            or self.resuming
-            or (self.conn is None and self.recovering)
+        """A RESUME must wait: a feed is in flight, or a task other than
+        the recovery of a bound session is changing the engine side —
+        each ends on its own."""
+        return bool(self.inflight) or self.phase in (PARKING, RESUMING) or (
+            self.phase is RECOVERING and self.conn is None
         )
 
     def refusal(self, token: str, last_event: int, conn) -> ReproError | None:

@@ -139,7 +139,6 @@ def monitor_to_bytes(monitor: SafetyMonitor, backend: str | None = None) -> byte
             "gesture_window": _window_pair(monitor.config.gesture_window),
             "error_window": _window_pair(monitor.config.error_window),
             "frame_rate_hz": float(monitor.config.frame_rate_hz),
-            "unsafe_vote_threshold": float(monitor.config.unsafe_vote_threshold),
         },
         "gesture": {
             "seed": int(classifier.seed),
@@ -299,7 +298,6 @@ def monitor_from_bytes(data: bytes) -> SafetyMonitor:
             gesture_window=WindowConfig(*monitor_meta["gesture_window"]),
             error_window=WindowConfig(*monitor_meta["error_window"]),
             frame_rate_hz=monitor_meta["frame_rate_hz"],
-            unsafe_vote_threshold=monitor_meta["unsafe_vote_threshold"],
         )
     return SafetyMonitor(
         classifier, library, config, threshold=meta["threshold"]

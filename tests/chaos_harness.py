@@ -336,7 +336,7 @@ class ChaosCampaign:
         while time.monotonic() < deadline:
             try:
                 busy = any(
-                    s.recovering for s in list(gateway._sessions.values())
+                    s.phase == "recovering" for s in list(gateway._sessions.values())
                 )
             except RuntimeError:  # racing the loop thread's dict resize
                 busy = True

@@ -60,7 +60,14 @@ from repro.serving.remote.protocol import (
     encode_json,
     encode_message,
 )
-from repro.serving.remote.session import _RemoteSession
+from repro.serving.remote.session import (
+    LIVE,
+    PARKED,
+    PARKING,
+    RECOVERING,
+    RESUMING,
+    _RemoteSession,
+)
 
 SID = "theatre-7"
 RING = 8  # event_replay_max: small, so clients do fall out of reach
@@ -446,7 +453,7 @@ class WireSessionMachine(RuleBasedStateMachine):
             and connected
             and handler
             and self.session.conn is self.wire
-            and not (self.wire.cut or self.wire.up or self.session.recovering)
+            and not (self.wire.cut or self.wire.up or self.session.phase is RECOVERING)
         ):
             self.a_batch_the_engine_refuses_arrives()
         elif what == "forged resume":
@@ -477,10 +484,9 @@ class WireSessionMachine(RuleBasedStateMachine):
         np.testing.assert_array_equal(
             admitted, rows(self.accepted, seq + n - self.refused)
         )
-        if session.recovering:  # journaled and acked; the restore feeds it
+        if session.phase is not LIVE:  # journaled and acked; the restore feeds it
             self.accepted += admitted.shape[0]
             return self.ack(wire, session.accept(admitted.shape[0]))
-        session.inflight += 1
         self.pending, self.pending_wire = admitted, wire
 
     def a_stale_resend_arrives(self, back, data):
@@ -527,14 +533,13 @@ class WireSessionMachine(RuleBasedStateMachine):
     def feed_returns(self, outcome):
         session, batch, wire = self.session, self.pending, self.pending_wire
         self.pending = self.pending_wire = None
-        session.inflight -= 1
         if self.doomed:  # bound to the lost incarnation: only one way out
             outcome, self.doomed = "worker died", False
         self.accepted += batch.shape[0]
         self.ack(wire, session.accept(batch.shape[0]))
         if outcome == "fed":
             self.engine.feed(batch)
-        elif not session.recovering:
+        elif session.phase is not RECOVERING:
             # The feed found the worker dead (or the session re-imported
             # under it): accepted all the same, restored from the record.
             self.worker_dies()
@@ -583,19 +588,18 @@ class WireSessionMachine(RuleBasedStateMachine):
         starts over), a parked one waits for its resume."""
         self.lose_engine(ahead)
         self.doomed = self.pending is not None
-        if self.session.recoverable:
-            self.session.recovering = True
+        self.session.crash()
 
-    @precondition(lambda self: self.session.recovering)
+    @precondition(lambda self: self.session.phase is RECOVERING)
     @rule()
     def restore_takes_a_step(self):
         """The recovery task between two awaits: it imports the archive,
         feeds what was admitted since, finishes — or finds the session
         parked underneath it and lets its engine side go."""
         session = self.session
-        if session.conn is None:
+        if not session.wanted:
             self.engine, self.sent = None, None
-            session.recovering = False
+            session.settle()
         elif self.sent is None:
             self.engine = Engine.restored(session.archive(), len(self.stream))
             self.sent = self.engine.end
@@ -606,7 +610,7 @@ class WireSessionMachine(RuleBasedStateMachine):
                 self.sent = self.engine.end
             else:
                 self.sent = None
-                session.recovering = False
+                session.settle()
 
     # -- EOF, park, resume ----------------------------------------------
     def connection_ends(self, wire, ahead):
@@ -617,9 +621,9 @@ class WireSessionMachine(RuleBasedStateMachine):
         if session.conn is not wire:
             return  # stolen or resumed elsewhere before the EOF was read
         assert not session.busy
-        if not session.recovering:  # else the recovery task lets go of its own
+        if session.park("EOF"):  # else the recovery task lets go of its own
             self.lose_engine(ahead)
-        session.park("EOF")
+            session.settle()
         assert session.conn is None and session.reason == "EOF"
 
     def resume_arrives(self, wire, request):
@@ -630,7 +634,7 @@ class WireSessionMachine(RuleBasedStateMachine):
         assert request["session_id"] == SID and token == session.token
         assert session.busy == bool(
             self.pending is not None
-            or (session.conn is None and session.recovering)
+            or (session.conn is None and session.phase is RECOVERING)
         )
         if session.busy:  # every busy phase ends on its own: retry
             refusal = ProtocolError(f"no parked session {SID!r}")
@@ -653,8 +657,10 @@ class WireSessionMachine(RuleBasedStateMachine):
             return
         assert refusal is None
         if session.conn is None:  # adopt: the same restore, from the record
+            session.adopt()
+            assert session.wanted
             self.engine = Engine.restored(session.archive(), len(self.stream))
-        session.bind(wire)
+        session.resume(wire)
         reply = session.resume_reply()
         assert reply == {
             "session_id": SID,
@@ -712,7 +718,7 @@ class WireSessionMachine(RuleBasedStateMachine):
             "n_frames": len(self.stream),
             "n_flagged": sum(e.flag for e in self.stream),
         }
-        self.session.bind(None)
+        self.session.end()
         self.open()
 
     # ==================================================================
@@ -855,13 +861,34 @@ def test_the_core_is_sans_io():
     assert_sans_io(client_module._SessionCore)
 
 
-@pytest.mark.parametrize("phase", ["parking", "resuming", "inflight"])
+#: Each phase (and a feed in flight), reached by the record methods the
+#: gateway calls: the phase, whether a RESUME waits, whether a crash
+#: event starts a restore.
+PHASES = {
+    "inflight": (("admit",), LIVE, True, True),
+    "recovering": (("crash",), RECOVERING, False, False),
+    "recovering, parked": (("crash", "park"), RECOVERING, True, False),
+    "parking": (("park",), PARKING, True, False),
+    "parked": (("park", "settle"), PARKED, False, False),
+    "resuming": (("park", "settle", "adopt"), RESUMING, True, False),
+}
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
 def test_a_handler_inside_a_phase_keeps_resumes_out(phase):
     session = _RemoteSession(SID, Wire(), replay_max=RING)
     assert not session.busy and session.recoverable
-    setattr(session, phase, 1 if phase == "inflight" else True)
-    assert session.busy
-    assert session.recoverable == (phase != "parking")
+    steps, reached, busy, recoverable = PHASES[phase]
+    for step in steps:
+        if step == "admit":
+            session.admit(0, rows(0, 2))
+        elif step == "park":
+            session.park("EOF")
+        else:
+            getattr(session, step)()
+    assert session.phase is reached
+    assert session.busy is busy
+    assert session.recoverable is recoverable
 
 
 def test_resume_disabled_record_keeps_no_durability_state():

@@ -1086,6 +1086,39 @@ class TestEventDrivenDrain:
         assert reply["n_frames"] == 0 and events == []
         assert 0.3 <= took < 5.0
 
+    def test_a_teardown_drains_its_sessions_under_one_deadline(self, monitor):
+        """A dead client's backlog holds the engine for ``drain_timeout_s``
+        in all, not once per session: two sessions whose events never
+        reach the gateway both end fail-safe one timeout after the
+        disconnect (two timeouts when each drain got its own)."""
+
+        async def disconnect_with_events_held():
+            async with MonitorGateway(
+                monitor, n_shards=1, max_sessions=4, drain_timeout_s=0.3
+            ) as gateway:
+                held = []
+                gateway._engine._sink = held.extend
+                client = await AsyncRemoteMonitorClient.connect(
+                    gateway.host, gateway.port
+                )
+                for sid in ("a", "b"):
+                    await client.open_session(sid)
+                    await client.feed(sid, np.zeros((self.N, N_FEATURES)))
+                while len(held) < 2 * self.N:  # ticked, not routed
+                    await asyncio.sleep(0.01)
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                await client.aclose()
+                while len(gateway.failsafe_events) < 2:
+                    assert loop.time() - started < 10.0, "teardown never ended"
+                    await asyncio.sleep(0.01)
+                return loop.time() - started, list(gateway.failsafe_events)
+
+        took, terminals = asyncio.run(disconnect_with_events_held())
+        assert sorted(e.session_id for e in terminals) == ["a", "b"]
+        assert all(e.flag and e.error is not None for e in terminals)
+        assert 0.3 <= took < 0.55
+
 
 class TestBackpressure:
     def test_send_queue_overflow_disconnects_slow_consumer(self, monitor):
@@ -2359,7 +2392,7 @@ class TestResumeReplay:
             first.close()
             state = first.detach_session(sid)
             assert wait_until(lambda: gateway.n_parked_sessions == 1)
-            assert imports == [] and not gateway._sessions[sid].recovering
+            assert imports == [] and gateway._sessions[sid].phase != "recovering"
             with RemoteMonitorClient(runner.host, runner.port) as second:
                 assert second.resume_session(state) == sid
                 second.feed(sid, trajectory.frames[10:])

@@ -1,5 +1,8 @@
 """Tests for whole-monitor snapshots (worker bootstrap archives)."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,20 @@ from repro.serving import (
 )
 
 N_FEATURES = 10
+
+
+def rewrite_meta(blob, edit):
+    """``blob`` with its ``__meta__`` JSON passed through ``edit``."""
+    with np.load(io.BytesIO(blob)) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    edit(meta)
+    arrays["__meta__"] = np.frombuffer(
+        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+    ).copy()
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
 
 
 class TestRoundTrip:
@@ -128,21 +145,25 @@ class TestValidation:
             monitor_to_bytes(monitor)
 
     def test_unknown_version_rejected(self):
-        import io
-        import json
+        monitor = make_synthetic_monitor(n_features=N_FEATURES, seed=0)
+        blob = rewrite_meta(monitor_to_bytes(monitor), lambda m: m.update(version=999))
+        with pytest.raises(ConfigurationError):
+            monitor_from_bytes(blob)
 
-        import numpy as np_
-
+    def test_an_archive_with_the_retired_vote_threshold_loads(self):
+        """Archives written while ``MonitorConfig`` carried an
+        ``unsafe_vote_threshold`` still load, and score the same: the
+        key was never read."""
         monitor = make_synthetic_monitor(n_features=N_FEATURES, seed=0)
         blob = monitor_to_bytes(monitor)
-        with np_.load(io.BytesIO(blob)) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
-        meta["version"] = 999
-        arrays["__meta__"] = np_.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np_.uint8
-        ).copy()
-        buffer = io.BytesIO()
-        np_.savez(buffer, **arrays)
-        with pytest.raises(ConfigurationError):
-            monitor_from_bytes(buffer.getvalue())
+        older = rewrite_meta(
+            blob, lambda m: m["monitor_config"].update(unsafe_vote_threshold=0.0)
+        )
+        assert b"unsafe_vote_threshold" not in blob
+        restored = monitor_from_bytes(older)
+        assert restored.config == monitor.config
+        trajectory = make_random_walk_trajectory(60, n_features=N_FEATURES, seed=5)
+        assert np.array_equal(
+            restored.process(trajectory).unsafe_scores,
+            monitor.process(trajectory).unsafe_scores,
+        )

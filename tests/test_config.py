@@ -89,7 +89,3 @@ class TestMonitorConfig:
     def test_defaults(self):
         cfg = MonitorConfig()
         assert cfg.frame_rate_hz == 30.0
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ConfigurationError):
-            MonitorConfig(unsafe_vote_threshold=1.0)
