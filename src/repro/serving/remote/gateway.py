@@ -367,9 +367,10 @@ class MonitorGateway:
     :attr:`n_parked_sessions` count the two).  The record alone changes
     and interprets the session's stream position (seq, ack, journal,
     replay) and its ``phase`` — which task, if any, is changing its
-    engine side — and decides what a crash, park, lapse or resume does;
-    the handlers here do the awaits and the engine calls and I/O its
-    answers call for, and every fail-safe ending is
+    engine side — and decides what a crash, park, lapse, resume or
+    close does; the handlers here do the awaits and the engine calls and
+    I/O its answers call for, a CLOSE and a disconnect with no park end
+    a session through one :meth:`_close`, and every fail-safe ending is
     :meth:`_fail_session`.
     """
 
@@ -458,8 +459,8 @@ class MonitorGateway:
         self._conn_ids = itertools.count()
         #: Every wire-opened session, live or parked, by session id.
         self._sessions: dict[str, _RemoteSession] = {}
-        #: The signal a :meth:`_drain_session` waits on, per session
-        #: being drained; :meth:`_end_drain` sets and drops it.
+        #: The signal a :meth:`_close` waits on, per session being
+        #: drained; :meth:`_end_drain` sets and drops it.
         self._drains: dict[_RemoteSession, asyncio.Event] = {}
         self._started = False
         self._stopped = False
@@ -541,17 +542,16 @@ class MonitorGateway:
     async def stop(self) -> None:
         """Stop accepting, fail-safe every live connection, drain the
         engine's tasks and terminate any worker processes.  Idempotent."""
-        if self._stopped or not self._started:
-            self._stopped = True
+        stopped, self._stopped = self._stopped, True
+        if stopped or not self._started:
             return
-        self._stopped = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         for conn in list(self._connections.values()):
             await self._teardown(conn, "gateway shutting down", allow_park=False)
-        if self._bg_tasks:  # overflow teardowns / recoveries still in flight
-            await asyncio.gather(*list(self._bg_tasks), return_exceptions=True)
+        # Overflow teardowns / recoveries still in flight.
+        await asyncio.gather(*list(self._bg_tasks), return_exceptions=True)
         # Only parked sessions are left, and they cannot outlive the
         # gateway: fail them safe now.
         for session in list(self._sessions.values()):
@@ -606,8 +606,7 @@ class MonitorGateway:
         self._send_json(conn, MessageType.STATS, await self.gateway_stats())
 
     async def _handle_open(self, conn: _Connection, payload: bytes) -> None:
-        request = decode_json(payload)
-        session_id = request.get("session_id")
+        session_id = decode_json(payload).get("session_id")
         if session_id is not None and not isinstance(session_id, str):
             raise ProtocolError("OPEN session_id must be a string or null")
         try:
@@ -665,9 +664,13 @@ class MonitorGateway:
         session = self._sessions.get(session_id)
         if session is not None and session.conn is conn:
             return session
-        message = f"no session {session_id!r} open on this connection"
         self._send_error(
-            conn, self._no_session_error(session_id, message), session_id, in_reply_to
+            conn,
+            self._no_session_error(
+                session_id, f"no session {session_id!r} open on this connection"
+            ),
+            session_id,
+            in_reply_to,
         )
         return None
 
@@ -701,26 +704,24 @@ class MonitorGateway:
             self._counts["acks_sent"] += 1
 
     async def _handle_close(self, conn: _Connection, payload: bytes) -> None:
-        request = decode_json(payload)
-        session_id = request.get("session_id")
+        session_id = decode_json(payload).get("session_id")
         if not isinstance(session_id, str):
             raise ProtocolError("CLOSE session_id must be a string")
         session = self._request_session(conn, session_id, MessageType.CLOSE)
-        if session is None:
-            return
-        await self._drain_session(
-            session, asyncio.get_running_loop().time() + self.drain_timeout_s
-        )
-        try:
-            await self._engine.close_session(session_id)
-        except ReproError as exc:
-            # A crash event for this session has been (or will be)
-            # routed; the close itself reports the failure.
-            self._send_error(conn, exc, session_id, MessageType.CLOSE)
-            return
-        self._unregister(session)
-        self._counts["sessions_closed"] += 1
-        self._send_json(conn, MessageType.CLOSE, session.close_reply())
+        if session is not None and not await self._close(
+            session, conn, asyncio.get_running_loop().time() + self.drain_timeout_s
+        ):
+            # Stolen, ended fail-safe or parked under the drain, or still
+            # recovering at the deadline: the record's ending is not ours.
+            self._send_error(
+                conn,
+                self._no_session_error(
+                    session_id,
+                    f"session {session_id!r} was not closed on this connection",
+                ),
+                session_id,
+                MessageType.CLOSE,
+            )
 
     async def _handle_resume(self, conn: _Connection, payload: bytes) -> None:
         """Bind a session to this connection on the strength of its token.
@@ -751,7 +752,11 @@ class MonitorGateway:
         last_event = request.get("last_event", 0)
         if not isinstance(session_id, str) or not isinstance(token, str):
             raise ProtocolError("RESUME requires session_id and token strings")
-        if not isinstance(last_event, int) or last_event < 0:
+        if (
+            isinstance(last_event, bool)  # JSON true is no count
+            or not isinstance(last_event, int)
+            or last_event < 0
+        ):
             raise ProtocolError("RESUME last_event must be a non-negative int")
         session = self._sessions.get(session_id)
         if session is None or session.token is None or session.busy:
@@ -824,24 +829,52 @@ class MonitorGateway:
             return False
         return True
 
-    async def _drain_session(self, session: _RemoteSession, deadline: float) -> None:
-        """Park until every accepted frame of ``session`` has produced
-        its event, or until the loop clock reaches ``deadline`` — the
-        *drain* half of the drain-and-close disconnect contract.
+    async def _close(
+        self,
+        session: _RemoteSession,
+        conn: _Connection,
+        deadline: float,
+        reason: str | None = None,
+    ) -> bool:
+        """Drain ``session``, then release it — the one ending of a
+        session its owner ``conn`` is done with: its CLOSE (``reason``
+        ``None``) or its end with no park (``reason``), the *drain* and
+        *close* halves of the drain-and-close contract.
 
-        Waits on the session's signal, which :meth:`_end_drain` sets
-        when the event for its last accepted frame is routed, when the
-        session ends and when it loses its connection; each wake-up
-        re-reads the record, since frames accepted meanwhile extend the
-        drain."""
-        while not session.drained and session.conn is not None:
+        Waits on the session's signal while the record says so
+        (:meth:`_RemoteSession.close`: a recovery to wait out, events
+        still owed), until the loop clock reaches ``deadline``.
+        :meth:`_end_drain` sets the signal when the event for the last
+        accepted frame is routed, when the session ends, parks or
+        settles.  Then, if the release is still this closer's own
+        (:meth:`_RemoteSession.closes`), releases the session's engine
+        side and ends it: the CLOSE reply, or :meth:`_fail_session`'s
+        terminal.  False when the ending was somebody else's.
+        """
+        while session.close(conn, reason):
             signal = self._drains.setdefault(session, asyncio.Event())
             try:
                 await asyncio.wait_for(
                     signal.wait(), deadline - asyncio.get_running_loop().time()
                 )
             except asyncio.TimeoutError:
-                return
+                break
+        if not session.closes(conn, reason):
+            return False
+        # The release is this closer's: ended, the record is no task's to
+        # act on while its engine side goes (a dead worker has nothing
+        # left to release), and the ending is announced once it has —
+        # the id may then be opened again at once.
+        session.end()
+        with contextlib.suppress(ReproError):
+            await self._engine.close_session(session.session_id)
+        if reason is None:
+            self._unregister(session)
+            self._counts["sessions_closed"] += 1
+            self._send_json(conn, MessageType.CLOSE, session.close_reply())
+        else:
+            self._fail_session(session, reason)
+        return True
 
     def _end_drain(self, session: _RemoteSession) -> None:
         """Wake whoever drains ``session``: its wait may have ended."""
@@ -854,7 +887,8 @@ class MonitorGateway:
     ) -> None:
         """Disconnect a client.
 
-        Default contract: drain-and-close its sessions fail-safe, all of
+        Default contract: drain-and-close its sessions fail-safe
+        (:meth:`_close`, which takes over a CLOSE in flight), all of
         them under one ``drain_timeout_s`` deadline.  With resume
         enabled (and ``allow_park``), sessions are parked for the grace
         window instead — no drain, no closure: the record's journal
@@ -869,17 +903,10 @@ class MonitorGateway:
         deadline = asyncio.get_running_loop().time() + self.drain_timeout_s
         # A bound record is always in the map: end() unbinds it.
         for session in [self._sessions[sid] for sid in conn.sessions]:
-            if not park and session.conn is conn:
-                await self._drain_session(session, deadline)
-            if session.conn is not conn:
-                continue  # ended (e.g. shard crash event) or stolen meanwhile
-            if park:
+            if not park:
+                await self._close(session, conn, deadline, reason)
+            elif session.conn is conn:  # not ended or stolen meanwhile
                 await self._park_session(session, reason)
-            else:
-                # Engine-side loss; the fail-safe event stands.
-                with contextlib.suppress(ReproError):
-                    await self._engine.close_session(session.session_id)
-                self._fail_session(session, reason)
         self._connections.pop(conn.id, None)
         await conn.aclose()
 
@@ -990,6 +1017,7 @@ class MonitorGateway:
         except ReproError as exc:
             self._fail_session(session, f"unrecoverable worker crash: {exc}")
         session.settle()
+        self._end_drain(session)  # a CLOSE waiting the restore out claims now
 
     _HANDLERS = {
         MessageType.FRAME: _handle_frames,
@@ -1199,10 +1227,11 @@ class MonitorGateway:
     @property
     def n_parked_sessions(self) -> int:
         """Number of sessions parked awaiting a resume: no connection
-        holds them, and their park's release has landed."""
+        holds them, and their park's release has landed (a closing
+        session whose release is in flight still counts as open)."""
         # list() first: tests and harnesses read this off the loop thread.
         return sum(
-            s.conn is None and s.phase is not PARKING
+            s.conn is None and s.phase not in (PARKING, ENDED)
             for s in list(self._sessions.values())
         )
 

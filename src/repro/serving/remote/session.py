@@ -21,8 +21,8 @@ from ..service import SessionEvent, SessionState
 
 #: A record's phases: which task, if any, is changing its engine side
 #: (see :class:`_RemoteSession`).
-LIVE, RECOVERING, PARKING, PARKED, RESUMING, ENDED = (
-    "live", "recovering", "parking", "parked", "resuming", "ended",
+LIVE, RECOVERING, CLOSING, PARKING, PARKED, RESUMING, ENDED = (
+    "live", "recovering", "closing", "parking", "parked", "resuming", "ended",
 )
 
 
@@ -62,13 +62,25 @@ class _RemoteSession:
     - ``LIVE`` — bound to ``conn``, nobody changing the engine side:
       FRAME batches are fed as they arrive.  A worker-crash event
       (:meth:`crash`) makes it ``RECOVERING``; the connection ending
-      (:meth:`park`) makes it ``PARKING``.
+      (:meth:`park`) makes it ``PARKING``; a closer (:meth:`close`)
+      makes it ``CLOSING``.
     - ``RECOVERING`` — a task restores the engine side from
       :meth:`archive`.  Incoming frames are journaled (and acked: the
       journal is what the ack promises) but not fed; the task feeds
       them.  If the connection ends meanwhile the record is unbound at
       once and the task, not the park, lets the engine side go: it
-      stops wanting the restore (:attr:`wanted`) at its next await.
+      stops wanting the restore (:attr:`wanted`) at its next await.  A
+      CLOSE waits the restore out; a disconnect with no park claims
+      the record at once, and the restore lets go.
+    - ``CLOSING`` — a closer drains the session, then releases it:
+      the owner's CLOSE (``reason`` ``None``), which ends with the
+      CLOSE reply, or the owner's connection ended with no park, which
+      ends fail-safe for ``reason``.  A RESUME waits.  Under a CLOSE a
+      crash event starts a restore as for a live record, and the CLOSE
+      claims the record again once it settles; a park (the CLOSE's
+      connection ended) parks it; a disconnect takes a CLOSE's close
+      over.  After each await the closer asks :meth:`closes` whether
+      the release is still its own.
     - ``PARKING`` — unbound; the park is releasing the engine side.
     - ``PARKED`` — no connection, no engine side; the grace timer
       runs.  An admitted RESUME makes it ``RESUMING`` (:meth:`adopt`).
@@ -80,20 +92,23 @@ class _RemoteSession:
 
     A task that changed the engine side hands the record back with
     :meth:`settle` — live while a connection holds it, parked
-    otherwise.  A steal (:meth:`resume` of a bound record) moves only
-    the connection; a restore in flight carries on for the new owner.
+    otherwise; a closer's claim stands.  A steal (:meth:`resume` of a
+    bound record) moves only the connection; a restore in flight carries
+    on for the new owner.
     ``inflight`` counts FRAME batches between :meth:`admit` and their
     :meth:`accept` or :meth:`retract`: at any await, those awaiting
     their engine feed.  While > 0, ``fed`` understates what the journal
     will hold once those handlers resume: a RESUME answered now would
     name an acked_seq that sends the in-flight batch past the duplicate
     filter again.  So a RESUME waits (:attr:`busy`) while a batch is in
-    flight or a task other than the recovery of a bound record is
-    changing the engine side; each of these ends on its own.
+    flight, a closer holds the record, or a task other than the
+    recovery of a bound record is changing the engine side; each of
+    these ends on its own.
 
-    Park-only fields: ``reason`` is why the connection ended;
-    ``expiry`` is the gateway's grace-window timer handle.  A parked
-    session has no engine side at all.
+    ``reason`` is why the connection ended (a park), or why a closing
+    record fails safe (``None`` for a CLOSE); ``expiry`` is the
+    gateway's grace-window timer handle.  A parked session has no
+    engine side at all.
     """
 
     __slots__ = (
@@ -156,8 +171,9 @@ class _RemoteSession:
     def settle(self) -> None:
         """The task changing the engine side is done with it (a park
         landed, a recovery ended or let go, an adopt landed): live while
-        a connection holds the record, parked otherwise."""
-        if self.phase is not ENDED:
+        a connection holds the record, parked otherwise.  A record a
+        closer claimed meanwhile, or that ended, stays as it is."""
+        if self.phase in (RECOVERING, PARKING, RESUMING):
             self.phase = LIVE if self.conn is not None else PARKED
 
     def adopt(self) -> None:
@@ -172,6 +188,30 @@ class _RemoteSession:
         self.bind(conn)
         if self.phase is RESUMING:
             self.settle()
+
+    def close(self, conn, reason: str | None = None) -> bool:
+        """A closer on ``conn`` claims the session's ending: its CLOSE
+        (``reason`` ``None``) or, with no park, its end (``reason``).  A
+        CLOSE claims only a live record and waits out a recovery (its
+        settle makes the record live); a disconnect claims whatever its
+        connection still holds — a CLOSE's close too, whose reply nobody
+        is left to read — and a restore in flight lets go.  True while
+        the closer must wait: for that recovery, or, claimed, for the
+        events of the frames accepted so far."""
+        if self.conn is conn and (
+            self.phase is LIVE
+            or reason is not None and self.phase in (RECOVERING, CLOSING)
+        ):
+            self.phase, self.reason = CLOSING, reason
+        return self.conn is conn and (
+            self.phase is RECOVERING or not self.drained and self.closes(conn, reason)
+        )
+
+    def closes(self, conn, reason: str | None = None) -> bool:
+        """The release is the closer's own, after any await: it claimed
+        the record (:meth:`close`) and nothing parked, stole, recovered,
+        ended or took it over since."""
+        return self.conn is conn and self.phase is CLOSING and self.reason == reason
 
     def end(self) -> None:
         """The session is over (closed, failed safe, lapsed): the owner
@@ -289,21 +329,20 @@ class _RemoteSession:
             recent=held[max(cut - self.window, 0) : cut],
         )
 
-    @property
-    def recoverable(self) -> bool:
-        """A worker-crash event starts a restore now: only for a live
-        record — not a parked one (restored when resumed), one being
-        parked or resumed (that task restores or releases it), nor twice
-        (a second terminal event is an echo of the crash)."""
-        return self.phase is LIVE
-
     def crash(self) -> bool:
         """A worker-crash event reached the record: True when it starts
-        a restore, which the record is ``RECOVERING`` under."""
-        started = self.recoverable
-        if started:
-            self.phase = RECOVERING
-        return started
+        a restore, which the record is ``RECOVERING`` under.  Only a
+        bound record no other task is changing the engine side of
+        starts one — live, or closed by its CLOSE (which claims it again
+        once restored) — not a parked one (restored when resumed), one
+        being parked or resumed (that task restores or releases it), one
+        a disconnect is closing (it fails safe; a restore it interrupted
+        may still be letting go), nor a recovering one (a second
+        terminal event is an echo of the crash)."""
+        if not (self.phase is LIVE or self.phase is CLOSING and self.reason is None):
+            return False
+        self.phase = RECOVERING
+        return True
 
     @property
     def wanted(self) -> bool:
@@ -322,12 +361,13 @@ class _RemoteSession:
 
     @property
     def busy(self) -> bool:
-        """A RESUME must wait: a feed is in flight, or a task other than
-        the recovery of a bound session is changing the engine side —
-        each ends on its own."""
-        return bool(self.inflight) or self.phase in (PARKING, RESUMING) or (
-            self.phase is RECOVERING and self.conn is None
-        )
+        """A RESUME must wait: a feed is in flight, a closer holds the
+        record or is releasing it (ended, still in the gateway's map), or
+        a task other than the recovery of a bound session is changing
+        the engine side — each ends on its own."""
+        return bool(self.inflight) or self.phase in (
+            CLOSING, PARKING, RESUMING, ENDED
+        ) or (self.phase is RECOVERING and self.conn is None)
 
     def refusal(self, token: str, last_event: int, conn) -> ReproError | None:
         """The one admission check of a RESUME on ``conn``, parked or

@@ -9,9 +9,10 @@ direction, that can be cut at any byte) and is parsed back by
 ``protocol.MessageReader``.  A hypothesis state machine with **no event
 loop, socket or engine** plays everything around them in any
 interleaving: the application (feed, consume, ask for stats, give up on
-a reply, drop the connection, reconnect and resume), the gateway's
-handlers (FRAME in, engine feed result, event out, EOF, RESUME, worker
-crash and restore) and the network (bytes lost in either direction).
+a reply, close, drop the connection, reconnect and resume), the
+gateway's handlers (FRAME in, engine feed result, event out, EOF with or
+without a park, CLOSE and its drain, RESUME, worker crash and restore)
+and the network (bytes lost in either direction).
 
 The oracle is two plain lists — the frames a correct gateway has
 accepted and the events it has made client-visible — plus a toy engine
@@ -61,6 +62,8 @@ from repro.serving.remote.protocol import (
     encode_message,
 )
 from repro.serving.remote.session import (
+    CLOSING,
+    ENDED,
     LIVE,
     PARKED,
     PARKING,
@@ -141,7 +144,8 @@ class Wire:
         self.sessions = set()
         self.up = bytearray()  # client -> gateway, not yet read
         self.down = bytearray()  # gateway -> client, not yet read
-        self.cut = False  # broken, or closed by the client
+        self.cut = False  # broken, or closed by either end
+        self.torn_down = False  # the gateway knows it ended (``_teardown`` ran)
         self.asked = 0  # STATS requests the client has sent
         self.served = 0  # ... and the gateway has answered
         self.acked_seq = None  # what the RESUME reply on this wire said
@@ -191,6 +195,12 @@ class WireSessionMachine(RuleBasedStateMachine):
         super().__init__()
         self.conns = []
         self.calm = 0  # steps since the last fault's quiet spell ended
+        # (record, connection, reason) per ``_close`` waiting at an await:
+        # a CLOSE (reason None) or a teardown with no park.
+        self.closers = []
+        # (ending, owner when it left, live connection the reply went on)
+        # per record that left the gateway: a CLOSE reply or a terminal.
+        self.left = []
         self.open()
 
     def open(self):
@@ -222,6 +232,8 @@ class WireSessionMachine(RuleBasedStateMachine):
         self.fed = 0  # the application's rows 0..fed-1 went into send_frames
         self.app = []  # events the application has consumed
         self.probes = []  # (future, serial) per STATS request on this wire
+        self.closing = None  # the application's CLOSE, while owed
+        self.restoring = False  # a recovery task is between two awaits
         opened = Future()
         self.core.request(MessageType.OPEN, opened)
         wire.send(self.core.open_message(SID))
@@ -241,7 +253,7 @@ class WireSessionMachine(RuleBasedStateMachine):
     # ==================================================================
     # The client: the application above a real _SessionCore
     # ==================================================================
-    @precondition(lambda self: self.phase == "connected")
+    @precondition(lambda self: self.phase == "connected" and self.closing is None)
     @rule(n=st.integers(1, BATCH))
     def app_feeds(self, n):
         try:
@@ -270,6 +282,16 @@ class WireSessionMachine(RuleBasedStateMachine):
         for reply, _ in self.probes:
             if reply.cancel():
                 break
+
+    def app_closes(self):
+        """The application is done with the session: a CLOSE through the
+        core, and no frame after it while the reply is owed."""
+        self.closing = Future()
+        self.core.request(MessageType.CLOSE, self.closing)
+        try:
+            self.wire.send(self.core.close_message(SID))
+        except WorkerError:
+            self.client_drops()
 
     def app_takes_events(self, n):
         """Seldom, so that a dropped connection usually leaves events
@@ -310,6 +332,11 @@ class WireSessionMachine(RuleBasedStateMachine):
             if reply.done() and not reply.cancelled():
                 assert reply.result(0) == {"served": serial}  # its own
         self.probes = [probe for probe in self.probes if not probe[0].done()]
+        if self.closing is not None and self.closing.done():
+            # Refused: the record's ending was not this CLOSE's (a reply
+            # ends the record, and the machine opens afresh right there).
+            assert isinstance(self.closing.exception(0), (ProtocolError, WorkerError))
+            self.closing = None
         if self.phase == "resuming" and self.resumed.done():
             if self.resumed.exception(0) is not None:
                 return self.client_drops()  # refused: the state stays whole
@@ -340,6 +367,7 @@ class WireSessionMachine(RuleBasedStateMachine):
         is still whole."""
         if self.phase == "connected":
             self.state = self.core.detach(SID)
+        self.closing = None  # its reply, if any, is lost with the wire
         self.wire.cut = True  # what it had sent still arrives, then EOF
         del self.wire.down[:]
         self.wire, self.core = Wire(), _SessionCore()
@@ -360,11 +388,18 @@ class WireSessionMachine(RuleBasedStateMachine):
     # ==================================================================
     # The gateway: the handlers around a real _RemoteSession
     # ==================================================================
+    def in_handler(self, wire):
+        """A connection's reader is inside a handler: a FRAME's engine
+        feed, or a CLOSE's drain."""
+        return wire is self.pending_wire or any(
+            closer[1] is wire and closer[2] is None for closer in self.closers
+        )
+
     def readable(self, wire):
-        """A connection's reader is not inside a handler (a FRAME's
-        engine feed) and has a message, or EOF, to read (only a cut
-        leaves part of a message behind)."""
-        return wire is not self.pending_wire and bool(wire.cut or wire.up)
+        """A connection's reader is not inside a handler and has a
+        message, or EOF, to read (only a cut leaves part of a message
+        behind)."""
+        return not self.in_handler(wire) and bool(wire.cut or wire.up)
 
     @precondition(lambda self: any(map(self.readable, self.wires)))
     @rule(data=st.data(), greedy=st.booleans())
@@ -395,13 +430,18 @@ class WireSessionMachine(RuleBasedStateMachine):
                 self.feed_returns(outcome)
         elif msg_type is MessageType.RESUME:
             self.resume_arrives(wire, decode_json(payload))
+        elif msg_type is MessageType.CLOSE:
+            assert decode_json(payload) == {"session_id": SID}
+            self.close_arrives(wire)
         elif msg_type is MessageType.STATS:
             wire.reply(MessageType.STATS, encode_json({"served": wire.served}))
             wire.served += 1
         else:
             assert message == (MessageType.HEARTBEAT, b"")  # the echo
 
-    FAULTS = ("client drops", "wire breaks", "worker dies", "fails safe")
+    FAULTS = (
+        "client drops", "wire breaks", "worker dies", "fails safe", "times out",
+    )
 
     @precondition(lambda self: self.calm >= 0)
     @rule(
@@ -411,7 +451,7 @@ class WireSessionMachine(RuleBasedStateMachine):
                 "asks for stats", "asks for stats", "caller gives up",
                 "takes events", "stale resend", "stale resend", "ping",
                 "frames past a gap", "refused batch", "forged resume",
-                "stale resume",
+                "stale resume", "closes", "closes", "closes",
             )
         ),
         data=st.data(),
@@ -423,7 +463,8 @@ class WireSessionMachine(RuleBasedStateMachine):
         a dozen steps, so that most of a schedule moves the conversation
         along (a resume takes four steps of the right kind to complete)."""
         connected = self.phase == "connected"
-        handler = self.pending is None and self.session.conn is not None
+        owner = self.session.conn
+        handler = owner is not None and not self.in_handler(owner)
         if what in self.FAULTS:
             self.calm = -data.draw(st.integers(0, 12))
         if what == "client drops":
@@ -434,6 +475,15 @@ class WireSessionMachine(RuleBasedStateMachine):
             self.worker_dies(data.draw(st.integers(0, 3)))
         elif what == "fails safe":
             self.fails_safe()
+        elif what == "times out" and self.pending is None and owner in self.wires:
+            # The heartbeat's idle timeout (or a send-queue overflow, or a
+            # shutdown: no park) ends the connection whatever its reader
+            # is doing — a CLOSE's drain included.
+            owner.cut = True
+            ahead, park = data.draw(st.integers(0, 3)), data.draw(st.booleans())
+            self.connection_ends(owner, ahead, park)
+        elif what == "closes" and connected and self.closing is None:
+            self.app_closes()
         elif what == "asks for stats" and connected:
             self.app_asks_for_stats(data.draw(st.booleans()))
         elif what == "caller gives up":
@@ -452,6 +502,7 @@ class WireSessionMachine(RuleBasedStateMachine):
             what == "refused batch"
             and connected
             and handler
+            and self.closing is None
             and self.session.conn is self.wire
             and not (self.wire.cut or self.wire.up or self.session.phase is RECOVERING)
         ):
@@ -584,21 +635,29 @@ class WireSessionMachine(RuleBasedStateMachine):
     def worker_dies(self, ahead=0):
         """The crash event reaches ``_route_events``: the engine side is
         gone — under a feed in flight, perhaps, whose batch the archive
-        then carries; a live session starts a restore (one in progress
-        starts over), a parked one waits for its resume."""
+        then carries; a live or closing session starts a restore (one in
+        progress starts over), a parked one waits for its resume."""
         self.lose_engine(ahead)
         self.doomed = self.pending is not None
-        self.session.crash()
+        if self.session.crash():
+            assert not self.restoring  # never two restores at once
+            self.restoring = True
 
-    @precondition(lambda self: self.session.phase is RECOVERING)
+    @precondition(lambda self: self.restoring)
     @rule()
     def restore_takes_a_step(self):
         """The recovery task between two awaits: it imports the archive,
         feeds what was admitted since, finishes — or finds the session
-        parked underneath it and lets its engine side go."""
+        parked (or claimed by a teardown) underneath it and lets its
+        engine side go."""
         session = self.session
+        # The oracle of ``wanted``: a recovery is wanted while the record
+        # is recovering and a connection still holds it.
+        assert session.wanted == (
+            session.phase is RECOVERING and session.conn is not None
+        )
         if not session.wanted:
-            self.engine, self.sent = None, None
+            self.engine, self.sent, self.restoring = None, None, False
             session.settle()
         elif self.sent is None:
             self.engine = Engine.restored(session.archive(), len(self.stream))
@@ -609,18 +668,116 @@ class WireSessionMachine(RuleBasedStateMachine):
                 self.engine.feed(tail)
                 self.sent = self.engine.end
             else:
-                self.sent = None
+                self.sent, self.restoring = None, False
                 session.settle()
 
+    # -- CLOSE and its drain --------------------------------------------
+    def close_arrives(self, wire):
+        """``_handle_close``: the owner's CLOSE claims the record, then
+        drains it (or first waits out a recovery)."""
+        if self.session.conn is not wire:
+            refusal = ProtocolError(f"no session {SID!r} open on this connection")
+            return wire.reply(MessageType.ERROR, error_payload(refusal, "CLOSE"))
+        self.closers.append((self.session, wire, None))
+        self.closer_wakes(len(self.closers) - 1, expired=False)
+
+    @precondition(lambda self: self.closers)
+    @rule(data=st.data())
+    def a_closer_wakes(self, data):
+        """A ``_close`` waiting at its await wakes: its signal was set
+        (or not: a wake-up re-reads the record), or its deadline passed."""
+        self.closer_wakes(
+            data.draw(st.integers(0, len(self.closers) - 1)),
+            expired=data.draw(st.sampled_from([False, False, False, True])),
+        )
+
+    @precondition(
+        lambda self: self.pending is None
+        and any(closer[2] is None for closer in self.closers)
+        and self.session.phase is CLOSING
+    )
+    @rule(
+        what=st.sampled_from(["park", "no park", "worker dies", "client resumes"]),
+        ahead=st.integers(0, 3),
+    )
+    def something_happens_under_a_close(self, what, ahead):
+        """While a CLOSE drains: its connection ends (the heartbeat's
+        idle timeout, an overflow: a park; a shutdown: none), the worker
+        dies, or the client gives the connection up and resumes."""
+        owner = self.session.conn
+        if what == "worker dies":
+            self.worker_dies(ahead)
+        elif what == "client resumes":
+            self.client_drops()
+        elif owner in self.wires:
+            owner.cut = True
+            self.connection_ends(owner, ahead, park=what == "park")
+
+    def closer_wakes(self, index, expired):
+        """``_close`` between its awaits: wait on, or — the release still
+        its own — end the session, then release its engine side."""
+        session, wire, reason = self.closers[index]
+        if session.close(wire, reason) and not expired:
+            return
+        del self.closers[index]
+        # The oracle of ``closes``: the claim holds while the closer's
+        # connection holds the record, nothing restores it, and no
+        # teardown took a CLOSE's close over.
+        taken_over = reason is None and any(
+            closer[0] is session and closer[1] is wire and closer[2] is not None
+            for closer in self.closers
+        )
+        owns = session.closes(wire, reason)
+        assert owns == (
+            session is self.session
+            and session.conn is wire
+            and session.phase is not RECOVERING
+            and not taken_over
+        )
+        if not owns:
+            if reason is None:  # answered like any request it cannot act on
+                refusal = ProtocolError(f"session {SID!r} was not closed here")
+                wire.reply(MessageType.ERROR, error_payload(refusal, "CLOSE"))
+            return
+        delivered = len(self.stream)
+        assert expired or delivered == self.accepted  # drained
+        if reason is not None:
+            return self.leaves(session.terminal(reason))
+        reply = session.close_reply()
+        assert reply == {
+            "session_id": SID,
+            "n_frames": delivered,
+            "n_flagged": sum(e.flag for e in self.stream),
+        }
+        self.leaves(reply, wire)
+
+    def leaves(self, ending, to=None):
+        """The record leaves the gateway's map with ``ending``: the CLOSE
+        reply, sent on ``to``, or the fail-safe terminal event.  Its
+        engine side is released; the id may then be opened afresh."""
+        session = self.session
+        reached = None if to is None or to.torn_down else to
+        self.left.append((ending, session.conn, reached))
+        if to is not None:
+            to.reply(MessageType.CLOSE, encode_json(ending))
+        session.end()
+        self.open()
+
     # -- EOF, park, resume ----------------------------------------------
-    def connection_ends(self, wire, ahead):
+    def connection_ends(self, wire, ahead, park=True):
         """``_teardown``: a connection still holding the session parks
-        it — the engine side is released, whatever it still held."""
+        it — the engine side is released, whatever it still held — or,
+        with no park (resume off, shutdown), drains and fails it safe
+        through the same ``_close`` as a CLOSE, taking over a CLOSE's."""
         self.wires.remove(wire)
+        wire.torn_down = True
         session = self.session
         if session.conn is not wire:
             return  # stolen or resumed elsewhere before the EOF was read
-        assert not session.busy
+        if not park:
+            self.closers.append((session, wire, "EOF"))
+            return self.closer_wakes(len(self.closers) - 1, expired=False)
+        assert session.phase is CLOSING or not session.busy
         if session.park("EOF"):  # else the recovery task lets go of its own
             self.lose_engine(ahead)
             session.settle()
@@ -634,6 +791,7 @@ class WireSessionMachine(RuleBasedStateMachine):
         assert request["session_id"] == SID and token == session.token
         assert session.busy == bool(
             self.pending is not None
+            or session.phase is CLOSING
             or (session.conn is None and session.phase is RECOVERING)
         )
         if session.busy:  # every busy phase ends on its own: retry
@@ -711,15 +869,14 @@ class WireSessionMachine(RuleBasedStateMachine):
         the terminal lands where the client-visible stream stops; the
         id may then be opened afresh."""
         terminal = self.session.terminal("monitoring lost")
-        assert terminal.flag and terminal.error == "monitoring lost"
+        assert terminal.error == "monitoring lost"
         assert terminal.frame_index == len(self.stream)
         assert self.session.close_reply() == {
             "session_id": SID,
             "n_frames": len(self.stream),
             "n_flagged": sum(e.flag for e in self.stream),
         }
-        self.session.end()
-        self.open()
+        self.leaves(terminal)
 
     # ==================================================================
     # What must hold after every step
@@ -823,13 +980,44 @@ class WireSessionMachine(RuleBasedStateMachine):
         for conn in self.conns:
             assert conn.sessions == ({SID} if conn is self.session.conn else set())
 
+    @invariant()
+    def a_parked_record_holds_no_engine_side(self):
+        """Released by the park, or let go by the recovery it interrupted."""
+        if self.session.phase is PARKED:
+            assert self.engine is None and not self.restoring
+
+    @invariant()
+    def no_record_leaves_without_a_reply_to_its_owner_or_a_terminal(self):
+        """A session's monitoring ends either as its owner asked — the
+        CLOSE reply on the connection holding the record as it left — or
+        as a ``flag=True`` terminal, never silently."""
+        for ending, owner, to in self.left:
+            if isinstance(ending, SessionEvent):
+                assert ending.flag and ending.error is not None
+            else:  # a reply on a connection the gateway knows is gone is none
+                assert owner is not None and to is owner
+
+    @invariant()
+    def a_handler_after_an_await_acts_only_where_the_record_wants_it(self):
+        """What the handlers parked at an await did shows in the engine
+        side: a restore that found its record parked let it go, a
+        closer that lost its claim released nothing, and a record that
+        is live — or closed by its CLOSE, which claims only a live one —
+        still has its engine side."""
+        session = self.session
+        closed_by_its_close = session.phase is CLOSING and session.reason is None
+        if session.phase is LIVE or closed_by_its_close:
+            assert self.engine is not None
+        if self.restoring:
+            assert session.phase is not LIVE
+
 
 # Derandomized: the same schedules on every run, so which hand mutants of
 # ``_SessionCore`` the machine kills is a fact, not a frequency (CHANGES.md,
 # PR 24); set ``derandomize=False`` to explore fresh ones.
 TestGatewaySession = WireSessionMachine.TestCase
 TestGatewaySession.settings = settings(
-    max_examples=100, stateful_step_count=100, deadline=None, derandomize=True
+    max_examples=200, stateful_step_count=100, deadline=None, derandomize=True
 )
 
 
@@ -865,30 +1053,40 @@ def test_the_core_is_sans_io():
 #: gateway calls: the phase, whether a RESUME waits, whether a crash
 #: event starts a restore.
 PHASES = {
+    "live": ((), LIVE, False, True),
     "inflight": (("admit",), LIVE, True, True),
+    "closing": (("close",), CLOSING, True, True),
+    "closing, recovering": (("close", "crash"), RECOVERING, False, False),
+    "closing, disconnected": (("close", "disconnect"), CLOSING, True, False),
     "recovering": (("crash",), RECOVERING, False, False),
     "recovering, parked": (("crash", "park"), RECOVERING, True, False),
     "parking": (("park",), PARKING, True, False),
     "parked": (("park", "settle"), PARKED, False, False),
     "resuming": (("park", "settle", "adopt"), RESUMING, True, False),
+    # Its closer's release in flight: still in the gateway's map.
+    "ended": (("close", "end"), ENDED, True, False),
 }
 
 
 @pytest.mark.parametrize("phase", sorted(PHASES))
 def test_a_handler_inside_a_phase_keeps_resumes_out(phase):
-    session = _RemoteSession(SID, Wire(), replay_max=RING)
-    assert not session.busy and session.recoverable
+    wire = Wire()
+    session = _RemoteSession(SID, wire, replay_max=RING)
     steps, reached, busy, recoverable = PHASES[phase]
     for step in steps:
         if step == "admit":
             session.admit(0, rows(0, 2))
         elif step == "park":
             session.park("EOF")
+        elif step == "close":
+            session.close(wire)
+        elif step == "disconnect":  # a teardown with no park takes over
+            session.close(wire, "EOF")
         else:
             getattr(session, step)()
     assert session.phase is reached
     assert session.busy is busy
-    assert session.recoverable is recoverable
+    assert session.crash() is recoverable
 
 
 def test_resume_disabled_record_keeps_no_durability_state():

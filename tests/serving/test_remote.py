@@ -668,6 +668,58 @@ class TestFailSafe:
             assert stats["sessions"]["failed_total"] == 1
             assert stats["frames_received"] == trajectory.n_frames
 
+    def test_an_open_that_outlives_its_connection_releases_its_slot(self, monitor):
+        """The connection ends (here: idle timeout) while its OPEN is in
+        flight on a shard: the session the engine opens is closed again
+        at once, and no record is registered that no teardown would ever
+        drain or fail safe."""
+
+        async def open_then_vanish():
+            async with MonitorGateway(
+                monitor,
+                n_shards=2,
+                max_sessions=4,
+                heartbeat_interval_s=0.05,
+                idle_timeout_s=0.2,
+            ) as gateway:
+                service = gateway._engine.service
+                entered, release = threading.Event(), threading.Event()
+                opened = []
+                real_open = service.open_on_shard
+
+                def open_once_the_client_is_gone(*args, **kwargs):
+                    entered.set()
+                    release.wait(10.0)
+                    opened.append(real_open(*args, **kwargs))
+                    return opened[-1]
+
+                service.open_on_shard = open_once_the_client_is_gone
+                reader, writer = await asyncio.open_connection(
+                    gateway.host, gateway.port
+                )
+                writer.write(
+                    encode_message(MessageType.OPEN, encode_json({"session_id": "z"}))
+                )
+                await writer.drain()
+                while not entered.is_set():
+                    await asyncio.sleep(0.01)
+                writer.close()  # silent from here: the idle timeout ends it
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                while gateway._connections:
+                    assert loop.time() - started < 10.0, "never torn down"
+                    await asyncio.sleep(0.01)
+                release.set()
+                while not opened or service.n_open_sessions:
+                    assert loop.time() - started < 20.0, "slot never released"
+                    await asyncio.sleep(0.01)
+                return opened, dict(gateway._sessions), gateway.failsafe_events
+
+        opened, sessions, terminals = asyncio.run(open_then_vanish())
+        assert opened == ["z"]  # the engine did open it ...
+        assert sessions == {}  # ... and the gateway kept no record of it
+        assert terminals == []  # nothing was fed: nothing to flag
+
     @pytest.mark.parametrize("n_shards", [1, 2])
     def test_reopened_id_sheds_its_predecessors_failure(self, monitor, n_shards):
         """A clean procedure on a re-used id must not read as a lost
@@ -1118,6 +1170,85 @@ class TestEventDrivenDrain:
         assert sorted(e.session_id for e in terminals) == ["a", "b"]
         assert all(e.flag and e.error is not None for e in terminals)
         assert 0.3 <= took < 0.55
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_a_resume_during_a_close_waits_instead_of_stealing(
+        self, monitor, monkeypatch, n_shards
+    ):
+        """A CLOSE parked in its drain owns the session's ending: a RESUME
+        with the right token from a newer connection gets the retryable
+        refusal instead of stealing it, and no record leaves the gateway
+        without a CLOSE reply to the connection holding it as it leaves
+        or a ``flag=True`` terminal.  (A steal during the drain would
+        let the CLOSE end the session under its new owner, which then
+        gets neither.)"""
+
+        async def resume_while_closing():
+            async with MonitorGateway(
+                monitor,
+                n_shards=n_shards,
+                max_sessions=4,
+                drain_timeout_s=30.0,
+                resume_grace_s=30.0,
+            ) as gateway:
+                held = []
+                gateway._engine._sink = held.extend
+                holders = {}  # record -> id of the connection holding it as it ends
+                end = _RemoteSession.end
+
+                def ends(session):
+                    holders.setdefault(session, getattr(session.conn, "id", None))
+                    end(session)
+
+                monkeypatch.setattr(_RemoteSession, "end", ends)
+                client = await AsyncRemoteMonitorClient.connect(
+                    gateway.host, gateway.port
+                )
+                sid = await client.open_session("s")
+                await client.feed(sid, np.zeros((self.N, N_FEATURES)))
+                while len(held) < self.N:  # ticked, not routed
+                    await asyncio.sleep(0.01)
+                session = gateway._sessions[sid]
+                owner = session.conn.id
+                closing = asyncio.ensure_future(client.close_session(sid))
+                while session not in gateway._drains:
+                    await asyncio.sleep(0.01)
+                reader, writer = await asyncio.open_connection(
+                    gateway.host, gateway.port
+                )
+                writer.write(
+                    encode_message(
+                        MessageType.RESUME,
+                        encode_json(
+                            {"session_id": sid, "token": session.token, "last_event": 0}
+                        ),
+                    )
+                )
+                await writer.drain()
+                msg_type, length = decode_header(
+                    await asyncio.wait_for(reader.readexactly(HEADER_SIZE), 10.0)
+                )
+                answer = protocol.decode_json(await reader.readexactly(length))
+                gateway._route_events(held)
+                reply = await asyncio.wait_for(closing, 10.0)
+                writer.close()
+                await client.aclose()
+                terminals = list(gateway.failsafe_events)
+                left = [(s.session_id, holder) for s, holder in holders.items()]
+                return owner, msg_type, answer, reply, left, terminals
+
+        owner, msg_type, answer, reply, left, terminals = asyncio.run(
+            resume_while_closing()
+        )
+        # The CLOSE reply went to ``owner``, the closing client.
+        flagged = {e.session_id for e in terminals if e.flag and e.error is not None}
+        for sid, holder in left:
+            assert sid in flagged or holder == owner, (sid, holder)
+        assert left == [("s", owner)] and not terminals
+        assert reply["n_frames"] == self.N
+        assert msg_type is MessageType.ERROR and answer["in_reply_to"] == "RESUME"
+        assert answer["error_type"] == "ProtocolError"
+        assert "no parked session" in answer["error"]  # retryable: it waits
 
 
 class TestBackpressure:
@@ -1739,6 +1870,58 @@ class TestProtocolOverTheWire:
                     np.zeros((3, N_FEATURES)), session_id="after"
                 )
                 assert len(events) == 3
+
+    @pytest.mark.parametrize(
+        "request_, refusal",
+        [
+            ({"session_id": 7, "token": "TOKEN"}, "session_id and token strings"),
+            ({"session_id": "m", "token": None}, "session_id and token strings"),
+            ({"session_id": "m", "token": "TOKEN", "last_event": -1}, "non-negative"),
+            ({"session_id": "m", "token": "TOKEN", "last_event": True}, "non-negative"),
+        ],
+        ids=["id", "token", "negative", "boolean"],
+    )
+    def test_malformed_resume_gets_protocol_error(self, monitor, request_, refusal):
+        """A RESUME whose id or token is not a string, or whose
+        ``last_event`` is not a non-negative int — a JSON ``true`` is no
+        count, however Python ranks bool — is a protocol violation: an
+        ERROR, then the connection ends, and the parked session it names
+        stays parked."""
+        with running_gateway(
+            monitor, n_shards=1, max_sessions=4, resume_grace_s=30.0
+        ) as runner:
+            first = RemoteMonitorClient(runner.host, runner.port)
+            sid = first.open_session("m")
+            first.feed(sid, np.zeros((2, N_FEATURES)))
+            first.events_for(sid, 2)
+            first.close()
+            token = first.detach_session(sid).token
+            assert wait_until(lambda: runner.gateway.n_parked_sessions == 1)
+            if request_.get("token") == "TOKEN":
+                request_ = dict(request_, token=token)
+            raw = socket.create_connection((runner.host, runner.port))
+            raw.settimeout(10.0)
+            raw.sendall(encode_message(MessageType.RESUME, encode_json(request_)))
+            reader = MessageReader()
+            answers = []
+            try:
+                while True:
+                    data = raw.recv(4096)
+                    if not data:
+                        break  # the gateway ended the connection
+                    reader.feed(data)
+                    answers += [
+                        message
+                        for message in reader.messages()
+                        if message[0] is not MessageType.HEARTBEAT
+                    ]
+            finally:
+                raw.close()
+            assert [msg_type for msg_type, _ in answers] == [MessageType.ERROR]
+            info = protocol.decode_json(answers[0][1])
+            assert info["error_type"] == "ProtocolError"
+            assert refusal in info["error"]
+            assert runner.gateway.n_parked_sessions == 1
 
     def test_an_old_clients_record_timeline_key_is_ignored(
         self, monitor, monkeypatch

@@ -31,7 +31,7 @@ ALLOWED = {
         "the reply deadline: a request the gateway never answers fails",
     ("remote/gateway.py", "_Connection.aclose"):
         "a writer wedged against a non-reading peer must not wedge the teardown",
-    ("remote/gateway.py", "MonitorGateway._drain_session"):
+    ("remote/gateway.py", "MonitorGateway._close"):
         "drain_timeout_s bounds how long a dead client's backlog holds the engine",
     ("remote/gateway.py", "MonitorGateway._heartbeat_loop"):
         "the heartbeat is a period: a silent client is found by the clock",
