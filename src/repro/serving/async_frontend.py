@@ -116,19 +116,31 @@ class AsyncShardedMonitor:
 
     async def start(self) -> None:
         """Spawn one ticker task per live shard (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        for index in self._service.shard_indices:
-            self._spawn_ticker(index)
+        if not self._started:
+            self._started = True
+            self._reconcile()
 
-    def _spawn_ticker(self, index: int) -> None:
-        self._kick[index] = asyncio.Event()
-        self._tasks.append(
-            asyncio.create_task(
-                self._shard_loop(index), name=f"ticker-shard-{index}"
-            )
-        )
+    def _reconcile(self) -> None:
+        """One ticker per live shard, once started: a shard without one
+        gets its loop, and a retired shard's kick, turn and done task go
+        (indices are never reused: repeated reshapes would otherwise
+        grow the maps and the task list without bound).  Waiters and
+        loops holding a popped turn or kick keep working; removal only
+        stops *future* lookups, and the set kick wakes the retired
+        shard's parked loop so it exits."""
+        live = set(self._service.shard_indices)
+        for index in [i for i in self._kick if i not in live]:
+            self._kick.pop(index).set()
+            self._pipe.pop(index, None)
+        self._tasks = [t for t in self._tasks if not t.done()]
+        if self._started and not self._closed:
+            for index in live - set(self._kick):
+                self._kick[index] = asyncio.Event()
+                self._tasks.append(
+                    asyncio.create_task(
+                        self._shard_loop(index), name=f"ticker-shard-{index}"
+                    )
+                )
 
     async def aclose(self) -> None:
         """Stop the tickers.
@@ -278,7 +290,7 @@ class AsyncShardedMonitor:
                     handle = self._service._shards.get(index)
                 if handle is None or not handle.alive:
                     # Crashed or removed: nothing to tick.  Its turn goes
-                    # too, as :meth:`resize` prunes a retired shard's.
+                    # too, as :meth:`_reconcile` prunes a retired shard's.
                     self._pipe.pop(index, None)
                     break
                 self._settle()
@@ -459,52 +471,40 @@ class AsyncShardedMonitor:
         Migration is a two-pipe exchange whose source varies per
         session, so no ticker, feed or control op may interleave with a
         resize or a shed — and with every turn held and counted, no feed
-        runs inline either.  Afterwards fail-safe events queued by a crash
-        during the call are flushed (no tick may ever come for them) and
-        every ticker is kicked, so migrated backlogs resume immediately.
+        runs inline either.  Afterwards, whether or not the call raised
+        (a reshape refused part-way has still moved sessions and may
+        have added a shard), the tickers are reconciled
+        (:meth:`_reconcile`), every ticker is kicked so migrated
+        backlogs resume at once, and fail-safe events queued by a crash
+        during the call are handed over (no tick may ever come for
+        them).
         """
         indices = sorted(set(self._pipe) | set(self._service.shard_indices))
-        async with contextlib.AsyncExitStack() as stack:
-            for index in indices:
-                await stack.enter_async_context(self._turns(index))
-            result = await asyncio.get_running_loop().run_in_executor(
-                None, fn, *args
-            )
-        self._emit(self._service.take_undelivered_events())
-        for kick in self._kick.values():
-            kick.set()
-        return result
+        try:
+            async with contextlib.AsyncExitStack() as stack:
+                for index in indices:
+                    await stack.enter_async_context(self._turns(index))
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, fn, *args
+                )
+        finally:
+            self._reconcile()
+            for kick in self._kick.values():
+                kick.set()
+            self._emit(self._service.take_undelivered_events())
 
     async def resize(self, target_k: int) -> dict:
-        """Live-resize the fleet without dropping a session or a frame.
-
-        Runs :meth:`ShardedMonitorService.resize` under every shard's
-        turn (:meth:`_run_on_fleet`), then reconciles the ticker
-        tasks: new shards get their own loops, loops of removed shards
-        wake and exit.  Returns the service's resize summary dict.
-        """
-        result = await self._run_on_fleet(self._service.resize, target_k)
-        # Prune retired indices (never reused: repeated resizes would
-        # otherwise grow the maps and the task list without bound).
-        # Waiters and loops holding a popped turn/event keep working;
-        # removal only stops *future* lookups.
-        live = set(self._service.shard_indices)
-        for index in [i for i in self._kick if i not in live]:
-            self._kick.pop(index).set()  # wake the parked loop so it exits
-            self._pipe.pop(index, None)
-        self._tasks = [t for t in self._tasks if not t.done()]
-        if self._started and not self._closed:
-            for index in live - set(self._kick):
-                self._spawn_ticker(index)
-        return result
+        """Live-resize the fleet without dropping a session or a frame:
+        :meth:`ShardedMonitorService.resize` on :meth:`_run_on_fleet`,
+        so new shards get their tickers and removed shards' tickers
+        exit — also when the reshape is refused part-way.  Returns the
+        service's resize summary dict."""
+        return await self._run_on_fleet(self._service.resize, target_k)
 
     async def shed(self, session_ids: list[str], to_shard: int) -> dict[str, int]:
-        """Migrate named sessions onto ``to_shard`` and pin them there.
-
-        The blocking :meth:`ShardedMonitorService.shed` under every
-        shard's turn (:meth:`_run_on_fleet`).  Returns the service's
-        ``{session_id: previous shard}`` map.
-        """
+        """Migrate named sessions onto ``to_shard`` and pin them there:
+        :meth:`ShardedMonitorService.shed` on :meth:`_run_on_fleet`.
+        Returns the service's ``{session_id: previous shard}`` map."""
         return await self._run_on_fleet(
             self._service.shed, list(session_ids), to_shard
         )

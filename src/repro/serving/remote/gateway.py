@@ -193,19 +193,6 @@ class _LocalEngine:
     async def telemetry(self) -> dict:
         return self.service.telemetry.snapshot()
 
-    async def resize(self, target_k: int) -> dict:
-        raise ConfigurationError(
-            "the embedded single-service engine cannot resize; start the "
-            "gateway with n_shards >= 2 for an elastic fleet"
-        )
-
-    async def shed(self, session_ids: list[str], to_shard: int) -> dict[str, int]:
-        raise ConfigurationError(
-            "the embedded single-service engine has no shards to shed "
-            "between; start the gateway with n_shards >= 2 for a "
-            "sharded fleet"
-        )
-
     async def aclose(self) -> None:
         self._closed = True
 
@@ -422,7 +409,7 @@ class MonitorGateway:
         )
         self._monitor = monitor
         self._monitor_bytes = monitor_bytes
-        self.n_shards = int(n_shards)
+        self._n_shards = int(n_shards)
         self.max_sessions = int(max_sessions)
         self.host = host
         self.port = int(port)  # rebound to the real port by start()
@@ -521,7 +508,7 @@ class MonitorGateway:
 
     def _build_engine(self):
         """Blocking engine construction (model compile / worker spawn)."""
-        if self.n_shards == 1:
+        if self._n_shards == 1:
             monitor = self._monitor
             if monitor is None:
                 monitor = monitor_from_bytes(self._monitor_bytes)
@@ -531,7 +518,7 @@ class MonitorGateway:
             return _LocalEngine(service, self._route_events)
         self._fleet = ShardedMonitorService(
             self._monitor,
-            n_shards=self.n_shards,
+            n_shards=self._n_shards,
             max_sessions_per_shard=self.max_sessions,
             monitor_bytes=self._monitor_bytes,
             backend=self.backend,
@@ -821,11 +808,15 @@ class MonitorGateway:
         if error is not None:
             # Events that landed while the adopt was in flight evicted
             # ring entries; the client can no longer be caught up
-            # gaplessly.
-            self._fail_session(session, session.overrun(last_event))
-            self._send_error(conn, error, session.session_id, MessageType.RESUME)
+            # gaplessly.  As in :meth:`_close`, the engine side goes
+            # before the ending is announced: a client that reopens the
+            # id on the refusal must find it free.
+            reason = session.overrun(last_event)
+            session.end()
             with contextlib.suppress(ReproError):
                 await self._engine.close_session(session.session_id)
+            self._fail_session(session, reason)
+            self._send_error(conn, error, session.session_id, MessageType.RESUME)
             return False
         return True
 
@@ -1235,23 +1226,42 @@ class MonitorGateway:
             for s in list(self._sessions.values())
         )
 
+    @property
+    def n_shards(self) -> int:
+        """Live shard count: the fleet's, after any reshape — refused
+        part-way or not — and crash; the constructor's ``n_shards``
+        before :meth:`start` and for the embedded single-service
+        engine."""
+        return self._n_shards if self._fleet is None else self._fleet.n_shards
+
+    def _elastic_engine(self, action: str) -> AsyncShardedMonitor:
+        """The sharded engine a fleet reshape runs on."""
+        if self._engine is None:
+            raise ConfigurationError("gateway is not started")
+        if self._fleet is None:
+            raise ConfigurationError(
+                f"the embedded single-service engine cannot {action}; "
+                "start the gateway with n_shards >= 2 for a sharded fleet"
+            )
+        return self._engine
+
     async def resize(self, target_k: int) -> dict:
         """Live-resize the serving fleet to ``target_k`` shards.
 
         Open socket sessions ride through: their state — pending frames
         included — migrates between workers, no event is lost and no
         fail-safe closure occurs.  The resize is recorded in
-        :attr:`resize_events` and visible to every STATS client.  Only
-        available on a sharded gateway (``n_shards >= 2`` at
-        construction); the embedded single-service engine raises
+        :attr:`resize_events` and visible to every STATS client.  A
+        resize refused part-way (a full target) raises and is not
+        recorded, but every live shard — one it added included — keeps
+        being ticked, and STATS reports the live count.  Only available
+        on a sharded gateway (``n_shards >= 2`` at construction); the
+        embedded single-service engine raises
         :class:`~repro.errors.ConfigurationError`.
         """
-        if self._engine is None:
-            raise ConfigurationError("gateway is not started")
-        summary = await self._engine.resize(target_k)
+        summary = await self._elastic_engine("resize").resize(target_k)
         event = dict(summary, trigger="manual")
         self.resize_events.append(event)
-        self.n_shards = int(event.get("to", self.n_shards))
         if self.event_store is not None:
             self.event_store.append_marker("resize", dict(event))
         return summary
@@ -1264,15 +1274,14 @@ class MonitorGateway:
         resize — pending frames migrate, no event is lost, no
         fail-safe closure — and the placement overlay keeps routing
         them to ``to_shard`` afterwards.  Sessions that closed or
-        failed meanwhile are skipped; the returned
-        ``{session_id: previous shard}`` map names what actually moved.
-        Applied sheds are recorded in :attr:`shed_events` and visible
-        to every STATS client.  Only available on a sharded gateway
-        (``n_shards >= 2`` at construction).
+        failed meanwhile are skipped, and a full target ends the batch;
+        the returned ``{session_id: previous shard}`` map names what
+        actually moved.  Applied sheds are recorded in
+        :attr:`shed_events` and visible to every STATS client.  Only
+        available on a sharded gateway (``n_shards >= 2`` at
+        construction).
         """
-        if self._engine is None:
-            raise ConfigurationError("gateway is not started")
-        moved = await self._engine.shed(list(session_ids), to_shard)
+        moved = await self._elastic_engine("shed").shed(list(session_ids), to_shard)
         if moved:
             event = {
                 "to": to_shard,

@@ -45,7 +45,17 @@ sticky gesture/score context (:meth:`MonitorService.export_session` via the
 :mod:`~repro.serving.snapshot` session codec) — and importing it on the
 consistent-hash target, so a fleet resized mid-stream reproduces the
 static single-service event stream bit for bit under the reference
-backend (``tests/serving/test_elasticity.py``).
+backend (``tests/serving/test_elasticity.py``).  Every reshape —
+add, remove, :meth:`~ShardedMonitorService.shed` — moves sessions
+through one loop with one failure rule: a session closed or failed
+meanwhile, or already on its target, is skipped; a dead source or
+target skips the session (the crash path has already failed it safe,
+and no exchange is spent on it); a full target ends the batch with its
+``ConfigurationError``, and what moved stays moved.  A reshape refused
+part-way thus leaves every session routed and every live shard — one
+it added included — serving; the asyncio front-end reconciles its
+tickers after every fleet-wide call, refused or not, so each live
+shard is still ticked.
 """
 
 from __future__ import annotations
@@ -714,52 +724,72 @@ class ShardedMonitorService:
             self._overlay.pop(session_id, None)
         return self._ring.place(session_id)
 
+    def _move(
+        self, session_ids, target_of, moves: dict[str, tuple[int, int]]
+    ) -> None:
+        """Live-migrate sessions one at a time: the one move loop behind
+        :meth:`add_shard`, :meth:`remove_shard` and :meth:`shed`.
+
+        ``target_of(session_id)`` is asked on that session's turn, so a
+        placement reads the ring as it stands then, and each session
+        moved lands in ``moves`` as ``(source, target)`` — which the
+        caller keeps, whatever the loop raises.  One failure rule:
+
+        - a session closed or failed meanwhile, or already on its
+          target, is skipped;
+        - a dead source or target skips the session: the crash path has
+          already failed safe what the death took (every session of a
+          dead source; the session whose import found the target dead),
+          and a shard known dead is spent no exchange;
+        - a full target ends the batch with its ``ConfigurationError``;
+          what moved stays moved.
+        """
+        for session_id in session_ids:
+            with self._lock:
+                record = self._sessions.get(session_id)
+            if record is None:
+                continue
+            source, target = record.shard, target_of(session_id)
+            if target == source:
+                continue
+            try:
+                self._migrate_session(session_id, record, target)
+            except WorkerError:
+                continue
+            moves[session_id] = (source, target)
+
     def shed(self, session_ids: list[str], to_shard: int) -> dict[str, int]:
         """Migrate named sessions onto an explicit shard and pin them.
 
         The manual placement actuator (the asyncio front-end and the
-        gateway wrap it): each session is live-migrated
-        via the export→import path — pending frames and window state
-        intact, so ticks after the shed are bit-identical to an
-        unbalanced run — and pinned to ``to_shard`` in the placement
-        overlay so future :meth:`feed` routing, park/resume round trips
-        and ``add_shard`` rebalances all follow the move.
+        gateway wrap it): the sessions are live-migrated by
+        :meth:`_move` — pending frames and window state intact, so ticks
+        after the shed are bit-identical to an unbalanced run — and
+        every named session that then sits on ``to_shard`` is pinned to
+        it in the placement overlay, so future :meth:`feed` routing,
+        park/resume round trips and ``add_shard`` rebalances all follow
+        the move.
 
-        Safe to race with a live fleet: sessions closed or failed since
-        the caller picked them are skipped, a full target stops the batch (``ConfigurationError``
-        would hit every remaining session too), and worker crashes
-        fail their sessions safe through the usual paths.  Returns
-        ``{session_id: previous shard}`` for the sessions actually
-        moved.
+        Safe to race with a live fleet: the move loop's failure rule
+        applies, except that a full target ends the batch quietly — the
+        sessions that moved are the answer.  Returns ``{session_id:
+        previous shard}`` for the sessions actually moved.
 
         Raises :class:`~repro.errors.WorkerError` only for a dead or
         unknown ``to_shard`` — a plan aimed at a shard that no longer
         exists is a caller bug, not a race to absorb.
         """
         self._check_open()
-        target = self._live_shard(to_shard)
-        moved: dict[str, int] = {}
-        for session_id in list(session_ids):
-            with self._lock:
+        self._live_shard(to_shard)
+        moves: dict[str, tuple[int, int]] = {}
+        with contextlib.suppress(ConfigurationError):  # the target is full
+            self._move(session_ids, lambda _: to_shard, moves)
+        with self._lock:
+            for session_id in session_ids:
                 record = self._sessions.get(session_id)
-            if record is None:
-                continue  # closed or failed since the plan was computed
-            source = record.shard
-            if source == to_shard:
-                with self._lock:
+                if record is not None and record.shard == to_shard:
                     self._overlay[session_id] = to_shard
-                continue
-            try:
-                self._migrate_session(session_id, to_shard)
-            except ConfigurationError:
-                break  # target is full: no later migration can land either
-            except WorkerError:
-                if not target.alive:
-                    break  # target died; the crash path failed the session
-                continue  # source died; its sessions already failed safe
-            with self._lock:
-                self._overlay[session_id] = to_shard
-            moved[session_id] = source
+        moved = {session_id: source for session_id, (source, _) in moves.items()}
         if moved:
             self.telemetry.counter("sheds").inc()
             self.telemetry.counter("sessions_shed").inc(len(moved))
@@ -770,28 +800,31 @@ class ShardedMonitorService:
                 )
         return moved
 
-    def _migrate_session(self, session_id: str, target_index: int) -> None:
+    def _migrate_session(
+        self, session_id: str, record: _SessionRecord, target_index: int
+    ) -> None:
         """Move one live session between shards: export → import.
 
         No drain happens and none is needed — the exported
         :class:`~repro.serving.service.SessionState` carries the
         session's pending and recent frames, so the next
         :meth:`tick` advances it on the target exactly as it would have
-        on the source (the resize-parity guarantee).
+        on the source (the resize-parity guarantee).  ``record`` stays
+        the session's record, its shard rewritten: the asyncio
+        front-end reads the record's identity as the session's
+        incarnation.
 
-        Failure semantics: a full target raises ``ConfigurationError``
-        *before* anything is exported (the session stays where it was);
-        a source worker dying mid-export fails that shard's sessions
-        through the usual crash path; a target that dies after the
-        export — or answers the import with any error — fail-safes the
-        in-limbo session (terminal ``error`` event,
-        :attr:`failed_sessions`): its state died with that exchange.
+        Failure semantics: a dead target raises ``WorkerError`` and a
+        full one ``ConfigurationError``, both *before* anything is
+        exported (the session stays where it was); a source worker
+        dying mid-export fails that shard's sessions through the usual
+        crash path; a target that dies after the export — or answers
+        the import with any error — fail-safes the in-limbo session
+        (terminal ``error`` event, :attr:`failed_sessions`): its state
+        died with that exchange.
         """
-        record = self._record(session_id)
         source = self._shards[record.shard]
         target = self._live_shard(target_index)
-        if target is source:
-            return
         self._check_room(target_index, f"migrate session {session_id!r}")
         state = self._exchange(source, Request("migrate_out", session_id=session_id))
         source.routes.pop(record.order, None)
@@ -821,12 +854,14 @@ class ShardedMonitorService:
     def remove_shard(self, index: int) -> dict[str, int]:
         """Migrate every session off one shard, then retire the worker.
 
-        The shard leaves the hash ring first, each of its sessions is
-        re-placed on the remaining ring and live-migrated there —
-        pending frames, window state and timeline intact, **no drain,
-        no dropped frame, no closed session** — and the worker process
-        is stopped.  Returns ``{session_id: new shard index}`` for the
-        migrated sessions.
+        The shard leaves the hash ring and releases its shed pins, its
+        sessions are re-placed on the remaining ring and live-migrated
+        there by :meth:`_move` — pending frames, window state and
+        timeline intact, **no drain, no dropped frame, no closed
+        session** — and the worker process is stopped.  A source that
+        dies mid-batch has failed its remaining sessions safe; it is
+        retired all the same.  Returns ``{session_id: new shard
+        index}`` for the migrated sessions.
 
         Raises
         ------
@@ -834,15 +869,15 @@ class ShardedMonitorService:
             If this is the last live shard — sessions would have
             nowhere to go, and a zero-shard service could serve nothing.
         ConfigurationError
-            If a re-placement target has no free slot; the ring is
-            restored and the shard keeps serving (sessions already
-            migrated stay where they landed — they remain correctly
-            routed either way).
+            If a re-placement target has no free slot.  On this and any
+            other error the ring is restored and the shard keeps
+            serving; sessions already migrated stay where they landed
+            (they remain correctly routed either way).
         """
         handle = self._shards.get(index)
         if handle is None:
             raise ConfigurationError(f"no shard {index}")
-        moved: dict[str, int] = {}
+        moves: dict[str, tuple[int, int]] = {}
         if handle.alive:
             if len(self._live_shards()) <= 1:
                 raise WorkerError(
@@ -853,35 +888,23 @@ class ShardedMonitorService:
             self._ring.remove(index)
             with self._lock:
                 # A shed target being retired releases its pins: the
-                # sessions fall back to ring placement below, so no
-                # session is ever stranded on a pin to a shard that no
-                # longer exists.
+                # sessions fall back to ring placement, so no session is
+                # ever stranded on a pin to a shard that no longer exists.
                 for session_id in [
                     s for s, pin in self._overlay.items() if pin == index
                 ]:
                     del self._overlay[session_id]
-            for session_id in self.sessions_on(index):
-                target = self._place(session_id)
-                try:
-                    self._migrate_session(session_id, target)
-                except WorkerError:
-                    if not handle.alive:
-                        # The source died: its remaining sessions were
-                        # failed safe by the crash path; stop migrating.
-                        break
-                    continue  # a target died; its crash is queued — go on
-                except Exception:
-                    # Capacity (ConfigurationError) or any unexpected
-                    # rejection: keep serving, placements restored.
+            try:
+                self._move(self.sessions_on(index), self._place, moves)
+            except Exception:
+                if handle.alive:
                     self._ring.add(index)
-                    raise
-                else:
-                    moved[session_id] = target
+                raise
             if handle.alive:
                 self._retire_shard_counters(handle)
         handle.stop()  # a crashed shard's pipe end goes too
         del self._shards[index]
-        return moved
+        return {session_id: target for session_id, (_, target) in moves.items()}
 
     def _retire_shard_counters(self, handle: _ShardHandle) -> None:
         """Fold a retiring shard's lifetime counters into the baseline.
@@ -902,10 +925,12 @@ class ShardedMonitorService:
         """Spawn one new worker and rebalance the minimal hash slice.
 
         The new shard joins the ring under a never-reused index, and
-        only the sessions whose consistent-hash placement *changed* —
-        exactly the keys the new ring points at it — are live-migrated
-        onto it (frames and window state intact).  Everything else is
-        untouched: that minimality is the point of consistent hashing.
+        :meth:`_move` live-migrates onto it only the sessions whose
+        consistent-hash placement *changed* — exactly the keys the new
+        ring points at it (frames and window state intact).  Everything
+        else is untouched: that minimality is the point of consistent
+        hashing.  A full new shard raises ``ConfigurationError``; the
+        shard stays live and in the ring, serving what landed.
 
         Returns the new shard's index.
         """
@@ -913,23 +938,7 @@ class ShardedMonitorService:
         index = self._next_shard_index
         self._spawn_shard(index)
         self._next_shard_index = index + 1
-        with self._lock:
-            records = list(self._sessions.items())
-        for session_id, record in records:
-            with self._lock:
-                if self._sessions.get(session_id) is not record:
-                    continue  # failed or closed since the snapshot
-            target = self._place(session_id)
-            if target == record.shard:
-                continue
-            try:
-                self._migrate_session(session_id, target)
-            except WorkerError:
-                # Crash bookkeeping (source or target) already queued the
-                # fail-safe events; keep rebalancing the survivors.  A
-                # dead new shard has left the ring, so later placements
-                # simply stop moving.
-                continue
+        self._move(self.session_ids, self._place, {})
         return index
 
     def resize(self, target_k: int) -> dict:
@@ -944,6 +953,8 @@ class ShardedMonitorService:
 
         Returns a summary dict: ``{"from", "to", "added", "removed",
         "migrated"}`` (``migrated`` counts sessions that changed shard).
+        A step refused part-way (a full target) raises, with no summary
+        and no marker; the fleet stays as far as it got.
         """
         if target_k < 1:
             raise ConfigurationError("target_k must be >= 1")

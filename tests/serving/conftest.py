@@ -45,3 +45,24 @@ def fail_inside_step(monkeypatch):
         monkeypatch.setattr(StreamingWindowBatch, "push", push)
 
     return arm
+
+
+@pytest.fixture
+def crowded_pair():
+    """Two session ids on different shards of the 2-shard hash ring that
+    both land on shard 2 of the 3-shard ring, in opening order.
+
+    On a K=2 fleet with one slot per shard, a resize to 3 moves the
+    first onto the new shard 2 and then finds it full for the second:
+    the reshape is refused part-way.
+    """
+    from repro.serving.sharded import _HashRing
+
+    two, three = _HashRing(), _HashRing()
+    for index in range(3):
+        three.add(index)
+        if index < 2:
+            two.add(index)
+    ids = [f"s{i}" for i in range(100) if three.place(f"s{i}") == 2]
+    first = ids[0]
+    return first, next(s for s in ids if two.place(s) != two.place(first))

@@ -29,6 +29,8 @@ from repro.serving import (
     session_to_bytes,
 )
 
+from test_sharded import count_exchanges, kill_worker
+
 N_FEATURES = 10
 
 
@@ -52,6 +54,18 @@ def event_key(event):
 
 def loose_key(event):
     return (event.session_id, event.frame_index, event.gesture, event.flag)
+
+
+def static_streams(monitor, fleet):
+    """Each session's event keys on one static ``MonitorService``."""
+    static = MonitorService(monitor, max_sessions=len(fleet))
+    for session_id, trajectory in fleet.items():
+        static.open_session(session_id)
+        static.feed(session_id, trajectory.frames)
+    events = static.drain()
+    return {
+        sid: [event_key(e) for e in events if e.session_id == sid] for sid in fleet
+    }
 
 
 class TestSessionExportImport:
@@ -451,6 +465,66 @@ class TestElasticShardLifecycle:
             assert len(service.drain()) == 8
             assert not service.failed_sessions
 
+    def test_remove_shard_whose_source_dies_mid_batch(self, monitor):
+        """The move loop's failure rule for a dead source: the session in
+        flight and every later one fail safe through the crash path, and
+        no exchange is spent on the later ones."""
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=16
+        ) as service:
+            for i in range(12):
+                service.open_session(f"leave-{i}")
+            source, survivor = service.shard_indices
+            leaving = service.sessions_on(source)
+            assert len(leaving) >= 3
+            tallies = count_exchanges(service)
+            handle = service._shards[source]
+
+            def send(request, _send=handle.send):
+                if request.op == "migrate_out" and request.session_id == leaving[1]:
+                    kill_worker(service, source)
+                return _send(request)
+
+            handle.send = send
+            moved = service.remove_shard(source)
+            assert moved == {leaving[0]: survivor}
+            # Two exports (the second to a dead worker), then nothing.
+            assert tallies[source]["sent"] == 2
+            assert tallies[survivor]["sent"] == 1
+            terminals = service.take_undelivered_events()
+            assert sorted(e.session_id for e in terminals) == sorted(leaving[1:])
+            assert all(e.flag and e.error for e in terminals)
+            assert service.shard_indices == [survivor]
+            assert service.shard_of(leaving[0]) == survivor
+
+    def test_add_shard_onto_a_full_new_shard_keeps_it_serving(
+        self, monitor, crowded_pair
+    ):
+        """A full target ends the batch with its error, and what moved
+        stays moved: the new shard is live, in the ring and serving."""
+        first, second = crowded_pair
+        fleet = {
+            sid: make_random_walk_trajectory(20, n_features=N_FEATURES, seed=740 + i)
+            for i, sid in enumerate(crowded_pair)
+        }
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=1
+        ) as service:
+            for sid, trajectory in fleet.items():
+                service.open_session(sid)
+                service.feed(sid, trajectory.frames)
+            home = service.shard_of(second)
+            with pytest.raises(ConfigurationError, match="shard 2 is full"):
+                service.add_shard()
+            assert service.shard_indices == [0, 1, 2]
+            assert service._ring.place(second) == 2
+            assert (service.shard_of(first), service.shard_of(second)) == (2, home)
+            events = service.drain()
+            assert not service.failed_sessions
+        assert {
+            sid: [event_key(e) for e in events if e.session_id == sid] for sid in fleet
+        } == static_streams(monitor, fleet)
+
     def test_resize_is_rejected_after_close(self, monitor):
         service = ShardedMonitorService(
             monitor, n_shards=1, max_sessions_per_shard=2
@@ -506,3 +580,36 @@ class TestAsyncResize:
         assert [e.gesture for e in collected] == gestures
         assert [e.score for e in collected] == scores
         assert np.array_equal(result.unsafe_scores, np.asarray(scores))
+
+    def test_refused_resize_still_ticks_every_shard(self, monitor, crowded_pair):
+        """A resize refused part-way still reconciles the tickers: the
+        shard it added is ticked, so ``drain()`` returns and every
+        session gets one event per frame, bit-identical to a static
+        service."""
+        first, _ = crowded_pair
+        fleet = {
+            sid: make_random_walk_trajectory(20, n_features=N_FEATURES, seed=750 + i)
+            for i, sid in enumerate(crowded_pair)
+        }
+
+        async def run():
+            batches = []
+            with ShardedMonitorService(
+                monitor, n_shards=2, max_sessions_per_shard=1
+            ) as service:
+                async with AsyncShardedMonitor(service, batches.append) as frontend:
+                    for sid in fleet:
+                        await frontend.open_session(sid)
+                    with pytest.raises(ConfigurationError, match="full"):
+                        await frontend.resize(3)
+                    assert service.shard_of(first) == 2
+                    assert frontend.n_shards == 3
+                    for sid, trajectory in fleet.items():
+                        await frontend.feed(sid, trajectory.frames)
+                    await asyncio.wait_for(frontend.drain(), 10.0)
+                    return [e for batch in batches for e in batch]
+
+        events = asyncio.run(run())
+        assert {
+            sid: [event_key(e) for e in events if e.session_id == sid] for sid in fleet
+        } == static_streams(monitor, fleet)

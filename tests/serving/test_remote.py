@@ -1726,6 +1726,36 @@ class TestGatewayResize:
         markers = list(EventStoreReader(tmp_path).iter_markers())
         assert markers == [dict(event, type="resize")]
 
+    def test_refused_resize_leaves_every_shard_serving(self, monitor, crowded_pair):
+        """A resize refused part-way — the first session moved onto the
+        new shard, which is then full for the second — still leaves
+        every live shard ticked: each socket session gets all its
+        events, no CLOSE reports fewer frames than were fed, and STATS
+        counts the shards it lists."""
+        trajectories = {
+            sid: make_random_walk_trajectory(20, n_features=N_FEATURES, seed=64 + i)
+            for i, sid in enumerate(crowded_pair)
+        }
+        with running_gateway(monitor, n_shards=2, max_sessions=1) as runner:
+            with RemoteMonitorClient(runner.host, runner.port, timeout_s=10.0) as client:
+                for sid in trajectories:
+                    client.open_session(sid)
+                with pytest.raises(ConfigurationError, match="full"):
+                    runner.run(runner.gateway.resize(3))
+                for sid, trajectory in trajectories.items():
+                    client.feed(sid, trajectory.frames)
+                events = {sid: client.events_for(sid, 20) for sid in trajectories}
+                stats = client.gateway_stats()
+                closes = {sid: client.close_session(sid) for sid in trajectories}
+        for sid, trajectory in trajectories.items():
+            assert [event_key(e) for e in events[sid]] == [
+                event_key(e) for e in local_events(monitor, trajectory, session_id=sid)
+            ]
+            assert closes[sid]["n_frames"] == 20
+        assert stats["n_shards"] == len(stats["shards"]) == 3
+        assert stats["resizes"]["count"] == 0
+        assert not runner.gateway.failsafe_events
+
     @pytest.mark.parametrize("change", ["resize", "shed"])
     def test_shape_changes_need_a_started_gateway(self, monitor, change):
         gateway = MonitorGateway(monitor, n_shards=2, max_sessions=4)
@@ -2662,6 +2692,71 @@ class TestResumeReplay:
                     ]
                     assert not gateway.failed_sessions
             first.close()
+
+    def test_an_adopts_overrun_is_announced_after_its_release(self, monitor):
+        """Events that land while a resume's adopt restores the session
+        can put it beyond replay reach, and the adopt fails it safe.
+        The refusal goes out only once the engine side is released, so
+        a client that reopens the id on the refusal — on another
+        connection: one connection's messages are handled in turn —
+        finds it free.  K=2: the fleet's close suspends (here, for
+        0.3 s more), the embedded engine's never does."""
+        trajectory = make_random_walk_trajectory(16, n_features=N_FEATURES, seed=87)
+        with running_gateway(
+            monitor,
+            n_shards=2,
+            max_sessions=4,
+            resume_grace_s=30.0,
+            event_replay_max=4,
+        ) as runner:
+            gateway = runner.gateway
+            engine = gateway._engine
+            real_feed, real_import, real_close = (
+                engine.feed,
+                engine.import_session,
+                engine.close_session,
+            )
+
+            async def journal_only(session_id, frames):
+                return None  # accepted and journaled; the restore feeds it
+
+            async def import_then_tick(state, record_timeline=True):
+                session_id = await real_import(state, record_timeline)
+                while gateway._sessions[session_id].delivered < 16:
+                    await asyncio.sleep(0.01)
+                return session_id
+
+            async def slow_close(session_id):
+                await asyncio.sleep(0.3)
+                return await real_close(session_id)
+
+            first = RemoteMonitorClient(runner.host, runner.port)
+            sid = first.open_session("over")
+            first.feed(sid, trajectory.frames[:8])
+            first.events_for(sid, 8)
+            engine.feed = journal_only
+            first.feed(sid, trajectory.frames[8:])
+            assert wait_until(lambda: gateway._sessions[sid].fed == 16)
+            engine.feed = real_feed
+            first.close()
+            state = first.detach_session(sid)
+            assert wait_until(lambda: gateway.n_parked_sessions == 1)
+            engine.import_session, engine.close_session = import_then_tick, slow_close
+            with RemoteMonitorClient(
+                runner.host, runner.port
+            ) as second, RemoteMonitorClient(runner.host, runner.port) as third:
+                with pytest.raises(WorkerError, match="beyond replay reach"):
+                    second.resume_session(state)
+                assert third.open_session(sid) == sid
+                engine.close_session = real_close
+                third.feed(sid, trajectory.frames[:4])
+                events = third.events_for(sid, 4)
+                assert third.close_session(sid)["n_frames"] == 4
+            (terminal,) = gateway.failsafe_events
+            assert terminal.session_id == sid and terminal.frame_index == 16
+            assert "resume replay window exceeded" in terminal.error
+        assert [e.frame_index for e in events] == [0, 1, 2, 3]
+        assert not any(e.error for e in events)
 
     @pytest.mark.parametrize("n_shards", [1, 2])
     def test_a_stale_resume_does_not_take_the_session_back(self, monitor, n_shards):

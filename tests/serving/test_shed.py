@@ -26,6 +26,8 @@ from repro.serving import (
     make_synthetic_monitor,
 )
 
+from test_sharded import count_exchanges, kill_worker
+
 N_FEATURES = 10
 
 
@@ -120,6 +122,36 @@ class TestShedActuator:
                 source,
             ]
             assert not service.failed_sessions
+
+    def test_dead_target_spends_no_exchange_on_the_rest(self, monitor):
+        """The move loop's failure rule for a dead target: the session in
+        flight fails safe with it, and the rest of the batch stays home
+        with no exchange spent on it."""
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=8
+        ) as service:
+            source, target = service.shard_indices[:2]
+            victims = [f"victim-{i}" for i in range(4)]
+            for sid in victims:
+                service.open_on_shard(sid, source)
+            tallies = count_exchanges(service)
+            handle = service._shards[target]
+
+            def send(request, _send=handle.send):
+                if request.op == "migrate_in" and request.session_id == victims[1]:
+                    kill_worker(service, target)
+                return _send(request)
+
+            handle.send = send
+            moved = service.shed(victims, target)
+            assert moved == {victims[0]: source}
+            # Two exports and two imports (the second to a dead worker).
+            assert tallies[source]["sent"] == tallies[target]["sent"] == 2
+            terminals = service.take_undelivered_events()
+            assert sorted(e.session_id for e in terminals) == victims[:2]
+            assert all(e.flag and e.error for e in terminals)
+            assert [service.shard_of(sid) for sid in victims[2:]] == [source] * 2
+            assert not service._overlay
 
     def test_add_shard_does_not_undo_a_shed(self, monitor):
         with ShardedMonitorService(
