@@ -62,7 +62,7 @@ def trained_monitor():
     )
     library.fit(train.windows(window))
     return SafetyMonitor(
-        classifier, library, MonitorConfig(gesture_window=window, error_window=window)
+        classifier, library, MonitorConfig(error_window=window)
     )
 
 

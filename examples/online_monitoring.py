@@ -51,7 +51,7 @@ def train_monitor(train) -> SafetyMonitor:
     return SafetyMonitor(
         gesture_classifier,
         library,
-        MonitorConfig(gesture_window=window, error_window=window),
+        MonitorConfig(error_window=window),
     )
 
 

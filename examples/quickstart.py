@@ -63,7 +63,7 @@ def main() -> None:
     monitor = SafetyMonitor(
         gesture_classifier,
         library,
-        MonitorConfig(gesture_window=window, error_window=window),
+        MonitorConfig(error_window=window),
     )
     scores, labels = [], []
     for demo in test.demonstrations:

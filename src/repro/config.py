@@ -130,14 +130,14 @@ class TrainingConfig:
 class MonitorConfig:
     """End-to-end safety-monitor configuration (paper Section V-B).
 
-    ``gesture_window`` is the window used by the gesture classifier and
-    ``error_window`` the one used by the erroneous-gesture classifiers
-    (the paper uses 5 for Suturing and 10 for Block Transfer).  A
-    gesture is flagged unsafe on its first erroneous window, as in the
-    paper; there is no vote over the windows of a gesture.
+    ``error_window`` is the window used by the erroneous-gesture
+    classifiers (the paper uses 5 for Suturing and 10 for Block
+    Transfer); the gesture classifier's window is its own
+    ``GestureClassifierConfig.window``.  A gesture is flagged unsafe on
+    its first erroneous window, as in the paper; there is no vote over
+    the windows of a gesture.
     """
 
-    gesture_window: WindowConfig = field(default_factory=WindowConfig)
     error_window: WindowConfig = field(default_factory=WindowConfig)
     frame_rate_hz: float = JIGSAWS_FRAME_RATE_HZ
 

@@ -171,7 +171,7 @@ class SuturingComponents:
         return SafetyMonitor(
             self.gesture_classifier,
             self.library,
-            MonitorConfig(gesture_window=self.window, error_window=self.window),
+            MonitorConfig(error_window=self.window),
         )
 
 
@@ -238,7 +238,7 @@ def make_blocktransfer_dataset(
     simulator = RavenSimulator(camera=None, rng=rng)
     counter = 0
     for commands in base:
-        result = simulator.run(commands, record_video=False)
+        result = simulator.run(commands)
         if result.outcome != PhysicsOutcome.SUCCESS:
             continue
         trajectory = result.kinematics_trajectory()

@@ -238,7 +238,7 @@ def run_campaign(
             demo_cursor += 1
             spec = sample_fault_spec(cell, gen)
             faulty = injector.inject(base, spec)
-            result = simulator.run(faulty, record_video=False)
+            result = simulator.run(faulty)
             cell_result.record(outcome_error_category(result.outcome))
             if scorer is not None:
                 output = scorer.score(result.kinematics_trajectory())

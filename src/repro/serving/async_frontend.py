@@ -22,7 +22,7 @@ contract:
   never on a timer, and every wait on a worker ends at the reply
   deadline (:data:`~repro.serving.transport.REPLY_DEADLINE_S`);
 - what has to block runs on an executor thread: control ops (open,
-  close, export, import, stats, telemetry: one pipe request/reply
+  close, export, import, stats: one pipe request/reply
   each), a feed that must wait on ring back-pressure (the ring is full,
   or the block is over half the ring and goes in chunks; a chunk that
   does not fit costs one ``ping`` exchange), and the fleet-wide
@@ -58,7 +58,6 @@ import numpy as np
 from ..errors import WorkerError
 from .service import ServiceStats, SessionEvent, SessionResult
 from .sharded import ShardedMonitorService
-from .telemetry import TelemetryRegistry
 from . import transport
 from .transport import TICKS_PER_ROUND, Request
 
@@ -509,34 +508,21 @@ class AsyncShardedMonitor:
             self._service.shed, list(session_ids), to_shard
         )
 
-    async def _poll_shards(self, poll) -> dict:
-        """``{shard: poll(shard)}`` over the live shards, one at a time,
-        each under its own turn — the fleet keeps serving.  Shards
-        that die under the poll are skipped (their crash events surface
-        through the usual fail-safe paths)."""
-        out = {}
-        for index in list(self._service.shard_indices):
-            try:
-                out[index] = await self._run(lambda i=index: i, poll)
-            except WorkerError:
-                continue
-        return out
-
     async def shard_stats(self) -> dict[int, "ServiceStats"]:
-        """Per-shard :class:`ServiceStats` without disturbing the tickers
-        (:meth:`_poll_shards`).  The remote gateway's ``gateway_stats()``
+        """Per-shard :class:`ServiceStats`, registries included, without
+        disturbing the tickers: one shard at a time, each under its own
+        turn, so the fleet keeps serving.  Shards that die under the
+        poll are skipped (their crash events surface through the usual
+        fail-safe paths).  The remote gateway's ``gateway_stats()``
         aggregates this, and the dict feeds
         :func:`~repro.serving.sharded.suggest_shard_count` directly.
         """
-        return await self._poll_shards(self._service.stats_of)
-
-    async def telemetry(self) -> dict:
-        """Fleet-wide telemetry snapshot without disturbing the tickers:
-        the async twin of
-        :meth:`ShardedMonitorService.telemetry_snapshot`, each live
-        shard's registry fetched like :meth:`shard_stats`."""
-        merged = TelemetryRegistry()
-        merged.merge(self._service.router_telemetry_snapshot())
-        for snapshot in (await self._poll_shards(self._service.telemetry_of)).values():
-            merged.merge(snapshot)
-        return merged.snapshot()
+        out = {}
+        for index in list(self._service.shard_indices):
+            try:
+                out[index] = await self._run(
+                    lambda i=index: i, self._service.stats_of
+                )
+            except WorkerError:
+                continue
+        return out

@@ -58,7 +58,6 @@ import contextlib
 import itertools
 import threading
 import time
-from collections import Counter
 from typing import TYPE_CHECKING
 
 from ...errors import ConfigurationError, ProtocolError, ReproError, WorkerError
@@ -97,12 +96,23 @@ _CLOSED = object()
 #: Messages a writer task coalesces into one socket write at most.
 _WRITE_BATCH = 64
 
+#: The gateway's lifetime counts, each the ``gateway_<name>`` counter
+#: of :attr:`MonitorGateway.telemetry` (created with the gateway, so
+#: STATS lists every one from the start).
+_COUNTS = (
+    "connections_total", "idle_disconnects", "overflow_disconnects",
+    "heartbeats_sent", "sessions_opened", "sessions_closed",
+    "frames_received", "acks_sent", "events_sent", "events_dropped",
+    "events_failsafe", "parked_total", "resumed_total",
+    "resume_expired_total", "recovered_total", "restore_retries_total",
+)
+
 
 class _LocalEngine:
     """Single-threaded serving engine over one in-process :class:`MonitorService`.
 
     The K=1 topology: no worker processes, no executor, no lock — every
-    call into the service (open/feed/tick/close/import/telemetry)
+    call into the service (open/feed/tick/close/import/stats)
     runs on the event-loop thread.  :meth:`feed` schedules
     :meth:`_tick_once` with ``call_soon``; each pass of the loop runs at
     most **one** tick, hands its events to ``sink`` (the gateway's
@@ -189,9 +199,6 @@ class _LocalEngine:
 
     async def shard_stats(self) -> dict[int, ServiceStats]:
         return {0: self.service.stats}
-
-    async def telemetry(self) -> dict:
-        return self.service.telemetry.snapshot()
 
     async def aclose(self) -> None:
         self._closed = True
@@ -463,9 +470,13 @@ class MonitorGateway:
         #: an entry lasts until its id is opened again.
         self.failed_sessions: dict[str, str] = {}
 
-        #: Lifetime counters surfaced by gateway_stats(), by name
-        #: (``frames_received``, ``parked_total``, ...), and two peaks.
-        self._counts: Counter[str] = Counter()
+        #: Every :data:`_COUNTS` name's counter in :attr:`telemetry`,
+        #: bound once so that counting costs no registry lookup;
+        #: gateway_stats() reads its STATS keys from them.  And two peaks.
+        self.telemetry = TelemetryRegistry()
+        self._counts = {
+            name: self.telemetry.counter(f"gateway_{name}") for name in _COUNTS
+        }
         self._peak_open_sessions = 0
         self._peak_queue_depth = 0
 
@@ -564,7 +575,7 @@ class MonitorGateway:
     ) -> None:
         conn = _Connection(next(self._conn_ids), writer, self.send_queue_max)
         self._connections[conn.id] = conn
-        self._counts["connections_total"] += 1
+        self._counts["connections_total"].inc()
         conn.writer_task = asyncio.create_task(
             conn.write_loop(), name=f"gateway-writer-{conn.id}"
         )
@@ -630,7 +641,7 @@ class MonitorGateway:
             self._engine.service.history_frames,
         )
         self._sessions[session_id] = session
-        self._counts["sessions_opened"] += 1
+        self._counts["sessions_opened"].inc()
         self._peak_open_sessions = max(self._peak_open_sessions, self.n_open_sessions)
         self._send_json(conn, MessageType.OPEN, session.open_reply())
 
@@ -683,12 +694,12 @@ class MonitorGateway:
                     return
         n_frames = 0 if frames is None else frames.shape[0]
         ack = session.accept(n_frames)
-        self._counts["frames_received"] += n_frames
+        self._counts["frames_received"].inc(n_frames)
         if ack is not None:
             self._enqueue_or_overflow(
                 conn, encode_message(MessageType.ACK, encode_ack(session_id, ack))
             )
-            self._counts["acks_sent"] += 1
+            self._counts["acks_sent"].inc()
 
     async def _handle_close(self, conn: _Connection, payload: bytes) -> None:
         session_id = decode_json(payload).get("session_id")
@@ -768,7 +779,7 @@ class MonitorGateway:
         ):
             return
         session.resume(conn)
-        self._counts["resumed_total"] += 1
+        self._counts["resumed_total"].inc()
         self._peak_open_sessions = max(self._peak_open_sessions, self.n_open_sessions)
         self._send_json(conn, MessageType.RESUME, session.resume_reply())
         replay = session.replay(last_event)
@@ -861,7 +872,7 @@ class MonitorGateway:
             await self._engine.close_session(session.session_id)
         if reason is None:
             self._unregister(session)
-            self._counts["sessions_closed"] += 1
+            self._counts["sessions_closed"].inc()
             self._send_json(conn, MessageType.CLOSE, session.close_reply())
         else:
             self._fail_session(session, reason)
@@ -916,7 +927,7 @@ class MonitorGateway:
             if session.phase is ENDED:
                 return  # ended while the close ran: no longer ours to park
         self._end_drain(session)
-        self._counts["parked_total"] += 1
+        self._counts["parked_total"].inc()
         session.expiry = asyncio.get_running_loop().call_later(
             self.resume_grace_s, self._expire_parked, session
         )
@@ -927,7 +938,7 @@ class MonitorGateway:
         """Fail a parked session safe: the grace window lapsed unresumed
         (or ``reason``)."""
         if session.lapses:
-            self._counts["resume_expired_total"] += 1
+            self._counts["resume_expired_total"].inc()
             self._fail_session(
                 session,
                 reason
@@ -995,7 +1006,7 @@ class MonitorGateway:
                 return False
             if attempt == 8:
                 raise failure
-            self._counts["restore_retries_total"] += 1
+            self._counts["restore_retries_total"].inc()
             await asyncio.sleep(0.05 * attempt)
 
     async def _recover_session(self, session: _RemoteSession) -> None:
@@ -1004,7 +1015,7 @@ class MonitorGateway:
         the fail-safe contract."""
         try:
             if await self._restore(session):
-                self._counts["recovered_total"] += 1
+                self._counts["recovered_total"].inc()
         except ReproError as exc:
             self._fail_session(session, f"unrecoverable worker crash: {exc}")
         session.settle()
@@ -1042,7 +1053,7 @@ class MonitorGateway:
                 self.idle_timeout_s is not None
                 and loop.time() - conn.last_recv > self.idle_timeout_s
             ):
-                self._counts["idle_disconnects"] += 1
+                self._counts["idle_disconnects"].inc()
                 self._send_error(
                     conn,
                     WorkerError(
@@ -1053,7 +1064,7 @@ class MonitorGateway:
                 await self._teardown(conn, "idle timeout")
                 return
             self._enqueue_or_overflow(conn, encode_message(MessageType.HEARTBEAT))
-            self._counts["heartbeats_sent"] += 1
+            self._counts["heartbeats_sent"].inc()
 
     # ------------------------------------------------------------------
     # Event routing
@@ -1076,7 +1087,7 @@ class MonitorGateway:
         for event in batch:
             session = self._sessions.get(event.session_id)
             if session is None:
-                self._counts["events_dropped"] += 1
+                self._counts["events_dropped"].inc()
                 continue
             if event.error is not None and session.journal is not None:
                 # Resume mode treats a worker crash as recoverable:
@@ -1122,7 +1133,7 @@ class MonitorGateway:
             self._disconnect(conn, f"unencodable event: {exc}")
             return
         self._enqueue_or_overflow(conn, encode_message(MessageType.EVENT, payload))
-        self._counts["events_sent"] += len(events)
+        self._counts["events_sent"].inc(len(events))
 
     def _send_json(self, conn: _Connection, msg_type: MessageType, obj: dict) -> None:
         self._enqueue_or_overflow(conn, encode_message(msg_type, encode_json(obj)))
@@ -1130,7 +1141,7 @@ class MonitorGateway:
     def _enqueue_or_overflow(self, conn: _Connection, data: bytes) -> None:
         self._peak_queue_depth = max(self._peak_queue_depth, conn.queue.qsize())
         if not conn.enqueue(data):
-            self._counts["overflow_disconnects"] += 1
+            self._counts["overflow_disconnects"].inc()
             self._disconnect(conn, "send queue overflow (client not reading events)")
 
     def _disconnect(self, conn: _Connection, reason: str) -> None:
@@ -1172,6 +1183,7 @@ class MonitorGateway:
 
     def _note_failsafe(self, event: SessionEvent) -> None:
         self.failsafe_events.append(event)
+        self._counts["events_failsafe"].inc()
         self.failed_sessions[event.session_id] = event.error or "unknown"
 
     def _fail_session(self, session: _RemoteSession, reason: str) -> None:
@@ -1311,25 +1323,26 @@ class MonitorGateway:
         """Aggregate serving and transport statistics (JSON-serialisable).
 
         Folds the engine's per-shard :class:`ServiceStats` (tick/frame
-        counters, tick-latency percentiles) together with the gateway's
-        own connection, session, queue-depth and fail-safe counters —
+        counters, tick-latency percentiles, registries: one ``stats``
+        exchange per shard) together with the gateway's own connection,
+        session, queue-depth and fail-safe counts (:attr:`telemetry`) —
         also what the STATS wire message returns, and the input half of
         :func:`~repro.serving.sharded.suggest_shard_count` (pass the
         engine's ``shard_stats()``).
         """
         shard_stats = await self._engine.shard_stats() if self._engine else {}
         depths = [c.queue.qsize() for c in self._connections.values()]
-        # Fold the engine registries (per-shard, resize-proof) together
-        # with the gateway's own lifetime counters into one snapshot —
-        # the fleet telemetry plane as one JSON document.
+        # Fold the registries the shards' stats carry, the router's
+        # (retired shards and its incident counters; no IPC) and the
+        # gateway's own into one snapshot — the fleet telemetry plane as
+        # one JSON document.
+        counts = {name: counter.value for name, counter in self._counts.items()}
         registry = TelemetryRegistry()
-        if self._engine is not None:
-            registry.merge(await self._engine.telemetry())
-        registry.counter("gateway_events_sent").inc(self._counts["events_sent"])
-        registry.counter("gateway_events_failsafe").inc(
-            len(self.failsafe_events)
-        )
-        registry.counter("gateway_frames_received").inc(self._counts["frames_received"])
+        registry.merge(self.telemetry.snapshot())
+        if self._fleet is not None:
+            registry.merge(self._fleet.router_telemetry_snapshot())
+        for stats in shard_stats.values():
+            registry.merge(stats.telemetry.snapshot())
         store_stats = (
             self.event_store.stats() if self.event_store is not None else None
         )
@@ -1347,9 +1360,9 @@ class MonitorGateway:
             # fail-safe, and dropped by the durable log's bounded ring
             # (0 without a store — the tee never blocks, only counts).
             "events": {
-                "emitted": self._counts["events_sent"],
-                "failsafe": len(self.failsafe_events),
-                "dropped": self._counts["events_dropped"],
+                "emitted": counts["events_sent"],
+                "failsafe": counts["events_failsafe"],
+                "dropped": counts["events_dropped"],
                 "dropped_log": (
                     store_stats["dropped"] if store_stats is not None else 0
                 ),
@@ -1371,16 +1384,16 @@ class MonitorGateway:
             },
             "connections": {
                 "open": len(self._connections),
-                "total": self._counts["connections_total"],
-                "overflow_disconnects": self._counts["overflow_disconnects"],
-                "idle_disconnects": self._counts["idle_disconnects"],
+                "total": counts["connections_total"],
+                "overflow_disconnects": counts["overflow_disconnects"],
+                "idle_disconnects": counts["idle_disconnects"],
             },
             "sessions": {
                 "open": self.n_open_sessions,
                 "peak_open": self._peak_open_sessions,
-                "opened_total": self._counts["sessions_opened"],
-                "closed_total": self._counts["sessions_closed"],
-                "failed_total": len(self.failsafe_events),
+                "opened_total": counts["sessions_opened"],
+                "closed_total": counts["sessions_closed"],
+                "failed_total": counts["events_failsafe"],
             },
             "queues": {
                 "capacity": self.send_queue_max,
@@ -1392,22 +1405,22 @@ class MonitorGateway:
                 "enabled": self._resume_enabled,
                 "grace_s": self.resume_grace_s,
                 "parked": self.n_parked_sessions,
-                "parked_total": self._counts["parked_total"],
-                "resumed_total": self._counts["resumed_total"],
-                "expired_total": self._counts["resume_expired_total"],
-                "recovered_total": self._counts["recovered_total"],
-                "restore_retries_total": self._counts["restore_retries_total"],
+                "parked_total": counts["parked_total"],
+                "resumed_total": counts["resumed_total"],
+                "expired_total": counts["resume_expired_total"],
+                "recovered_total": counts["recovered_total"],
+                "restore_retries_total": counts["restore_retries_total"],
                 "journal_frames": sum(
                     len(batch)
                     for session in self._sessions.values()
                     for batch in session.journal or ()
                 ),
-                "acks_sent": self._counts["acks_sent"],
+                "acks_sent": counts["acks_sent"],
             },
-            "frames_received": self._counts["frames_received"],
-            "events_sent": self._counts["events_sent"],
-            "events_dropped": self._counts["events_dropped"],
-            "heartbeats_sent": self._counts["heartbeats_sent"],
+            "frames_received": counts["frames_received"],
+            "events_sent": counts["events_sent"],
+            "events_dropped": counts["events_dropped"],
+            "heartbeats_sent": counts["heartbeats_sent"],
             "shards": {
                 str(index): {
                     "n_ticks": stats.n_ticks,

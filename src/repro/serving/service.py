@@ -210,12 +210,20 @@ class ServiceStats:
     count the full service lifetime, past the retained window, and
     :attr:`uptime_s` is monotonic wall-clock since construction —
     rebased (not reset) when the stats object crosses a worker pipe.
+
+    ``telemetry`` is the service's :class:`TelemetryRegistry` (the one
+    :attr:`MonitorService.telemetry` names): it crosses a pipe as its
+    snapshot and :meth:`merge` folds it too, so one ``stats`` exchange
+    answers for a shard's counters, samples and instruments.
     """
 
     capacity: int = TICK_HISTORY
     n_ticks: int = 0
     frames_processed: int = 0
     events_emitted: int = 0
+    telemetry: TelemetryRegistry = field(
+        default_factory=TelemetryRegistry, repr=False, compare=False
+    )
     _ring: np.ndarray = field(init=False, repr=False, compare=False)
     _cursor: int = field(default=0, init=False, repr=False)
     _filled: int = field(default=0, init=False, repr=False)
@@ -276,15 +284,18 @@ class ServiceStats:
         self._filled = min(self._filled + values.size, self.capacity)
 
     def merge(self, other: "ServiceStats") -> None:
-        """Fold ``other``'s lifetime counters and retained latency window
-        into this one (a fleet aggregate over per-shard stats)."""
+        """Fold ``other``'s lifetime counters, retained latency window
+        and registry into this one (a fleet aggregate over per-shard
+        stats)."""
         self.n_ticks += other.n_ticks
         self.frames_processed += other.frames_processed
         self.events_emitted += other.events_emitted
         self.extend_ms(other.tick_ms)
+        self.telemetry.merge(other.telemetry.snapshot())
 
     def __getstate__(self) -> dict:
-        """Pickle only the recorded samples, not the preallocated ring.
+        """Pickle only the recorded samples, not the preallocated ring,
+        and the registry as its snapshot.
 
         Stats cross the worker pipe on every ``stats`` request; shipping
         the full ``capacity``-sized ring (512 KB at the default) for a
@@ -297,6 +308,7 @@ class ServiceStats:
             "events_emitted": self.events_emitted,
             "uptime_s": self.uptime_s,
             "tick_ms": self.tick_ms,
+            "telemetry": self.telemetry.snapshot(),
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -311,6 +323,8 @@ class ServiceStats:
         self._cursor = 0
         self._filled = 0
         self.extend_ms(state["tick_ms"])
+        self.telemetry = TelemetryRegistry()
+        self.telemetry.merge(state["telemetry"])
 
     def percentile_ms(self, q: float) -> float:
         """``q``-th percentile of recent per-tick latency in milliseconds."""
@@ -533,7 +547,7 @@ class MonitorService:
         self.backend = validate_backend_name(backend)
         self.stats = ServiceStats()
         self.event_store = event_store
-        self.telemetry = TelemetryRegistry()
+        self.telemetry = self.stats.telemetry
         self.telemetry.label("numerics", numerics_fingerprint())
         self._sessions: dict[str, _Session] = {}
         self._free_slots: list[int] = list(range(max_sessions - 1, -1, -1))

@@ -32,7 +32,8 @@ to hold one tick round, whose batches every round reads in place, so
 the pipe carries only control ops.  Sessions are addressed on the rings
 by their global opening ``order`` — the same integer that merges event
 streams — and frame widths are validated router-side against the
-snapshot (:func:`~repro.serving.snapshot.snapshot_n_features`), so a bad
+snapshot (:func:`~repro.serving.snapshot.snapshot_n_features`), or the
+width the first feed bound when the snapshot constrains none, so a bad
 ``feed`` still raises synchronously.  Frame blocks the *worker*
 rejects after that (the safety net) surface as deferred
 ``ingest_errors`` on the next exchange and fail the session safe.
@@ -449,8 +450,9 @@ class ShardedMonitorService:
         self.frame_ring_bytes = int(frame_ring_bytes)
         # Router-side feed validation width: with the asynchronous frame
         # ring there is no reply to carry a worker-side ShapeError, so
-        # the router enforces the trained width up front (same eager
-        # check MonitorService runs on its first feed).
+        # the router enforces the trained width up front — or, when the
+        # snapshot constrains none, binds it on the first accepted feed
+        # (the same rule MonitorService applies).
         self._n_features = snapshot_n_features(monitor_bytes)
         #: :attr:`MonitorService.history_frames` of every worker's service.
         self.history_frames = snapshot_history_frames(monitor_bytes)
@@ -472,11 +474,11 @@ class ShardedMonitorService:
         #: resize or crash can reset (the per-shard ServiceStats die
         #: with their workers; these live with the router).
         self.telemetry = TelemetryRegistry()
-        #: Counter/latency baseline folded in from retired shards
-        #: (graceful ``remove_shard``), so :meth:`stats` is monotonic
-        #: across resizes instead of forgetting retired workers.
+        #: Counter/latency/registry baseline folded in from retired
+        #: shards (graceful ``remove_shard``), so :meth:`stats` and the
+        #: telemetry are monotonic across resizes instead of forgetting
+        #: retired workers.
         self._retired_stats = ServiceStats()
-        self._retired_telemetry = TelemetryRegistry()
         self._started = time.monotonic()
         self._undelivered: list[tuple[int, SessionEvent]] = []
         self._order = itertools.count()
@@ -912,12 +914,12 @@ class ShardedMonitorService:
         Without this, every graceful scale-down silently *shrank* the
         aggregate :meth:`stats` and telemetry — the retired worker's
         ``n_ticks``/``frames_processed``/``events_emitted`` vanished
-        with its pipe.  Fetched best-effort: a shard that dies during
-        its own retirement interview simply contributes nothing.
+        with its pipe.  One ``stats`` exchange carries the counters and
+        the registry alike.  Fetched best-effort: a shard that dies
+        during its own retirement interview simply contributes nothing.
         """
         try:
             self._retired_stats.merge(self.stats_of(handle.index))
-            self._retired_telemetry.merge(self.telemetry_of(handle.index))
         except WorkerError:
             return
 
@@ -1136,7 +1138,8 @@ class ShardedMonitorService:
         empty — so the chunk then fits.  Counted as
         ``feeds_backpressured`` in the router's telemetry; a dead or hung
         worker fails its shard safe as on every other exchange.  Shape and
-        width are validated here, synchronously, against the snapshot's trained width;
+        width are validated here, synchronously, against the snapshot's
+        trained width (or the width the fleet's first feed bound);
         anything the worker itself rejects later surfaces on the next
         :meth:`tick`/:meth:`drain` as that session's fail-safe terminal
         event.
@@ -1159,9 +1162,11 @@ class ShardedMonitorService:
             )
         if frames.shape[0] == 0:
             return
-        if frames.shape[1] != self._n_features:
+        if self._n_features is None:
+            self._n_features = frames.shape[1]
+        elif frames.shape[1] != self._n_features:
             raise ShapeError(
-                f"monitor was trained for {self._n_features} kinematics "
+                f"fleet is bound to {self._n_features} kinematics "
                 f"features, got frames with {frames.shape[1]}"
             )
         reject_non_finite(session_id, frames)
@@ -1434,30 +1439,23 @@ class ShardedMonitorService:
         pairs.sort(key=lambda p: p[0])
         return [event for _, event in pairs]
 
-    def _poll(self, index: int, op: str):
-        """One live shard's answer to ``stats``/``telemetry``: the
-        single-shard primitive callers that serialise pipe access per
-        shard (the asyncio front-end, ``gateway_stats()``) use to poll
-        one worker under its lock without touching the others."""
-        return self._exchange(self._live_shard(index), Request(op))
+    def stats_of(self, index: int) -> ServiceStats:
+        """One live shard's :class:`ServiceStats`, its registry included
+        (one IPC exchange): the single-shard primitive callers that
+        serialise pipe access per shard (the asyncio front-end) use to
+        poll one worker under its turn without touching the others."""
+        return self._exchange(self._live_shard(index), Request("stats"))
 
-    def _poll_live(self, op: str) -> dict:
-        """``{shard index: answer}`` over the live shards (one IPC each)."""
+    def shard_stats(self) -> dict[int, ServiceStats]:
+        """Per-live-shard :class:`ServiceStats` (one IPC each); a shard
+        that dies under the poll is skipped (its crash is queued)."""
         out = {}
         for handle in self._live_shards():
             try:
-                out[handle.index] = self._poll(handle.index, op)
+                out[handle.index] = self.stats_of(handle.index)
             except WorkerError:
-                continue  # crash queued by the exchange; skip the dead shard
+                continue
         return out
-
-    def stats_of(self, index: int) -> ServiceStats:
-        """One live shard's :class:`ServiceStats` (one IPC exchange)."""
-        return self._poll(index, "stats")
-
-    def shard_stats(self) -> dict[int, ServiceStats]:
-        """Per-live-shard :class:`ServiceStats` (one IPC each)."""
-        return self._poll_live("stats")
 
     def stats(self) -> ServiceStats:
         """Aggregate stats: summed counters, merged tick-latency samples.
@@ -1480,20 +1478,17 @@ class ShardedMonitorService:
         """Monotonic seconds since this fleet was constructed."""
         return time.monotonic() - self._started
 
-    def telemetry_of(self, index: int) -> dict:
-        """One live shard's telemetry snapshot (one IPC exchange)."""
-        return self._poll(index, "telemetry")
-
     def router_telemetry_snapshot(self) -> dict:
         """The no-IPC half of :meth:`telemetry_snapshot`.
 
         Retired shards' registries plus the router's own incident
         counters — everything that does not require talking to a
-        worker, split out so lock-per-shard callers (the asyncio
-        front-end) can combine it with per-shard polls.
+        worker, split out so callers that poll shard by shard (the
+        gateway's ``gateway_stats()``) can merge it with the registries
+        their :class:`ServiceStats` carry.
         """
         merged = TelemetryRegistry()
-        merged.merge(self._retired_telemetry.snapshot())
+        merged.merge(self._retired_stats.telemetry.snapshot())
         merged.merge(self.telemetry.snapshot())
         return merged.snapshot()
 
@@ -1501,16 +1496,17 @@ class ShardedMonitorService:
         """Fleet-wide telemetry: every live shard + retired + router.
 
         Merges each worker's registry (event counts, alert-latency
-        histograms), the registries of shards retired by resizes, and
-        the router's own incident counters (``failsafe_events``,
-        ``events_delivered``, ``resizes``) into one
+        histograms) as its :meth:`shard_stats` carry it, the registries
+        of shards retired by resizes, and the router's own incident
+        counters (``failsafe_events``, ``events_delivered``,
+        ``resizes``) into one
         :meth:`~repro.serving.telemetry.TelemetryRegistry.snapshot`
         dict.  Cumulative across resizes by construction.
         """
         merged = TelemetryRegistry()
         merged.merge(self.router_telemetry_snapshot())
-        for snapshot in self._poll_live("telemetry").values():
-            merged.merge(snapshot)
+        for stats in self.shard_stats().values():
+            merged.merge(stats.telemetry.snapshot())
         return merged.snapshot()
 
     # ------------------------------------------------------------------

@@ -136,7 +136,6 @@ def monitor_to_bytes(monitor: SafetyMonitor, backend: str | None = None) -> byte
             else {}
         ),
         "monitor_config": {
-            "gesture_window": _window_pair(monitor.config.gesture_window),
             "error_window": _window_pair(monitor.config.error_window),
             "frame_rate_hz": float(monitor.config.frame_rate_hz),
         },
@@ -295,7 +294,6 @@ def monitor_from_bytes(data: bytes) -> SafetyMonitor:
 
         monitor_meta = meta["monitor_config"]
         config = MonitorConfig(
-            gesture_window=WindowConfig(*monitor_meta["gesture_window"]),
             error_window=WindowConfig(*monitor_meta["error_window"]),
             frame_rate_hz=monitor_meta["frame_rate_hz"],
         )

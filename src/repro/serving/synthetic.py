@@ -100,7 +100,7 @@ def make_synthetic_monitor(
     return SafetyMonitor(
         classifier,
         library,
-        MonitorConfig(gesture_window=gesture_window, error_window=error_window),
+        MonitorConfig(error_window=error_window),
         threshold=threshold,
     )
 

@@ -238,8 +238,6 @@ def _dispatch(worker: _ShardWorker, request: Request) -> Reply:
         return Reply(ok=True, value=session_id)
     if op == "stats":
         return Reply(ok=True, value=service.stats)
-    if op == "telemetry":
-        return Reply(ok=True, value=service.telemetry.snapshot())
     if op in ("ping", "stop"):
         return Reply(ok=True)
     return Reply(ok=False, error_type="WorkerError", error=f"unknown op {op!r}")

@@ -149,12 +149,9 @@ class RavenSimulator:
         self._layout = RavenStateLayout()
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        commands: CommandedTrajectory,
-        record_video: bool = True,
-    ) -> SimulationResult:
-        """Execute one trial and return its full log.
+    def run(self, commands: CommandedTrajectory) -> SimulationResult:
+        """Execute one trial and return its full log (video frames
+        included when the simulator has a camera).
 
         The robot tracks commanded positions through a first-order servo
         (critically damped tracking with a small time constant), so
@@ -185,7 +182,7 @@ class RavenSimulator:
 
         video_frames: list[np.ndarray] = []
         video_indices: list[int] = []
-        if record_video and self.camera is not None:
+        if self.camera is not None:
             video_every = max(
                 1, int(round(commands.sample_rate_hz / self.camera.intrinsics.frame_rate_hz))
             )

@@ -83,9 +83,7 @@ class TestSafetyMonitor:
         return SafetyMonitor(
             tiny_gesture_classifier,
             tiny_library,
-            MonitorConfig(
-                gesture_window=WindowConfig(5, 1), error_window=WindowConfig(5, 1)
-            ),
+            MonitorConfig(error_window=WindowConfig(5, 1)),
         )
 
     def test_process_output_shapes(self, monitor, suturing_split):
@@ -133,9 +131,7 @@ class TestTimingEvaluation:
         monitor = SafetyMonitor(
             tiny_gesture_classifier,
             tiny_library,
-            MonitorConfig(
-                gesture_window=WindowConfig(5, 1), error_window=WindowConfig(5, 1)
-            ),
+            MonitorConfig(error_window=WindowConfig(5, 1)),
         )
         pairs = [
             (d.trajectory, monitor.process(d.trajectory, use_true_gestures=True))

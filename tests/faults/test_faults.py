@@ -92,7 +92,7 @@ class TestOutcomeMapping:
         spec = FaultSpec(grasper=GrasperAngleFault(1.4, FaultWindow(0.55, 0.70)))
         faulty = FaultInjector().inject(commands, spec)
         sim = RavenSimulator(camera=None, rng=1)
-        result = sim.run(faulty, record_video=False)
+        result = sim.run(faulty)
         assert result.outcome == PhysicsOutcome.BLOCK_DROP
         labels = gesture_error_labels(result)
         assert labels.any()
@@ -109,7 +109,7 @@ class TestOutcomeMapping:
     def test_fault_free_labels_all_zero(self):
         commands = generate_fault_free_demos(n_demos=1, sample_rate_hz=50.0, rng=4)[0]
         sim = RavenSimulator(camera=None, rng=1)
-        result = sim.run(commands, record_video=False)
+        result = sim.run(commands)
         assert not gesture_error_labels(result).any()
 
 

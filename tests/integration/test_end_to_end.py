@@ -29,9 +29,7 @@ class TestSuturingEndToEnd:
         monitor = SafetyMonitor(
             tiny_gesture_classifier,
             tiny_library,
-            MonitorConfig(
-                gesture_window=WindowConfig(5, 1), error_window=WindowConfig(5, 1)
-            ),
+            MonitorConfig(error_window=WindowConfig(5, 1)),
         )
         scores, labels = [], []
         for demo in test.demonstrations:
@@ -66,9 +64,7 @@ class TestSuturingEndToEnd:
         monitor = SafetyMonitor(
             tiny_gesture_classifier,
             tiny_library,
-            MonitorConfig(
-                gesture_window=WindowConfig(5, 1), error_window=WindowConfig(5, 1)
-            ),
+            MonitorConfig(error_window=WindowConfig(5, 1)),
         )
         pairs = [
             (d.trajectory, monitor.process(d.trajectory))
@@ -90,7 +86,7 @@ class TestRavenEndToEnd:
         injector = FaultInjector()
         spec = FaultSpec(grasper=GrasperAngleFault(1.3, FaultWindow(0.55, 0.70)))
         faulty = injector.inject(base, spec)
-        result = simulator.run(faulty, record_video=False)
+        result = simulator.run(faulty)
         assert result.outcome == PhysicsOutcome.BLOCK_DROP
         labels = gesture_error_labels(result)
         assert labels.any()

@@ -497,6 +497,33 @@ class TestElasticShardLifecycle:
             assert service.shard_indices == [survivor]
             assert service.shard_of(leaving[0]) == survivor
 
+    def test_retiring_a_shard_polls_it_once(self, monitor):
+        """A retiring shard's counters, samples and registry come back in
+        one ``stats`` exchange before its ``stop``, and the fleet keeps
+        all three."""
+        fleet = make_fleet(6, frames=20, step=0)
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=8
+        ) as service:
+            for sid, trajectory in fleet.items():
+                service.open_session(sid)
+                service.feed(sid, trajectory.frames)
+            service.drain()
+            victim = service.shard_of("proc-0")
+            for sid in service.sessions_on(victim):
+                service.close_session(sid)  # nothing left to move
+            retired = service.stats_of(victim)
+            tallies = count_exchanges(service)
+            assert service.remove_shard(victim) == {}
+            assert tallies[victim]["ops"] == ["stats", "stop"]
+            stats = service.stats()
+            counters = service.telemetry_snapshot()["counters"]
+        assert retired.frames_processed > 0
+        assert stats.frames_processed == counters["events_emitted"] == 120
+        assert retired.telemetry.snapshot()["counters"]["events_emitted"] == (
+            retired.frames_processed
+        )
+
     def test_add_shard_onto_a_full_new_shard_keeps_it_serving(
         self, monitor, crowded_pair
     ):

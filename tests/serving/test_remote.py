@@ -1627,6 +1627,33 @@ class TestGatewayStats:
                     for s in stats["shards"].values()
                 )
 
+    def test_one_stats_exchange_per_shard_carries_the_telemetry(self, monitor):
+        """A K=2 ``gateway_stats()`` sends each live shard one request,
+        and its telemetry still holds the shards' registries, the
+        router's counters and every gateway count as ``gateway_*``."""
+        from test_sharded import count_exchanges
+
+        with running_gateway(monitor, n_shards=2, max_sessions=8) as runner:
+            with RemoteMonitorClient(runner.host, runner.port) as client:
+                for i in range(4):
+                    sid = client.open_session(f"proc-{i}")
+                    client.feed(sid, np.zeros((4, N_FEATURES)))
+                    client.events_for(sid, 4)
+                tallies = count_exchanges(runner.gateway._fleet)
+                stats = runner.run(runner.gateway.gateway_stats())
+                ops = {i: list(tally["ops"]) for i, tally in tallies.items()}
+        assert ops == {0: ["stats"], 1: ["stats"]}
+        telemetry = stats["telemetry"]
+        counters = telemetry["counters"]
+        assert counters["events_emitted"] == counters["events_delivered"] == 16
+        assert telemetry["histograms"]["alert_latency_us"]["count"] == 16
+        assert counters["gateway_frames_received"] == stats["frames_received"] == 16
+        assert counters["gateway_sessions_opened"] == 4
+        for key in ("restore_retries_total", "parked_total", "recovered_total"):
+            assert counters[f"gateway_{key}"] == stats["resume"][key] == 0
+        assert counters["gateway_overflow_disconnects"] == 0
+        assert counters["gateway_idle_disconnects"] == 0
+
 
 class TestGatewayResize:
     def test_client_session_rides_through_resizes(self, monitor):

@@ -36,7 +36,6 @@ from repro.serving import (
 from repro.serving.sharded import _ShardHandle
 from repro.serving.shm import EVENT_DTYPE, ShmRing, event_ring_capacity
 from repro.serving.snapshot import monitor_from_bytes
-from repro.serving.telemetry import TelemetryRegistry
 from repro.serving.transport import TICKS_PER_ROUND, Request
 from repro.serving.worker import _ShardWorker
 
@@ -109,6 +108,44 @@ class TestShardedParity:
                 assert np.array_equal(result.gestures, reference.gestures)
                 assert np.array_equal(result.unsafe_scores, reference.unsafe_scores)
                 assert np.array_equal(result.unsafe_flags, reference.unsafe_flags)
+
+    def test_a_width_no_snapshot_names_is_bound_by_the_first_feed(self):
+        """A gesture stage on a feature subset and a library without a
+        trained member: the snapshot constrains no width, so the router
+        binds it on the first accepted feed, as one service does — and
+        a K=2 fleet's events equal that service's."""
+        from repro import nn
+
+        n_features, columns = 6, np.array([0, 2, 5])
+        monitor = make_synthetic_monitor(
+            n_features=n_features, seed=4, missing_gestures=tuple(range(1, 16))
+        )
+        classifier = monitor.gesture_classifier
+        classifier.config.feature_indices = columns
+        classifier.model = classifier._build_model()
+        window = classifier.config.window.window
+        classifier.model.build((window, columns.size))
+        classifier.scaler = nn.StandardScaler().fit(
+            np.random.default_rng(4).standard_normal((64, window, columns.size))
+        )
+        fleet = {
+            f"proc-{i}": make_random_walk_trajectory(
+                30 + 5 * i, n_features=n_features, seed=500 + i
+            )
+            for i in range(4)
+        }
+        ref_events, _ = single_service_reference(monitor, fleet)
+        with ShardedMonitorService(
+            monitor, n_shards=2, max_sessions_per_shard=4
+        ) as service:
+            for session_id, trajectory in fleet.items():
+                service.open_session(session_id)
+                service.feed(session_id, trajectory.frames)
+            events = service.drain()
+            with pytest.raises(ShapeError, match=f"bound to {n_features}"):
+                service.feed("proc-0", np.zeros((2, n_features + 1)))
+        assert len(events) == sum(t.n_frames for t in fleet.values())
+        assert [event_key(e) for e in events] == [event_key(e) for e in ref_events]
 
     def test_tick_by_tick_matches_single_service(self, monitor):
         """Interactive ticking (not just drain) merges shard events in the
@@ -906,13 +943,15 @@ def kill_worker(service, shard):
 
 
 def count_exchanges(service):
-    """Wrap every shard handle's pipe ends; returns the live tallies."""
+    """Wrap every shard handle's pipe ends; returns the live tallies
+    (requests sent and their ops, replies received) per shard."""
     tallies = {}
     for index, handle in service._shards.items():
-        tally = tallies[index] = {"sent": 0, "received": 0}
+        tally = tallies[index] = {"sent": 0, "received": 0, "ops": []}
 
         def send(request, _send=handle.send, _tally=tally):
             _tally["sent"] += 1
+            _tally["ops"].append(request.op)
             return _send(request)
 
         def recv(timeout_s, _recv=handle.recv, _tally=tally):
@@ -1824,12 +1863,11 @@ class TestExchangeOutcomes:
 
     OPS = {
         "close": lambda service, sid, shard: service.close_session(sid),
-        "telemetry": lambda service, sid, shard: service.telemetry_of(shard),
+        "stats": lambda service, sid, shard: service.stats_of(shard),
     }
-    PATCHES = {
-        "close": (MonitorService, "close_session"),
-        "telemetry": (TelemetryRegistry, "snapshot"),
-    }
+    # The ops whose worker side can raise: ``stats`` replies with the
+    # service's own stats object, so only its transport can fail.
+    PATCHES = {"close": (MonitorService, "close_session")}
 
     def _fleet(self, service):
         sids = [service.open_session(f"proc-{i}") for i in range(6)]
@@ -1857,7 +1895,7 @@ class TestExchangeOutcomes:
             self._assert_shard_failed(service, shard, victims)
 
     @needs_fork
-    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("op", sorted(PATCHES))
     def test_typed_error_reply_is_the_callers_error(
         self, monitor, monkeypatch, op
     ):
@@ -1875,7 +1913,7 @@ class TestExchangeOutcomes:
             assert [e.frame_index for e in service.drain()] == [4, 5]
 
     @needs_fork
-    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("op", sorted(PATCHES))
     def test_unknown_error_reply_fails_the_shard_safe(
         self, monitor, monkeypatch, op
     ):
@@ -2144,7 +2182,7 @@ class TestLoopThreadDataPath:
                         os.kill(handle.process.pid, signal.SIGCONT)
                     await asyncio.wait_for(waiting, 10.0)
                     await frontend.drain()
-                    counters = (await frontend.telemetry())["counters"]
+                    counters = service.router_telemetry_snapshot()["counters"]
                     result = await frontend.close_session(sid)
             return counters, result
 

@@ -71,7 +71,6 @@ class TestRoundTrip:
         )
         restored = monitor_from_bytes(monitor_to_bytes(monitor))
         assert restored.threshold == 0.25
-        assert restored.config.gesture_window == WindowConfig(4, 1)
         assert restored.config.error_window == WindowConfig(7, 2)
         assert restored.gesture_classifier.config.window == WindowConfig(4, 1)
         assert Gesture.G2 in restored.library.constant_gestures
@@ -149,6 +148,27 @@ class TestValidation:
         blob = rewrite_meta(monitor_to_bytes(monitor), lambda m: m.update(version=999))
         with pytest.raises(ConfigurationError):
             monitor_from_bytes(blob)
+
+    def test_an_archive_with_the_retired_gesture_window_loads(self):
+        """Archives written while ``MonitorConfig`` carried a
+        ``gesture_window`` still load, and serve the classifier's own
+        window: the key was never read, so it is ignored even where it
+        disagrees with that window."""
+        monitor = make_synthetic_monitor(
+            n_features=N_FEATURES, seed=0, gesture_window=WindowConfig(4, 1)
+        )
+        blob = monitor_to_bytes(monitor)
+        older = rewrite_meta(
+            blob, lambda m: m["monitor_config"].update(gesture_window=[9, 3])
+        )
+        assert b"gesture_window" not in blob
+        restored = monitor_from_bytes(older)
+        assert restored.config == monitor.config
+        assert restored.gesture_classifier.config.window == WindowConfig(4, 1)
+        trajectory = make_random_walk_trajectory(60, n_features=N_FEATURES, seed=5)
+        original, copy = monitor.process(trajectory), restored.process(trajectory)
+        assert np.array_equal(copy.gestures, original.gestures)
+        assert np.array_equal(copy.unsafe_scores, original.unsafe_scores)
 
     def test_an_archive_with_the_retired_vote_threshold_loads(self):
         """Archives written while ``MonitorConfig`` carried an
