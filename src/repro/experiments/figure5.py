@@ -34,12 +34,6 @@ class Figure5Result:
             return float("nan")
         return float(self.matrix[i, j])
 
-    def mean_offdiagonal(self) -> float:
-        """Mean pairwise divergence (upper triangle)."""
-        n = len(self.gestures)
-        values = [self.matrix[i, j] for i in range(n) for j in range(i + 1, n)]
-        return float(np.mean(values)) if values else float("nan")
-
 
 def run(
     scale: "str | ExperimentScale" = "fast",

@@ -108,16 +108,6 @@ class CellResult:
     #: unless :func:`run_campaign` was given a ``monitor``.
     detected: int = 0
 
-    @property
-    def n_errors(self) -> int:
-        """Total injections that manifested as errors."""
-        return (
-            self.block_drops
-            + self.dropoff_failures
-            + self.wrong_positions
-            + self.never_grasped
-        )
-
     def record(self, category: str | None) -> None:
         """Account one injection outcome."""
         self.n_injections += 1

@@ -110,16 +110,6 @@ class SurgicalDataset:
         """Total kinematics frames across all demonstrations."""
         return sum(d.n_frames for d in self.demonstrations)
 
-    def gesture_counts(self) -> dict[int, int]:
-        """Frames per gesture number across the dataset."""
-        counts: dict[int, int] = {}
-        for demo in self.demonstrations:
-            assert demo.trajectory.gestures is not None
-            values, freq = np.unique(demo.trajectory.gestures, return_counts=True)
-            for v, f in zip(values, freq):
-                counts[int(v)] = counts.get(int(v), 0) + int(f)
-        return counts
-
     def erroneous_gesture_counts(self) -> tuple[int, int]:
         """(total gesture occurrences, erroneous occurrences)."""
         total = 0

@@ -24,8 +24,6 @@ signatures for G4/G6, subtle ones for G2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..config import as_generator
@@ -79,16 +77,6 @@ _ACTIVE_ARM_OFFSET: dict[Gesture, int] = {
     Gesture.G11: _RIGHT,
     Gesture.G12: _LEFT,
 }
-
-
-@dataclass
-class InjectionRecord:
-    """Bookkeeping for one injected error."""
-
-    gesture: Gesture
-    mode: ErrorMode
-    start_frame: int
-    end_frame: int
 
 
 class ErrorInjector:

@@ -73,8 +73,3 @@ class SuturingAnchors:
     view_extent: np.ndarray = field(
         default_factory=lambda: np.array([0.070, 0.060, 0.080])
     )
-
-    def in_view(self, position: np.ndarray) -> bool:
-        """True when ``position`` is inside the endoscopic view volume."""
-        position = np.asarray(position, dtype=float)
-        return bool(np.all(np.abs(position) <= self.view_extent))

@@ -27,15 +27,6 @@ from .primitives import PRIMITIVES, SKILL_PROFILES, render_gesture
 from .schema import FRAME_RATE_HZ, SKILL_LEVELS, SUBJECTS, TRIALS_PER_SUBJECT, SuturingAnchors
 
 
-def _simple_chain(sequence: list[Gesture]) -> MarkovChain:
-    """A deterministic chain visiting ``sequence`` in order."""
-    transitions: dict[int, dict[int, float]] = {START_TOKEN: {int(sequence[0]): 1.0}}
-    for a, b in zip(sequence[:-1], sequence[1:]):
-        transitions[int(a)] = {int(b): 1.0}
-    transitions[int(sequence[-1])] = {END_TOKEN: 1.0}
-    return MarkovChain(transitions)
-
-
 #: Knot-Tying grammar: reach suture, loop, reach through loop, pull taut.
 #: (The paper does not publish these chains; a plausible deterministic
 #: core with a stochastic retry of the loop matches the task's structure

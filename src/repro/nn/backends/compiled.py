@@ -21,8 +21,8 @@ shape and a fixed maximum batch (the serving engine's ``max_sessions``):
   valid until the next call.
 - **Inference-only kernels** — no ``training`` branches, no per-layer
   dtype coercions, one whole-batch ``np.matmul`` per contraction
-  (where the reference path issues fixed-shape ``ROW_BLOCK``-row GEMMs
-  to keep a row's bits independent of its batch), dropout elided,
+  (where the reference path issues GEMMs over whole ``ROW_BLOCK``-row
+  blocks to keep a row's bits independent of its batch), dropout elided,
   batch-norm reduced to one fused multiply-add.
 - **Fused LSTM steps** — each timestep computes all four gates in one
   preallocated ``(batch, 4·units)`` buffer with in-place

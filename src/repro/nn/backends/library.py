@@ -29,7 +29,7 @@ member's rows into whole ``ROW_BLOCK`` blocks (zeros, never
 ``np.empty``) and runs every contraction as a single
 ``np.matmul((B, ROW_BLOCK, K), (B, K, N))`` — per block exactly the
 ``(ROW_BLOCK, K) x (K, N)`` call on C-contiguous operands that
-:func:`~repro.nn.layers.contract.contract` makes — and every
+:func:`~repro.nn.layers.contract.contract` makes for one block — and every
 element-wise step once over all rows with a parameter row per window.
 It is bit-identical to the member calls by construction: a row's bits
 depend on the row, its member's weights and the fixed shape of the

@@ -2,7 +2,7 @@
 
 It must yield the *identical* bytes the tick engine got before backends
 existed (``scaler.transform`` building a standardised copy, then
-``Sequential.predict_proba`` through the batch-invariant fixed-shape
+``Sequential.predict_proba`` through the batch-invariant whole-block
 GEMM contraction of :mod:`repro.nn.layers.contract`), so the existing
 parity suites (stream ≡ process ≡ service ≡ sharded, bit for bit) pin its
 behaviour without modification.  It runs the same float operations as
@@ -48,10 +48,14 @@ from .stepper import StreamStepper
 #: widths, time-major: about 1 MB per per-step array) whatever its
 #: length.  A bare constant: rows are independent, so the chunking
 #: bounds the working set, not the bits.  Measured on a 2-core x86-64
-#: box, one BLAS thread: a paper-scale ``BulkScorer.score`` of 516
-#: frames took 318 / 303 / 293 / 302 / 323 / 329 ms at chunks of
-#: 16 / 32 / 64 / 128 / 256 / 512 windows, and a default conv error
-#: member scored 130 to 1 000 windows 1.8-2.2x faster at 64 than at 512.
+#: box (SkylakeX kernels), one BLAS thread, one pinned core, with
+#: ``contract`` covering up to four row blocks per call: a paper-scale
+#: ``BulkScorer.score`` of 516 frames took 254 / 174 / 152 / 157 / 167 /
+#: 175 ms at chunks of 16 / 32 / 64 / 128 / 256 / 512 windows (one block
+#: per call: 317 / 297 / 300 / 299 / 307 / 314 ms), and a default conv
+#: error member's ``forward_bulk`` of 130 / 1 000 windows took 302 / 2 260
+#: us at 64 against 255 / 2 181 us at 512 — 64 is the gesture pass's best
+#: chunk and costs the conv member under a fifth.
 _CHUNK = PREDICT_CHUNK
 
 _FLOAT64 = np.dtype(np.float64)

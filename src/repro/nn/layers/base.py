@@ -69,11 +69,6 @@ class Layer:
             self.grads = {key: np.zeros_like(val) for key, val in self.params.items()}
         return self.grads
 
-    def zero_grads(self) -> None:
-        """Reset accumulated gradients to zero."""
-        for key, value in self.grads.items():
-            value[...] = 0.0
-
     def n_parameters(self) -> int:
         """Total number of trainable scalars in this layer."""
         return int(sum(p.size for p in self.params.values()))

@@ -17,16 +17,32 @@ How
 BLAS picks its kernel from the *shape* of the call: GEMV for one row,
 small-matrix kernels for a few, tiled GEMM with tail kernels beyond, and
 their accumulation orders round differently.  So the rows of ``a`` are
-walked in blocks of exactly :data:`ROW_BLOCK` and every block is **one
-``np.matmul`` of shape ``(ROW_BLOCK, K) x (K, N)``**; a short last block
-is copied into a zero-filled block of the full height and its pad rows
-are dropped.  For a given layer every BLAS call inference ever makes
-therefore has the same shape, whether one window or 512 share the
-batch, and inside one fixed-shape call a row's result does not depend
-on its neighbours.  The pad is zeros, never ``np.empty``: garbage rows
-would cost denormal arithmetic and floating-point warnings.  Training
-forwards (``training=True``) keep plain ``a @ w``, where
-bit-reproducibility across batch layouts is not needed.
+walked in whole blocks of exactly :data:`ROW_BLOCK` rows, and every BLAS
+call covers whole blocks: **one ``np.matmul`` of shape ``(ROW_BLOCK, K)
+x (K, N)`` per block**, or — on a weight shape where this process has
+shown it changes no bit — **one per up to :data:`WIDE_BLOCKS` blocks**.
+A short last block is copied into a zero-filled block of the full height
+and its pad rows are dropped.  A call of at most ``ROW_BLOCK`` rows is
+therefore always the one padded block, and inside one call a row's
+result does not depend on its neighbours.  The pad is zeros, never
+``np.empty``: garbage rows would cost denormal arithmetic and
+floating-point warnings.  Training forwards (``training=True``) keep
+plain ``a @ w``, where bit-reproducibility across batch layouts is not
+needed.
+
+*Shown* means a probe (:func:`_goes_wide`), run once per weight shape,
+layout and dtype pair, the first time a contraction has two whole blocks
+to make: the weights' own product with a fixed ``WIDE_BLOCKS *
+ROW_BLOCK``-row operand, one block per call, against one call of q
+blocks for each q in 2..``WIDE_BLOCKS``, compared row by row by bytes.
+Every call shape the wide path can send to BLAS is thereby tried in this
+process, with its kernels and its thread count; a shape that fails keeps
+one block per call.  BLAS chooses kernels from shapes, layout, dtype and
+threads, not values, so one probe answers for every weight matrix with
+that key.  Why it pays: OpenBLAS packs the whole weight matrix on every
+call, so at ``(512, 2048)`` one 64-row call costs about twice one 16-row
+call, not four times, and a chunk's recurrent step — 64 windows — is one
+call instead of four.
 
 Three measured facts the design rests on (2-core Xeon, OpenBLAS 0.3.31)
 -----------------------------------------------------------------------
@@ -43,7 +59,14 @@ Three measured facts the design rests on (2-core Xeon, OpenBLAS 0.3.31)
    enough" batches through plain ``a @ w`` breaks it at once (tail-column
    kernels at N in {1, 2, 3, 17, 65}, and large K; under Haswell
    kernels at the paper's shapes too).  Blocking the *contracted* axis
-   is not needed: fixing M is what removes the kernel choice.
+   is not needed: fixing M is what removes the kernel choice.  Calls of
+   2-4 whole blocks mostly round as the one-block calls do — every
+   paper and default-model shape, under all five kernel families at 1
+   and 2 threads — but not always, which is why it is probed, not
+   assumed: ``(512, 64)`` and ``(512, 65)`` under SkylakeX (and there
+   ``(256, 65)`` and ``(1024, 16)`` too), and ``(512, 65)`` and
+   ``(256, 65)`` under Nehalem at 2 threads, round some rows differently
+   in a wide call.
 2. **``ROW_BLOCK`` is the one decision; it trades single-row latency
    for throughput.**  A lone row pays for ``ROW_BLOCK`` rows of GEMM, a
    fleet gets GEMM speed.  The measured table (``bulk_paper`` frames/s,
@@ -54,7 +77,10 @@ Three measured facts the design rests on (2-core Xeon, OpenBLAS 0.3.31)
    disagree in the last ulp, so it is read from no argument, environment
    variable or config.  A single short block returns straight from its
    one BLAS call, which keeps a batch-1 forward at the default sizes as
-   cheap as it was.
+   cheap as it was.  ``WIDE_BLOCKS`` moves no bit — where a wide call
+   would, the probe keeps one block per call — so it is a cost choice
+   only: 4 blocks make a 64-window chunk's recurrent step
+   (:data:`~repro.nn.model.PREDICT_CHUNK`) one call.
 3. **The bits belong to the BLAS kernel family.**  OpenBLAS's
    Nehalem/Sandybridge, Haswell/Zen and SkylakeX kernels give three
    different last-ulp patterns (max ``|old - new|`` about 2e-13 at
@@ -88,13 +114,24 @@ from functools import cache
 
 import numpy as np
 
-#: Rows per BLAS call at inference.  Changing it changes last-ulp bits.
+#: Rows of one block: every BLAS call at inference covers whole blocks.
+#: Changing it changes last-ulp bits.
 ROW_BLOCK = 16
+#: Most whole blocks one BLAS call covers, on a weight shape whose probe
+#: (:func:`_goes_wide`) showed that such a call rounds every row as the
+#: one-block calls do.  It moves no bit, only how many calls reach BLAS.
+WIDE_BLOCKS = 4
+
+#: Probe verdicts by ``(weight shape, row dtype, weight dtype, weight
+#: strides)``.  Process-wide on purpose: the verdict is a fact about the
+#: BLAS kernels and thread count this process loaded, which do not change.
+_WIDE: dict[tuple, bool] = {}
 
 
 def contract(a: np.ndarray, w: np.ndarray, training: bool) -> np.ndarray:
     """``a @ w`` over the last axis of ``a``: plain BLAS when training,
-    fixed-shape ``ROW_BLOCK``-row GEMMs (batch-invariant) at inference."""
+    GEMMs over whole ``ROW_BLOCK``-row blocks (batch-invariant) at
+    inference."""
     if training:
         return a @ w
     k, n = w.shape
@@ -115,12 +152,47 @@ def contract(a: np.ndarray, w: np.ndarray, training: bool) -> np.ndarray:
     full = m - tail
     rows = np.ascontiguousarray(rows)  # one memory layout into BLAS
     out = np.empty((m, n), np.result_type(rows, w))
-    for start in range(0, full, ROW_BLOCK):
-        stop = start + ROW_BLOCK
+    step = ROW_BLOCK
+    if full > ROW_BLOCK and _goes_wide(rows.dtype, w):
+        step *= WIDE_BLOCKS
+    for start in range(0, full, step):
+        stop = min(start + step, full)
         np.matmul(rows[start:stop], w, out=out[start:stop])
     if tail:
         out[full:] = last
     return out if a.ndim == 2 else out.reshape(a.shape[:-1] + (n,))
+
+
+def _goes_wide(dtype: np.dtype, w: np.ndarray) -> bool:
+    """Whether one call over 2..``WIDE_BLOCKS`` whole blocks of ``dtype``
+    rows rounds every row as one-block calls do against ``w``, as shown
+    once per weight shape, layout and dtypes by :func:`_probe`."""
+    key = (w.shape, dtype, w.dtype, w.strides)
+    verdict = _WIDE.get(key)
+    if verdict is None:
+        verdict = _WIDE[key] = _probe(dtype, w)
+    return verdict
+
+
+def _probe(dtype: np.dtype, w: np.ndarray) -> bool:
+    """Contract ``WIDE_BLOCKS`` fixed blocks with ``w`` one block per call,
+    then as one call of q blocks for every q in 2..``WIDE_BLOCKS``, each
+    call as :func:`contract` makes it, and compare every row by bytes.
+    Only floating-point operands are tried: anything else keeps one block
+    per call."""
+    if dtype.kind != "f" or w.dtype.kind != "f":
+        return False
+    rows = _fixed_rows(WIDE_BLOCKS * ROW_BLOCK, w.shape[0]).astype(dtype)
+    alone = np.empty((len(rows), w.shape[1]), np.result_type(rows, w))
+    wide = np.empty_like(alone)
+    for start in range(0, len(rows), ROW_BLOCK):
+        stop = start + ROW_BLOCK
+        np.matmul(rows[start:stop], w, out=alone[start:stop])
+    for stop in range(2 * ROW_BLOCK, len(rows) + 1, ROW_BLOCK):
+        np.matmul(rows[:stop], w, out=wide[:stop])
+        if any(got.tobytes() != want.tobytes() for got, want in zip(wide[:stop], alone)):
+            return False
+    return True
 
 
 #: ``(K, N)`` of the fingerprint's probe contractions: main GEMM kernel,
@@ -130,13 +202,18 @@ _PROBE_SHAPES = ((512, 65), (512, 64), (100, 3), (8, 1), (38, 2048))
 _PROBE_ROWS = 21  # a full block and a short one at the shipped ROW_BLOCK
 
 
+def _fixed_rows(m: int, k: int) -> np.ndarray:
+    """A fixed ``(m, k)`` operand built from integer arithmetic and one
+    correctly rounded division, so it is the same bits on every platform
+    and numpy."""
+    i = np.arange(m * k, dtype=np.int64).reshape(m, k)
+    return (i * 7919 % 10007) / 10007.0 - 0.5
+
+
 def _probe_operands(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed ``(21, k)`` and ``(k, n)`` operands built from integer
-    arithmetic and one correctly rounded division, so the operands
-    themselves are the same bits on every platform and numpy."""
-    i = np.arange(_PROBE_ROWS * k, dtype=np.int64).reshape(_PROBE_ROWS, k)
+    """Fixed ``(21, k)`` and ``(k, n)`` operands (:func:`_fixed_rows`)."""
     j = np.arange(k * n, dtype=np.int64).reshape(k, n)
-    return (i * 7919 % 10007) / 10007.0 - 0.5, (j * 104729 % 10009) / 10009.0 - 0.5
+    return _fixed_rows(_PROBE_ROWS, k), (j * 104729 % 10009) / 10009.0 - 0.5
 
 
 @cache

@@ -133,7 +133,7 @@ class LSTM(Layer):
     def recur(self, x: np.ndarray, wx, wh, b, contract) -> np.ndarray:
         """The ``training=False`` forward: no caches, fewest numpy calls.
 
-        Around the contraction (the batch-invariant fixed-shape GEMMs
+        Around the contraction (the batch-invariant whole-block GEMMs
         of :mod:`.contract`) it performs the float operations of the
         training loop on every element in the same order, so a window
         scores bit-identically alone or inside any batch.  Three things

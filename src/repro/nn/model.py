@@ -133,8 +133,8 @@ class Sequential:
 
         Inference is batch-size invariant: a sample scored alone yields
         the bit-identical probability it would get inside any larger
-        batch: every contraction runs as fixed-shape ``ROW_BLOCK``-row
-        GEMMs (see :mod:`repro.nn.layers.contract`).  The online serving
+        batch: every contraction runs as GEMMs over whole ``ROW_BLOCK``-row
+        blocks (see :mod:`repro.nn.layers.contract`).  The online serving
         engine relies on this to reproduce batched results exactly, and
         ``batch_size`` only sets how many rows one forward takes.
         """

@@ -223,11 +223,6 @@ class ShmRing:
             self._check_mapped()
             return self._write_pos() - self._read_pos()
 
-    @property
-    def free_bytes(self) -> int:
-        """Writable bytes currently available."""
-        return self.capacity - self.data_bytes
-
     # ------------------------------------------------------------------
     # Producer
     # ------------------------------------------------------------------

@@ -24,8 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.layers import contract as contract_module
-from repro.nn.layers.contract import ROW_BLOCK, contract, numerics_fingerprint
-from repro.serving import make_random_walk_trajectory, make_synthetic_monitor
+from repro.nn.layers.contract import ROW_BLOCK, WIDE_BLOCKS, contract, numerics_fingerprint
+from repro.serving import MonitorService, make_random_walk_trajectory, make_synthetic_monitor
 
 #: ``(K, N)`` of the paper-scale monitor's contractions.
 PAPER_SHAPES = [(38, 2048), (512, 2048), (512, 384), (96, 384)]
@@ -41,6 +41,28 @@ ALONE = (0, 1, 6, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 63, 64, 511, 512)
 
 def same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def one_block_per_call(a, w):
+    """The oracle: ``contract(a, w, False)`` of 2-D ``a`` as one BLAS call
+    per ``ROW_BLOCK`` rows, the short last block zero-padded."""
+    k, n = w.shape
+    m = len(a)
+    tail = m % ROW_BLOCK
+    if tail:
+        block = np.zeros((ROW_BLOCK, k), a.dtype)
+        block[:tail] = a[m - tail :]
+        last = np.matmul(block, w)[:tail]
+        if tail == m:
+            return last
+    full = m - tail
+    a = np.ascontiguousarray(a)
+    out = np.empty((m, n), np.result_type(a, w))
+    for start in range(0, full, ROW_BLOCK):
+        np.matmul(a[start : start + ROW_BLOCK], w, out=out[start : start + ROW_BLOCK])
+    if tail:
+        out[full:] = last
+    return out
 
 
 def assert_batch_invariant(fn, k, n, seed=0):
@@ -172,28 +194,113 @@ def test_training_forward_is_still_plain_matmul(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# One contraction, one shape into BLAS
+# Whole blocks into BLAS: one per call, or several where the probe passed
 # ----------------------------------------------------------------------
-def test_every_blas_call_has_exactly_row_block_rows(monkeypatch):
+@pytest.mark.parametrize("k,n", PAPER_SHAPES + EDGE_SHAPES)
+def test_wide_calls_give_the_bytes_of_one_block_per_call(k, n):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((WIDE_BLOCKS * ROW_BLOCK + ROW_BLOCK + 1, k))
+    w = rng.standard_normal((k, n))
+    hostile = x.copy()
+    for row, value in zip((3, ROW_BLOCK + 4, 2 * ROW_BLOCK, 70), (np.inf, -np.inf, np.nan, 5e-324)):
+        hostile[row] = value
+    x32, w32 = x.astype(np.float32), w.astype(np.float32)
+    with np.errstate(all="ignore"):
+        for rows, weights in ((x, w), (hostile, w), (x32, w), (x32, w32)):
+            for batch in range(1, len(rows) + 1):
+                got = contract(rows[:batch], weights, False)
+                assert same_bytes(got, one_block_per_call(rows[:batch], weights)), (k, n, batch)
+
+
+def spy_on_matmul(monkeypatch):
+    """Record every ``np.matmul``: operand shapes, whether the rows are
+    C-contiguous, and the probe key of its weights."""
     calls = []
     real = np.matmul
 
     def spy(x1, x2, **kwargs):
-        calls.append((x1.shape, x2.shape, x1.flags.c_contiguous))
+        calls.append((x1.shape, x2.shape, x1.flags.c_contiguous, (x2.shape, x1.dtype, x2.dtype, x2.strides)))
         return real(x1, x2, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
+    return calls
+
+
+def assert_whole_blocks(calls):
+    for x1, x2, contiguous, key in calls:
+        assert len(x1) == 2 and x1[1] == x2[0] and contiguous
+        assert x1[0] % ROW_BLOCK == 0 and ROW_BLOCK <= x1[0] <= WIDE_BLOCKS * ROW_BLOCK
+        assert x1[0] == ROW_BLOCK or contract_module._WIDE[key], (x1, x2)
+
+
+def test_every_blas_call_covers_whole_row_blocks(monkeypatch):
     rng = np.random.default_rng(11)
     w = rng.standard_normal((6, 5))
-    for batch in range(0, 3 * ROW_BLOCK + 2):
+    contract(rng.standard_normal((WIDE_BLOCKS * ROW_BLOCK, 6)), w, False)  # the probe
+    key = (w.shape, w.dtype, w.dtype, w.strides)
+    wide = contract_module._WIDE[key]
+    calls = spy_on_matmul(monkeypatch)
+    for batch in range(0, WIDE_BLOCKS * ROW_BLOCK + ROW_BLOCK + 2):
         del calls[:]
         contract(rng.standard_normal((batch, 12))[:, ::2], w, False)
-        assert calls == [((ROW_BLOCK, 6), (6, 5), True)] * -(-batch // ROW_BLOCK)
+        assert_whole_blocks(calls)
+        tail, full = batch % ROW_BLOCK, batch - batch % ROW_BLOCK
+        step = ROW_BLOCK * (WIDE_BLOCKS if wide and full > ROW_BLOCK else 1)
+        rows = [ROW_BLOCK] * (tail > 0) + [min(step, full - s) for s in range(0, full, step)]
+        assert [x1[0] for x1, _, _, _ in calls] == rows
+        if batch <= ROW_BLOCK:  # one padded or whole block: the one call
+            assert calls == [((ROW_BLOCK, 6), (6, 5), True, key)] * (batch > 0)
     # ... and through whole models: an LSTM gesture stage, conv error heads.
-    del calls[:]
-    make_synthetic_monitor(seed=1).process(make_random_walk_trajectory(40, seed=1))
-    assert calls and {x1[0] for x1, _, _ in calls} == {ROW_BLOCK}
-    assert all(len(x1) == 2 and x1[1] == x2[0] and contiguous for x1, x2, contiguous in calls)
+    monitor = make_synthetic_monitor(seed=1)
+    trajectory = make_random_walk_trajectory(40, seed=1)
+    monkeypatch.undo()
+    monitor.process(trajectory)  # every shape's probe
+    calls = spy_on_matmul(monkeypatch)
+    monitor.process(trajectory)
+    assert calls
+    assert_whole_blocks(calls)
+
+
+def test_one_frame_ticks_make_one_padded_call_per_contraction(monkeypatch):
+    """A tick that serves one stream's frame — the paced real-time load —
+    reaches BLAS with exactly one ``ROW_BLOCK``-row block per contraction,
+    the gesture stage's chains and the error stage's windows alike."""
+    monitor = make_synthetic_monitor(seed=2)
+    service = MonitorService(monitor, max_sessions=16)
+    sessions = [service.open_session(record_timeline=False) for _ in range(16)]
+    frames = [make_random_walk_trajectory(30, seed=i).frames for i in range(16)]
+    calls = spy_on_matmul(monkeypatch)
+    for t in range(30):
+        for session, stream in zip(sessions, frames):
+            service.feed(session, stream[t : t + 1])
+            service.tick()
+    assert calls and {x1[-2] for x1, _, _, _ in calls} == {ROW_BLOCK}
+
+
+@pytest.mark.parametrize("differs_at", range(2, WIDE_BLOCKS + 1))
+def test_a_wide_call_that_rounds_a_row_differently_keeps_one_block_per_call(monkeypatch, differs_at):
+    """The probe compares every row of every wide call it may make: one
+    last-ulp difference in one row of one block count refuses the shape."""
+    monkeypatch.setattr(contract_module, "_WIDE", {})
+    real = np.matmul
+    rows = []
+
+    def perturbing(x1, x2, **kwargs):
+        out = real(x1, x2, **kwargs)
+        rows.append(len(x1))
+        if len(x1) == differs_at * ROW_BLOCK:
+            out[-1, -1] = np.nextafter(out[-1, -1], np.inf)
+        return out
+
+    rng = np.random.default_rng(13)
+    x, w = rng.standard_normal((WIDE_BLOCKS * ROW_BLOCK + 5, 38)), rng.standard_normal((38, 64))
+    want = one_block_per_call(x, w)
+    monkeypatch.setattr(np, "matmul", perturbing)
+    assert same_bytes(contract(x, w, False), want)
+    assert contract_module._WIDE == {(w.shape, x.dtype, w.dtype, w.strides): False}
+    del rows[:]
+    assert same_bytes(contract(x, w, False), want)
+    assert rows == [ROW_BLOCK] * (WIDE_BLOCKS + 1)
 
 
 def test_row_block_is_a_bare_constant_no_argument_selects_it():
